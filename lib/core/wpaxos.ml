@@ -108,10 +108,7 @@ type state = {
   mutable lamport : int;
   mutable last_change : int * int;  (* (counter, origin); (-1,-1) = -inf *)
   mutable change_q : (int * int) option;
-  (* tree building service (Alg 4) *)
-  dist : (int, int) Hashtbl.t;
-  parent : (int, int) Hashtbl.t;
-  mutable tree_q : (int * int) list;  (* (root, hops to advertise) *)
+  tree : Tree.t;  (* tree building service (Alg 4) *)
   (* proposer *)
   mutable max_tag : int;
   mutable phase : proposer_phase;
@@ -185,28 +182,13 @@ let refill st = if st.cfg.retransmit then st.patience_left <- patience_max
 (* Broadcast service (Alg 5): pack one message per non-empty queue.    *)
 (* ------------------------------------------------------------------ *)
 
-let dequeue_tree st =
-  match st.tree_q with
-  | [] -> None
-  | entries ->
-      let chosen =
-        if st.cfg.leader_priority then
-          match List.find_opt (fun (root, _) -> root = st.omega) entries with
-          | Some entry -> entry
-          | None -> List.hd entries
-        else List.hd entries
-      in
-      st.tree_q <- List.filter (fun e -> e <> chosen) st.tree_q;
-      let root, hops = chosen in
-      Some (Search { root; hops; sender = st.me })
-
 (* Take the first response whose destination is routable; unroutable entries
    stay queued until a search message establishes the parent pointer. *)
 let dequeue_response st =
   let rec pick acc = function
     | [] -> None
     | entry :: rest -> (
-        match Hashtbl.find_opt st.parent entry.q_target with
+        match Tree.parent st.tree entry.q_target with
         | Some parent_id ->
             st.response_q <- List.rev_append acc rest;
             Some
@@ -240,8 +222,12 @@ let compose st =
       st.proposal_q <- None;
       components := Proposal p :: !components
   | None -> ());
-  (match dequeue_tree st with
-  | Some c -> components := c :: !components
+  (match
+     Tree.pop st.tree
+       ~prefer:(if st.cfg.leader_priority then Some st.omega else None)
+   with
+  | Some (root, hops) ->
+      components := Search { root; hops; sender = st.me } :: !components
   | None -> ());
   (match st.change_q with
   | Some (counter, origin) ->
@@ -536,17 +522,8 @@ let on_change st ~counter ~origin =
   end
 
 let on_search st ~root ~hops ~sender =
-  let current =
-    Option.value ~default:max_int (Hashtbl.find_opt st.dist root)
-  in
-  if hops < current then begin
-    Hashtbl.replace st.dist root hops;
-    Hashtbl.replace st.parent root sender;
+  if Tree.improve st.tree ~root ~hops ~sender then begin
     refill st;
-    (* UpdateQ (Alg 4): FIFO, one queued search per root, smallest hop
-       count; the leader's entry is pulled to the front at dequeue time. *)
-    st.tree_q <-
-      List.filter (fun (r, _) -> r <> root) st.tree_q @ [ (root, hops + 1) ];
     (* A change event (Alg 3) — but only for the distance to the CURRENT
        leader. This is the reading Lemma 4.5's GST argument needs: changes
        stop once the leader election and the leader's tree stabilize
@@ -628,12 +605,7 @@ let hardened_tick st =
       (* Re-advertise our route to the leader (UpdateQ form, Alg 4) so
          nodes that lost the search wave learn parent pointers and stuck
          unroutable responses get unstuck. *)
-      match Hashtbl.find_opt st.dist st.omega with
-      | Some d ->
-          st.tree_q <-
-            List.filter (fun (r, _) -> r <> st.omega) st.tree_q
-            @ [ (st.omega, d + 1) ]
-      | None -> ()
+      Tree.readvertise st.tree ~root:st.omega
     end;
     if st.omega = st.me && st.retries_left > 0 then begin
       st.progress_silence <- st.progress_silence + 1;
@@ -668,9 +640,7 @@ let init cfg (ctx : Amac.Algorithm.ctx) =
       lamport = 0;
       last_change = (-1, -1);
       change_q = None;
-      dist = Hashtbl.create 16;
-      parent = Hashtbl.create 16;
-      tree_q = [ (me, 1) ];
+      tree = Tree.create ~me;
       max_tag = 0;
       phase = Idle;
       attempts_left = 1;
@@ -698,8 +668,6 @@ let init cfg (ctx : Amac.Algorithm.ctx) =
       patience_left = patience_max;
     }
   in
-  Hashtbl.replace st.dist me 0;
-  Hashtbl.replace st.parent me me;
   (* Initialisation counts as a change (omega and dist were just set): every
      node starts as its own leader and issues an initial proposal. *)
   local_change st;
@@ -774,8 +742,8 @@ let pp_component = function
 let pp_msg components = String.concat "+" (List.map pp_component components)
 
 (* Verification fast path (Algorithm.hooks). The state is wide but almost
-   entirely ints and small variants; the four service hashtables are folded
-   in sorted key order so insertion history cannot split logically equal
+   entirely ints and small variants; the tree service folds its routes in
+   sorted root order so insertion history cannot split logically equal
    states. [cfg] is per-algorithm-instance and constant across a checking
    run, so it is skipped (and shared by [clone], including the instrument —
    instrumentation is not model state). *)
@@ -811,11 +779,6 @@ let fp_component c acc =
 
 let fp_msg (components : msg) acc = F.list fp_component components acc
 
-let fp_int_tbl tbl acc =
-  let entries = Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [] in
-  let entries = List.sort compare entries in
-  F.list (fun (k, v) acc -> acc |> F.int k |> F.int v) entries acc
-
 let fp_phase phase acc =
   match phase with
   | Idle -> F.int 0 acc
@@ -839,8 +802,7 @@ let fingerprint st acc =
   |> F.option F.int st.leader_q
   |> F.int st.lamport |> fp_pair st.last_change
   |> F.option fp_pair st.change_q
-  |> fp_int_tbl st.dist |> fp_int_tbl st.parent
-  |> F.list fp_pair st.tree_q
+  |> Tree.fingerprint st.tree
   |> F.int st.max_tag |> fp_phase st.phase |> F.int st.attempts_left
   |> F.option fp_proposer_msg st.proposal_q
   |> F.option
@@ -863,8 +825,7 @@ let fingerprint st acc =
 let clone st =
   {
     st with
-    dist = Hashtbl.copy st.dist;
-    parent = Hashtbl.copy st.parent;
+    tree = Tree.clone st.tree;
     fd = Fd.clone st.fd;
     phase =
       (match st.phase with

@@ -187,10 +187,7 @@ type state = {
   mutable lamport : int;
   mutable last_change : int * int;
   mutable change_q : (int * int) option;
-  (* tree building service *)
-  dist : (int, int) Hashtbl.t;
-  parent : (int, int) Hashtbl.t;
-  mutable tree_q : (int * int) list;
+  tree : Consensus.Tree.t;  (* tree building service *)
   (* the log *)
   insts : (int, inst) Hashtbl.t;
   mutable commit_index : int;  (* length of the chosen prefix *)
@@ -370,24 +367,11 @@ let has_work st =
 (* Broadcast service: pack one component per non-empty queue.          *)
 (* ------------------------------------------------------------------ *)
 
-let dequeue_tree st =
-  match st.tree_q with
-  | [] -> None
-  | entries ->
-      let chosen =
-        match List.find_opt (fun (root, _) -> root = st.omega) entries with
-        | Some entry -> entry
-        | None -> List.hd entries
-      in
-      st.tree_q <- List.filter (fun e -> e <> chosen) st.tree_q;
-      let root, hops = chosen in
-      Some (Search { root; hops; sender = st.me })
-
 let dequeue_response st =
   let rec pick acc = function
     | [] -> None
     | entry :: rest -> (
-        match Hashtbl.find_opt st.parent entry.q_target with
+        match Consensus.Tree.parent st.tree entry.q_target with
         | Some parent_id ->
             st.response_q <- List.rev_append acc rest;
             Some
@@ -446,8 +430,9 @@ let compose st =
       st.forward_q <- rest;
       components := Forward { cmd } :: !components
   | [] -> ());
-  (match dequeue_tree st with
-  | Some c -> components := c :: !components
+  (match Consensus.Tree.pop st.tree ~prefer:(Some st.omega) with
+  | Some (root, hops) ->
+      components := Search { root; hops; sender = st.me } :: !components
   | None -> ());
   (match st.change_q with
   | Some (counter, origin) ->
@@ -1155,13 +1140,8 @@ let on_change st ~counter ~origin =
   end
 
 let on_search st ~root ~hops ~sender =
-  let current = Option.value ~default:max_int (Hashtbl.find_opt st.dist root) in
-  if hops < current then begin
-    Hashtbl.replace st.dist root hops;
-    Hashtbl.replace st.parent root sender;
+  if Consensus.Tree.improve st.tree ~root ~hops ~sender then begin
     refill st;
-    st.tree_q <-
-      List.filter (fun (r, _) -> r <> root) st.tree_q @ [ (root, hops + 1) ];
     if root = st.omega then local_change st
   end
 
@@ -1229,12 +1209,7 @@ let hardened_tick st =
     if st.idle_acks >= st.next_refresh then begin
       st.idle_acks <- 0;
       st.next_refresh <- min (2 * st.next_refresh) refresh_cap;
-      (match Hashtbl.find_opt st.dist st.omega with
-      | Some d ->
-          st.tree_q <-
-            List.filter (fun (r, _) -> r <> st.omega) st.tree_q
-            @ [ (st.omega, d + 1) ]
-      | None -> ());
+      Consensus.Tree.readvertise st.tree ~root:st.omega;
       (* Re-flood the oldest pending command: a loss window may have eaten
          the original Forward before the leader saw it. Patience-bounded
          like every other retransmission. *)
@@ -1473,9 +1448,7 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       lamport = 0;
       last_change = (-1, -1);
       change_q = None;
-      dist = Hashtbl.create 16;
-      parent = Hashtbl.create 16;
-      tree_q = [ (me, 1) ];
+      tree = Consensus.Tree.create ~me;
       insts = Hashtbl.create 64;
       commit_index = 0;
       max_inst_seen = 0;
@@ -1535,8 +1508,6 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       reconfigs_superseded = 0;
     }
   in
-  Hashtbl.replace st.dist me 0;
-  Hashtbl.replace st.parent me me;
   Hashtbl.replace h.registry me st;
   local_change st;
   (st, finish st)
@@ -1673,9 +1644,7 @@ let fingerprint_state st acc =
   |> F.int st.lamport
   |> fp_pair F.int F.int st.last_change
   |> F.option (fp_pair F.int F.int) st.change_q
-  |> fp_tbl F.int F.int st.dist
-  |> fp_tbl F.int F.int st.parent
-  |> F.list (fp_pair F.int F.int) st.tree_q
+  |> Consensus.Tree.fingerprint st.tree
   |> fp_tbl F.int
        (fun (r : inst) acc ->
          acc |> F.option fp_prior r.accepted |> F.option F.int r.chosen)
@@ -1782,8 +1751,7 @@ let clone_state st =
   in
   {
     st with
-    dist = Hashtbl.copy st.dist;
-    parent = Hashtbl.copy st.parent;
+    tree = Consensus.Tree.clone st.tree;
     insts = clone_insts st.insts;
     applied_set = Hashtbl.copy st.applied_set;
     known_cmds = Hashtbl.copy st.known_cmds;

@@ -292,12 +292,6 @@ let pp_shard_violation fmt = function
 
 let shard_to_string v = Format.asprintf "%a" pp_shard_violation v
 
-(* First index of [c] in [arr], or -1. *)
-let index_of arr c =
-  let n = Array.length arr in
-  let rec go i = if i >= n then -1 else if arr.(i) = c then i else go (i + 1) in
-  go 0
-
 let check_shard_views ~submitted ~expand shard_views =
   let violations = ref [] in
   let add v = violations := v :: !violations in
@@ -311,7 +305,10 @@ let check_shard_views ~submitted ~expand shard_views =
   (* Batch atomicity, judged against each replica's flattened client-command
      stream: every batch value the replica applied must land in the stream
      contiguously and in batch order — or not at all (snapshot installs
-     inherit applied state without replaying per-command). *)
+     inherit applied state without replaying per-command). [first_index]
+     maps each command of the replica's stream to its first position; one
+     table serves every view. *)
+  let first_index = Hashtbl.create 1024 in
   List.iter
     (fun sv ->
       List.iter
@@ -322,18 +319,21 @@ let check_shard_views ~submitted ~expand shard_views =
             | None -> []
           in
           let flat_arr = Array.of_list flat in
+          Hashtbl.clear first_index;
+          for i = Array.length flat_arr - 1 downto 0 do
+            Hashtbl.replace first_index flat_arr.(i) i
+          done;
           List.iter
             (fun value ->
               match expand value with
               | None | Some [] -> ()
               | Some (first :: _ as cmds) -> (
                   let k = List.length cmds in
-                  match index_of flat_arr first with
-                  | -1 ->
+                  match Hashtbl.find_opt first_index first with
+                  | None ->
                       (* All-or-nothing: the head is absent, so no other
                          member of the batch may have landed either. *)
-                      if List.exists (fun c -> index_of flat_arr c >= 0) cmds
-                      then
+                      if List.exists (Hashtbl.mem first_index) cmds then
                         add
                           (Batch_split
                              {
@@ -343,7 +343,7 @@ let check_shard_views ~submitted ~expand shard_views =
                                expected = cmds;
                                actual = [];
                              })
-                  | i ->
+                  | Some i ->
                       let avail = Array.length flat_arr - i in
                       let actual =
                         Array.to_list (Array.sub flat_arr i (min k avail))

@@ -191,6 +191,42 @@ let test_collision_check_mode () =
         (stats.Explore.dedup_hits > 0))
     explore_cases
 
+(* Logically equal wPAXOS states reached through different search
+   histories: the tree service stamps its queue entries by push order, so
+   the marshalled bytes (the `Marshal key) differ, but the `Fast key must
+   not — it hashes the pending order, never the stamps. *)
+let test_wpaxos_push_history () =
+  let alg = Consensus.Wpaxos.make () in
+  let hooks = Option.get alg.Amac.Algorithm.hooks in
+  let ctx =
+    {
+      Amac.Algorithm.id = Amac.Node_id.Id 0;
+      n = Some 4;
+      diameter = None;
+      degree = 3;
+      input = 0;
+    }
+  in
+  let search root hops sender =
+    [ Consensus.Wpaxos.Search { root; hops; sender } ]
+  in
+  let run msgs =
+    let st, _ = alg.init ctx in
+    List.iter (fun m -> ignore (alg.on_receive ctx st m)) msgs;
+    st
+  in
+  let fp st =
+    Amac.Fingerprint.to_int (hooks.fingerprint st Amac.Fingerprint.empty)
+  in
+  (* Both end with root 2 then root 1 pending, root 1 at distance 2. *)
+  let a = run [ search 1 3 1; search 2 1 2; search 1 2 1 ] in
+  let b = run [ search 2 1 2; search 1 2 1 ] in
+  Alcotest.(check bool) "histories leave different bytes" true
+    (Marshal.to_string a [] <> Marshal.to_string b []);
+  Alcotest.(check int) "equal pending queues fingerprint equal" (fp a) (fp b);
+  let c = run [ search 1 2 1; search 2 1 2 ] in
+  Alcotest.(check bool) "the pending order is hashed" true (fp a <> fp c)
+
 let () =
   Alcotest.run "baseline-hooks"
     [
@@ -202,5 +238,7 @@ let () =
             test_collision_free;
           Alcotest.test_case "collision-check mode finds none" `Quick
             test_collision_check_mode;
+          Alcotest.test_case "wpaxos: push history does not split keys"
+            `Quick test_wpaxos_push_history;
         ] );
     ]

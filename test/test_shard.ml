@@ -301,6 +301,34 @@ let test_negative_batch_split () =
       Alcotest.fail
         ("expected exactly one Batch_split, got "
         ^ String.concat "; " (List.map Smr_checker.shard_to_string vs)));
+  (* A head applied twice: the batch is judged from its FIRST occurrence,
+     where it did not land contiguously, even though a later occurrence
+     is followed by the whole batch in order. *)
+  let svs_twice =
+    [
+      {
+        Smr_checker.sv_group = 0;
+        sv_views = [ mk_view 0 [ (0, batch_a) ] [ batch_a ] ];
+        sv_applied_cmds = [ (0, [ 10; 9; 10; 11; 12 ]) ];
+      };
+    ]
+  in
+  Alcotest.(check (list shard_violations))
+    "judged from the first occurrence"
+    [
+      Smr_checker.Batch_split
+        {
+          group = 0;
+          node = 0;
+          batch = batch_a;
+          expected = [ 10; 11; 12 ];
+          actual = [ 10; 9; 10 ];
+        };
+    ]
+    (List.filter
+       (function Smr_checker.Batch_split _ -> true | _ -> false)
+       (Smr_checker.check_shard_views ~submitted:all_submitted
+          ~expand:expand_fixture svs_twice));
   (* Partial application: a member landed without its batch head. *)
   let svs_partial =
     [
