@@ -902,7 +902,7 @@ let b7 () =
 (* Fuzz campaign scaling across domains. The campaign is clean (the
    corrected two-phase algorithm has no reachable violation under this
    config), so every run does the full [iterations] of work; the outcome
-   identity check exercises run_par's byte-determinism contract on the
+   identity check exercises Campaign.run's byte-determinism contract on the
    same wave machinery that reports early failures. *)
 let b8 () =
   let table =
@@ -913,24 +913,24 @@ let b8 () =
         [ "jobs"; "wall"; "iters/sec"; "speedup"; "report identical" ]
   in
   let iterations = if !quick then 2_000 else 20_000 in
-  let config =
-    { Mcheck.Fuzz.default with iterations; kinds = [ Mcheck.Fuzz.Clique ] }
+  let campaign =
+    Mcheck.Fuzz.campaign
+      { Mcheck.Fuzz.default with kinds = [ Mcheck.Fuzz.Clique ] }
+      Consensus.Two_phase.algorithm
   in
   Amac.Stats.Table.set_meta table "iterations" (string_of_int iterations);
   Amac.Stats.Table.set_meta table "seed" "1";
   Amac.Stats.Table.set_meta table "host_cores"
     (string_of_int (Domain.recommended_domain_count ()));
-  let render (o : Mcheck.Fuzz.outcome) =
+  let render (o : _ Mcheck.Campaign.outcome) =
     Printf.sprintf "iterations_run=%d %s" o.iterations_run
       (match o.counterexample with
       | None -> "clean"
-      | Some cx -> Format.asprintf "%a" Mcheck.Fuzz.pp_counterexample cx)
+      | Some cx -> Format.asprintf "%a" campaign.pp cx)
   in
   let run jobs =
     let t0 = Unix.gettimeofday () in
-    let outcome =
-      Mcheck.Fuzz.run_par ~jobs config Consensus.Two_phase.algorithm ~seed:1
-    in
+    let outcome = Mcheck.Campaign.run ~jobs campaign ~iterations ~seed:1 in
     (Unix.gettimeofday () -. t0, render outcome)
   in
   let base_wall, base_report = run 1 in
@@ -947,7 +947,7 @@ let b8 () =
         ])
     [ 1; 2; 4 ];
   Amac.Stats.Table.add_note table
-    "run_par scans iterations in contiguous waves and reports the minimum      failing iteration, so the outcome is byte-identical to the sequential      run at any job count; 'report identical' compares rendered outcomes      against jobs=1. Wall-clock speedup is bounded by host_cores: on a      single-core host the extra domains only measure coordination overhead.";
+    "Campaign.run scans iterations in contiguous waves and reports the minimum      failing iteration, so the outcome is byte-identical to the sequential      run at any job count; 'report identical' compares rendered outcomes      against jobs=1. Wall-clock speedup is bounded by host_cores: on a      single-core host the extra domains only measure coordination overhead.";
   table
 
 (* ------------------------------------------------------------------ *)

@@ -1,97 +1,64 @@
-(* CI quick-fuzz entry point (see .github/workflows/ci.yml).
+(* CI fuzz gate (see .github/workflows/ci.yml). Every campaign runs through
+   Mcheck.Campaign; at most one mode may be set.
 
-   Default mode: fuzzes every consensus algorithm in the repo for
-   MCHECK_ITERS iterations (default 200) of random schedules and crash
-   patterns, expecting no safety violation; then, as a harness self-test,
-   checks that the same fuzzer DOES catch the agreement bug in the erratum
-   variant (Two_phase.literal) and that the bounded explorer still verifies
-   two-phase on the 3-clique.
+   mode                campaign             gate
+   ------------------  -------------------  -------------------------------
+   (none)              Mcheck.Fuzz          two-phase (cliques), wpaxos,
+                                            flood-gather, flood-paxos and
+                                            ben-or clean; two-phase-literal
+                                            caught; Explore clean on the
+                                            3-clique
+   MCHECK_FAULTS=1     Mcheck.Fuzz with     two-phase (crash+stutter),
+                       fault plans          wpaxos, wpaxos-rtx-off safe;
+                                            two-phase agreement break and
+                                            unhardened wpaxos liveness
+                                            failure caught
+   MCHECK_BYZ=1        Byz.Fuzz             byz-consensus clean at
+                                            f=(n-1)/3; equivocation split
+                                            of two-phase caught
+   MCHECK_SMR=1        Smr_fuzz             replicated log safe
+   MCHECK_LIFECYCLE=1  Smr_fuzz, lifecycle  replicated log safe; the four
+                       draws on             Lifecycle scenarios safe, live
+   MCHECK_SHARD=1      Shard_fuzz           sharded log safe
+   MCHECK_MULTIHOP=1   Multihop_fuzz        hardened wpaxos safe
 
-   MCHECK_SMR=1 switches to the replicated-log campaign: each iteration
-   draws a topology, scheduler, workload shape (open- or closed-loop) and a
-   full fault plan, runs the SMR log through lib/workload and judges it
-   with Smr_checker — prefix agreement, no holes below commit, exactly-once
-   apply, validity. Safety only: under adversarial plans a straggler's
-   short log is legitimate. Every stochastic choice derives from
-   (seed, iteration), so a failing iteration number IS the reproducer.
+   MCHECK_ITERS (an integer >= 1, default 200) and MCHECK_SEED (an integer,
+   default 1) size and seed every campaign. MCHECK_ARTIFACT=FILE receives
+   a failing case: shrunk, with its metrics snapshot, where the campaign
+   shrinks; the failing draw otherwise. --jobs N spreads each campaign over
+   N domains with a byte-identical report; --fingerprint fast|marshal keys
+   the explorer's seen-table (same verdict either way).
 
-   MCHECK_LIFECYCLE=1 is the SMR campaign with the lifecycle surface
-   switched on — aggressive compaction watermarks, snapshot transfers and
-   mid-run joint-consensus reconfigurations drawn per iteration — plus the
-   four canonical production scenarios (rolling restart, scale-up under
-   load, crash-during-reconfig, restart-from-snapshot) gated for safety
-   AND re-achieved liveness at the fixed seed.
+   Exit status 0 = every gate held; 1 = a violation, a missed self-test or
+   an uncaught exception (printed with its replay settings, so a crash in
+   the harness never reads as a green CI job); 2 = malformed input. *)
 
-   MCHECK_SHARD=1 switches to the sharded multi-group campaign: each
-   iteration draws a topology, scheduler, group count, batch threshold and
-   crash pattern, drives the sharded log (lib/shard) open-loop with Zipf
-   keys and judges it with the sharded contract — per-group prefix
-   agreement, cross-group exactly-once per client command, batch
-   atomicity. Safety only, same (seed, iteration) reproducibility story as
-   MCHECK_SMR.
+let usage_error msg =
+  prerr_endline ("mcheck_fuzz: " ^ msg);
+  exit 2
 
-   MCHECK_BYZ=1 switches to Byzantine-strategy mode (lib/byz): the
-   Byzantine-tolerant protocol (byz_consensus) is gated — fuzzed with
-   generated adversary strategies capped at its tolerance f = (n-1)/3 and
-   expected to stay checker-clean over honest nodes — and the adversary is
-   self-tested: an equivocation-only campaign against two-phase must find
-   AND shrink a strategy that splits the honest decision. If MCHECK_ARTIFACT
-   names a file, the shrunk counterexample of an unexpected gate violation
-   is written there.
-
-   MCHECK_MULTIHOP=1 switches to the multi-hop interference campaign: each
-   iteration draws a topo_gen topology (grid / RGG / clustered mesh) and
-   seed, an interference strength (alpha, optional cap) for the
-   contention-stretching scheduler, a churn or mobility schedule and a full
-   fault plan, then gates hardened wPAXOS for unconditional safety.
-   Safety only — with contention-stretched acks and adversarial plans
-   termination is conditional. Same (seed, iteration) reproducibility
-   story as MCHECK_SMR. On failure the drawn parameters and violations are
-   written to MCHECK_ARTIFACT if set.
-
-   MCHECK_FAULTS=1 switches to fault-plan mode: fuzzes two-phase and
-   hardened wPAXOS under generated fault plans (crash-recovery, lossy
-   links, partition-and-heal, stutter) expecting safety to hold
-   unconditionally; then, as a self-test, points the same fuzzer with
-   termination checking at the unhardened wPAXOS (~retransmit:false) and
-   expects it to find AND shrink a liveness failure. If MCHECK_ARTIFACT
-   names a file, the shrunk counterexample is written there (CI uploads it
-   as a build artifact).
-
-   Flags: --jobs N spreads each fuzz campaign over N domains (the outcome
-   is byte-identical to --jobs 1 by Fuzz.run_par's contract, so CI can use
-   every core without losing reproducibility); --fingerprint fast/marshal
-   selects the explorer's seen-table keying (fast = the per-algorithm
-   fingerprint hooks, marshal = the seed Marshal+MD5 path — same verdict,
-   kept selectable so either path can be pinned in CI).
-
-   Exit status 0 = all good; 1 = a violation (or a missed one). Any
-   uncaught exception also exits non-zero, after printing the replay seed —
-   a crash in the harness must never read as a green CI job. *)
+let int_env name ~default ~valid ~expected =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some v when valid v -> v
+      | _ -> usage_error (Printf.sprintf "%s=%S is not %s" name s expected))
 
 let iterations =
-  match Sys.getenv_opt "MCHECK_ITERS" with
-  | Some s -> (try int_of_string s with _ -> 200)
-  | None -> 200
+  int_env "MCHECK_ITERS" ~default:200
+    ~valid:(fun n -> n >= 1)
+    ~expected:"an integer >= 1"
 
 let seed =
-  match Sys.getenv_opt "MCHECK_SEED" with
-  | Some s -> (try int_of_string s with _ -> 1)
-  | None -> 1
+  int_env "MCHECK_SEED" ~default:1 ~valid:(fun _ -> true) ~expected:"an integer"
 
-let fault_mode = Sys.getenv_opt "MCHECK_FAULTS" = Some "1"
-let smr_mode = Sys.getenv_opt "MCHECK_SMR" = Some "1"
-let byz_mode = Sys.getenv_opt "MCHECK_BYZ" = Some "1"
-let lifecycle_mode = Sys.getenv_opt "MCHECK_LIFECYCLE" = Some "1"
-let shard_mode = Sys.getenv_opt "MCHECK_SHARD" = Some "1"
-let multihop_mode = Sys.getenv_opt "MCHECK_MULTIHOP" = Some "1"
 let artifact = Sys.getenv_opt "MCHECK_ARTIFACT"
 
 let jobs, fingerprint =
   let jobs = ref 1 and fingerprint = ref `Fast in
   let usage () =
-    prerr_endline "usage: mcheck_fuzz [--jobs N] [--fingerprint fast|marshal]";
-    exit 2
+    usage_error "usage: mcheck_fuzz [--jobs N] [--fingerprint fast|marshal]"
   in
   let rec parse = function
     | [] -> ()
@@ -112,78 +79,105 @@ let jobs, fingerprint =
   (!jobs, !fingerprint)
 
 let failures = ref 0
-let config = { Mcheck.Fuzz.default with iterations }
 
-(* All campaigns funnel through run_par: at --jobs 1 it IS Fuzz.run, and at
-   any higher job count the outcome is byte-identical, so the gates below
-   judge the same campaign regardless of parallelism. *)
-let run_fuzz config algorithm = Mcheck.Fuzz.run_par ~jobs config algorithm ~seed
-
-(* Two-phase is a single-hop algorithm (Sec 4.1): on multi-hop topologies
-   agreement genuinely fails, so fuzz it on cliques only. *)
-let clique_only = { config with kinds = [ Mcheck.Fuzz.Clique ] }
-
-(* Replay the shrunk case through an instrumented registry so every failure
-   report carries the minimal reproducer's metrics snapshot — what the
-   engine actually did (drops, stutters, ack latencies), not just its
-   decision log. Deterministic: the replay is schedule-driven. *)
-let counterexample_metrics config algorithm cx =
+(* Replay a counterexample's case through an instrumented registry so the
+   report carries what the engine actually did (drops, stutters, ack
+   latencies), not just its decision log. Deterministic: the replay is
+   schedule-driven. *)
+let snapshot instrument case =
   let reg = Obs.Metrics.create () in
-  ignore (Mcheck.Fuzz.run_case ~obs:reg config algorithm cx.Mcheck.Fuzz.case);
+  instrument reg case;
   Obs.Metrics.render (Obs.Metrics.snapshot reg)
 
-let fuzz_clean ?(config = config) name algorithm =
-  let started = Sys.time () in
-  let outcome = run_fuzz config algorithm in
-  match outcome.Mcheck.Fuzz.counterexample with
-  | None ->
-      Printf.printf "fuzz %-14s %d iterations clean (%.1fs)\n%!" name
-        outcome.Mcheck.Fuzz.iterations_run
-        (Sys.time () -. started)
-  | Some cx ->
-      incr failures;
-      Format.printf "fuzz %-14s VIOLATION (seed %d):@.%a@." name seed
-        Mcheck.Fuzz.pp_counterexample cx;
-      Printf.printf "--- metrics (shrunk case) ---\n%s--- end metrics ---\n%!"
-        (counterexample_metrics config algorithm cx)
+(* A failing case as reported on stdout and in the artifact. *)
+let print_failure fmt header (campaign : _ Mcheck.Campaign.t) cx metrics =
+  Format.fprintf fmt "%s@.%a@." header campaign.pp cx;
+  Option.iter
+    (Format.fprintf fmt "--- metrics (shrunk case) ---@.%s--- end metrics ---@.")
+    metrics
 
-let save_artifact config algorithm name cx =
+let save_artifact title (campaign : _ Mcheck.Campaign.t) cx metrics =
   match artifact with
   | None -> ()
   | Some path ->
       let oc = open_out path in
-      let fmt = Format.formatter_of_out_channel oc in
-      Format.fprintf fmt "%s (seed %d, iteration %d)@.%a@." name seed
-        cx.Mcheck.Fuzz.iteration Mcheck.Fuzz.pp_counterexample cx;
-      Format.fprintf fmt "--- metrics (shrunk case) ---@.%s--- end metrics ---@."
-        (counterexample_metrics config algorithm cx);
+      print_failure
+        (Format.formatter_of_out_channel oc)
+        (Printf.sprintf "%s (seed %d, iteration %d)" title seed
+           cx.Mcheck.Campaign.iteration)
+        campaign cx metrics;
       close_out oc;
-      Printf.printf "wrote shrunk counterexample to %s\n%!" path
+      Printf.printf "wrote %s to %s\n%!"
+        (if Option.is_none campaign.shrink then "failing draw"
+         else "shrunk counterexample")
+        path
+
+(* The one report: a gate's campaign must come back clean; otherwise the
+   violation, its metrics snapshot and the artifact. [ticks] prints a
+   progress line every 25 iterations, keeping long campaigns visibly
+   alive. *)
+let gate ?label ?(clean = "clean") ?(ticks = false) ?instrument name
+    (campaign : _ Mcheck.Campaign.t) =
+  let label = Option.value label ~default:(Printf.sprintf "%-14s" name) in
+  let started = Sys.time () in
+  let progress i =
+    if ticks && (i + 1) mod 25 = 0 then
+      Printf.printf "fuzz %s ... %d/%d (%.1fs)\n%!" label (i + 1) iterations
+        (Sys.time () -. started)
+  in
+  let outcome =
+    Mcheck.Campaign.run ~jobs ~progress campaign ~iterations ~seed
+  in
+  match outcome.counterexample with
+  | None ->
+      Printf.printf "fuzz %s %d iterations %s (%.1fs)\n%!" label
+        outcome.iterations_run clean
+        (Sys.time () -. started)
+  | Some cx ->
+      incr failures;
+      let metrics = Option.map (fun i -> snapshot i cx.case) instrument in
+      print_failure Format.std_formatter
+        (Printf.sprintf "fuzz %s VIOLATION (seed %d):" label seed)
+        campaign cx metrics;
+      save_artifact (name ^ " violation") campaign cx metrics
+
+(* A self-test: the campaign must find a violation, handed to [found]. *)
+let expect ?(iterations = iterations) name ~missing campaign found =
+  match
+    (Mcheck.Campaign.run ~jobs campaign ~iterations ~seed).counterexample
+  with
+  | Some cx -> found cx
+  | None ->
+      incr failures;
+      Printf.printf "fuzz %s: MISSED the %s in %d iterations\n%!" name missing
+        iterations
+
+let instrument config algorithm obs case =
+  ignore (Mcheck.Fuzz.run_case ~obs config algorithm case)
+
+let fuzz ?(config = Mcheck.Fuzz.default) name algorithm =
+  gate name
+    (Mcheck.Fuzz.campaign config algorithm)
+    ~instrument:(instrument config algorithm)
+
+(* Two-phase is a single-hop algorithm (Sec 4.1): on multi-hop topologies
+   agreement genuinely fails, so fuzz it on cliques only. *)
+let clique_only = { Mcheck.Fuzz.default with kinds = [ Mcheck.Fuzz.Clique ] }
 
 let default_mode () =
-  fuzz_clean ~config:clique_only "two-phase" Consensus.Two_phase.algorithm;
-  fuzz_clean "wpaxos" (Consensus.Wpaxos.make ());
-  fuzz_clean "flood-gather" (Consensus.Flood_gather.make ());
-  fuzz_clean "flood-paxos" (Consensus.Flood_paxos.make ());
-  fuzz_clean "ben-or" (Consensus.Ben_or.make ~seed:7 ());
-
+  fuzz ~config:clique_only "two-phase" Consensus.Two_phase.algorithm;
+  fuzz "wpaxos" (Consensus.Wpaxos.make ());
+  fuzz "flood-gather" (Consensus.Flood_gather.make ());
+  fuzz "flood-paxos" (Consensus.Flood_paxos.make ());
+  fuzz "ben-or" (Consensus.Ben_or.make ~seed:7 ());
   (* Self-test: the harness must detect a real bug. *)
-  (match
-     (run_fuzz clique_only Consensus.Two_phase.literal)
-       .Mcheck.Fuzz.counterexample
-   with
-  | Some cx ->
+  expect "two-phase-literal" ~missing:"known agreement bug"
+    (Mcheck.Fuzz.campaign clique_only Consensus.Two_phase.literal)
+    (fun cx ->
       Printf.printf
         "fuzz two-phase-literal: caught the erratum at iteration %d, shrunk \
          to n=%d (expected)\n%!"
-        cx.Mcheck.Fuzz.iteration cx.Mcheck.Fuzz.case.Mcheck.Fuzz.n
-  | None ->
-      incr failures;
-      Printf.printf
-        "fuzz two-phase-literal: MISSED the known agreement bug in %d \
-         iterations\n%!"
-        iterations);
-
+        cx.iteration cx.case.n);
   let stats =
     Mcheck.Explore.explore
       { Mcheck.Explore.default with keying = fingerprint }
@@ -202,7 +196,7 @@ let default_mode () =
 
 let faults_mode () =
   let profile = Mcheck.Fuzz.default_fault_profile in
-  let fault_config = { config with faults = Some profile } in
+  let fault_config = { Mcheck.Fuzz.default with faults = Some profile } in
   (* What each algorithm's safety actually survives (DESIGN.md "Fault
      model"): wPAXOS rests on quorum intersection, indifferent to lost or
      partitioned deliveries, so it is gated under the full profile.
@@ -227,35 +221,24 @@ let faults_mode () =
           };
     }
   in
-  fuzz_clean ~config:crash_stutter_only "two-phase"
-    Consensus.Two_phase.algorithm;
-  fuzz_clean ~config:fault_config "wpaxos" (Consensus.Wpaxos.make ());
-  fuzz_clean ~config:fault_config "wpaxos-rtx-off"
+  fuzz ~config:crash_stutter_only "two-phase" Consensus.Two_phase.algorithm;
+  fuzz ~config:fault_config "wpaxos" (Consensus.Wpaxos.make ());
+  fuzz ~config:fault_config "wpaxos-rtx-off"
     (Consensus.Wpaxos.make ~retransmit:false ());
-
   (* Self-test: under the full profile (loss, partitions, amnesiac
      recovery) two-phase genuinely loses agreement; the fault fuzzer must
      find and shrink such a violation. *)
-  (match
-     (run_fuzz
-        { fault_config with kinds = [ Mcheck.Fuzz.Clique ] }
-        Consensus.Two_phase.algorithm)
-       .Mcheck.Fuzz.counterexample
-   with
-  | Some cx ->
+  expect "two-phase+faults"
+    ~missing:"known fault-induced agreement violation"
+    (Mcheck.Fuzz.campaign
+       { fault_config with kinds = [ Mcheck.Fuzz.Clique ] }
+       Consensus.Two_phase.algorithm)
+    (fun cx ->
       Printf.printf
-        "fuzz two-phase+faults: caught the fault-induced agreement \
-         violation at iteration %d, shrunk to n=%d with %d fault events \
-         (expected)\n%!"
-        cx.Mcheck.Fuzz.iteration cx.Mcheck.Fuzz.case.Mcheck.Fuzz.n
-        (List.length cx.Mcheck.Fuzz.case.Mcheck.Fuzz.faults)
-  | None ->
-      incr failures;
-      Printf.printf
-        "fuzz two-phase+faults: MISSED the known fault-induced agreement \
-         violation in %d iterations\n%!"
-        iterations);
-
+        "fuzz two-phase+faults: caught the fault-induced agreement violation \
+         at iteration %d, shrunk to n=%d with %d fault events (expected)\n%!"
+        cx.iteration cx.case.n
+        (List.length cx.case.faults));
   (* Self-test: with termination checking on, the fuzzer must find a
      schedule in which a lost delivery permanently silences the unhardened
      protocol — and shrink it. *)
@@ -266,73 +249,32 @@ let faults_mode () =
       max_time = 200_000 (* far past any plan horizon: silence is final *);
     }
   in
-  (match
-     (run_fuzz liveness_config (Consensus.Wpaxos.make ~retransmit:false ()))
-       .Mcheck.Fuzz.counterexample
-   with
-  | Some cx ->
+  let unhardened = Consensus.Wpaxos.make ~retransmit:false () in
+  let campaign = Mcheck.Fuzz.campaign liveness_config unhardened in
+  expect "wpaxos-unhardened" ~missing:"expected liveness failure" campaign
+    (fun cx ->
       Printf.printf
         "fuzz wpaxos-unhardened: caught a liveness failure at iteration %d, \
          shrunk to n=%d with %d fault events (expected)\n%!"
-        cx.Mcheck.Fuzz.iteration cx.Mcheck.Fuzz.case.Mcheck.Fuzz.n
-        (List.length cx.Mcheck.Fuzz.case.Mcheck.Fuzz.faults);
-      save_artifact liveness_config
-        (Consensus.Wpaxos.make ~retransmit:false ())
-        "wpaxos-unhardened liveness counterexample" cx
-  | None ->
-      incr failures;
-      Printf.printf
-        "fuzz wpaxos-unhardened: MISSED the expected liveness failure in %d \
-         iterations\n%!"
-        iterations)
+        cx.iteration cx.case.n
+        (List.length cx.case.faults);
+      save_artifact "wpaxos-unhardened liveness counterexample" campaign cx
+        (Some (snapshot (instrument liveness_config unhardened) cx.case)))
 
-let byz_mode_run () =
-  let run_byz config algorithm adapter =
-    Byz.Fuzz.run_par ~jobs config algorithm adapter ~seed
-  in
-  let byz_metrics config algorithm adapter cx =
-    let reg = Obs.Metrics.create () in
-    ignore
-      (Byz.Fuzz.run_case ~obs:reg config algorithm adapter cx.Byz.Fuzz.case);
-    Obs.Metrics.render (Obs.Metrics.snapshot reg)
-  in
+let byz_mode () =
   (* Gate: the Byzantine-tolerant protocol must survive every generated
      strategy inside its advertised tolerance. cap_f keeps the drawn
      adversary at f = (n-1)/3; n >= 4 so the budget is never empty. *)
   let gate_config =
-    { Byz.Fuzz.default with iterations; min_n = 4; max_n = 7; cap_f = true }
+    { Byz.Fuzz.default with min_n = 4; max_n = 7; cap_f = true }
   in
-  let started = Sys.time () in
-  (match
-     (run_byz gate_config
-        (Consensus.Byz_consensus.make ~seed:7 ())
-        Byz.Adapters.byz_consensus)
-       .Byz.Fuzz.counterexample
-   with
-  | None ->
-      Printf.printf
-        "fuzz byz-consensus %d iterations clean at f=(n-1)/3 (%.1fs)\n%!"
-        iterations
-        (Sys.time () -. started)
-  | Some cx ->
-      incr failures;
-      Format.printf "fuzz byz-consensus VIOLATION (seed %d):@.%a@." seed
-        Byz.Fuzz.pp_counterexample cx;
-      Printf.printf "--- metrics (shrunk case) ---\n%s--- end metrics ---\n%!"
-        (byz_metrics gate_config
-           (Consensus.Byz_consensus.make ~seed:7 ())
-           Byz.Adapters.byz_consensus cx);
-      (match artifact with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          let fmt = Format.formatter_of_out_channel oc in
-          Format.fprintf fmt
-            "byz-consensus violation (seed %d, iteration %d)@.%a@." seed
-            cx.Byz.Fuzz.iteration Byz.Fuzz.pp_counterexample cx;
-          close_out oc;
-          Printf.printf "wrote shrunk counterexample to %s\n%!" path));
-
+  let byz_consensus = Consensus.Byz_consensus.make ~seed:7 () in
+  gate "byz-consensus" ~label:"byz-consensus" ~clean:"clean at f=(n-1)/3"
+    (Byz.Fuzz.campaign gate_config byz_consensus Byz.Adapters.byz_consensus)
+    ~instrument:(fun obs case ->
+      ignore
+        (Byz.Fuzz.run_case ~obs gate_config byz_consensus
+           Byz.Adapters.byz_consensus case));
   (* Self-test: the adversary must earn its keep. An equivocation-only
      campaign (no silence, no replay, no forgery — the strategy wins or
      loses on per-recipient payload mutation alone) against two-phase must
@@ -346,64 +288,28 @@ let byz_mode_run () =
       allow_drop_own = false;
     }
   in
-  let attack_config =
-    {
-      Byz.Fuzz.default with
-      iterations = max iterations 500;
-      profile = equivocation_only;
-      agreement_only = true;
-    }
+  let campaign =
+    Byz.Fuzz.campaign
+      {
+        Byz.Fuzz.default with
+        profile = equivocation_only;
+        agreement_only = true;
+      }
+      Consensus.Two_phase.algorithm Byz.Adapters.two_phase
   in
-  match
-    (run_byz attack_config Consensus.Two_phase.algorithm
-       Byz.Adapters.two_phase)
-      .Byz.Fuzz.counterexample
-  with
-  | Some cx ->
-      let shrunk = cx.Byz.Fuzz.case in
+  expect ~iterations:(max iterations 500) "two-phase+byz"
+    ~missing:"expected equivocation agreement split" campaign (fun cx ->
       Format.printf
         "fuzz two-phase+byz: equivocation split caught at iteration %d, \
          shrunk to n=%d with %d tamper(s) (expected):@.%a@."
-        cx.Byz.Fuzz.iteration shrunk.Byz.Fuzz.n
-        (List.length shrunk.Byz.Fuzz.strategy.Byz.Model.tampers)
-        Byz.Fuzz.pp_counterexample cx
-  | None ->
-      incr failures;
-      Printf.printf
-        "fuzz two-phase+byz: MISSED the expected equivocation agreement \
-         split in %d iterations\n%!"
-        attack_config.Byz.Fuzz.iterations
+        cx.iteration cx.case.n
+        (List.length cx.case.strategy.Byz.Model.tampers)
+        campaign.pp cx)
 
-let smr_mode_run ~lifecycle () =
-  let config = { Smr_fuzz.default with iterations; lifecycle } in
-  let name = if lifecycle then "smr-lifecycle" else "smr-log" in
-  let started = Sys.time () in
-  (* Progress ticks keep long CI campaigns visibly alive without drowning
-     the log: one line per 25 iterations. *)
-  let progress i =
-    if (i + 1) mod 25 = 0 then
-      Printf.printf "fuzz %-14s ... %d/%d (%.1fs)\n%!" name (i + 1) iterations
-        (Sys.time () -. started)
-  in
-  let outcome = Smr_fuzz.run ~progress config ~seed in
-  (match outcome.Smr_fuzz.failure with
-  | None ->
-      Printf.printf "fuzz %-14s %d iterations clean (%.1fs)\n%!" name
-        outcome.Smr_fuzz.iterations_run
-        (Sys.time () -. started)
-  | Some f ->
-      incr failures;
-      Format.printf "fuzz %-14s SAFETY VIOLATION (seed %d):@.%a@." name seed
-        Smr_fuzz.pp_failure f;
-      (match artifact with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          let fmt = Format.formatter_of_out_channel oc in
-          Format.fprintf fmt "%s safety violation (seed %d)@.%a@." name seed
-            Smr_fuzz.pp_failure f;
-          close_out oc;
-          Printf.printf "wrote failing draw to %s\n%!" path));
+let smr_mode ~lifecycle () =
+  gate ~ticks:true
+    (if lifecycle then "smr-lifecycle" else "smr-log")
+    (Smr_fuzz.campaign { Smr_fuzz.default with lifecycle });
   (* In lifecycle mode the canonical scenario suite runs too: each of the
      four production runs (rolling restart, scale-up, crash-during-reconfig,
      restart-from-snapshot) must stay safe AND re-achieve liveness at the
@@ -426,87 +332,55 @@ let smr_mode_run ~lifecycle () =
         end)
       Lifecycle.all
 
-let shard_mode_run () =
-  let config = { Shard_fuzz.default with iterations } in
-  let started = Sys.time () in
-  let progress i =
-    if (i + 1) mod 25 = 0 then
-      Printf.printf "fuzz %-14s ... %d/%d (%.1fs)\n%!" "smr-shard" (i + 1)
-        iterations
-        (Sys.time () -. started)
-  in
-  let outcome = Shard_fuzz.run ~progress config ~seed in
-  match outcome.Shard_fuzz.failure with
-  | None ->
-      Printf.printf "fuzz %-14s %d iterations clean (%.1fs)\n%!" "smr-shard"
-        outcome.Shard_fuzz.iterations_run
-        (Sys.time () -. started)
-  | Some f ->
-      incr failures;
-      Format.printf "fuzz %-14s SAFETY VIOLATION (seed %d):@.%a@." "smr-shard"
-        seed Shard_fuzz.pp_failure f;
-      (match artifact with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          let fmt = Format.formatter_of_out_channel oc in
-          Format.fprintf fmt "smr-shard safety violation (seed %d)@.%a@." seed
-            Shard_fuzz.pp_failure f;
-          close_out oc;
-          Printf.printf "wrote failing draw to %s\n%!" path)
-
-let multihop_mode_run () =
-  let config = { Multihop_fuzz.default with iterations } in
-  let started = Sys.time () in
-  let progress i =
-    if (i + 1) mod 25 = 0 then
-      Printf.printf "fuzz %-14s ... %d/%d (%.1fs)\n%!" "multihop" (i + 1)
-        iterations
-        (Sys.time () -. started)
-  in
-  let outcome = Multihop_fuzz.run ~progress config ~seed in
-  match outcome.Multihop_fuzz.failure with
-  | None ->
-      Printf.printf "fuzz %-14s %d iterations clean (%.1fs)\n%!" "multihop"
-        outcome.Multihop_fuzz.iterations_run
-        (Sys.time () -. started)
-  | Some f ->
-      incr failures;
-      Format.printf "fuzz %-14s SAFETY VIOLATION (seed %d):@.%a@." "multihop"
-        seed Multihop_fuzz.pp_failure f;
-      (match artifact with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          let fmt = Format.formatter_of_out_channel oc in
-          Format.fprintf fmt "multihop safety violation (seed %d)@.%a@." seed
-            Multihop_fuzz.pp_failure f;
-          close_out oc;
-          Printf.printf "wrote failing draw to %s\n%!" path)
+let modes =
+  [
+    ("FAULTS", faults_mode);
+    ("BYZ", byz_mode);
+    ("SMR", smr_mode ~lifecycle:false);
+    ("LIFECYCLE", smr_mode ~lifecycle:true);
+    ( "SHARD",
+      fun () ->
+        gate ~ticks:true "smr-shard" (Shard_fuzz.campaign Shard_fuzz.default)
+    );
+    ( "MULTIHOP",
+      fun () ->
+        gate ~ticks:true "multihop"
+          (Multihop_fuzz.campaign Multihop_fuzz.default) );
+  ]
 
 let () =
+  let mode =
+    match
+      List.filter
+        (fun (name, _) -> Sys.getenv_opt ("MCHECK_" ^ name) = Some "1")
+        modes
+    with
+    | [] -> None
+    | [ m ] -> Some m
+    | several ->
+        usage_error
+          ("more than one mode set: "
+          ^ String.concat " "
+              (List.map (fun (name, _) -> "MCHECK_" ^ name ^ "=1") several))
+  in
   Printexc.record_backtrace true;
   (try
-     if lifecycle_mode then smr_mode_run ~lifecycle:true ()
-     else if multihop_mode then multihop_mode_run ()
-     else if shard_mode then shard_mode_run ()
-     else if smr_mode then smr_mode_run ~lifecycle:false ()
-     else if byz_mode then byz_mode_run ()
-     else if fault_mode then faults_mode ()
-     else default_mode ()
+     match mode with Some (_, run) -> run () | None -> default_mode ()
    with exn ->
      incr failures;
+     let at, exn =
+       match exn with
+       | Mcheck.Campaign.Raised { iteration; exn } ->
+           (Printf.sprintf ", iteration %d" iteration, exn)
+       | exn -> ("", exn)
+     in
      Printf.printf
        "mcheck_fuzz: UNCAUGHT EXCEPTION (replay with MCHECK_SEED=%d \
-        MCHECK_ITERS=%d%s): %s\n%s\n%!"
+        MCHECK_ITERS=%d%s%s): %s\n\
+        %s\n\
+        %!"
        seed iterations
-       (if lifecycle_mode then " MCHECK_LIFECYCLE=1"
-        else if multihop_mode then " MCHECK_MULTIHOP=1"
-        else if shard_mode then " MCHECK_SHARD=1"
-        else if smr_mode then " MCHECK_SMR=1"
-        else if byz_mode then " MCHECK_BYZ=1"
-        else if fault_mode then " MCHECK_FAULTS=1"
-        else "")
-       (Printexc.to_string exn)
+       (match mode with Some (name, _) -> " MCHECK_" ^ name ^ "=1" | None -> "")
+       at (Printexc.to_string exn)
        (Printexc.get_backtrace ()));
   exit (if !failures = 0 then 0 else 1)

@@ -20,7 +20,6 @@ let pp_case fmt case =
     (List.length case.plan) Model.pp_strategy case.strategy
 
 type config = {
-  iterations : int;
   min_n : int;
   max_n : int;
   max_fack : int;
@@ -31,12 +30,10 @@ type config = {
   give_n : bool;
   check_termination : bool;
   max_time : int;
-  max_shrink_runs : int;
 }
 
 let default =
   {
-    iterations = 300;
     min_n = 3;
     max_n = 6;
     max_fack = 6;
@@ -47,21 +44,7 @@ let default =
     give_n = true;
     check_termination = false;
     max_time = 100_000;
-    max_shrink_runs = 2_000;
   }
-
-type counterexample = {
-  iteration : int;
-  case : case;
-  original : case;
-  violations : Consensus.Checker.violation list;
-  timeline : string;
-}
-
-type outcome = {
-  iterations_run : int;
-  counterexample : counterexample option;
-}
 
 let violations_of config (result : Consensus.Runner.result) =
   let safety = Consensus.Checker.safety_violations result.report in
@@ -103,8 +86,7 @@ let run_case ?(record_trace = false) ?obs config algorithm adapter case =
     ~substitute:wrapped.Model.substitute ~honest:wrapped.Model.honest
     ~max_time:config.max_time ~record_trace ?obs
 
-let generate config algorithm adapter ~seed ~iteration =
-  let rng = Mcheck.Fuzz.derive ~seed ~iteration in
+let generate config algorithm adapter rng =
   let n =
     Amac.Rng.int_range rng ~lo:(max 2 config.min_n)
       ~hi:(max config.min_n config.max_n)
@@ -123,17 +105,8 @@ let generate config algorithm adapter ~seed ~iteration =
   (* Mixed regime: clean crashes can land on honest AND Byzantine nodes —
      a crashed Byzantine node is an adversary that went permanently
      silent, which is itself a strategy worth searching. *)
-  let crash_count = Amac.Rng.int rng (config.max_crashes + 1) in
   let crashes =
-    List.init crash_count (fun _ ->
-        ( Amac.Rng.int rng n,
-          Amac.Rng.int_range rng ~lo:0 ~hi:(((2 * fack) + 1) * 2) ))
-    |> List.sort_uniq compare
-    |> List.fold_left
-         (fun acc (node, time) ->
-           if List.mem_assoc node acc then acc else (node, time) :: acc)
-         []
-    |> List.rev
+    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes
   in
   let wrapped = Model.wrap ~n ~adapter ~strategy algorithm in
   let base = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
@@ -144,7 +117,8 @@ let generate config algorithm adapter ~seed ~iteration =
       ~substitute:wrapped.Model.substitute ~honest:wrapped.Model.honest
       ~max_time:config.max_time
   in
-  ({ n; fack; inputs; crashes; strategy; plan = recorded () }, result)
+  ( { n; fack; inputs; crashes; strategy; plan = recorded () },
+    violations_of config result )
 
 (* ---------------------------------------------------------------- *)
 (* Shrinking: Fuzz's delta-debugging passes plus strategy passes     *)
@@ -174,329 +148,160 @@ let restrict_to case n' =
     strategy = restrict_strategy case.strategy n';
   }
 
-let shrink config algorithm adapter case =
-  let budget = ref config.max_shrink_runs in
-  let fails candidate =
-    !budget > 0
-    &&
-    (decr budget;
-     match run_case config algorithm adapter candidate with
-     | result -> violations_of config result <> []
-     | exception Invalid_argument _ -> false)
+
+let pass_nodes case =
+  List.filter_map
+    (fun n' -> if n' < case.n then Some (restrict_to case n') else None)
+    (List.init (max 0 (case.n - 2)) (fun i -> i + 2))
+
+let pass_crashes case =
+  List.mapi
+    (fun i _ ->
+      { case with crashes = List.filteri (fun j _ -> j <> i) case.crashes })
+    case.crashes
+
+let with_strategy case s = { case with strategy = s }
+
+let pass_tampers case =
+  let s = case.strategy in
+  List.mapi
+    (fun i _ ->
+      with_strategy case
+        { s with Model.tampers = List.filteri (fun j _ -> j <> i) s.Model.tampers })
+    s.Model.tampers
+
+(* Pull tamper windows toward the trivial one: all the way to [0,1), then
+   halved. *)
+let pass_windows case =
+  let s = case.strategy in
+  let narrowed divisor =
+    List.mapi
+      (fun i (t : Model.tamper) ->
+        let width = max 1 ((t.Model.until - t.Model.from_) / divisor) in
+        let from_ = t.Model.from_ / divisor in
+        with_strategy case
+          {
+            s with
+            Model.tampers =
+              List.mapi
+                (fun j t' ->
+                  if i = j then { t with Model.from_; until = from_ + width }
+                  else t')
+                s.Model.tampers;
+          })
+      s.Model.tampers
   in
-  let improve case candidates =
-    match List.find_opt fails candidates with
-    | Some better -> (true, better)
-    | None -> (false, case)
+  narrowed max_int @ narrowed 2
+
+let pass_victims case =
+  let s = case.strategy in
+  List.concat
+    (List.mapi
+       (fun i (t : Model.tamper) ->
+         if List.length t.Model.victims <= 1 then []
+         else
+           List.map
+             (fun v ->
+               with_strategy case
+                 {
+                   s with
+                   Model.tampers =
+                     List.mapi
+                       (fun j t' ->
+                         if i = j then
+                           {
+                             t with
+                             Model.victims =
+                               List.filter (( <> ) v) t.Model.victims;
+                           }
+                         else t')
+                       s.Model.tampers;
+                 })
+             t.Model.victims)
+       s.Model.tampers)
+
+(* Quiet each Byzantine node's local behavior — all arms at once, then one
+   arm at a time: an arm that survives zeroing was not load-bearing. *)
+let pass_behaviors case =
+  let s = case.strategy in
+  let replace i b' =
+    with_strategy case
+      {
+        s with
+        Model.byz =
+          List.mapi
+            (fun j (node, b) -> if i = j then (node, b') else (node, b))
+            s.Model.byz;
+      }
   in
-  let pass_nodes case =
-    let candidates =
-      List.filter_map
-        (fun n' -> if n' < case.n then Some (restrict_to case n') else None)
-        (List.init (max 0 (case.n - 2)) (fun i -> i + 2))
-    in
-    improve case candidates
-  in
-  let pass_crashes case =
-    let drops =
-      List.mapi
-        (fun i _ ->
-          { case with crashes = List.filteri (fun j _ -> j <> i) case.crashes })
-        case.crashes
-    in
-    improve case drops
-  in
-  let with_strategy case s = { case with strategy = s } in
-  let pass_tampers case =
-    let s = case.strategy in
-    let drops =
-      List.mapi
-        (fun i _ ->
-          with_strategy case
-            { s with Model.tampers = List.filteri (fun j _ -> j <> i) s.Model.tampers })
-        s.Model.tampers
-    in
-    improve case drops
-  in
-  let pass_windows case =
-    (* Pull tamper windows toward the trivial one: all the way to [0,1),
-       then halved. *)
-    let s = case.strategy in
-    let narrowed divisor =
-      List.mapi
-        (fun i (t : Model.tamper) ->
-          let width = max 1 ((t.Model.until - t.Model.from_) / divisor) in
-          let from_ = t.Model.from_ / divisor in
-          with_strategy case
-            {
-              s with
-              Model.tampers =
-                List.mapi
-                  (fun j t' ->
-                    if i = j then
-                      { t with Model.from_; until = from_ + width }
-                    else t')
-                  s.Model.tampers;
-            })
-        s.Model.tampers
-    in
-    improve case (narrowed max_int @ narrowed 2)
-  in
-  let pass_victims case =
-    let s = case.strategy in
-    let thinned =
-      List.concat
-        (List.mapi
-           (fun i (t : Model.tamper) ->
-             if List.length t.Model.victims <= 1 then []
-             else
-               List.map
-                 (fun v ->
-                   with_strategy case
-                     {
-                       s with
-                       Model.tampers =
-                         List.mapi
-                           (fun j t' ->
-                             if i = j then
-                               {
-                                 t with
-                                 Model.victims =
-                                   List.filter (( <> ) v) t.Model.victims;
-                               }
-                             else t')
-                           s.Model.tampers;
-                     })
-                 t.Model.victims)
-           s.Model.tampers)
-    in
-    improve case thinned
-  in
-  let pass_behaviors case =
-    (* Quiet each Byzantine node's local behavior — what survives zeroing
-       was not load-bearing. *)
-    let s = case.strategy in
-    let replace i b' =
+  List.concat
+    (List.mapi
+       (fun i (_, (b : Model.behavior)) ->
+         (if b = Model.honest_behavior then []
+          else [ replace i Model.honest_behavior ])
+         @ (if b.Model.replay_period <> 0 then
+              [ replace i { b with Model.replay_period = 0 } ]
+            else [])
+         @ (if b.Model.forge_period <> 0 then
+              [ replace i { b with Model.forge_period = 0 } ]
+            else [])
+         @
+         if b.Model.drop_own then [ replace i { b with Model.drop_own = false } ]
+         else [])
+       s.Model.byz)
+
+let pass_byz_nodes case =
+  let s = case.strategy in
+  List.map
+    (fun (node, _) ->
       with_strategy case
         {
           s with
-          Model.byz =
-            List.mapi
-              (fun j (node, b) -> if i = j then (node, b') else (node, b))
-              s.Model.byz;
-        }
-    in
-    let quieted =
-      List.concat
-        (List.mapi
-           (fun i (_, (b : Model.behavior)) ->
-             (* All-at-once, then one arm at a time: an arm that survives
-                zeroing was not load-bearing. *)
-             (if b = Model.honest_behavior then []
-              else [ replace i Model.honest_behavior ])
-             @ (if b.Model.replay_period <> 0 then
-                  [ replace i { b with Model.replay_period = 0 } ]
-                else [])
-             @ (if b.Model.forge_period <> 0 then
-                  [ replace i { b with Model.forge_period = 0 } ]
-                else [])
-             @
-             if b.Model.drop_own then
-               [ replace i { b with Model.drop_own = false } ]
-             else [])
-           s.Model.byz)
-    in
-    improve case quieted
-  in
-  let pass_byz_nodes case =
-    let s = case.strategy in
-    let drops =
-      List.map
-        (fun (node, _) ->
-          with_strategy case
-            {
-              s with
-              Model.byz = List.filter (fun (v, _) -> v <> node) s.Model.byz;
-              tampers =
-                List.filter
-                  (fun (t : Model.tamper) -> t.Model.node <> node)
-                  s.Model.tampers;
-            })
-        s.Model.byz
-    in
-    improve case drops
-  in
-  let normalize_decision (d : Amac.Scheduler.decision) =
-    {
-      Amac.Scheduler.ack_delay = 1;
-      delays = List.map (fun (v, _) -> (v, 1)) d.Amac.Scheduler.delays;
-    }
-  in
-  let pass_plan_truncate case =
-    let len = List.length case.plan in
-    let truncate k =
-      { case with plan = List.filteri (fun i _ -> i < k) case.plan }
-    in
-    improve case
-      (List.filter_map
-         (fun k -> if k < len then Some (truncate k) else None)
-         [ 0; len / 4; len / 2; 3 * len / 4; len - 1 ])
-  in
-  let pass_plan_flatten case =
-    let all = { case with plan = List.map normalize_decision case.plan } in
-    let singles =
-      List.mapi
-        (fun i _ ->
-          {
-            case with
-            plan =
-              List.mapi
-                (fun j d -> if i = j then normalize_decision d else d)
-                case.plan;
-          })
-        case.plan
-    in
-    improve case (all :: singles)
-  in
-  let pass_inputs case =
-    let flips =
-      List.filter_map
-        (fun i ->
-          if case.inputs.(i) = 1 then (
-            let inputs = Array.copy case.inputs in
-            inputs.(i) <- 0;
-            Some { case with inputs })
-          else None)
-        (List.init case.n (fun i -> i))
-    in
-    improve case flips
-  in
-  let passes =
-    [
-      pass_nodes;
-      pass_crashes;
-      pass_byz_nodes;
-      pass_tampers;
-      pass_victims;
-      pass_windows;
-      pass_behaviors;
-      pass_plan_truncate;
-      pass_plan_flatten;
-      pass_inputs;
-    ]
-  in
-  let rec fixpoint case =
-    let changed, case =
-      List.fold_left
-        (fun (changed, case) pass ->
-          let c, case = pass case in
-          (changed || c, case))
-        (false, case) passes
-    in
-    if changed && !budget > 0 then fixpoint case else case
-  in
-  fixpoint case
+          Model.byz = List.filter (fun (v, _) -> v <> node) s.Model.byz;
+          tampers =
+            List.filter
+              (fun (t : Model.tamper) -> t.Model.node <> node)
+              s.Model.tampers;
+        })
+    s.Model.byz
 
-let pp_counterexample fmt cx =
-  Format.fprintf fmt
-    "@[<v>iteration %d:@,%a@,violations:@,  %a@,timeline:@,%s@]" cx.iteration
-    pp_case cx.case
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space
-       Consensus.Checker.pp_violation)
-    cx.violations cx.timeline
-
-(* First failing iteration in [lo, hi) — pure in (config, algorithm,
-   adapter, seed, lo, hi), the keystone of run_par's determinism (same
-   argument as Mcheck.Fuzz). *)
-let find_failure config algorithm adapter ~seed ~lo ~hi =
-  let rec scan i =
-    if i >= hi then None
-    else
-      let case, first = generate config algorithm adapter ~seed ~iteration:i in
-      if violations_of config first <> [] then Some (i, case) else scan (i + 1)
+let campaign config algorithm adapter :
+    (case, Consensus.Checker.violation) Mcheck.Campaign.t =
+  let replay case =
+    violations_of config (run_case config algorithm adapter case)
   in
-  scan lo
-
-let finalize config algorithm adapter ~iteration case =
-  let shrunk = shrink config algorithm adapter case in
-  let replay = run_case ~record_trace:true config algorithm adapter shrunk in
+  let timeline case =
+    let replay = run_case ~record_trace:true config algorithm adapter case in
+    Amac.Trace.timeline ~n:case.n replay.outcome.trace
+  in
   {
-    iteration;
-    case = shrunk;
-    original = case;
-    violations = violations_of config replay;
-    timeline = Amac.Trace.timeline ~n:shrunk.n replay.outcome.trace;
+    generate = generate config algorithm adapter;
+    shrink =
+      Some
+        {
+          replay;
+          passes =
+            [
+              pass_nodes;
+              pass_crashes;
+              pass_byz_nodes;
+              pass_tampers;
+              pass_victims;
+              pass_windows;
+              pass_behaviors;
+              (fun c ->
+                List.map
+                  (fun plan -> { c with plan })
+                  (Mcheck.Campaign.truncations c.plan));
+              (fun c ->
+                List.map
+                  (fun plan -> { c with plan })
+                  (Mcheck.Campaign.flattenings c.plan));
+              (fun c ->
+                List.map
+                  (fun inputs -> { c with inputs })
+                  (Mcheck.Campaign.input_flips c.inputs));
+            ];
+        };
+    pp = Mcheck.Fuzz.pp_counterexample pp_case ~timeline;
   }
-
-let run config algorithm adapter ~seed =
-  match
-    find_failure config algorithm adapter ~seed ~lo:0 ~hi:config.iterations
-  with
-  | None -> { iterations_run = config.iterations; counterexample = None }
-  | Some (iteration, case) ->
-      {
-        iterations_run = iteration + 1;
-        counterexample =
-          Some (finalize config algorithm adapter ~iteration case);
-      }
-
-(* Waves of contiguous chunks, minimum failing iteration — byte-identical
-   to [run] at any job count (same scheme as Mcheck.Fuzz.run_par). *)
-let run_par ?pool ?(jobs = 1) config algorithm adapter ~seed =
-  let owned, pool =
-    match pool with
-    | Some p -> (None, Some p)
-    | None ->
-        if jobs <= 1 then (None, None)
-        else
-          let p = Par.create ~domains:jobs () in
-          (Some p, Some p)
-  in
-  match pool with
-  | None -> run config algorithm adapter ~seed
-  | Some pool ->
-      Fun.protect
-        ~finally:(fun () ->
-          match owned with Some p -> Par.shutdown p | None -> ())
-        (fun () ->
-          if Par.size pool <= 1 then run config algorithm adapter ~seed
-          else begin
-            let chunk = 4 in
-            let wave = Par.size pool * 4 * chunk in
-            let rec waves start =
-              if start >= config.iterations then
-                { iterations_run = config.iterations; counterexample = None }
-              else
-                let stop = min config.iterations (start + wave) in
-                let chunks =
-                  Array.init
-                    ((stop - start + chunk - 1) / chunk)
-                    (fun k ->
-                      let lo = start + (k * chunk) in
-                      (lo, min stop (lo + chunk)))
-                in
-                let hits =
-                  Par.map pool
-                    (fun (lo, hi) ->
-                      find_failure config algorithm adapter ~seed ~lo ~hi)
-                    chunks
-                  |> Array.to_list
-                  |> List.filter_map Fun.id
-                in
-                match hits with
-                | [] -> waves stop
-                | first :: rest ->
-                    let iteration, case =
-                      List.fold_left
-                        (fun (bi, bc) (i, c) ->
-                          if i < bi then (i, c) else (bi, bc))
-                        first rest
-                    in
-                    {
-                      iterations_run = iteration + 1;
-                      counterexample =
-                        Some (finalize config algorithm adapter ~iteration case);
-                    }
-            in
-            waves 0
-          end)

@@ -1,8 +1,7 @@
 (** Byzantine-strategy fuzzing with counterexample shrinking.
 
-    The adversarial sibling of {!Mcheck.Fuzz}: each iteration derives a
-    generator from [(seed, iteration)] (the same {!Mcheck.Fuzz.derive}
-    convention), draws a clique size, inputs, [F_ack], an optional clean
+    The adversarial sibling of {!Mcheck.Fuzz}, run by {!Mcheck.Campaign}:
+    each iteration draws a clique size, inputs, [F_ack], an optional clean
     crash pattern (crashes may hit honest {e or} Byzantine nodes — the
     mixed regime), a Byzantine {!Model.strategy} sized by the config's
     {!Model.profile}, and a recorded random schedule. The algorithm runs
@@ -31,7 +30,6 @@ type case = {
 val pp_case : Format.formatter -> case -> unit
 
 type config = {
-  iterations : int;
   min_n : int;  (** nodes drawn from [\[min_n, max_n\]] *)
   max_n : int;
   max_fack : int;
@@ -55,63 +53,22 @@ type config = {
       (** when true, a completed run in which a live {e honest} node never
           decided also counts as a failure *)
   max_time : int;
-  max_shrink_runs : int;
 }
 
-(** 300 iterations, n ∈ [3, 6], F_ack ≤ 6, ≤ 1 crash, default profile,
-    safety-only, 2000 shrink runs. *)
+(** n ∈ [3, 6], F_ack ≤ 6, ≤ 1 crash, default profile, safety-only. *)
 val default : config
 
-type counterexample = {
-  iteration : int;
-  case : case;  (** the shrunk reproducer *)
-  original : case;  (** as generated, before shrinking *)
-  violations : Consensus.Checker.violation list;
-  timeline : string;
-}
-
-type outcome = {
-  iterations_run : int;
-  counterexample : counterexample option;
-}
-
-val pp_counterexample : Format.formatter -> counterexample -> unit
-
-(** [violations_of config result] — the failure predicate over
-    honest-masked reports: safety violations, plus termination ones when
-    [config.check_termination] and the run was not cut off. *)
-val violations_of :
-  config -> Consensus.Runner.result -> Consensus.Checker.violation list
-
-(** [run config algorithm adapter ~seed] fuzzes until a violation is found
-    (then shrinks and stops) or [config.iterations] clean iterations
-    pass. *)
-val run :
-  config -> ('s, 'm) Amac.Algorithm.t -> 'm Model.adapter -> seed:int -> outcome
-
-(** [run_par ?pool ?jobs config algorithm adapter ~seed] — the campaign
-    over a {!Par} domain pool, in waves of contiguous chunks reporting the
-    {e minimum} failing iteration; byte-identical to {!run} at any job
-    count (same scheme and argument as {!Mcheck.Fuzz.run_par}). *)
-val run_par :
-  ?pool:Par.pool ->
-  ?jobs:int ->
+(** [campaign config algorithm adapter] — fuzz strategies against
+    [algorithm], forged and mutated through [adapter]. The failure
+    predicate is over honest-masked reports: safety violations (agreement
+    only under [config.agreement_only]), plus termination ones when
+    [config.check_termination] and the run was not cut off. The printer is
+    {!Mcheck.Fuzz.pp_counterexample}'s layout. *)
+val campaign :
   config ->
   ('s, 'm) Amac.Algorithm.t ->
   'm Model.adapter ->
-  seed:int ->
-  outcome
-
-(** [generate config algorithm adapter ~seed ~iteration] regenerates one
-    iteration's case (running it to record the schedule) with its verdict —
-    how a reported seed is replayed. *)
-val generate :
-  config ->
-  ('s, 'm) Amac.Algorithm.t ->
-  'm Model.adapter ->
-  seed:int ->
-  iteration:int ->
-  case * Consensus.Runner.result
+  (case, Consensus.Checker.violation) Mcheck.Campaign.t
 
 (** [run_case config algorithm adapter case] replays a case through
     {!Amac.Scheduler.replay}, wrapped and honest-masked. *)
@@ -123,10 +80,3 @@ val run_case :
   'm Model.adapter ->
   case ->
   Consensus.Runner.result
-
-(** [shrink config algorithm adapter case] — greedy fixpoint of the
-    shrinking passes, bounded by [config.max_shrink_runs] replays. The
-    argument must currently fail ({!violations_of} non-empty); the result
-    still does. *)
-val shrink :
-  config -> ('s, 'm) Amac.Algorithm.t -> 'm Model.adapter -> case -> case

@@ -266,7 +266,7 @@ let default_profile =
   }
 
 let gen_strategy rng ~n ~fack profile =
-  (* Same horizon convention as Fuzz.gen_fault_plan: windows land inside
+  (* Same horizon convention as Fuzz.gen_faults: windows land inside
      the first few broadcast/ack cycles, where the protocols' phase
      structure actually lives. *)
   let horizon = ((2 * fack) + 1) * 4 in

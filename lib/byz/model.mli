@@ -149,7 +149,7 @@ val default_profile : profile
 
 (** [gen_strategy rng ~n ~fack profile] draws a valid strategy: Byzantine
     nodes chosen uniformly, tamper windows inside the same
-    [((2*fack)+1)*4] horizon as {!Mcheck.Fuzz.gen_fault_plan}, tampers
+    [((2*fack)+1)*4] horizon as {!Mcheck.Fuzz.gen_faults}, tampers
     only on Byzantine senders with non-empty victim sets. *)
 val gen_strategy : Amac.Rng.t -> n:int -> fack:int -> profile -> strategy
 

@@ -51,7 +51,6 @@ type fault_profile = {
 }
 
 type config = {
-  iterations : int;
   max_n : int;
   max_fack : int;
   max_crashes : int;
@@ -59,13 +58,11 @@ type config = {
   give_n : bool;
   check_termination : bool;
   max_time : int;
-  max_shrink_runs : int;
   faults : fault_profile option;
 }
 
 let default =
   {
-    iterations = 300;
     max_n = 6;
     max_fack = 8;
     max_crashes = 2;
@@ -73,7 +70,6 @@ let default =
     give_n = true;
     check_termination = false;
     max_time = 100_000;
-    max_shrink_runs = 2_000;
     faults = None;
   }
 
@@ -85,19 +81,6 @@ let default_fault_profile =
     max_stutters = 1;
     max_window = 40;
   }
-
-type counterexample = {
-  iteration : int;
-  case : case;
-  original : case;
-  violations : Consensus.Checker.violation list;
-  timeline : string;
-}
-
-type outcome = {
-  iterations_run : int;
-  counterexample : counterexample option;
-}
 
 let violations_of config (result : Consensus.Runner.result) =
   let safety = Consensus.Checker.safety_violations result.report in
@@ -119,13 +102,6 @@ let run_case ?(record_trace = false) ?obs config algorithm case =
     ~scheduler:(Amac.Scheduler.replay case.plan)
     ~inputs:case.inputs ~crashes:case.crashes ~faults:case.faults
     ~max_time:config.max_time ~record_trace ?obs
-
-(* splitmix-style mixing so that (seed, iteration) pairs give uncorrelated
-   generators without the caller managing a stream. *)
-let derive ~seed ~iteration =
-  let rng = Amac.Rng.create ((seed * 0x9E3779B1) lxor iteration) in
-  ignore (Amac.Rng.bits64 rng);
-  rng
 
 (* The crashes move INTO the plan (so recoveries can refer to them and the
    whole fault schedule shrinks as one object) and the plan gains loss
@@ -199,8 +175,11 @@ let gen_fault_plan rng ~n ~fack ~crashes p =
   Fault.validate ~n plan;
   plan
 
-let generate config algorithm ~seed ~iteration =
-  let rng = derive ~seed ~iteration in
+let gen_faults rng ~n ~fack ~crashes = function
+  | None -> (crashes, [])
+  | Some p -> ([], gen_fault_plan rng ~n ~fack ~crashes p)
+
+let generate config algorithm rng =
   let n = Amac.Rng.int_range rng ~lo:2 ~hi:(max 2 config.max_n) in
   let kind =
     match Amac.Rng.pick rng config.kinds with
@@ -210,30 +189,11 @@ let generate config algorithm ~seed ~iteration =
   let kind = if n < 3 && kind = Ring then Clique else kind in
   let fack = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_fack) in
   let inputs = Array.init n (fun _ -> if Amac.Rng.bool rng then 1 else 0) in
-  (* Crash times are drawn from the first few broadcast windows: every
-     algorithm broadcasts at t=0, so times in [1, fack] land mid-broadcast
-     (the window is (0, ack <= fack]), exercising Sec 2's non-atomic
-     crashes; later times interrupt follow-up phases. At most one crash per
-     node: the engine (rightly) rejects a second crash of the same
-     incarnation. *)
-  let crash_count = Amac.Rng.int rng (config.max_crashes + 1) in
-  let crashes =
-    List.init crash_count (fun _ ->
-        ( Amac.Rng.int rng n,
-          Amac.Rng.int_range rng ~lo:0 ~hi:(((2 * fack) + 1) * 2) ))
-    |> List.sort_uniq compare
-    |> List.fold_left
-         (fun acc (node, time) ->
-           if List.mem_assoc node acc then acc else (node, time) :: acc)
-         []
-    |> List.rev
+  let crashes, faults =
+    gen_faults rng ~n ~fack
+      ~crashes:(Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes)
+      config.faults
   in
-  let faults =
-    match config.faults with
-    | None -> []
-    | Some p -> gen_fault_plan rng ~n ~fack ~crashes p
-  in
-  let crashes = if config.faults = None then crashes else [] in
   let base = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let recording, recorded = Amac.Scheduler.record base in
   let result =
@@ -242,7 +202,8 @@ let generate config algorithm ~seed ~iteration =
         (topology_of { kind; n; fack; inputs; crashes; faults; plan = [] })
       ~scheduler:recording ~inputs ~crashes ~faults ~max_time:config.max_time
   in
-  ({ kind; n; fack; inputs; crashes; faults; plan = recorded () }, result)
+  ( { kind; n; fack; inputs; crashes; faults; plan = recorded () },
+    violations_of config result )
 
 (* ---------------------------------------------------------------- *)
 (* Shrinking: greedy delta-debugging over the case's four dimensions *)
@@ -272,12 +233,6 @@ let restrict_to case n' =
     faults = restrict_plan case.faults n';
   }
 
-let normalize_decision (d : Amac.Scheduler.decision) =
-  {
-    Amac.Scheduler.ack_delay = 1;
-    delays = List.map (fun (v, _) -> (v, 1)) d.Amac.Scheduler.delays;
-  }
-
 (* Pull a fault event toward the trivial one: times toward 0, windows
    narrowed to width >= 1. [divisor = max_int] is the all-the-way jump. *)
 let shrink_fault_event divisor = function
@@ -296,279 +251,128 @@ let shrink_fault_event divisor = function
       let from_ = from_ / divisor in
       Fault.Stutter { node; from_; until = from_ + width }
 
-let shrink config algorithm case =
-  let budget = ref config.max_shrink_runs in
-  let fails candidate =
-    !budget > 0
-    &&
-    (decr budget;
-     match run_case config algorithm candidate with
-     | result -> violations_of config result <> []
-     | exception Invalid_argument _ -> false)
+(* Smallest n that still fails, trying from 2 upward. *)
+let pass_nodes case =
+  List.filter_map
+    (fun n' -> if n' < case.n then Some (restrict_to case n') else None)
+    (List.init (max 0 (case.n - 2)) (fun i -> i + 2))
+
+(* Drop each crash; then pull each crash time toward 0. *)
+let pass_crashes case =
+  let drops =
+    List.mapi
+      (fun i _ ->
+        { case with crashes = List.filteri (fun j _ -> j <> i) case.crashes })
+      case.crashes
   in
-  let improve case candidates =
-    match List.find_opt fails candidates with
-    | Some better -> (true, better)
-    | None -> (false, case)
+  let earlier =
+    List.concat_map
+      (fun divisor ->
+        List.mapi
+          (fun i (node, time) ->
+            {
+              case with
+              crashes =
+                List.mapi
+                  (fun j c -> if i = j then (node, time / divisor) else c)
+                  case.crashes;
+            })
+          case.crashes)
+      [ max_int; 2 ]
   in
-  let pass_nodes case =
-    (* Smallest n that still fails, trying from 2 upward. *)
-    let candidates =
-      List.filter_map
-        (fun n' -> if n' < case.n then Some (restrict_to case n') else None)
-        (List.init (max 0 (case.n - 2)) (fun i -> i + 2))
-    in
-    improve case candidates
+  drops @ earlier
+
+(* Drop each event; drop crash+recovery pairs together (a lone recovery is
+   invalid and would be rejected, masking the shrink); narrow windows and
+   pull times toward 0 (all-at-once, then halving); thin partition cuts.
+   Any candidate the validator rejects is discarded by the shrinker. *)
+let pass_faults (case : case) =
+  let replace i e' =
+    { case with faults = List.mapi (fun j e -> if i = j then e' else e) case.faults }
   in
-  let pass_crashes case =
-    (* Drop each crash; then pull each crash time toward 0. *)
-    let drops =
-      List.mapi
-        (fun i _ ->
-          { case with crashes = List.filteri (fun j _ -> j <> i) case.crashes })
-        case.crashes
-    in
-    let earlier =
-      List.concat_map
-        (fun divisor ->
-          List.mapi
-            (fun i (node, time) ->
+  let drops =
+    List.mapi
+      (fun i _ ->
+        { case with faults = List.filteri (fun j _ -> j <> i) case.faults })
+      case.faults
+  in
+  let drop_pairs =
+    List.filter_map
+      (function
+        | Fault.Crash { node; _ } ->
+            Some
               {
                 case with
-                crashes =
-                  List.mapi
-                    (fun j c -> if i = j then (node, time / divisor) else c)
-                    case.crashes;
-              })
-            case.crashes)
-        [ max_int; 2 ]
-    in
-    improve case (drops @ earlier)
+                faults =
+                  List.filter
+                    (function
+                      | Fault.Crash { node = v; _ }
+                      | Fault.Recover { node = v; _ } ->
+                          v <> node
+                      | _ -> true)
+                    case.faults;
+              }
+        | _ -> None)
+      case.faults
   in
-  let pass_plan_truncate case =
-    let len = List.length case.plan in
-    let truncate k = { case with plan = List.filteri (fun i _ -> i < k) case.plan } in
-    improve case
-      (List.filter_map
-         (fun k -> if k < len then Some (truncate k) else None)
-         [ 0; len / 4; len / 2; 3 * len / 4; len - 1 ])
+  let narrowed divisor =
+    List.mapi (fun i e -> replace i (shrink_fault_event divisor e)) case.faults
   in
-  let pass_plan_flatten case =
-    (* Normalise decisions (every delay to 1) — all at once, then one by
-       one. A decision that survives flattening was not load-bearing. *)
-    let all = { case with plan = List.map normalize_decision case.plan } in
-    let singles =
-      List.mapi
-        (fun i _ ->
-          {
-            case with
-            plan =
-              List.mapi
-                (fun j d -> if i = j then normalize_decision d else d)
-                case.plan;
-          })
-        case.plan
-    in
-    improve case (all :: singles)
+  let cut_thinning =
+    List.concat
+      (List.mapi
+         (fun i e ->
+           match e with
+           | Fault.Partition { cut; from_; until } when List.length cut > 1 ->
+               List.map
+                 (fun v ->
+                   replace i
+                     (Fault.Partition
+                        { cut = List.filter (( <> ) v) cut; from_; until }))
+                 cut
+           | _ -> [])
+         case.faults)
   in
-  let pass_inputs case =
-    let flips =
-      List.filter_map
-        (fun i ->
-          if case.inputs.(i) = 1 then (
-            let inputs = Array.copy case.inputs in
-            inputs.(i) <- 0;
-            Some { case with inputs })
-          else None)
-        (List.init case.n (fun i -> i))
-    in
-    improve case flips
-  in
-  let pass_faults (case : case) =
-    (* Drop each event; drop crash+recovery pairs together (a lone recovery
-       is invalid and would be rejected, masking the shrink); narrow windows
-       and pull times toward 0 (all-at-once, then halving); thin partition
-       cuts. Any candidate the validator rejects fails [fails] safely. *)
-    let replace i e' =
-      { case with faults = List.mapi (fun j e -> if i = j then e' else e) case.faults }
-    in
-    let drops =
-      List.mapi
-        (fun i _ ->
-          { case with faults = List.filteri (fun j _ -> j <> i) case.faults })
-        case.faults
-    in
-    let drop_pairs =
-      List.filter_map
-        (function
-          | Fault.Crash { node; _ } ->
-              Some
-                {
-                  case with
-                  faults =
-                    List.filter
-                      (function
-                        | Fault.Crash { node = v; _ }
-                        | Fault.Recover { node = v; _ } ->
-                            v <> node
-                        | _ -> true)
-                      case.faults;
-                }
-          | _ -> None)
-        case.faults
-    in
-    let narrowed divisor =
-      List.mapi (fun i e -> replace i (shrink_fault_event divisor e)) case.faults
-    in
-    let cut_thinning =
-      List.concat
-        (List.mapi
-           (fun i e ->
-             match e with
-             | Fault.Partition { cut; from_; until } when List.length cut > 1
-               ->
-                 List.map
-                   (fun v ->
-                     replace i
-                       (Fault.Partition
-                          { cut = List.filter (( <> ) v) cut; from_; until }))
-                   cut
-             | _ -> [])
-           case.faults)
-    in
-    improve case
-      (drops @ drop_pairs @ narrowed max_int @ narrowed 2 @ cut_thinning)
-  in
-  let passes =
-    [
-      pass_nodes;
-      pass_crashes;
-      pass_faults;
-      pass_plan_truncate;
-      pass_plan_flatten;
-      pass_inputs;
-    ]
-  in
-  let rec fixpoint case =
-    let changed, case =
-      List.fold_left
-        (fun (changed, case) pass ->
-          let c, case = pass case in
-          (changed || c, case))
-        (false, case) passes
-    in
-    if changed && !budget > 0 then fixpoint case else case
-  in
-  fixpoint case
+  drops @ drop_pairs @ narrowed max_int @ narrowed 2 @ cut_thinning
 
-let pp_counterexample fmt cx =
+let pp_counterexample pp_case ~timeline fmt (cx : _ Campaign.counterexample) =
   Format.fprintf fmt
     "@[<v>iteration %d:@,%a@,violations:@,  %a@,timeline:@,%s@]" cx.iteration
     pp_case cx.case
     (Format.pp_print_list ~pp_sep:Format.pp_print_space
        Consensus.Checker.pp_violation)
-    cx.violations cx.timeline
+    cx.violations (timeline cx.case)
 
-(* First failing iteration in [lo, hi), with its (unshrunk) case. Pure in
-   (config, algorithm, seed, lo, hi): every iteration re-derives its own
-   generator, so the same range scanned on any domain yields the same
-   answer — the keystone of [run_par]'s determinism. *)
-let find_failure config algorithm ~seed ~lo ~hi =
-  let rec scan i =
-    if i >= hi then None
-    else
-      let case, first = generate config algorithm ~seed ~iteration:i in
-      if violations_of config first <> [] then Some (i, case) else scan (i + 1)
+let campaign config algorithm : (case, Consensus.Checker.violation) Campaign.t =
+  let replay case = violations_of config (run_case config algorithm case) in
+  let timeline case =
+    let replay = run_case ~record_trace:true config algorithm case in
+    Amac.Trace.timeline ~n:case.n replay.outcome.trace
   in
-  scan lo
-
-let finalize config algorithm ~iteration case =
-  let shrunk = shrink config algorithm case in
-  let replay = run_case ~record_trace:true config algorithm shrunk in
   {
-    iteration;
-    case = shrunk;
-    original = case;
-    violations = violations_of config replay;
-    timeline = Amac.Trace.timeline ~n:shrunk.n replay.outcome.trace;
+    generate = generate config algorithm;
+    shrink =
+      Some
+        {
+          replay;
+          passes =
+            [
+              pass_nodes;
+              pass_crashes;
+              pass_faults;
+              (fun c ->
+                List.map
+                  (fun plan -> { c with plan })
+                  (Campaign.truncations c.plan));
+              (fun c ->
+                List.map
+                  (fun plan -> { c with plan })
+                  (Campaign.flattenings c.plan));
+              (fun c ->
+                List.map
+                  (fun inputs -> { c with inputs })
+                  (Campaign.input_flips c.inputs));
+            ];
+        };
+    pp = pp_counterexample pp_case ~timeline;
   }
-
-let run config algorithm ~seed =
-  match find_failure config algorithm ~seed ~lo:0 ~hi:config.iterations with
-  | None -> { iterations_run = config.iterations; counterexample = None }
-  | Some (iteration, case) ->
-      {
-        iterations_run = iteration + 1;
-        counterexample = Some (finalize config algorithm ~iteration case);
-      }
-
-(* Parallel campaign over a domain pool. Iterations are scanned in waves
-   of contiguous chunks; a wave with failures reports the MINIMUM failing
-   iteration — exactly the one the sequential scan would have stopped at,
-   since every earlier iteration was scanned clean in this or an earlier
-   wave. Shrinking and replay run on the calling domain. Hence the outcome
-   (and anything printed from it) is byte-identical to [run]'s at any job
-   count. *)
-let run_par ?pool ?(jobs = 1) config algorithm ~seed =
-  let owned, pool =
-    match pool with
-    | Some p -> (None, Some p)
-    | None ->
-        if jobs <= 1 then (None, None)
-        else
-          let p = Par.create ~domains:jobs () in
-          (Some p, Some p)
-  in
-  match pool with
-  | None -> run config algorithm ~seed
-  | Some pool ->
-      Fun.protect
-        ~finally:(fun () ->
-          match owned with Some p -> Par.shutdown p | None -> ())
-        (fun () ->
-          if Par.size pool <= 1 then run config algorithm ~seed
-          else begin
-            (* Small chunks: each iteration is already tens of
-               microseconds, so a chunk of a few amortizes the
-               cross-domain wakeup, keeps the per-domain allocation
-               bursts short (long concurrent bursts amplify minor-GC
-               stop-the-world stalls), and bounds wasted work past the
-               first failure to wave granularity. *)
-            let chunk = 4 in
-            let wave = Par.size pool * 4 * chunk in
-            let rec waves start =
-              if start >= config.iterations then
-                { iterations_run = config.iterations; counterexample = None }
-              else
-                let stop = min config.iterations (start + wave) in
-                let chunks =
-                  Array.init
-                    ((stop - start + chunk - 1) / chunk)
-                    (fun k ->
-                      let lo = start + (k * chunk) in
-                      (lo, min stop (lo + chunk)))
-                in
-                let hits =
-                  Par.map pool
-                    (fun (lo, hi) -> find_failure config algorithm ~seed ~lo ~hi)
-                    chunks
-                  |> Array.to_list
-                  |> List.filter_map Fun.id
-                in
-                match hits with
-                | [] -> waves stop
-                | first :: rest ->
-                    let iteration, case =
-                      List.fold_left
-                        (fun (bi, bc) (i, c) ->
-                          if i < bi then (i, c) else (bi, bc))
-                        first rest
-                    in
-                    {
-                      iterations_run = iteration + 1;
-                      counterexample =
-                        Some (finalize config algorithm ~iteration case);
-                    }
-            in
-            waves 0
-          end)

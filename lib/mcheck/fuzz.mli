@@ -1,20 +1,21 @@
-(** Seeded schedule/crash fuzzing with counterexample shrinking.
+(** Seeded schedule/crash fuzzing with counterexample shrinking — the
+    consensus campaign for {!Campaign}.
 
-    Each iteration derives a generator from [(seed, iteration)], draws a
-    topology, inputs, [F_ack], a crash pattern (times land inside broadcast
-    windows, so crash-mid-broadcast non-atomicity is exercised), and a
-    random scheduler wrapped in {!Amac.Scheduler.record}. The run goes
-    through {!Consensus.Runner.run} and is judged by
+    Each iteration draws a topology, inputs, [F_ack], a crash pattern
+    ({!Campaign.early_crashes}: times land inside broadcast windows, so
+    crash-mid-broadcast non-atomicity is exercised) and a random scheduler
+    wrapped in {!Amac.Scheduler.record}. The run goes through
+    {!Consensus.Runner.run} and is judged by
     {!Consensus.Checker.safety_violations} (termination optionally too).
 
     On failure the recorded decision list makes the whole execution {e
     data}: a {!case} (topology kind + n + inputs + crashes + decision list)
     replays deterministically via {!Amac.Scheduler.replay}, and the shrinker
     delta-debugs it — dropping nodes, dropping and advancing crashes,
-    truncating and flattening scheduler decisions, canonicalising inputs —
-    re-running after each mutation and keeping it only while some violation
-    survives. The result is a minimal reproducer plus the seed that found
-    it. *)
+    shrinking fault plans, truncating and flattening scheduler decisions,
+    canonicalising inputs — keeping a mutation only while some violation
+    survives. The result is a minimal reproducer plus the [(seed, iteration)]
+    pair that found it. *)
 
 type topo_kind = Clique | Line | Ring | Star | Random_graph of int
 
@@ -50,7 +51,6 @@ type fault_profile = {
 }
 
 type config = {
-  iterations : int;
   max_n : int;  (** nodes drawn from [\[2, max_n\]] *)
   max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
   max_crashes : int;  (** crash-pattern size drawn from [\[0, max_crashes\]] *)
@@ -60,88 +60,45 @@ type config = {
       (** when true, a completed run (not cut off by [max_time]) in which a
           live node never decided also counts as a failure *)
   max_time : int;
-  max_shrink_runs : int;  (** re-run budget for the shrinker *)
   faults : fault_profile option;
       (** [Some profile] switches on fault-plan fuzzing: each case carries a
           generated {!Fault.plan} and the shrinker delta-debugs its events,
           windows and times alongside the other dimensions *)
 }
 
-(** 300 iterations, n ≤ 6, F_ack ≤ 8, ≤ 2 crashes, cliques and lines,
-    safety-only, 2000 shrink runs, no fault plans. *)
+(** n ≤ 6, F_ack ≤ 8, ≤ 2 crashes, cliques and lines, safety-only, no fault
+    plans. *)
 val default : config
 
 (** ≤ 2 recoveries, ≤ 2 loss windows, ≤ 1 partition, ≤ 1 stutter, windows
     up to 40 ticks. *)
 val default_fault_profile : fault_profile
 
-(** [derive ~seed ~iteration] is the campaign's per-iteration generator:
-    splitmix-style mixing, so [(seed, iteration)] pairs give uncorrelated
-    streams without the caller managing one. Exposed so other seeded
-    campaigns (e.g. the SMR workload fuzzer) share the same convention. *)
-val derive : seed:int -> iteration:int -> Amac.Rng.t
-
-(** [gen_fault_plan rng ~n ~fack ~crashes profile] draws a valid fault plan
-    sized by [profile]: the given [(node, time)] crashes become plan events,
-    a subset gains paired recoveries, plus per-edge loss windows, disjoint
-    partition episodes and per-node stutters — all within a horizon scaled
-    by [fack], validated by {!Fault.validate}. *)
-val gen_fault_plan :
+(** [gen_faults rng ~n ~fack ~crashes profile] — with [None], [crashes]
+    stay a clean-crash schedule and the plan is empty. With [Some profile]
+    they move into a drawn fault plan (so recoveries can pair with them and
+    the whole schedule shrinks as one object) and the crash list is empty:
+    a subset of the crashes gains paired recoveries, plus per-edge loss
+    windows, disjoint partition episodes and per-node stutters — all within
+    a horizon scaled by [fack], validated by {!Fault.validate}. *)
+val gen_faults :
   Amac.Rng.t ->
   n:int ->
   fack:int ->
   crashes:(int * int) list ->
-  fault_profile ->
-  Fault.plan
+  fault_profile option ->
+  (int * int) list * Fault.plan
 
-type counterexample = {
-  iteration : int;  (** which iteration failed — replay via {!generate} *)
-  case : case;  (** the shrunk reproducer *)
-  original : case;  (** the case as generated, before shrinking *)
-  violations : Consensus.Checker.violation list;  (** of the shrunk case *)
-  timeline : string;  (** {!Amac.Trace.timeline} of the shrunk run *)
-}
-
-type outcome = {
-  iterations_run : int;
-  counterexample : counterexample option;  (** [None] — all iterations clean *)
-}
-
-val pp_counterexample : Format.formatter -> counterexample -> unit
-
-(** [run config algorithm ~seed] fuzzes until a violation is found (then
-    shrinks and stops) or [config.iterations] clean iterations pass. *)
-val run : config -> ('s, 'm) Amac.Algorithm.t -> seed:int -> outcome
-
-(** [run_par ?pool ?jobs config algorithm ~seed] — the same campaign
-    spread over a {!Par} domain pool. Iterations are scanned in waves of
-    contiguous chunks; each iteration re-derives its generator from
-    [(seed, iteration)], so chunks are independent, and a wave with
-    failures reports the {e minimum} failing iteration — the one the
-    sequential scan stops at. Shrinking runs on the calling domain. The
-    outcome is therefore byte-identical to {!run}'s at any job count.
-
-    [?pool] reuses a caller-owned pool (its size wins over [jobs]);
-    otherwise a throwaway pool of [jobs] domains is created and shut
-    down. [jobs <= 1] without a pool is exactly {!run}. *)
-val run_par :
-  ?pool:Par.pool ->
-  ?jobs:int ->
+(** [campaign config algorithm] — fuzz [algorithm] under [config]. The
+    shrinker replays through {!run_case} and judges with the campaign's
+    failure predicate: safety violations, plus termination ones when
+    [config.check_termination] and the run was not cut off by [max_time].
+    The printer renders the shrunk case, its violations and the timeline
+    of a traced replay. *)
+val campaign :
   config ->
   ('s, 'm) Amac.Algorithm.t ->
-  seed:int ->
-  outcome
-
-(** [generate config algorithm ~seed ~iteration] regenerates one iteration's
-    case — including the recorded schedule, which requires running it — and
-    returns it with the run's verdict. This is how a reported seed is
-    replayed. *)
-val generate :
-  config ->
-  ('s, 'm) Amac.Algorithm.t ->
-  seed:int ->
-  iteration:int ->
-  case * Consensus.Runner.result
+  (case, Consensus.Checker.violation) Campaign.t
 
 (** [run_case config algorithm case] replays a case through
     {!Amac.Scheduler.replay}. [?obs] instruments the replay (see
@@ -155,13 +112,12 @@ val run_case :
   case ->
   Consensus.Runner.result
 
-(** [violations_of config result] — the failure predicate: safety
-    violations, plus termination ones when [config.check_termination] and
-    the run was not cut off by [max_time]. *)
-val violations_of :
-  config -> Consensus.Runner.result -> Consensus.Checker.violation list
-
-(** [shrink config algorithm case] — greedy fixpoint of the shrinking
-    passes, bounded by [config.max_shrink_runs] replays. The argument must
-    currently fail ({!violations_of} non-empty); the result still does. *)
-val shrink : config -> ('s, 'm) Amac.Algorithm.t -> case -> case
+(** [pp_counterexample pp_case ~timeline] — the layout every
+    consensus-checker campaign prints: the iteration, the case, its
+    violations, then [timeline case]. *)
+val pp_counterexample :
+  (Format.formatter -> 'case -> unit) ->
+  timeline:('case -> string) ->
+  Format.formatter ->
+  ('case, Consensus.Checker.violation) Campaign.counterexample ->
+  unit

@@ -1,5 +1,4 @@
 type config = {
-  iterations : int;
   max_fack : int;
   max_alpha : int;
   max_crashes : int;
@@ -9,7 +8,6 @@ type config = {
 
 let default =
   {
-    iterations = 100;
     max_fack = 4;
     max_alpha = 3;
     max_crashes = 2;
@@ -17,8 +15,7 @@ let default =
     faults = Some Mcheck.Fuzz.default_fault_profile;
   }
 
-type failure = {
-  iteration : int;
+type case = {
   spec : string;
   topo_seed : int;
   n : int;
@@ -28,19 +25,16 @@ type failure = {
   deltas : int;
   crashes : (int * int) list;
   faults : Fault.plan;
-  violations : Consensus.Checker.violation list;
 }
 
-type outcome = {
-  iterations_run : int;
-  failure : failure option;
-}
-
-let pp_failure fmt f =
+let pp fmt
+    (cx : (case, Consensus.Checker.violation) Mcheck.Campaign.counterexample)
+    =
+  let f = cx.case in
   Format.fprintf fmt
     "@[<v>iteration %d: %s seed=%d n=%d fack=%d alpha=%d cap=%s deltas=%d@,\
      crashes=[%s]@,faults=%s@,%a@]"
-    f.iteration f.spec f.topo_seed f.n f.fack f.alpha
+    cx.iteration f.spec f.topo_seed f.n f.fack f.alpha
     (match f.cap with Some c -> string_of_int c | None -> "default")
     f.deltas
     (String.concat "; "
@@ -50,7 +44,7 @@ let pp_failure fmt f =
     (Fault.to_string f.faults)
     (Format.pp_print_list ~pp_sep:Format.pp_print_space
        Consensus.Checker.pp_violation)
-    f.violations
+    cx.violations
 
 (* Draws stay CI-sized: the point of this campaign is the interaction of
    multi-hop routing, contention-stretched acks, churn and fault plans —
@@ -74,8 +68,7 @@ let gen_spec rng =
           extra_bridges = Amac.Rng.int rng 3;
         }
 
-let run_iteration config ~seed ~iteration =
-  let rng = Mcheck.Fuzz.derive ~seed ~iteration in
+let generate config rng =
   let spec = gen_spec rng in
   let topo_seed = Amac.Rng.int rng 1_000_000 in
   let topology = Topo_gen.generate ~seed:topo_seed spec in
@@ -102,26 +95,12 @@ let run_iteration config ~seed ~iteration =
           ~moves:(1 + Amac.Rng.int rng 2)
           ~start ~gap
   in
-  (* Early crashes as in Smr_fuzz: times land in the first broadcast
-     windows, where leader election is most delicate. *)
-  let crash_count = Amac.Rng.int rng (config.max_crashes + 1) in
-  let crashes =
-    List.init crash_count (fun _ ->
-        ( Amac.Rng.int rng n,
-          Amac.Rng.int_range rng ~lo:0 ~hi:(((2 * fack) + 1) * 2) ))
-    |> List.sort_uniq compare
-    |> List.fold_left
-         (fun acc (node, time) ->
-           if List.mem_assoc node acc then acc else (node, time) :: acc)
-         []
-    |> List.rev
+  let crashes, faults =
+    Mcheck.Fuzz.gen_faults rng ~n ~fack
+      ~crashes:
+        (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes)
+      config.faults
   in
-  let faults =
-    match config.faults with
-    | None -> []
-    | Some p -> Mcheck.Fuzz.gen_fault_plan rng ~n ~fack ~crashes p
-  in
-  let crashes = if config.faults = None then crashes else [] in
   let scheduler =
     Amac.Scheduler.interference ~alpha ?cap
       (Amac.Scheduler.random (Amac.Rng.split rng) ~fack)
@@ -133,34 +112,18 @@ let run_iteration config ~seed ~iteration =
       ~topology ~scheduler ~inputs ~crashes ~faults ~topo_deltas
       ~max_time:config.max_time
   in
-  match Consensus.Checker.safety_violations result.Consensus.Runner.report with
-  | [] -> None
-  | violations ->
-      Some
-        {
-          iteration;
-          spec = Topo_gen.name spec;
-          topo_seed;
-          n;
-          fack;
-          alpha;
-          cap;
-          deltas = List.length topo_deltas;
-          crashes;
-          faults;
-          violations;
-        }
+  ( {
+      spec = Topo_gen.name spec;
+      topo_seed;
+      n;
+      fack;
+      alpha;
+      cap;
+      deltas = List.length topo_deltas;
+      crashes;
+      faults;
+    },
+    Consensus.Checker.safety_violations result.Consensus.Runner.report )
 
-let run ?(progress = fun _ -> ()) config ~seed =
-  let rec go i =
-    if i >= config.iterations then { iterations_run = i; failure = None }
-    else
-      match run_iteration config ~seed ~iteration:i with
-      | None ->
-          progress i;
-          go (i + 1)
-      | Some f ->
-          progress i;
-          { iterations_run = i + 1; failure = Some f }
-  in
-  go 0
+let campaign config : (case, Consensus.Checker.violation) Mcheck.Campaign.t =
+  { generate = generate config; shrink = None; pp }

@@ -1,19 +1,17 @@
-(** Seeded fuzzing of multi-hop consensus under interference: each
-    iteration draws a {!Topo_gen} spec (grid / RGG / clustered mesh) and
-    seed, an interference strength ([alpha], optionally a cap), a churn or
-    mobility schedule, and a full fault plan, then runs hardened wPAXOS
-    through {!Consensus.Runner.run} with
+(** Seeded fuzzing of multi-hop consensus under interference, run by
+    {!Mcheck.Campaign}: each iteration draws a {!Topo_gen} spec (grid /
+    RGG / clustered mesh) and seed, an interference strength ([alpha],
+    optionally a cap), a churn or mobility schedule, and a full fault plan,
+    then runs hardened wPAXOS through {!Consensus.Runner.run} with
     {!Amac.Scheduler.interference} — judged by
     {!Consensus.Checker.safety_violations} only, since under adversarial
     plans and contention-stretched acks termination is conditional.
 
     Same reproducibility story as {!Smr_fuzz}: every stochastic choice
-    derives from [Mcheck.Fuzz.derive ~seed ~iteration], so a failing
-    iteration number {e is} the reproducer — no record/replay or shrinking
-    step. *)
+    derives from the iteration's rng, so a failing iteration number {e is}
+    the reproducer — no record/replay or shrinking step. *)
 
 type config = {
-  iterations : int;
   max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
   max_alpha : int;
       (** per-contender ack stretch drawn from [\[0, max_alpha\]]; 0 is the
@@ -22,18 +20,18 @@ type config = {
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
       (** [Some profile] turns the crashes into a full fault plan via
-          {!Mcheck.Fuzz.gen_fault_plan} (recoveries, loss windows,
-          partitions, stutters) *)
+          {!Mcheck.Fuzz.gen_faults} (recoveries, loss windows, partitions,
+          stutters) *)
 }
 
-(** 100 iterations, F_ack ≤ 4, alpha ≤ 3, ≤ 2 crashes, fault plans on (the
-    mcheck default profile). Topology sizes are fixed inside the generator
-    (grids up to 5×5, RGGs up to 24 nodes, clustered meshes up to 4×5+2) so
-    a campaign stays CI-sized. *)
+(** F_ack ≤ 4, alpha ≤ 3, ≤ 2 crashes, fault plans on (the mcheck default
+    profile). Topology sizes are fixed inside the generator (grids up to
+    5×5, RGGs up to 24 nodes, clustered meshes up to 4×5+2) so a campaign
+    stays CI-sized. *)
 val default : config
 
-type failure = {
-  iteration : int;
+(** One iteration's drawn parameters. *)
+type case = {
   spec : string;  (** {!Topo_gen.name} of the drawn spec *)
   topo_seed : int;
   n : int;
@@ -43,17 +41,6 @@ type failure = {
   deltas : int;  (** drawn churn/mobility schedule length *)
   crashes : (int * int) list;
   faults : Fault.plan;
-  violations : Consensus.Checker.violation list;
 }
 
-type outcome = {
-  iterations_run : int;
-  failure : failure option;  (** [None] — all iterations clean *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
-(** [run config ~seed] fuzzes until a safety violation (then stops) or
-    [config.iterations] clean iterations pass. [~progress] is called after
-    each iteration with its 0-based index. *)
-val run : ?progress:(int -> unit) -> config -> seed:int -> outcome
+val campaign : config -> (case, Consensus.Checker.violation) Mcheck.Campaign.t

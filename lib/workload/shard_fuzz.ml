@@ -1,5 +1,4 @@
 type config = {
-  iterations : int;
   max_n : int;
   max_fack : int;
   max_groups : int;
@@ -11,7 +10,6 @@ type config = {
 
 let default =
   {
-    iterations = 100;
     max_n = 6;
     max_fack = 6;
     max_groups = 4;
@@ -21,36 +19,30 @@ let default =
     max_time = 400_000;
   }
 
-type failure = {
-  iteration : int;
+type case = {
   n : int;
   fack : int;
   groups : int;
   batch : int;
   window : int;
   crashes : (int * int) list;
-  violations : Smr_checker.shard_violation list;
 }
 
-type outcome = {
-  iterations_run : int;
-  failure : failure option;
-}
-
-let pp_failure fmt f =
+let pp fmt
+    (cx : (case, Smr_checker.shard_violation) Mcheck.Campaign.counterexample) =
+  let f = cx.case in
   Format.fprintf fmt
     "@[<v>iteration %d: n=%d fack=%d groups=%d batch=%d window=%d@,\
      crashes=[%s]@,%a@]"
-    f.iteration f.n f.fack f.groups f.batch f.window
+    cx.iteration f.n f.fack f.groups f.batch f.window
     (String.concat "; "
        (List.map
           (fun (node, at) -> Printf.sprintf "%d@%d" node at)
           f.crashes))
     (Format.pp_print_list Smr_checker.pp_shard_violation)
-    f.violations
+    cx.violations
 
-let run_iteration config ~seed ~iteration =
-  let rng = Mcheck.Fuzz.derive ~seed ~iteration in
+let generate config rng =
   let n = Amac.Rng.int_range rng ~lo:3 ~hi:(max 3 config.max_n) in
   let topology =
     match Amac.Rng.int rng 3 with
@@ -62,17 +54,8 @@ let run_iteration config ~seed ~iteration =
   let groups = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_groups) in
   let batch = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_batch) in
   let window = 1 + Amac.Rng.int rng 8 in
-  let crash_count = Amac.Rng.int rng (config.max_crashes + 1) in
   let crashes =
-    List.init crash_count (fun _ ->
-        ( Amac.Rng.int rng n,
-          Amac.Rng.int_range rng ~lo:0 ~hi:(((2 * fack) + 1) * 2) ))
-    |> List.sort_uniq compare
-    |> List.fold_left
-         (fun acc (node, time) ->
-           if List.mem_assoc node acc then acc else (node, time) :: acc)
-         []
-    |> List.rev
+    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes
   in
   let scheduler = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let wseed = Amac.Rng.int rng 1_000_000 in
@@ -82,30 +65,8 @@ let run_iteration config ~seed ~iteration =
       ~key_space:(8 * groups)
       ~topology ~scheduler ~seed:wseed ~cmds:config.cmds ~groups ()
   in
-  if result.Shard_workload.violations = [] then None
-  else
-    Some
-      {
-        iteration;
-        n;
-        fack;
-        groups;
-        batch;
-        window;
-        crashes;
-        violations = result.Shard_workload.violations;
-      }
+  ( { n; fack; groups; batch; window; crashes },
+    result.Shard_workload.violations )
 
-let run ?(progress = fun _ -> ()) config ~seed =
-  let rec go i =
-    if i >= config.iterations then { iterations_run = i; failure = None }
-    else
-      match run_iteration config ~seed ~iteration:i with
-      | None ->
-          progress i;
-          go (i + 1)
-      | Some f ->
-          progress i;
-          { iterations_run = i + 1; failure = Some f }
-  in
-  go 0
+let campaign config : (case, Smr_checker.shard_violation) Mcheck.Campaign.t =
+  { generate = generate config; shrink = None; pp }

@@ -1,15 +1,14 @@
-(** Seeded fuzzing of the sharded multi-group log: random topology,
-    scheduler, group count, batch threshold and crash pattern per
-    iteration, driven open-loop with Zipf keys and judged by the
-    sharded safety contract ({!Shard.check}) — per-group prefix
-    agreement, cross-group exactly-once, batch atomicity.
+(** Seeded fuzzing of the sharded multi-group log, run by
+    {!Mcheck.Campaign}: random topology, scheduler, group count, batch
+    threshold and crash pattern per iteration, driven open-loop with Zipf
+    keys and judged by the sharded safety contract ({!Shard.check}) —
+    per-group prefix agreement, cross-group exactly-once, batch atomicity.
 
     Same reproducibility story as {!Smr_fuzz}: every stochastic choice
-    derives from [Mcheck.Fuzz.derive ~seed ~iteration], so the
-    iteration number is the reproducer. *)
+    derives from the iteration's rng, so the iteration number is the
+    reproducer. *)
 
 type config = {
-  iterations : int;
   max_n : int;  (** nodes drawn from [\[3, max_n\]] *)
   max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
   max_groups : int;  (** groups drawn from [\[1, max_groups\]] *)
@@ -19,28 +18,17 @@ type config = {
   max_time : int;
 }
 
-(** 100 iterations, n ≤ 6, F_ack ≤ 6, ≤ 4 groups, batch ≤ 6,
-    ≤ 2 crashes, 40 commands. *)
+(** n ≤ 6, F_ack ≤ 6, ≤ 4 groups, batch ≤ 6, ≤ 2 crashes, 40 commands. *)
 val default : config
 
-type failure = {
-  iteration : int;
+(** One iteration's drawn parameters. *)
+type case = {
   n : int;
   fack : int;
   groups : int;
   batch : int;
   window : int;
   crashes : (int * int) list;
-  violations : Smr_checker.shard_violation list;
 }
 
-type outcome = {
-  iterations_run : int;
-  failure : failure option;  (** [None] — all iterations clean *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
-(** [run config ~seed] fuzzes until a safety violation (then stops) or
-    [config.iterations] clean iterations pass. *)
-val run : ?progress:(int -> unit) -> config -> seed:int -> outcome
+val campaign : config -> (case, Smr_checker.shard_violation) Mcheck.Campaign.t

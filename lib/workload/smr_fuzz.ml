@@ -1,5 +1,4 @@
 type config = {
-  iterations : int;
   max_n : int;
   max_fack : int;
   max_crashes : int;
@@ -11,7 +10,6 @@ type config = {
 
 let default =
   {
-    iterations = 100;
     max_n = 6;
     max_fack = 6;
     max_crashes = 2;
@@ -21,8 +19,7 @@ let default =
     lifecycle = false;
   }
 
-type failure = {
-  iteration : int;
+type case = {
   n : int;
   fack : int;
   window : int;
@@ -30,19 +27,15 @@ type failure = {
   crashes : (int * int) list;
   compact_every : int option;
   reconfigs : (int * int * int list) list;
-  violations : Smr_checker.violation list;
 }
 
-type outcome = {
-  iterations_run : int;
-  failure : failure option;
-}
-
-let pp_failure fmt f =
+let pp fmt (cx : (case, Smr_checker.violation) Mcheck.Campaign.counterexample)
+    =
+  let f = cx.case in
   Format.fprintf fmt
     "@[<v>iteration %d: n=%d fack=%d window=%d compact=%s@,\
      reconfigs=[%s]@,crashes=[%s]@,faults=%s@,%a@]"
-    f.iteration f.n f.fack f.window
+    cx.iteration f.n f.fack f.window
     (match f.compact_every with
     | Some k -> string_of_int k
     | None -> "-")
@@ -58,10 +51,9 @@ let pp_failure fmt f =
           f.crashes))
     (Fault.to_string f.faults)
     (Format.pp_print_list Smr_checker.pp_violation)
-    f.violations
+    cx.violations
 
-let run_iteration config ~seed ~iteration =
-  let rng = Mcheck.Fuzz.derive ~seed ~iteration in
+let generate config rng =
   let n = Amac.Rng.int_range rng ~lo:3 ~hi:(max 3 config.max_n) in
   let topology =
     match Amac.Rng.int rng 3 with
@@ -70,27 +62,12 @@ let run_iteration config ~seed ~iteration =
     | _ -> if n >= 3 then Amac.Topology.ring n else Amac.Topology.clique n
   in
   let fack = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_fack) in
-  (* Crash times land in the first few broadcast windows, as in
-     Mcheck.Fuzz.generate — early crashes interfere with leader election
-     and the first Prepare, the most delicate phase. *)
-  let crash_count = Amac.Rng.int rng (config.max_crashes + 1) in
-  let crashes =
-    List.init crash_count (fun _ ->
-        ( Amac.Rng.int rng n,
-          Amac.Rng.int_range rng ~lo:0 ~hi:(((2 * fack) + 1) * 2) ))
-    |> List.sort_uniq compare
-    |> List.fold_left
-         (fun acc (node, time) ->
-           if List.mem_assoc node acc then acc else (node, time) :: acc)
-         []
-    |> List.rev
+  let crashes, faults =
+    Mcheck.Fuzz.gen_faults rng ~n ~fack
+      ~crashes:
+        (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes)
+      config.faults
   in
-  let faults =
-    match config.faults with
-    | None -> []
-    | Some p -> Mcheck.Fuzz.gen_fault_plan rng ~n ~fack ~crashes p
-  in
-  let crashes = if config.faults = None then crashes else [] in
   let window = 1 + Amac.Rng.int rng 8 in
   let mode =
     if Amac.Rng.bool rng then
@@ -134,31 +111,8 @@ let run_iteration config ~seed ~iteration =
       ?compact_every ~reconfigs ~topology ~scheduler ~seed:wseed
       ~cmds:config.cmds ~mode ()
   in
-  if result.Workload.violations = [] then None
-  else
-    Some
-      {
-        iteration;
-        n;
-        fack;
-        window;
-        faults;
-        crashes;
-        compact_every;
-        reconfigs;
-        violations = result.Workload.violations;
-      }
+  ( { n; fack; window; faults; crashes; compact_every; reconfigs },
+    result.Workload.violations )
 
-let run ?(progress = fun _ -> ()) config ~seed =
-  let rec go i =
-    if i >= config.iterations then { iterations_run = i; failure = None }
-    else
-      match run_iteration config ~seed ~iteration:i with
-      | None ->
-          progress i;
-          go (i + 1)
-      | Some f ->
-          progress i;
-          { iterations_run = i + 1; failure = Some f }
-  in
-  go 0
+let campaign config : (case, Smr_checker.violation) Mcheck.Campaign.t =
+  { generate = generate config; shrink = None; pp }

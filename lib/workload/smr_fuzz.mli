@@ -1,17 +1,16 @@
-(** Seeded fuzzing of the replicated log: random topology, scheduler,
-    workload shape and (optionally) fault plan per iteration, judged by
-    {!Smr_checker} — safety only, since under an adversarial plan a
-    straggler's log may legitimately end short.
+(** Seeded fuzzing of the replicated log, run by {!Mcheck.Campaign}: random
+    topology, scheduler, workload shape and (optionally) fault plan per
+    iteration, judged by {!Smr_checker} — safety only, since under an
+    adversarial plan a straggler's log may legitimately end short.
 
     Unlike {!Mcheck.Fuzz} there is no record/replay step: every stochastic
-    choice (including the scheduler's) derives from
-    [Mcheck.Fuzz.derive ~seed ~iteration], so re-running the same pair
-    regenerates the identical execution — the iteration number {e is} the
-    reproducer. No shrinking either; a failing iteration reports its drawn
-    parameters and violations. *)
+    choice (including the scheduler's) derives from the iteration's rng, so
+    re-running the same [(seed, iteration)] pair regenerates the identical
+    execution — the iteration number {e is} the reproducer. No shrinking
+    either; a failing iteration reports its drawn parameters and
+    violations. *)
 
 type config = {
-  iterations : int;
   max_n : int;  (** nodes drawn from [\[3, max_n\]] *)
   max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
   max_crashes : int;  (** crash-pattern size drawn from [\[0, max_crashes\]] *)
@@ -19,20 +18,20 @@ type config = {
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
       (** [Some profile] turns the crashes into a full fault plan via
-          {!Mcheck.Fuzz.gen_fault_plan} (recoveries, loss windows,
-          partitions, stutters) *)
+          {!Mcheck.Fuzz.gen_faults} (recoveries, loss windows, partitions,
+          stutters) *)
   lifecycle : bool;
       (** additionally draw aggressive compaction watermarks and mid-run
           joint-consensus reconfigurations to arbitrary membership subsets
           (off by default, keeping the baseline corpus bit-for-bit) *)
 }
 
-(** 100 iterations, n ≤ 6, F_ack ≤ 6, ≤ 2 crashes, 30 commands, fault
-    plans on (the mcheck default profile), lifecycle draws off. *)
+(** n ≤ 6, F_ack ≤ 6, ≤ 2 crashes, 30 commands, fault plans on (the mcheck
+    default profile), lifecycle draws off. *)
 val default : config
 
-type failure = {
-  iteration : int;
+(** One iteration's drawn parameters. *)
+type case = {
   n : int;
   fack : int;
   window : int;
@@ -40,17 +39,6 @@ type failure = {
   crashes : (int * int) list;
   compact_every : int option;
   reconfigs : (int * int * int list) list;
-  violations : Smr_checker.violation list;
 }
 
-type outcome = {
-  iterations_run : int;
-  failure : failure option;  (** [None] — all iterations clean *)
-}
-
-val pp_failure : Format.formatter -> failure -> unit
-
-(** [run config ~seed] fuzzes until a safety violation (then stops) or
-    [config.iterations] clean iterations pass. [~progress] is called after
-    each iteration with its 0-based index. *)
-val run : ?progress:(int -> unit) -> config -> seed:int -> outcome
+val campaign : config -> (case, Smr_checker.violation) Mcheck.Campaign.t

@@ -8,6 +8,7 @@
 module Model = Byz.Model
 module Adapters = Byz.Adapters
 module BFuzz = Byz.Fuzz
+module Campaign = Mcheck.Campaign
 
 let behavior ?(replay = 0) ?(forge = 0) ?(drop = false) () =
   { Model.replay_period = replay; forge_period = forge; drop_own = drop }
@@ -143,15 +144,15 @@ let test_generic_adapter_replays () =
      must complete without exception; whether it breaks wpaxos is recorded,
      not asserted (replay against a quorum protocol is a real question, not
      a fixture). *)
-  let config =
-    { BFuzz.default with iterations = 60; min_n = 3; max_n = 4 }
-  in
   let outcome =
-    BFuzz.run config (Consensus.Wpaxos.make ()) (Model.generic_adapter ())
-      ~seed:5
+    Campaign.run
+      (BFuzz.campaign
+         { BFuzz.default with min_n = 3; max_n = 4 }
+         (Consensus.Wpaxos.make ()) (Model.generic_adapter ()))
+      ~iterations:60 ~seed:5
   in
   Alcotest.(check bool) "campaign completes" true
-    (outcome.BFuzz.iterations_run <= config.BFuzz.iterations)
+    (outcome.iterations_run <= 60)
 
 (* --------------------------------------------------------------- *)
 (* Fuzzer self-tests                                                *)
@@ -167,132 +168,112 @@ let equivocation_only =
   }
 
 let two_phase_campaign =
-  {
-    BFuzz.default with
-    BFuzz.iterations = 500;
-    profile = equivocation_only;
-    agreement_only = true;
-  }
+  BFuzz.campaign
+    { BFuzz.default with profile = equivocation_only; agreement_only = true }
+    Consensus.Two_phase.algorithm Adapters.two_phase
 
 let test_finds_two_phase_equivocation () =
-  let outcome =
-    BFuzz.run two_phase_campaign Consensus.Two_phase.algorithm
-      Adapters.two_phase ~seed:42
-  in
-  match outcome.BFuzz.counterexample with
+  let outcome = Campaign.run two_phase_campaign ~iterations:500 ~seed:42 in
+  match outcome.counterexample with
   | None -> Alcotest.fail "no equivocation counterexample against two_phase"
   | Some cx ->
       let agreement_broken =
         List.exists
           (function
             | Consensus.Checker.Agreement_violation _ -> true | _ -> false)
-          cx.BFuzz.violations
+          cx.violations
       in
       Alcotest.(check bool) "agreement violated among honest nodes" true
         agreement_broken;
       let equivocates =
         List.exists
           (fun (t : Model.tamper) -> t.Model.kind = Model.Equivocate)
-          cx.BFuzz.case.BFuzz.strategy.Model.tampers
+          cx.case.BFuzz.strategy.Model.tampers
       in
       Alcotest.(check bool) "shrunk strategy still equivocates" true
         equivocates
 
 let test_shrinking_minimizes () =
-  let outcome =
-    BFuzz.run two_phase_campaign Consensus.Two_phase.algorithm
-      Adapters.two_phase ~seed:42
-  in
-  match outcome.BFuzz.counterexample with
+  let outcome = Campaign.run two_phase_campaign ~iterations:500 ~seed:42 in
+  match outcome.counterexample with
   | None -> Alcotest.fail "no counterexample to shrink"
   | Some cx ->
       Alcotest.(check bool) "nodes not grown" true
-        (cx.BFuzz.case.BFuzz.n <= cx.BFuzz.original.BFuzz.n);
+        (cx.case.BFuzz.n <= cx.original.BFuzz.n);
       Alcotest.(check bool) "plan not grown" true
-        (List.length cx.BFuzz.case.BFuzz.plan
-        <= List.length cx.BFuzz.original.BFuzz.plan);
+        (List.length cx.case.BFuzz.plan
+        <= List.length cx.original.BFuzz.plan);
       (* The shrunk case must still fail on replay — violations were
          recorded from a fresh replay of the shrunk case. *)
       Alcotest.(check bool) "shrunk case still violates" true
-        (cx.BFuzz.violations <> [])
+        (cx.violations <> [])
 
 let byz_consensus_campaign =
-  {
-    BFuzz.default with
-    BFuzz.iterations = 400;
-    min_n = 4;
-    max_n = 7;
-    cap_f = true;
-  }
+  BFuzz.campaign
+    { BFuzz.default with min_n = 4; max_n = 7; cap_f = true }
+    (Consensus.Byz_consensus.make ~seed:7 ())
+    Adapters.byz_consensus
 
 let test_byz_consensus_survives () =
-  let outcome =
-    BFuzz.run byz_consensus_campaign
-      (Consensus.Byz_consensus.make ~seed:7 ())
-      Adapters.byz_consensus ~seed:42
-  in
-  (match outcome.BFuzz.counterexample with
+  let outcome = Campaign.run byz_consensus_campaign ~iterations:400 ~seed:42 in
+  (match outcome.counterexample with
   | None -> ()
   | Some cx ->
       Alcotest.failf "byz_consensus broken inside its f-budget:@.%a"
-        BFuzz.pp_counterexample cx);
-  Alcotest.(check int) "full campaign" 400 outcome.BFuzz.iterations_run
+        byz_consensus_campaign.pp cx);
+  Alcotest.(check int) "full campaign" 400 outcome.iterations_run
 
 let test_ben_or_documented_unsafe () =
   (* Ben-Or tolerates crashes, not lies: forged Decided claims must be
      found. Pinning this keeps the adapter honest — if the campaign stops
      finding it, the adversary (not Ben-Or) regressed. *)
-  let config = { BFuzz.default with BFuzz.iterations = 500 } in
   let outcome =
-    BFuzz.run config (Consensus.Ben_or.make ~seed:5 ()) Adapters.ben_or
-      ~seed:43
+    Campaign.run
+      (BFuzz.campaign BFuzz.default
+         (Consensus.Ben_or.make ~seed:5 ())
+         Adapters.ben_or)
+      ~iterations:500 ~seed:43
   in
   Alcotest.(check bool) "byzantine adversary breaks ben_or" true
-    (outcome.BFuzz.counterexample <> None)
+    (outcome.counterexample <> None)
 
 let test_counter_race_documented_unsafe () =
-  let config = { BFuzz.default with BFuzz.iterations = 500 } in
   let outcome =
-    BFuzz.run config (Consensus.Counter_race.make ()) Adapters.counter_race
-      ~seed:44
+    Campaign.run
+      (BFuzz.campaign BFuzz.default
+         (Consensus.Counter_race.make ())
+         Adapters.counter_race)
+      ~iterations:500 ~seed:44
   in
   Alcotest.(check bool) "byzantine adversary breaks counter_race" true
-    (outcome.BFuzz.counterexample <> None)
+    (outcome.counterexample <> None)
 
 let test_par_determinism () =
-  (* run_par must be byte-identical to run at any job count — both on a
+  (* The report must be byte-identical at any job count — both on a
      finding campaign and on a clean one. *)
-  let render outcome =
-    Format.asprintf "%d:%a" outcome.BFuzz.iterations_run
-      (Format.pp_print_option BFuzz.pp_counterexample)
-      outcome.BFuzz.counterexample
+  let render (c : _ Campaign.t) (outcome : _ Campaign.outcome) =
+    Format.asprintf "%d:%a" outcome.iterations_run
+      (Format.pp_print_option c.pp)
+      outcome.counterexample
   in
-  let seq =
-    BFuzz.run two_phase_campaign Consensus.Two_phase.algorithm
-      Adapters.two_phase ~seed:42
-  in
+  let seq = Campaign.run two_phase_campaign ~iterations:500 ~seed:42 in
   List.iter
     (fun jobs ->
       let par =
-        BFuzz.run_par ~jobs two_phase_campaign Consensus.Two_phase.algorithm
-          Adapters.two_phase ~seed:42
+        Campaign.run ~jobs two_phase_campaign ~iterations:500 ~seed:42
       in
       Alcotest.(check string)
         (Printf.sprintf "finding campaign, jobs=%d" jobs)
-        (render seq) (render par))
+        (render two_phase_campaign seq)
+        (render two_phase_campaign par))
     [ 2; 3 ];
-  let seq_clean =
-    BFuzz.run byz_consensus_campaign
-      (Consensus.Byz_consensus.make ~seed:7 ())
-      Adapters.byz_consensus ~seed:42
-  in
+  let seq_clean = Campaign.run byz_consensus_campaign ~iterations:400 ~seed:42 in
   let par_clean =
-    BFuzz.run_par ~jobs:3 byz_consensus_campaign
-      (Consensus.Byz_consensus.make ~seed:7 ())
-      Adapters.byz_consensus ~seed:42
+    Campaign.run ~jobs:3 byz_consensus_campaign ~iterations:400 ~seed:42
   in
-  Alcotest.(check string) "clean campaign, jobs=3" (render seq_clean)
-    (render par_clean)
+  Alcotest.(check string) "clean campaign, jobs=3"
+    (render byz_consensus_campaign seq_clean)
+    (render byz_consensus_campaign par_clean)
 
 let () =
   Alcotest.run "byz"

@@ -153,15 +153,16 @@ let test_fuzzer_breaks_unhardened_liveness () =
   let config =
     {
       Mcheck.Fuzz.default with
-      iterations = 50;
       check_termination = true;
       max_time = 200_000;
       faults = Some Mcheck.Fuzz.default_fault_profile;
     }
   in
   match
-    (Mcheck.Fuzz.run config (Consensus.Wpaxos.make ~retransmit:false ()) ~seed:1)
-      .Mcheck.Fuzz.counterexample
+    (Mcheck.Campaign.run
+       (Mcheck.Fuzz.campaign config (Consensus.Wpaxos.make ~retransmit:false ()))
+       ~iterations:50 ~seed:1)
+      .counterexample
   with
   | None -> Alcotest.fail "expected a liveness counterexample"
   | Some cx ->

@@ -4,10 +4,15 @@
    3-clique for two-phase. *)
 
 module Fuzz = Mcheck.Fuzz
+module Campaign = Mcheck.Campaign
 module Explore = Mcheck.Explore
 
 (* Two-phase assumes a single hop network, so it is fuzzed on cliques. *)
 let clique_only = { Fuzz.default with kinds = [ Fuzz.Clique ] }
+let iterations = 300
+let literal = Fuzz.campaign clique_only Consensus.Two_phase.literal
+let run ?(iterations = iterations) campaign ~seed =
+  Campaign.run campaign ~iterations ~seed
 
 let has_agreement =
   List.exists (function
@@ -15,8 +20,8 @@ let has_agreement =
     | _ -> false)
 
 let test_fuzzer_catches_literal () =
-  let outcome = Fuzz.run clique_only Consensus.Two_phase.literal ~seed:1 in
-  match outcome.Fuzz.counterexample with
+  let outcome = run literal ~seed:1 in
+  match outcome.counterexample with
   | None -> Alcotest.fail "fuzzer missed the erratum in Two_phase.literal"
   | Some cx ->
       Alcotest.(check bool) "agreement violation" true
@@ -24,60 +29,60 @@ let test_fuzzer_catches_literal () =
       Alcotest.(check bool) "shrunk to <= 4 nodes" true (cx.case.Fuzz.n <= 4);
       Alcotest.(check bool) "shrunk no larger than original" true
         (cx.case.Fuzz.n <= cx.original.Fuzz.n);
-      Alcotest.(check bool) "timeline rendered" true (cx.timeline <> "")
+      let report = Format.asprintf "%a" literal.pp cx in
+      Alcotest.(check bool) "timeline rendered" true
+        (not (String.ends_with ~suffix:"timeline:\n" report))
 
 let test_counterexample_replays_from_case () =
   (* The shrunk case is self-contained data: replaying it through
      Scheduler.replay reproduces the violation. *)
-  let outcome = Fuzz.run clique_only Consensus.Two_phase.literal ~seed:1 in
-  let cx = Option.get outcome.Fuzz.counterexample in
-  let replayed = Fuzz.run_case clique_only Consensus.Two_phase.literal cx.case in
-  Alcotest.(check bool) "replay still fails" true
-    (has_agreement (Fuzz.violations_of clique_only replayed))
+  let outcome = run literal ~seed:1 in
+  let cx = Option.get outcome.counterexample in
+  let replayed = (Option.get literal.shrink).replay cx.case in
+  Alcotest.(check bool) "replay still fails" true (has_agreement replayed)
 
 let test_counterexample_replays_from_seed () =
   (* The reported (seed, iteration) pair alone regenerates the original
      failing run. *)
-  let outcome = Fuzz.run clique_only Consensus.Two_phase.literal ~seed:1 in
-  let cx = Option.get outcome.Fuzz.counterexample in
-  let case, result =
-    Fuzz.generate clique_only Consensus.Two_phase.literal ~seed:1
-      ~iteration:cx.iteration
+  let outcome = run literal ~seed:1 in
+  let cx = Option.get outcome.counterexample in
+  let case, violations =
+    literal.generate (Campaign.derive ~seed:1 ~iteration:cx.iteration)
   in
   Alcotest.(check bool) "same case regenerated" true (case = cx.original);
-  Alcotest.(check bool) "still failing" true
-    (has_agreement (Fuzz.violations_of clique_only result))
+  Alcotest.(check bool) "still failing" true (has_agreement violations)
 
 let test_generate_deterministic () =
   let once () =
-    fst (Fuzz.generate Fuzz.default Consensus.Two_phase.algorithm ~seed:42 ~iteration:7)
+    fst
+      ((Fuzz.campaign Fuzz.default Consensus.Two_phase.algorithm).generate
+         (Campaign.derive ~seed:42 ~iteration:7))
   in
   Alcotest.(check bool) "same seed, same case" true (once () = once ())
 
 let test_fuzzer_clean_on_corrected () =
   (* Same budget that catches the erratum within a handful of iterations
      finds nothing against the corrected rule. *)
-  let outcome = Fuzz.run clique_only Consensus.Two_phase.algorithm ~seed:1 in
+  let outcome =
+    run (Fuzz.campaign clique_only Consensus.Two_phase.algorithm) ~seed:1
+  in
   Alcotest.(check bool) "no counterexample" true
-    (outcome.Fuzz.counterexample = None);
-  Alcotest.(check int) "all iterations ran" clique_only.Fuzz.iterations
-    outcome.Fuzz.iterations_run
+    (outcome.counterexample = None);
+  Alcotest.(check int) "all iterations ran" iterations outcome.iterations_run
 
 let test_fuzzer_clean_on_multihop_algorithms () =
-  let config = { Fuzz.default with iterations = 60 } in
-  List.iter
-    (fun (name, outcome) ->
-      match outcome.Fuzz.counterexample with
-      | None -> ()
-      | Some cx ->
-          Alcotest.failf "%s violated: %s" name
-            (Format.asprintf "%a" Fuzz.pp_counterexample cx))
-    [
-      ("wpaxos", Fuzz.run config (Consensus.Wpaxos.make ()) ~seed:2);
-      ("flood-gather", Fuzz.run config (Consensus.Flood_gather.make ()) ~seed:3);
-      ("flood-paxos", Fuzz.run config (Consensus.Flood_paxos.make ()) ~seed:4);
-      ("ben-or", Fuzz.run config (Consensus.Ben_or.make ~seed:7 ()) ~seed:5);
-    ]
+  let check name algorithm ~seed =
+    let campaign = Fuzz.campaign Fuzz.default algorithm in
+    match (run ~iterations:60 campaign ~seed).counterexample with
+    | None -> ()
+    | Some cx ->
+        Alcotest.failf "%s violated: %s" name
+          (Format.asprintf "%a" campaign.pp cx)
+  in
+  check "wpaxos" (Consensus.Wpaxos.make ()) ~seed:2;
+  check "flood-gather" (Consensus.Flood_gather.make ()) ~seed:3;
+  check "flood-paxos" (Consensus.Flood_paxos.make ()) ~seed:4;
+  check "ben-or" (Consensus.Ben_or.make ~seed:7 ()) ~seed:5
 
 let test_explorer_exhausts_two_phase_n3 () =
   (* The acceptance bar: every F_ack-respecting delivery ordering of the

@@ -6,7 +6,8 @@
    interference run at 1000 nodes, (4) keying equivalence / zero
    collisions of the explorer over topo_gen topologies (the new engine
    paths feed the same fingerprinted state), and (5) topology-delta
-   ordering: a Topo event lands after every same-tick delivery and ack.
+   ordering: a Topo event lands after every same-tick delivery and ack,
+   and (6) a small fixed-seed Multihop_fuzz campaign stays safe.
 
    The eleventh-hour degenerate check — alpha = 0 byte-identical to the
    base scheduler on all 11 goldens — lives in test_golden.ml, next to
@@ -334,6 +335,17 @@ let test_contention_tracks_deltas () =
     [| 3; 4; 5 |] (ack_times outcome);
   Alcotest.(check int) "one topo change" 1 outcome.Amac.Engine.topo_changes
 
+(* ------------------------------------------------------------------ *)
+(* The interference campaign: a small fixed-seed run stays safe. *)
+
+let test_fuzz_smoke () =
+  let campaign = Multihop_fuzz.campaign Multihop_fuzz.default in
+  let outcome = Mcheck.Campaign.run campaign ~iterations:6 ~seed:3 in
+  (match outcome.counterexample with
+  | None -> ()
+  | Some cx -> Alcotest.failf "multihop fuzz failure:@.%a" campaign.pp cx);
+  Alcotest.(check int) "all iterations ran" 6 outcome.iterations_run
+
 let () =
   Alcotest.run "multihop"
     [
@@ -368,4 +380,5 @@ let () =
           Alcotest.test_case "contention exact under churn" `Quick
             test_contention_tracks_deltas;
         ] );
+      ("fuzz", [ Alcotest.test_case "clean campaign" `Quick test_fuzz_smoke ]);
     ]

@@ -1,7 +1,7 @@
 (* The domain pool under its stated contract: results land in input order
    at any pool size, the lowest-index exception wins, pools are reusable
    across maps and safe to shut down, and the parallel entry points built
-   on it (Fuzz.run_par, Explore.explore_par) produce outcomes
+   on it (Campaign.run, Explore.explore_par) produce outcomes
    byte-identical / verdict-equal to their sequential baselines. *)
 
 let squares n = Array.init n (fun i -> i * i)
@@ -68,51 +68,160 @@ let test_clamps_to_one () =
       Alcotest.(check bool) "inline map" true
         (Par.map pool busy [| 1; 2 |] = [| 1; 4 |]))
 
-(* --- the parallel verification entry points against their baselines --- *)
-
+module Campaign = Mcheck.Campaign
 module Fuzz = Mcheck.Fuzz
 module Explore = Mcheck.Explore
 
-let clique_only = { Fuzz.default with iterations = 120; kinds = [ Fuzz.Clique ] }
+(* --- Campaign.run on a synthetic campaign --- *)
 
-let render (o : Fuzz.outcome) =
+let seed = 11
+
+(* The generator sees only its iteration's rng, so the synthetic campaign
+   recognises an iteration by the first draw of [Campaign.derive]. *)
+let key rng = Amac.Rng.int rng 1_000_000_000
+let iteration_of = Hashtbl.create 64
+
+let () =
+  for i = 0 to 63 do
+    Hashtbl.replace iteration_of (key (Campaign.derive ~seed ~iteration:i)) i
+  done
+
+(* A case is an int that fails while it is >= 3. The default pass proposes
+   k-1 first, so shrinking walks down one step per replay; the replay of 4
+   raises Invalid_argument. *)
+let synthetic ?(replays = ref 0) ?(fail_at = []) ?(raise_at = -1)
+    ?(passes = [ (fun k -> List.init k (fun i -> k - 1 - i)) ]) () :
+    (int, int) Campaign.t =
+  let judge k = if k >= 3 then [ k ] else [] in
+  let generate rng =
+    let i = Hashtbl.find iteration_of (key rng) in
+    if i = raise_at then failwith "synthetic";
+    if List.mem i fail_at then (10 + i, judge (10 + i)) else (0, [])
+  in
+  let replay k =
+    incr replays;
+    if k = 4 then invalid_arg "rejected candidate";
+    judge k
+  in
+  {
+    generate;
+    shrink = Some { replay; passes };
+    pp = (fun fmt cx -> Format.fprintf fmt "%d->%d" cx.original cx.case);
+  }
+
+let test_minimum_failing_iteration () =
+  List.iter
+    (fun jobs ->
+      let campaign = synthetic ~fail_at:[ 13; 6 ] () in
+      let o = Campaign.run ~jobs campaign ~iterations:40 ~seed in
+      let cx = Option.get o.counterexample in
+      let at = Printf.sprintf " at %d jobs" jobs in
+      Alcotest.(check int) ("iteration 6" ^ at) 6 cx.iteration;
+      Alcotest.(check int) ("iterations_run" ^ at) 7 o.iterations_run;
+      Alcotest.(check int) ("original" ^ at) 16 cx.original;
+      (* 4 is rejected by its replay, so the fixpoint settles on 3. *)
+      Alcotest.(check int) ("shrunk past the rejected candidate" ^ at) 3
+        cx.case;
+      Alcotest.(check (list int)) ("violations of the shrunk case" ^ at) [ 3 ]
+        cx.violations)
+    [ 1; 2; 4 ]
+
+let test_progress_in_order () =
+  let campaign = synthetic ~fail_at:[ 21 ] () in
+  let ticks = ref [] in
+  ignore
+    (Campaign.run ~jobs:2
+       ~progress:(fun i -> ticks := i :: !ticks)
+       campaign ~iterations:40 ~seed);
+  Alcotest.(check (list int)) "one tick per scanned iteration, up to 21"
+    (List.init 22 Fun.id) (List.rev !ticks)
+
+let test_shrink_budget () =
+  List.iter
+    (fun max_shrink_runs ->
+      let replays = ref 0 in
+      let campaign = synthetic ~replays ~fail_at:[ 2 ] () in
+      let o = Campaign.run ~max_shrink_runs campaign ~iterations:10 ~seed in
+      (* 12 needs more steps than any budget here, so the shrinker spends
+         all of it; the final replay of the shrunk case is outside it. *)
+      Alcotest.(check int)
+        (Printf.sprintf "budget of %d shrink replays" max_shrink_runs)
+        max_shrink_runs (!replays - 1);
+      Alcotest.(check bool) "still failing" true
+        ((Option.get o.counterexample).violations <> []))
+    [ 0; 1; 5 ]
+
+let test_invalid_argument_rejects () =
+  (* The only candidate raises Invalid_argument: rejected, not propagated,
+     and the case is reported unshrunk. *)
+  let campaign = synthetic ~fail_at:[ 0 ] ~passes:[ (fun _ -> [ 4 ]) ] () in
+  let o = Campaign.run campaign ~iterations:5 ~seed in
+  let cx = Option.get o.counterexample in
+  Alcotest.(check int) "unshrunk" 10 cx.case
+
+let test_exception_names_iteration () =
+  List.iter
+    (fun jobs ->
+      let campaign = synthetic ~raise_at:5 ~fail_at:[ 9 ] () in
+      match Campaign.run ~jobs campaign ~iterations:40 ~seed with
+      | _ -> Alcotest.fail "expected Campaign.Raised"
+      | exception Campaign.Raised { iteration; exn } ->
+          Alcotest.(check int)
+            (Printf.sprintf "iteration 5 at %d jobs" jobs)
+            5 iteration;
+          Alcotest.(check bool) "original exception kept" true
+            (exn = Failure "synthetic"))
+    [ 1; 3 ]
+
+(* --- real campaigns against their sequential baselines --- *)
+
+let clique_only = { Fuzz.default with kinds = [ Fuzz.Clique ] }
+
+let render (c : _ Campaign.t) (o : _ Campaign.outcome) =
   Format.asprintf "iterations_run=%d %a" o.iterations_run
     (Format.pp_print_option
        ~none:(fun fmt () -> Format.pp_print_string fmt "clean")
-       Fuzz.pp_counterexample)
+       c.pp)
     o.counterexample
+
+let same_at_jobs ?(iterations = 120) name campaign ~seed jobs_list =
+  let base = render campaign (Campaign.run campaign ~iterations ~seed) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s: identical report at %d domains" name jobs)
+        base
+        (render campaign (Campaign.run ~jobs campaign ~iterations ~seed)))
+    jobs_list
 
 let test_run_par_identical_on_failure () =
   (* The literal variant fails within the budget: the 4-domain campaign
      must report the same minimum failing iteration, the same shrunk
      counterexample — the same bytes. *)
-  let base = render (Fuzz.run clique_only Consensus.Two_phase.literal ~seed:1) in
-  List.iter
-    (fun jobs ->
-      let par =
-        render
-          (Fuzz.run_par ~jobs clique_only Consensus.Two_phase.literal ~seed:1)
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "identical report at %d domains" jobs)
-        base par)
-    [ 2; 4 ]
+  same_at_jobs "literal"
+    (Fuzz.campaign clique_only Consensus.Two_phase.literal)
+    ~seed:1 [ 2; 4 ]
 
 let test_run_par_identical_on_clean () =
-  let base =
-    render (Fuzz.run clique_only Consensus.Two_phase.algorithm ~seed:1)
-  in
-  let par =
-    render (Fuzz.run_par ~jobs:4 clique_only Consensus.Two_phase.algorithm ~seed:1)
-  in
-  Alcotest.(check string) "identical clean report" base par
+  same_at_jobs "two-phase"
+    (Fuzz.campaign clique_only Consensus.Two_phase.algorithm)
+    ~seed:1 [ 4 ]
 
 let test_run_par_shared_pool () =
+  let campaign = Fuzz.campaign clique_only Consensus.Two_phase.literal in
   Par.with_pool ~domains:4 (fun pool ->
-      let a = Fuzz.run_par ~pool clique_only Consensus.Two_phase.literal ~seed:1 in
-      let b = Fuzz.run clique_only Consensus.Two_phase.literal ~seed:1 in
-      Alcotest.(check string) "caller-owned pool, same outcome" (render b)
-        (render a))
+      let a = Campaign.run ~pool campaign ~iterations:120 ~seed:1 in
+      let b = Campaign.run campaign ~iterations:120 ~seed:1 in
+      Alcotest.(check string) "caller-owned pool, same outcome"
+        (render campaign b) (render campaign a))
+
+let test_smr_and_shard_campaigns_parallel () =
+  same_at_jobs ~iterations:12 "smr"
+    (Smr_fuzz.campaign { Smr_fuzz.default with cmds = 12; max_time = 200_000 })
+    ~seed:2026 [ 2 ];
+  same_at_jobs ~iterations:8 "shard"
+    (Shard_fuzz.campaign { Shard_fuzz.default with cmds = 16 })
+    ~seed:9 [ 2 ]
 
 let test_explore_par_matches_serial () =
   (* Exhaustive runs visit the same reachable set, so the distinct-state
@@ -166,6 +275,18 @@ let () =
           Alcotest.test_case "domains clamped to >= 1" `Quick
             test_clamps_to_one;
         ] );
+      ( "campaign",
+        [
+          Alcotest.test_case "minimum failing iteration (1/2/4 domains)"
+            `Quick test_minimum_failing_iteration;
+          Alcotest.test_case "progress ticks in order" `Quick
+            test_progress_in_order;
+          Alcotest.test_case "shrink replay budget" `Quick test_shrink_budget;
+          Alcotest.test_case "Invalid_argument rejects a candidate" `Quick
+            test_invalid_argument_rejects;
+          Alcotest.test_case "exception names its iteration (1/3 domains)"
+            `Quick test_exception_names_iteration;
+        ] );
       ( "fuzz",
         [
           Alcotest.test_case "byte-identical failure report (2/4 domains)"
@@ -174,6 +295,8 @@ let () =
             test_run_par_identical_on_clean;
           Alcotest.test_case "caller-owned pool" `Quick
             test_run_par_shared_pool;
+          Alcotest.test_case "smr and shard campaigns at 2 domains" `Quick
+            test_smr_and_shard_campaigns_parallel;
         ] );
       ( "explore",
         [

@@ -389,13 +389,12 @@ let test_identical_across_jobs () =
 (* ---------- fuzz smoke ---------- *)
 
 let test_fuzz_smoke () =
-  let outcome =
-    Shard_fuzz.run { Shard_fuzz.default with iterations = 12; cmds = 20 } ~seed:9
-  in
-  (match outcome.Shard_fuzz.failure with
+  let campaign = Shard_fuzz.campaign { Shard_fuzz.default with cmds = 20 } in
+  let outcome = Mcheck.Campaign.run campaign ~iterations:12 ~seed:9 in
+  (match outcome.counterexample with
   | None -> ()
-  | Some f -> Alcotest.failf "sharded fuzz failure: %a" Shard_fuzz.pp_failure f);
-  Alcotest.(check int) "all iterations ran" 12 outcome.Shard_fuzz.iterations_run
+  | Some cx -> Alcotest.failf "sharded fuzz failure: %a" campaign.pp cx);
+  Alcotest.(check int) "all iterations ran" 12 outcome.iterations_run
 
 let () =
   Alcotest.run "shard"

@@ -146,14 +146,14 @@ let test_injection_to_crashed_node_lost () =
     r.outcome.Amac.Engine.injected
 
 let test_fuzz_smoke () =
-  let config =
-    { Smr_fuzz.default with iterations = 25; cmds = 15; max_time = 200_000 }
+  let campaign =
+    Smr_fuzz.campaign { Smr_fuzz.default with cmds = 15; max_time = 200_000 }
   in
-  let outcome = Smr_fuzz.run config ~seed:2026 in
-  (match outcome.Smr_fuzz.failure with
+  let outcome = Mcheck.Campaign.run campaign ~iterations:25 ~seed:2026 in
+  (match outcome.counterexample with
   | None -> ()
-  | Some f -> Alcotest.failf "fuzz failure:@.%a" Smr_fuzz.pp_failure f);
-  Alcotest.(check int) "all iterations ran" 25 outcome.Smr_fuzz.iterations_run
+  | Some cx -> Alcotest.failf "fuzz failure:@.%a" campaign.pp cx);
+  Alcotest.(check int) "all iterations ran" 25 outcome.iterations_run
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: straggler-repair retry (the documented pre-PR 7 bug).
@@ -404,20 +404,15 @@ let test_overlapping_reconfigs_both_apply () =
    aggressive compaction, crash/recovery and loss windows — the schedule
    family of the original finding — and must stay violation-free. *)
 let test_lifecycle_fuzz_smoke () =
-  let config =
-    {
-      Smr_fuzz.default with
-      iterations = 20;
-      cmds = 12;
-      max_time = 200_000;
-      lifecycle = true;
-    }
+  let campaign =
+    Smr_fuzz.campaign
+      { Smr_fuzz.default with cmds = 12; max_time = 200_000; lifecycle = true }
   in
-  let outcome = Smr_fuzz.run config ~seed:4242 in
-  (match outcome.Smr_fuzz.failure with
+  let outcome = Mcheck.Campaign.run campaign ~iterations:20 ~seed:4242 in
+  (match outcome.counterexample with
   | None -> ()
-  | Some f -> Alcotest.failf "lifecycle fuzz failure:@.%a" Smr_fuzz.pp_failure f);
-  Alcotest.(check int) "all iterations ran" 20 outcome.Smr_fuzz.iterations_run
+  | Some cx -> Alcotest.failf "lifecycle fuzz failure:@.%a" campaign.pp cx);
+  Alcotest.(check int) "all iterations ran" 20 outcome.iterations_run
 
 let test_reconfig_cmd_structure () =
   let _alg, h = Smr.make () in
