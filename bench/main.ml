@@ -1300,7 +1300,7 @@ let b11 () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Causal critical paths + energy accounting (lib/obs): (a) the provenance
+(* Critical paths + energy accounting (lib/obs): (a) the provenance
    DAG's longest decide path puts Thm 4.6's O(D * F_ack) bound on display
    — on a line the hop count grows linearly with the diameter at ~F_ack
    ticks per MAC edge, and the gate checks the monotonicity inside the

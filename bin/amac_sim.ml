@@ -8,130 +8,192 @@
        --sched max-delay --fack 10 --trace
      dune exec bin/amac_sim.exe -- --metrics --trace-out /tmp/t.chrome.json
      dune exec bin/amac_sim.exe -- validate-trace /tmp/t.chrome.json
-     dune exec bin/amac_sim.exe -- lowerbounds *)
+     dune exec bin/amac_sim.exe -- lowerbounds
+
+   A malformed flag value stops the command before anything runs: one line
+   naming the flag and the value on stderr, exit 2. *)
 
 open Cmdliner
 
-let parse_topology spec rng =
-  match String.split_on_char ':' spec with
-  | [ "clique"; n ] -> Amac.Topology.clique (int_of_string n)
-  | [ "line"; n ] -> Amac.Topology.line (int_of_string n)
-  | [ "ring"; n ] -> Amac.Topology.ring (int_of_string n)
-  | [ "star"; n ] -> Amac.Topology.star (int_of_string n)
-  | [ "tree"; n ] -> Amac.Topology.binary_tree (int_of_string n)
-  | [ "grid"; dims ] | [ "torus"; dims ] -> (
-      match String.split_on_char 'x' dims with
-      | [ w; h ] ->
-          let width = int_of_string w and height = int_of_string h in
-          if String.length spec >= 5 && String.sub spec 0 5 = "torus" then
-            Amac.Topology.torus ~width ~height
-          else Amac.Topology.grid ~width ~height
-      | _ -> failwith "grid/torus spec: grid:WxH")
-  | [ "star-of-lines"; dims ] -> (
-      match String.split_on_char 'x' dims with
-      | [ arms; len ] ->
-          Amac.Topology.star_of_lines ~arms:(int_of_string arms)
-            ~arm_len:(int_of_string len)
-      | _ -> failwith "star-of-lines spec: star-of-lines:ARMSxLEN")
-  | [ "random"; n ] ->
-      Amac.Topology.random_connected rng ~n:(int_of_string n)
-        ~extra_edges:(int_of_string n / 3)
-  | _ ->
-      failwith
-        "unknown topology; try clique:N line:N ring:N star:N tree:N grid:WxH \
-         torus:WxH star-of-lines:AxL random:N"
+let usage_error msg =
+  prerr_endline ("amac_sim: " ^ msg);
+  exit 2
 
-let parse_scheduler spec ~fack rng =
-  match spec with
-  | "synchronous" | "sync" -> Amac.Scheduler.synchronous
-  | "fixed" -> Amac.Scheduler.fixed ~delay:fack
-  | "max-delay" -> Amac.Scheduler.max_delay ~fack
-  | "random" -> Amac.Scheduler.random rng ~fack
-  | "jittered" -> Amac.Scheduler.jittered rng ~fack ~spread:(max 0 ((fack / 2) - 1))
-  | "bursty" -> Amac.Scheduler.bursty ~fack ~fast_len:(max 1 fack) ~slow_len:(max 1 fack)
-  | _ ->
-      failwith
-        "unknown scheduler; try synchronous fixed max-delay random jittered \
-         bursty"
+(* The spec parsers below raise [Failure] on a malformed spec (a
+   non-number where a number belongs, an unknown name) and let through a
+   constructor's [Invalid_argument] (a size it refuses); [flag] turns
+   either into a usage error. *)
+let flag name ~expected parse spec =
+  match parse spec with
+  | v -> v
+  | exception Failure _ ->
+      usage_error (Printf.sprintf "%s %S: expected %s" name spec expected)
+  | exception Invalid_argument msg ->
+      usage_error (Printf.sprintf "%s %S: %s" name spec msg)
 
-let parse_inputs spec ~n rng =
-  match spec with
-  | "alternating" -> Consensus.Runner.inputs_alternating ~n
-  | "zeros" -> Consensus.Runner.inputs_all ~n 0
-  | "ones" -> Consensus.Runner.inputs_all ~n 1
-  | "halves" -> Consensus.Runner.inputs_halves ~n
-  | "random" -> Consensus.Runner.inputs_random rng ~n
-  | bits when String.length bits = n ->
-      Array.init n (fun i ->
-          match bits.[i] with
-          | '0' -> 0
-          | '1' -> 1
-          | _ -> failwith "inputs bit-string must be 0s and 1s")
-  | _ -> failwith "inputs: alternating|zeros|ones|halves|random|<bitstring>"
+let pair ~sep s =
+  match String.split_on_char sep s with
+  | [ a; b ] -> (a, b)
+  | _ -> failwith "pair"
+
+let int_pair ~sep s =
+  let a, b = pair ~sep s in
+  (int_of_string a, int_of_string b)
+
+let parse_topology rng spec =
+  match pair ~sep:':' spec with
+  | "clique", n -> Amac.Topology.clique (int_of_string n)
+  | "line", n -> Amac.Topology.line (int_of_string n)
+  | "ring", n -> Amac.Topology.ring (int_of_string n)
+  | "star", n -> Amac.Topology.star (int_of_string n)
+  | "tree", n -> Amac.Topology.binary_tree (int_of_string n)
+  | "grid", dims ->
+      let width, height = int_pair ~sep:'x' dims in
+      Amac.Topology.grid ~width ~height
+  | "torus", dims ->
+      let width, height = int_pair ~sep:'x' dims in
+      Amac.Topology.torus ~width ~height
+  | "star-of-lines", dims ->
+      let arms, arm_len = int_pair ~sep:'x' dims in
+      Amac.Topology.star_of_lines ~arms ~arm_len
+  | "random", n ->
+      let n = int_of_string n in
+      Amac.Topology.random_connected rng ~n ~extra_edges:(n / 3)
+  | _ -> failwith "topology"
+
+let parse_scheduler ~fack rng spec =
+  if fack < 1 then
+    usage_error (Printf.sprintf "--fack %d: expected an integer >= 1" fack);
+  flag "--sched" ~expected:"synchronous fixed max-delay random jittered bursty"
+    (function
+      | "synchronous" | "sync" -> Amac.Scheduler.synchronous
+      | "fixed" -> Amac.Scheduler.fixed ~delay:fack
+      | "max-delay" -> Amac.Scheduler.max_delay ~fack
+      | "random" -> Amac.Scheduler.random rng ~fack
+      | "jittered" ->
+          Amac.Scheduler.jittered rng ~fack ~spread:(max 0 ((fack / 2) - 1))
+      | "bursty" ->
+          Amac.Scheduler.bursty ~fack ~fast_len:(max 1 fack)
+            ~slow_len:(max 1 fack)
+      | _ -> failwith "scheduler")
+    spec
+
+(* The flags every simulated run shares, parsed in a fixed rng-split order
+   (topology, then scheduler) so a seed names the same run in every
+   subcommand. The returned rng is for whatever the subcommand draws
+   next. *)
+let setup ~topo ~sched ~fack ~seed =
+  let rng = Amac.Rng.create seed in
+  let topology =
+    flag "--topo"
+      ~expected:
+        "clique:N line:N ring:N star:N tree:N grid:WxH torus:WxH \
+         star-of-lines:AxL random:N"
+      (parse_topology (Amac.Rng.split rng))
+      topo
+  in
+  let scheduler = parse_scheduler ~fack (Amac.Rng.split rng) sched in
+  (rng, topology, scheduler)
+
+let parse_inputs ~n rng spec =
+  let parse = function
+    | "alternating" -> Consensus.Runner.inputs_alternating ~n
+    | "zeros" -> Consensus.Runner.inputs_all ~n 0
+    | "ones" -> Consensus.Runner.inputs_all ~n 1
+    | "halves" -> Consensus.Runner.inputs_halves ~n
+    | "random" -> Consensus.Runner.inputs_random rng ~n
+    | bits when String.length bits = n ->
+        Array.init n (fun i ->
+            match bits.[i] with '0' -> 0 | '1' -> 1 | _ -> failwith "bit")
+    | _ -> failwith "inputs"
+  in
+  flag "--inputs"
+    ~expected:
+      (Printf.sprintf "alternating zeros ones halves random or %d bits" n)
+    parse spec
 
 (* Existentially package algorithms of different state/message types. *)
 type packed = Packed : ('s, 'm) Amac.Algorithm.t * ('m -> string) -> packed
 
-let parse_algorithm = function
-  | "two-phase" -> Packed (Consensus.Two_phase.algorithm, Consensus.Two_phase.pp_msg)
-  | "two-phase-literal" ->
-      Packed (Consensus.Two_phase.literal, Consensus.Two_phase.pp_msg)
-  | "wpaxos" -> Packed (Consensus.Wpaxos.make (), Consensus.Wpaxos.pp_msg)
-  | "wpaxos-noagg" ->
-      Packed (Consensus.Wpaxos.make ~aggregate:false (), Consensus.Wpaxos.pp_msg)
-  | "flood-gather" ->
-      Packed (Consensus.Flood_gather.make (), Consensus.Flood_gather.pp_msg)
-  | "flood-paxos" ->
-      Packed (Consensus.Flood_paxos.make (), Consensus.Flood_paxos.pp_msg)
-  | "round-flood" ->
-      Packed (Consensus.Round_flood.make ~target:`Knows_n, Consensus.Round_flood.pp_msg)
-  | "ben-or" ->
-      Packed (Consensus.Ben_or.make ~seed:97 (), Consensus.Ben_or.pp_msg)
-  | _ ->
-      failwith
-        "unknown algorithm; try two-phase two-phase-literal wpaxos \
-         wpaxos-noagg flood-gather flood-paxos round-flood ben-or"
+let parse_algorithm =
+  flag "--algo"
+    ~expected:
+      "two-phase two-phase-literal wpaxos wpaxos-noagg flood-gather \
+       flood-paxos round-flood ben-or"
+    (function
+      | "two-phase" ->
+          Packed (Consensus.Two_phase.algorithm, Consensus.Two_phase.pp_msg)
+      | "two-phase-literal" ->
+          Packed (Consensus.Two_phase.literal, Consensus.Two_phase.pp_msg)
+      | "wpaxos" -> Packed (Consensus.Wpaxos.make (), Consensus.Wpaxos.pp_msg)
+      | "wpaxos-noagg" ->
+          Packed
+            (Consensus.Wpaxos.make ~aggregate:false (), Consensus.Wpaxos.pp_msg)
+      | "flood-gather" ->
+          Packed (Consensus.Flood_gather.make (), Consensus.Flood_gather.pp_msg)
+      | "flood-paxos" ->
+          Packed (Consensus.Flood_paxos.make (), Consensus.Flood_paxos.pp_msg)
+      | "round-flood" ->
+          Packed
+            ( Consensus.Round_flood.make ~target:`Knows_n,
+              Consensus.Round_flood.pp_msg )
+      | "ben-or" ->
+          Packed (Consensus.Ben_or.make ~seed:97 (), Consensus.Ben_or.pp_msg)
+      | _ -> failwith "algorithm")
 
 (* Declarative fault events on the command line, one --fault per event:
    crash:N@T recover:N@T loss:U-V@A-B part:N1,N2,..@A-B stutter:N@A-B
    (windows are half-open [A, B), matching Fault's semantics). *)
 let parse_fault spec =
-  let fail () =
-    failwith
-      ("bad fault spec '" ^ spec
-     ^ "'; try crash:N@T recover:N@T loss:U-V@A-B part:N1,N2,..@A-B \
-        stutter:N@A-B")
+  let kind, rest = pair ~sep:':' spec in
+  let subject, at = pair ~sep:'@' rest in
+  let window () = int_pair ~sep:'-' at in
+  match kind with
+  | "crash" ->
+      Fault.Crash { node = int_of_string subject; at = int_of_string at }
+  | "recover" ->
+      Fault.Recover { node = int_of_string subject; at = int_of_string at }
+  | "loss" ->
+      let from_, until = window () in
+      Fault.Link_drop { edge = int_pair ~sep:'-' subject; from_; until }
+  | "part" ->
+      let cut = List.map int_of_string (String.split_on_char ',' subject) in
+      let from_, until = window () in
+      Fault.Partition { cut; from_; until }
+  | "stutter" ->
+      let from_, until = window () in
+      Fault.Stutter { node = int_of_string subject; from_; until }
+  | _ -> failwith "fault"
+
+let parse_faults ~n specs =
+  let plan =
+    List.map
+      (flag "--fault"
+         ~expected:
+           "crash:N@T recover:N@T loss:U-V@A-B part:N1,N2,..@A-B \
+            stutter:N@A-B"
+         parse_fault)
+      specs
   in
-  let window s =
-    match String.split_on_char '-' s with
-    | [ a; b ] -> (int_of_string a, int_of_string b)
-    | _ -> fail ()
-  in
-  match String.index_opt spec ':' with
-  | None -> fail ()
-  | Some i -> (
-      let kind = String.sub spec 0 i in
-      let rest = String.sub spec (i + 1) (String.length spec - i - 1) in
-      match (kind, String.split_on_char '@' rest) with
-      | "crash", [ node; at ] ->
-          Fault.Crash { node = int_of_string node; at = int_of_string at }
-      | "recover", [ node; at ] ->
-          Fault.Recover { node = int_of_string node; at = int_of_string at }
-      | "loss", [ edge; w ] -> (
-          match String.split_on_char '-' edge with
-          | [ u; v ] ->
-              let from_, until = window w in
-              Fault.Link_drop
-                { edge = (int_of_string u, int_of_string v); from_; until }
-          | _ -> fail ())
-      | "part", [ cut; w ] ->
-          let cut = List.map int_of_string (String.split_on_char ',' cut) in
-          let from_, until = window w in
-          Fault.Partition { cut; from_; until }
-      | "stutter", [ node; w ] ->
-          let from_, until = window w in
-          Fault.Stutter { node = int_of_string node; from_; until }
-      | _ -> fail ())
+  (try Fault.validate ~n plan
+   with Invalid_argument msg -> usage_error ("--fault: " ^ msg));
+  plan
+
+let parse_mode ~gap ~clients =
+  flag "--mode" ~expected:"open or closed" (function
+    | "open" -> Workload.Open_loop { mean_gap = gap }
+    | "closed" -> Workload.Closed_loop { clients_per_node = clients }
+    | _ -> failwith "mode")
+
+let registry metrics = if metrics then Some (Obs.Metrics.create ()) else None
+
+let print_metrics =
+  Option.iter (fun reg ->
+      Printf.printf "--- metrics ---\n%s--- end metrics ---\n"
+        (Obs.Metrics.render (Obs.Metrics.snapshot reg)))
+
+let write_file file s =
+  Out_channel.with_open_bin file (fun oc -> output_string oc s)
 
 (* The export format is picked by extension: .jsonl gets one event per
    line, anything else the Chrome trace_event envelope. *)
@@ -143,19 +205,37 @@ let parse_for file data =
   if Filename.check_suffix file ".jsonl" then Obs.Span.of_jsonl data
   else Obs.Span.of_chrome data
 
+(* --trace-out: write the run's span trace to the named file. *)
+let export_trace trace_out trace =
+  Option.iter
+    (fun file ->
+      let events = Amac.Trace_export.spans trace in
+      write_file file (export_for file events);
+      Printf.printf "trace: %d span events written to %s\n"
+        (List.length events) file)
+    trace_out
+
+let print_latencies latency =
+  Printf.printf "commit latency (ticks): ";
+  List.iter
+    (fun (label, q) ->
+      match latency q with
+      | Some l -> Printf.printf "%s=%d " label l
+      | None -> Printf.printf "%s=- " label)
+    [ ("p50", 0.50); ("p90", 0.90); ("p99", 0.99) ];
+  print_newline ()
+
 let run_cmd algo topo sched fack seed inputs_spec trace trace_out metrics
     max_time =
-  let rng = Amac.Rng.create seed in
-  let topology = parse_topology topo (Amac.Rng.split rng) in
+  let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
-  let scheduler = parse_scheduler sched ~fack (Amac.Rng.split rng) in
-  let inputs = parse_inputs inputs_spec ~n (Amac.Rng.split rng) in
+  let inputs = parse_inputs ~n (Amac.Rng.split rng) inputs_spec in
   let (Packed (algorithm, pp_msg)) = parse_algorithm algo in
   Printf.printf "algorithm=%s topology=%s (%s) scheduler=%s inputs=%s\n"
     algorithm.Amac.Algorithm.name topo
     (Format.asprintf "%a" Amac.Topology.pp topology)
     scheduler.Amac.Scheduler.name inputs_spec;
-  let obs = if metrics then Some (Obs.Metrics.create ()) else None in
+  let obs = registry metrics in
   let result =
     Consensus.Runner.run algorithm ~topology ~scheduler ~inputs
       ~record_trace:(trace || trace_out <> None)
@@ -168,26 +248,12 @@ let run_cmd algo topo sched fack seed inputs_spec trace trace_out metrics
   Printf.printf
     "latency=%s broadcasts=%d deliveries=%d discarded=%d max_ids/msg=%d \
      events=%d\n"
-    (match result.decision_time with
-    | Some t -> string_of_int t
-    | None -> "-")
+    (Option.fold ~none:"-" ~some:string_of_int result.decision_time)
     result.outcome.broadcasts result.outcome.deliveries
     result.outcome.discarded result.outcome.max_ids_per_message
     result.outcome.events_processed;
-  (match trace_out with
-  | None -> ()
-  | Some file ->
-      let events = Amac.Trace_export.spans result.outcome.trace in
-      let oc = open_out_bin file in
-      output_string oc (export_for file events);
-      close_out oc;
-      Printf.printf "trace: %d span events written to %s\n"
-        (List.length events) file);
-  (match obs with
-  | None -> ()
-  | Some reg ->
-      Printf.printf "--- metrics ---\n%s--- end metrics ---\n"
-        (Obs.Metrics.render (Obs.Metrics.snapshot reg)));
+  export_trace trace_out result.outcome.trace;
+  print_metrics obs;
   if Consensus.Checker.ok result.report then 0 else 1
 
 (* The replicated log: run the SMR algorithm under a generated workload and
@@ -195,18 +261,11 @@ let run_cmd algo topo sched fack seed inputs_spec trace trace_out metrics
    any safety violation. *)
 let smr_cmd topo sched fack seed cmds mode window gap clients fault_specs
     metrics trace_out max_time =
-  let rng = Amac.Rng.create seed in
-  let topology = parse_topology topo (Amac.Rng.split rng) in
+  let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
-  let scheduler = parse_scheduler sched ~fack (Amac.Rng.split rng) in
-  let faults = List.map parse_fault fault_specs in
-  let mode =
-    match mode with
-    | "open" -> Workload.Open_loop { mean_gap = gap }
-    | "closed" -> Workload.Closed_loop { clients_per_node = clients }
-    | _ -> failwith "mode: open|closed"
-  in
-  let obs = if metrics then Some (Obs.Metrics.create ()) else None in
+  let faults = parse_faults ~n fault_specs in
+  let mode = parse_mode ~gap ~clients mode in
+  let obs = registry metrics in
   let result =
     Workload.run ~window ~faults ~max_time
       ~record_trace:(trace_out <> None)
@@ -225,32 +284,9 @@ let smr_cmd topo sched fack seed cmds mode window gap clients fault_specs
     result.Workload.outcome.Amac.Engine.end_time
     result.Workload.outcome.Amac.Engine.events_processed
     result.Workload.outcome.Amac.Engine.broadcasts;
-  let q label qv =
-    match Workload.latency result ~q:qv with
-    | Some l -> Printf.printf "%s=%d " label l
-    | None -> Printf.printf "%s=- " label
-  in
-  Printf.printf "commit latency (ticks): ";
-  q "p50" 0.50;
-  q "p90" 0.90;
-  q "p99" 0.99;
-  print_newline ();
-  (match trace_out with
-  | None -> ()
-  | Some file ->
-      let events =
-        Amac.Trace_export.spans result.Workload.outcome.Amac.Engine.trace
-      in
-      let oc = open_out_bin file in
-      output_string oc (export_for file events);
-      close_out oc;
-      Printf.printf "trace: %d span events written to %s\n"
-        (List.length events) file);
-  (match obs with
-  | None -> ()
-  | Some reg ->
-      Printf.printf "--- metrics ---\n%s--- end metrics ---\n"
-        (Obs.Metrics.render (Obs.Metrics.snapshot reg)));
+  print_latencies (fun q -> Workload.latency result ~q);
+  export_trace trace_out result.Workload.outcome.Amac.Engine.trace;
+  print_metrics obs;
   match result.Workload.violations with
   | [] ->
       Printf.printf
@@ -269,12 +305,10 @@ let smr_cmd topo sched fack seed cmds mode window gap clients fault_specs
    agreement, cross-group exactly-once, batch atomicity. *)
 let shard_cmd topo sched fack seed cmds groups batch window gap burst affinity
     zipf fault_specs metrics trace_out max_time =
-  let rng = Amac.Rng.create seed in
-  let topology = parse_topology topo (Amac.Rng.split rng) in
+  let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
-  let scheduler = parse_scheduler sched ~fack (Amac.Rng.split rng) in
-  let faults = List.map parse_fault fault_specs in
-  let obs = if metrics then Some (Obs.Metrics.create ()) else None in
+  let faults = parse_faults ~n fault_specs in
+  let obs = registry metrics in
   let result =
     Shard_workload.run ~window ~batch ~mean_gap:gap ~burst ~affinity
       ~theta:zipf ~faults ~max_time
@@ -301,32 +335,9 @@ let shard_cmd topo sched fack seed cmds groups batch window gap burst affinity
     (String.concat "; "
        (Array.to_list
           (Array.map string_of_int result.Shard_workload.group_commits)));
-  let q label qv =
-    match Shard_workload.latency result ~q:qv with
-    | Some l -> Printf.printf "%s=%d " label l
-    | None -> Printf.printf "%s=- " label
-  in
-  Printf.printf "commit latency (ticks): ";
-  q "p50" 0.50;
-  q "p90" 0.90;
-  q "p99" 0.99;
-  print_newline ();
-  (match trace_out with
-  | None -> ()
-  | Some file ->
-      let events =
-        Amac.Trace_export.spans result.Shard_workload.outcome.Amac.Engine.trace
-      in
-      let oc = open_out_bin file in
-      output_string oc (export_for file events);
-      close_out oc;
-      Printf.printf "trace: %d span events written to %s\n"
-        (List.length events) file);
-  (match obs with
-  | None -> ()
-  | Some reg ->
-      Printf.printf "--- metrics ---\n%s--- end metrics ---\n"
-        (Obs.Metrics.render (Obs.Metrics.snapshot reg)));
+  print_latencies (fun q -> Shard_workload.latency result ~q);
+  export_trace trace_out result.Shard_workload.outcome.Amac.Engine.trace;
+  print_metrics obs;
   match result.Shard_workload.violations with
   | [] ->
       Printf.printf
@@ -347,53 +358,47 @@ let shard_cmd topo sched fack seed cmds groups batch window gap burst affinity
    status 1 on any checker failure when fault-free, or on a safety
    violation when a fault plan is injected (liveness is then
    conditional). *)
-let parse_topo_gen_spec spec ~radius =
-  let fail () = failwith "multihop topology: grid:WxH rgg:N cluster:CxS+B" in
-  match String.split_on_char ':' spec with
-  | [ "grid"; dims ] -> (
-      match String.split_on_char 'x' dims with
-      | [ w; h ] ->
-          Topo_gen.Grid { width = int_of_string w; height = int_of_string h }
-      | _ -> fail ())
-  | [ "rgg"; n ] ->
+let parse_topo_gen_spec ~radius spec =
+  match pair ~sep:':' spec with
+  | "grid", dims ->
+      let width, height = int_pair ~sep:'x' dims in
+      Topo_gen.Grid { width; height }
+  | "rgg", n ->
       let n = int_of_string n in
       let radius =
         if radius > 0.0 then radius else Topo_gen.connectivity_radius ~n
       in
       Topo_gen.Rgg { n; radius }
-  | [ "cluster"; dims ] -> (
-      match String.split_on_char '+' dims with
-      | [ cxs; b ] -> (
-          match String.split_on_char 'x' cxs with
-          | [ c; s ] ->
-              Topo_gen.Cluster
-                {
-                  clusters = int_of_string c;
-                  size = int_of_string s;
-                  extra_bridges = int_of_string b;
-                }
-          | _ -> fail ())
-      | _ -> fail ())
-  | _ -> fail ()
+  | "cluster", dims ->
+      let cxs, extra_bridges = pair ~sep:'+' dims in
+      let clusters, size = int_pair ~sep:'x' cxs in
+      Topo_gen.Cluster
+        { clusters; size; extra_bridges = int_of_string extra_bridges }
+  | _ -> failwith "multihop topology"
 
 let multihop_cmd algo topo topo_seed radius sched fack seed inputs_spec alpha
     cap churn mobility delta_start delta_gap fault_specs metrics trace_out
     max_time =
   if churn > 0 && mobility > 0 then
-    failwith
-      "--churn and --mobility are exclusive (both schedules are computed \
-       against the initial topology)";
+    usage_error
+      (Printf.sprintf
+         "--churn %d and --mobility %d are exclusive (both schedules are \
+          computed against the initial topology)"
+         churn mobility);
   let rng = Amac.Rng.create seed in
-  let spec = parse_topo_gen_spec topo ~radius in
+  let spec =
+    flag "--topo" ~expected:"grid:WxH rgg:N cluster:CxS+B"
+      (parse_topo_gen_spec ~radius) topo
+  in
   let topology = Topo_gen.generate ~seed:topo_seed spec in
   let n = Amac.Topology.size topology in
   let diameter = Amac.Topology.diameter topology in
   let scheduler =
     Amac.Scheduler.interference ~alpha ?cap
-      (parse_scheduler sched ~fack (Amac.Rng.split rng))
+      (parse_scheduler ~fack (Amac.Rng.split rng) sched)
   in
-  let inputs = parse_inputs inputs_spec ~n (Amac.Rng.split rng) in
-  let faults = List.map parse_fault fault_specs in
+  let inputs = parse_inputs ~n (Amac.Rng.split rng) inputs_spec in
+  let faults = parse_faults ~n fault_specs in
   let topo_deltas =
     if churn > 0 then
       Topo_gen.churn ~seed:topo_seed topology ~events:churn ~start:delta_start
@@ -404,7 +409,7 @@ let multihop_cmd algo topo topo_seed radius sched fack seed inputs_spec alpha
     else []
   in
   let (Packed (algorithm, pp_msg)) = parse_algorithm algo in
-  let obs = if metrics then Some (Obs.Metrics.create ()) else None in
+  let obs = registry metrics in
   let result =
     Consensus.Runner.run algorithm ~topology ~scheduler ~inputs ~faults
       ~topo_deltas
@@ -422,29 +427,15 @@ let multihop_cmd algo topo topo_seed radius sched fack seed inputs_spec alpha
   let d = result.Consensus.Runner.degradation in
   Printf.printf "decided=%d/%d latency=%s bound(D*F_ack)=%d\n"
     d.Consensus.Checker.decided_correct d.Consensus.Checker.correct_total
-    (match result.decision_time with
-    | Some t -> string_of_int t
-    | None -> "-")
+    (Option.fold ~none:"-" ~some:string_of_int result.decision_time)
     (diameter * fack);
   Printf.printf
     "broadcasts=%d deliveries=%d topo_changes=%d events=%d end_time=%d\n"
     result.outcome.broadcasts result.outcome.deliveries
     result.outcome.topo_changes result.outcome.events_processed
     result.outcome.end_time;
-  (match trace_out with
-  | None -> ()
-  | Some file ->
-      let events = Amac.Trace_export.spans result.outcome.trace in
-      let oc = open_out_bin file in
-      output_string oc (export_for file events);
-      close_out oc;
-      Printf.printf "trace: %d span events written to %s\n"
-        (List.length events) file);
-  (match obs with
-  | None -> ()
-  | Some reg ->
-      Printf.printf "--- metrics ---\n%s--- end metrics ---\n"
-        (Obs.Metrics.render (Obs.Metrics.snapshot reg)));
+  export_trace trace_out result.outcome.trace;
+  print_metrics obs;
   if faults = [] then if Consensus.Checker.ok result.report then 0 else 1
   else if Consensus.Checker.safety_violations result.report = [] then 0
   else 1
@@ -456,12 +447,16 @@ let lifecycle_cmd scenario_name seed fack max_time =
   let scenarios =
     if scenario_name = "all" then Lifecycle.all
     else
-      match Lifecycle.of_name scenario_name with
-      | Some s -> [ s ]
-      | None ->
-          failwith
-            "unknown scenario; try rolling-restart scale-up crash-reconfig \
-             snapshot-restart all"
+      [
+        flag "--scenario"
+          ~expected:
+            "rolling-restart scale-up crash-reconfig snapshot-restart all"
+          (fun name ->
+            match Lifecycle.of_name name with
+            | Some scenario -> scenario
+            | None -> failwith "scenario")
+          scenario_name;
+      ]
   in
   let failures =
     List.filter_map
@@ -483,10 +478,6 @@ let lifecycle_cmd scenario_name seed fack max_time =
    critical paths (consensus mode) and energy/waiting segments, as a
    human-readable report plus a deterministic JSON export (same seed =>
    byte-identical bytes — what the CI observability job diffs). *)
-let write_file file s =
-  let oc = open_out_bin file in
-  output_string oc s;
-  close_out oc
 
 (* Nearest-rank quantile of a sorted latency array, as Workload.latency. *)
 let quantile arr q =
@@ -507,10 +498,9 @@ let quantiles arr =
 
 let profile_cmd algo topo sched fack seed inputs_spec smr cmds mode window gap
     clients json_out dag_out max_time =
-  let rng = Amac.Rng.create seed in
-  let topology = parse_topology topo (Amac.Rng.split rng) in
+  let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
-  let scheduler = parse_scheduler sched ~fack (Amac.Rng.split rng) in
+  let mode = parse_mode ~gap ~clients mode in
   let provenance = Obs.Provenance.create () in
   let meta_base =
     [
@@ -521,26 +511,17 @@ let profile_cmd algo topo sched fack seed inputs_spec smr cmds mode window gap
       ("n", Obs.Json.Int n);
     ]
   in
-  let report, ok =
+  let outcome, ok, committed, extra, meta =
     if smr then begin
-      let mode =
-        match mode with
-        | "open" -> Workload.Open_loop { mean_gap = gap }
-        | "closed" -> Workload.Closed_loop { clients_per_node = clients }
-        | _ -> failwith "mode: open|closed"
-      in
       let result =
         Workload.run ~window ~max_time ~record_trace:true ~provenance
           ~topology ~scheduler
           ~seed:(Amac.Rng.int rng 1_000_000)
           ~cmds ~mode ()
       in
-      let outcome = result.Workload.outcome in
-      let energy =
-        Obs.Energy.account ~n ~duration:outcome.Amac.Engine.end_time
-          (Amac.Trace_export.spans outcome.Amac.Engine.trace)
-      in
-      let extra =
+      ( result.Workload.outcome,
+        result.Workload.violations = [],
+        Some result.Workload.committed,
         [
           ( "commit_latency",
             Obs.Json.Obj
@@ -549,39 +530,33 @@ let profile_cmd algo topo sched fack seed inputs_spec smr cmds mode window gap
                 ("queue", quantiles result.Workload.queue_latencies);
                 ("replicate", quantiles result.Workload.replicate_latencies);
               ] );
-        ]
-      in
-      ( Obs.Profile.make ~provenance ~committed:result.Workload.committed
-          ~extra
-          ~meta:
-            (( "algorithm",
-               Obs.Json.String "smr" )
-            :: ("cmds", Obs.Json.Int cmds)
-            :: meta_base)
-          ~energy (),
-        result.Workload.violations = [] )
+        ],
+        ("algorithm", Obs.Json.String "smr")
+        :: ("cmds", Obs.Json.Int cmds)
+        :: meta_base )
     end
     else begin
-      let inputs = parse_inputs inputs_spec ~n (Amac.Rng.split rng) in
+      let inputs = parse_inputs ~n (Amac.Rng.split rng) inputs_spec in
       let (Packed (algorithm, pp_msg)) = parse_algorithm algo in
       let result =
         Consensus.Runner.run algorithm ~topology ~scheduler ~inputs
           ~record_trace:true ~provenance ~pp_msg ~max_time
       in
-      let outcome = result.Consensus.Runner.outcome in
-      let energy =
-        Obs.Energy.account ~n ~duration:outcome.Amac.Engine.end_time
-          (Amac.Trace_export.spans outcome.Amac.Engine.trace)
-      in
-      ( Obs.Profile.make ~provenance
-          ~meta:
-            (( "algorithm",
-               Obs.Json.String algorithm.Amac.Algorithm.name )
-            :: ("inputs", Obs.Json.String inputs_spec)
-            :: meta_base)
-          ~energy (),
-        Consensus.Checker.ok result.Consensus.Runner.report )
+      ( result.Consensus.Runner.outcome,
+        Consensus.Checker.ok result.Consensus.Runner.report,
+        None,
+        [],
+        ("algorithm", Obs.Json.String algorithm.Amac.Algorithm.name)
+        :: ("inputs", Obs.Json.String inputs_spec)
+        :: meta_base )
     end
+  in
+  let energy =
+    Obs.Energy.account ~n ~duration:outcome.Amac.Engine.end_time
+      (Amac.Trace_export.spans outcome.Amac.Engine.trace)
+  in
+  let report =
+    Obs.Profile.make ~provenance ?committed ~extra ~meta ~energy ()
   in
   print_string (Obs.Profile.render report);
   (match json_out with
@@ -602,12 +577,7 @@ let profile_cmd algo topo sched fack seed inputs_spec smr cmds mode window gap
 (* CI's trace checker: parse the export, re-export, re-parse, and demand
    the same event multiset — the round-trip contract of Obs.Span. *)
 let validate_trace_cmd file =
-  let data =
-    let ic = open_in_bin file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let data = In_channel.with_open_bin file In_channel.input_all in
   match parse_for file data with
   | exception Failure msg ->
       Printf.eprintf "invalid trace %s: %s\n" file msg;

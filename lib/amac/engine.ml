@@ -18,7 +18,6 @@ type outcome = {
   end_time : int;
   events_processed : int;
   hit_max_time : bool;
-  causal : Causal.t option;
   provenance : Obs.Provenance.t option;
   trace : Trace.entry list;
 }
@@ -67,7 +66,6 @@ type 'm event =
       sender : int;
       sender_inc : int;
       msg : 'm;
-      influence : Bitset.t option;
       cause : int;
           (* provenance vertex id of the broadcast; -1 when tracking is off *)
     }
@@ -191,9 +189,8 @@ let make_contention_instruments reg ~algorithm ~scheduler ~n =
             "engine_ack_stretch_ticks");
   }
 
-(* A resumable simulation: all the run state, advanced one event per [step].
-   [run] drains it in a loop; the model checker uses [step] directly to
-   interleave execution with budget checks and state observation. *)
+(* All the run state, advanced one event per [step]; [run] is [create], a
+   [step] loop, then [snapshot]. *)
 type ('s, 'm) sim = {
   algorithm : ('s, 'm) Algorithm.t;
   topology : Topology.t;
@@ -213,7 +210,6 @@ type ('s, 'm) sim = {
   queue : 'm event Pqueue.t;
   states : 's array;
   ctxs : Algorithm.ctx array;
-  causal : Causal.t option;
   prov : Obs.Provenance.t option;
   last_info : int array;
       (* per node, the vertex id of its latest *informational* event (Boot,
@@ -418,11 +414,6 @@ let do_broadcast ~now sim sender msg =
       invalid_arg
         "Engine.run: scheduler must deliver to exactly the neighbor set"
     end;
-    let influence =
-      match sim.causal with
-      | Some c -> Some (Causal.snapshot c sender)
-      | None -> None
-    in
     let deliver (receiver, time) =
       if time <= now || time > plan.Scheduler.ack_at then
         invalid_arg
@@ -437,7 +428,6 @@ let do_broadcast ~now sim sender msg =
             sender;
             sender_inc = sim.incarnation.(sender);
             msg;
-            influence;
             cause = bid;
           }
       in
@@ -597,10 +587,9 @@ let validate_fault_schedule ~n ~crashes ~recoveries =
 let create ?identities ?(give_n = true) ?(give_diameter = false)
     ?(crashes = []) ?(recoveries = []) ?drop ?stutter ?substitute
     ?(injections = []) ?on_inject ?(topo_deltas = []) ?clock
-    ?(max_time = 1_000_000) ?(stop_when_all_decided = true)
-    ?(track_causal = false) ?provenance ?(record_trace = false) ?pp_msg
-    ?unreliable ?obs (algorithm : ('s, 'm) Algorithm.t) ~topology ~scheduler
-    ~inputs =
+    ?(max_time = 1_000_000) ?(stop_when_all_decided = true) ?provenance
+    ?(record_trace = false) ?pp_msg ?unreliable ?obs
+    (algorithm : ('s, 'm) Algorithm.t) ~topology ~scheduler ~inputs =
   let n = Topology.size topology in
   (* Deltas mutate the graph in place; the engine works on a private copy
      so the caller's topology (and any sibling run sharing it) is never
@@ -651,7 +640,6 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
           input = inputs.(i);
         })
   in
-  let causal = if track_causal then Some (Causal.create ~n) else None in
   validate_fault_schedule ~n ~crashes ~recoveries;
   List.iter
     (fun (node, time, _payload) ->
@@ -701,7 +689,6 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
       queue;
       states = [||];
       ctxs;
-      causal;
       prov = provenance;
       last_info = Array.make n (-1);
       crashed = Array.make n false;
@@ -833,8 +820,7 @@ let step sim =
             sim.states.(node) <- state;
             apply_actions_faulted ~now sim node actions
           end
-      | Receive { node; receiver_inc; sender; sender_inc; msg; influence; cause }
-        ->
+      | Receive { node; receiver_inc; sender; sender_inc; msg; cause } ->
           if sim.crashed.(node) || receiver_inc <> sim.incarnation.(node) then begin
             sim.dropped <- sim.dropped + 1;
             obs_counter sim (fun i -> i.drops_stale)
@@ -889,9 +875,6 @@ let step sim =
                 end;
                 sim.deliveries <- sim.deliveries + 1;
                 obs_counter sim (fun i -> i.deliveries_total);
-                (match (sim.causal, influence) with
-                | Some c, Some inf -> Causal.absorb c ~node ~time:now inf
-                | Some _, None | None, _ -> ());
                 (* The Deliver vertex is caused by the broadcast that put it
                    on the wire, and becomes the receiver's latest
                    informational event. The trace entry carries the
@@ -981,16 +964,13 @@ let step sim =
     end
   end
 
-let finished sim = sim.stopped || Pqueue.is_empty sim.queue
-
-let now sim = sim.end_time
-
+(* Called once, after the loop: the outcome takes the arrays over. *)
 let snapshot sim =
   {
-    decisions = Array.copy sim.decisions;
+    decisions = sim.decisions;
     extra_decides = List.rev sim.extra_decides;
-    crashed = Array.copy sim.crashed;
-    incarnations = Array.copy sim.incarnation;
+    crashed = sim.crashed;
+    incarnations = sim.incarnation;
     broadcasts = sim.broadcasts;
     deliveries = sim.deliveries;
     discarded = sim.discarded;
@@ -1006,20 +986,19 @@ let snapshot sim =
     end_time = sim.end_time;
     events_processed = sim.events_processed;
     hit_max_time = sim.hit_max_time;
-    causal = sim.causal;
     provenance = sim.prov;
     trace = List.rev sim.trace;
   }
 
 let run ?identities ?give_n ?give_diameter ?crashes ?recoveries ?drop ?stutter
     ?substitute ?injections ?on_inject ?topo_deltas ?clock ?max_time
-    ?stop_when_all_decided ?track_causal ?provenance ?record_trace ?pp_msg
-    ?unreliable ?obs algorithm ~topology ~scheduler ~inputs =
+    ?stop_when_all_decided ?provenance ?record_trace ?pp_msg ?unreliable ?obs
+    algorithm ~topology ~scheduler ~inputs =
   let sim =
     create ?identities ?give_n ?give_diameter ?crashes ?recoveries ?drop
       ?stutter ?substitute ?injections ?on_inject ?topo_deltas ?clock
-      ?max_time ?stop_when_all_decided ?track_causal ?provenance ?record_trace
-      ?pp_msg ?unreliable ?obs algorithm ~topology ~scheduler ~inputs
+      ?max_time ?stop_when_all_decided ?provenance ?record_trace ?pp_msg
+      ?unreliable ?obs algorithm ~topology ~scheduler ~inputs
   in
   let continue = ref true in
   while !continue do

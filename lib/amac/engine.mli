@@ -51,6 +51,11 @@
       other kind of the tick).
     - Simultaneous events are processed deterministically: crashes, then
       recoveries, then deliveries, then acks; FIFO within a class.
+    - {b Influence} (who could have heard from whom) is not tracked
+      separately: with [?provenance] the run records its causal DAG, and
+      influence is a forward fold over it (each [Broadcast] vertex carries its
+      sender's origin set, each [Deliver] unions it into the receiver's) —
+      how [Lowerbound.Partition] measures Thm 3.10's bound.
 
     The engine never interprets messages; it moves them. Consensus-specific
     checking lives in [Consensus.Checker]. *)
@@ -88,7 +93,6 @@ type outcome = {
   end_time : int;  (** time of the last processed event *)
   events_processed : int;
   hit_max_time : bool;  (** true when stopped by the [max_time] guard *)
-  causal : Causal.t option;
   provenance : Obs.Provenance.t option;
       (** the causal DAG handed in via [?provenance] (shared, not copied:
           the caller's object, echoed for convenience) *)
@@ -105,67 +109,6 @@ val decision_times : outcome -> int list
 (** [latest_decision outcome] is the maximum decision time, or [None] when no
     node decided. *)
 val latest_decision : outcome -> int option
-
-(** {1 Resumable simulation}
-
-    [run] below drains a simulation in one call. The model checker
-    ([Mcheck]) and other drivers that need to interleave execution with
-    budget checks or state observation use the step API instead: [create]
-    builds the simulation (initialising every node at time 0, exactly as
-    [run] does), [step] processes one event, [snapshot] captures the outcome
-    so far. [run] is [create] + a [step] loop + [snapshot]. *)
-
-type ('s, 'm) sim
-
-(** [create algorithm ~topology ~scheduler ~inputs ...] — parameters as in
-    {!run}. Node [init] handlers (and their first broadcasts) execute here,
-    at time 0. *)
-val create :
-  ?identities:Node_id.t array ->
-  ?give_n:bool ->
-  ?give_diameter:bool ->
-  ?crashes:(int * int) list ->
-  ?recoveries:(int * int) list ->
-  ?drop:(now:int -> sender:int -> receiver:int -> bool) ->
-  ?stutter:(now:int -> node:int -> bool) ->
-  ?substitute:(now:int -> sender:int -> receiver:int -> 'm -> 'm option) ->
-  ?injections:(int * int * int) list ->
-  ?on_inject:
-    (now:int -> payload:int -> Algorithm.ctx -> 's -> 'm Algorithm.action list) ->
-  ?topo_deltas:(int * Topology.delta) list ->
-  ?clock:int ref ->
-  ?max_time:int ->
-  ?stop_when_all_decided:bool ->
-  ?track_causal:bool ->
-  ?provenance:Obs.Provenance.t ->
-  ?record_trace:bool ->
-  ?pp_msg:('m -> string) ->
-  ?unreliable:Topology.t ->
-  ?obs:Obs.Metrics.registry ->
-  ('s, 'm) Algorithm.t ->
-  topology:Topology.t ->
-  scheduler:Scheduler.t ->
-  inputs:int array ->
-  ('s, 'm) sim
-
-(** [step sim] processes the next event. [`Stepped] = one event processed
-    (the simulation may or may not have more); [`Done] = nothing left to do
-    (queue drained, or every live node decided under
-    [stop_when_all_decided]); [`Capped] = the next event lay beyond
-    [max_time], so the run stopped with [hit_max_time] set. After [`Done] or
-    [`Capped], further calls return [`Done]. *)
-val step : ('s, 'm) sim -> [ `Stepped | `Done | `Capped ]
-
-(** [finished sim] — true once [step] can make no further progress. *)
-val finished : ('s, 'm) sim -> bool
-
-(** [now sim] — the timestamp of the last processed event (0 initially). *)
-val now : ('s, 'm) sim -> int
-
-(** [snapshot sim] captures the outcome as of the events processed so far.
-    The arrays are copies; [snapshot] may be called mid-run and the
-    simulation continued afterwards. *)
-val snapshot : ('s, 'm) sim -> outcome
 
 (** [run algorithm ~topology ~scheduler ~inputs ...] executes the algorithm
     on every node until all non-crashed nodes have decided and the event
@@ -222,7 +165,6 @@ val snapshot : ('s, 'm) sim -> outcome
     @param stop_when_all_decided stop early once every live node decided
       (default [true]; set [false] to let protocols drain, e.g. to observe
       post-decision message complexity).
-    @param track_causal enable {!Causal} influence tracking.
     @param provenance a caller-owned {!Obs.Provenance} DAG the run appends
       its causal vertices to (mirrors [obs]): one [Boot] root per node init
       (time 0 and again on every recovery), one [Inject] root per handled
@@ -274,7 +216,6 @@ val run :
   ?clock:int ref ->
   ?max_time:int ->
   ?stop_when_all_decided:bool ->
-  ?track_causal:bool ->
   ?provenance:Obs.Provenance.t ->
   ?record_trace:bool ->
   ?pp_msg:('m -> string) ->

@@ -9,22 +9,39 @@ let validate_edge ~n (u, v) =
   if u = v then
     invalid_arg (Printf.sprintf "Topology: self-loop at node %d" u)
 
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+  | [ _ ] | [] -> true
+
+let rec first_repeat = function
+  | a :: (b :: _ as rest) -> if a = b then Some a else first_repeat rest
+  | [ _ ] | [] -> None
+
+(* Neighbour lists end sorted increasing; a duplicate edge shows up as a
+   repeated neighbour. A list that arrives in order ([clique]'s do) is kept
+   as it is: no sort, no copy, no allocation. *)
 let of_edges ~n edge_list =
   if n < 0 then invalid_arg "Topology.of_edges: negative n";
-  let seen = Hashtbl.create (max 16 (List.length edge_list)) in
   let adj = Array.make n [] in
-  let add (u, v) =
-    validate_edge ~n (u, v);
-    let key = (min u v, max u v) in
-    if Hashtbl.mem seen key then
-      invalid_arg
-        (Printf.sprintf "Topology: duplicate edge (%d,%d)" (fst key) (snd key));
-    Hashtbl.add seen key ();
-    adj.(u) <- v :: adj.(u);
-    adj.(v) <- u :: adj.(v)
-  in
-  List.iter add edge_list;
-  Array.iteri (fun i l -> adj.(i) <- List.sort_uniq Int.compare l) adj;
+  List.iter
+    (fun (u, v) ->
+      validate_edge ~n (u, v);
+      adj.(u) <- v :: adj.(u);
+      adj.(v) <- u :: adj.(v))
+    edge_list;
+  Array.iteri
+    (fun u l ->
+      if not (strictly_increasing l) then begin
+        let l = List.sort Int.compare l in
+        (match first_repeat l with
+        | Some v ->
+            invalid_arg
+              (Printf.sprintf "Topology: duplicate edge (%d,%d)" (min u v)
+                 (max u v))
+        | None -> ());
+        adj.(u) <- l
+      end)
+    adj;
   { adj }
 
 let clique n =

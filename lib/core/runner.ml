@@ -23,8 +23,8 @@ let record_degradation ~obs ~algorithm (degradation : Checker.degradation) =
   | None -> ()
 
 let run ?identities ?give_n ?give_diameter ?(crashes = []) ?faults ?substitute
-    ?honest ?max_time ?track_causal ?provenance ?record_trace ?pp_msg
-    ?unreliable ?topo_deltas ?obs algorithm ~topology ~scheduler ~inputs =
+    ?honest ?max_time ?provenance ?record_trace ?pp_msg ?unreliable
+    ?topo_deltas ?obs algorithm ~topology ~scheduler ~inputs =
   (* A fault plan's crash/recovery schedule merges with the legacy
      [?crashes] list; the merged schedule is validated by the engine. *)
   let crashes, recoveries, drop, stutter =
@@ -44,9 +44,8 @@ let run ?identities ?give_n ?give_diameter ?(crashes = []) ?faults ?substitute
   | (Some _ | None), _ -> ());
   let outcome =
     Amac.Engine.run ?identities ?give_n ?give_diameter ~crashes ~recoveries
-      ?drop ?stutter ?substitute ?max_time ?track_causal ?provenance
-      ?record_trace ?pp_msg ?unreliable ?topo_deltas ?obs algorithm ~topology
-      ~scheduler ~inputs
+      ?drop ?stutter ?substitute ?max_time ?provenance ?record_trace ?pp_msg
+      ?unreliable ?topo_deltas ?obs algorithm ~topology ~scheduler ~inputs
   in
   let degradation = Checker.degrade ?honest ~inputs outcome in
   (match obs with
@@ -60,22 +59,6 @@ let run ?identities ?give_n ?give_diameter ?(crashes = []) ?faults ?substitute
     degradation;
     decision_time = Amac.Engine.latest_decision outcome;
   }
-
-let run_exn ?identities ?give_n ?give_diameter ?crashes ?faults ?substitute
-    ?honest ?max_time ?track_causal ?provenance ?record_trace ?pp_msg
-    ?unreliable ?topo_deltas ?obs algorithm ~topology ~scheduler ~inputs =
-  let result =
-    run ?identities ?give_n ?give_diameter ?crashes ?faults ?substitute ?honest
-      ?max_time ?track_causal ?provenance ?record_trace ?pp_msg ?unreliable
-      ?topo_deltas ?obs algorithm ~topology ~scheduler ~inputs
-  in
-  if not (Checker.ok result.report) then
-    failwith
-      (Printf.sprintf "%s on %s under %s: %s" algorithm.Amac.Algorithm.name
-         (Format.asprintf "%a" Amac.Topology.pp topology)
-         scheduler.Amac.Scheduler.name
-         (String.concat "; " result.report.Checker.problems));
-  result
 
 let inputs_all ~n v = Array.make n v
 

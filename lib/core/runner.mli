@@ -42,32 +42,6 @@ val run :
   ?substitute:(now:int -> sender:int -> receiver:int -> 'm -> 'm option) ->
   ?honest:bool array ->
   ?max_time:int ->
-  ?track_causal:bool ->
-  ?provenance:Obs.Provenance.t ->
-  ?record_trace:bool ->
-  ?pp_msg:('m -> string) ->
-  ?unreliable:Amac.Topology.t ->
-  ?topo_deltas:(int * Amac.Topology.delta) list ->
-  ?obs:Obs.Metrics.registry ->
-  ('s, 'm) Amac.Algorithm.t ->
-  topology:Amac.Topology.t ->
-  scheduler:Amac.Scheduler.t ->
-  inputs:int array ->
-  result
-
-(** [run_exn] is [run] but raises [Failure] with the checker's explanation if
-    any consensus property fails — convenient in tests of correct
-    algorithms. *)
-val run_exn :
-  ?identities:Amac.Node_id.t array ->
-  ?give_n:bool ->
-  ?give_diameter:bool ->
-  ?crashes:(int * int) list ->
-  ?faults:Fault.plan ->
-  ?substitute:(now:int -> sender:int -> receiver:int -> 'm -> 'm option) ->
-  ?honest:bool array ->
-  ?max_time:int ->
-  ?track_causal:bool ->
   ?provenance:Obs.Provenance.t ->
   ?record_trace:bool ->
   ?pp_msg:('m -> string) ->

@@ -3,7 +3,7 @@
 
     A {!plan} is a list of typed fault events. {!validate} rejects malformed
     plans up front; {!compile} turns a valid plan into the crash/recovery
-    schedules and per-event predicates ({!Amac.Engine.create}'s [?crashes],
+    schedules and per-event predicates ({!Amac.Engine.run}'s [?crashes],
     [?recoveries], [?drop], [?stutter]) that the engine interprets — so every
     scheduler composes with every plan unchanged.
 

@@ -4,10 +4,20 @@
     exactly F_ack per hop, so an endpoint cannot be causally influenced by
     the far half of the line before ⌊D/2⌋ · F_ack — and validity plus
     agreement force any correct algorithm to wait at least that long when
-    the two halves start with different values. The engine's causal tracker
-    ({!Amac.Causal}) makes this measurable: we record when each endpoint is
-    first influenced by any node of the opposite half, and compare the
-    algorithm's actual decision times against the bound. *)
+    the two halves start with different values. The run records its causal
+    DAG ({!Obs.Provenance}); {!first_influence} folds it forward into, per
+    node and origin, the first time the origin's initial state could have
+    reached the node. We take when each endpoint is first influenced by any
+    node of the opposite half, and compare the algorithm's actual decision
+    times against the bound. *)
+
+(** [first_influence dag] is [first] with [first.(node).(origin)] the
+    earliest time at which information from [origin]'s boot reached [node]
+    through a chain of deliveries, or [None] if it never did; a node is
+    influenced by itself from its first [Boot]. A [Deliver] passes on the
+    origins its sender had heard of when its [Broadcast] was recorded.
+    Nodes are [0 .. max node + 1) over the DAG's vertices. *)
+val first_influence : Obs.Provenance.t -> int option array array
 
 type analysis = {
   diameter : int;
@@ -24,7 +34,7 @@ type analysis = {
 
 (** [analyze algorithm ~diameter ~fack ...] runs [algorithm] on the
     (diameter+1)-node line under [Scheduler.max_delay ~fack], halves
-    inputs 0/1, causal tracking on.
+    inputs 0/1, provenance recorded.
     @param give_n as in {!Amac.Engine.run} (default [true]).
     @raise Failure if the algorithm fails to decide within [max_time]. *)
 val analyze :

@@ -61,10 +61,10 @@ let forever : (unit, string) A.t =
   }
 
 let run ?identities ?give_n ?crashes ?max_time ?stop_when_all_decided
-    ?track_causal ?record_trace algorithm ~topology ~scheduler ~inputs =
+    ?record_trace algorithm ~topology ~scheduler ~inputs =
   Amac.Engine.run ?identities ?give_n ?crashes ?max_time
-    ?stop_when_all_decided ?track_causal ?record_trace algorithm ~topology
-    ~scheduler ~inputs
+    ?stop_when_all_decided ?record_trace algorithm ~topology ~scheduler
+    ~inputs
 
 let clique3 = Amac.Topology.clique 3
 
@@ -278,26 +278,6 @@ let test_irrevocability_tracking () =
       | Some _ | None -> Alcotest.fail "first decision kept")
     outcome.decisions
 
-let test_causal_tracking () =
-  (* Line 0-1-2-3 under max_delay(5): influence crosses one hop per 5
-     ticks. *)
-  let outcome =
-    run forever
-      ~topology:(Amac.Topology.line 4)
-      ~scheduler:(Amac.Scheduler.max_delay ~fack:5)
-      ~track_causal:true ~max_time:40 ~stop_when_all_decided:false
-      ~inputs:[| 0; 0; 0; 0 |]
-  in
-  let causal = Option.get outcome.causal in
-  Alcotest.(check (option int)) "self at 0" (Some 0)
-    (Amac.Causal.first_influence causal ~node:2 ~origin:2);
-  Alcotest.(check (option int)) "one hop" (Some 5)
-    (Amac.Causal.first_influence causal ~node:1 ~origin:0);
-  Alcotest.(check (option int)) "three hops" (Some 15)
-    (Amac.Causal.first_influence causal ~node:3 ~origin:0);
-  Alcotest.(check (option int)) "full influence at 3 hops" (Some 15)
-    (Amac.Causal.earliest_full_influence causal ~node:3)
-
 let test_trace_recording () =
   let outcome =
     run once
@@ -325,61 +305,6 @@ let test_anonymous_identities () =
   in
   Alcotest.(check bool) "anonymous run decides" true
     (Amac.Engine.all_decided outcome)
-
-(* The resumable API must agree step-for-step with the monolithic run. *)
-let test_step_engine_matches_run () =
-  let scheduler () = Amac.Scheduler.random (Amac.Rng.create 5) ~fack:4 in
-  let reference =
-    run (counter ~target:2) ~topology:clique3 ~scheduler:(scheduler ())
-      ~inputs:[| 0; 1; 0 |]
-  in
-  let sim =
-    Amac.Engine.create (counter ~target:2) ~topology:clique3
-      ~scheduler:(scheduler ()) ~inputs:[| 0; 1; 0 |]
-  in
-  Alcotest.(check bool) "not finished at creation" false
-    (Amac.Engine.finished sim);
-  let steps = ref 0 in
-  let last_now = ref (Amac.Engine.now sim) in
-  let rec drain () =
-    match Amac.Engine.step sim with
-    | `Stepped ->
-        incr steps;
-        Alcotest.(check bool) "time monotone" true
-          (Amac.Engine.now sim >= !last_now);
-        last_now := Amac.Engine.now sim;
-        drain ()
-    | `Done | `Capped -> ()
-  in
-  drain ();
-  Alcotest.(check bool) "finished after drain" true (Amac.Engine.finished sim);
-  Alcotest.(check bool) "stepped at least once" true (!steps > 0);
-  let snap = Amac.Engine.snapshot sim in
-  Alcotest.(check bool) "same decisions" true
-    (snap.decisions = reference.decisions);
-  Alcotest.(check int) "same end time" reference.end_time snap.end_time;
-  Alcotest.(check int) "same deliveries" reference.deliveries snap.deliveries;
-  Alcotest.(check int) "same broadcasts" reference.broadcasts snap.broadcasts
-
-let test_step_engine_midway_snapshot () =
-  (* Snapshots are pure observations: taking one midway must not disturb the
-     rest of the run. *)
-  let sim =
-    Amac.Engine.create once ~topology:clique3
-      ~scheduler:Amac.Scheduler.synchronous ~inputs:[| 0; 0; 0 |]
-  in
-  (match Amac.Engine.step sim with
-  | `Stepped -> ()
-  | `Done | `Capped -> Alcotest.fail "run cannot finish in one event");
-  let mid = Amac.Engine.snapshot sim in
-  while not (Amac.Engine.finished sim) do
-    ignore (Amac.Engine.step sim)
-  done;
-  let final = Amac.Engine.snapshot sim in
-  Alcotest.(check bool) "midway sees fewer events" true
-    (mid.events_processed < final.events_processed);
-  Alcotest.(check bool) "final all decided" true
-    (Amac.Engine.all_decided final)
 
 (* Property: for random schedulers, every node's delivery count matches the
    topology (everyone hears each neighbor's broadcast exactly once) and the
@@ -457,14 +382,9 @@ let () =
             test_scheduler_contract_enforced;
           Alcotest.test_case "irrevocability tracking" `Quick
             test_irrevocability_tracking;
-          Alcotest.test_case "causal tracking" `Quick test_causal_tracking;
           Alcotest.test_case "trace recording" `Quick test_trace_recording;
           Alcotest.test_case "anonymous identities" `Quick
             test_anonymous_identities;
-          Alcotest.test_case "step engine matches run" `Quick
-            test_step_engine_matches_run;
-          Alcotest.test_case "step engine midway snapshot" `Quick
-            test_step_engine_midway_snapshot;
         ] );
       ( "property",
         [

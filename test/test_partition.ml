@@ -1,4 +1,91 @@
-(* The Thm 3.10 Omega(D * F_ack) bound, measured via causal influence. *)
+(* The Thm 3.10 Omega(D * F_ack) bound, measured via causal influence
+   folded out of the provenance DAG. *)
+
+module P = Obs.Provenance
+
+let first_influence = Lowerbound.Partition.first_influence
+
+(* Every node rebroadcasts on each ack, forever. *)
+let forever : (unit, string) Amac.Algorithm.t =
+  {
+    name = "forever";
+    init = (fun _ctx -> ((), [ Amac.Algorithm.Broadcast "x" ]));
+    on_receive = (fun _ctx () _msg -> []);
+    on_ack = (fun _ctx () -> [ Amac.Algorithm.Broadcast "x" ]);
+    msg_ids = (fun _ -> 0);
+    hooks = None;
+  }
+
+let test_influence_one_hop_per_fack () =
+  (* Line 0-1-2-3 under max_delay(5): influence crosses one hop per 5
+     ticks. *)
+  let provenance = P.create () in
+  ignore
+    (Amac.Engine.run forever
+       ~topology:(Amac.Topology.line 4)
+       ~scheduler:(Amac.Scheduler.max_delay ~fack:5)
+       ~provenance ~max_time:40 ~stop_when_all_decided:false
+       ~inputs:[| 0; 0; 0; 0 |]);
+  let first = first_influence provenance in
+  Alcotest.(check (option int)) "self at 0" (Some 0) first.(2).(2);
+  Alcotest.(check (option int)) "one hop" (Some 5) first.(1).(0);
+  Alcotest.(check (option int)) "three hops" (Some 15) first.(3).(0);
+  let full =
+    Array.fold_left
+      (fun acc t ->
+        match (acc, t) with
+        | Some a, Some t -> Some (max a t)
+        | None, _ | _, None -> None)
+      (Some 0) first.(3)
+  in
+  Alcotest.(check (option int)) "full influence at 3 hops" (Some 15) full
+
+(* Property: a random time-ordered (src, dst, time) delivery script,
+   recorded as Boot/Broadcast/Deliver vertices, folds to the first-influence
+   times of a naive replay over explicit origin lists. *)
+let prop_fold_matches_reference =
+  QCheck.Test.make ~name:"provenance fold matches a replay reference"
+    ~count:150
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 30)
+        (triple (int_range 0 5) (int_range 0 5) (int_range 1 50)))
+    (fun script ->
+      let n = 6 in
+      let script =
+        List.sort (fun (_, _, a) (_, _, b) -> Int.compare a b) script
+      in
+      let dag = P.create () in
+      (* Each node's latest informational vertex: what its broadcasts are
+         caused by. *)
+      let last_info =
+        Array.init n (fun node ->
+            P.record dag ~kind:(P.Boot { incarnation = 0 }) ~node ~time:0
+              ~cause:(-1))
+      in
+      let reference = Array.init n (fun i -> [ i ]) in
+      let expected = Array.make_matrix n n None in
+      for i = 0 to n - 1 do
+        expected.(i).(i) <- Some 0
+      done;
+      List.iter
+        (fun (src, dst, time) ->
+          let b =
+            P.record dag ~kind:P.Broadcast ~node:src ~time
+              ~cause:last_info.(src)
+          in
+          last_info.(dst) <-
+            P.record dag ~kind:(P.Deliver { sender = src }) ~node:dst ~time
+              ~cause:b;
+          List.iter
+            (fun origin ->
+              if not (List.mem origin reference.(dst)) then begin
+                reference.(dst) <- origin :: reference.(dst);
+                expected.(dst).(origin) <- Some time
+              end)
+            reference.(src))
+        script;
+      first_influence dag = expected)
 
 let test_cross_influence_exact () =
   (* Under max-delay, influence crosses exactly one hop per F_ack. The
@@ -83,6 +170,9 @@ let () =
     [
       ( "thm 3.10",
         [
+          Alcotest.test_case "influence: one hop per F_ack" `Quick
+            test_influence_one_hop_per_fack;
+          QCheck_alcotest.to_alcotest prop_fold_matches_reference;
           Alcotest.test_case "cross influence exact" `Quick
             test_cross_influence_exact;
           Alcotest.test_case "decisions respect bound" `Quick
