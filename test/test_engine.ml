@@ -306,6 +306,50 @@ let test_anonymous_identities () =
   Alcotest.(check bool) "anonymous run decides" true
     (Amac.Engine.all_decided outcome)
 
+let test_provenance_is_observational () =
+  (* Recording the causal DAG must not disturb the run, and the caller's
+     own DAG object is what the outcome echoes. *)
+  let scheduler () = Amac.Scheduler.random (Amac.Rng.create 5) ~fack:4 in
+  let plain =
+    run (counter ~target:2) ~topology:clique3 ~scheduler:(scheduler ())
+      ~inputs:[| 0; 1; 0 |]
+  in
+  let dag = Obs.Provenance.create () in
+  let traced =
+    Amac.Engine.run (counter ~target:2) ~topology:clique3
+      ~scheduler:(scheduler ()) ~provenance:dag ~inputs:[| 0; 1; 0 |]
+  in
+  Alcotest.(check bool) "no DAG unless asked" true (plain.provenance = None);
+  Alcotest.(check bool) "caller's DAG echoed" true
+    (match traced.provenance with Some d -> d == dag | None -> false);
+  Alcotest.(check bool) "same decisions" true
+    (plain.decisions = traced.decisions);
+  Alcotest.(check int) "same end time" plain.end_time traced.end_time;
+  Alcotest.(check int) "same events" plain.events_processed
+    traced.events_processed;
+  Alcotest.(check int) "one Deliver vertex per delivery" traced.deliveries
+    (List.length
+       (List.filter
+          (fun (v : Obs.Provenance.vertex) ->
+            match v.kind with Deliver _ -> true | _ -> false)
+          (Obs.Provenance.to_list dag)))
+
+let test_drain_after_decisions () =
+  (* Stopping at the last decision processes a prefix of the events the
+     draining run processes. *)
+  let go stop_when_all_decided =
+    run once ~topology:clique3 ~scheduler:Amac.Scheduler.synchronous
+      ~stop_when_all_decided ~inputs:[| 0; 0; 0 |]
+  in
+  let stopped = go true and drained = go false in
+  Alcotest.(check bool) "both decide" true
+    (Amac.Engine.all_decided stopped && Amac.Engine.all_decided drained);
+  Alcotest.(check bool) "same decisions" true
+    (stopped.decisions = drained.decisions);
+  Alcotest.(check bool) "stopping sees no more events" true
+    (stopped.events_processed <= drained.events_processed);
+  Alcotest.(check bool) "draining runs to quiescence" false drained.hit_max_time
+
 (* Property: for random schedulers, every node's delivery count matches the
    topology (everyone hears each neighbor's broadcast exactly once) and the
    full outcome is reproducible from the seed. *)
@@ -385,6 +429,10 @@ let () =
           Alcotest.test_case "trace recording" `Quick test_trace_recording;
           Alcotest.test_case "anonymous identities" `Quick
             test_anonymous_identities;
+          Alcotest.test_case "provenance is observational" `Quick
+            test_provenance_is_observational;
+          Alcotest.test_case "drain after decisions" `Quick
+            test_drain_after_decisions;
         ] );
       ( "property",
         [

@@ -84,6 +84,38 @@ let test_of_edges_validation () =
     (Invalid_argument "Topology: edge (0,5) out of range for n=3") (fun () ->
       ignore (T.of_edges ~n:3 [ (0, 5) ]))
 
+let test_of_edges_sorts_neighbours () =
+  let g = T.of_edges ~n:4 [ (3, 0); (0, 1); (2, 0); (2, 1) ] in
+  Alcotest.(check (list int)) "hub" [ 1; 2; 3 ] (T.neighbors g 0);
+  Alcotest.(check (list int)) "node 1" [ 0; 2 ] (T.neighbors g 1);
+  Alcotest.(check (list int)) "node 2" [ 0; 1 ] (T.neighbors g 2);
+  Alcotest.(check (list int)) "leaf" [ 0 ] (T.neighbors g 3)
+
+let test_of_edges_duplicate_among_others () =
+  (* The repeat is not adjacent in the input and arrives reversed; the
+     message still names the normalised pair. *)
+  Alcotest.check_raises "reversed, separated"
+    (Invalid_argument "Topology: duplicate edge (0,2)") (fun () ->
+      ignore (T.of_edges ~n:3 [ (0, 2); (1, 2); (2, 0) ]));
+  Alcotest.check_raises "same orientation"
+    (Invalid_argument "Topology: duplicate edge (1,3)") (fun () ->
+      ignore (T.of_edges ~n:4 [ (1, 3); (0, 1); (1, 3) ]))
+
+let test_add_edges_rejects_existing () =
+  Alcotest.check_raises "edge already present"
+    (Invalid_argument "Topology: duplicate edge (1,2)") (fun () ->
+      ignore (T.add_edges (T.line 4) [ (2, 1) ]))
+
+let test_of_edges_empty () =
+  let g = T.of_edges ~n:0 [] in
+  Alcotest.(check int) "size" 0 (T.size g);
+  Alcotest.(check int) "edges" 0 (T.num_edges g);
+  let g = T.of_edges ~n:3 [] in
+  Alcotest.(check (list int)) "isolated node" [] (T.neighbors g 1);
+  Alcotest.check_raises "negative n"
+    (Invalid_argument "Topology.of_edges: negative n") (fun () ->
+      ignore (T.of_edges ~n:(-1) []))
+
 let test_disconnected () =
   let g = T.of_edges ~n:4 [ (0, 1); (2, 3) ] in
   Alcotest.(check bool) "not connected" false (T.is_connected g);
@@ -113,6 +145,62 @@ let test_edges_each_once () =
     (fun (u, v) ->
       if u >= v then Alcotest.fail "edge not normalized (u < v expected)")
     (T.edges g)
+
+let rec strictly_increasing = function
+  | a :: (b :: _ as rest) -> a < b && strictly_increasing rest
+  | [ _ ] | [] -> true
+
+(* Property: [of_edges] agrees with a reference built from normalised
+   pairs — it raises iff some pair repeats, and otherwise each neighbour
+   list is exactly the sorted set of partners. *)
+let prop_of_edges_matches_reference =
+  QCheck.Test.make ~name:"of_edges matches a normalised-pair reference"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 12) (pair (int_range 0 5) (int_range 0 5)))
+    (fun raw ->
+      let n = 6 in
+      let pairs = List.filter (fun (u, v) -> u <> v) raw in
+      let norm = List.map (fun (u, v) -> (min u v, max u v)) pairs in
+      let has_dup =
+        List.length (List.sort_uniq compare norm) <> List.length norm
+      in
+      match T.of_edges ~n pairs with
+      | exception Invalid_argument _ -> has_dup
+      | g ->
+          (not has_dup)
+          && T.num_edges g = List.length norm
+          && List.for_all
+               (fun u ->
+                 T.neighbors g u
+                 = List.sort_uniq Int.compare
+                     (List.filter_map
+                        (fun (a, b) ->
+                          if a = u then Some b
+                          else if b = u then Some a
+                          else None)
+                        norm))
+               (List.init n Fun.id))
+
+let prop_families_sorted_neighbours =
+  QCheck.Test.make ~name:"every family keeps neighbour lists sorted"
+    ~count:60
+    QCheck.(pair small_int (int_range 1 12))
+    (fun (seed, n) ->
+      let rng = Amac.Rng.create seed in
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun u -> strictly_increasing (T.neighbors g u))
+            (List.init (T.size g) Fun.id))
+        [
+          T.clique n;
+          T.line n;
+          T.star n;
+          T.binary_tree n;
+          T.grid ~width:n ~height:2;
+          T.lollipop ~clique_size:n ~tail_len:2;
+          T.random_connected rng ~n ~extra_edges:n;
+        ])
 
 let prop_random_connected =
   QCheck.Test.make ~name:"random_connected is connected with right size"
@@ -162,6 +250,13 @@ let () =
         [
           Alcotest.test_case "of_edges validation" `Quick
             test_of_edges_validation;
+          Alcotest.test_case "of_edges sorts neighbours" `Quick
+            test_of_edges_sorts_neighbours;
+          Alcotest.test_case "of_edges duplicate among others" `Quick
+            test_of_edges_duplicate_among_others;
+          Alcotest.test_case "add_edges rejects existing" `Quick
+            test_add_edges_rejects_existing;
+          Alcotest.test_case "of_edges empty" `Quick test_of_edges_empty;
           Alcotest.test_case "disconnected" `Quick test_disconnected;
           Alcotest.test_case "bfs distances" `Quick test_bfs_dist;
           Alcotest.test_case "disjoint union / add edges" `Quick
@@ -173,5 +268,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_connected;
           QCheck_alcotest.to_alcotest prop_grid_diameter;
           QCheck_alcotest.to_alcotest prop_bfs_triangle_inequality;
+          QCheck_alcotest.to_alcotest prop_of_edges_matches_reference;
+          QCheck_alcotest.to_alcotest prop_families_sorted_neighbours;
         ] );
     ]
