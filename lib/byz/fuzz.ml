@@ -22,12 +22,9 @@ let pp_case fmt case =
 type config = {
   min_n : int;
   max_n : int;
-  max_fack : int;
-  max_crashes : int;
   profile : Model.profile;
   cap_f : bool;
   agreement_only : bool;
-  give_n : bool;
   check_termination : bool;
   max_time : int;
 }
@@ -36,15 +33,17 @@ let default =
   {
     min_n = 3;
     max_n = 6;
-    max_fack = 6;
-    max_crashes = 1;
     profile = Model.default_profile;
     cap_f = false;
     agreement_only = false;
-    give_n = true;
     check_termination = false;
     max_time = 100_000;
   }
+
+(* F_ack is drawn from [1, max_fack]; at most [max_crashes] clean crashes
+   land on top of the strategy. *)
+let max_fack = 6
+let max_crashes = 1
 
 let violations_of config (result : Consensus.Runner.result) =
   let safety = Consensus.Checker.safety_violations result.report in
@@ -79,7 +78,7 @@ let run_case ?(record_trace = false) ?obs config algorithm adapter case =
   let wrapped =
     Model.wrap ~n:case.n ~adapter ~strategy:case.strategy algorithm
   in
-  Consensus.Runner.run wrapped.Model.algorithm ~give_n:config.give_n
+  Consensus.Runner.run wrapped.Model.algorithm
     ~topology:(Amac.Topology.clique case.n)
     ~scheduler:(Amac.Scheduler.replay case.plan)
     ~inputs:case.inputs ~crashes:case.crashes
@@ -91,7 +90,7 @@ let generate config algorithm adapter rng =
     Amac.Rng.int_range rng ~lo:(max 2 config.min_n)
       ~hi:(max config.min_n config.max_n)
   in
-  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_fack) in
+  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
   let inputs = Array.init n (fun _ -> if Amac.Rng.bool rng then 1 else 0) in
   (* cap_f: stay inside the algorithm's advertised tolerance — a campaign
      against an f-resilient protocol that spawns f+1 Byzantine nodes finds
@@ -106,13 +105,13 @@ let generate config algorithm adapter rng =
      a crashed Byzantine node is an adversary that went permanently
      silent, which is itself a strategy worth searching. *)
   let crashes =
-    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes
+    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes
   in
   let wrapped = Model.wrap ~n ~adapter ~strategy algorithm in
   let base = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let recording, recorded = Amac.Scheduler.record base in
   let result =
-    Consensus.Runner.run wrapped.Model.algorithm ~give_n:config.give_n
+    Consensus.Runner.run wrapped.Model.algorithm
       ~topology:(Amac.Topology.clique n) ~scheduler:recording ~inputs ~crashes
       ~substitute:wrapped.Model.substitute ~honest:wrapped.Model.honest
       ~max_time:config.max_time

@@ -32,8 +32,6 @@ val pp_case : Format.formatter -> case -> unit
 type config = {
   min_n : int;  (** nodes drawn from [\[min_n, max_n\]] *)
   max_n : int;
-  max_fack : int;
-  max_crashes : int;  (** clean crashes on top of the strategy *)
   profile : Model.profile;  (** sizes {!Model.gen_strategy} *)
   cap_f : bool;
       (** cap the drawn Byzantine count at [(n-1)/3] — the tolerance bound
@@ -48,14 +46,14 @@ type config = {
           ordinary protocol participation already injects an "invalid"
           value — no attack needed); demanding an honest split makes the
           found strategy earn its counterexample. *)
-  give_n : bool;
   check_termination : bool;
       (** when true, a completed run in which a live {e honest} node never
           decided also counts as a failure *)
   max_time : int;
 }
 
-(** n ∈ [3, 6], F_ack ≤ 6, ≤ 1 crash, default profile, safety-only. *)
+(** n ∈ [3, 6], default profile, safety-only. Every run draws F_ack from
+    [\[1, 6\]] and adds at most one clean crash on top of the strategy. *)
 val default : config
 
 (** [campaign config algorithm adapter] — fuzz strategies against

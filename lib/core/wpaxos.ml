@@ -63,8 +63,6 @@ type config = {
   quorum : int option;  (* override of the majority threshold (footnote 1) *)
   instrument : Instrument.t option;
   retransmit : bool;  (* fault hardening: heartbeats, re-election, re-proposal *)
-  patience : int option;  (* detector silence budget; default 4n+16 *)
-  backoff : int;  (* detector patience multiplier on false suspicion *)
 }
 
 type proposer_phase =
@@ -654,10 +652,7 @@ let init cfg (ctx : Amac.Algorithm.ctx) =
       announced = false;
       decide_q = None;
       sending = false;
-      fd =
-        Fd.create
-          ~patience:(Option.value cfg.patience ~default:((4 * n) + 16))
-          ~backoff:cfg.backoff ~me ();
+      fd = Fd.create ~patience:((4 * n) + 16) ~me ();
       idle_acks = 0;
       next_refresh = refresh_start;
       progress_silence = 0;
@@ -842,18 +837,11 @@ let clone st =
 let hooks = Some { Amac.Algorithm.fingerprint; fingerprint_msg = fp_msg; clone }
 
 let make ?(leader_priority = true) ?(aggregate = true) ?quorum ?instrument
-    ?(retransmit = true) ?patience ?(backoff = 1) () =
+    ?(retransmit = true) () =
   (match quorum with
   | Some q when q < 1 -> invalid_arg "Wpaxos.make: quorum must be >= 1"
   | Some _ | None -> ());
-  (match patience with
-  | Some p when p < 1 -> invalid_arg "Wpaxos.make: patience must be >= 1"
-  | Some _ | None -> ());
-  if backoff < 1 then invalid_arg "Wpaxos.make: backoff must be >= 1";
-  let cfg =
-    { leader_priority; aggregate; quorum; instrument; retransmit; patience;
-      backoff }
-  in
+  let cfg = { leader_priority; aggregate; quorum; instrument; retransmit } in
   {
     Amac.Algorithm.name =
       (if leader_priority && aggregate && retransmit then "wpaxos"

@@ -118,22 +118,16 @@ end
     @param retransmit fault hardening — heartbeats, silence-based leader
       re-election, fresh-proposal retransmission with exponential backoff
       (default [true]; disable to get the paper's original protocol, which
-      the fault-plan fuzzer can break for liveness).
-    @param patience the ◇P detector's own-ack silence budget before the
-      leader is suspected (default [4n + 16]; see {!Fd}).
-    @param backoff detector patience multiplier applied on every cleared
-      (false) suspicion (default [1] = fixed patience, the pre-[Fd]
-      behavior, bit-for-bit).
-    @raise Invalid_argument if [quorum < 1], [patience < 1] or
-      [backoff < 1]. *)
+      the fault-plan fuzzer can break for liveness). The ◇P detector then
+      suspects a leader after a fixed [4n + 16] own acks of silence (see
+      {!Fd}).
+    @raise Invalid_argument if [quorum < 1]. *)
 val make :
   ?leader_priority:bool ->
   ?aggregate:bool ->
   ?quorum:int ->
   ?instrument:Instrument.t ->
   ?retransmit:bool ->
-  ?patience:int ->
-  ?backoff:int ->
   unit ->
   (state, msg) Amac.Algorithm.t
 

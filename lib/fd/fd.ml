@@ -1,15 +1,9 @@
 type t = {
   me : int;
-  base_patience : int;
-  backoff : int;
-  patience_cap : int;
+  patience : int;
   mutable my_hb : int;
   hb_seen : (int, int) Hashtbl.t;  (* node -> largest heartbeat seen *)
   suspect_at : (int, int) Hashtbl.t;  (* peer -> hb_seen at suspicion time *)
-  boosted : (int, int) Hashtbl.t;
-      (* peer -> boosted patience; only populated when it differs from the
-         base, so the default backoff=1 detector fingerprints exactly like
-         the PR 2 field set it replaces *)
   mutable watched : int;
   mutable silence : int;
 }
@@ -25,27 +19,15 @@ type stats = {
   patience_now : int;
 }
 
-let create ?(backoff = 1) ?patience_cap ~patience ~me () =
+let create ~patience ~me () =
   if patience < 1 then invalid_arg "Fd.create: patience must be >= 1";
-  if backoff < 1 then invalid_arg "Fd.create: backoff must be >= 1";
-  let patience_cap =
-    match patience_cap with
-    | Some cap ->
-        if cap < patience then
-          invalid_arg "Fd.create: patience_cap below patience";
-        cap
-    | None -> 64 * patience
-  in
   let t =
     {
       me;
-      base_patience = patience;
-      backoff;
-      patience_cap;
+      patience;
       my_hb = 0;
       hb_seen = Hashtbl.create 8;
       suspect_at = Hashtbl.create 8;
-      boosted = Hashtbl.create 8;
       watched = me;
       silence = 0;
     }
@@ -62,14 +44,6 @@ let hb t id = Option.value ~default:0 (Hashtbl.find_opt t.hb_seen id)
 
 let suspected t id = Hashtbl.mem t.suspect_at id
 
-let patience_of t peer =
-  Option.value ~default:t.base_patience (Hashtbl.find_opt t.boosted peer)
-
-let boost t peer =
-  let p = patience_of t peer in
-  let p' = min t.patience_cap (p * t.backoff) in
-  if p' > p then Hashtbl.replace t.boosted peer p'
-
 let observe t ~peer ~hb =
   let seen = Option.value ~default:(-1) (Hashtbl.find_opt t.hb_seen peer) in
   if hb > seen then begin
@@ -80,7 +54,6 @@ let observe t ~peer ~hb =
         (* The heartbeat advanced past the suspicion stamp: the peer was
            alive after all (e.g. a loss window ate its traffic). *)
         Hashtbl.remove t.suspect_at peer;
-        boost t peer;
         Fresh_cleared
     | Some _ | None -> Fresh
   end
@@ -93,7 +66,7 @@ let watch (t : t) ~peer =
 let tick (t : t) ~peer =
   if peer <> t.watched then watch t ~peer;
   t.silence <- t.silence + 1;
-  if t.silence > patience_of t peer && not (suspected t peer) then begin
+  if t.silence > t.patience && not (suspected t peer) then begin
     Hashtbl.replace t.suspect_at peer (hb t peer);
     Suspect
   end
@@ -114,7 +87,7 @@ let stats t =
     suspected_now = Hashtbl.length t.suspect_at;
     watched = t.watched;
     silence = t.silence;
-    patience_now = patience_of t t.watched;
+    patience_now = t.patience;
   }
 
 let record ~obs ~labels t =
@@ -138,13 +111,11 @@ let fp_int_tbl tbl acc =
 
 let fingerprint t acc =
   acc |> F.int t.my_hb |> fp_int_tbl t.hb_seen |> fp_int_tbl t.suspect_at
-  |> fp_int_tbl t.boosted |> F.int t.watched |> F.int t.silence
-  |> F.int t.base_patience
+  |> F.int t.watched |> F.int t.silence |> F.int t.patience
 
 let clone t =
   {
     t with
     hb_seen = Hashtbl.copy t.hb_seen;
     suspect_at = Hashtbl.copy t.suspect_at;
-    boosted = Hashtbl.copy t.boosted;
   }

@@ -2,9 +2,8 @@
 
     The model has no wall clock: a node observes time only through its own
     acknowledged broadcasts, so every timeout here is counted in {e own
-    acks} (~F_ack ticks each). The detector is the factored-out form of the
-    heartbeat/silence heuristic wPAXOS grew in PR 2, now a first-class,
-    tunable module shared by [Consensus.Wpaxos] and [Smr]:
+    acks} (~F_ack ticks each). The detector is the heartbeat/silence
+    heuristic shared by [Consensus.Wpaxos] and [Smr]:
 
     - {e heartbeat emission}: the current leader advances its heartbeat
       counter once per ack ({!beat}); every broadcast piggybacks the
@@ -14,23 +13,18 @@
       advanced ({!tick}); past the patience threshold the peer joins the
       [suspected] set, stamped with the heartbeat it stalled at.
     - {e eventual accuracy (the ◇P part)}: a heartbeat that later advances
-      past the suspicion stamp proves the suspicion false — the peer is
-      unsuspected and, with [backoff > 1], its patience is multiplied, so
-      repeated false suspicions of a slow-but-alive peer die out. The
-      default [backoff = 1] reproduces PR 2's fixed-patience behavior
-      bit-for-bit.
+      past the suspicion stamp proves the suspicion false, and the peer is
+      unsuspected.
 
     Completeness holds trivially (a crashed peer's heartbeat never
-    advances); accuracy is eventual in the usual partial-synchrony sense
-    (after loss windows close, a live leader's heartbeats land within any
-    fixed patience often enough once backoff has grown it past the real
-    delay).
+    advances). Accuracy is eventual in the usual partial-synchrony sense:
+    once loss windows close and a live leader's heartbeat gaps stay under
+    the fixed patience, it is never suspected again.
 
     The detector is pure protocol state: no closures, no cumulative
     counters (callers that want suspicion totals count the {!tick} /
     {!observe} verdicts themselves), so states embedding a [t] stay
-    Marshal-keyable and {!fingerprint} splits exactly the states the
-    PR 2 field set split. *)
+    Marshal-keyable and {!fingerprint} covers every field. *)
 
 type t
 
@@ -39,7 +33,7 @@ type verdict =
   | Fresh  (** the heartbeat advanced *)
   | Fresh_cleared
       (** the heartbeat advanced past a suspicion stamp: false suspicion,
-          peer unsuspected (and its patience boosted by [backoff]) *)
+          peer unsuspected *)
   | Stale  (** not news — at or below the largest heartbeat already seen *)
 
 (** One ack of silence accounted to the watched peer. *)
@@ -52,20 +46,15 @@ type stats = {
   suspected_now : int;  (** current size of the suspected set *)
   watched : int;  (** the peer whose silence is being timed *)
   silence : int;  (** own acks since the watched peer's heartbeat advanced *)
-  patience_now : int;  (** current (possibly boosted) patience of watched *)
+  patience_now : int;  (** the patience, in own acks *)
 }
 
 (** [create ~patience ~me ()] — a detector for node [me].
 
-    @param patience own-ack silence budget before suspicion (wPAXOS default
-      is [4n + 16]).
-    @param backoff patience multiplier applied to a peer on every cleared
-      (false) suspicion, capped at [patience_cap] (default [1] = fixed
-      patience, the PR 2 behavior).
-    @param patience_cap ceiling for boosted patience (default
-      [64 * patience]).
-    @raise Invalid_argument if [patience < 1] or [backoff < 1]. *)
-val create : ?backoff:int -> ?patience_cap:int -> patience:int -> me:int -> unit -> t
+    @param patience own-ack silence budget before suspicion, the same for
+      every peer (wPAXOS uses [4n + 16]).
+    @raise Invalid_argument if [patience < 1]. *)
+val create : patience:int -> me:int -> unit -> t
 
 (** Advance own heartbeat by one (leader, once per ack); returns the new
     value. *)

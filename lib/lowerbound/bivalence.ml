@@ -61,8 +61,7 @@ let apply_actions ~n config node actions =
   in
   config.(node) <- cfg
 
-let create ?(give_n = true) ?(give_diameter = false) algorithm ~topology
-    ~inputs =
+let create algorithm ~topology ~inputs =
   let n = Amac.Topology.size topology in
   if Array.length inputs <> n then
     invalid_arg "Bivalence.create: inputs length mismatches topology";
@@ -70,10 +69,8 @@ let create ?(give_n = true) ?(give_diameter = false) algorithm ~topology
     Array.init n (fun i ->
         {
           Amac.Algorithm.id = Amac.Node_id.Id i;
-          n = (if give_n then Some n else None);
-          diameter =
-            (if give_diameter then Some (Amac.Topology.diameter topology)
-             else None);
+          n = Some n;
+          diameter = None;
           degree = Amac.Topology.degree topology i;
           input = inputs.(i);
         })

@@ -39,12 +39,10 @@ type ('s, 'm) t
     Configurations are immutable snapshots; the same instance can serve
     multiple queries. *)
 
-(** [create algorithm ~topology ~inputs] — [give_n]/[give_diameter] as in
-    {!Amac.Engine.run}.
+(** [create algorithm ~topology ~inputs] — every node knows n but not the
+    diameter, as in the paper's model.
     @raise Invalid_argument on input/topology size mismatch. *)
 val create :
-  ?give_n:bool ->
-  ?give_diameter:bool ->
   ('s, 'm) Amac.Algorithm.t ->
   topology:Amac.Topology.t ->
   inputs:int array ->

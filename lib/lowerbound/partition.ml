@@ -39,14 +39,14 @@ let first_influence dag =
     dag;
   Array.map (Array.map (fun t -> if t = max_int then None else Some t)) first
 
-let analyze ?give_n ?(max_time = 10_000_000) algorithm ~diameter ~fack =
+let analyze ?(max_time = 10_000_000) algorithm ~diameter ~fack =
   let n = diameter + 1 in
   let topology = Amac.Topology.line n in
   let scheduler = Amac.Scheduler.max_delay ~fack in
   let inputs = Consensus.Runner.inputs_halves ~n in
   let provenance = Obs.Provenance.create () in
   let result =
-    Consensus.Runner.run ?give_n ~max_time ~provenance algorithm ~topology
+    Consensus.Runner.run ~max_time ~provenance algorithm ~topology
       ~scheduler ~inputs
   in
   let first = first_influence provenance in

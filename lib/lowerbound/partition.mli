@@ -34,11 +34,9 @@ type analysis = {
 
 (** [analyze algorithm ~diameter ~fack ...] runs [algorithm] on the
     (diameter+1)-node line under [Scheduler.max_delay ~fack], halves
-    inputs 0/1, provenance recorded.
-    @param give_n as in {!Amac.Engine.run} (default [true]).
+    inputs 0/1, provenance recorded; every node knows n.
     @raise Failure if the algorithm fails to decide within [max_time]. *)
 val analyze :
-  ?give_n:bool ->
   ?max_time:int ->
   ('s, 'm) Amac.Algorithm.t ->
   diameter:int ->

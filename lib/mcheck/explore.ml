@@ -14,7 +14,6 @@ type config = {
   max_states : int;
   crash_budget : int;
   check_termination : bool;
-  stop_at_first_violation : bool;
   keying : [ `Fast | `Marshal ];
   check_collisions : bool;
 }
@@ -25,7 +24,6 @@ let default =
     max_states = 2_000_000;
     crash_budget = 0;
     check_termination = false;
-    stop_at_first_violation = true;
     keying = `Fast;
     check_collisions = false;
   }
@@ -61,9 +59,7 @@ type ('s, 'm) cfg = {
          touched, so keying costs O(changed nodes), not O(n). Kept OUTSIDE
          [node_cfg] so the Marshal digest of [(nodes, crashes_used)] — the
          fallback key and the collision-check ground truth — is independent
-         of cache state. Cross-domain safety: a slot is only ever written
-         with the one value determined by the node's content, so racy reads
-         see either -1 (recompute, same result) or that value. *)
+         of cache state. *)
 }
 
 (* Two transitions commute iff neither reads state the other writes.
@@ -91,11 +87,11 @@ let marshal_snapshot nodes : ('s, 'm) node_cfg array =
 
 module F = Amac.Fingerprint
 
-(* Per-run machinery shared by the serial DFS, the parallel frontier
-   explorer and the sampling API. [snapshot] and [fingerprint] come from
-   the algorithm's hooks when present: cloning replaces the Marshal
-   round-trip, and keying replaces digest-of-marshalled-bytes with a
-   63-bit structural fold (config.keying can force the fallback). *)
+(* Per-run machinery shared by the DFS and the sampling API.
+   [clone_state] and [fingerprint] come from the algorithm's hooks when
+   present: cloning replaces the Marshal round-trip, and keying replaces
+   digest-of-marshalled-bytes with a 63-bit structural fold (config.keying
+   can force the fallback). *)
 type ('s, 'm) rt = {
   n : int;
   topology : Amac.Topology.t;
@@ -106,7 +102,8 @@ type ('s, 'm) rt = {
   fingerprint : (('s, 'm) cfg -> int) option;
 }
 
-let make_rt ~give_n ~give_diameter algorithm ~topology ~inputs =
+(* Nodes know n but not D, as in the paper's model. *)
+let make_rt algorithm ~topology ~inputs =
   let n = Amac.Topology.size topology in
   if Array.length inputs <> n then
     invalid_arg "Explore.explore: inputs length mismatches topology";
@@ -114,10 +111,8 @@ let make_rt ~give_n ~give_diameter algorithm ~topology ~inputs =
     Array.init n (fun i ->
         {
           Amac.Algorithm.id = Amac.Node_id.Id i;
-          n = (if give_n then Some n else None);
-          diameter =
-            (if give_diameter then Some (Amac.Topology.diameter topology)
-             else None);
+          n = Some n;
+          diameter = None;
           degree = Amac.Topology.degree topology i;
           input = inputs.(i);
         })
@@ -357,11 +352,11 @@ let visit_cell cell sleep =
     if stored = [] then `Fresh else `Revisit
   end
 
-(* seen-set for the serial explorer: cfg -> visit cell, created empty on
-   first sight. Fast keying probes an int-keyed open-addressed table with
-   the structural fingerprint; [check_collisions] cross-checks each
-   fingerprint against the Marshal digest and counts fingerprints claimed
-   by two distinct digests. The fallback keeps the digest-keyed Hashtbl,
+(* seen-set: cfg -> visit cell, created empty on first sight. Fast keying
+   probes an int-keyed open-addressed table with the structural
+   fingerprint; [check_collisions] cross-checks each fingerprint against
+   the Marshal digest and counts fingerprints claimed by two distinct
+   digests. The fallback keeps the digest-keyed Hashtbl,
    but pays one probe per revisit ([find_opt] on a mutable cell) instead
    of the old find-then-replace pair. *)
 let make_seen config rt =
@@ -402,43 +397,17 @@ let make_seen config rt =
       in
       (lookup, ref 0)
 
-let record_obs obs stats ~steals ~occupancy =
-  match obs with
-  | None -> ()
-  | Some reg ->
-      let c name v = Obs.Metrics.add (Obs.Metrics.counter reg name) v in
-      c "explore_states_total" stats.states;
-      c "explore_transitions_total" stats.transitions;
-      c "explore_dedup_hits_total" stats.dedup_hits;
-      c "explore_sleep_skips_total" stats.sleep_skips;
-      (match steals with Some s -> c "explore_steals_total" s | None -> ());
-      (match occupancy with
-      | Some occ ->
-          Obs.Metrics.set
-            (Obs.Metrics.gauge reg "explore_seen_shards")
-            (float_of_int (Array.length occ));
-          Obs.Metrics.set
-            (Obs.Metrics.gauge reg "explore_shard_max_states")
-            (float_of_int (Array.fold_left max 0 occ))
-      | None -> ())
+(* The explorer stops at the first violation, carrying its schedule out. *)
+exception Violation_found of Consensus.Checker.violation * step list
 
-exception Violation_found
-
-let explore ?(give_n = true) ?(give_diameter = false) ?obs config algorithm
-    ~topology ~inputs =
-  let rt = make_rt ~give_n ~give_diameter algorithm ~topology ~inputs in
+let explore config algorithm ~topology ~inputs =
+  let rt = make_rt algorithm ~topology ~inputs in
   let states = ref 0 in
   let transitions = ref 0 in
   let dedup_hits = ref 0 in
   let sleep_skips = ref 0 in
   let truncated = ref false in
-  let violations = ref [] in
-  let record violation path =
-    if not (List.mem_assoc violation !violations) then begin
-      violations := (violation, List.rev path) :: !violations;
-      if config.stop_at_first_violation then raise Violation_found
-    end
-  in
+  let record violation path = raise (Violation_found (violation, List.rev path)) in
   let lookup, collisions = make_seen config rt in
   let rec dfs cfg ~depth ~sleep ~path =
     match visit_cell (lookup cfg) sleep with
@@ -472,276 +441,21 @@ let explore ?(give_n = true) ?(give_diameter = false) ?obs config algorithm
               siblings sleep steps
         end
   in
-  (try
-     let initial = initial_cfg rt ~record in
-     dfs initial ~depth:0 ~sleep:[] ~path:[]
-   with Violation_found -> ());
-  let result =
-    {
-      states = !states;
-      transitions = !transitions;
-      dedup_hits = !dedup_hits;
-      sleep_skips = !sleep_skips;
-      collisions = !collisions;
-      violations = List.rev !violations;
-      truncated = !truncated;
-    }
+  let violations =
+    try
+      dfs (initial_cfg rt ~record) ~depth:0 ~sleep:[] ~path:[];
+      []
+    with Violation_found (violation, path) -> [ (violation, path) ]
   in
-  record_obs obs result ~steals:None ~occupancy:None;
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Parallel frontier exploration                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Sharded seen-set: the key space is partitioned by its low bits over
-   [shard_count] independently locked tables, so concurrent visits only
-   contend when they land on the same shard. The subsumption check and
-   sleep-set update happen atomically under the shard lock. *)
-let make_sharded_seen config rt ~shard_count =
-  let mask = shard_count - 1 in
-  let locks = Array.init shard_count (fun _ -> Mutex.create ()) in
-  let collision_counts = Array.make shard_count 0 in
-  match rt.fingerprint with
-  | Some fp when config.keying = `Fast ->
-      let tables = Array.init shard_count (fun _ -> F.Table.create 1024) in
-      let digests =
-        if config.check_collisions then
-          Some (Array.init shard_count (fun _ -> Hashtbl.create 256))
-        else None
-      in
-      let visit cfg sleep =
-        let k = fp cfg in
-        let s = k land mask in
-        Mutex.lock locks.(s);
-        (match digests with
-        | Some ds -> (
-            let d = key cfg in
-            match Hashtbl.find_opt ds.(s) k with
-            | Some prior ->
-                if prior <> d then
-                  collision_counts.(s) <- collision_counts.(s) + 1
-            | None -> Hashtbl.add ds.(s) k d)
-        | None -> ());
-        let cell =
-          match F.Table.find tables.(s) k with
-          | Some cell -> cell
-          | None ->
-              let cell = ref [] in
-              F.Table.set tables.(s) k cell;
-              cell
-        in
-        let verdict = visit_cell cell sleep in
-        Mutex.unlock locks.(s);
-        verdict
-      in
-      ( visit,
-        (fun () -> Array.map F.Table.length tables),
-        fun () -> Array.fold_left ( + ) 0 collision_counts )
-  | _ ->
-      let tables = Array.init shard_count (fun _ -> Hashtbl.create 256) in
-      let visit cfg sleep =
-        let d = key cfg in
-        let s = Hashtbl.hash d land mask in
-        Mutex.lock locks.(s);
-        let cell =
-          match Hashtbl.find_opt tables.(s) d with
-          | Some cell -> cell
-          | None ->
-              let cell = ref [] in
-              Hashtbl.add tables.(s) d cell;
-              cell
-        in
-        let verdict = visit_cell cell sleep in
-        Mutex.unlock locks.(s);
-        verdict
-      in
-      ( visit,
-        (fun () -> Array.map Hashtbl.length tables),
-        fun () -> 0 )
-
-type ('s, 'm) item = {
-  it_cfg : ('s, 'm) cfg;
-  it_sleep : step list;
-  it_path : step list;  (* reversed *)
-}
-
-type ('s, 'm) slice_out = {
-  out_children : ('s, 'm) item list;  (* reversed *)
-  out_transitions : int;
-  out_fresh : int;
-  out_dedup : int;
-  out_sleeps : int;
-  out_trunc : bool;
-  out_viols : (Consensus.Checker.violation * step list) list;  (* reversed *)
-}
-
-let explore_par ?(give_n = true) ?(give_diameter = false) ?pool ?(jobs = 1)
-    ?obs config algorithm ~topology ~inputs =
-  let owned, pool =
-    match pool with
-    | Some p -> (None, Some p)
-    | None ->
-        if jobs <= 1 then (None, None)
-        else
-          let p = Par.create ~domains:jobs () in
-          (Some p, Some p)
-  in
-  match pool with
-  | None -> explore ~give_n ~give_diameter ?obs config algorithm ~topology ~inputs
-  | Some pool ->
-      Fun.protect
-        ~finally:(fun () ->
-          match owned with Some p -> Par.shutdown p | None -> ())
-        (fun () ->
-          if Par.size pool <= 1 then
-            explore ~give_n ~give_diameter ?obs config algorithm ~topology
-              ~inputs
-          else begin
-            let rt = make_rt ~give_n ~give_diameter algorithm ~topology ~inputs in
-            let shard_count =
-              let want = 4 * Par.size pool in
-              let rec pow2 k = if k >= want then k else pow2 (2 * k) in
-              pow2 8
-            in
-            let visit, occupancy, collisions =
-              make_sharded_seen config rt ~shard_count
-            in
-            let steals_before = (Par.stats pool).Par.steals in
-            let states = ref 0 in
-            let transitions = ref 0 in
-            let dedup_hits = ref 0 in
-            let sleep_skips = ref 0 in
-            let truncated = ref false in
-            let violations = ref [] in
-            let merge_violation (v, path) =
-              if not (List.mem_assoc v !violations) then
-                violations := (v, path) :: !violations
-            in
-            (* Initial configuration on the calling domain; its violations
-               are recorded directly (paths are already chronological at
-               the root). *)
-            let initial =
-              initial_cfg rt ~record:(fun v path ->
-                  merge_violation (v, List.rev path))
-            in
-            let stop () =
-              (config.stop_at_first_violation && !violations <> [])
-              || !states > config.max_states
-            in
-            (* Each level fans its frontier out as contiguous slices; a
-               slice dedups each item against the sharded seen-set and, if
-               the visit is not subsumed, expands it exactly as the serial
-               DFS would (same step order, same sleep-set algebra). All
-               counters and violations are slice-local and merged in slice
-               order on the calling domain, so the only cross-domain
-               mutation is the locked seen-set. *)
-            let process depth slice =
-              let transitions = ref 0 in
-              let fresh = ref 0 in
-              let dedup = ref 0 in
-              let sleeps = ref 0 in
-              let trunc = ref false in
-              let viols = ref [] in
-              let children = ref [] in
-              let record v path = viols := (v, List.rev path) :: !viols in
-              Array.iter
-                (fun item ->
-                  match visit item.it_cfg item.it_sleep with
-                  | `Dedup -> incr dedup
-                  | (`Fresh | `Revisit) as verdict ->
-                      if verdict = `Fresh then incr fresh;
-                      let steps = enabled config rt item.it_cfg in
-                      (match steps with
-                      | [] ->
-                          quiescent_check config ~record item.it_cfg
-                            ~path:item.it_path
-                      | _ :: _ when depth >= config.max_depth -> trunc := true
-                      | _ :: _ ->
-                          let rec siblings all = function
-                            | [] -> ()
-                            | step :: rest ->
-                                if mem_step step item.it_sleep then begin
-                                  incr sleeps;
-                                  siblings all rest
-                                end
-                                else begin
-                                  let path = step :: item.it_path in
-                                  let child =
-                                    apply rt ~record ~transitions item.it_cfg
-                                      step ~path
-                                  in
-                                  let child_sleep =
-                                    List.filter (independent step) all
-                                  in
-                                  children :=
-                                    {
-                                      it_cfg = child;
-                                      it_sleep = child_sleep;
-                                      it_path = path;
-                                    }
-                                    :: !children;
-                                  siblings (step :: all) rest
-                                end
-                          in
-                          siblings item.it_sleep steps))
-                slice;
-              {
-                out_children = !children;
-                out_transitions = !transitions;
-                out_fresh = !fresh;
-                out_dedup = !dedup;
-                out_sleeps = !sleeps;
-                out_trunc = !trunc;
-                out_viols = !viols;
-              }
-            in
-            let frontier =
-              ref [| { it_cfg = initial; it_sleep = []; it_path = [] } |]
-            in
-            let depth = ref 0 in
-            while Array.length !frontier > 0 && not (stop ()) do
-              let items = !frontier in
-              let len = Array.length items in
-              let slice_count = min len (4 * Par.size pool) in
-              let slices =
-                Array.init slice_count (fun k ->
-                    let lo = len * k / slice_count in
-                    let hi = len * (k + 1) / slice_count in
-                    Array.sub items lo (hi - lo))
-              in
-              let outs = Par.map pool (process !depth) slices in
-              let next = ref [] in
-              Array.iter
-                (fun out ->
-                  states := !states + out.out_fresh;
-                  transitions := !transitions + out.out_transitions;
-                  dedup_hits := !dedup_hits + out.out_dedup;
-                  sleep_skips := !sleep_skips + out.out_sleeps;
-                  if out.out_trunc then truncated := true;
-                  List.iter merge_violation (List.rev out.out_viols);
-                  next := List.rev_append out.out_children !next)
-                outs;
-              if !states > config.max_states then truncated := true;
-              frontier := Array.of_list (List.rev !next);
-              incr depth
-            done;
-            let result =
-              {
-                states = !states;
-                transitions = !transitions;
-                dedup_hits = !dedup_hits;
-                sleep_skips = !sleep_skips;
-                collisions = collisions ();
-                violations = List.rev !violations;
-                truncated = !truncated;
-              }
-            in
-            let steals = (Par.stats pool).Par.steals - steals_before in
-            record_obs obs result ~steals:(Some steals)
-              ~occupancy:(Some (occupancy ()));
-            result
-          end)
+  {
+    states = !states;
+    transitions = !transitions;
+    dedup_hits = !dedup_hits;
+    sleep_skips = !sleep_skips;
+    collisions = !collisions;
+    violations;
+    truncated = !truncated;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Reachable-configuration sampling (bench B7, fingerprint tests)      *)
@@ -752,9 +466,8 @@ type ('s, 'm) snapshot_set = {
   ss_cfgs : ('s, 'm) cfg array;
 }
 
-let sample ?(give_n = true) ?(give_diameter = false) config algorithm ~topology
-    ~inputs ~max_samples =
-  let rt = make_rt ~give_n ~give_diameter algorithm ~topology ~inputs in
+let sample config algorithm ~topology ~inputs ~max_samples =
+  let rt = make_rt algorithm ~topology ~inputs in
   let quiet _ _ = () in
   let seen = Hashtbl.create 1024 in
   let collected = ref [] in

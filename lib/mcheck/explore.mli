@@ -48,7 +48,6 @@ type config = {
       (** also report quiescent configurations where a live node never
           decided (meaningful for crash-free runs of terminating
           algorithms; a crash legitimately blocks e.g. two-phase) *)
-  stop_at_first_violation : bool;
   keying : [ `Fast | `Marshal ];
       (** [`Fast] keys the seen-set on the hooks' structural fingerprint
           (63-bit; distinct states alias with probability ~2^-63 per
@@ -61,8 +60,7 @@ type config = {
 }
 
 (** [{ max_depth = 64; max_states = 2_000_000; crash_budget = 0;
-    check_termination = false; stop_at_first_violation = true;
-    keying = `Fast; check_collisions = false }] *)
+    check_termination = false; keying = `Fast; check_collisions = false }] *)
 val default : config
 
 type stats = {
@@ -73,51 +71,18 @@ type stats = {
   collisions : int;  (** fingerprint/digest disagreements; 0 unless
                          [check_collisions] *)
   violations : (Consensus.Checker.violation * step list) list;
-      (** each distinct violation with a schedule reaching it *)
+      (** the first violation found, with a schedule reaching it; the
+          exploration stops there, so the list has at most one element *)
   truncated : bool;
       (** true when some schedule was cut by [max_depth] / [max_states] —
           [violations = []] is then a bounded verdict, not a proof *)
 }
 
 (** [explore config algorithm ~topology ~inputs] — exhaustive up to the
-    budgets; [give_n] / [give_diameter] as in {!Amac.Engine.run}. [?obs]
-    records [explore_*] throughput counters into the registry on return.
+    budgets, stopping at the first violation. Every node knows n but not
+    the diameter, as in the paper's model.
     @raise Invalid_argument on input/topology size mismatch. *)
 val explore :
-  ?give_n:bool ->
-  ?give_diameter:bool ->
-  ?obs:Obs.Metrics.registry ->
-  config ->
-  ('s, 'm) Amac.Algorithm.t ->
-  topology:Amac.Topology.t ->
-  inputs:int array ->
-  stats
-
-(** [explore_par ?pool ?jobs config algorithm ~topology ~inputs] — the
-    same state space walked level-synchronously: each frontier level is
-    sliced across a {!Par} domain pool, every slice dedups against a
-    fingerprint-partitioned sharded seen-set (per-shard locks) and expands
-    its survivors with exactly the serial step order and sleep-set
-    algebra. Slice-local counters and violations merge in slice order on
-    the calling domain.
-
-    Soundness matches {!explore}: a visit is skipped only when a stored
-    visit subsumes it. The {e verdict} (violations vs clean, up to the
-    budgets) is the same; [stats] may differ slightly from the serial DFS
-    — visit order changes which sleep sets reach a configuration first,
-    and [stop_at_first_violation] / [max_states] cut at level rather than
-    step granularity. Memory is proportional to the widest level.
-
-    [?pool] reuses a caller-owned pool (its size wins over [jobs]);
-    otherwise a throwaway pool of [jobs] domains is created and shut down.
-    [jobs <= 1] without a pool is exactly {!explore}. [?obs] additionally
-    records steal counts and shard occupancy. *)
-val explore_par :
-  ?give_n:bool ->
-  ?give_diameter:bool ->
-  ?pool:Par.pool ->
-  ?jobs:int ->
-  ?obs:Obs.Metrics.registry ->
   config ->
   ('s, 'm) Amac.Algorithm.t ->
   topology:Amac.Topology.t ->
@@ -139,8 +104,6 @@ type ('s, 'm) snapshot_set
     and crash budgets. Violations encountered while sampling are
     ignored. *)
 val sample :
-  ?give_n:bool ->
-  ?give_diameter:bool ->
   config ->
   ('s, 'm) Amac.Algorithm.t ->
   topology:Amac.Topology.t ->

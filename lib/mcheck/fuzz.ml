@@ -52,10 +52,7 @@ type fault_profile = {
 
 type config = {
   max_n : int;
-  max_fack : int;
-  max_crashes : int;
   kinds : topo_kind list;
-  give_n : bool;
   check_termination : bool;
   max_time : int;
   faults : fault_profile option;
@@ -64,14 +61,16 @@ type config = {
 let default =
   {
     max_n = 6;
-    max_fack = 8;
-    max_crashes = 2;
     kinds = [ Clique; Line ];
-    give_n = true;
     check_termination = false;
     max_time = 100_000;
     faults = None;
   }
+
+(* F_ack is drawn from [1, max_fack] and the crash pattern's size from
+   [0, max_crashes]. *)
+let max_fack = 8
+let max_crashes = 2
 
 let default_fault_profile =
   {
@@ -97,8 +96,7 @@ let violations_of config (result : Consensus.Runner.result) =
   else safety
 
 let run_case ?(record_trace = false) ?obs config algorithm case =
-  Consensus.Runner.run algorithm ~give_n:config.give_n
-    ~topology:(topology_of case)
+  Consensus.Runner.run algorithm ~topology:(topology_of case)
     ~scheduler:(Amac.Scheduler.replay case.plan)
     ~inputs:case.inputs ~crashes:case.crashes ~faults:case.faults
     ~max_time:config.max_time ~record_trace ?obs
@@ -187,17 +185,17 @@ let generate config algorithm rng =
     | (Clique | Line | Ring | Star) as k -> k
   in
   let kind = if n < 3 && kind = Ring then Clique else kind in
-  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_fack) in
+  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
   let inputs = Array.init n (fun _ -> if Amac.Rng.bool rng then 1 else 0) in
   let crashes, faults =
     gen_faults rng ~n ~fack
-      ~crashes:(Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes)
+      ~crashes:(Campaign.early_crashes rng ~n ~fack ~max:max_crashes)
       config.faults
   in
   let base = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let recording, recorded = Amac.Scheduler.record base in
   let result =
-    Consensus.Runner.run algorithm ~give_n:config.give_n
+    Consensus.Runner.run algorithm
       ~topology:
         (topology_of { kind; n; fack; inputs; crashes; faults; plan = [] })
       ~scheduler:recording ~inputs ~crashes ~faults ~max_time:config.max_time

@@ -1,9 +1,10 @@
 (** Seeded schedule/crash fuzzing with counterexample shrinking — the
     consensus campaign for {!Campaign}.
 
-    Each iteration draws a topology, inputs, [F_ack], a crash pattern
-    ({!Campaign.early_crashes}: times land inside broadcast windows, so
-    crash-mid-broadcast non-atomicity is exercised) and a random scheduler
+    Each iteration draws a topology, inputs, [F_ack] in [\[1, 8\]], a crash
+    pattern of at most 2 crashes ({!Campaign.early_crashes}: times land
+    inside broadcast windows, so crash-mid-broadcast non-atomicity is
+    exercised) and a random scheduler
     wrapped in {!Amac.Scheduler.record}. The run goes through
     {!Consensus.Runner.run} and is judged by
     {!Consensus.Checker.safety_violations} (termination optionally too).
@@ -52,10 +53,7 @@ type fault_profile = {
 
 type config = {
   max_n : int;  (** nodes drawn from [\[2, max_n\]] *)
-  max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
-  max_crashes : int;  (** crash-pattern size drawn from [\[0, max_crashes\]] *)
   kinds : topo_kind list;  (** topology families to draw from *)
-  give_n : bool;
   check_termination : bool;
       (** when true, a completed run (not cut off by [max_time]) in which a
           live node never decided also counts as a failure *)
@@ -66,8 +64,7 @@ type config = {
           windows and times alongside the other dimensions *)
 }
 
-(** n ≤ 6, F_ack ≤ 8, ≤ 2 crashes, cliques and lines, safety-only, no fault
-    plans. *)
+(** n ≤ 6, cliques and lines, safety-only, no fault plans. *)
 val default : config
 
 (** ≤ 2 recoveries, ≤ 2 loss windows, ≤ 1 partition, ≤ 1 stutter, windows

@@ -227,8 +227,7 @@ let pp_msg m =
   String.concat "|"
     (List.map (fun (g, p) -> Printf.sprintf "g%d:%s" g (Smr.pp_msg p)) m)
 
-let make ?window ?(batch = 1) ?on_apply ?on_suspect ?members_of ?compact_every
-    ?patience ?backoff ?repair_retries ?clock ~groups () =
+let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
   if groups < 1 || groups > max_groups then
     invalid_arg "Shard.make: groups outside 1..64";
   if batch < 1 then invalid_arg "Shard.make: batch < 1";
@@ -273,12 +272,8 @@ let make ?window ?(batch = 1) ?on_apply ?on_suspect ?members_of ?compact_every
           | None -> ())
         cmds
     in
-    let on_suspect_inner =
-      Option.map (fun f ~node ~suspect -> f ~node ~group:g ~suspect) on_suspect
-    in
     let members = Option.map (fun f -> f g) members_of in
-    Smr.make ?window ~on_apply:on_apply_inner ?on_suspect:on_suspect_inner
-      ?members ?compact_every ?patience ?backoff ?repair_retries ?clock ()
+    Smr.make ?window ~on_apply:on_apply_inner ?members ?clock ()
   in
   let rec build g acc =
     if g >= groups then List.rev acc else build (g + 1) (mk g :: acc)

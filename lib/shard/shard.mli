@@ -82,20 +82,17 @@ val route : handle -> key:int -> cmd:int -> int
     (node, group). [members_of g] is group [g]'s voting configuration
     (default: all nodes; groups may overlap). [on_apply] fires per
     {e client} command, batches expanded, exactly once per (node,
-    group, command). Remaining parameters are passed through to every
-    inner {!Smr.make}.
+    group, command). [window] and [clock] are passed through to every
+    inner {!Smr.make}, whose other parameters keep their defaults: no
+    compaction, a fixed [4n + 16] detector patience and 8 repair
+    retries.
     @raise Invalid_argument if [groups < 1], [groups > 64] or
     [batch < 1]. *)
 val make :
   ?window:int ->
   ?batch:int ->
   ?on_apply:(node:int -> group:int -> cmd:int -> unit) ->
-  ?on_suspect:(node:int -> group:int -> suspect:int -> unit) ->
   ?members_of:(int -> int list) ->
-  ?compact_every:int ->
-  ?patience:int ->
-  ?backoff:int ->
-  ?repair_retries:int ->
   ?clock:int ref ->
   groups:int ->
   unit ->

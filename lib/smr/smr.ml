@@ -164,7 +164,6 @@ type config = {
   on_apply : (node:int -> index:int -> cmd:int -> unit) option;
   on_suspect : (node:int -> suspect:int -> unit) option;
   patience : int option;
-  backoff : int;
   compact_every : int option;
   repair_retries : int;
   members : int list option;
@@ -1434,8 +1433,7 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
   in
   let fd =
     Fd.create
-      ~patience:(Option.value cfg.patience ~default:((4 * n) + 16))
-      ~backoff:cfg.backoff ~me ()
+      ~patience:(Option.value cfg.patience ~default:((4 * n) + 16)) ~me ()
   in
   if omega0 <> me then Fd.watch fd ~peer:omega0;
   let st =
@@ -1779,7 +1777,7 @@ let clone_state st =
   }
 
 let make ?(window = 4) ?on_apply ?on_suspect ?members ?compact_every ?patience
-    ?(backoff = 1) ?(repair_retries = 8) ?clock () =
+    ?(repair_retries = 8) ?clock () =
   if window < 1 then invalid_arg "Smr.make: window must be >= 1";
   (match compact_every with
   | Some k when k < 1 -> invalid_arg "Smr.make: compact_every must be >= 1"
@@ -1787,7 +1785,6 @@ let make ?(window = 4) ?on_apply ?on_suspect ?members ?compact_every ?patience
   (match patience with
   | Some p when p < 1 -> invalid_arg "Smr.make: patience must be >= 1"
   | Some _ | None -> ());
-  if backoff < 1 then invalid_arg "Smr.make: backoff must be >= 1";
   if repair_retries < 0 then
     invalid_arg "Smr.make: repair_retries must be >= 0";
   (match members with
@@ -1806,7 +1803,6 @@ let make ?(window = 4) ?on_apply ?on_suspect ?members ?compact_every ?patience
       on_apply;
       on_suspect;
       patience;
-      backoff;
       compact_every;
       repair_retries;
       members;

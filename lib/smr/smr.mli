@@ -114,9 +114,8 @@ type handle
       every time the commit index advances this many instances past the
       floor (default: never compact).
     @param patience the ◇P detector's own-ack silence budget before the
-      leader is suspected (default [4n + 16]; see {!Fd}).
-    @param backoff detector patience multiplier applied on every cleared
-      (false) suspicion (default [1] = fixed patience).
+      leader is suspected (default [4n + 16]; see {!Fd}). It stays fixed
+      for the whole run.
     @param repair_retries how many times a replica re-answers a straggler
       whose commit index stays put (default 8; [0] = answer only when a
       heartbeat is heard, the pre-PR 7 behavior — a single lost repair can
@@ -130,8 +129,8 @@ type handle
       Purely observational — proposing behaviour is identical with or
       without it.
     @raise Invalid_argument on out-of-range parameters ([window < 1],
-      [compact_every < 1], [patience < 1], [backoff < 1],
-      [repair_retries < 0], empty [members], member ids outside 0..29). *)
+      [compact_every < 1], [patience < 1], [repair_retries < 0], empty
+      [members], member ids outside 0..29). *)
 val make :
   ?window:int ->
   ?on_apply:(node:int -> index:int -> cmd:int -> unit) ->
@@ -139,7 +138,6 @@ val make :
   ?members:int list ->
   ?compact_every:int ->
   ?patience:int ->
-  ?backoff:int ->
   ?repair_retries:int ->
   ?clock:int ref ->
   unit ->

@@ -1,19 +1,20 @@
 type config = {
-  max_fack : int;
-  max_alpha : int;
-  max_crashes : int;
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
 }
 
 let default =
   {
-    max_fack = 4;
-    max_alpha = 3;
-    max_crashes = 2;
     max_time = 200_000;
     faults = Some Mcheck.Fuzz.default_fault_profile;
   }
+
+(* F_ack is drawn from [1, max_fack], the per-contender ack stretch from
+   [0, max_alpha] (0 is the no-interference draw, kept on purpose) and the
+   crash pattern's size from [0, max_crashes]. *)
+let max_fack = 4
+let max_alpha = 3
+let max_crashes = 2
 
 type case = {
   spec : string;
@@ -68,13 +69,13 @@ let gen_spec rng =
           extra_bridges = Amac.Rng.int rng 3;
         }
 
-let generate config rng =
+let generate (config : config) rng =
   let spec = gen_spec rng in
   let topo_seed = Amac.Rng.int rng 1_000_000 in
   let topology = Topo_gen.generate ~seed:topo_seed spec in
   let n = Topo_gen.size spec in
-  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_fack) in
-  let alpha = Amac.Rng.int rng (config.max_alpha + 1) in
+  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
+  let alpha = Amac.Rng.int rng (max_alpha + 1) in
   let cap =
     if Amac.Rng.bool rng then None
     else Some (Amac.Rng.int_range rng ~lo:1 ~hi:(4 * fack))
@@ -98,7 +99,7 @@ let generate config rng =
   let crashes, faults =
     Mcheck.Fuzz.gen_faults rng ~n ~fack
       ~crashes:
-        (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes)
+        (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes)
       config.faults
   in
   let scheduler =

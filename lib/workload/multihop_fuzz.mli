@@ -12,11 +12,6 @@
     the reproducer — no record/replay or shrinking step. *)
 
 type config = {
-  max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
-  max_alpha : int;
-      (** per-contender ack stretch drawn from [\[0, max_alpha\]]; 0 is the
-          degenerate no-interference draw, kept in the pool on purpose *)
-  max_crashes : int;  (** crash-pattern size drawn from [\[0, max_crashes\]] *)
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
       (** [Some profile] turns the crashes into a full fault plan via
@@ -24,8 +19,10 @@ type config = {
           stutters) *)
 }
 
-(** F_ack ≤ 4, alpha ≤ 3, ≤ 2 crashes, fault plans on (the mcheck default
-    profile). Topology sizes are fixed inside the generator (grids up to
+(** Fault plans on (the mcheck default profile). Every iteration draws
+    F_ack from [\[1, 4\]], a per-contender ack stretch [alpha] from
+    [\[0, 3\]] (0 is the no-interference draw, kept on purpose) and at
+    most 2 crashes. Topology sizes are fixed inside the generator (grids up to
     5×5, RGGs up to 24 nodes, clustered meshes up to 4×5+2) so a campaign
     stays CI-sized. *)
 val default : config

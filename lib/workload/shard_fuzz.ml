@@ -1,9 +1,5 @@
 type config = {
   max_n : int;
-  max_fack : int;
-  max_groups : int;
-  max_batch : int;
-  max_crashes : int;
   cmds : int;
   max_time : int;
 }
@@ -11,13 +7,16 @@ type config = {
 let default =
   {
     max_n = 6;
-    max_fack = 6;
-    max_groups = 4;
-    max_batch = 6;
-    max_crashes = 2;
     cmds = 40;
     max_time = 400_000;
   }
+
+(* F_ack, the group count and the batch threshold are drawn from
+   [1, max_*]; the crash pattern's size from [0, max_crashes]. *)
+let max_fack = 6
+let max_groups = 4
+let max_batch = 6
+let max_crashes = 2
 
 type case = {
   n : int;
@@ -50,12 +49,12 @@ let generate config rng =
     | 1 -> Amac.Topology.line n
     | _ -> if n >= 3 then Amac.Topology.ring n else Amac.Topology.clique n
   in
-  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_fack) in
-  let groups = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_groups) in
-  let batch = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_batch) in
+  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
+  let groups = Amac.Rng.int_range rng ~lo:1 ~hi:max_groups in
+  let batch = Amac.Rng.int_range rng ~lo:1 ~hi:max_batch in
   let window = 1 + Amac.Rng.int rng 8 in
   let crashes =
-    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes
+    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes
   in
   let scheduler = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let wseed = Amac.Rng.int rng 1_000_000 in

@@ -10,15 +10,12 @@
 
 type config = {
   max_n : int;  (** nodes drawn from [\[3, max_n\]] *)
-  max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
-  max_groups : int;  (** groups drawn from [\[1, max_groups\]] *)
-  max_batch : int;  (** batch threshold drawn from [\[1, max_batch\]] *)
-  max_crashes : int;
   cmds : int;
   max_time : int;
 }
 
-(** n ≤ 6, F_ack ≤ 6, ≤ 4 groups, batch ≤ 6, ≤ 2 crashes, 40 commands. *)
+(** n ≤ 6, 40 commands. Every iteration draws F_ack from [\[1, 6\]], 1–4
+    groups, a batch threshold from [\[1, 6\]] and at most 2 crashes. *)
 val default : config
 
 (** One iteration's drawn parameters. *)

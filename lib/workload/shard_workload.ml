@@ -112,6 +112,9 @@ let run ?(window = 4) ?(batch = 4) ?(mean_gap = 2) ?(burst = 1)
   in
   let compiled = Fault.compile ~n faults in
   let crashes = crashes @ compiled.Fault.crashes in
+  (match obs with
+  | Some reg when faults <> [] -> Fault.record ~obs:reg faults
+  | _ -> ());
   let inputs = Array.make n 0 in
   let outcome =
     Amac.Engine.run algorithm ~topology ~scheduler ~inputs ~give_n:true

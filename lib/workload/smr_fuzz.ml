@@ -1,7 +1,5 @@
 type config = {
   max_n : int;
-  max_fack : int;
-  max_crashes : int;
   cmds : int;
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
@@ -11,13 +9,16 @@ type config = {
 let default =
   {
     max_n = 6;
-    max_fack = 6;
-    max_crashes = 2;
     cmds = 30;
     max_time = 400_000;
     faults = Some Mcheck.Fuzz.default_fault_profile;
     lifecycle = false;
   }
+
+(* F_ack is drawn from [1, max_fack] and the crash pattern's size from
+   [0, max_crashes]. *)
+let max_fack = 6
+let max_crashes = 2
 
 type case = {
   n : int;
@@ -61,11 +62,11 @@ let generate config rng =
     | 1 -> Amac.Topology.line n
     | _ -> if n >= 3 then Amac.Topology.ring n else Amac.Topology.clique n
   in
-  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:(max 1 config.max_fack) in
+  let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
   let crashes, faults =
     Mcheck.Fuzz.gen_faults rng ~n ~fack
       ~crashes:
-        (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:config.max_crashes)
+        (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes)
       config.faults
   in
   let window = 1 + Amac.Rng.int rng 8 in

@@ -12,8 +12,6 @@
 
 type config = {
   max_n : int;  (** nodes drawn from [\[3, max_n\]] *)
-  max_fack : int;  (** F_ack drawn from [\[1, max_fack\]] *)
-  max_crashes : int;  (** crash-pattern size drawn from [\[0, max_crashes\]] *)
   cmds : int;  (** commands per iteration *)
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
@@ -26,8 +24,9 @@ type config = {
           (off by default, keeping the baseline corpus bit-for-bit) *)
 }
 
-(** n ≤ 6, F_ack ≤ 6, ≤ 2 crashes, 30 commands, fault plans on (the mcheck
-    default profile), lifecycle draws off. *)
+(** n ≤ 6, 30 commands, fault plans on (the mcheck default profile),
+    lifecycle draws off. Every iteration draws F_ack from [\[1, 6\]] and at
+    most 2 crashes. *)
 val default : config
 
 (** One iteration's drawn parameters. *)

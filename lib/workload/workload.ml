@@ -37,7 +37,7 @@ let latency_buckets =
 
 let run ?(window = 4) ?(faults = []) ?(crashes = []) ?(max_time = 400_000)
     ?(record_trace = false) ?obs ?provenance ?members ?(reconfigs = [])
-    ?compact_every ?patience ?backoff ?repair_retries ?on_suspect ~topology
+    ?compact_every ?patience ?repair_retries ?on_suspect ~topology
     ~scheduler ~seed ~cmds ~mode () =
   if cmds < 0 then invalid_arg "Workload.run: cmds < 0";
   let n = Amac.Topology.size topology in
@@ -78,7 +78,7 @@ let run ?(window = 4) ?(faults = []) ?(crashes = []) ?(max_time = 400_000)
   in
   let algorithm, h =
     Smr.make ~window ~on_apply ?on_suspect ?members ?compact_every ?patience
-      ?backoff ?repair_retries ~clock ()
+      ?repair_retries ~clock ()
   in
   handle_ref := Some h;
   (* Reconfigurations ride the injection stream like client commands: the

@@ -80,8 +80,10 @@ val latency_buckets : float list
       crashed replica is lost, like any client request.
     @param compact_every log compaction watermark interval (see
       {!Smr.make}; default: never compact).
-    @param patience / backoff / repair_retries — ◇P detector and repair
-      tuning, passed through to {!Smr.make}.
+    @param patience the ◇P detector's fixed silence budget, passed through
+      to {!Smr.make} (default [4n + 16]).
+    @param repair_retries straggler repair budget, passed through to
+      {!Smr.make} (default 8).
     @param on_suspect called whenever a replica's detector suspects its
       current leader, with the engine clock — B11 measures detection
       latency with it.
@@ -103,7 +105,6 @@ val run :
   ?reconfigs:(int * int * int list) list ->
   ?compact_every:int ->
   ?patience:int ->
-  ?backoff:int ->
   ?repair_retries:int ->
   ?on_suspect:(now:int -> node:int -> suspect:int -> unit) ->
   topology:Amac.Topology.t ->

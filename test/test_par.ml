@@ -1,8 +1,8 @@
 (* The domain pool under its stated contract: results land in input order
    at any pool size, the lowest-index exception wins, pools are reusable
-   across maps and safe to shut down, and the parallel entry points built
-   on it (Campaign.run, Explore.explore_par) produce outcomes
-   byte-identical / verdict-equal to their sequential baselines. *)
+   across maps and safe to shut down, and the parallel entry point built
+   on it (Campaign.run) produces reports byte-identical to its sequential
+   baseline. *)
 
 let squares n = Array.init n (fun i -> i * i)
 
@@ -70,7 +70,6 @@ let test_clamps_to_one () =
 
 module Campaign = Mcheck.Campaign
 module Fuzz = Mcheck.Fuzz
-module Explore = Mcheck.Explore
 
 (* --- Campaign.run on a synthetic campaign --- *)
 
@@ -223,42 +222,6 @@ let test_smr_and_shard_campaigns_parallel () =
     (Shard_fuzz.campaign { Shard_fuzz.default with cmds = 16 })
     ~seed:9 [ 2 ]
 
-let test_explore_par_matches_serial () =
-  (* Exhaustive runs visit the same reachable set, so the distinct-state
-     count agrees exactly; transitions and the reduction counters are
-     visit-order dependent (which sleep set reaches a configuration first
-     decides what is pruned under it), so they are only sanity-bounded. *)
-  let config = { Explore.default with crash_budget = 1 } in
-  let run f =
-    f config Consensus.Two_phase.algorithm
-      ~topology:(Amac.Topology.clique 2) ~inputs:[| 0; 1 |]
-  in
-  let serial = run (fun c -> Explore.explore c) in
-  List.iter
-    (fun jobs ->
-      let par = run (fun c -> Explore.explore_par ~jobs c) in
-      Alcotest.(check int) "same states" serial.Explore.states
-        par.Explore.states;
-      Alcotest.(check bool) "transitions cover the states" true
-        (par.Explore.transitions >= par.Explore.states - 1);
-      Alcotest.(check bool) "clean verdict" true
-        (par.Explore.violations = [] && not par.Explore.truncated))
-    [ 2; 4 ]
-
-let test_explore_par_catches_literal () =
-  let stats =
-    Explore.explore_par ~jobs:4 Explore.default Consensus.Two_phase.literal
-      ~topology:(Amac.Topology.clique 3) ~inputs:[| 0; 1; 1 |]
-  in
-  match stats.Explore.violations with
-  | [] -> Alcotest.fail "parallel explorer missed the erratum"
-  | (violation, path) :: _ ->
-      Alcotest.(check bool) "agreement violation" true
-        (match violation with
-        | Consensus.Checker.Agreement_violation _ -> true
-        | _ -> false);
-      Alcotest.(check bool) "witness schedule attached" true (path <> [])
-
 let () =
   Alcotest.run "par"
     [
@@ -297,12 +260,5 @@ let () =
             test_run_par_shared_pool;
           Alcotest.test_case "smr and shard campaigns at 2 domains" `Quick
             test_smr_and_shard_campaigns_parallel;
-        ] );
-      ( "explore",
-        [
-          Alcotest.test_case "matches serial on exhaustive run" `Quick
-            test_explore_par_matches_serial;
-          Alcotest.test_case "catches the erratum" `Slow
-            test_explore_par_catches_literal;
         ] );
     ]

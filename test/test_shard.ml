@@ -6,7 +6,7 @@
    covers every group; a clean sharded run batches, commits everything
    and satisfies the checker; batch round-trip (expansion matches the
    per-replica flattened streams, partitioned by group); crash-regime
-   safety; negative tests proving the checker flags each sharded
+   safety; the fault plan mirrored into the metrics registry; negative tests proving the checker flags each sharded
    violation class; and byte-identical results under Par --jobs 1 vs 2. *)
 
 let check_clean label (r : Shard_workload.result) =
@@ -160,6 +160,24 @@ let test_crash_regime () =
   in
   check_clean "crash regime" r;
   Alcotest.(check bool) "most commands survive" true (r.committed > 30)
+
+let test_fault_plan_recorded () =
+  (* Like Workload.run, a run given both a fault plan and a registry
+     mirrors the plan into fault_events_total / fault_plan_horizon. *)
+  let obs = Obs.Metrics.create () in
+  let _ =
+    Shard_workload.run
+      ~topology:(Amac.Topology.clique 4)
+      ~scheduler:Amac.Scheduler.synchronous
+      ~faults:[ Fault.Crash { node = 1; at = 30 } ]
+      ~obs ~seed:1 ~cmds:20 ~groups:2 ()
+  in
+  let snapshot = Obs.Metrics.snapshot obs in
+  Alcotest.(check int) "one crash event recorded" 1
+    (Obs.Metrics.counter_of snapshot ~labels:[ ("kind", "crash") ]
+       "fault_events_total");
+  Alcotest.(check bool) "plan horizon recorded" true
+    (Obs.Metrics.find snapshot "fault_plan_horizon" <> None)
 
 let test_deterministic_replay () =
   let fingerprint (r : Shard_workload.result) =
@@ -418,6 +436,8 @@ let () =
           Alcotest.test_case "single group degenerates" `Quick
             test_single_group_degenerates;
           Alcotest.test_case "crash regime" `Quick test_crash_regime;
+          Alcotest.test_case "fault plan recorded in obs" `Quick
+            test_fault_plan_recorded;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
         ] );
