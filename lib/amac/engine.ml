@@ -1,3 +1,5 @@
+open Obs
+
 type outcome = {
   decisions : (int * int) option array;
   extra_decides : (int * int * int) list;
@@ -18,7 +20,6 @@ type outcome = {
   end_time : int;
   events_processed : int;
   hit_max_time : bool;
-  provenance : Obs.Provenance.t option;
   trace : Trace.entry list;
 }
 
@@ -66,10 +67,8 @@ type 'm event =
       sender : int;
       sender_inc : int;
       msg : 'm;
-      cause : int;
-          (* provenance vertex id of the broadcast; -1 when tracking is off *)
     }
-  | Ack of { node : int; inc : int; cause : int }
+  | Ack of { node : int; inc : int }
   | Inject of { node : int; payload : int }
       (* external input (a client submit) handed to [on_inject]; carries no
          incarnation — it targets whichever incarnation is up at pop time,
@@ -93,138 +92,30 @@ let key_of ~time event = (time * 8) + kind_priority event
 
 let time_of_key key = key / 8
 
-(* The engine's metrics instruments, registered once per run in a caller
-   supplied [Obs.Metrics] registry. Every instrument is labelled with the
-   algorithm and scheduler names; the per-node broadcast counters add a
-   [node] label. All updates are O(1) int/float bumps on the hot path. *)
-type instruments = {
-  events_total : Obs.Metrics.counter;
-  deliveries_total : Obs.Metrics.counter;
-  acks_total : Obs.Metrics.counter;
-  drops_stale : Obs.Metrics.counter;  (* crash/incarnation-cancelled *)
-  drops_link : Obs.Metrics.counter;  (* eaten by the [drop] fault hook *)
-  discards_total : Obs.Metrics.counter;
-  stutters_total : Obs.Metrics.counter;
-  crashes_total : Obs.Metrics.counter;
-  recoveries_total : Obs.Metrics.counter;
-  unreliable_total : Obs.Metrics.counter;
-  broadcasts_by_node : Obs.Metrics.counter array;
-  pqueue_depth_max : Obs.Metrics.gauge;
-  end_time_gauge : Obs.Metrics.gauge;
-  ack_latency : Obs.Metrics.histogram;
-  decide_latency : Obs.Metrics.histogram;
-  (* Per-node variants of the two latency histograms (same metric name, a
-     [node] label added), so leader and follower distributions separate in
-     snapshots — the global, unlabelled pair keeps its aggregate view. *)
-  ack_latency_by_node : Obs.Metrics.histogram array;
-  decide_latency_by_node : Obs.Metrics.histogram array;
-}
-
-let make_instruments reg ~algorithm ~scheduler ~n =
-  let labels = [ ("algorithm", algorithm); ("scheduler", scheduler) ] in
-  let counter name = Obs.Metrics.counter reg ~labels name in
-  {
-    events_total = counter "engine_events_total";
-    deliveries_total = counter "engine_deliveries_total";
-    acks_total = counter "engine_acks_total";
-    drops_stale =
-      Obs.Metrics.counter reg
-        ~labels:(("reason", "stale") :: labels)
-        "engine_drops_total";
-    drops_link =
-      Obs.Metrics.counter reg
-        ~labels:(("reason", "link") :: labels)
-        "engine_drops_total";
-    discards_total = counter "engine_discards_total";
-    stutters_total = counter "engine_stutters_total";
-    crashes_total = counter "engine_crashes_total";
-    recoveries_total = counter "engine_recoveries_total";
-    unreliable_total = counter "engine_unreliable_deliveries_total";
-    broadcasts_by_node =
-      Array.init n (fun i ->
-          Obs.Metrics.counter reg
-            ~labels:(("node", string_of_int i) :: labels)
-            "engine_broadcasts_total");
-    pqueue_depth_max = Obs.Metrics.gauge reg ~labels "engine_pqueue_depth_max";
-    end_time_gauge = Obs.Metrics.gauge reg ~labels "engine_end_time";
-    ack_latency = Obs.Metrics.histogram reg ~labels "engine_ack_latency_ticks";
-    decide_latency =
-      Obs.Metrics.histogram reg ~labels "engine_decide_latency_ticks";
-    ack_latency_by_node =
-      Array.init n (fun i ->
-          Obs.Metrics.histogram reg
-            ~labels:(("node", string_of_int i) :: labels)
-            "engine_ack_latency_ticks");
-    decide_latency_by_node =
-      Array.init n (fun i ->
-          Obs.Metrics.histogram reg
-            ~labels:(("node", string_of_int i) :: labels)
-            "engine_decide_latency_ticks");
-  }
-
-(* Interference-mode instruments, registered only when the scheduler
-   carries a [contention_stretch] hook: runs in the contention-free model
-   must keep byte-identical metrics snapshots, so these families never
-   exist there. One contention observation and one stretch observation per
-   accepted broadcast; per-node stretch histograms separate hot spots. *)
-type contention_instruments = {
-  contention_hist : Obs.Metrics.histogram;
-  contention_max : Obs.Metrics.gauge;
-  stretch_hist : Obs.Metrics.histogram;
-  stretch_by_node : Obs.Metrics.histogram array;
-}
-
-let make_contention_instruments reg ~algorithm ~scheduler ~n =
-  let labels = [ ("algorithm", algorithm); ("scheduler", scheduler) ] in
-  {
-    contention_hist =
-      Obs.Metrics.histogram reg ~labels "engine_contention_neighbors";
-    contention_max = Obs.Metrics.gauge reg ~labels "engine_contention_max";
-    stretch_hist =
-      Obs.Metrics.histogram reg ~labels "engine_ack_stretch_ticks";
-    stretch_by_node =
-      Array.init n (fun i ->
-          Obs.Metrics.histogram reg
-            ~labels:(("node", string_of_int i) :: labels)
-            "engine_ack_stretch_ticks");
-  }
-
-(* All the run state, advanced one event per [step]; [run] is [create], a
-   [step] loop, then [snapshot]. *)
+(* All the run state [run] advances one event at a time. Every observable
+   step is also announced as one [Event.t] to [observe] — the recorders
+   (trace, provenance, metrics) are folds over that stream. Each emit site
+   tests [observing] first, so an unobserved run allocates no event. *)
 type ('s, 'm) sim = {
   algorithm : ('s, 'm) Algorithm.t;
   topology : Topology.t;
   scheduler : Scheduler.t;
   unreliable : Topology.t option;
-  render_msg : 'm -> string;
-  max_time : int;
-  stop_when_all_decided : bool;
-  record_trace : bool;
   drop : (now:int -> sender:int -> receiver:int -> bool) option;
   stutter : (now:int -> node:int -> bool) option;
   substitute : (now:int -> sender:int -> receiver:int -> 'm -> 'm option) option;
   on_inject :
     (now:int -> payload:int -> Algorithm.ctx -> 's -> 'm Algorithm.action list)
     option;
-  clock : int ref option;  (* mirrors the current event time, for callbacks *)
+  observing : bool;
+  observe : 'm Event.observer;
   queue : 'm event Pqueue.t;
-  states : 's array;
+  mutable states : 's array;  (* [||] until every node has booted *)
   ctxs : Algorithm.ctx array;
-  prov : Obs.Provenance.t option;
-  last_info : int array;
-      (* per node, the vertex id of its latest *informational* event (Boot,
-         Inject or Deliver) — the Lamport-style predecessor any Broadcast or
-         Decide the node emits is attributed to. Attributing to information
-         rather than to the literal triggering event (often the Ack that
-         drained an algorithm-side send queue) keeps critical paths tracking
-         message relays across nodes; the serialization wait surfaces as
-         latency on the info->Broadcast edge instead. All -1 when [prov] is
-         off. *)
   crashed : bool array;
   crash_time : int array;
   incarnation : int array;
   busy : bool array;
-  busy_since : int array;  (* broadcast start time while busy; for ack latency *)
   plan_scratch : bool array;
       (* preallocated per-node marks for scheduler-plan validation: the
          neighbor set is marked and consumed in O(degree) per broadcast
@@ -242,8 +133,6 @@ type ('s, 'm) sim = {
          local contention read in O(1) at each broadcast. Maintained
          incrementally (O(degree) per transmission start/end, and
          adjusted by topology deltas), never by scanning. *)
-  obs : instruments option;
-  cobs : contention_instruments option;
   decisions : (int * int) option array;
   mutable extra_decides : (int * int * int) list;  (* newest first *)
   mutable broadcasts : int;
@@ -258,37 +147,8 @@ type ('s, 'm) sim = {
   mutable unreliable_deliveries : int;
   mutable injected : int;
   mutable topo_changes : int;
-  mutable events_processed : int;
-  mutable end_time : int;
-  mutable hit_max_time : bool;
-  mutable trace : Trace.entry list;  (* newest first *)
   mutable live_undecided : int;
-  mutable stopped : bool;
 }
-
-let log sim entry = if sim.record_trace then sim.trace <- entry :: sim.trace
-
-let obs_counter sim pick =
-  match sim.obs with Some i -> Obs.Metrics.inc (pick i) | None -> ()
-
-let obs_hist sim pick v =
-  match sim.obs with
-  | Some i -> Obs.Metrics.observe (pick i) (float_of_int v)
-  | None -> ()
-
-(* Append a provenance vertex. Purely observational: no recording ever
-   changes scheduling, handler inputs or the trace-entry sequence, so the
-   determinism contract is unaffected by whether a DAG is being collected. *)
-let prov_record sim ~kind ~node ~time ~cause =
-  match sim.prov with
-  | Some p -> Obs.Provenance.record p ~kind ~node ~time ~cause
-  | None -> -1
-
-(* Append a root vertex (Boot/Inject) and make it the node's latest
-   informational event. *)
-let prov_root sim ~kind ~node ~time =
-  if sim.prov <> None then
-    sim.last_info.(node) <- prov_record sim ~kind ~node ~time ~cause:(-1)
 
 (* End of a transmission for contention purposes: the ack arrived, or the
    sender crashed mid-broadcast (a dead radio stops loading the channel;
@@ -304,33 +164,23 @@ let end_transmission sim node =
       (Topology.neighbors sim.topology node)
   end
 
+(* [v] is a node whose scratch mark is set. *)
+let is_marked sim v =
+  v >= 0 && v < Array.length sim.plan_scratch && sim.plan_scratch.(v)
+
 let do_broadcast ~now sim sender msg =
   if sim.busy.(sender) then begin
     sim.discarded <- sim.discarded + 1;
-    obs_counter sim (fun i -> i.discards_total);
-    if sim.record_trace then
-      log sim
-        (Trace.Discarded { time = now; node = sender; msg = sim.render_msg msg })
+    if sim.observing then
+      sim.observe ~time:now (Event.Discard { node = sender; msg })
   end
   else begin
     sim.busy.(sender) <- true;
-    sim.busy_since.(sender) <- now;
     sim.broadcasts <- sim.broadcasts + 1;
-    obs_counter sim (fun i -> i.broadcasts_by_node.(sender));
     let ids = sim.algorithm.msg_ids msg in
     if ids > sim.max_ids then sim.max_ids <- ids;
-    (* Discarded broadcasts (the busy branch above) get no vertex: the MAC
-       layer never accepted them, so nothing downstream can be caused by
-       one. An accepted one is caused by the sender's latest informational
-       event — what its content can depend on. *)
-    let bid =
-      prov_record sim ~kind:Obs.Provenance.Broadcast ~node:sender ~time:now
-        ~cause:sim.last_info.(sender)
-    in
-    if sim.record_trace then
-      log sim
-        (Trace.Broadcast_start
-           { time = now; node = sender; ids; msg = sim.render_msg msg });
+    if sim.observing then
+      sim.observe ~time:now (Event.Broadcast { node = sender; ids; msg });
     let neighbors = Topology.neighbors sim.topology sender in
     (* Interference mode: read the sender's local contention (its own
        transmission excluded — it starts only below), derive the stretch,
@@ -346,14 +196,9 @@ let do_broadcast ~now sim sender msg =
         in
         if s < 0 then
           invalid_arg "Engine.run: contention stretch must be >= 0";
-        (match sim.cobs with
-        | Some ci ->
-            Obs.Metrics.observe ci.contention_hist (float_of_int contention);
-            Obs.Metrics.observe_max ci.contention_max
-              (float_of_int contention);
-            Obs.Metrics.observe ci.stretch_hist (float_of_int s);
-            Obs.Metrics.observe ci.stretch_by_node.(sender) (float_of_int s)
-        | None -> ());
+        if sim.observing then
+          sim.observe ~time:now
+            (Event.Contention { node = sender; contention; stretch = s });
         sim.on_air.(sender) <- true;
         List.iter
           (fun w -> sim.air_neighbors.(w) <- sim.air_neighbors.(w) + 1)
@@ -398,11 +243,7 @@ let do_broadcast ~now sim sender msg =
     let consumed =
       List.fold_left
         (fun acc (receiver, _) ->
-          if
-            receiver < 0
-            || receiver >= Array.length sim.plan_scratch
-            || not sim.plan_scratch.(receiver)
-          then
+          if not (is_marked sim receiver) then
             invalid_arg
               "Engine.run: scheduler must deliver to exactly the neighbor set";
           sim.plan_scratch.(receiver) <- false;
@@ -414,6 +255,9 @@ let do_broadcast ~now sim sender msg =
       invalid_arg
         "Engine.run: scheduler must deliver to exactly the neighbor set"
     end;
+    (* Every delivery lands in (now, ack_at]: with one broadcast in flight
+       per sender, a delivery or ack belongs to its sender's latest
+       broadcast, so queued events need not name the broadcast. *)
     let deliver (receiver, time) =
       if time <= now || time > plan.Scheduler.ack_at then
         invalid_arg
@@ -428,7 +272,6 @@ let do_broadcast ~now sim sender msg =
             sender;
             sender_inc = sim.incarnation.(sender);
             msg;
-            cause = bid;
           }
       in
       Pqueue.add sim.queue ~key:(key_of ~time event) event
@@ -454,16 +297,12 @@ let do_broadcast ~now sim sender msg =
           (try
              List.iter
                (fun (receiver, time) ->
-                 if
-                   receiver < 0
-                   || receiver >= Array.length sim.plan_scratch
-                   || not sim.plan_scratch.(receiver)
-                 then
+                 if not (is_marked sim receiver) then
                    invalid_arg
                      "Engine.run: unreliable delivery to a non-candidate";
                  deliver (receiver, time);
                  sim.unreliable_deliveries <- sim.unreliable_deliveries + 1;
-                 obs_counter sim (fun i -> i.unreliable_total))
+                 if sim.observing then sim.observe ~time:now Event.Unreliable)
                chosen
            with e ->
              List.iter (fun v -> sim.plan_scratch.(v) <- false) candidates;
@@ -471,7 +310,7 @@ let do_broadcast ~now sim sender msg =
           List.iter (fun v -> sim.plan_scratch.(v) <- false) candidates
         end
     | None, _ | _, None -> ());
-    let ack = Ack { node = sender; inc = sim.incarnation.(sender); cause = bid } in
+    let ack = Ack { node = sender; inc = sim.incarnation.(sender) } in
     Pqueue.add sim.queue ~key:(key_of ~time:plan.Scheduler.ack_at ack) ack
   end
 
@@ -480,13 +319,8 @@ let handle_decide ~now sim node value =
   | None ->
       sim.decisions.(node) <- Some (value, now);
       sim.live_undecided <- sim.live_undecided - 1;
-      obs_hist sim (fun i -> i.decide_latency) now;
-      obs_hist sim (fun i -> i.decide_latency_by_node.(node)) now;
-      ignore
-        (prov_record sim
-           ~kind:(Obs.Provenance.Decide { value })
-           ~node ~time:now ~cause:sim.last_info.(node));
-      log sim (Trace.Decided { time = now; node; value })
+      if sim.observing then
+        sim.observe ~time:now (Event.Decide { node; value })
   | Some (prior, _) ->
       if prior <> value then
         sim.extra_decides <- (node, value, now) :: sim.extra_decides
@@ -513,13 +347,25 @@ let apply_actions_faulted ~now sim node actions =
     let count = List.length actions in
     if count > 0 then begin
       sim.stuttered <- sim.stuttered + count;
-      (match sim.obs with
-      | Some i -> Obs.Metrics.add i.stutters_total count
-      | None -> ());
-      log sim (Trace.Stuttered { time = now; node; actions = count })
+      if sim.observing then
+        sim.observe ~time:now (Event.Stutter { node; actions = count })
     end
   end
   else apply_actions ~now sim node actions
+
+(* Run [node]'s [init] as its current incarnation — at time 0, and again on
+   every recovery — and return the fresh state. *)
+let boot ~now sim node =
+  if sim.observing then
+    sim.observe ~time:now
+      (Event.Boot { node; incarnation = sim.incarnation.(node) });
+  let state, actions = sim.algorithm.init sim.ctxs.(node) in
+  apply_actions_faulted ~now sim node actions;
+  state
+
+let drop_stale ~now sim =
+  sim.dropped <- sim.dropped + 1;
+  if sim.observing then sim.observe ~time:now Event.Stale
 
 (* Crash/recovery schedules must describe a consistent per-node lifetime:
    alternating crash < recover < crash < ... with strictly increasing times.
@@ -584,7 +430,164 @@ let validate_fault_schedule ~n ~crashes ~recoveries =
     walk `Up None events
   done
 
-let create ?identities ?(give_n = true) ?(give_diameter = false)
+let process ~now sim event =
+  match event with
+  | Crash { node } ->
+      if not sim.crashed.(node) then begin
+        end_transmission sim node;
+        sim.crashed.(node) <- true;
+        sim.crash_time.(node) <- now;
+        if sim.decisions.(node) = None then
+          sim.live_undecided <- sim.live_undecided - 1;
+        if sim.observing then sim.observe ~time:now (Event.Crash { node })
+      end
+  | Recover { node } ->
+      if sim.crashed.(node) then begin
+        (* Amnesiac restart: fresh state, a new incarnation number (so
+           anything still in flight to or from the old incarnation is
+           recognised as stale), and [init] runs again as if the node
+           just booted. Prior decisions stay in [decisions] — the
+           checker treats a decide as irrevocable, so a recovered node
+           re-deciding differently surfaces as an extra_decide. *)
+        sim.crashed.(node) <- false;
+        sim.crash_time.(node) <- max_int;
+        sim.incarnation.(node) <- sim.incarnation.(node) + 1;
+        sim.busy.(node) <- false;
+        if sim.decisions.(node) = None then
+          sim.live_undecided <- sim.live_undecided + 1;
+        sim.states.(node) <- boot ~now sim node
+      end
+  | Receive { node; receiver_inc; sender; sender_inc; msg } ->
+      if
+        sim.crashed.(node)
+        || receiver_inc <> sim.incarnation.(node)
+        (* the sender crashed mid-broadcast before this delivery, or has
+           since restarted as a new incarnation *)
+        || sim.crash_time.(sender) <= now
+        || sender_inc <> sim.incarnation.(sender)
+      then drop_stale ~now sim
+      else if
+        match sim.drop with
+        | Some f -> f ~now ~sender ~receiver:node
+        | None -> false
+      then begin
+        sim.link_dropped <- sim.link_dropped + 1;
+        if sim.observing then
+          sim.observe ~time:now (Event.Link_drop { node; sender })
+      end
+      else begin
+        (* Adversary hook: a Byzantine sender's payload may differ per
+           recipient ([Some msg'], equivocation/forgery — physical
+           inequality is what counts as tampering, so an identity
+           substitution stays invisible) or never arrive at all ([None],
+           selective silence). Honest traffic passes through untouched.
+           The sender's ack is never affected: the MAC layer kept its
+           contract; the *transmitter* lied. *)
+        let delivered =
+          match sim.substitute with
+          | None -> Some msg
+          | Some f -> f ~now ~sender ~receiver:node msg
+        in
+        match delivered with
+        | None ->
+            sim.suppressed <- sim.suppressed + 1;
+            if sim.observing then
+              sim.observe ~time:now (Event.Suppress { node; sender })
+        | Some msg' ->
+            let substituted = not (msg' == msg) in
+            if substituted then sim.substituted <- sim.substituted + 1;
+            sim.deliveries <- sim.deliveries + 1;
+            if sim.observing then
+              sim.observe ~time:now
+                (Event.Deliver { node; sender; msg = msg'; substituted });
+            let actions =
+              sim.algorithm.on_receive sim.ctxs.(node) sim.states.(node) msg'
+            in
+            apply_actions_faulted ~now sim node actions
+      end
+  | Ack { node; inc } ->
+      if (not sim.crashed.(node)) && inc = sim.incarnation.(node) then begin
+        end_transmission sim node;
+        sim.busy.(node) <- false;
+        if sim.observing then sim.observe ~time:now (Event.Ack { node });
+        let actions = sim.algorithm.on_ack sim.ctxs.(node) sim.states.(node) in
+        apply_actions_faulted ~now sim node actions
+      end
+  | Inject { node; payload } -> (
+      (* Lost (not buffered) if the node is down — clients of a crashed
+         replica get no service; with no [on_inject] handler the event
+         is inert. *)
+      if sim.crashed.(node) then drop_stale ~now sim
+      else
+        match sim.on_inject with
+        | None -> ()
+        | Some f ->
+            sim.injected <- sim.injected + 1;
+            if sim.observing then
+              sim.observe ~time:now (Event.Inject { node; payload });
+            let actions = f ~now ~payload sim.ctxs.(node) sim.states.(node) in
+            apply_actions_faulted ~now sim node actions)
+  | Topo { delta } ->
+      (* Keep the air_neighbors invariant exact under mutation: an
+         endpoint already on air starts (or stops) loading the other
+         endpoint the instant the edge appears (or vanishes). In-flight
+         deliveries over a removed edge still land — the message was
+         already on the wire. *)
+      Topology.apply_delta sim.topology delta;
+      (if sim.track_contention then
+         match delta with
+         | Topology.Add_edge (u, v) ->
+             if sim.on_air.(u) then
+               sim.air_neighbors.(v) <- sim.air_neighbors.(v) + 1;
+             if sim.on_air.(v) then
+               sim.air_neighbors.(u) <- sim.air_neighbors.(u) + 1
+         | Topology.Remove_edge (u, v) ->
+             if sim.on_air.(u) then
+               sim.air_neighbors.(v) <- sim.air_neighbors.(v) - 1;
+             if sim.on_air.(v) then
+               sim.air_neighbors.(u) <- sim.air_neighbors.(u) - 1);
+      sim.topo_changes <- sim.topo_changes + 1
+
+(* The recorders the caller asked for, as one observer: the provenance fold
+   (whose in-flight-broadcast lookup gives trace entries their causes), the
+   trace fold and the metrics fold. [None] when nothing observes. *)
+let recorders ~n ?provenance ~record_trace ?pp_msg ?obs ~interference
+    (algorithm : _ Algorithm.t) scheduler =
+  let prov, cause =
+    match provenance with
+    | Some dag ->
+        let observe, cause = Provenance.observer dag ~n in
+        ([ observe ], cause)
+    | None -> ([], fun _ -> -1)
+  in
+  let trace, entries =
+    if record_trace then
+      let pp_msg = Option.value pp_msg ~default:(fun _ -> "<msg>") in
+      let observe, entries = Trace.observer ~pp_msg ~cause in
+      ([ observe ], entries)
+    else ([], fun () -> [])
+  in
+  let metrics =
+    match obs with
+    | Some reg ->
+        [
+          Event.metrics reg ~algorithm:algorithm.name
+            ~scheduler:scheduler.Scheduler.name ~n ~interference;
+        ]
+    | None -> []
+  in
+  let both first second ~time event =
+    first ~time event;
+    second ~time event
+  in
+  let observe =
+    match prov @ trace @ metrics with
+    | [] -> None
+    | first :: rest -> Some (List.fold_left both first rest)
+  in
+  (observe, entries)
+
+let run ?identities ?(give_n = true) ?(give_diameter = false)
     ?(crashes = []) ?(recoveries = []) ?drop ?stutter ?substitute
     ?(injections = []) ?on_inject ?(topo_deltas = []) ?clock
     ?(max_time = 1_000_000) ?(stop_when_all_decided = true) ?provenance
@@ -626,16 +629,16 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
         ids
     | None -> Node_id.identity_assignment ~n ~kind:`Dense
   in
-  let render_msg =
-    match pp_msg with Some f -> f | None -> fun _ -> "<msg>"
+  (* One all-pairs BFS for the whole run, not one per node. *)
+  let diameter =
+    if give_diameter && n > 0 then Some (Topology.diameter topology) else None
   in
   let ctxs =
     Array.init n (fun i ->
         {
           Algorithm.id = identities.(i);
           n = (if give_n then Some n else None);
-          diameter =
-            (if give_diameter then Some (Topology.diameter topology) else None);
+          diameter;
           degree = Topology.degree topology i;
           input = inputs.(i);
         })
@@ -671,50 +674,33 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
           topo_deltas)
   in
   let track_contention = scheduler.Scheduler.contention_stretch <> None in
+  let observe, trace =
+    recorders ~n ?provenance ~record_trace ?pp_msg ?obs
+      ~interference:track_contention algorithm scheduler
+  in
   let sim =
     {
       algorithm;
       topology;
       scheduler;
       unreliable;
-      render_msg;
-      max_time;
-      stop_when_all_decided;
-      record_trace;
       drop;
       stutter;
       substitute;
       on_inject;
-      clock;
+      observing = observe <> None;
+      observe = Option.value observe ~default:(fun ~time:_ _ -> ());
       queue;
       states = [||];
       ctxs;
-      prov = provenance;
-      last_info = Array.make n (-1);
       crashed = Array.make n false;
       crash_time = Array.make n max_int;
       incarnation = Array.make n 0;
       busy = Array.make n false;
-      busy_since = Array.make n 0;
       plan_scratch = Array.make n false;
       track_contention;
       on_air = Array.make (if track_contention then n else 0) false;
       air_neighbors = Array.make (if track_contention then n else 0) 0;
-      obs =
-        (match obs with
-        | Some reg ->
-            Some
-              (make_instruments reg ~algorithm:algorithm.Algorithm.name
-                 ~scheduler:scheduler.Scheduler.name ~n)
-        | None -> None);
-      cobs =
-        (match obs with
-        | Some reg when track_contention ->
-            Some
-              (make_contention_instruments reg
-                 ~algorithm:algorithm.Algorithm.name
-                 ~scheduler:scheduler.Scheduler.name ~n)
-        | Some _ | None -> None);
       decisions = Array.make n None;
       extra_decides = [];
       broadcasts = 0;
@@ -729,243 +715,41 @@ let create ?identities ?(give_n = true) ?(give_diameter = false)
       unreliable_deliveries = 0;
       injected = 0;
       topo_changes = 0;
-      events_processed = 0;
-      end_time = 0;
-      hit_max_time = false;
-      trace = [];
       live_undecided = n;
-      stopped = false;
     }
   in
   (match clock with Some r -> r := 0 | None -> ());
   (* Initialise every node at time 0, in index order, interleaving each
      node's init with its first actions (scheduler plan calls must stay in
-     node order for stateful schedulers). Init actions never read [states],
-     so the placeholder array is safe; all mutations land before the
-     functional update below copies the field values. *)
-  let states =
-    Array.init n (fun i ->
-        prov_root sim
-          ~kind:(Obs.Provenance.Boot { incarnation = 0 })
-          ~node:i ~time:0;
-        let state, actions = algorithm.init ctxs.(i) in
-        apply_actions_faulted ~now:0 sim i actions;
-        state)
-  in
-  { sim with states }
-
-let step sim =
-  if sim.stopped then `Done
-  else if Pqueue.is_empty sim.queue then begin
-    sim.stopped <- true;
-    `Done
-  end
-  else begin
-    (match sim.obs with
-    | Some i ->
-        Obs.Metrics.observe_max i.pqueue_depth_max
-          (float_of_int (Pqueue.length sim.queue))
-    | None -> ());
-    let key, event = Pqueue.pop sim.queue in
-    let now = time_of_key key in
-    if now > sim.max_time then begin
-      sim.hit_max_time <- true;
-      sim.stopped <- true;
-      `Capped
-    end
+     node order for stateful schedulers). Init actions never read
+     [states]. *)
+  sim.states <- Array.init n (boot ~now:0 sim);
+  let events_processed = ref 0 and end_time = ref 0 in
+  (* Pop until the queue drains, every live node has decided, or an event
+     lies past [max_time]: that one stays unprocessed, and [loop] returns
+     [true] for a capped run. *)
+  let rec loop () =
+    if Pqueue.is_empty queue then false
     else begin
-      sim.events_processed <- sim.events_processed + 1;
-      obs_counter sim (fun i -> i.events_total);
-      sim.end_time <- now;
-      (match sim.clock with Some r -> r := now | None -> ());
-      (match sim.obs with
-      | Some i -> Obs.Metrics.set i.end_time_gauge (float_of_int now)
-      | None -> ());
-      (match event with
-      | Crash { node } ->
-          if not sim.crashed.(node) then begin
-            end_transmission sim node;
-            sim.crashed.(node) <- true;
-            sim.crash_time.(node) <- now;
-            if sim.decisions.(node) = None then
-              sim.live_undecided <- sim.live_undecided - 1;
-            obs_counter sim (fun i -> i.crashes_total);
-            log sim (Trace.Crashed { time = now; node })
-          end
-      | Recover { node } ->
-          if sim.crashed.(node) then begin
-            (* Amnesiac restart: fresh state, a new incarnation number (so
-               anything still in flight to or from the old incarnation is
-               recognised as stale), and [init] runs again as if the node
-               just booted. Prior decisions stay in [decisions] — the
-               checker treats a decide as irrevocable, so a recovered node
-               re-deciding differently surfaces as an extra_decide. *)
-            sim.crashed.(node) <- false;
-            sim.crash_time.(node) <- max_int;
-            sim.incarnation.(node) <- sim.incarnation.(node) + 1;
-            sim.busy.(node) <- false;
-            if sim.decisions.(node) = None then
-              sim.live_undecided <- sim.live_undecided + 1;
-            obs_counter sim (fun i -> i.recoveries_total);
-            log sim
-              (Trace.Recovered
-                 { time = now; node; incarnation = sim.incarnation.(node) });
-            (* The reborn incarnation's [init] is a fresh causal root: its
-               amnesiac state owes nothing to pre-crash events. *)
-            prov_root sim
-              ~kind:
-                (Obs.Provenance.Boot { incarnation = sim.incarnation.(node) })
-              ~node ~time:now;
-            let state, actions = sim.algorithm.init sim.ctxs.(node) in
-            sim.states.(node) <- state;
-            apply_actions_faulted ~now sim node actions
-          end
-      | Receive { node; receiver_inc; sender; sender_inc; msg; cause } ->
-          if sim.crashed.(node) || receiver_inc <> sim.incarnation.(node) then begin
-            sim.dropped <- sim.dropped + 1;
-            obs_counter sim (fun i -> i.drops_stale)
-          end
-          else if
-            sim.crash_time.(sender) <= now
-            || sender_inc <> sim.incarnation.(sender)
-          then begin
-            (* The sender crashed mid-broadcast before this delivery (or
-               has since restarted as a new incarnation). *)
-            sim.dropped <- sim.dropped + 1;
-            obs_counter sim (fun i -> i.drops_stale)
-          end
-          else if
-            match sim.drop with
-            | Some f -> f ~now ~sender ~receiver:node
-            | None -> false
-          then begin
-            sim.link_dropped <- sim.link_dropped + 1;
-            obs_counter sim (fun i -> i.drops_link);
-            log sim (Trace.Link_dropped { time = now; node; sender })
-          end
-          else begin
-            (* Adversary hook: a Byzantine sender's payload may differ per
-               recipient ([Some msg'], equivocation/forgery — physical
-               inequality is what counts as tampering, so an identity
-               substitution stays invisible) or never arrive at all ([None],
-               selective silence). Honest traffic passes through untouched.
-               The sender's ack is never affected: the MAC layer kept its
-               contract; the *transmitter* lied. *)
-            let delivered =
-              match sim.substitute with
-              | None -> Some msg
-              | Some f -> f ~now ~sender ~receiver:node msg
-            in
-            match delivered with
-            | None ->
-                sim.suppressed <- sim.suppressed + 1;
-                log sim (Trace.Suppressed { time = now; node; sender })
-            | Some msg' ->
-                if not (msg' == msg) then begin
-                  sim.substituted <- sim.substituted + 1;
-                  if sim.record_trace then
-                    log sim
-                      (Trace.Substituted
-                         {
-                           time = now;
-                           node;
-                           sender;
-                           msg = sim.render_msg msg';
-                         })
-                end;
-                sim.deliveries <- sim.deliveries + 1;
-                obs_counter sim (fun i -> i.deliveries_total);
-                (* The Deliver vertex is caused by the broadcast that put it
-                   on the wire, and becomes the receiver's latest
-                   informational event. The trace entry carries the
-                   *broadcast's* vertex id: what caused this delivery. *)
-                (if sim.prov <> None then
-                   let did =
-                     prov_record sim
-                       ~kind:(Obs.Provenance.Deliver { sender })
-                       ~node ~time:now ~cause
-                   in
-                   sim.last_info.(node) <- did);
-                if sim.record_trace then
-                  log sim
-                    (Trace.Delivered
-                       {
-                         time = now;
-                         node;
-                         sender;
-                         msg = sim.render_msg msg';
-                         cause;
-                       });
-                let actions =
-                  sim.algorithm.on_receive sim.ctxs.(node) sim.states.(node)
-                    msg'
-                in
-                apply_actions_faulted ~now sim node actions
-          end
-      | Ack { node; inc; cause } ->
-          if (not sim.crashed.(node)) && inc = sim.incarnation.(node) then begin
-            end_transmission sim node;
-            sim.busy.(node) <- false;
-            obs_counter sim (fun i -> i.acks_total);
-            obs_hist sim (fun i -> i.ack_latency) (now - sim.busy_since.(node));
-            obs_hist sim
-              (fun i -> i.ack_latency_by_node.(node))
-              (now - sim.busy_since.(node));
-            ignore
-              (prov_record sim ~kind:Obs.Provenance.Ack ~node ~time:now ~cause);
-            if sim.record_trace then log sim (Trace.Acked { time = now; node });
-            let actions = sim.algorithm.on_ack sim.ctxs.(node) sim.states.(node) in
-            apply_actions_faulted ~now sim node actions
-          end
-      | Inject { node; payload } ->
-          (* Lost (not buffered) if the node is down — clients of a crashed
-             replica get no service; with no [on_inject] handler the event
-             is inert. *)
-          if sim.crashed.(node) then begin
-            sim.dropped <- sim.dropped + 1;
-            obs_counter sim (fun i -> i.drops_stale)
-          end
-          else begin
-            match sim.on_inject with
-            | None -> ()
-            | Some f ->
-                sim.injected <- sim.injected + 1;
-                prov_root sim
-                  ~kind:(Obs.Provenance.Inject { payload })
-                  ~node ~time:now;
-                let actions =
-                  f ~now ~payload sim.ctxs.(node) sim.states.(node)
-                in
-                apply_actions_faulted ~now sim node actions
-          end
-      | Topo { delta } ->
-          (* Keep the air_neighbors invariant exact under mutation: an
-             endpoint already on air starts (or stops) loading the other
-             endpoint the instant the edge appears (or vanishes). In-flight
-             deliveries over a removed edge still land — the message was
-             already on the wire. *)
-          Topology.apply_delta sim.topology delta;
-          (if sim.track_contention then
-             match delta with
-             | Topology.Add_edge (u, v) ->
-                 if sim.on_air.(u) then
-                   sim.air_neighbors.(v) <- sim.air_neighbors.(v) + 1;
-                 if sim.on_air.(v) then
-                   sim.air_neighbors.(u) <- sim.air_neighbors.(u) + 1
-             | Topology.Remove_edge (u, v) ->
-                 if sim.on_air.(u) then
-                   sim.air_neighbors.(v) <- sim.air_neighbors.(v) - 1;
-                 if sim.on_air.(v) then
-                   sim.air_neighbors.(u) <- sim.air_neighbors.(u) - 1);
-          sim.topo_changes <- sim.topo_changes + 1);
-      if sim.stop_when_all_decided && sim.live_undecided = 0 then
-        sim.stopped <- true;
-      `Stepped
+      let key, event = Pqueue.pop queue in
+      let now = time_of_key key in
+      let depth = Pqueue.length queue + 1 in
+      if now > max_time then begin
+        if sim.observing then sim.observe ~time:now (Event.Capped { depth });
+        true
+      end
+      else begin
+        incr events_processed;
+        end_time := now;
+        (match clock with Some r -> r := now | None -> ());
+        if sim.observing then sim.observe ~time:now (Event.Step { depth });
+        process ~now sim event;
+        if stop_when_all_decided && sim.live_undecided = 0 then false
+        else loop ()
+      end
     end
-  end
-
-(* Called once, after the loop: the outcome takes the arrays over. *)
-let snapshot sim =
+  in
+  let hit_max_time = loop () in
   {
     decisions = sim.decisions;
     extra_decides = List.rev sim.extra_decides;
@@ -983,25 +767,8 @@ let snapshot sim =
     unreliable_deliveries = sim.unreliable_deliveries;
     injected = sim.injected;
     topo_changes = sim.topo_changes;
-    end_time = sim.end_time;
-    events_processed = sim.events_processed;
-    hit_max_time = sim.hit_max_time;
-    provenance = sim.prov;
-    trace = List.rev sim.trace;
+    end_time = !end_time;
+    events_processed = !events_processed;
+    hit_max_time;
+    trace = trace ();
   }
-
-let run ?identities ?give_n ?give_diameter ?crashes ?recoveries ?drop ?stutter
-    ?substitute ?injections ?on_inject ?topo_deltas ?clock ?max_time
-    ?stop_when_all_decided ?provenance ?record_trace ?pp_msg ?unreliable ?obs
-    algorithm ~topology ~scheduler ~inputs =
-  let sim =
-    create ?identities ?give_n ?give_diameter ?crashes ?recoveries ?drop
-      ?stutter ?substitute ?injections ?on_inject ?topo_deltas ?clock
-      ?max_time ?stop_when_all_decided ?provenance ?record_trace ?pp_msg
-      ?unreliable ?obs algorithm ~topology ~scheduler ~inputs
-  in
-  let continue = ref true in
-  while !continue do
-    match step sim with `Stepped -> () | `Done | `Capped -> continue := false
-  done;
-  snapshot sim

@@ -42,10 +42,8 @@
       and O(1) per read; with the hook absent the pre-existing hot path
       runs unchanged, and a hook returning 0 (zero contention, or
       [interference ~alpha:0]) leaves every event byte-identical to the
-      base scheduler's run. When [?obs] is given, interference runs
-      additionally register a contention histogram/high-water gauge and
-      global + per-node ack-stretch histograms — contention-free runs
-      never register these families, keeping their snapshots unchanged.
+      base scheduler's run. The metrics this mode adds under [?obs] are
+      {!Obs.Event.metrics}'s to define.
     - {b Topology deltas} ([topo_deltas]): churn/mobility events applied
       in place to a private copy of the graph (priority 5, after every
       other kind of the tick).
@@ -93,9 +91,6 @@ type outcome = {
   end_time : int;  (** time of the last processed event *)
   events_processed : int;
   hit_max_time : bool;  (** true when stopped by the [max_time] guard *)
-  provenance : Obs.Provenance.t option;
-      (** the causal DAG handed in via [?provenance] (shared, not copied:
-          the caller's object, echoed for convenience) *)
   trace : Trace.entry list;  (** empty unless [record_trace] *)
 }
 
@@ -113,6 +108,11 @@ val latest_decision : outcome -> int option
 (** [run algorithm ~topology ~scheduler ~inputs ...] executes the algorithm
     on every node until all non-crashed nodes have decided and the event
     queue drains, or until [max_time].
+
+    The three recorders ([provenance], [record_trace], [obs]) are folds
+    over one {!Obs.Event} stream the engine emits, and purely observational: no recorder changes scheduling, handler inputs or any
+    outcome field, so identical seeded runs record identical traces, DAGs
+    and metrics whether or not the others are on.
 
     @param identities per-node identities; default dense unique ids [0..n-1].
     @param inputs initial consensus values, one per node.
@@ -166,35 +166,19 @@ val latest_decision : outcome -> int option
       (default [true]; set [false] to let protocols drain, e.g. to observe
       post-decision message complexity).
     @param provenance a caller-owned {!Obs.Provenance} DAG the run appends
-      its causal vertices to (mirrors [obs]): one [Boot] root per node init
-      (time 0 and again on every recovery), one [Inject] root per handled
-      injection, one [Broadcast] per MAC-accepted broadcast (busy discards
-      get none) caused by the sender's latest {e informational} event (its
-      most recent [Boot]/[Inject]/[Deliver] — Lamport-style attribution;
-      see {!Obs.Provenance}), one [Deliver] per actual delivery and one
-      [Ack] per live ack — both caused by their broadcast — and one
-      [Decide] per node's first decision, caused by the node's latest
-      informational event. Recording is purely observational (never
-      changes scheduling or handler inputs), so identical seeded runs append
-      identical DAGs whether or not anything observes them. The same object
-      is echoed in [outcome.provenance]; [Trace.Delivered] entries carry
-      their broadcast's vertex id while a DAG is collected.
-    @param record_trace keep a {!Trace}; [pp_msg] renders payloads.
+      its causal vertices to; {!Obs.Provenance.observer} defines which
+      vertices and their causes. [Trace.Delivered] entries carry their
+      broadcast's vertex id while a DAG is collected.
+    @param record_trace keep a {!Trace} (see {!Trace.observer}); [pp_msg]
+      renders payloads.
     @param unreliable a second graph of {e unreliable} edges (disjoint from
       the reliable topology): the scheduler's [unreliable_plan] may deliver a
       broadcast to any subset of the sender's unreliable neighbors within
       the broadcast window, and the ack never waits for them — the dual-graph
       variant of the abstract MAC layer the paper's Sec 2 sets aside and
       Sec 5 poses as an open question.
-    @param obs a metrics registry the run instruments itself into: event,
-      delivery, ack, drop (labelled by reason: [stale] vs [link]), discard,
-      stutter, crash, recovery and unreliable-delivery counters; per-node
-      broadcast counters; the event-queue depth high-water mark; and
-      ack-latency and decide-latency histograms — the latter two both as a
-      global aggregate and per node (a [node] label), so leader and
-      follower latency distributions separate. All instruments carry
-      [algorithm] and [scheduler] labels. Identical seeded runs write
-      identical metrics (see {!Obs.Metrics.snapshot}).
+    @param obs a metrics registry the run instruments itself into; the
+      [engine_*] family is {!Obs.Event.metrics}'s.
     @raise Invalid_argument if [inputs] length mismatches the topology, if an
       unreliable edge duplicates a reliable one, if the crash/recovery
       schedule is malformed (out-of-range node, negative time, duplicate

@@ -17,6 +17,29 @@ type entry =
   | Suppressed of { time : int; node : int; sender : int }
   | Substituted of { time : int; node : int; sender : int; msg : string }
 
+let observer ~pp_msg ~cause =
+  let entries = ref [] in
+  let log e = entries := e :: !entries in
+  let observe ~time : _ Obs.Event.t -> unit = function
+    | Boot { node; incarnation } ->
+        if incarnation > 0 then log (Recovered { time; node; incarnation })
+    | Crash { node } -> log (Crashed { time; node })
+    | Broadcast { node; ids; msg } ->
+        log (Broadcast_start { time; node; ids; msg = pp_msg msg })
+    | Discard { node; msg } -> log (Discarded { time; node; msg = pp_msg msg })
+    | Deliver { node; sender; msg; substituted } ->
+        let msg = pp_msg msg in
+        if substituted then log (Substituted { time; node; sender; msg });
+        log (Delivered { time; node; sender; msg; cause = cause sender })
+    | Link_drop { node; sender } -> log (Link_dropped { time; node; sender })
+    | Suppress { node; sender } -> log (Suppressed { time; node; sender })
+    | Ack { node } -> log (Acked { time; node })
+    | Decide { node; value } -> log (Decided { time; node; value })
+    | Stutter { node; actions } -> log (Stuttered { time; node; actions })
+    | Step _ | Capped _ | Inject _ | Contention _ | Unreliable | Stale -> ()
+  in
+  (observe, fun () -> List.rev !entries)
+
 let time_of = function
   | Broadcast_start { time; _ }
   | Delivered { time; _ }

@@ -1,8 +1,9 @@
 (** Structured execution logs.
 
-    When recording is enabled, the engine emits one entry per simulation
-    event. Message payloads are rendered to strings at emission time (via the
-    caller-supplied printer) so the trace type stays monomorphic. *)
+    When recording is enabled, {!observer} folds the engine's
+    {!Obs.Event} stream into one entry per observable event. Message
+    payloads are rendered to strings as they arrive (via the caller-supplied
+    printer) so the trace type stays monomorphic. *)
 
 type entry =
   | Broadcast_start of { time : int; node : int; ids : int; msg : string }
@@ -40,6 +41,16 @@ type entry =
       (** the [substitute] adversary hook replaced the payload delivered to
           [node] — Byzantine equivocation or forgery; [msg] renders the
           payload actually delivered *)
+
+(** [observer ~pp_msg ~cause] is the fold that records a trace, rendering
+    payloads with [pp_msg], paired with the entries recorded so far, oldest
+    first. [cause sender] fills [Delivered.cause]: the vertex id of
+    [sender]'s in-flight broadcast, from {!Obs.Provenance.observer}, or
+    [fun _ -> -1] when no DAG is collected. *)
+val observer :
+  pp_msg:('m -> string) ->
+  cause:(int -> int) ->
+  'm Obs.Event.observer * (unit -> entry list)
 
 val time_of : entry -> int
 

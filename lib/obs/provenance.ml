@@ -79,6 +79,38 @@ let check t =
     t;
   List.rev !bad
 
+(* [last_info.(v)] is the vertex of [v]'s latest informational event (Boot,
+   Inject or Deliver): what a Broadcast or Decide of [v] is attributed to.
+   [current.(v)] is the vertex of [v]'s latest accepted Broadcast: the one a
+   Deliver from [v] or an Ack at [v] belongs to (see the .mli). *)
+let observer t ~n =
+  let last_info = Array.make n (-1) and current = Array.make n (-1) in
+  let observe ~time : _ Event.t -> unit = function
+    | Boot { node; incarnation } ->
+      last_info.(node) <-
+        record t ~kind:(Boot { incarnation }) ~node ~time ~cause:(-1)
+    | Inject { node; payload } ->
+      last_info.(node) <-
+        record t ~kind:(Inject { payload }) ~node ~time ~cause:(-1)
+    | Broadcast { node; _ } ->
+      current.(node) <-
+        record t ~kind:Broadcast ~node ~time ~cause:last_info.(node)
+    | Deliver { node; sender; _ } ->
+      last_info.(node) <-
+        record t ~kind:(Deliver { sender }) ~node ~time
+          ~cause:current.(sender)
+    | Ack { node } ->
+      ignore (record t ~kind:Ack ~node ~time ~cause:current.(node))
+    | Decide { node; value } ->
+      ignore
+        (record t ~kind:(Decide { value }) ~node ~time
+           ~cause:last_info.(node))
+    | Step _ | Capped _ | Crash _ | Discard _ | Contention _ | Unreliable
+    | Stale | Link_drop _ | Suppress _ | Stutter _ ->
+      ()
+  in
+  (observe, fun node -> current.(node))
+
 let kind_fields = function
   | Boot { incarnation } ->
     [ ("kind", Json.String "boot"); ("inc", Json.Int incarnation) ]

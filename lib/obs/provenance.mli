@@ -3,8 +3,9 @@
     Where {!Span} records {e when} things happened, provenance records {e
     why}: every vertex names the single event that caused it, so walking
     [cause] pointers from any vertex reaches the root input (a node boot or
-    an injection) whose consequence it is. The engine appends one vertex per
-    causally meaningful event:
+    an injection) whose consequence it is. {!observer} folds the engine's
+    {!Event} stream into one vertex per causally meaningful event, and it
+    alone holds the attribution rule:
 
     - [Boot] — a node's [init] ran (time 0, or again on recovery); a root.
     - [Inject] — an external injection was delivered; a root.
@@ -19,11 +20,16 @@
       ack chain; with informational attribution the serialization wait
       surfaces as {e latency} on the info→[Broadcast] edge instead, and
       paths track message relays across nodes (see {!Critpath}).
-    - [Deliver] — a message physically arrived at a receiver; caused by its
-      [Broadcast]. Byzantine substitution does not change the cause: the
-      vertex records what the wire did, not what the payload claimed.
-    - [Ack] — the sender's MAC-layer acknowledgement; caused by its
-      [Broadcast]. A leaf: nothing is attributed to an ack.
+    - [Deliver] — a message physically arrived at a receiver; caused by the
+      sender's latest [Broadcast]. Sec 2's contract makes that the right
+      one: a sender has one broadcast in flight until its ack, every
+      delivery of it lands no later than the ack, and deliveries from a
+      crashed or restarted sender are dropped as stale. Byzantine
+      substitution does not change the cause: the vertex records what the
+      wire did, not what the payload claimed.
+    - [Ack] — the sender's MAC-layer acknowledgement; caused by its latest
+      [Broadcast], by the same argument. A leaf: nothing is attributed to
+      an ack.
     - [Decide] — a node's first decision; caused by the node's latest
       informational event.
 
@@ -67,6 +73,12 @@ val get : t -> int -> vertex
 val iter : (vertex -> unit) -> t -> unit
 
 val to_list : t -> vertex list
+
+(** [observer t ~n] is the fold that appends an [n]-node run's vertices to
+    [t] (attribution as in the preamble), paired with the lookup from a
+    node to the vertex id of its latest accepted broadcast ([-1] before its
+    first) — the cause [Amac.Trace.Delivered] entries carry. *)
+val observer : t -> n:int -> 'm Event.observer * (int -> int)
 
 (** Structural invariant check: acyclicity ([cause < id]), root kinds are
     [Boot]/[Inject] only, every [Deliver]/[Ack] is caused by a [Broadcast],

@@ -22,7 +22,6 @@ let outcome ?(extra = []) ?(crashed = [||]) decisions : Amac.Engine.outcome =
     injected = 0;
     topo_changes = 0;
     hit_max_time = false;
-    provenance = None;
     trace = [];
   }
 

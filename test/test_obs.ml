@@ -326,6 +326,252 @@ let test_engine_instrumentation () =
   | Some _ -> Alcotest.fail "checker_safe gauge wrong"
   | None -> Alcotest.fail "checker_safe gauge missing"
 
+(* ------------------------------------------------------------------ *)
+(* The recorders as folds over the engine's event stream              *)
+(* ------------------------------------------------------------------ *)
+
+(* A chatty probe with string messages: each node broadcasts its input at
+   boot, then rebroadcasts what it hears (discarded while busy), sends on
+   every ack and relays injected payloads, [budget] sends per incarnation
+   in all, so every run drains. It decides on its third delivery. *)
+type chatter = { mutable sent : int; mutable heard : int }
+
+let budget = 4
+
+let send st msg =
+  if st.sent >= budget then []
+  else begin
+    st.sent <- st.sent + 1;
+    [ Amac.Algorithm.Broadcast msg ]
+  end
+
+let chatter : (chatter, string) Amac.Algorithm.t =
+  {
+    name = "chatter";
+    init =
+      (fun ctx ->
+        let st = { sent = 0; heard = 0 } in
+        (st, send st (string_of_int ctx.input)));
+    on_receive =
+      (fun _ctx st msg ->
+        st.heard <- st.heard + 1;
+        (if st.heard = 3 then [ Amac.Algorithm.Decide 3 ] else [])
+        @ send st msg);
+    on_ack = (fun _ctx st -> send st "ack");
+    msg_ids = (fun _ -> 1);
+    hooks = None;
+  }
+
+let chatter_inject ~now:_ ~payload _ctx st = send st (string_of_int payload)
+
+let count p l = List.length (List.filter p l)
+
+let dag_count dag p = count (fun v -> p v.Obs.Provenance.kind) (Obs.Provenance.to_list dag)
+
+(* Every unreliable neighbor hears every broadcast, at its ack. *)
+let flood_unreliable scheduler =
+  Amac.Scheduler.with_unreliable scheduler
+    ~plan:(fun ~now:_ ~sender:_ ~candidates ~ack_at ->
+      List.map (fun c -> (c, ack_at)) candidates)
+
+let test_every_path_reaches_every_recorder () =
+  (* One run down every engine path at once, with all three recorders on:
+     each recorder must mirror the outcome counter of each path. *)
+  let n = 4 in
+  let plan =
+    [
+      Fault.Link_drop { edge = (1, 2); from_ = 0; until = 6 };
+      Fault.Stutter { node = 3; from_ = 0; until = 4 };
+      Fault.Crash { node = 0; at = 4 };
+      Fault.Recover { node = 0; at = 9 };
+    ]
+  in
+  let faults = Fault.compile ~n plan in
+  (* Byzantine node 2: silent towards 3 before t=6, forging afterwards. *)
+  let substitute ~now ~sender ~receiver msg =
+    if sender <> 2 || receiver <> 3 then Some msg
+    else if now < 6 then None
+    else Some (msg ^ "!")
+  in
+  let scheduler = flood_unreliable (Amac.Scheduler.fixed ~delay:2) in
+  let dag = Obs.Provenance.create () and reg = Obs.Metrics.create () in
+  let o =
+    Amac.Engine.run chatter
+      ~topology:(Amac.Topology.line n)
+      ~unreliable:(Amac.Topology.of_edges ~n [ (0, 2); (1, 3) ])
+      ~scheduler ~inputs:[| 0; 1; 0; 1 |] ~crashes:faults.crashes
+      ~recoveries:faults.recoveries ?drop:faults.drop ?stutter:faults.stutter
+      ~substitute ~stop_when_all_decided:false ~provenance:dag
+      ~record_trace:true ~obs:reg
+  in
+  (* The fixture must reach every path, or the equalities prove nothing. *)
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check bool) (what ^ " exercised") true (v > 0))
+    [
+      ("stale drop", o.dropped);
+      ("link drop", o.link_dropped);
+      ("stutter", o.stuttered);
+      ("discard", o.discarded);
+      ("unreliable delivery", o.unreliable_deliveries);
+      ("suppression", o.suppressed);
+      ("substitution", o.substituted);
+      ("recovery", o.incarnations.(0));
+    ];
+  let snap = Obs.Metrics.snapshot reg in
+  let labels =
+    [ ("algorithm", "chatter"); ("scheduler", scheduler.Amac.Scheduler.name) ]
+  in
+  let counter ?(extra = []) name =
+    Obs.Metrics.counter_of snap ~labels:(extra @ labels) name
+  in
+  Alcotest.(check int) "stale drops" o.dropped
+    (counter ~extra:[ ("reason", "stale") ] "engine_drops_total");
+  Alcotest.(check int) "link drops" o.link_dropped
+    (counter ~extra:[ ("reason", "link") ] "engine_drops_total");
+  Alcotest.(check int) "stutters" o.stuttered (counter "engine_stutters_total");
+  Alcotest.(check int) "discards" o.discarded (counter "engine_discards_total");
+  Alcotest.(check int) "unreliable deliveries" o.unreliable_deliveries
+    (counter "engine_unreliable_deliveries_total");
+  Alcotest.(check int) "deliveries" o.deliveries
+    (counter "engine_deliveries_total");
+  Alcotest.(check int) "recoveries" o.incarnations.(0)
+    (counter "engine_recoveries_total");
+  (match Obs.Metrics.find snap ~labels "engine_end_time" with
+  | Some { value = Obs.Metrics.Gauge t; _ } ->
+      Alcotest.(check int) "end-time gauge" o.end_time (int_of_float t)
+  | Some _ | None -> Alcotest.fail "engine_end_time gauge missing");
+  let trace = o.trace in
+  Alcotest.(check int) "Link_dropped entries" o.link_dropped
+    (count (function Amac.Trace.Link_dropped _ -> true | _ -> false) trace);
+  Alcotest.(check int) "Suppressed entries" o.suppressed
+    (count (function Amac.Trace.Suppressed _ -> true | _ -> false) trace);
+  Alcotest.(check int) "Substituted entries" o.substituted
+    (count (function Amac.Trace.Substituted _ -> true | _ -> false) trace);
+  Alcotest.(check int) "Stuttered actions" o.stuttered
+    (List.fold_left
+       (fun acc -> function
+         | Amac.Trace.Stuttered { actions; _ } -> acc + actions | _ -> acc)
+       0 trace);
+  Alcotest.(check int) "one Deliver vertex per delivery" o.deliveries
+    (dag_count dag (function Obs.Provenance.Deliver _ -> true | _ -> false));
+  Alcotest.(check int) "one Boot vertex per init and recovery"
+    (n + Array.fold_left ( + ) 0 o.incarnations)
+    (dag_count dag (function Obs.Provenance.Boot _ -> true | _ -> false));
+  Alcotest.(check (list string)) "well-formed DAG" [] (Obs.Provenance.check dag)
+
+(* One random mix of every engine hook, drawn from [seed]. Every hook is a
+   pure function of its arguments, so the mix can be run twice. *)
+let hook_mix seed =
+  let rng = Amac.Rng.create seed in
+  let n = 3 + Amac.Rng.int rng 5 in
+  let fack = 1 + Amac.Rng.int rng 4 in
+  let topology = Amac.Topology.random_connected rng ~n ~extra_edges:2 in
+  let coin () = Amac.Rng.int rng 2 = 0 in
+  let crashes =
+    if coin () then [ (Amac.Rng.int rng n, 1 + Amac.Rng.int rng (4 * fack)) ]
+    else []
+  in
+  let crashes, plan =
+    Mcheck.Fuzz.gen_faults rng ~n ~fack ~crashes
+      (if coin () then Some Mcheck.Fuzz.default_fault_profile else None)
+  in
+  let faults = Fault.compile ~n plan in
+  let missing =
+    List.concat
+      (List.init n (fun u ->
+           List.filter_map
+             (fun v ->
+               if v > u && not (Amac.Topology.has_edge topology u v) then
+                 Some (u, v)
+               else None)
+             (List.init n Fun.id)))
+  in
+  let unreliable =
+    if missing <> [] && coin () then
+      Some (Amac.Topology.of_edges ~n (List.filter (fun _ -> coin ()) missing))
+    else None
+  in
+  let alpha = if coin () then Some (Amac.Rng.int rng 3) else None in
+  (* a fresh random stream per run, so every run sees one schedule *)
+  let scheduler () =
+    let s = Amac.Scheduler.random (Amac.Rng.create (seed + 1)) ~fack in
+    let s = if unreliable = None then s else flood_unreliable s in
+    match alpha with
+    | Some alpha -> Amac.Scheduler.interference ~alpha s
+    | None -> s
+  in
+  let forge = Amac.Rng.int rng 7 and mute = Amac.Rng.int rng 7 in
+  let substitute =
+    if coin () then
+      Some
+        (fun ~now ~sender ~receiver msg ->
+          match (now + (3 * sender) + (5 * receiver)) mod 7 with
+          | k when k = mute -> None
+          | k when k = forge -> Some (msg ^ "!")
+          | _ -> Some msg)
+    else None
+  in
+  let topo_deltas =
+    if coin () then
+      Topo_gen.churn ~seed topology ~events:(Amac.Rng.int rng 4) ~start:1
+        ~gap:fack
+    else []
+  in
+  let injections =
+    List.init (Amac.Rng.int rng 4) (fun i ->
+        (Amac.Rng.int rng n, 1 + Amac.Rng.int rng (6 * fack), i))
+  in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  fun ?provenance ?obs ~record_trace () ->
+    Amac.Engine.run chatter ~topology ?unreliable
+      ~scheduler:(scheduler ())
+      ~inputs ~crashes:(crashes @ faults.crashes)
+      ~recoveries:faults.recoveries ?drop:faults.drop
+      ?stutter:faults.stutter ?substitute ~topo_deltas ~injections
+      ~on_inject:chatter_inject ~stop_when_all_decided:false ~max_time:400
+      ?provenance ?obs ~record_trace
+
+let prop_recorders_observational =
+  QCheck.Test.make ~count:150
+    ~name:"recorders are observational; trace causes agree with the DAG"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let run = hook_mix seed in
+      let bare = run ~record_trace:false () in
+      let dag = Obs.Provenance.create () in
+      let full =
+        run ~provenance:dag ~obs:(Obs.Metrics.create ()) ~record_trace:true ()
+      in
+      let vertex = Obs.Provenance.get dag in
+      (* the trace's Delivered entries and the DAG's Deliver vertices are
+         the same deliveries, in the same order *)
+      let delivered =
+        List.filter_map
+          (function
+            | Amac.Trace.Delivered { time; sender; cause; _ } ->
+                Some (time, sender, cause)
+            | _ -> None)
+          full.trace
+      in
+      let deliver_vertices =
+        List.filter_map
+          (fun (v : Obs.Provenance.vertex) ->
+            match v.kind with
+            | Deliver { sender } -> Some (v.time, sender, v.cause)
+            | _ -> None)
+          (Obs.Provenance.to_list dag)
+      in
+      { full with trace = [] } = bare
+      && Obs.Provenance.check dag = []
+      && delivered = deliver_vertices
+      && List.for_all
+           (fun (time, sender, cause) ->
+             let b = vertex cause in
+             b.kind = Obs.Provenance.Broadcast
+             && b.node = sender && b.time <= time)
+           delivered)
+
 let () =
   Alcotest.run "obs"
     [
@@ -360,5 +606,11 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "engine instrumentation" `Quick
             test_engine_instrumentation;
+        ] );
+      ( "recorders",
+        [
+          Alcotest.test_case "every engine path reaches every recorder" `Quick
+            test_every_path_reaches_every_recorder;
+          QCheck_alcotest.to_alcotest prop_recorders_observational;
         ] );
     ]
