@@ -682,8 +682,8 @@ let fault_arg =
     value & opt_all string []
     & info [ "fault" ]
         ~doc:
-          "Fault event (repeatable): crash:N\\@T recover:N\\@T \
-           loss:U-V\\@A-B part:N1,N2,..\\@A-B stutter:N\\@A-B"
+          "Fault event (repeatable): crash:N@T recover:N@T \
+           loss:U-V@A-B part:N1,N2,..@A-B stutter:N@A-B"
         ~docv:"SPEC")
 
 let smr_term =

@@ -214,7 +214,9 @@ type state = {
   mutable snap_q : bool;  (* a snapshot transfer is queued *)
   (* client commands *)
   known_cmds : (int, unit) Hashtbl.t;
-  mutable cmd_pool : int list;  (* submitted, not yet known chosen; FIFO *)
+  cmd_pool : int Queue.t;
+      (* submitted commands, FIFO; an entry is live iff it is not in
+         [chosen_cmds], and the head is always live (see [drop_chosen]) *)
   chosen_cmds : (int, unit) Hashtbl.t;
   mutable forward_q : int list;
   (* proposer *)
@@ -244,7 +246,8 @@ type state = {
   responded : (int * int * int, unit) Hashtbl.t;  (* respond-once *)
   mutable response_q : pending_response list;
   (* decision flooding *)
-  mutable decide_q : (int * int) list;  (* (inst, value), FIFO *)
+  decide_q : (int * int) Queue.t;  (* (inst, value), FIFO *)
+  decide_set : (int * int, int) Hashtbl.t;  (* pairs in [decide_q] -> count *)
   (* transport *)
   mutable sending : bool;
   (* hardening, as in Wpaxos (always on: a replicated log only makes sense
@@ -348,6 +351,31 @@ let get_inst st i =
 let note_inst st i =
   if i + 1 > st.max_inst_seen then st.max_inst_seen <- i + 1
 
+let push_decision st d =
+  Queue.push d st.decide_q;
+  Hashtbl.replace st.decide_set d
+    (1 + Option.value ~default:0 (Hashtbl.find_opt st.decide_set d))
+
+let pop_decision st =
+  let d = Queue.take_opt st.decide_q in
+  (match d with
+  | Some d -> (
+      match Hashtbl.find st.decide_set d with
+      | 1 -> Hashtbl.remove st.decide_set d
+      | k -> Hashtbl.replace st.decide_set d (k - 1))
+  | None -> ());
+  d
+
+(* Lazy deletion: a pooled command dies when it enters [chosen_cmds], and
+   every place that grows [chosen_cmds] calls this, so the head of the pool
+   is always live. *)
+let rec drop_chosen st =
+  match Queue.peek_opt st.cmd_pool with
+  | Some c when Hashtbl.mem st.chosen_cmds c ->
+      ignore (Queue.pop st.cmd_pool);
+      drop_chosen st
+  | Some _ | None -> ()
+
 (* A node is complete when its chosen prefix covers everything it has heard
    of, no command it holds is still waiting for a slot, and no repair or
    snapshot transfer is pending. Complete nodes stop heartbeating (the
@@ -355,7 +383,7 @@ let note_inst st i =
    patience-bounded. *)
 let has_work st =
   st.commit_index < st.max_inst_seen
-  || st.cmd_pool <> []
+  || not (Queue.is_empty st.cmd_pool)
   || st.snap_q
   || (st.repair_hole >= 0 && st.repair_left > 0)
   || (st.omega = st.me
@@ -393,11 +421,9 @@ let dequeue_response st =
 
 let compose st =
   let components = ref [] in
-  (match st.decide_q with
-  | (inst, value) :: rest ->
-      st.decide_q <- rest;
-      components := Decision { inst; value } :: !components
-  | [] -> ());
+  (match pop_decision st with
+  | Some (inst, value) -> components := Decision { inst; value } :: !components
+  | None -> ());
   (if st.snap_q && st.snap_floor > 0 then begin
      st.snap_q <- false;
      components :=
@@ -547,26 +573,28 @@ let acceptor_respond st (message : proposer_msg) =
       end
       else if ok then begin
         st.promised <- Some pno;
-        let priors =
-          Hashtbl.fold
-            (fun i r acc ->
-              if i < from_inst then acc
-              else
-                match (r.chosen, r.accepted) with
-                | Some value, _ ->
-                    (* A value we know is CHOSEN — possibly learned via a
-                       repair decision, with no accepted record behind it
-                       (amnesiac restart) — is an unbeatable constraint.
-                       Report it with a top-ranked ballot so no new lease
-                       can steer the instance to a noop over our head. *)
-                    (i, { pno = { tag = max_int; proposer = 0 }; value })
-                    :: acc
-                | None, Some prior -> (i, prior) :: acc
-                | None, None -> acc)
-            st.insts []
+        (* Every accepted or chosen record sits below [max_inst_seen]
+           ([note_inst] runs wherever one is set), so walking down from
+           there builds the priors in instance order. *)
+        let rec collect i acc =
+          if i < from_inst then acc
+          else
+            let acc =
+              match Hashtbl.find_opt st.insts i with
+              | Some { chosen = Some value; _ } ->
+                  (* A value we know is CHOSEN — possibly learned via a
+                     repair decision, with no accepted record behind it
+                     (amnesiac restart) — is an unbeatable constraint.
+                     Report it with a top-ranked ballot so no new lease
+                     can steer the instance to a noop over our head. *)
+                  (i, { pno = { tag = max_int; proposer = 0 }; value }) :: acc
+              | Some { chosen = None; accepted = Some prior } ->
+                  (i, prior) :: acc
+              | Some { chosen = None; accepted = None } | None -> acc
+            in
+            collect (i - 1) acc
         in
-        let priors = List.sort (fun (a, _) (b, _) -> Int.compare a b) priors in
-        (Rprep, true, priors, None)
+        (Rprep, true, collect (st.max_inst_seen - 1) [], None)
       end
       else (Rprep, false, [], st.promised)
   | Propose { inst; value; _ } ->
@@ -730,9 +758,9 @@ and note_chosen st i value =
         r.chosen <- Some value;
         note_inst st i;
         if value <> noop then Hashtbl.replace st.chosen_cmds value ();
-        st.cmd_pool <- List.filter (fun c -> c <> value) st.cmd_pool;
+        drop_chosen st;
         (* Flood the decision exactly once per node. *)
-        st.decide_q <- st.decide_q @ [ (i, value) ];
+        push_decision st (i, value);
         refill st;
         advance_commit st;
         if st.omega = st.me then fill_window st
@@ -778,8 +806,7 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
         Hashtbl.replace st.chosen_cmds c ();
         Hashtbl.replace st.known_cmds c ())
       st.snap_configs;
-    st.cmd_pool <-
-      List.filter (fun c -> not (Hashtbl.mem st.chosen_cmds c)) st.cmd_pool;
+    drop_chosen st;
     (* Mid-transition snapshot: stage the closing final command here too. *)
     (match st.joint with
     | Some _ -> (
@@ -845,7 +872,7 @@ and pick_cmd st =
       | None -> false
     else true
   in
-  List.find_opt eligible st.cmd_pool
+  Seq.find eligible (Queue.to_seq st.cmd_pool)
 
 and choose_value st priors i =
   match Hashtbl.find_opt priors i with
@@ -1009,7 +1036,7 @@ and absorb_cmd st cmd =
   if cmd <> noop && not (Hashtbl.mem st.known_cmds cmd) then begin
     Hashtbl.replace st.known_cmds cmd ();
     if not (Hashtbl.mem st.chosen_cmds cmd) then begin
-      st.cmd_pool <- st.cmd_pool @ [ cmd ];
+      Queue.push cmd st.cmd_pool;
       refill st;
       if st.omega = st.me then
         match st.lease with
@@ -1066,8 +1093,8 @@ let queue_repair st ~lag_commit =
     else
       match Hashtbl.find_opt st.insts lag_commit with
       | Some { chosen = Some value; _ } ->
-          if not (List.mem (lag_commit, value) st.decide_q) then
-            st.decide_q <- st.decide_q @ [ (lag_commit, value) ]
+          if not (Hashtbl.mem st.decide_set (lag_commit, value)) then
+            push_decision st (lag_commit, value)
       | Some { chosen = None; _ } | None -> ()
 
 let clear_repair st =
@@ -1211,11 +1238,11 @@ let hardened_tick st =
       Consensus.Tree.readvertise st.tree ~root:st.omega;
       (* Re-flood the oldest pending command: a loss window may have eaten
          the original Forward before the leader saw it. Patience-bounded
-         like every other retransmission. *)
-      match st.cmd_pool with
-      | cmd :: _ when not (List.mem cmd st.forward_q) ->
+         like every other retransmission. The pool's head is live. *)
+      match Queue.peek_opt st.cmd_pool with
+      | Some cmd when not (List.mem cmd st.forward_q) ->
           st.forward_q <- st.forward_q @ [ cmd ]
-      | _ -> ()
+      | Some _ | None -> ()
     end;
     (* Straggler-repair retry: while a known hole stays put, re-answer it
        on an exponential backoff, [repair_retries] times. *)
@@ -1469,7 +1496,7 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       snap_epoch = 0;
       snap_q = false;
       known_cmds = Hashtbl.create 64;
-      cmd_pool = [];
+      cmd_pool = Queue.create ();
       chosen_cmds = Hashtbl.create 64;
       forward_q = [];
       max_tag = (match prior with Some old -> old.max_tag | None -> 0);
@@ -1482,7 +1509,8 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       vote_floor = floor0;
       responded = Hashtbl.create 64;
       response_q = [];
-      decide_q = [];
+      decide_q = Queue.create ();
+      decide_set = Hashtbl.create 8;
       sending = false;
       fd;
       idle_acks = 0;
@@ -1661,7 +1689,11 @@ let fingerprint_state st acc =
   |> F.option (F.list F.int) st.snap_joint
   |> F.int st.snap_epoch |> F.bool st.snap_q
   |> fp_tbl F.int fp_unit st.known_cmds
-  |> F.list F.int st.cmd_pool
+  (* live pool entries only: dead ones are not protocol state *)
+  |> F.list F.int
+       (Queue.to_seq st.cmd_pool
+       |> Seq.filter (fun c -> not (Hashtbl.mem st.chosen_cmds c))
+       |> List.of_seq)
   |> fp_tbl F.int fp_unit st.chosen_cmds
   |> F.list F.int st.forward_q
   |> F.int st.max_tag |> fp_lease st.lease |> F.int st.attempts_left
@@ -1685,7 +1717,7 @@ let fingerprint_state st acc =
          |> F.list (fp_pair F.int fp_prior) q.q_priors
          |> F.option fp_pno q.q_committed)
        st.response_q
-  |> F.list (fp_pair F.int F.int) st.decide_q
+  |> F.list (fp_pair F.int F.int) (List.of_seq (Queue.to_seq st.decide_q))
   |> F.bool st.sending |> Fd.fingerprint st.fd |> F.int st.idle_acks
   |> F.int st.next_refresh |> F.int st.progress_silence |> F.int st.next_retry
   |> F.int st.retries_left |> F.int st.patience_left |> F.int st.repair_node
@@ -1754,6 +1786,7 @@ let clone_state st =
     applied_set = Hashtbl.copy st.applied_set;
     known_cmds = Hashtbl.copy st.known_cmds;
     chosen_cmds = Hashtbl.copy st.chosen_cmds;
+    cmd_pool = Queue.copy st.cmd_pool;
     lease = clone_lease st.lease;
     proposing = clone_flights st.proposing;
     seen_props = Hashtbl.copy st.seen_props;
@@ -1773,6 +1806,8 @@ let clone_state st =
             q_committed = q.q_committed;
           })
         st.response_q;
+    decide_q = Queue.copy st.decide_q;
+    decide_set = Hashtbl.copy st.decide_set;
     fd = Fd.clone st.fd;
   }
 

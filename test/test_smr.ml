@@ -6,8 +6,9 @@
    plan, >= 200 commands, deterministic from one seed); leader crash
    mid-stream (re-election picks up the log); pipelining window extremes
    behave identically safety-wise; injections to a crashed replica are lost,
-   not ghost-submitted; and a seeded fuzz smoke over random
-   topology/scheduler/fault draws. *)
+   not ghost-submitted; a seeded fuzz smoke over random
+   topology/scheduler/fault draws; and a state-by-state digest and clone
+   independence under a long repair backlog. *)
 
 let check_clean label (r : Workload.result) =
   Alcotest.(check (list string))
@@ -209,6 +210,97 @@ let test_repair_regression () =
     fixed.commit_index_max fixed.commit_index_min;
   Alcotest.(check bool) "fixed covers the full log" true
     (fixed.commit_index_min >= fixed.committed)
+
+(* ------------------------------------------------------------------ *)
+(* The decision and command queues under a long repair backlog.
+
+   clique:5 under the bursty scheduler with open-loop arrivals (mean gap
+   1 tick), a link drop, a crash of node 0 with amnesiac recovery and a
+   partition of node 3: the stragglers push the decision queue to 99
+   entries and the command pool to 59. [on_step] sees the state after
+   every [on_receive] and [on_ack]. *)
+
+let backlog_run ~on_step =
+  let n = 5 and cmds = 200 in
+  let compiled =
+    Fault.compile ~n
+      [
+        Fault.Link_drop { edge = (0, 1); from_ = 2; until = 5 };
+        Fault.Crash { node = 0; at = 25 };
+        Fault.Recover { node = 0; at = 150 };
+        Fault.Partition { cut = [ 3 ]; from_ = 100; until = 140 };
+      ]
+  in
+  let alg, h = Smr.make () in
+  let algorithm =
+    {
+      alg with
+      Amac.Algorithm.on_receive =
+        (fun ctx st m ->
+          let actions = alg.on_receive ctx st m in
+          on_step st;
+          actions);
+      on_ack =
+        (fun ctx st ->
+          let actions = alg.on_ack ctx st in
+          on_step st;
+          actions);
+    }
+  in
+  let rng = Amac.Rng.create 42 in
+  let t = ref 0 in
+  let injections =
+    List.init cmds (fun i ->
+        let u = Amac.Rng.float rng 1.0 in
+        t := !t + max 1 (int_of_float (-.log (1.0 -. u)));
+        (Amac.Rng.int rng n, !t, i + 1))
+  in
+  let outcome =
+    Amac.Engine.run algorithm
+      ~topology:(Amac.Topology.clique n)
+      ~scheduler:(Amac.Scheduler.bursty ~fack:3 ~fast_len:40 ~slow_len:12)
+      ~inputs:(Array.make n 0) ~give_n:true ~crashes:compiled.crashes
+      ~recoveries:compiled.recoveries ?drop:compiled.drop
+      ?stutter:compiled.stutter ~injections ~on_inject:(Smr.injector h)
+      ~max_time:400_000 ~stop_when_all_decided:false
+  in
+  Alcotest.(check bool) "run quiesced" false outcome.hit_max_time;
+  Alcotest.(check (list string))
+    "no safety violations" []
+    (List.map Smr_checker.to_string (Smr_checker.check h))
+
+let fingerprint st = Amac.Fingerprint.(to_int (Smr.fingerprint_state st empty))
+
+(* Every replica's state after every handler call, folded in order: pins
+   the queues' contents and order at each step, not only at the end. The
+   expected value was computed with the list-backed queues. *)
+let test_backlog_digest () =
+  let digest = ref Amac.Fingerprint.empty in
+  backlog_run ~on_step:(fun st -> digest := Smr.fingerprint_state st !digest);
+  Alcotest.(check int) "run digest" 3117299265673714721
+    (Amac.Fingerprint.to_int !digest)
+
+(* A clone taken mid-backlog (both queues non-empty at step 3000)
+   fingerprints like its original and then stays put while the original
+   runs on. *)
+let test_clone_independent () =
+  let step = ref 0 and captured = ref None in
+  backlog_run ~on_step:(fun st ->
+      incr step;
+      match !captured with
+      | None when !step = 3_000 ->
+          let clone = Smr.clone_state st in
+          Alcotest.(check int) "clone fingerprints as the original"
+            (fingerprint st) (fingerprint clone);
+          captured := Some (st, clone, fingerprint clone)
+      | Some _ | None -> ());
+  match !captured with
+  | None -> Alcotest.fail "the run ended before the capture step"
+  | Some (st, clone, at_capture) ->
+      Alcotest.(check bool) "the original moved on" true
+        (fingerprint st <> at_capture);
+      Alcotest.(check int) "the clone did not move" at_capture
+        (fingerprint clone)
 
 (* ------------------------------------------------------------------ *)
 (* Tentpole: log compaction + snapshot transfer. *)
@@ -584,6 +676,13 @@ let () =
             test_overlapping_reconfigs_both_apply;
           Alcotest.test_case "lifecycle fuzz: reconfig+loss stays safe"
             `Quick test_lifecycle_fuzz_smoke;
+        ] );
+      ( "queues",
+        [
+          Alcotest.test_case "backlog run digest is pinned" `Quick
+            test_backlog_digest;
+          Alcotest.test_case "clone is independent of the original" `Quick
+            test_clone_independent;
         ] );
       ( "checker-negative",
         [
