@@ -1,0 +1,39 @@
+(** A priority queue for keys that mostly land a short distance past the
+    last one popped.
+
+    {!Engine} keys its events by [(time, kind)], and Sec 2's abstract MAC
+    contract puts every receive and ack of a broadcast within F_ack of it
+    (plus the interference stretch, when the scheduler has one). So almost
+    every key the engine adds is a few ticks past [now]. This queue keeps
+    those in a {e ring} of FIFOs, one per key, covering [span] keys from
+    the last popped key onward: an add appends to its key's FIFO and a pop
+    takes the head of the first non-empty one, both in constant time. Keys
+    outside the window — pre-scheduled faults, injections and topology
+    deltas, an unusually large stretch, or a key below the last popped one
+    — go to an overflow {!Pqueue}.
+
+    Pops come out in exactly {!Pqueue}'s order: by key, and by insertion
+    among equal keys. When equal keys are split between the overflow and
+    the ring, the overflow's were all inserted first (a key enters the ring
+    only once the window has reached it, and the window never moves back),
+    so the overflow wins ties. *)
+
+type 'a t
+
+(** [create ~span] is an empty queue whose ring covers at least [span]
+    consecutive keys (rounded up to a power of two).
+    @raise Invalid_argument if [span < 1]. *)
+val create : span:int -> 'a t
+
+(** [length q] is the number of queued entries, ring and overflow. *)
+val length : 'a t -> int
+
+(** [is_empty q] is [length q = 0]. *)
+val is_empty : 'a t -> bool
+
+(** [add q ~key v] enqueues [v] with priority [key]. *)
+val add : 'a t -> key:int -> 'a -> unit
+
+(** [pop q] removes and returns the minimum-key entry, ties broken by
+    insertion order. @raise Not_found if the queue is empty. *)
+val pop : 'a t -> int * 'a

@@ -86,11 +86,22 @@ let kind_priority = function
   | Inject _ -> 4
   | Topo _ -> 5
 
-(* Event-queue keys encode (time, kind priority); Pqueue breaks remaining
-   ties by insertion order, making runs bit-for-bit deterministic. *)
-let key_of ~time event = (time * 8) + kind_priority event
+(* Event-queue keys encode (time, kind priority), eight keys per tick; the
+   queue breaks remaining ties by insertion order, making runs bit-for-bit
+   deterministic. *)
+let keys_per_tick = 8
 
-let time_of_key key = key / 8
+let key_of ~time event = (time * keys_per_tick) + kind_priority event
+
+let time_of_key key = key / keys_per_tick
+
+(* The event queue's ring covers the keys of the current tick and the next
+   5 F_ack: a plan lands within F_ack, and the interference stretch's
+   default cap is 4 F_ack. Anything later (pre-scheduled events, a larger
+   stretch) waits in the queue's overflow. The ceiling keeps a scheduler
+   with a huge F_ack from allocating a huge ring. *)
+let queue_span (scheduler : Scheduler.t) =
+  min 4096 (keys_per_tick * ((5 * scheduler.fack) + 1))
 
 (* All the run state [run] advances one event at a time. Every observable
    step is also announced as one [Event.t] to [observe] — the recorders
@@ -109,7 +120,7 @@ type ('s, 'm) sim = {
     option;
   observing : bool;
   observe : 'm Event.observer;
-  queue : 'm event Pqueue.t;
+  queue : 'm event Bucket_queue.t;
   mutable states : 's array;  (* [||] until every node has booted *)
   ctxs : Algorithm.ctx array;
   crashed : bool array;
@@ -274,7 +285,7 @@ let do_broadcast ~now sim sender msg =
             msg;
           }
       in
-      Pqueue.add sim.queue ~key:(key_of ~time event) event
+      Bucket_queue.add sim.queue ~key:(key_of ~time event) event
     in
     List.iter deliver plan.Scheduler.receives;
     (* Unreliable edges: the scheduler may additionally deliver to any
@@ -311,7 +322,7 @@ let do_broadcast ~now sim sender msg =
         end
     | None, _ | _, None -> ());
     let ack = Ack { node = sender; inc = sim.incarnation.(sender) } in
-    Pqueue.add sim.queue ~key:(key_of ~time:plan.Scheduler.ack_at ack) ack
+    Bucket_queue.add sim.queue ~key:(key_of ~time:plan.Scheduler.ack_at ack) ack
   end
 
 let handle_decide ~now sim node value =
@@ -563,7 +574,7 @@ let recorders ~n ?provenance ~record_trace ?pp_msg ?obs ~interference
   let trace, entries =
     if record_trace then
       let pp_msg = Option.value pp_msg ~default:(fun _ -> "<msg>") in
-      let observe, entries = Trace.observer ~pp_msg ~cause in
+      let observe, entries = Trace.observer ~n ~pp_msg ~cause in
       ([ observe ], entries)
     else ([], fun () -> [])
   in
@@ -601,10 +612,23 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
   let topology =
     if topo_deltas = [] then topology else Topology.copy topology
   in
+  (* Endpoints are checked here, as for crashes and injections, so a bad
+     delta fails even when the run stops before its time comes. Presence
+     and absence depend on the deltas before it and are checked when it
+     applies. *)
   List.iter
-    (fun (time, _delta) ->
+    (fun (time, delta) ->
       if time < 0 then
-        invalid_arg "Engine.run: negative topology delta time")
+        invalid_arg "Engine.run: negative topology delta time";
+      let (Topology.Add_edge (u, v) | Topology.Remove_edge (u, v)) = delta in
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.run: topology delta edge (%d,%d) out of range [0,%d)" u v
+             n);
+      if u = v then
+        invalid_arg
+          (Printf.sprintf "Engine.run: topology delta self-loop at node %d" u))
     topo_deltas;
   if Array.length inputs <> n then
     invalid_arg "Engine.run: inputs length mismatches topology size";
@@ -655,24 +679,16 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
           (Printf.sprintf "Engine.run: negative injection time for node %d"
              node))
     injections;
-  let queue : 'm event Pqueue.t =
-    Pqueue.of_list
-      (List.map
-         (fun (node, time) -> (key_of ~time (Crash { node }), Crash { node }))
-         crashes
-      @ List.map
-          (fun (node, time) ->
-            (key_of ~time (Recover { node }), Recover { node }))
-          recoveries
-      @ List.map
-          (fun (node, time, payload) ->
-            (key_of ~time (Inject { node; payload }), Inject { node; payload }))
-          injections
-      @ List.map
-          (fun (time, delta) ->
-            (key_of ~time (Topo { delta }), Topo { delta }))
-          topo_deltas)
+  let queue = Bucket_queue.create ~span:(queue_span scheduler) in
+  let schedule ~time event =
+    Bucket_queue.add queue ~key:(key_of ~time event) event
   in
+  List.iter (fun (node, time) -> schedule ~time (Crash { node })) crashes;
+  List.iter (fun (node, time) -> schedule ~time (Recover { node })) recoveries;
+  List.iter
+    (fun (node, time, payload) -> schedule ~time (Inject { node; payload }))
+    injections;
+  List.iter (fun (time, delta) -> schedule ~time (Topo { delta })) topo_deltas;
   let track_contention = scheduler.Scheduler.contention_stretch <> None in
   let observe, trace =
     recorders ~n ?provenance ~record_trace ?pp_msg ?obs
@@ -729,11 +745,11 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
      lies past [max_time]: that one stays unprocessed, and [loop] returns
      [true] for a capped run. *)
   let rec loop () =
-    if Pqueue.is_empty queue then false
+    if Bucket_queue.is_empty queue then false
     else begin
-      let key, event = Pqueue.pop queue in
+      let key, event = Bucket_queue.pop queue in
       let now = time_of_key key in
-      let depth = Pqueue.length queue + 1 in
+      let depth = Bucket_queue.length queue + 1 in
       if now > max_time then begin
         if sim.observing then sim.observe ~time:now (Event.Capped { depth });
         true

@@ -49,6 +49,16 @@
       other kind of the tick).
     - Simultaneous events are processed deterministically: crashes, then
       recoveries, then deliveries, then acks; FIFO within a class.
+    - {b The event queue} is a {!Bucket_queue} keyed by (tick, kind): a
+      ring of FIFOs, one per key, spanning the current tick and the next
+      5 F_ack, plus an overflow heap. Sec 2 puts every receive and ack
+      within F_ack of its broadcast, and the interference stretch's
+      default cap is 4 F_ack, so almost every event the engine schedules
+      lands in the ring and costs O(1) to add and pop. Pre-scheduled
+      crashes, recoveries, injections and topology deltas, and any larger
+      stretch, wait in the overflow. The tie rule is insertion order, as
+      in a single heap: when one key has entries in both parts, the
+      overflow's were added first and pop first.
     - {b Influence} (who could have heard from whom) is not tracked
       separately: with [?provenance] the run records its causal DAG, and
       influence is a forward fold over it (each [Broadcast] vertex carries its
@@ -154,9 +164,10 @@ val latest_decision : outcome -> int option
       caller's topology is never mutated. Deliveries already scheduled
       over a removed edge still land (the message was on the wire);
       subsequent broadcasts see the new neighbor set. [ctx.degree] and
-      [ctx.diameter] snapshot the initial graph. A malformed delta
-      (adding a present edge, removing an absent one) raises at
-      application time.
+      [ctx.diameter] snapshot the initial graph. A delta with a negative
+      time, an endpoint outside [[0, n)] or a self-loop raises when [run]
+      is called; adding a present edge or removing an absent one raises
+      at application time.
     @param clock a cell the engine keeps equal to the current event time —
       lets callbacks buried inside the algorithm (e.g. an SMR apply hook)
       timestamp occurrences without threading [now] through every layer.
@@ -183,7 +194,9 @@ val latest_decision : outcome -> int option
       unreliable edge duplicates a reliable one, if the crash/recovery
       schedule is malformed (out-of-range node, negative time, duplicate
       crash of the same incarnation, recovery without or at the same instant
-      as a crash), or if the scheduler violates its contract. *)
+      as a crash), if an injection or a topology delta names a node out of
+      range or a negative time, if a delta is a self-loop, or if the
+      scheduler violates its contract. *)
 val run :
   ?identities:Node_id.t array ->
   ?give_n:bool ->

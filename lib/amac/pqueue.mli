@@ -1,9 +1,9 @@
 (** Binary min-heap priority queue keyed by integer priorities.
 
-    Used by {!Engine} as its event queue. Entries with equal keys are returned
-    in insertion order (the heap stores a monotonically increasing sequence
-    number alongside each key), which makes simulation runs fully
-    deterministic. *)
+    The overflow of the engine's {!Bucket_queue}, and the sharded
+    transport's outboxes. Entries with equal keys are returned in insertion
+    order (the heap stores a monotonically increasing sequence number
+    alongside each key), which makes simulation runs fully deterministic. *)
 
 type 'a t
 

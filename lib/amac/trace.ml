@@ -17,18 +17,31 @@ type entry =
   | Suppressed of { time : int; node : int; sender : int }
   | Substituted of { time : int; node : int; sender : int; msg : string }
 
-let observer ~pp_msg ~cause =
+let observer ~n ~pp_msg ~cause =
   let entries = ref [] in
   let log e = entries := e :: !entries in
+  (* Each node's latest broadcast and its rendering. A delivery of that very
+     message reuses the string, so a broadcast is rendered once, not once
+     per receiver. A substituted payload is physically different and is
+     rendered on its own. *)
+  let sent = Array.make n None and text = Array.make n "" in
+  let render sender msg =
+    match sent.(sender) with
+    | Some last when last == msg -> text.(sender)
+    | Some _ | None -> pp_msg msg
+  in
   let observe ~time : _ Obs.Event.t -> unit = function
     | Boot { node; incarnation } ->
         if incarnation > 0 then log (Recovered { time; node; incarnation })
     | Crash { node } -> log (Crashed { time; node })
     | Broadcast { node; ids; msg } ->
-        log (Broadcast_start { time; node; ids; msg = pp_msg msg })
+        let rendered = pp_msg msg in
+        sent.(node) <- Some msg;
+        text.(node) <- rendered;
+        log (Broadcast_start { time; node; ids; msg = rendered })
     | Discard { node; msg } -> log (Discarded { time; node; msg = pp_msg msg })
     | Deliver { node; sender; msg; substituted } ->
-        let msg = pp_msg msg in
+        let msg = render sender msg in
         if substituted then log (Substituted { time; node; sender; msg });
         log (Delivered { time; node; sender; msg; cause = cause sender })
     | Link_drop { node; sender } -> log (Link_dropped { time; node; sender })

@@ -42,12 +42,17 @@ type entry =
           [node] — Byzantine equivocation or forgery; [msg] renders the
           payload actually delivered *)
 
-(** [observer ~pp_msg ~cause] is the fold that records a trace, rendering
-    payloads with [pp_msg], paired with the entries recorded so far, oldest
-    first. [cause sender] fills [Delivered.cause]: the vertex id of
-    [sender]'s in-flight broadcast, from {!Obs.Provenance.observer}, or
-    [fun _ -> -1] when no DAG is collected. *)
+(** [observer ~n ~pp_msg ~cause] is the fold that records a trace of an
+    [n]-node run, rendering payloads with [pp_msg], paired with the entries
+    recorded so far, oldest first. A delivery of the sender's latest
+    broadcast message (physically equal to it) shares that broadcast's
+    rendered string, so [pp_msg] must be a pure function of the message;
+    substituted payloads and discards are rendered on their own.
+    [cause sender] fills [Delivered.cause]: the vertex id of [sender]'s
+    in-flight broadcast, from {!Obs.Provenance.observer}, or [fun _ -> -1]
+    when no DAG is collected. *)
 val observer :
+  n:int ->
   pp_msg:('m -> string) ->
   cause:(int -> int) ->
   'm Obs.Event.observer * (unit -> entry list)

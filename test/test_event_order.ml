@@ -1,0 +1,102 @@
+(* Event order at scale. The goldens pin small runs byte for byte; these
+   three pin the MD5 of the full rendered [Trace.pp] of runs whose queues
+   are deep or whose pre-scheduled events (injections, faults, topology
+   deltas) sit far ahead of the current tick, so any change to the engine's
+   event queue that reorders a single pop shows here.
+
+   The trace is rendered in chunks: each chunk's text is appended to the
+   running digest's hex and hashed again, so a 400-node trace never has to
+   exist as one string. To print the digests after an intentional change:
+
+     dune build @all && PRINT_DIGESTS=1 ./_build/default/test/test_event_order.exe *)
+
+module S = Amac.Scheduler
+
+let digest_of_trace entries =
+  let buf = Buffer.create 65536 in
+  let fmt = Format.formatter_of_buffer buf in
+  let acc = ref "" in
+  let fold () =
+    Format.pp_print_flush fmt ();
+    acc := Digest.to_hex (Digest.string (!acc ^ Buffer.contents buf));
+    Buffer.clear buf
+  in
+  List.iter
+    (fun entry ->
+      Format.fprintf fmt "%a@." Amac.Trace.pp_entry entry;
+      if Buffer.length buf >= 60_000 then fold ())
+    entries;
+  fold ();
+  !acc
+
+let check name expected (outcome : Amac.Engine.outcome) =
+  let got = digest_of_trace outcome.trace in
+  if Sys.getenv_opt "PRINT_DIGESTS" <> None then
+    Printf.printf "%s: %s (%d entries, %d events)\n" name got
+      (List.length outcome.trace) outcome.events_processed;
+  Alcotest.(check string) name expected got
+
+(* B14's 400-node grid under fixed(3)+sinr(alpha=2): a deep queue whose
+   stretched deliveries land up to F_ack + 4 * contention ticks ahead. *)
+let test_wpaxos_grid () =
+  let topology =
+    Topo_gen.generate ~seed:1 (Topo_gen.Grid { width = 20; height = 20 })
+  in
+  let n = Amac.Topology.size topology in
+  let inputs = Consensus.Runner.inputs_random (Amac.Rng.create 42) ~n in
+  let outcome =
+    Amac.Engine.run (Consensus.Wpaxos.make ()) ~topology
+      ~scheduler:(S.interference ~alpha:2 (S.fixed ~delay:3))
+      ~inputs ~record_trace:true ~pp_msg:Consensus.Wpaxos.pp_msg
+  in
+  check "wpaxos grid:20x20" "1e7af5f09ff2b20db52da256e35f7cfa" outcome
+
+(* SMR with an open-loop client schedule, so injections are queued from the
+   start far ahead of now, through a crash, its amnesiac recovery and a
+   partition. *)
+let test_smr_faults () =
+  let result =
+    Workload.run
+      ~faults:
+        [
+          Fault.Crash { node = 1; at = 150 };
+          Fault.Recover { node = 1; at = 420 };
+          Fault.Partition { cut = [ 3 ]; from_ = 600; until = 700 };
+        ]
+      ~topology:(Amac.Topology.clique 5)
+      ~scheduler:(S.bursty ~fack:3 ~fast_len:40 ~slow_len:12)
+      ~seed:42 ~cmds:400
+      ~mode:(Workload.Open_loop { mean_gap = 2 })
+      ~record_trace:true ()
+  in
+  check "smr clique:5" "6a0d7fa8cfecb9b61298fddb5907cee5"
+    result.Workload.outcome
+
+(* Churn and mobility deltas on a 10x10 grid, queued at the start for
+   times up to a few hundred ticks ahead. *)
+let test_topo_deltas () =
+  let topology =
+    Topo_gen.generate ~seed:3 (Topo_gen.Grid { width = 10; height = 10 })
+  in
+  let n = Amac.Topology.size topology in
+  let inputs = Consensus.Runner.inputs_random (Amac.Rng.create 7) ~n in
+  let churn = Topo_gen.churn ~seed:5 topology ~events:30 ~start:4 ~gap:9 in
+  let outcome =
+    Amac.Engine.run (Consensus.Wpaxos.make ()) ~topology
+      ~scheduler:(S.interference ~alpha:1 (S.random (Amac.Rng.create 11) ~fack:4))
+      ~inputs ~topo_deltas:churn ~record_trace:true
+      ~pp_msg:Consensus.Wpaxos.pp_msg
+  in
+  Alcotest.(check bool) "deltas applied" true (outcome.topo_changes > 0);
+  check "wpaxos churn grid:10x10" "42953f9e31e5ecc78e94b04aeb70d78c" outcome
+
+let () =
+  Alcotest.run "event_order"
+    [
+      ( "digest",
+        [
+          Alcotest.test_case "wpaxos grid:20x20 sinr" `Quick test_wpaxos_grid;
+          Alcotest.test_case "smr clique:5 faults" `Quick test_smr_faults;
+          Alcotest.test_case "topology deltas" `Quick test_topo_deltas;
+        ] );
+    ]

@@ -317,6 +317,35 @@ let test_topo_delta_validation () =
   Alcotest.(check bool) "caller topology untouched" false
     (Amac.Topology.has_edge topology 0 2)
 
+(* A delta's endpoints are checked when [run] is called, not when the
+   delta's time comes: a run that stops first, by [max_time] or because
+   every node decided, still rejects it. *)
+let test_topo_delta_endpoints_checked_up_front () =
+  let run ?max_time delta =
+    match
+      Amac.Engine.run once
+        ~topology:(Amac.Topology.clique 5)
+        ~scheduler:S.synchronous ~inputs:(Array.make 5 0) ?max_time
+        ~topo_deltas:[ (5, delta) ]
+    with
+    | exception Invalid_argument _ -> true
+    | outcome ->
+        Alcotest.(check int) "the delta never applied" 0
+          outcome.Amac.Engine.topo_changes;
+        false
+  in
+  List.iter
+    (fun (what, delta) ->
+      Alcotest.(check bool) (what ^ ", stopped by max_time") true
+        (run ~max_time:3 delta);
+      Alcotest.(check bool) (what ^ ", every node decided first") true
+        (run delta))
+    [
+      ("endpoint out of range", Amac.Topology.Add_edge (0, 99));
+      ("negative endpoint", Amac.Topology.Remove_edge (-1, 2));
+      ("self-loop", Amac.Topology.Add_edge (3, 3));
+    ]
+
 (* Contention accounting stays exact under churn: an edge added while the
    far endpoint is on air must load the near endpoint immediately. The
    sequence is pinned end-to-end by ack times. *)
@@ -377,6 +406,8 @@ let () =
             test_topo_delta_removal_quiets_edge;
           Alcotest.test_case "validation and copy isolation" `Quick
             test_topo_delta_validation;
+          Alcotest.test_case "endpoints checked up front" `Quick
+            test_topo_delta_endpoints_checked_up_front;
           Alcotest.test_case "contention exact under churn" `Quick
             test_contention_tracks_deltas;
         ] );

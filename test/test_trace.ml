@@ -111,6 +111,58 @@ let test_timeline_from_real_run () =
   Alcotest.(check bool) "renders" true (String.length grid > 20);
   Alcotest.(check bool) "has decisions" true (String.contains grid 'D')
 
+(* A Byzantine substitution is rendered on its own: the forged payload, not
+   the sender's broadcast string, lands on both the Substituted and the
+   Delivered entry, while honest deliveries share the broadcast's string
+   and so cost no extra [pp_msg] call. *)
+let test_forged_payload_rendered () =
+  let announce : (unit, string) Amac.Algorithm.t =
+    {
+      name = "announce";
+      init =
+        (fun ctx ->
+          ((), [ Amac.Algorithm.Broadcast (Printf.sprintf "m%d" ctx.input) ]));
+      on_receive = (fun _ () _ -> []);
+      on_ack = (fun ctx () -> [ Amac.Algorithm.Decide ctx.input ]);
+      msg_ids = (fun _ -> 0);
+      hooks = None;
+    }
+  in
+  let substitute ~now:_ ~sender ~receiver msg =
+    if sender = 0 && receiver = 2 then Some (msg ^ "!") else Some msg
+  in
+  let renders = ref 0 in
+  let pp_msg m =
+    incr renders;
+    "<" ^ m ^ ">"
+  in
+  let o =
+    Amac.Engine.run announce
+      ~topology:(Amac.Topology.clique 3)
+      ~scheduler:(Amac.Scheduler.fixed ~delay:1) ~inputs:[| 0; 1; 2 |]
+      ~substitute ~record_trace:true ~pp_msg
+  in
+  Alcotest.(check int) "one substitution" 1 o.substituted;
+  let received node sender =
+    List.filter_map
+      (function
+        | Amac.Trace.Delivered { node = n; sender = s; msg; _ }
+          when n = node && s = sender ->
+            Some msg
+        | _ -> None)
+      o.trace
+  in
+  Alcotest.(check (list string)) "forged Delivered" [ "<m0!>" ] (received 2 0);
+  Alcotest.(check (list string)) "honest Delivered" [ "<m0>" ] (received 1 0);
+  Alcotest.(check (list string)) "forged Substituted" [ "<m0!>" ]
+    (List.filter_map
+       (function
+         | Amac.Trace.Substituted { node = 2; sender = 0; msg; _ } -> Some msg
+         | _ -> None)
+       o.trace);
+  Alcotest.(check int) "each broadcast rendered once, plus the forgery"
+    (o.broadcasts + o.substituted) !renders
+
 let () =
   Alcotest.run "trace"
     [
@@ -125,5 +177,7 @@ let () =
             test_timeline_collisions;
           Alcotest.test_case "timeline from run" `Quick
             test_timeline_from_real_run;
+          Alcotest.test_case "forged payload rendered" `Quick
+            test_forged_payload_rendered;
         ] );
     ]
