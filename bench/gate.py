@@ -47,6 +47,11 @@ Checks, with a +/-30% tolerance on timing cells:
     monotonically with the diameter, and every row's hops must stay within
     [D, 8*D] — the O(D*F_ack) shape at generator scale is an acceptance
     criterion, not just a baseline.
+  - E7: EVERY row and EVERY note must match EXACTLY — the valid-step
+    exploration is deterministic (initial valencies, the 1132-config
+    crash-free count, the 17-step termination schedule, the agreement
+    verdict), so any drift is a semantic change in Lowerbound.Bivalence
+    or the Mcheck.Explore semantics it walks.
 
 Rows present in only one file (e.g. --quick runs fewer B5 cases) are
 skipped. Exit 0 = within tolerance, 1 = regression (offenders listed).
@@ -336,6 +341,17 @@ def main():
     else:
         failures.append("B14 table missing from baseline or fresh run")
 
+    e7_base, e7_fresh = table(baseline, "E7"), table(fresh, "E7")
+    if e7_base and e7_fresh:
+        for part in ("rows", "notes"):
+            if e7_fresh[part] != e7_base[part]:
+                failures.append(
+                    f"E7 {part} {e7_fresh[part]} vs baseline "
+                    f"{e7_base[part]} (must match exactly)"
+                )
+    else:
+        failures.append("E7 table missing from baseline or fresh run")
+
     if failures:
         print("perf gate FAILED:")
         for failure in failures:
@@ -343,8 +359,9 @@ def main():
         return 1
     print(
         "perf gate passed (B5 states + B9 committed/p50/p99 + all B10, "
-        "B11, B12 and B14 cells + B13 deterministic cells exact, B12/B14 "
-        "hops monotone in D, B14 1000-node row safe with hops in [D, 8D], "
+        "B11, B12 and B14 cells + B13 deterministic cells + E7 rows and "
+        "notes exact, B12/B14 hops monotone in D, B14 1000-node row safe "
+        "with hops in [D, 8D], "
         "B13 G=4 >= 2.5x G=1 on cmds/ktick, timing within +/-30%)"
     )
     return 0

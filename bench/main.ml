@@ -37,15 +37,15 @@ let ok_of (result : Consensus.Runner.result) =
 
 let e1 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "E1 (Thm 4.1) two-phase consensus: latency vs n, single hop, F_ack=8"
       ~columns:
         [ "n"; "sync"; "random (5 seeds)"; "max-delay"; "<=3*F_ack"; "ok" ]
   in
   let fack = 8 in
-  Amac.Stats.Table.set_meta table "fack" (string_of_int fack);
-  Amac.Stats.Table.set_meta table "seeds" "1..5";
+  Stats.Table.set_meta table "fack" (string_of_int fack);
+  Stats.Table.set_meta table "seeds" "1..5";
   let sizes =
     if !quick then [ 2; 8; 32 ] else [ 2; 4; 8; 16; 32; 64; 128; 256 ]
   in
@@ -76,26 +76,26 @@ let e1 () =
       in
       let worst =
         max
-          (int_of_float (Amac.Stats.maximum times))
+          (int_of_float (Stats.maximum times))
           (Option.get maxd.decision_time)
       in
-      Amac.Stats.Table.add_series table
+      Stats.Table.add_series table
         ~name:(every_row "random_latency_n%d" n)
         times;
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int n;
           latency_of sync;
-          every_row "%.0f..%.0f" (Amac.Stats.minimum times)
-            (Amac.Stats.maximum times);
+          every_row "%.0f..%.0f" (Stats.minimum times)
+            (Stats.maximum times);
           latency_of maxd;
           (if worst <= 3 * fack then "yes" else "NO");
           (if all_ok then "yes" else "VIOLATED");
         ])
     sizes;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "latency is flat in n and bounded by 3*F_ack = 24 (paper: O(F_ack));";
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "the algorithm is never told n (impossible without acks, Abboud et al.).";
   table
 
@@ -106,7 +106,7 @@ let e1 () =
 let e2 () =
   let fack = 3 in
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:"E2 (Thm 4.6) wPAXOS: latency vs diameter, F_ack=3"
       ~columns:[ "topology"; "n"; "D"; "latency"; "latency/(D*F_ack)"; "ok" ]
   in
@@ -133,7 +133,7 @@ let e2 () =
           ~max_time:5_000_000
       in
       let t = Option.get result.decision_time in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           name;
           string_of_int n;
@@ -143,7 +143,7 @@ let e2 () =
           ok_of result;
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "latency/(D*F_ack) stays a small constant as D grows: O(D*F_ack), \
      matching the Thm 3.10 lower bound up to a constant.";
   table
@@ -155,7 +155,7 @@ let e2 () =
 let e3 () =
   let fack = 2 and arm_len = 4 in
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "E3 (Sec 4.2) latency on star-of-lines (D=8 fixed, n grows), F_ack=2"
       ~columns:[ "n"; "wPAXOS"; "flood-gather"; "flood-paxos"; "gather/wpaxos" ]
@@ -178,7 +178,7 @@ let e3 () =
       let wp = time (Consensus.Wpaxos.make ()) in
       let fg = time (Consensus.Flood_gather.make ()) in
       let fp = time (Consensus.Flood_paxos.make ()) in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int n;
           string_of_int wp;
@@ -187,7 +187,7 @@ let e3 () =
           every_row "%.1fx" (float_of_int fg /. float_of_int wp);
         ])
     arms_list;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "wPAXOS stays ~flat (O(D*F_ack)); both flooding baselines grow with n \
      (Theta(n*F_ack) hub bottleneck) - the crossover the paper predicts.";
   table
@@ -198,7 +198,7 @@ let e3 () =
 
 let e4 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "E4 (Thm 3.10) lines under the max-delay adversary: causal bound vs \
          wPAXOS"
@@ -222,7 +222,7 @@ let e4 () =
       let a =
         Lowerbound.Partition.analyze (Consensus.Wpaxos.make ()) ~diameter ~fack
       in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int diameter;
           string_of_int fack;
@@ -233,9 +233,9 @@ let e4 () =
           every_row "%.1f" a.ratio;
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "cross-influence = bound exactly (information moves one hop per F_ack);";
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "wPAXOS decides after the bound with a ~constant factor: both bounds are \
      tight.";
   table
@@ -246,7 +246,7 @@ let e4 () =
 
 let e5 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:"E5 (Thm 3.3, Fig 1) anonymous min-flooding on networks A and B"
       ~columns:
         [
@@ -265,7 +265,7 @@ let e5 () =
   List.iter
     (fun (diameter, n) ->
       let f = Lowerbound.Indist.fig1_demo ~diameter ~n in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int diameter;
           string_of_int (Amac.Topology.size f.instance.network_a);
@@ -276,7 +276,7 @@ let e5 () =
           (if f.a_report.agreement then "held?!" else "VIOLATED");
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "same algorithm, same knowledge (n', D): correct on B, split-brained on \
      A - anonymity is fatal (Claim 3.4 sizes/diameters verified in tests).";
   table
@@ -287,7 +287,7 @@ let e5 () =
 
 let e6 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:"E6 (Thm 3.9, Fig 2) id-using, D-knowing, n-less flooding on K_D"
       ~columns:
         [
@@ -303,7 +303,7 @@ let e6 () =
   List.iter
     (fun diameter ->
       let k = Lowerbound.Indist.kd_demo ~diameter in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int diameter;
           string_of_int (Amac.Topology.size k.kd.topology);
@@ -313,7 +313,7 @@ let e6 () =
           (if k.kd_report.agreement then "held?!" else "VIOLATED");
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "K_D has diameter D, same as the standalone line the victim is correct \
      on; with the endpoint silenced, both L_D copies decide their own value.";
   table
@@ -324,7 +324,7 @@ let e6 () =
 
 let e7 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:"E7 (Thm 3.2) valid-step exploration of two-phase on the 3-clique"
       ~columns:[ "inputs"; "initial valency"; "note" ]
   in
@@ -349,7 +349,7 @@ let e7 () =
           "unanimity: validity pins the outcome"
         else "mixed inputs: bivalent initial configuration exists (FLP Lem 2)"
       in
-      Amac.Stats.Table.add_row table [ label; verdict inputs; note ])
+      Stats.Table.add_row table [ label; verdict inputs; note ])
     [ [| 0; 0; 0 |]; [| 0; 0; 1 |]; [| 0; 1; 1 |]; [| 1; 1; 1 |] ];
   let t =
     Lowerbound.Bivalence.create Consensus.Two_phase.algorithm
@@ -357,7 +357,7 @@ let e7 () =
       ~inputs:[| 0; 1; 1 |]
   in
   let stats = Lowerbound.Bivalence.explore t ~max_depth:8 in
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     (every_row
        "crash-free exploration: %d distinct configs to depth 8; bivalence \
         persists to depth %d then dies (two-phase terminates without crashes)"
@@ -367,12 +367,12 @@ let e7 () =
        ~max_depth:25 ()
    with
   | Some schedule ->
-      Amac.Stats.Table.add_note table
+      Stats.Table.add_note table
         (every_row
            "1 crash: found a %d-step schedule after which a live node waits \
             forever - termination dies (Thm 3.2)"
            (List.length schedule))
-  | None -> Amac.Stats.Table.add_note table "1 crash: no violation found (?!)");
+  | None -> Stats.Table.add_note table "1 crash: no violation found (?!)");
   (match
      Lowerbound.Bivalence.find_agreement_violation t ~max_crashes:1
        ~max_depth:20
@@ -380,11 +380,11 @@ let e7 () =
        ()
    with
   | None ->
-      Amac.Stats.Table.add_note table
+      Stats.Table.add_note table
         "1 crash: no agreement violation in bounded-exhaustive search - the \
          crash kills liveness, not safety"
   | Some _ ->
-      Amac.Stats.Table.add_note table "1 crash: AGREEMENT VIOLATION (bug!)");
+      Stats.Table.add_note table "1 crash: AGREEMENT VIOLATION (bug!)");
   table
 
 (* ------------------------------------------------------------------ *)
@@ -393,7 +393,7 @@ let e7 () =
 
 let e8 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:"E8 (Lemma 4.4) wPAXOS message and tag bounds vs n"
       ~columns:
         [ "topology"; "n"; "max ids/message"; "max tag"; "broadcasts"; "ok" ]
@@ -431,7 +431,7 @@ let e8 () =
           ~inputs:(Consensus.Runner.inputs_alternating ~n)
           ~max_time:5_000_000
       in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           name;
           string_of_int n;
@@ -441,7 +441,7 @@ let e8 () =
           ok_of result;
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "ids per message is a constant (<=12) independent of n; tags stay far \
      below the poly(n) ceiling of Lemma 4.4.";
   table
@@ -452,7 +452,7 @@ let e8 () =
 
 let e9 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "E9 (ablation) star-of-lines 8x4 (n=33, D=8), F_ack=2: what each \
          wPAXOS service buys"
@@ -467,7 +467,7 @@ let e9 () =
         ~scheduler:(Amac.Scheduler.fixed ~delay:2)
         ~inputs ~max_time:5_000_000
     in
-    Amac.Stats.Table.add_row table
+    Stats.Table.add_row table
       [ name; latency_of r; string_of_int r.outcome.broadcasts; ok_of r ]
   in
   measure "wPAXOS (full)" (Consensus.Wpaxos.make ());
@@ -475,7 +475,7 @@ let e9 () =
     (Consensus.Wpaxos.make ~leader_priority:false ());
   measure "wPAXOS, no aggregation" (Consensus.Wpaxos.make ~aggregate:false ());
   measure "flood-paxos (no trees at all)" (Consensus.Flood_paxos.make ());
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "every variant stays safe; removing services costs time/messages, \
      removing the trees costs the O(D*F_ack) bound itself.";
   table
@@ -486,14 +486,14 @@ let e9 () =
 
 let e10 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "E10 (Sec 5, direction 3) crashes: deterministic two-phase vs          randomized Ben-Or, F_ack=4"
       ~columns:
         [ "n"; "crashes"; "two-phase"; "ben-or (latency, 5 seeds)"; "ben-or ok" ]
   in
-  Amac.Stats.Table.set_meta table "fack" "4";
-  Amac.Stats.Table.set_meta table "seeds" "1..5";
+  Stats.Table.set_meta table "fack" "4";
+  Stats.Table.set_meta table "seeds" "1..5";
   let cases =
     [ (3, [ (2, 5) ]); (5, [ (1, 0); (3, 6) ]); (7, [ (0, 1); (2, 4); (5, 9) ]);
       (9, [ (0, 1); (1, 5); (2, 9); (3, 13) ]) ]
@@ -534,22 +534,22 @@ let e10 () =
           (fun r -> Consensus.Checker.ok r.Consensus.Runner.report)
           results
       in
-      Amac.Stats.Table.add_series table
+      Stats.Table.add_series table
         ~name:(every_row "ben_or_latency_n%d" n)
         times;
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int n;
           string_of_int (List.length crashes);
           tp_verdict;
           (if times = [] then "-"
            else
-             every_row "%.0f..%.0f" (Amac.Stats.minimum times)
-               (Amac.Stats.maximum times));
+             every_row "%.0f..%.0f" (Stats.minimum times)
+               (Stats.maximum times));
           (if all_ok then "yes (all seeds)" else "VIOLATED");
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "two-phase is safe but blocks forever under the crash (Thm 3.2 says any      deterministic algorithm must); Ben-Or decides under any minority of      crashes with probability 1.";
   table
 
@@ -559,7 +559,7 @@ let e10 () =
 
 let e11 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "E11 (Sec 5, direction 1) line-12 + 4 flaky chords, F_ack=4, 12          seeds per row"
       ~columns:
@@ -592,14 +592,14 @@ let e11 () =
             float_of_int (Option.get result.decision_time) :: !times
         end)
       seeds;
-    Amac.Stats.Table.add_row table
+    Stats.Table.add_row table
       [
         every_row "%.1f" p;
         name;
         every_row "%d/12" !safe;
         every_row "%d/12" !ok;
         (if !times = [] then "-"
-         else every_row "%.0f" (Amac.Stats.median !times));
+         else every_row "%.0f" (Stats.median !times));
       ]
   in
   List.iter
@@ -607,7 +607,7 @@ let e11 () =
       sweep ~p "wPAXOS" (fun _ -> Consensus.Wpaxos.make ());
       sweep ~p "flood-gather" (fun _ -> Consensus.Flood_gather.make ()))
     [ 0.0; 0.3; 0.7 ];
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "safety survives unconditionally (the open question in Sec 5 is about      optimizing liveness/time, not safety); flood-gather's liveness is      unaffected because extra deliveries are pure information gain.";
   table
 
@@ -617,7 +617,7 @@ let e11 () =
 
 let e12 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "E12 (Sec 2 open problem) multi-valued consensus by bit-by-bit          binary consensus, 6-clique, F_ack=5"
       ~columns:
@@ -625,9 +625,9 @@ let e12 () =
   in
   let n = 6 in
   let seeds = [ 1; 2; 3; 4; 5 ] in
-  Amac.Stats.Table.set_meta table "fack" "5";
-  Amac.Stats.Table.set_meta table "n" (string_of_int n);
-  Amac.Stats.Table.set_meta table "seeds" "1..5";
+  Stats.Table.set_meta table "fack" "5";
+  Stats.Table.set_meta table "n" (string_of_int n);
+  Stats.Table.set_meta table "seeds" "1..5";
   List.iter
     (fun bits ->
       let algorithm =
@@ -656,11 +656,11 @@ let e12 () =
           (fun r -> float_of_int (Option.get r.Consensus.Runner.decision_time))
           results
       in
-      let median = Amac.Stats.median times in
-      Amac.Stats.Table.add_series table
+      let median = Stats.median times in
+      Stats.Table.add_series table
         ~name:(every_row "latency_bits%d" bits)
         times;
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int bits;
           string_of_int (1 lsl bits);
@@ -669,7 +669,7 @@ let e12 () =
           (if all_ok then "yes" else "VIOLATED");
         ])
     [ 1; 2; 4; 8; 12 ];
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "latency is linear in the value width (latency/bits ~constant): the      baseline reduction costs Theta(log|V|) binary instances, which is the      inefficiency the paper's open problem asks to beat.";
   table
 
@@ -677,7 +677,7 @@ let e12 () =
 
 let b5 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B5 mcheck explorer throughput (two-phase, cliques, exhaustive up to      budgets)"
       ~columns:
@@ -709,7 +709,7 @@ let b5 () =
       let elapsed = Sys.time () -. started in
       let revisits = stats.Mcheck.Explore.dedup_hits in
       let lookups = stats.Mcheck.Explore.states + revisits in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int n;
           string_of_int crash_budget;
@@ -724,7 +724,7 @@ let b5 () =
            else "clean");
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "keying and snapshotting go through the algorithm's fingerprint/clone      hooks (B7 measures the primitives in isolation); dedup hit rate shows      how much of the interleaving space converges, sleep skips what the      partial-order reduction pruned before keying.";
   table
 
@@ -732,7 +732,7 @@ let b5 () =
 
 let b6 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B6 hardened wpaxos under loss: decide latency and retransmissions      vs loss-window width, 5-clique, F_ack=4"
       ~columns:
@@ -748,9 +748,9 @@ let b6 () =
   let n = 5 in
   let fack = 4 in
   let seeds = [ 1; 2; 3; 4; 5 ] in
-  Amac.Stats.Table.set_meta table "fack" (string_of_int fack);
-  Amac.Stats.Table.set_meta table "n" (string_of_int n);
-  Amac.Stats.Table.set_meta table "seeds" "1..5";
+  Stats.Table.set_meta table "fack" (string_of_int fack);
+  Stats.Table.set_meta table "n" (string_of_int n);
+  Stats.Table.set_meta table "seeds" "1..5";
   (* Width w isolates node 0 for [0, w) and drops one far edge for the
      second half of the window — the retransmission machinery must bridge
      both. w = 0 is the fault-free baseline that defines the
@@ -778,7 +778,7 @@ let b6 () =
         float_of_int r.Consensus.Runner.degradation.Consensus.Checker.broadcasts)
       seeds
   in
-  let baseline = Amac.Stats.median baseline_broadcasts in
+  let baseline = Stats.median baseline_broadcasts in
   List.iter
     (fun w ->
       let results = List.map (fun seed -> run ~seed ~w) seeds in
@@ -794,7 +794,7 @@ let b6 () =
           degradations
       in
       let broadcasts =
-        Amac.Stats.median
+        Stats.median
           (List.map
              (fun (d : Consensus.Checker.degradation) ->
                float_of_int d.broadcasts)
@@ -813,20 +813,20 @@ let b6 () =
       in
       (* never-decided seeds carry [infinity]; the raw series keeps only
          the finite measurements *)
-      Amac.Stats.Table.add_series table
+      Stats.Table.add_series table
         ~name:(every_row "latency_w%d" w)
         (List.filter Float.is_finite latencies);
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           (if w = 0 then "none" else Printf.sprintf "[0,%d)" w);
-          every_row "%.0f" (Amac.Stats.median latencies);
+          every_row "%.0f" (Stats.median latencies);
           every_row "%.0f" broadcasts;
           every_row "%+.0f" (broadcasts -. baseline);
           (if all_decided then "yes" else "NO");
           (if safe then "yes" else "VIOLATED");
         ])
     [ 0; 5; 10; 20; 40 ];
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "the run cannot finish on node 0 before its window closes, so latency      is bounded below by the width and lands a recovery-backoff delay      after it; every lossy cell pays a retransmission overhead (silence      re-elections, fresh-proposal backoff, decision refresh). Safety holds      in every cell unconditionally.";
   table
 
@@ -839,7 +839,7 @@ let b6 () =
    the explorer now runs on. *)
 let b7 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B7 state keying/cloning primitives (two-phase 3-clique reachable      states, hooks vs Marshal)"
       ~columns:[ "primitive"; "ns/state"; "total"; "speedup" ]
@@ -855,8 +855,8 @@ let b7 () =
       ~max_samples:samples
   in
   let n = Mcheck.Explore.sample_size ss in
-  Amac.Stats.Table.set_meta table "samples" (string_of_int n);
-  Amac.Stats.Table.set_meta table "reps" (string_of_int reps);
+  Stats.Table.set_meta table "samples" (string_of_int n);
+  Stats.Table.set_meta table "reps" (string_of_int reps);
   let time f =
     (* one warm-up pass so the first row doesn't pay cold caches *)
     ignore (f ss);
@@ -885,7 +885,7 @@ let b7 () =
   in
   List.iter
     (fun (name, secs, tag) ->
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           name;
           every_row "%.0f" (secs *. 1e9 /. float_of_int n);
@@ -893,7 +893,7 @@ let b7 () =
           every_row "%.1fx" (baseline tag /. secs);
         ])
     rows;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "speedup is against the Marshal implementation of the same primitive.      The sampled set is keying-neutral (BFS keyed on the Marshal digest),      so both key columns hash identical state populations. The fast-key      pass blanks each configuration's per-node fingerprint cache first,      so it times the full structural hash; inside the explorer the cache      survives cloning and only mutated nodes re-hash (B5 shows the      amortized effect).";
   table
 
@@ -906,7 +906,7 @@ let b7 () =
    same wave machinery that reports early failures. *)
 let b8 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B8 fuzz campaign scaling (two-phase, clean campaign, domains      1/2/4)"
       ~columns:
@@ -918,9 +918,9 @@ let b8 () =
       { Mcheck.Fuzz.default with kinds = [ Mcheck.Fuzz.Clique ] }
       Consensus.Two_phase.algorithm
   in
-  Amac.Stats.Table.set_meta table "iterations" (string_of_int iterations);
-  Amac.Stats.Table.set_meta table "seed" "1";
-  Amac.Stats.Table.set_meta table "host_cores"
+  Stats.Table.set_meta table "iterations" (string_of_int iterations);
+  Stats.Table.set_meta table "seed" "1";
+  Stats.Table.set_meta table "host_cores"
     (string_of_int (Domain.recommended_domain_count ()));
   let render (o : _ Mcheck.Campaign.outcome) =
     Printf.sprintf "iterations_run=%d %s" o.iterations_run
@@ -937,7 +937,7 @@ let b8 () =
   List.iter
     (fun jobs ->
       let wall, report = if jobs = 1 then (base_wall, base_report) else run jobs in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int jobs;
           every_row "%.2fs" wall;
@@ -946,7 +946,7 @@ let b8 () =
           (if report = base_report then "yes" else "DIVERGED");
         ])
     [ 1; 2; 4 ];
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "Campaign.run scans iterations in contiguous waves and reports the minimum      failing iteration, so the outcome is byte-identical to the sequential      run at any job count; 'report identical' compares rendered outcomes      against jobs=1. Wall-clock speedup is bounded by host_cores: on a      single-core host the extra domains only measure coordination overhead.";
   table
 
@@ -958,7 +958,7 @@ let b8 () =
    committed/p50/p99 exactly and only cmds/sec carries tolerance. *)
 let b9 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B9 replicated log (lib/smr): throughput and commit latency vs      replicas and loss-window width (closed loop, bursty scheduler)"
       ~columns:
@@ -969,9 +969,9 @@ let b9 () =
      gate intersects on (n, loss width)). *)
   let cmds = 300 in
   let seed = 42 in
-  Amac.Stats.Table.set_meta table "cmds" (string_of_int cmds);
-  Amac.Stats.Table.set_meta table "seed" (string_of_int seed);
-  Amac.Stats.Table.set_meta table "scheduler" "bursty(40 fast/12 slow,fack=3)";
+  Stats.Table.set_meta table "cmds" (string_of_int cmds);
+  Stats.Table.set_meta table "seed" (string_of_int seed);
+  Stats.Table.set_meta table "scheduler" "bursty(40 fast/12 slow,fack=3)";
   let cases =
     if !quick then [ (3, 0); (5, 20) ]
     else
@@ -1011,14 +1011,14 @@ let b9 () =
          the printed p50/p99) land in BENCH.json, split into the queueing
          and replication phases Smr.propose_time separates. *)
       let series suffix values =
-        Amac.Stats.Table.add_series table
+        Stats.Table.add_series table
           ~name:(every_row "%s_n%d_w%d" suffix n width)
           (List.map float_of_int (Array.to_list values))
       in
       series "commit_latency" r.Workload.latencies;
       series "queue_latency" r.Workload.queue_latencies;
       series "replicate_latency" r.Workload.replicate_latencies;
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int n;
           string_of_int width;
@@ -1030,7 +1030,7 @@ let b9 () =
           (if r.Workload.violations = [] then "yes" else "VIOLATED");
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "Closed loop: one client per replica, outstanding=1, next submit fired      from the previous command's apply callback. committed / p50 / p99 /      end_time are deterministic from the seed (the gate matches them      exactly); cmds/sec is committed divided by host wall-clock and      carries the usual +/-30% tolerance.";
   table
 
@@ -1057,7 +1057,7 @@ let b9 () =
    usual. *)
 let b13 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B13 sharded SMR (lib/shard): aggregate throughput and commit      latency vs group count (open loop, zipf keys, batch=8)"
       ~columns:
@@ -1074,11 +1074,11 @@ let b13 () =
   let cmds = 3200 in
   let batch = 8 in
   let seed = 42 in
-  Amac.Stats.Table.set_meta table "n" (string_of_int n);
-  Amac.Stats.Table.set_meta table "cmds" (string_of_int cmds);
-  Amac.Stats.Table.set_meta table "batch" (string_of_int batch);
-  Amac.Stats.Table.set_meta table "seed" (string_of_int seed);
-  Amac.Stats.Table.set_meta table "scheduler" "bursty(40 fast/12 slow,fack=3)";
+  Stats.Table.set_meta table "n" (string_of_int n);
+  Stats.Table.set_meta table "cmds" (string_of_int cmds);
+  Stats.Table.set_meta table "batch" (string_of_int batch);
+  Stats.Table.set_meta table "seed" (string_of_int seed);
+  Stats.Table.set_meta table "scheduler" "bursty(40 fast/12 slow,fack=3)";
   let cases = if !quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   List.iter
     (fun groups ->
@@ -1098,10 +1098,10 @@ let b13 () =
         | None -> "-"
       in
       let last_commit = r.Shard_workload.last_commit in
-      Amac.Stats.Table.add_series table
+      Stats.Table.add_series table
         ~name:(every_row "commit_latency_g%d" groups)
         (List.map float_of_int (Array.to_list r.Shard_workload.latencies));
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int groups;
           string_of_int r.Shard_workload.committed;
@@ -1118,7 +1118,7 @@ let b13 () =
           (if r.Shard_workload.violations = [] then "yes" else "VIOLATED");
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "Open loop at mean_gap=1, burst=32, shard-affine clients: the offered      load saturates a single group, so adding groups shortens the drain      (last_commit) instead of raising committed. cmds/ktick = committed      per 1000 simulated ticks of last_commit is fully deterministic (the      gate checks G=4 >= 2.5x G=1 on it); cmds/sec is wall-clock and      informational. Group g's voters are nodes g, g+1, g+2 (mod n), so      each group's leader commits over its own MAC channel; every wire      slot carries all groups' traffic as one tagged bundle, which is why      the per-node one-broadcast-in-flight budget multiplies instead of      being time-sliced. Compare B9: same contract, one group, closed      loop.";
   table
 
@@ -1132,7 +1132,7 @@ let b13 () =
    anywhere — so the gate pins every column exactly. *)
 let b10 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B10 Byzantine adversary (lib/byz): honest-decision latency vs      Byzantine count (byz_consensus, canonical strategy)"
       ~columns:
@@ -1142,8 +1142,8 @@ let b10 () =
         ]
   in
   let seed = 42 in
-  Amac.Stats.Table.set_meta table "seed" (string_of_int seed);
-  Amac.Stats.Table.set_meta table "scheduler" "random(fack=3)";
+  Stats.Table.set_meta table "seed" (string_of_int seed);
+  Stats.Table.set_meta table "scheduler" "random(fack=3)";
   let cases =
     if !quick then [ (4, 0); (4, 1) ]
     else [ (4, 0); (4, 1); (7, 0); (7, 1); (7, 2) ]
@@ -1181,7 +1181,7 @@ let b10 () =
           ~honest:wrapped.Byz.Model.honest ~max_time:200_000
       in
       let d = r.Consensus.Runner.degradation in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           string_of_int n;
           string_of_int byz_count;
@@ -1195,7 +1195,7 @@ let b10 () =
           (if d.Consensus.Checker.safe then "yes" else "VIOLATED");
         ])
     cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "byz counts the wrapped adversaries (highest node ids); latency is the      last honest decision's time; suppressed/substituted are the engine's      tamper counters; decided is the honest decided fraction. All cells      are schedule-deterministic — the gate matches every column exactly,      with no tolerance.";
   table
 
@@ -1212,7 +1212,7 @@ let b10 () =
    exactly, keyed (scenario, patience). *)
 let b11 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B11 production lifecycle (lib/fd, lib/smr): failover latency vs      detector patience; commit latency under reconfiguration and      compaction"
       ~columns:
@@ -1223,16 +1223,16 @@ let b11 () =
   in
   let seed = 42 in
   let cmds = 40 in
-  Amac.Stats.Table.set_meta table "seed" (string_of_int seed);
-  Amac.Stats.Table.set_meta table "cmds" (string_of_int cmds);
-  Amac.Stats.Table.set_meta table "scheduler" "random(fack=3)";
+  Stats.Table.set_meta table "seed" (string_of_int seed);
+  Stats.Table.set_meta table "cmds" (string_of_int cmds);
+  Stats.Table.set_meta table "scheduler" "random(fack=3)";
   let quant r q =
     match Workload.latency r ~q with
     | Some l -> string_of_int l
     | None -> "-"
   in
   let row ~scenario ~patience ~detect (r : Workload.result) =
-    Amac.Stats.Table.add_row table
+    Stats.Table.add_row table
       [
         scenario;
         patience;
@@ -1294,7 +1294,7 @@ let b11 () =
   if not !quick then
     row ~scenario:"compact-8" ~patience:"-" ~detect:"-"
       (lifecycle_run ~compact_every:8 ());
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "detect is first-suspicion time minus crash time (own-ack silence      crossing patience, so it tracks patience plus the straggler      conversation in flight); end_time folds in re-election and repair.      steady/reconfig-3to5 share members [0;1;2] and traffic — the p50/p99      delta IS the reconfiguration dip; compact-8 runs all five voters with      a watermark every 8 commits. Deterministic throughout: the gate      exact-matches every cell.";
   table
 
@@ -1312,7 +1312,7 @@ let b11 () =
    every cell is deterministic and exact-gated. *)
 let b12 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B12 critical paths + energy (lib/obs): wPAXOS path length vs      diameter; waiting fraction across algorithms"
       ~columns:
@@ -1323,9 +1323,9 @@ let b12 () =
   in
   let fack = 3 in
   let seed = 42 in
-  Amac.Stats.Table.set_meta table "fack" (string_of_int fack);
-  Amac.Stats.Table.set_meta table "seed" (string_of_int seed);
-  Amac.Stats.Table.set_meta table "scheduler" (every_row "fixed(%d)" fack);
+  Stats.Table.set_meta table "fack" (string_of_int fack);
+  Stats.Table.set_meta table "seed" (string_of_int seed);
+  Stats.Table.set_meta table "scheduler" (every_row "fixed(%d)" fack);
   let scheduler = Amac.Scheduler.fixed ~delay:fack in
   let longest paths =
     List.fold_left
@@ -1373,7 +1373,7 @@ let b12 () =
         | Some (_, f) -> f
         | None -> 0.0
       in
-      Amac.Stats.Table.add_row table
+      Stats.Table.add_row table
         [
           "wpaxos";
           name;
@@ -1405,7 +1405,7 @@ let b12 () =
         (fun acc d -> if Option.is_some d then acc + 1 else acc)
         0 r.Consensus.Runner.outcome.Amac.Engine.decisions
     in
-    Amac.Stats.Table.add_row table
+    Stats.Table.add_row table
       [
         name;
         "clique:5";
@@ -1430,7 +1430,7 @@ let b12 () =
       ~record_trace:true ()
   in
   let energy = energy_of ~n:5 smr.Workload.outcome in
-  Amac.Stats.Table.add_row table
+  Stats.Table.add_row table
     [
       "smr";
       "clique:5";
@@ -1448,7 +1448,7 @@ let b12 () =
       | None -> "-");
       (if smr.Workload.violations = [] then "yes" else "VIOLATED");
     ];
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "hops counts Broadcast->Deliver edges on the longest decide path      (informational attribution: each broadcast is caused by its sender's      latest boot/injection/delivery); path is decide time minus root time      and telescopes exactly into per-edge latencies; ticks/hop ~ F_ack      and hops/D ~ constant certify O(D*F_ack). leader% is the bottleneck      node's share of path time. waiting = idle / up-time from the span      export; act/cmd = transmission ticks per command (per decision for      the single-shot rows, per committed command for smr). Deterministic      throughout: the gate exact-matches every cell and checks hops grow      monotonically with D across the line rows.";
   table
 
@@ -1467,7 +1467,7 @@ let b12 () =
    exact-gated. *)
 let b14 () =
   let table =
-    Amac.Stats.Table.create
+    Stats.Table.create
       ~title:
         "B14 multi-hop scale (lib/topo_gen): wPAXOS latency vs diameter      at 100/400/1000 nodes under interference"
       ~columns:
@@ -1478,9 +1478,9 @@ let b14 () =
   in
   let fack = 3 in
   let topo_seed = 1 in
-  Amac.Stats.Table.set_meta table "fack" (string_of_int fack);
-  Amac.Stats.Table.set_meta table "topo_seed" (string_of_int topo_seed);
-  Amac.Stats.Table.set_meta table "scheduler"
+  Stats.Table.set_meta table "fack" (string_of_int fack);
+  Stats.Table.set_meta table "topo_seed" (string_of_int topo_seed);
+  Stats.Table.set_meta table "scheduler"
     (every_row "fixed(%d)+sinr" fack);
   let row (spec, alpha) =
     let topology = Topo_gen.generate ~seed:topo_seed spec in
@@ -1504,7 +1504,7 @@ let b14 () =
       match r.Consensus.Runner.decision_time with Some t -> t | None -> -1
     in
     let bound = diameter * fack in
-    Amac.Stats.Table.add_row table
+    Stats.Table.add_row table
       [
         Topo_gen.name spec;
         string_of_int n;
@@ -1537,7 +1537,7 @@ let b14 () =
       ]
   in
   List.iter row cases;
-  Amac.Stats.Table.add_note table
+  Stats.Table.add_note table
     "latency is the last decide time; hops the Message-edge count of the      longest causal decide path. Grids: D doubles 10x10 -> 25x40 while      degree stays 4, and latency/hops track D (the gate checks hops is      monotone in D and hops/D bounded across grid rows at alpha=2 —      Thm 4.6's O(D*F_ack) at generator scale). RGGs at the connectivity      radius: n grows 10x but D stays ~constant, and so does latency —      diameter, not node count, is what consensus waits for. alpha=2      stretches acks by 2 ticks per on-air neighbor, so lat/DF rises with      contention but stays bounded. Deterministic throughout: the gate      exact-matches every cell.";
   table
 
@@ -1595,7 +1595,7 @@ let bechamel_section () =
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let table =
-    Amac.Stats.Table.create ~title:"B1-B4 simulator micro-benchmarks"
+    Stats.Table.create ~title:"B1-B4 simulator micro-benchmarks"
       ~columns:[ "benchmark"; "time/run"; "r^2" ]
   in
   let rows =
@@ -1620,7 +1620,7 @@ let bechamel_section () =
         | Some r -> every_row "%.3f" r
         | None -> "-"
       in
-      Amac.Stats.Table.add_row table [ name; pretty; r2 ])
+      Stats.Table.add_row table [ name; pretty; r2 ])
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   table
 
@@ -1677,7 +1677,7 @@ let () =
   let wanted id = !only = [] || List.mem id !only in
   let collected = ref [] in
   let record id table =
-    Amac.Stats.Table.print table;
+    Stats.Table.print table;
     collected := (id, table) :: !collected
   in
   List.iter
@@ -1703,7 +1703,7 @@ let () =
                  Obs.Json.Obj
                    [
                      ("id", Obs.Json.String id);
-                     ("table", Amac.Stats.Table.to_json table);
+                     ("table", Stats.Table.to_json table);
                    ])
                !collected) );
       ]

@@ -10,7 +10,9 @@
    and decides the minimum once it has all n. We implement it from scratch
    here to show the Algorithm interface, validate it with the Checker on a
    few runs, and then let the Bivalence explorer exhaustively verify small
-   instances and show what a crash does to it. *)
+   instances and show what a crash does to it. The algorithm has no
+   fingerprint/clone hooks, so the explorer keys its configurations by the
+   digest of their marshalled bytes: slower than hooks, same answers. *)
 
 module A = Amac.Algorithm
 

@@ -9,9 +9,11 @@
     valency ("which decision values are still reachable") is computable by
     memoized exhaustive search.
 
-    This module implements that semantics for any algorithm whose state
-    contains no functions (configurations are snapshotted and deduplicated
-    with [Marshal]), and provides the searches behind experiment E7:
+    The configurations, steps and keys are {!Mcheck.Explore}'s (fingerprint
+    hooks when the algorithm has them, else the digest of the marshalled
+    state, so algorithm state must contain no functions); this module
+    walks them with {!Mcheck.Explore.valid_step} and provides the searches
+    behind experiment E7:
 
     - classify initial configurations (a {e bivalent} initial configuration
       exists for mixed inputs — the FLP Lemma-2 analogue);
@@ -27,7 +29,7 @@ type verdict =
   | Bivalent  (** both 0 and 1 remain reachable *)
   | Blocked  (** no extension reaches any decision *)
 
-type step =
+type step = Mcheck.Explore.step =
   | Deliver of { sender : int; receiver : int }
   | Ack of int
   | Crash of int
@@ -36,8 +38,8 @@ val pp_step : Format.formatter -> step -> unit
 
 type ('s, 'm) t
 (** An explorer instance: algorithm + topology + inputs, with a memo table.
-    Configurations are immutable snapshots; the same instance can serve
-    multiple queries. *)
+    Configurations are immutable; the same instance can serve multiple
+    queries. *)
 
 (** [create algorithm ~topology ~inputs] — every node knows n but not the
     diameter, as in the paper's model.
@@ -61,7 +63,8 @@ type stats = {
 }
 
 (** [explore t ~max_depth] — BFS of the crash-free valid-step execution DAG,
-    classifying every configuration. *)
+    classifying every configuration.
+    @raise Invalid_argument if [max_depth] is negative. *)
 val explore : ('s, 'm) t -> max_depth:int -> stats
 
 (** [find_termination_violation t ~max_crashes ~max_depth] searches (DFS)
@@ -97,6 +100,7 @@ val find_agreement_violation :
     Note the logic of the paper's proof: Lemma 3.1 holds for every node
     {e assuming} the algorithm tolerates one crash. For an algorithm that
     does not (e.g. two-phase), the property legitimately fails at some
-    nodes — that failure is how the algorithm escapes Thm 3.2. *)
+    nodes — that failure is how the algorithm escapes Thm 3.2.
+    @raise Invalid_argument if [node] is outside [\[0, n)]. *)
 val check_lemma_3_1 :
   ('s, 'm) t -> node:int -> search_depth:int -> step list option

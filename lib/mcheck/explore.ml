@@ -76,18 +76,18 @@ let independent a b =
   | Ack u, Ack v -> u <> v
   | Crash _, _ | _, Crash _ -> false
 
-(* Fallback keying: digest of the marshalled bytes, as in
-   Lowerbound.Bivalence. The crash budget used so far is part of the key —
-   equal node states with different remaining budgets have different
-   futures. *)
-let key cfg = Digest.string (Marshal.to_string (cfg.nodes, cfg.crashes_used) [])
+(* Fallback keying: digest of the marshalled bytes. The crash budget used
+   so far is part of the key — equal node states with different remaining
+   budgets have different futures. *)
+let digest cfg = Digest.string (Marshal.to_string (cfg.nodes, cfg.crashes_used) [])
 
 let marshal_snapshot nodes : ('s, 'm) node_cfg array =
   Marshal.from_string (Marshal.to_string nodes []) 0
 
 module F = Amac.Fingerprint
 
-(* Per-run machinery shared by the DFS and the sampling API.
+(* Per-run machinery shared by the DFS, the sampling API and the
+   configuration semantics at the end of this file.
    [clone_state] and [fingerprint] come from the algorithm's hooks when
    present: cloning replaces the Marshal round-trip, and keying replaces
    digest-of-marshalled-bytes with a 63-bit structural fold (config.keying
@@ -371,7 +371,7 @@ let make_seen config rt =
         let k = fp cfg in
         (match digests with
         | Some tbl -> (
-            let d = key cfg in
+            let d = digest cfg in
             match Hashtbl.find_opt tbl k with
             | Some prior -> if prior <> d then incr collisions
             | None -> Hashtbl.add tbl k d)
@@ -387,7 +387,7 @@ let make_seen config rt =
   | _ ->
       let seen : (string, step list list ref) Hashtbl.t = Hashtbl.create 4096 in
       let lookup cfg =
-        let k = key cfg in
+        let k = digest cfg in
         match Hashtbl.find_opt seen k with
         | Some cell -> cell
         | None ->
@@ -477,7 +477,7 @@ let sample config algorithm ~topology ~inputs ~max_samples =
     (* Keyed on the Marshal digest regardless of hooks: the sample must be
        keying-neutral ground truth for comparing the two key functions. *)
     if !count < max_samples then begin
-      let d = key cfg in
+      let d = digest cfg in
       if not (Hashtbl.mem seen d) then begin
         Hashtbl.add seen d ();
         collected := cfg :: !collected;
@@ -502,7 +502,7 @@ let sample config algorithm ~topology ~inputs ~max_samples =
 let sample_size ss = Array.length ss.ss_cfgs
 
 let keys_marshal ss =
-  Array.fold_left (fun acc cfg -> acc lxor Hashtbl.hash (key cfg)) 0 ss.ss_cfgs
+  Array.fold_left (fun acc cfg -> acc lxor Hashtbl.hash (digest cfg)) 0 ss.ss_cfgs
 
 let keys_fast ss =
   match ss.ss_rt.fingerprint with
@@ -535,4 +535,38 @@ let clones_fast ss =
 let key_pairs ss =
   match ss.ss_rt.fingerprint with
   | None -> invalid_arg "Explore.key_pairs: algorithm has no fingerprint hooks"
-  | Some fp -> Array.map (fun cfg -> (key cfg, fp cfg)) ss.ss_cfgs
+  | Some fp -> Array.map (fun cfg -> (digest cfg, fp cfg)) ss.ss_cfgs
+
+(* ------------------------------------------------------------------ *)
+(* Configuration semantics for client queries (Lowerbound.Bivalence)  *)
+(* ------------------------------------------------------------------ *)
+
+type ('s, 'm) context = ('s, 'm) rt
+type ('s, 'm) configuration = ('s, 'm) cfg
+type key = Fingerprint of int | Marshalled of string
+
+let context algorithm ~topology ~inputs = make_rt algorithm ~topology ~inputs
+let initial rt = initial_cfg rt ~record:(fun _ _ -> ())
+
+let apply rt cfg step =
+  apply rt ~record:(fun _ _ -> ()) ~transitions:(ref 0) cfg step ~path:[]
+
+(* As [make_seen] keys without [check_collisions]: the fingerprint when the
+   algorithm has hooks, else the Marshal digest. *)
+let key rt cfg =
+  match rt.fingerprint with
+  | Some fp -> Fingerprint (fp cfg)
+  | None -> Marshalled (digest cfg)
+
+let decided cfg i = cfg.nodes.(i).decided
+let crashed cfg i = cfg.nodes.(i).crashed
+
+(* [undelivered] keeps the sorted order of the neighbor list, so its head
+   is the smallest live neighbor still owed the message. *)
+let valid_step cfg sender =
+  let node = cfg.nodes.(sender) in
+  if node.crashed || node.outgoing = None then None
+  else
+    match node.undelivered with
+    | [] -> Some (Ack sender)
+    | receiver :: _ -> Some (Deliver { sender; receiver })

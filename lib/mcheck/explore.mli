@@ -10,10 +10,10 @@
     checking agreement / validity / irrevocability on every reachable
     configuration (and, optionally, termination at quiescent ones).
 
-    This generalises [Lowerbound.Bivalence]'s valid-step semantics, which
-    pins each sender's next delivery to its smallest unserved neighbor; here
-    {e every} pending delivery (and, under a crash budget, every crash,
-    including mid-broadcast ones) is a branch.
+    Every pending delivery (and, under a crash budget, every crash,
+    including mid-broadcast ones) is a branch. [Lowerbound.Bivalence] walks
+    the same configurations through {!valid_step}, which pins each sender's
+    next delivery to its smallest unserved neighbor.
 
     Tractability comes from two reductions:
     - {b state deduplication}: configurations are keyed — by a fast
@@ -88,6 +88,52 @@ val explore :
   topology:Amac.Topology.t ->
   inputs:int array ->
   stats
+
+(** {1 Configuration semantics}
+
+    The untimed configurations {!explore} walks, for clients that run
+    their own queries over them ([Lowerbound.Bivalence]'s Sec 3.1
+    valid-step searches). {!apply} returns a fresh child and never mutates
+    its argument, so one configuration can be extended many times. Safety
+    is not checked on this path. *)
+
+type ('s, 'm) context
+(** Per-run machinery: algorithm, topology, node contexts, hooks. *)
+
+type ('s, 'm) configuration
+
+(** [context algorithm ~topology ~inputs] — nodes know n but not the
+    diameter. @raise Invalid_argument on input/topology size mismatch. *)
+val context :
+  ('s, 'm) Amac.Algorithm.t ->
+  topology:Amac.Topology.t ->
+  inputs:int array ->
+  ('s, 'm) context
+
+val initial : ('s, 'm) context -> ('s, 'm) configuration
+
+(** [apply ctx cfg step] — the configuration after [step]; a crash also
+    counts against the crashes used.
+    @raise Invalid_argument on a delivery from a node with nothing in
+    flight. *)
+val apply :
+  ('s, 'm) context -> ('s, 'm) configuration -> step -> ('s, 'm) configuration
+
+type key
+(** Compare and hash with the polymorphic [=] and [Hashtbl.hash]. *)
+
+(** [key ctx cfg] — {!explore}'s seen-set key: the hooks' fingerprint, or
+    the digest of the marshalled bytes when the algorithm has no hooks.
+    Both cover the crashes used so far. *)
+val key : ('s, 'm) context -> ('s, 'm) configuration -> key
+
+val decided : ('s, 'm) configuration -> int -> int option
+val crashed : ('s, 'm) configuration -> int -> bool
+
+(** [valid_step cfg sender] — Sec 3.1's forced next step of [sender]:
+    deliver its message to the smallest live neighbor still owed it, else
+    the ack. [None] if [sender] crashed or has nothing in flight. *)
+val valid_step : ('s, 'm) configuration -> int -> step option
 
 (** {1 Reachable-configuration sampling}
 

@@ -115,6 +115,151 @@ let test_create_validation () =
     (Invalid_argument "Bivalence.create: inputs length mismatches topology")
     (fun () -> ignore (explorer [| 0; 1 |]))
 
+let test_explore_negative_depth () =
+  Alcotest.check_raises "max_depth -1"
+    (Invalid_argument "Bivalence.explore: max_depth -1 is negative")
+    (fun () -> ignore (B.explore (explorer [| 0; 1; 1 |]) ~max_depth:(-1)))
+
+let test_lemma_node_out_of_range () =
+  Alcotest.check_raises "node 3 of 3"
+    (Invalid_argument "Bivalence.check_lemma_3_1: node 3 outside [0, 3)")
+    (fun () ->
+      ignore (B.check_lemma_3_1 (explorer [| 0; 1; 1 |]) ~node:3 ~search_depth:4))
+
+(* E7's numbers, pinned: the searches must keep exploring exactly these
+   configurations and return exactly this schedule. *)
+let show_schedule schedule =
+  String.concat " " (List.map (Format.asprintf "%a" B.pp_step) schedule)
+
+let test_e7_pinned () =
+  let t = explorer [| 0; 1; 1 |] in
+  let stats = B.explore t ~max_depth:8 in
+  Alcotest.(check int) "total configs to depth 8" 1132 stats.total_configs;
+  Alcotest.(check (array int)) "configs by depth"
+    [| 1; 3; 7; 14; 29; 64; 136; 284; 594 |] stats.configs_by_depth;
+  Alcotest.(check (array int)) "bivalent by depth"
+    [| 1; 1; 1; 0; 0; 0; 0; 0; 0 |] stats.bivalent_by_depth;
+  Alcotest.(check int) "deepest bivalent" 2 stats.deepest_bivalent;
+  Alcotest.(check int) "total configs to depth 20" 103251
+    (B.explore t ~max_depth:20).total_configs;
+  let line =
+    B.explore
+      (B.create Consensus.Two_phase.algorithm ~topology:(Amac.Topology.line 3)
+         ~inputs:[| 0; 1; 1 |])
+      ~max_depth:20
+  in
+  Alcotest.(check int) "line:3 total configs" 4884 line.total_configs;
+  Alcotest.(check int) "line:3 deepest bivalent" 14 line.deepest_bivalent;
+  Alcotest.(check (option string)) "termination schedule"
+    (Some
+       "deliver(0->1) deliver(0->2) ack(0) deliver(0->1) deliver(0->2) ack(0) \
+        deliver(1->0) deliver(1->2) ack(1) deliver(1->0) deliver(1->2) \
+        deliver(2->0) deliver(2->1) ack(1) ack(2) deliver(2->0) crash(2)")
+    (Option.map show_schedule
+       (B.find_termination_violation t ~max_crashes:1 ~max_depth:25 ()))
+
+(* Replay a returned schedule through Explore's semantics: every non-crash
+   step is its sender's valid step, every crash hits a live node within the
+   budget. Returns the final configuration. *)
+module E = Mcheck.Explore
+
+let replay ctx ~max_crashes schedule =
+  let cfg, crashes =
+    List.fold_left
+      (fun (cfg, crashes) step ->
+        let crashes =
+          match step with
+          | B.Crash u ->
+              if E.crashed cfg u then Alcotest.failf "crash(%d) of a dead node" u;
+              crashes + 1
+          | B.Deliver { sender; _ } | B.Ack sender ->
+              if E.valid_step cfg sender <> Some step then
+                Alcotest.failf "%s is not %d's valid step"
+                  (Format.asprintf "%a" B.pp_step step) sender;
+              crashes
+        in
+        (E.apply ctx cfg step, crashes))
+      (E.initial ctx, 0) schedule
+  in
+  if crashes > max_crashes then
+    Alcotest.failf "%d crashes over a budget of %d" crashes max_crashes;
+  cfg
+
+(* Decision values reachable by crash-free valid steps, by plain DFS. *)
+let reachable ctx ~n cfg =
+  let seen = Hashtbl.create 1024 in
+  let zero = ref false and one = ref false in
+  let rec go cfg =
+    let k = E.key ctx cfg in
+    if not (Hashtbl.mem seen k) then begin
+      Hashtbl.add seen k ();
+      for i = 0 to n - 1 do
+        (match E.decided cfg i with
+        | Some 0 -> zero := true
+        | Some _ -> one := true
+        | None -> ());
+        Option.iter (fun s -> go (E.apply ctx cfg s)) (E.valid_step cfg i)
+      done
+    end
+  in
+  go cfg;
+  (!zero, !one)
+
+let test_replay_schedules () =
+  let algorithm = Consensus.Two_phase.algorithm in
+  let instances =
+    [ (Amac.Topology.clique 2, [| 0; 1 |]); (Amac.Topology.clique 3, [| 0; 1; 1 |]) ]
+    @ List.init 8 (fun mask ->
+          (Amac.Topology.line 3, Array.init 3 (fun i -> (mask lsr i) land 1)))
+  in
+  let found = ref 0 in
+  List.iter
+    (fun (topology, inputs) ->
+      let n = Array.length inputs in
+      let t = B.create algorithm ~topology ~inputs in
+      let ctx = E.context algorithm ~topology ~inputs in
+      let nodes = List.init n Fun.id in
+      let check_search name result target =
+        match result with
+        | None -> ()
+        | Some schedule ->
+            incr found;
+            let cfg = replay ctx ~max_crashes:1 schedule in
+            if not (target cfg) then
+              Alcotest.failf "%s schedule misses its target: %s" name
+                (show_schedule schedule)
+      in
+      check_search "termination"
+        (B.find_termination_violation t ~max_crashes:1 ~max_depth:25
+           ~max_configs:20_000 ())
+        (fun cfg ->
+          List.for_all (fun i -> E.valid_step cfg i = None) nodes
+          && List.exists
+               (fun i -> (not (E.crashed cfg i)) && E.decided cfg i = None)
+               nodes);
+      check_search "agreement"
+        (B.find_agreement_violation t ~max_crashes:1 ~max_depth:25
+           ~max_configs:20_000 ())
+        (fun cfg ->
+          List.mem (Some 0) (List.map (E.decided cfg) nodes)
+          && List.mem (Some 1) (List.map (E.decided cfg) nodes));
+      List.iter
+        (fun node ->
+          match B.check_lemma_3_1 t ~node ~search_depth:8 with
+          | None -> ()
+          | Some schedule -> (
+              incr found;
+              let cfg = replay ctx ~max_crashes:0 schedule in
+              match E.valid_step cfg node with
+              | None -> Alcotest.failf "lemma 3.1: node %d has no valid step" node
+              | Some step ->
+                  if reachable ctx ~n (E.apply ctx cfg step) <> (true, true) then
+                    Alcotest.failf "lemma 3.1: node %d's step is not bivalent"
+                      node))
+        nodes)
+    instances;
+  Alcotest.(check bool) "some schedules replayed" true (!found > 10)
+
 (* Property: initial verdict of a unanimous vector is always univalent of
    that value, across n. *)
 let prop_unanimity_univalent =
@@ -152,10 +297,20 @@ let () =
           Alcotest.test_case "corrected never disagrees" `Quick
             test_literal_two_phase_disagrees_under_crash_free_steps;
         ] );
+      ( "semantics",
+        [
+          Alcotest.test_case "E7 values pinned" `Quick test_e7_pinned;
+          Alcotest.test_case "returned schedules replay" `Quick
+            test_replay_schedules;
+        ] );
       ( "misc",
         [
           Alcotest.test_case "pp_step" `Quick test_pp_step;
           Alcotest.test_case "create validation" `Quick test_create_validation;
+          Alcotest.test_case "explore rejects a negative depth" `Quick
+            test_explore_negative_depth;
+          Alcotest.test_case "lemma 3.1 rejects an unknown node" `Quick
+            test_lemma_node_out_of_range;
           QCheck_alcotest.to_alcotest prop_unanimity_univalent;
         ] );
     ]

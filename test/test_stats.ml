@@ -1,93 +1,93 @@
 let feq = Alcotest.float 1e-9
 
 let test_mean () =
-  Alcotest.check feq "mean" 2.5 (Amac.Stats.mean [ 1.0; 2.0; 3.0; 4.0 ]);
-  Alcotest.check feq "singleton" 7.0 (Amac.Stats.mean [ 7.0 ])
+  Alcotest.check feq "mean" 2.5 (Stats.mean [ 1.0; 2.0; 3.0; 4.0 ]);
+  Alcotest.check feq "singleton" 7.0 (Stats.mean [ 7.0 ])
 
 let test_min_max () =
-  Alcotest.check feq "min" 1.0 (Amac.Stats.minimum [ 3.0; 1.0; 2.0 ]);
-  Alcotest.check feq "max" 3.0 (Amac.Stats.maximum [ 3.0; 1.0; 2.0 ])
+  Alcotest.check feq "min" 1.0 (Stats.minimum [ 3.0; 1.0; 2.0 ]);
+  Alcotest.check feq "max" 3.0 (Stats.maximum [ 3.0; 1.0; 2.0 ])
 
 let test_percentile () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.check feq "p50" 50.0 (Amac.Stats.percentile 50.0 xs);
-  Alcotest.check feq "p99" 99.0 (Amac.Stats.percentile 99.0 xs);
-  Alcotest.check feq "p0 -> min" 1.0 (Amac.Stats.percentile 0.0 xs);
-  Alcotest.check feq "p100 -> max" 100.0 (Amac.Stats.percentile 100.0 xs);
-  Alcotest.check feq "median alias" 50.0 (Amac.Stats.median xs)
+  Alcotest.check feq "p50" 50.0 (Stats.percentile 50.0 xs);
+  Alcotest.check feq "p99" 99.0 (Stats.percentile 99.0 xs);
+  Alcotest.check feq "p0 -> min" 1.0 (Stats.percentile 0.0 xs);
+  Alcotest.check feq "p100 -> max" 100.0 (Stats.percentile 100.0 xs);
+  Alcotest.check feq "median alias" 50.0 (Stats.median xs)
 
 let test_stddev () =
-  Alcotest.check feq "constant" 0.0 (Amac.Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  Alcotest.check feq "spread" 2.0 (Amac.Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ])
+  Alcotest.check feq "constant" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
+  Alcotest.check feq "spread" 2.0 (Stats.stddev [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ])
 
 let test_empty_raises () =
   Alcotest.check_raises "mean" (Invalid_argument "Stats.mean: empty list")
-    (fun () -> ignore (Amac.Stats.mean []));
+    (fun () -> ignore (Stats.mean []));
   Alcotest.check_raises "percentile range"
     (Invalid_argument "Stats.percentile: p out of range") (fun () ->
-      ignore (Amac.Stats.percentile 101.0 [ 1.0 ]))
+      ignore (Stats.percentile 101.0 [ 1.0 ]))
 
 (* Degenerate bench inputs (a seed that never decided) surface as NaN
    samples; the aggregates must drop them rather than return NaN. *)
 let test_nan_guards () =
   Alcotest.check feq "percentile drops NaN" 5.0
-    (Amac.Stats.percentile 50.0 [ nan; 5.0; nan ]);
+    (Stats.percentile 50.0 [ nan; 5.0; nan ]);
   Alcotest.check feq "median drops NaN" 4.0
-    (Amac.Stats.median [ 3.0; nan; 5.0; 4.0 ]);
-  Alcotest.check feq "stddev drops NaN" 0.0 (Amac.Stats.stddev [ nan; 5.0 ]);
+    (Stats.median [ 3.0; nan; 5.0; 4.0 ]);
+  Alcotest.check feq "stddev drops NaN" 0.0 (Stats.stddev [ nan; 5.0 ]);
   Alcotest.(check bool) "stddev of constant never NaN" false
-    (Float.is_nan (Amac.Stats.stddev [ 0.1; 0.1; 0.1 ]));
+    (Float.is_nan (Stats.stddev [ 0.1; 0.1; 0.1 ]));
   Alcotest.check_raises "all-NaN percentile"
     (Invalid_argument "Stats.percentile: all-NaN input") (fun () ->
-      ignore (Amac.Stats.percentile 50.0 [ nan; nan ]));
+      ignore (Stats.percentile 50.0 [ nan; nan ]));
   Alcotest.check_raises "all-NaN stddev"
     (Invalid_argument "Stats.stddev: all-NaN input") (fun () ->
-      ignore (Amac.Stats.stddev [ nan ]));
+      ignore (Stats.stddev [ nan ]));
   Alcotest.check_raises "NaN p rejected"
     (Invalid_argument "Stats.percentile: p out of range") (fun () ->
-      ignore (Amac.Stats.percentile nan [ 1.0 ]))
+      ignore (Stats.percentile nan [ 1.0 ]))
 
 let test_histogram () =
-  let h = Amac.Stats.Histogram.create ~buckets:[ 1.0; 2.0; 5.0; 10.0 ] in
-  List.iter (Amac.Stats.Histogram.observe h) [ 0.5; 1.5; 3.0; 3.0; 7.0; 42.0 ];
-  Alcotest.(check int) "count" 6 (Amac.Stats.Histogram.count h);
-  Alcotest.check feq "sum" 57.0 (Amac.Stats.Histogram.sum h);
+  let h = Stats.Histogram.create ~buckets:[ 1.0; 2.0; 5.0; 10.0 ] in
+  List.iter (Stats.Histogram.observe h) [ 0.5; 1.5; 3.0; 3.0; 7.0; 42.0 ];
+  Alcotest.(check int) "count" 6 (Stats.Histogram.count h);
+  Alcotest.check feq "sum" 57.0 (Stats.Histogram.sum h);
   Alcotest.(check (list (pair feq int)))
     "bucket counts"
     [ (1.0, 1); (2.0, 1); (5.0, 2); (10.0, 1); (infinity, 1) ]
-    (Amac.Stats.Histogram.bucket_counts h);
-  Alcotest.check feq "min" 0.5 (Amac.Stats.Histogram.observed_min h);
-  Alcotest.check feq "max" 42.0 (Amac.Stats.Histogram.observed_max h);
+    (Stats.Histogram.bucket_counts h);
+  Alcotest.check feq "min" 0.5 (Stats.Histogram.observed_min h);
+  Alcotest.check feq "max" 42.0 (Stats.Histogram.observed_max h);
   (* Quantiles are bucket estimates: only their bracketing is promised. *)
-  let q50 = Amac.Stats.Histogram.quantile h 0.5 in
+  let q50 = Stats.Histogram.quantile h 0.5 in
   Alcotest.(check bool) "q50 inside (2, 5]" true (q50 > 2.0 && q50 <= 5.0);
-  Alcotest.check feq "q0 clamps to min" 0.5 (Amac.Stats.Histogram.quantile h 0.0);
+  Alcotest.check feq "q0 clamps to min" 0.5 (Stats.Histogram.quantile h 0.0);
   Alcotest.check feq "q1 clamps to max" 42.0
-    (Amac.Stats.Histogram.quantile h 1.0)
+    (Stats.Histogram.quantile h 1.0)
 
 let test_histogram_nan_and_errors () =
-  let h = Amac.Stats.Histogram.create ~buckets:[ 1.0 ] in
-  Amac.Stats.Histogram.observe h nan;
-  Alcotest.(check int) "NaN not counted" 0 (Amac.Stats.Histogram.count h);
-  Alcotest.(check int) "NaN tracked" 1 (Amac.Stats.Histogram.nan_count h);
+  let h = Stats.Histogram.create ~buckets:[ 1.0 ] in
+  Stats.Histogram.observe h nan;
+  Alcotest.(check int) "NaN not counted" 0 (Stats.Histogram.count h);
+  Alcotest.(check int) "NaN tracked" 1 (Stats.Histogram.nan_count h);
   Alcotest.(check bool) "empty quantile raises" true
-    (match Amac.Stats.Histogram.quantile h 0.5 with
+    (match Stats.Histogram.quantile h 0.5 with
     | exception Invalid_argument _ -> true
     | _ -> false);
   Alcotest.(check bool) "unsorted buckets rejected" true
-    (match Amac.Stats.Histogram.create ~buckets:[ 2.0; 1.0 ] with
+    (match Stats.Histogram.create ~buckets:[ 2.0; 1.0 ] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_table_json () =
   let table =
-    Amac.Stats.Table.create ~title:"demo" ~columns:[ "name"; "value" ]
+    Stats.Table.create ~title:"demo" ~columns:[ "name"; "value" ]
   in
-  Amac.Stats.Table.add_row table [ "alpha"; "1" ];
-  Amac.Stats.Table.add_note table "a footnote";
-  Amac.Stats.Table.set_meta table "fack" "8";
-  Amac.Stats.Table.add_series table ~name:"lat" [ 3.0; 1.0; 2.0 ];
-  let json = Amac.Stats.Table.to_json table in
+  Stats.Table.add_row table [ "alpha"; "1" ];
+  Stats.Table.add_note table "a footnote";
+  Stats.Table.set_meta table "fack" "8";
+  Stats.Table.add_series table ~name:"lat" [ 3.0; 1.0; 2.0 ];
+  let json = Stats.Table.to_json table in
   let open Obs.Json in
   Alcotest.(check string) "title" "demo"
     (match member "title" json with Some (String s) -> s | _ -> "?");
@@ -111,12 +111,12 @@ let test_table_json () =
 
 let test_table () =
   let table =
-    Amac.Stats.Table.create ~title:"demo" ~columns:[ "name"; "value" ]
+    Stats.Table.create ~title:"demo" ~columns:[ "name"; "value" ]
   in
-  Amac.Stats.Table.add_row table [ "alpha"; "1" ];
-  Amac.Stats.Table.add_row table [ "b"; "22" ];
-  Amac.Stats.Table.add_note table "a footnote";
-  let rendered = Amac.Stats.Table.render table in
+  Stats.Table.add_row table [ "alpha"; "1" ];
+  Stats.Table.add_row table [ "b"; "22" ];
+  Stats.Table.add_note table "a footnote";
+  let rendered = Stats.Table.render table in
   Alcotest.(check bool) "has title" true
     (String.length rendered > 0
     && String.sub rendered 0 11 = "== demo ==\n");
@@ -128,24 +128,24 @@ let test_table () =
     (List.exists (fun l -> l = "  note: a footnote") lines)
 
 let test_table_arity () =
-  let table = Amac.Stats.Table.create ~title:"t" ~columns:[ "a"; "b" ] in
+  let table = Stats.Table.create ~title:"t" ~columns:[ "a"; "b" ] in
   Alcotest.check_raises "cell count"
     (Invalid_argument "Stats.Table.add_row: 1 cells for 2 columns") (fun () ->
-      Amac.Stats.Table.add_row table [ "only" ])
+      Stats.Table.add_row table [ "only" ])
 
 let prop_percentile_bounds =
   QCheck.Test.make ~name:"percentile stays within [min, max]" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 40) (float_bound_exclusive 100.0)) (float_bound_inclusive 100.0))
     (fun (xs, p) ->
-      let v = Amac.Stats.percentile p xs in
-      v >= Amac.Stats.minimum xs && v <= Amac.Stats.maximum xs)
+      let v = Stats.percentile p xs in
+      v >= Stats.minimum xs && v <= Stats.maximum xs)
 
 let prop_mean_bounds =
   QCheck.Test.make ~name:"mean stays within [min, max]" ~count:200
     QCheck.(list_of_size Gen.(1 -- 40) (float_bound_exclusive 100.0))
     (fun xs ->
-      let m = Amac.Stats.mean xs in
-      m >= Amac.Stats.minimum xs -. 1e-9 && m <= Amac.Stats.maximum xs +. 1e-9)
+      let m = Stats.mean xs in
+      m >= Stats.minimum xs -. 1e-9 && m <= Stats.maximum xs +. 1e-9)
 
 let () =
   Alcotest.run "stats"
