@@ -894,7 +894,7 @@ let b7 () =
         ])
     rows;
   Stats.Table.add_note table
-    "speedup is against the Marshal implementation of the same primitive.      The sampled set is keying-neutral (BFS keyed on the Marshal digest),      so both key columns hash identical state populations. The fast-key      pass blanks each configuration's per-node fingerprint cache first,      so it times the full structural hash; inside the explorer the cache      survives cloning and only mutated nodes re-hash (B5 shows the      amortized effect).";
+    "speedup is against the Marshal implementation of the same primitive.      The sampled set is keying-neutral (BFS keyed on the Marshal digest),      so both key columns hash identical state populations. The fast-key      pass blanks each configuration's per-node fingerprint and prefix      caches first, so it times the full structural hash; inside the      explorer the caches survive cloning and only mutated nodes re-hash      (B5 shows the amortized effect).";
   table
 
 (* ------------------------------------------------------------------ *)

@@ -27,7 +27,8 @@
    a failing case: shrunk, with its metrics snapshot, where the campaign
    shrinks; the failing draw otherwise. --jobs N spreads each campaign over
    N domains with a byte-identical report; --fingerprint fast|marshal keys
-   the explorer's seen-table (same verdict either way).
+   the explorer's seen-table (the explore line, counts included, is
+   byte-identical either way; CI compares the two).
 
    Exit status 0 = every gate held; 1 = a violation, a missed self-test or
    an uncaught exception (printed with its replay settings, so a crash in
@@ -186,8 +187,11 @@ let default_mode () =
   in
   if stats.Mcheck.Explore.violations = [] && not stats.Mcheck.Explore.truncated
   then
-    Printf.printf "explore two-phase n=3: %d states, %d transitions, clean\n%!"
+    Printf.printf
+      "explore two-phase n=3: %d states, %d transitions, %d dedup hits, %d \
+       sleep skips, clean\n%!"
       stats.Mcheck.Explore.states stats.Mcheck.Explore.transitions
+      stats.Mcheck.Explore.dedup_hits stats.Mcheck.Explore.sleep_skips
   else begin
     incr failures;
     Printf.printf "explore two-phase n=3: UNEXPECTED (truncated=%b)\n%!"

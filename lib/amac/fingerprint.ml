@@ -62,79 +62,3 @@ let to_int h =
   let h = h * p1 in
   let h = h lxor (h lsr 32) in
   h land max_int
-
-module Table = struct
-  (* Open addressing with linear probing; no deletion. [vals.(i) = None]
-     marks an empty slot, so any int (including 0) is a valid key. *)
-  type 'a table = {
-    mutable keys : int array;
-    mutable vals : 'a option array;
-    mutable count : int;
-  }
-
-  type 'a t = 'a table
-
-  let rec capacity_for n c = if c * 2 >= n * 3 then c else capacity_for n (c * 2)
-
-  let create n =
-    let cap = capacity_for (max 1 n) 16 in
-    { keys = Array.make cap 0; vals = Array.make cap None; count = 0 }
-
-  let length t = t.count
-
-  (* The slot where [key] lives or would be inserted. *)
-  let slot t key =
-    let mask = Array.length t.keys - 1 in
-    let i = ref (key land max_int land mask) in
-    while
-      match t.vals.(!i) with Some _ -> t.keys.(!i) <> key | None -> false
-    do
-      i := (!i + 1) land mask
-    done;
-    !i
-
-  let grow t =
-    let old_keys = t.keys and old_vals = t.vals in
-    t.keys <- Array.make (2 * Array.length old_keys) 0;
-    t.vals <- Array.make (2 * Array.length old_vals) None;
-    Array.iteri
-      (fun i v ->
-        match v with
-        | Some _ ->
-            let j = slot t old_keys.(i) in
-            t.keys.(j) <- old_keys.(i);
-            t.vals.(j) <- v
-        | None -> ())
-      old_vals
-
-  let ensure_headroom t =
-    if t.count * 3 >= Array.length t.keys * 2 then grow t
-
-  let find t key =
-    let i = slot t key in
-    t.vals.(i)
-
-  let set t key value =
-    ensure_headroom t;
-    let i = slot t key in
-    if t.vals.(i) = None then t.count <- t.count + 1;
-    t.keys.(i) <- key;
-    t.vals.(i) <- Some value
-
-  let upsert t key f =
-    ensure_headroom t;
-    let i = slot t key in
-    (match t.vals.(i) with
-    | None ->
-        t.count <- t.count + 1;
-        t.keys.(i) <- key
-    | Some _ -> ());
-    t.vals.(i) <- Some (f t.vals.(i))
-
-  let fold f t acc =
-    let acc = ref acc in
-    Array.iteri
-      (fun i v -> match v with Some v -> acc := f t.keys.(i) v !acc | None -> ())
-      t.vals;
-    !acc
-end

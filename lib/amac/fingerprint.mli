@@ -20,7 +20,8 @@
     ambiguities cannot alias. Two structurally equal values always fold to
     the same fingerprint; distinct values collide with probability
     ~2^-63 per pair (the explorer can double-check against the Marshal
-    digest — see {!Mcheck.Explore.config.check_collisions}). *)
+    digest — see {!Mcheck.Explore.config.check_collisions}). The
+    explorer's seen-set over these keys is [Mcheck.Seen]. *)
 
 type t = private int
 
@@ -45,31 +46,6 @@ val list : ('a -> t -> t) -> 'a list -> t -> t
 (** Mixes the length, then each element in order. *)
 val array : ('a -> t -> t) -> 'a array -> t -> t
 
-(** The finished 63-bit value (non-negative). *)
+(** The finished 63-bit value (non-negative); its low bits are uniformly
+    mixed, so a table may index with them directly. *)
 val to_int : t -> int
-
-(** Open-addressed, int-keyed hash table for fingerprint keys.
-
-    The explorer's seen-set workload: millions of [find]/[set] pairs on
-    keys that are already uniformly mixed, never deleted. Linear probing
-    over a power-of-two array, resized at 2/3 load; [upsert] probes once
-    for the read-modify-write the seen set does per visited state. *)
-module Table : sig
-  type 'a t
-
-  (** [create n] pre-sizes for about [n] entries. *)
-  val create : int -> 'a t
-
-  val length : 'a t -> int
-
-  val find : 'a t -> int -> 'a option
-
-  val set : 'a t -> int -> 'a -> unit
-
-  (** [upsert t key f] stores [f (find t key)] at [key] with a single
-      probe sequence. *)
-  val upsert : 'a t -> int -> ('a option -> 'a) -> unit
-
-  (** [fold f t acc] over (key, value) pairs, unspecified order. *)
-  val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
-end

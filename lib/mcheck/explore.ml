@@ -54,13 +54,29 @@ type ('s, 'm) cfg = {
   crashes_used : int;
   fps : int array;
       (* per-node fingerprint cache: [fps.(i)] is the finalized fingerprint
-         of [nodes.(i)] (seeded with [i]), or -1 when not yet computed. A
-         child copies its parent's array and resets only the slots its step
-         touched, so keying costs O(changed nodes), not O(n). Kept OUTSIDE
-         [node_cfg] so the Marshal digest of [(nodes, crashes_used)] — the
-         fallback key and the collision-check ground truth — is independent
-         of cache state. *)
+         of [nodes.(i)] (seeded with [i]), or [refold_tail] / [refold_all]
+         when not yet computed. A child copies its parent's arrays and
+         resets only the slots its step touched, so keying costs
+         O(changed nodes), not O(n). *)
+  prefixes : Amac.Fingerprint.t array;
+      (* [prefixes.(i)]: the raw fold over (index, algorithm state,
+         in-flight message) of [nodes.(i)], valid unless
+         [fps.(i) = refold_all]. A delivery changes none of these for its
+         sender, so the sender re-folds only its tail. Both caches are kept
+         OUTSIDE [node_cfg] so the Marshal digest of
+         [(nodes, crashes_used)] (the fallback key and the collision-check
+         ground truth) is independent of cache state. *)
 }
+
+(* Markers for a stale [fps] slot. A finalized fingerprint is
+   non-negative, so neither can be mistaken for one; the raw prefix spans
+   all 63 bits and so carries no marker of its own. *)
+let refold_tail = -1 (* the prefix is valid; fold only the tail *)
+let refold_all = -2
+
+(* Invalidate a node whose algorithm state and in-flight message did not
+   change: it keeps its prefix, and [refold_all] stays [refold_all]. *)
+let stale_tail fps i = if fps.(i) >= 0 then fps.(i) <- refold_tail
 
 (* Two transitions commute iff neither reads state the other writes.
    Deliver(s,r) writes r's algorithm state and removes r from s's
@@ -121,9 +137,12 @@ let make_rt algorithm ~topology ~inputs =
   let clone_state, fingerprint =
     match algorithm.Amac.Algorithm.hooks with
     | Some h ->
-        let fp_node nc i =
+        let prefix nc i =
           F.int i F.empty |> h.fingerprint nc.st
           |> F.option h.fingerprint_msg nc.outgoing
+        in
+        let finish nc prefix =
+          prefix
           |> F.list F.int nc.undelivered
           |> F.option F.int nc.decided
           |> F.bool nc.crashed |> F.to_int
@@ -142,7 +161,9 @@ let make_rt algorithm ~topology ~inputs =
                 let f =
                   if f >= 0 then f
                   else begin
-                    let f = fp_node cfg.nodes.(i) i in
+                    let nc = cfg.nodes.(i) in
+                    if f = refold_all then cfg.prefixes.(i) <- prefix nc i;
+                    let f = finish nc cfg.prefixes.(i) in
                     cfg.fps.(i) <- f;
                     f
                   end
@@ -247,6 +268,7 @@ let apply rt ~record ~transitions cfg step ~path =
   incr transitions;
   let nodes = Array.copy cfg.nodes in
   let fps = Array.copy cfg.fps in
+  let prefixes = Array.copy cfg.prefixes in
   let crashes_used =
     match step with Crash _ -> cfg.crashes_used + 1 | _ -> cfg.crashes_used
   in
@@ -256,7 +278,7 @@ let apply rt ~record ~transitions cfg step ~path =
          message; the rest never receive it. No algorithm state mutates. *)
       nodes.(u) <-
         { (nodes.(u)) with crashed = true; outgoing = None; undelivered = [] };
-      fps.(u) <- -1;
+      fps.(u) <- refold_all;
       Array.iteri
         (fun s node ->
           if List.memq u node.undelivered then begin
@@ -265,7 +287,7 @@ let apply rt ~record ~transitions cfg step ~path =
                 node with
                 undelivered = List.filter (fun v -> v <> u) node.undelivered;
               };
-            fps.(s) <- -1
+            stale_tail fps s
           end)
         nodes
   | Deliver { sender; receiver } ->
@@ -280,10 +302,10 @@ let apply rt ~record ~transitions cfg step ~path =
           undelivered =
             List.filter (fun v -> v <> receiver) nodes.(sender).undelivered;
         };
-      fps.(sender) <- -1;
+      stale_tail fps sender;
       let st = rt.clone_state nodes.(receiver).st in
       nodes.(receiver) <- { (nodes.(receiver)) with st };
-      fps.(receiver) <- -1;
+      fps.(receiver) <- refold_all;
       let actions =
         rt.algorithm.Amac.Algorithm.on_receive rt.ctxs.(receiver) st message
       in
@@ -291,10 +313,10 @@ let apply rt ~record ~transitions cfg step ~path =
   | Ack u ->
       let st = rt.clone_state nodes.(u).st in
       nodes.(u) <- { (nodes.(u)) with st; outgoing = None };
-      fps.(u) <- -1;
+      fps.(u) <- refold_all;
       let actions = rt.algorithm.Amac.Algorithm.on_ack rt.ctxs.(u) st in
       apply_actions rt ~record nodes u actions ~path);
-  let cfg = { nodes; crashes_used; fps } in
+  let cfg = { nodes; crashes_used; fps; prefixes } in
   check_safety rt ~record cfg.nodes ~path;
   cfg
 
@@ -310,7 +332,13 @@ let initial_cfg rt ~record =
     (fun i (_, actions) -> apply_actions rt ~record nodes i actions ~path:[])
     inits;
   check_safety rt ~record nodes ~path:[];
-  { nodes; crashes_used = 0; fps = Array.make (Array.length nodes) (-1) }
+  let n = Array.length nodes in
+  {
+    nodes;
+    crashes_used = 0;
+    fps = Array.make n refold_all;
+    prefixes = Array.make n F.empty;
+  }
 
 let quiescent_check config ~record cfg ~path =
   if config.check_termination && cfg.crashes_used = 0 then begin
@@ -326,48 +354,79 @@ let quiescent_check config ~record cfg ~path =
         path
   end
 
-(* Monomorphic step equality: the sleep-set algebra compares steps on
-   every visit, and the polymorphic [List.mem] pays a C call per
-   comparison. *)
-let step_eq a b =
-  match (a, b) with
-  | Deliver d1, Deliver d2 ->
-      d1.sender = d2.sender && d1.receiver = d2.receiver
-  | Ack u, Ack v | Crash u, Crash v -> u = v
-  | _ -> false
+(* Sleep sets are [int] bitmasks. Every sleepable step (a delivery over
+   one directed edge, or an ack) owns one bit; a crash is dependent on
+   every step, so it never sleeps and owns none. [indep.(b)] is the mask
+   of the steps independent of bit [b]'s step, so the child's sleep set
+   after a step is one [land]. *)
+type sleep_bits = {
+  n_nodes : int;
+  deliver : int array;  (* [sender * n + receiver] -> bit index *)
+  ack : int array;  (* node -> bit index *)
+  indep : int array;
+}
 
-let mem_step step steps = List.exists (step_eq step) steps
+let max_sleep_bits = 62
 
-(* A visit cell stores the sleep sets already explored from its
-   configuration. A visit is redundant iff some stored set is a subset of
-   the incoming one (everything the new visit would explore, an old one
-   did). *)
-let subset a b = List.for_all (fun x -> mem_step x b) a
+let sleep_bits rt =
+  let n = rt.n in
+  let steps =
+    List.concat_map
+      (fun s ->
+        List.map
+          (fun r -> Deliver { sender = s; receiver = r })
+          (Amac.Topology.neighbors rt.topology s))
+      (List.init n Fun.id)
+    @ List.init n (fun u -> Ack u)
+    |> Array.of_list
+  in
+  let count = Array.length steps in
+  if count > max_sleep_bits then
+    invalid_arg
+      (Printf.sprintf
+         "Explore.explore: %d sleepable steps (2|E| + n) exceed the %d bits \
+          of a sleep mask"
+         count max_sleep_bits);
+  let deliver = Array.make (n * n) (-1) and ack = Array.make n (-1) in
+  Array.iteri
+    (fun b -> function
+      | Deliver { sender; receiver } -> deliver.((sender * n) + receiver) <- b
+      | Ack u -> ack.(u) <- b
+      | Crash _ -> assert false)
+    steps;
+  let indep =
+    Array.map
+      (fun a ->
+        let mask = ref 0 in
+        Array.iteri
+          (fun b step ->
+            if independent a step then mask := !mask lor (1 lsl b))
+          steps;
+        !mask)
+      steps
+  in
+  { n_nodes = n; deliver; ack; indep }
 
-let visit_cell cell sleep =
-  let stored = !cell in
-  if List.exists (fun old -> subset old sleep) stored then `Dedup
-  else begin
-    cell := sleep :: List.filter (fun old -> not (subset sleep old)) stored;
-    if stored = [] then `Fresh else `Revisit
-  end
+(* [step]'s bit index, or -1 for a crash. *)
+let bit_index bits = function
+  | Deliver { sender; receiver } ->
+      bits.deliver.((sender * bits.n_nodes) + receiver)
+  | Ack u -> bits.ack.(u)
+  | Crash _ -> -1
 
-(* seen-set: cfg -> visit cell, created empty on first sight. Fast keying
-   probes an int-keyed open-addressed table with the structural
-   fingerprint; [check_collisions] cross-checks each fingerprint against
+(* The seen-set key: the structural fingerprint under fast keying, else a
+   dense id interned per Marshal digest, so both keyings share one
+   {!Seen} table. [check_collisions] cross-checks each fingerprint against
    the Marshal digest and counts fingerprints claimed by two distinct
-   digests. The fallback keeps the digest-keyed Hashtbl,
-   but pays one probe per revisit ([find_opt] on a mutable cell) instead
-   of the old find-then-replace pair. *)
-let make_seen config rt =
+   digests. *)
+let make_key config rt =
   match rt.fingerprint with
   | Some fp when config.keying = `Fast ->
-      let table : step list list ref F.Table.t = F.Table.create 4096 in
       let digests =
         if config.check_collisions then Some (Hashtbl.create 4096) else None
       in
       let collisions = ref 0 in
-      let lookup cfg =
+      let key cfg =
         let k = fp cfg in
         (match digests with
         | Some tbl -> (
@@ -376,44 +435,41 @@ let make_seen config rt =
             | Some prior -> if prior <> d then incr collisions
             | None -> Hashtbl.add tbl k d)
         | None -> ());
-        match F.Table.find table k with
-        | Some cell -> cell
-        | None ->
-            let cell = ref [] in
-            F.Table.set table k cell;
-            cell
+        k
       in
-      (lookup, collisions)
+      (key, collisions)
   | _ ->
-      let seen : (string, step list list ref) Hashtbl.t = Hashtbl.create 4096 in
-      let lookup cfg =
-        let k = digest cfg in
-        match Hashtbl.find_opt seen k with
-        | Some cell -> cell
+      let ids : (string, int) Hashtbl.t = Hashtbl.create 4096 in
+      let key cfg =
+        let d = digest cfg in
+        match Hashtbl.find_opt ids d with
+        | Some id -> id
         | None ->
-            let cell = ref [] in
-            Hashtbl.add seen k cell;
-            cell
+            let id = Hashtbl.length ids in
+            Hashtbl.add ids d id;
+            id
       in
-      (lookup, ref 0)
+      (key, ref 0)
 
 (* The explorer stops at the first violation, carrying its schedule out. *)
 exception Violation_found of Consensus.Checker.violation * step list
 
 let explore config algorithm ~topology ~inputs =
   let rt = make_rt algorithm ~topology ~inputs in
+  let bits = sleep_bits rt in
   let states = ref 0 in
   let transitions = ref 0 in
   let dedup_hits = ref 0 in
   let sleep_skips = ref 0 in
   let truncated = ref false in
   let record violation path = raise (Violation_found (violation, List.rev path)) in
-  let lookup, collisions = make_seen config rt in
+  let key, collisions = make_key config rt in
+  let seen = Seen.create 4096 in
   let rec dfs cfg ~depth ~sleep ~path =
-    match visit_cell (lookup cfg) sleep with
-    | `Dedup -> incr dedup_hits
-    | (`Fresh | `Revisit) as verdict ->
-        if verdict = `Fresh then incr states;
+    match Seen.visit seen (key cfg) sleep with
+    | Dedup -> incr dedup_hits
+    | (Fresh | Revisit) as verdict ->
+        if verdict = Fresh then incr states;
         if !states > config.max_states then truncated := true
         else begin
           let steps = enabled config rt cfg in
@@ -421,21 +477,24 @@ let explore config algorithm ~topology ~inputs =
           | [] -> quiescent_check config ~record cfg ~path
           | _ :: _ when depth >= config.max_depth -> truncated := true
           | _ :: _ ->
-              (* [all] is sleep ∪ executed-so-far, grown by consing — sleep
-                 sets are compared as sets, so order is immaterial. *)
+              (* [all] is sleep ∪ executed-so-far. *)
               let rec siblings all = function
                 | [] -> ()
                 | step :: rest ->
-                    if mem_step step sleep then begin
+                    let b = bit_index bits step in
+                    let bit = if b < 0 then 0 else 1 lsl b in
+                    if sleep land bit <> 0 then begin
                       incr sleep_skips;
                       siblings all rest
                     end
                     else begin
                       let path = step :: path in
                       let child = apply rt ~record ~transitions cfg step ~path in
-                      let child_sleep = List.filter (independent step) all in
+                      let child_sleep =
+                        if b < 0 then 0 else all land bits.indep.(b)
+                      in
                       dfs child ~depth:(depth + 1) ~sleep:child_sleep ~path;
-                      siblings (step :: all) rest
+                      siblings (all lor bit) rest
                     end
               in
               siblings sleep steps
@@ -443,7 +502,7 @@ let explore config algorithm ~topology ~inputs =
   in
   let violations =
     try
-      dfs (initial_cfg rt ~record) ~depth:0 ~sleep:[] ~path:[];
+      dfs (initial_cfg rt ~record) ~depth:0 ~sleep:0 ~path:[];
       []
     with Violation_found (violation, path) -> [ (violation, path) ]
   in
@@ -508,11 +567,13 @@ let keys_fast ss =
   match ss.ss_rt.fingerprint with
   | None -> invalid_arg "Explore.keys_fast: algorithm has no fingerprint hooks"
   | Some fp ->
-      (* Blank each per-node cache first so the pass times the full
-         structural hash, not cache hits left by a previous pass. *)
+      (* Blank both per-node caches ([refold_all] also voids the
+         prefixes) so the pass times the full structural hash, not cache
+         hits left by a previous pass or copied from the configuration a
+         sample was stepped from. *)
       Array.fold_left
         (fun acc cfg ->
-          Array.fill cfg.fps 0 (Array.length cfg.fps) (-1);
+          Array.fill cfg.fps 0 (Array.length cfg.fps) refold_all;
           acc lxor fp cfg)
         0 ss.ss_cfgs
 

@@ -18,9 +18,12 @@
     Tractability comes from two reductions:
     - {b state deduplication}: configurations are keyed — by a fast
       structural fingerprint when the algorithm provides
-      {!Amac.Algorithm.hooks} (an int-keyed open-addressed table, no
-      marshalling, no MD5), falling back to the digest of the marshalled
-      bytes otherwise — so converging interleavings are explored once;
+      {!Amac.Algorithm.hooks} (no marshalling, no MD5), falling back to the
+      digest of the marshalled bytes otherwise — so converging
+      interleavings are explored once. Each node's fingerprint is cached
+      beside the configuration, and so is its fold over (index, algorithm
+      state, in-flight message): a delivery re-folds only its sender's
+      [undelivered]/[decided]/[crashed] tail and its receiver;
     - {b sleep sets} (Godefroid-style partial-order reduction): after
       exploring a transition [t] from a configuration, [t] is put to sleep
       in the siblings' subtrees and stays asleep as long as only transitions
@@ -28,6 +31,16 @@
       so one order of each commuting pair is pruned. A configuration is
       re-explored only when reached with a sleep set no stored visit
       subsumes, which keeps the reduction sound for state matching.
+
+    A sleep set is an [int] bitmask: each delivery over a directed edge and
+    each ack owns one bit, and a crash, dependent on every step, never
+    sleeps and owns none. Membership, the child's sleep set and the subset
+    test are each one or two word operations. This bounds {!explore} to
+    topologies with 2|E| + n <= 62 ([clique:7] and [line:21] fit,
+    [clique:8] does not). The seen-set is {!Seen}: one flat [int array]
+    holding each key next to its single stored mask, with the rare key
+    that stores two or more incomparable masks in a side table. Marshal
+    keying interns each digest to an int and uses the same table.
 
     Cloning a configuration for a child transition likewise uses the
     algorithm's [clone] hook when present, instead of a Marshal
@@ -81,7 +94,9 @@ type stats = {
 (** [explore config algorithm ~topology ~inputs] — exhaustive up to the
     budgets, stopping at the first violation. Every node knows n but not
     the diameter, as in the paper's model.
-    @raise Invalid_argument on input/topology size mismatch. *)
+    @raise Invalid_argument on input/topology size mismatch, or when the
+    topology has more sleepable steps (2|E| + n) than the 62 bits of a
+    sleep mask. *)
 val explore :
   config ->
   ('s, 'm) Amac.Algorithm.t ->

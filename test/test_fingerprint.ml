@@ -1,10 +1,9 @@
-(* The fingerprint hasher and its open-addressed table: the combinators
-   must separate the structures the explorer distinguishes (field order,
-   list lengths, string boundaries), the table must agree with a Hashtbl
-   model under arbitrary operation sequences, and — the soundness property
-   the explorer's `Fast keying rests on — over a large batch of real
-   reachable configurations the fingerprint must be deterministic and
-   collision-free against the Marshal digest. *)
+(* The fingerprint hasher: the combinators must separate the structures
+   the explorer distinguishes (field order, list lengths, string
+   boundaries), and — the soundness property the explorer's `Fast keying
+   rests on — over a large batch of real reachable configurations the
+   fingerprint must be deterministic and collision-free against the
+   Marshal digest. *)
 
 module F = Amac.Fingerprint
 module Explore = Mcheck.Explore
@@ -65,48 +64,6 @@ let test_to_int_low_bits_mixed () =
     true
     (Hashtbl.length buckets >= 32)
 
-let prop_table_matches_hashtbl =
-  (* Keys are drawn small and signed so duplicates, 0 and negatives all
-     occur; the sequence is long enough to force several grows. *)
-  QCheck.Test.make ~name:"Fingerprint.Table behaves like Hashtbl" ~count:100
-    QCheck.(list (pair (int_range (-50) 50) small_int))
-    (fun ops ->
-      let t = F.Table.create 4 in
-      let model = Hashtbl.create 16 in
-      List.for_all
-        (fun (key, v) ->
-          F.Table.set t key v;
-          Hashtbl.replace model key v;
-          F.Table.length t = Hashtbl.length model
-          && F.Table.find t key = Some v)
-        ops
-      &&
-      Hashtbl.fold
-        (fun key v ok -> ok && F.Table.find t key = Some v)
-        model true
-      && F.Table.fold (fun _ _ n -> n + 1) t 0 = Hashtbl.length model)
-
-let test_table_upsert () =
-  let t = F.Table.create 1 in
-  F.Table.upsert t 7 (function None -> 1 | Some n -> n + 1);
-  F.Table.upsert t 7 (function None -> 1 | Some n -> n + 1);
-  F.Table.upsert t min_int (function None -> 10 | Some n -> n);
-  Alcotest.(check (option int)) "bumped twice" (Some 2) (F.Table.find t 7);
-  Alcotest.(check (option int)) "negative key" (Some 10)
-    (F.Table.find t min_int);
-  Alcotest.(check int) "two entries" 2 (F.Table.length t)
-
-let test_table_growth_keeps_entries () =
-  let t = F.Table.create 4 in
-  for i = 0 to 999 do
-    F.Table.set t (i * 7919) i
-  done;
-  Alcotest.(check int) "1000 entries" 1000 (F.Table.length t);
-  for i = 0 to 999 do
-    if F.Table.find t (i * 7919) <> Some i then
-      Alcotest.failf "lost key %d across grows" (i * 7919)
-  done
-
 (* The soundness property behind `Fast keying, over the states the
    explorer actually visits: sampling is keyed on the Marshal digest, so
    every sampled configuration is digest-distinct — any two of them
@@ -156,13 +113,6 @@ let () =
             test_to_int_range_and_determinism;
           Alcotest.test_case "to_int mixes low bits" `Quick
             test_to_int_low_bits_mixed;
-        ] );
-      ( "table",
-        [
-          QCheck_alcotest.to_alcotest prop_table_matches_hashtbl;
-          Alcotest.test_case "upsert" `Quick test_table_upsert;
-          Alcotest.test_case "growth keeps entries" `Quick
-            test_table_growth_keeps_entries;
         ] );
       ( "soundness",
         [

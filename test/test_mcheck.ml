@@ -186,6 +186,137 @@ let test_explorer_collision_check () =
   Alcotest.(check bool) "revisits actually checked" true
     (stats.Explore.dedup_hits > 0)
 
+(* Above [Explore]'s width, a sleep set no longer fits an [int] mask: one
+   bit per directed edge and per ack, so 2|E| + n <= 62. *)
+let test_explorer_rejects_wide_topologies () =
+  let explore topology =
+    Explore.explore
+      { Explore.default with max_states = 1_000 }
+      Consensus.Two_phase.algorithm ~topology
+      ~inputs:(Array.make (Amac.Topology.size topology) 0)
+  in
+  let rejected name topology ~steps =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (Printf.sprintf
+            "Explore.explore: %d sleepable steps (2|E| + n) exceed the 62 \
+             bits of a sleep mask"
+            steps))
+      (fun () -> ignore (explore topology))
+  in
+  let accepted name topology =
+    Alcotest.(check bool) name true ((explore topology).Explore.states > 0)
+  in
+  let ring20 = Amac.Topology.ring 20 in
+  rejected "clique:8 (64 steps)" (Amac.Topology.clique 8) ~steps:64;
+  accepted "line:20 (58 steps)" (Amac.Topology.line 20);
+  accepted "ring:20 + 1 chord (62 steps)"
+    (Amac.Topology.add_edges ring20 [ (0, 10) ]);
+  rejected "ring:20 + 2 chords (64 steps)"
+    (Amac.Topology.add_edges ring20 [ (0, 10); (5, 15) ])
+    ~steps:64
+
+(* Pinned exploration counts (two-phase, alternating inputs): a change to
+   the sleep-set algebra, the seen table or the fingerprint caches that
+   alters which states are visited shows here. *)
+let test_explorer_pinned_counts () =
+  let check name config n
+      ~expect:(states, transitions, dedup, skips, truncated) =
+    let s =
+      Explore.explore config Consensus.Two_phase.algorithm
+        ~topology:(Amac.Topology.clique n)
+        ~inputs:(Consensus.Runner.inputs_alternating ~n)
+    in
+    Alcotest.(check (list int))
+      (name ^ ": states / transitions / dedup hits / sleep skips")
+      [ states; transitions; dedup; skips ]
+      [ s.Explore.states; s.transitions; s.dedup_hits; s.sleep_skips ];
+    Alcotest.(check bool) (name ^ ": truncated") truncated s.truncated;
+    Alcotest.(check int) (name ^ ": safe") 0 (List.length s.violations)
+  in
+  let d = Explore.default in
+  check "clique:3" d 3 ~expect:(353077, 527145, 122663, 342666, false);
+  (* 17 of these cells end the run storing two sleep sets. *)
+  List.iter
+    (fun (name, keying) ->
+      check
+        ("clique:3, one crash, " ^ name)
+        { d with crash_budget = 1; max_states = 100_000; keying }
+        3
+        ~expect:(100056, 185313, 81731, 24439, true))
+    [ ("fast", `Fast); ("marshal", `Marshal) ];
+  (* 2,506 of these cells end the run storing two or more sleep sets. *)
+  check "clique:4" { d with max_states = 200_000 } 4
+    ~expect:(200129, 301668, 82778, 407684, true)
+
+(* Pinned configuration keys: folds of both key functions over 50k sampled
+   clique:3 configurations, so a change to the fingerprint fold or its
+   caches that alters any key shows here. *)
+let test_keys_pinned () =
+  let ss =
+    Explore.sample
+      { Explore.default with crash_budget = 1 }
+      Consensus.Two_phase.algorithm ~topology:(Amac.Topology.clique 3)
+      ~inputs:(Consensus.Runner.inputs_alternating ~n:3) ~max_samples:50_000
+  in
+  Alcotest.(check int) "sampled" 50_000 (Explore.sample_size ss);
+  Alcotest.(check int) "keys_fast" 2568398093489138932 (Explore.keys_fast ss);
+  Alcotest.(check int) "keys_marshal" 53088716 (Explore.keys_marshal ss)
+
+(* Reference model for [Mcheck.Seen]: a Hashtbl of visit cells, each the
+   antichain of sleep sets (lists of bit indices) explored from one key. *)
+let model_visit table key sleep =
+  let subset a b = List.for_all (fun x -> List.mem x b) a in
+  let cell =
+    match Hashtbl.find_opt table key with
+    | Some cell -> cell
+    | None ->
+        let cell = ref [] in
+        Hashtbl.add table key cell;
+        cell
+  in
+  let stored = !cell in
+  if List.exists (fun old -> subset old sleep) stored then Mcheck.Seen.Dedup
+  else begin
+    cell := sleep :: List.filter (fun old -> not (subset sleep old)) stored;
+    if stored = [] then Fresh else Revisit
+  end
+
+let mask_of bits = List.fold_left (fun m b -> m lor (1 lsl b)) 0 bits
+
+(* Keys come from a small signed range with 0, -1, min_int and max_int, so
+   sequences collide on keys, grow the table several times, and drive
+   cells from one stored set to two and back; sleep sets are subsets of
+   six bits, the top one the highest a mask may use. *)
+let prop_seen_matches_model =
+  let key =
+    QCheck.Gen.(
+      frequency
+        [ (8, int_range (-40) 40); (1, return min_int); (1, return max_int) ])
+  in
+  let sleep =
+    QCheck.Gen.(list_size (int_bound 4) (oneofl [ 0; 1; 2; 3; 4; 61 ]))
+  in
+  QCheck.Test.make ~name:"Seen.visit agrees with the antichain model"
+    ~count:200
+    QCheck.(
+      make
+        ~print:Print.(list (pair int (list int)))
+        Gen.(list_size (int_range 1 600) (pair key sleep)))
+    (fun visits ->
+      let seen = Mcheck.Seen.create 4 and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (key, bits) ->
+          let bits = List.sort_uniq Int.compare bits in
+          Mcheck.Seen.visit seen key (mask_of bits)
+          = model_visit model key bits)
+        visits)
+
+let test_seen_rejects_negative_mask () =
+  Alcotest.check_raises "negative mask"
+    (Invalid_argument "Seen.visit: negative sleep mask") (fun () ->
+      ignore (Mcheck.Seen.visit (Mcheck.Seen.create 1) 0 (-1)))
+
 let () =
   Alcotest.run "mcheck"
     [
@@ -218,5 +349,16 @@ let () =
             test_explorer_keying_equivalence;
           Alcotest.test_case "collision check finds none" `Quick
             test_explorer_collision_check;
+          Alcotest.test_case "sleep masks bound the width" `Quick
+            test_explorer_rejects_wide_topologies;
+          Alcotest.test_case "pinned exploration counts" `Slow
+            test_explorer_pinned_counts;
+          Alcotest.test_case "pinned configuration keys" `Slow test_keys_pinned;
+        ] );
+      ( "seen",
+        [
+          QCheck_alcotest.to_alcotest prop_seen_matches_model;
+          Alcotest.test_case "rejects a negative mask" `Quick
+            test_seen_rejects_negative_mask;
         ] );
     ]
