@@ -195,6 +195,14 @@ let print_metrics =
 let write_file file s =
   Out_channel.with_open_bin file (fun oc -> output_string oc s)
 
+(* --json / --dag: rendered into one buffer, newline-terminated, and
+   written from it without a string copy. *)
+let write_json file json =
+  let buf = Buffer.create 65536 in
+  Obs.Json.to_buffer buf json;
+  Buffer.add_char buf '\n';
+  Out_channel.with_open_bin file (fun oc -> Buffer.output_buffer oc buf)
+
 (* The export format is picked by extension: .jsonl gets one event per
    line, anything else the Chrome trace_event envelope. *)
 let export_for file events =
@@ -562,13 +570,12 @@ let profile_cmd algo topo sched fack seed inputs_spec smr cmds mode window gap
   (match json_out with
   | None -> ()
   | Some file ->
-      write_file file (Obs.Json.to_string (Obs.Profile.to_json report) ^ "\n");
+      write_json file (Obs.Profile.to_json report);
       Printf.printf "profile: JSON report written to %s\n" file);
   (match dag_out with
   | None -> ()
   | Some file ->
-      write_file file
-        (Obs.Json.to_string (Obs.Provenance.to_json provenance) ^ "\n");
+      write_json file (Obs.Provenance.to_json provenance);
       Printf.printf "profile: causal DAG (%d vertices) written to %s\n"
         (Obs.Provenance.length provenance)
         file);

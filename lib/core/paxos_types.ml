@@ -9,7 +9,27 @@ let pno_lt a b = compare_pno a b < 0
 
 let pno_le a b = compare_pno a b <= 0
 
-let pp_pno { tag; proposer } = Printf.sprintf "%d.%d" tag proposer
+(* Wire text is written into a Buffer, ints digit by digit: a trace
+   renders one message per broadcast, and [Printf] or [string_of_int]
+   would dominate that. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
+let add_pno buf { tag; proposer } =
+  add_int buf tag;
+  Buffer.add_char buf '.';
+  add_int buf proposer
+
+let text add x =
+  let buf = Buffer.create 32 in
+  add buf x;
+  Buffer.contents buf
+
+let pp_pno pno = text add_pno pno
 
 type prior = { pno : pno; value : int }
 
@@ -77,21 +97,46 @@ let aggregate responses =
 
 let pp_round = function Prepare_round -> "prep" | Propose_round -> "prop"
 
-let pp_proposer_msg = function
-  | Prepare pno -> Printf.sprintf "prepare(%s)" (pp_pno pno)
-  | Propose { pno; value } -> Printf.sprintf "propose(%s,v=%d)" (pp_pno pno) value
+let add_proposer_msg buf = function
+  | Prepare pno ->
+      Buffer.add_string buf "prepare(";
+      add_pno buf pno;
+      Buffer.add_char buf ')'
+  | Propose { pno; value } ->
+      Buffer.add_string buf "propose(";
+      add_pno buf pno;
+      Buffer.add_string buf ",v=";
+      add_int buf value;
+      Buffer.add_char buf ')'
 
-let pp_response r =
-  Printf.sprintf "resp{to=%d;tgt=%d;%s/%s;%s;x%d%s%s}" r.dest r.target
-    (pp_pno r.pno) (pp_round r.round)
-    (if r.positive then "yes" else "no")
-    r.count
-    (match r.best_prior with
-    | None -> ""
-    | Some p -> Printf.sprintf ";prior=%s:%d" (pp_pno p.pno) p.value)
-    (match r.committed with
-    | None -> ""
-    | Some c -> Printf.sprintf ";comm=%s" (pp_pno c))
+let add_response buf r =
+  Buffer.add_string buf "resp{to=";
+  add_int buf r.dest;
+  Buffer.add_string buf ";tgt=";
+  add_int buf r.target;
+  Buffer.add_char buf ';';
+  add_pno buf r.pno;
+  Buffer.add_char buf '/';
+  Buffer.add_string buf (pp_round r.round);
+  Buffer.add_string buf (if r.positive then ";yes;x" else ";no;x");
+  add_int buf r.count;
+  (match r.best_prior with
+  | None -> ()
+  | Some p ->
+      Buffer.add_string buf ";prior=";
+      add_pno buf p.pno;
+      Buffer.add_char buf ':';
+      add_int buf p.value);
+  (match r.committed with
+  | None -> ()
+  | Some c ->
+      Buffer.add_string buf ";comm=";
+      add_pno buf c);
+  Buffer.add_char buf '}'
+
+let pp_proposer_msg m = text add_proposer_msg m
+
+let pp_response r = text add_response r
 
 let proposer_msg_ids = function Prepare _ | Propose _ -> 1
 

@@ -74,6 +74,18 @@ val merge : response -> response -> response
     Lemma 4.2). *)
 val aggregate : response list -> response list
 
+(** Wire text, as the trace records it: [prepare(3.1)], [propose(3.1,v=0)],
+    [resp{to=2;tgt=1;3.1/prep;yes;x4;prior=2.0:1;comm=3.0}] (the [prior]
+    and [comm] parts only when present). The [add_*] writers append it to a
+    buffer, ints in decimal as [%d] prints them; the [pp_*] functions return
+    it as a string. *)
+
+val add_int : Buffer.t -> int -> unit
+
+val add_proposer_msg : Buffer.t -> proposer_msg -> unit
+
+val add_response : Buffer.t -> response -> unit
+
 val pp_proposer_msg : proposer_msg -> string
 
 val pp_response : response -> string

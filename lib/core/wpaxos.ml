@@ -725,16 +725,42 @@ let component_ids = function
 let msg_ids components =
   List.fold_left (fun acc c -> acc + component_ids c) 0 components
 
-let pp_component = function
-  | Leader { id; hb } -> Printf.sprintf "leader(%d,hb=%d)" id hb
-  | Change { counter; origin } -> Printf.sprintf "change(%d@%d)" counter origin
+let add_component buf = function
+  | Leader { id; hb } ->
+      Buffer.add_string buf "leader(";
+      add_int buf id;
+      Buffer.add_string buf ",hb=";
+      add_int buf hb;
+      Buffer.add_char buf ')'
+  | Change { counter; origin } ->
+      Buffer.add_string buf "change(";
+      add_int buf counter;
+      Buffer.add_char buf '@';
+      add_int buf origin;
+      Buffer.add_char buf ')'
   | Search { root; hops; sender } ->
-      Printf.sprintf "search(root=%d,h=%d,from=%d)" root hops sender
-  | Proposal p -> pp_proposer_msg p
-  | Response r -> pp_response r
-  | Decision v -> Printf.sprintf "decide(%d)" v
+      Buffer.add_string buf "search(root=";
+      add_int buf root;
+      Buffer.add_string buf ",h=";
+      add_int buf hops;
+      Buffer.add_string buf ",from=";
+      add_int buf sender;
+      Buffer.add_char buf ')'
+  | Proposal p -> add_proposer_msg buf p
+  | Response r -> add_response buf r
+  | Decision v ->
+      Buffer.add_string buf "decide(";
+      add_int buf v;
+      Buffer.add_char buf ')'
 
-let pp_msg components = String.concat "+" (List.map pp_component components)
+let pp_msg components =
+  let buf = Buffer.create 128 in
+  List.iteri
+    (fun i c ->
+      if i > 0 then Buffer.add_char buf '+';
+      add_component buf c)
+    components;
+  Buffer.contents buf
 
 (* Verification fast path (Algorithm.hooks). The state is wide but almost
    entirely ints and small variants; the tree service folds its routes in

@@ -146,10 +146,11 @@ let path_json p =
              (fun (n, t) ->
                Json.Obj [ ("node", Json.Int n); ("ticks", Json.Int t) ])
              p.shares) );
-      ("edges", Json.List (List.map edge_json p.edges));
+      ("edges", Json.Seq (Seq.map edge_json (List.to_seq p.edges)));
     ]
 
-let to_json ps = Json.Obj [ ("paths", Json.List (List.map path_json ps)) ]
+let to_json ps =
+  Json.Obj [ ("paths", Json.Seq (Seq.map path_json (List.to_seq ps))) ]
 
 let render ps =
   let b = Buffer.create 256 in

@@ -65,7 +65,9 @@ val per_hop : path -> float
     smaller node id. *)
 val bottleneck : path -> (int * float) option
 
-(** Deterministic JSON: [{"paths":[...]}] with per-path edges and shares. *)
+(** Deterministic JSON: [{"paths":[...]}] with per-path edges and shares.
+    The paths and each path's edges are lazy [Json.Seq] arrays: their
+    objects are built only as they are rendered. *)
 val to_json : path list -> Json.t
 
 (** Human-readable multi-line report. *)

@@ -6,27 +6,53 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Seq of t Seq.t
 
+(* ------------------------------------------------------------------ *)
+(* Renderer: one recursive pass into a Buffer, no per-item closures.    *)
+(* ------------------------------------------------------------------ *)
+
+let hex_digits = "0123456789abcdef"
+
+let escape_char buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+      let code = Char.code c in
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex_digits.[code lsr 4];
+      Buffer.add_char buf hex_digits.[code land 0xF]
+
+(* Only the quote, the backslash and bytes below 0x20 are escaped; DEL and
+   bytes >= 0x80 pass through. Runs of clean bytes are blitted in one go. *)
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let clean_from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      Buffer.add_substring buf s !clean_from (i - !clean_from);
+      escape_char buf c;
+      clean_from := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !clean_from (String.length s - !clean_from);
   Buffer.add_char buf '"'
+
+(* [n >= 0], most significant digit first. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
 
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n ->
+      if n >= 0 then add_digits buf n
+      else Buffer.add_string buf (string_of_int n)
   | Float f ->
       if Float.is_finite f then
         Buffer.add_string buf (Printf.sprintf "%.12g" f)
@@ -34,22 +60,58 @@ let rec render buf = function
   | String s -> escape_string buf s
   | List items ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          render buf item)
-        items;
+      (match items with
+      | [] -> ()
+      | item :: items ->
+          render buf item;
+          render_items buf items);
+      Buffer.add_char buf ']'
+  | Seq items ->
+      Buffer.add_char buf '[';
+      (match items () with
+      | Seq.Nil -> ()
+      | Seq.Cons (item, items) ->
+          render buf item;
+          render_seq buf items);
       Buffer.add_char buf ']'
   | Obj fields ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (key, value) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_string buf key;
-          Buffer.add_char buf ':';
-          render buf value)
-        fields;
+      (match fields with
+      | [] -> ()
+      | field :: fields ->
+          render_field buf field;
+          render_fields buf fields);
       Buffer.add_char buf '}'
+
+(* The [render_*] continuations each render a ',' before every element. *)
+and render_items buf = function
+  | [] -> ()
+  | item :: items ->
+      Buffer.add_char buf ',';
+      render buf item;
+      render_items buf items
+
+and render_seq buf items =
+  match items () with
+  | Seq.Nil -> ()
+  | Seq.Cons (item, items) ->
+      Buffer.add_char buf ',';
+      render buf item;
+      render_seq buf items
+
+and render_field buf (key, value) =
+  escape_string buf key;
+  Buffer.add_char buf ':';
+  render buf value
+
+and render_fields buf = function
+  | [] -> ()
+  | field :: fields ->
+      Buffer.add_char buf ',';
+      render_field buf field;
+      render_fields buf fields
+
+let to_buffer = render
 
 let to_string t =
   let buf = Buffer.create 256 in
@@ -93,6 +155,61 @@ let literal cur word value =
   end
   else fail cur (Printf.sprintf "expected %s" word)
 
+(* Exactly four hex digits; the offset of a failure is the first of them. *)
+let hex4 cur =
+  if cur.pos + 4 > String.length cur.src then fail cur "truncated \\u escape";
+  let code = ref 0 in
+  for i = cur.pos to cur.pos + 3 do
+    let digit =
+      match cur.src.[i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail cur "bad \\u escape"
+    in
+    code := (!code lsl 4) lor digit
+  done;
+  cur.pos <- cur.pos + 4;
+  !code
+
+(* The code point of a [\u] escape whose [u] was just consumed: a high
+   surrogate must be followed by an escaped low one, and the pair is one
+   code point. *)
+let code_point cur =
+  let code = hex4 cur in
+  if code >= 0xDC00 && code <= 0xDFFF then fail cur "lone low surrogate"
+  else if code >= 0xD800 && code <= 0xDBFF then begin
+    if
+      cur.pos + 2 <= String.length cur.src
+      && cur.src.[cur.pos] = '\\'
+      && cur.src.[cur.pos + 1] = 'u'
+    then cur.pos <- cur.pos + 2
+    else fail cur "lone high surrogate";
+    let low = hex4 cur in
+    if low < 0xDC00 || low > 0xDFFF then fail cur "lone high surrogate";
+    0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+  end
+  else code
+
+let add_utf8 buf code =
+  let cont shift = Char.chr (0x80 lor ((code lsr shift) land 0x3F)) in
+  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char buf (cont 0)
+  end
+  else if code < 0x10000 then begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char buf (cont 6);
+    Buffer.add_char buf (cont 0)
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+    Buffer.add_char buf (cont 12);
+    Buffer.add_char buf (cont 6);
+    Buffer.add_char buf (cont 0)
+  end
+
 let parse_string cur =
   expect cur '"';
   let buf = Buffer.create 16 in
@@ -115,30 +232,10 @@ let parse_string cur =
             | 'n' -> Buffer.add_char buf '\n'
             | 'r' -> Buffer.add_char buf '\r'
             | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                if cur.pos + 4 > String.length cur.src then
-                  fail cur "truncated \\u escape";
-                let hex = String.sub cur.src cur.pos 4 in
-                cur.pos <- cur.pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex)
-                  with _ -> fail cur "bad \\u escape"
-                in
-                (* Encode the code point as UTF-8 (BMP only; our renderer
-                   only ever emits \u00xx for control characters). *)
-                if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char buf
-                    (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-                end
+            | 'u' -> add_utf8 buf (code_point cur)
             | c -> fail cur (Printf.sprintf "bad escape \\%c" c));
             loop ())
+    | Some c when c < ' ' -> fail cur "unescaped control character in string"
     | Some c ->
         advance cur;
         Buffer.add_char buf c;
@@ -147,38 +244,43 @@ let parse_string cur =
   loop ();
   Buffer.contents buf
 
+(* The JSON number grammar:
+   [-? (0 | [1-9][0-9]* ) (.[0-9]+)? ([eE][+-]?[0-9]+)?]. *)
 let parse_number cur =
   let start = cur.pos in
-  let is_num_char c =
-    match c with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
+  let at c = peek cur = Some c in
+  let is_digit () =
+    match peek cur with Some '0' .. '9' -> true | Some _ | None -> false
   in
-  let rec eat () =
-    match peek cur with
-    | Some c when is_num_char c ->
-        advance cur;
-        eat ()
-    | Some _ | None -> ()
+  let digits () =
+    if not (is_digit ()) then fail cur "expected a digit";
+    while is_digit () do
+      advance cur
+    done
   in
-  eat ();
+  if at '-' then advance cur;
+  if at '0' then begin
+    advance cur;
+    if is_digit () then fail cur "leading zero"
+  end
+  else digits ();
+  let fraction = at '.' in
+  if fraction then begin
+    advance cur;
+    digits ()
+  end;
+  let exponent = at 'e' || at 'E' in
+  if exponent then begin
+    advance cur;
+    if at '+' || at '-' then advance cur;
+    digits ()
+  end;
   let token = String.sub cur.src start (cur.pos - start) in
-  if token = "" then fail cur "expected a number";
-  let is_float =
-    String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token
-  in
-  if is_float then
-    match float_of_string_opt token with
-    | Some f -> Float f
-    | None -> fail cur (Printf.sprintf "bad number %s" token)
+  if fraction || exponent then Float (float_of_string token)
   else
     match int_of_string_opt token with
     | Some n -> Int n
-    | None -> (
-        (* Integer overflow: fall back to float. *)
-        match float_of_string_opt token with
-        | Some f -> Float f
-        | None -> fail cur (Printf.sprintf "bad number %s" token))
+    | None -> Float (float_of_string token) (* integer overflow *)
 
 let rec parse_value cur =
   skip_ws cur;
@@ -249,10 +351,12 @@ let of_string s =
 
 let member key = function
   | Obj fields -> List.assoc_opt key fields
-  | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
+  | Null | Bool _ | Int _ | Float _ | String _ | List _ | Seq _ -> None
 
 let rec equal a b =
   match (a, b) with
+  | Seq s, _ -> equal (List (List.of_seq s)) b
+  | _, Seq s -> equal a (List (List.of_seq s))
   | Null, Null -> true
   | Bool a, Bool b -> a = b
   | Int a, Int b -> a = b

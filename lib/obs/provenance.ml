@@ -111,29 +111,36 @@ let observer t ~n =
   in
   (observe, fun node -> current.(node))
 
-let kind_fields = function
-  | Boot { incarnation } ->
-    [ ("kind", Json.String "boot"); ("inc", Json.Int incarnation) ]
-  | Inject { payload } ->
-    [ ("kind", Json.String "inject"); ("payload", Json.Int payload) ]
-  | Broadcast -> [ ("kind", Json.String "broadcast") ]
-  | Deliver { sender } ->
-    [ ("kind", Json.String "deliver"); ("from", Json.Int sender) ]
-  | Ack -> [ ("kind", Json.String "ack") ]
-  | Decide { value } ->
-    [ ("kind", Json.String "decide"); ("value", Json.Int value) ]
-
-let to_json t =
-  let vs =
-    List.map
-      (fun v ->
-        Json.Obj
-          (( ("id", Json.Int v.id) :: kind_fields v.kind )
-          @ [
-              ("node", Json.Int v.node);
-              ("t", Json.Int v.time);
-              ("cause", Json.Int v.cause);
-            ]))
-      (to_list t)
+(* One vertex's object: [id], [kind], the kind's own field, then
+   [node], [t], [cause]. *)
+let vertex_json v =
+  let rest =
+    [
+      ("node", Json.Int v.node);
+      ("t", Json.Int v.time);
+      ("cause", Json.Int v.cause);
+    ]
   in
-  Json.Obj [ ("vertices", Json.List vs) ]
+  let fields =
+    match v.kind with
+    | Boot { incarnation } ->
+      ("kind", Json.String "boot") :: ("inc", Json.Int incarnation) :: rest
+    | Inject { payload } ->
+      ("kind", Json.String "inject") :: ("payload", Json.Int payload) :: rest
+    | Broadcast -> ("kind", Json.String "broadcast") :: rest
+    | Deliver { sender } ->
+      ("kind", Json.String "deliver") :: ("from", Json.Int sender) :: rest
+    | Ack -> ("kind", Json.String "ack") :: rest
+    | Decide { value } ->
+      ("kind", Json.String "decide") :: ("value", Json.Int value) :: rest
+  in
+  Json.Obj (("id", Json.Int v.id) :: fields)
+
+(* [data] and [len] are read once: recording later only writes past [len]
+   (or into a grown copy), so the export is the DAG as of this call. *)
+let to_json t =
+  let data = t.data and len = t.len in
+  let rec from i () =
+    if i = len then Seq.Nil else Seq.Cons (vertex_json data.(i), from (i + 1))
+  in
+  Json.Obj [ ("vertices", Json.Seq (from 0)) ]

@@ -89,5 +89,8 @@ val check : t -> string list
 
 (** Deterministic: [{"vertices":[{"id":..,"kind":..,"node":..,"t":..,
     "cause":..},...]}] with kind-specific fields ([inc], [payload], [from],
-    [value]) after [kind]. *)
+    [value]) after [kind]. The vertices are a lazy [Json.Seq] over the
+    recorded vertices as of this call (vertices recorded later are not in
+    it): each vertex's object is built only as it is rendered, so exporting
+    never holds the DAG as a second tree. *)
 val to_json : t -> Json.t

@@ -56,14 +56,19 @@ let json_of_event event =
         :: common name cat time node args)
 
 let to_jsonl events =
-  String.concat ""
-    (List.map (fun e -> Json.to_string (json_of_event e) ^ "\n") events)
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Json.to_buffer buf (json_of_event e);
+      Buffer.add_char buf '\n')
+    events;
+  Buffer.contents buf
 
 let to_chrome events =
   Json.to_string
     (Json.Obj
        [
-         ("traceEvents", Json.List (List.map json_of_event events));
+         ("traceEvents", Json.Seq (Seq.map json_of_event (List.to_seq events)));
          ("displayTimeUnit", Json.String "ms");
        ])
 

@@ -63,6 +63,209 @@ let test_json_roundtrip () =
   Alcotest.(check bool) "3 = 3.0" true (equal (Int 3) (Float 3.0));
   Alcotest.(check bool) "3 <> 3.5" false (equal (Int 3) (Float 3.5))
 
+(* The parser is strict: each of these was accepted before, and each is
+   now a position-annotated failure. *)
+let rejects label input =
+  match Obs.Json.of_string input with
+  | exception Failure msg ->
+      let annotated =
+        String.starts_with ~prefix:"Json.of_string: " msg
+        &&
+        match List.rev (String.split_on_char ' ' msg) with
+        | offset :: "offset" :: "at" :: _ -> int_of_string_opt offset <> None
+        | _ -> false
+      in
+      Alcotest.(check bool) (Printf.sprintf "%s: %S" label msg) true annotated
+  | v ->
+      Alcotest.failf "%s: %S parsed as %s" label input (Obs.Json.to_string v)
+
+let test_json_strict_u_escape () =
+  rejects "underscore in \\u" {|"\u1_23"|};
+  rejects "three hex digits" {|"\u123"|};
+  rejects "sign in \\u" {|"\u+123"|};
+  Alcotest.check json "four hex digits, either case" (Obs.Json.String "\xc4\xa3\xc3\xa9")
+    (Obs.Json.of_string {|"\u0123\u00E9"|})
+
+let test_json_strict_control_bytes () =
+  rejects "raw \\001" "\"a\001b\"";
+  rejects "raw newline" "\"a\nb\"";
+  rejects "raw tab in a key" "{\"a\tb\":1}";
+  Alcotest.check json "escaped control bytes parse" (Obs.Json.String "a\001b\n")
+    (Obs.Json.of_string {|"a\u0001b\n"|})
+
+let test_json_strict_leading_zeros () =
+  rejects "0123" "0123";
+  rejects "-01" "-01";
+  rejects "00.5" "00.5";
+  rejects "leading zero in an array" "[1,01]";
+  rejects "bare minus" "-";
+  rejects "no fraction digits" "1.";
+  rejects "no exponent digits" "1e";
+  let open Obs.Json in
+  Alcotest.check json "0" (Int 0) (of_string "0");
+  Alcotest.check json "-0" (Int 0) (of_string "-0");
+  Alcotest.check json "0.5" (Float 0.5) (of_string "0.5");
+  Alcotest.check json "-0e+1" (Float (-0.)) (of_string "-0e+1");
+  Alcotest.check json "10" (Int 10) (of_string "10")
+
+let test_json_strict_surrogates () =
+  let open Obs.Json in
+  Alcotest.check json "a pair is one 4-byte sequence"
+    (String "\xf0\x9f\x98\x80")
+    (of_string {|"\ud83d\ude00"|});
+  Alcotest.check json "upper-case pair" (String "x\xf0\x9f\x98\x80y")
+    (of_string {|"x\uD83D\uDE00y"|});
+  rejects "lone high surrogate" {|"\ud83d"|};
+  rejects "high surrogate before a plain byte" {|"\ud83dx"|};
+  rejects "high surrogate before a BMP escape" {|"\ud83d\u0041"|};
+  rejects "lone low surrogate" {|"\ude00"|}
+
+(* HEAD's renderer before the single-pass writer, kept as the oracle: the
+   one added line renders a [Seq] as the list it yields. *)
+module Oracle = struct
+  open Obs.Json
+
+  let escape_string buf s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+
+  let rec render buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int n -> Buffer.add_string buf (string_of_int n)
+    | Float f ->
+        if Float.is_finite f then
+          Buffer.add_string buf (Printf.sprintf "%.12g" f)
+        else Buffer.add_string buf "null"
+    | String s -> escape_string buf s
+    | Seq s -> render buf (List (List.of_seq s))
+    | List items ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i item ->
+            if i > 0 then Buffer.add_char buf ',';
+            render buf item)
+          items;
+        Buffer.add_char buf ']'
+    | Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (key, value) ->
+            if i > 0 then Buffer.add_char buf ',';
+            escape_string buf key;
+            Buffer.add_char buf ':';
+            render buf value)
+          fields;
+        Buffer.add_char buf '}'
+
+  let to_string t =
+    let buf = Buffer.create 256 in
+    render buf t;
+    Buffer.contents buf
+end
+
+(* Strings over the bytes the escaper must get right (quote, backslash,
+   every control byte, DEL, bytes >= 0x80) mixed with plain ASCII. *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size ~gen:
+      (frequency
+         [
+           (4, char_range 'a' 'z');
+           (1, oneofl [ '"'; '\\'; '\127'; '/' ]);
+           (2, char_range '\000' '\031');
+           (2, char_range '\128' '\255');
+         ])
+      (int_bound 12))
+
+let gen_json =
+  let open QCheck.Gen in
+  let open Obs.Json in
+  let leaf =
+    frequency
+      [
+        (1, return Null);
+        (1, map (fun b -> Bool b) bool);
+        ( 3,
+          map
+            (fun n -> Int n)
+            (oneof [ small_signed_int; int; oneofl [ min_int; max_int; 0 ] ])
+        );
+        ( 2,
+          map
+            (fun f -> Float f)
+            (oneof
+               [
+                 float;
+                 oneofl [ nan; infinity; neg_infinity; -0.; 0.1; 1e300; 3.0 ];
+               ]) );
+        (3, map (fun s -> String s) gen_json_string);
+      ]
+  in
+  sized
+  @@ fix (fun self size ->
+         if size <= 1 then leaf
+         else
+           let items = list_size (int_bound 5) (self (size / 3)) in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> List l) items);
+               (1, map (fun l -> Seq (List.to_seq l)) items);
+               ( 1,
+                 map
+                   (fun l -> Obj l)
+                   (list_size (int_bound 5)
+                      (pair gen_json_string (self (size / 3)))) );
+             ])
+
+let prop_renderer_matches_oracle =
+  QCheck.Test.make ~count:500
+    ~name:"to_string agrees byte for byte with the old renderer"
+    (QCheck.make ~print:Oracle.to_string gen_json)
+    (fun t ->
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf "prefix";
+      Obs.Json.to_buffer buf t;
+      Obs.Json.to_string t = Oracle.to_string t
+      && Buffer.contents buf = "prefix" ^ Oracle.to_string t)
+
+let test_json_seq () =
+  let open Obs.Json in
+  let items = [ Int 1; String "a\"b"; Obj [ ("k", Seq Seq.empty) ]; Null ] in
+  let seq = Seq (List.to_seq items) in
+  Alcotest.(check string) "Seq renders as its List"
+    (to_string (List items)) (to_string seq);
+  Alcotest.(check string) "a Seq renders twice with the same bytes"
+    (to_string seq) (to_string seq);
+  Alcotest.(check string) "empty Seq" "[]" (to_string (Seq Seq.empty));
+  let counted = ref 0 in
+  let lazy_seq =
+    Seq (Seq.map (fun i -> incr counted; Int i) (List.to_seq [ 1; 2; 3 ]))
+  in
+  Alcotest.(check int) "nothing is produced before rendering" 0 !counted;
+  Alcotest.(check string) "rendered" "[1,2,3]" (to_string lazy_seq);
+  Alcotest.(check bool) "equal forces a Seq against a List" true
+    (equal lazy_seq (List [ Int 1; Int 2; Int 3 ]));
+  Alcotest.(check bool) "and against another Seq" true
+    (equal seq (Seq (List.to_seq items)));
+  Alcotest.(check bool) "a shorter Seq differs" false
+    (equal lazy_seq (List [ Int 1; Int 2 ]));
+  Alcotest.check json "the parser reads a Seq back as a List" (List items)
+    (of_string (to_string seq))
+
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -580,6 +783,16 @@ let () =
           Alcotest.test_case "render" `Quick test_json_render;
           Alcotest.test_case "parse" `Quick test_json_parse;
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "strict: \\u takes four hex digits" `Quick
+            test_json_strict_u_escape;
+          Alcotest.test_case "strict: raw control bytes rejected" `Quick
+            test_json_strict_control_bytes;
+          Alcotest.test_case "strict: leading zeros rejected" `Quick
+            test_json_strict_leading_zeros;
+          Alcotest.test_case "strict: surrogate pairs" `Quick
+            test_json_strict_surrogates;
+          Alcotest.test_case "lazy arrays" `Quick test_json_seq;
+          QCheck_alcotest.to_alcotest prop_renderer_matches_oracle;
         ] );
       ( "metrics",
         [

@@ -177,6 +177,53 @@ let test_profile_deterministic () =
         (String.equal (profile_bytes seed) (profile_bytes seed)))
     [ 1; 9; 42 ]
 
+(* The three exports costbench's wpaxos_grid400_profile renders, on its
+   input: grid:20x20 (Topo_gen seed 1) under fixed(3)+sinr(alpha=2), random
+   inputs from seed 42. Pinned by MD5 and length, so a renderer or exporter
+   change that moves a single byte shows here. *)
+let test_grid_export_digests () =
+  let topology =
+    Topo_gen.generate ~seed:1 (Topo_gen.Grid { width = 20; height = 20 })
+  in
+  let n = Amac.Topology.size topology in
+  let inputs = Consensus.Runner.inputs_random (Amac.Rng.create 42) ~n in
+  let provenance = P.create () and obs = Obs.Metrics.create () in
+  let outcome =
+    Amac.Engine.run (Consensus.Wpaxos.make ()) ~topology
+      ~scheduler:
+        (Amac.Scheduler.interference ~alpha:2
+           (Amac.Scheduler.fixed ~delay:3))
+      ~inputs ~provenance ~obs ~record_trace:true
+      ~pp_msg:Consensus.Wpaxos.pp_msg
+  in
+  let spans = Amac.Trace_export.spans outcome.Amac.Engine.trace in
+  let energy =
+    Obs.Energy.account ~n ~duration:outcome.Amac.Engine.end_time spans
+  in
+  let profile =
+    Obs.Profile.make ~provenance
+      ~meta:[ ("topology", Obs.Json.String "grid:20x20") ]
+      ~energy ()
+  in
+  List.iter
+    (fun (name, expected, json) ->
+      let bytes = Obs.Json.to_string json in
+      Alcotest.(check string) name expected
+        (Printf.sprintf "%s %d"
+           (Digest.to_hex (Digest.string bytes))
+           (String.length bytes)))
+    [
+      ( "profile",
+        "03caea7680e5c5eae9dd396517216567 10155021",
+        Obs.Profile.to_json profile );
+      ( "DAG",
+        "df621d945fee0580f8dfbe0e2d78ca24 28530485",
+        P.to_json provenance );
+      ( "metrics snapshot",
+        "a50529314c4b54861c2d94044ddcfdec 767758",
+        Obs.Metrics.to_json (Obs.Metrics.snapshot obs) );
+    ]
+
 let () =
   Alcotest.run "profile"
     [
@@ -200,5 +247,7 @@ let () =
         [
           Alcotest.test_case "profile JSON deterministic" `Quick
             test_profile_deterministic;
+          Alcotest.test_case "grid:20x20 export digests" `Quick
+            test_grid_export_digests;
         ] );
     ]

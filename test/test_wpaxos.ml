@@ -310,6 +310,83 @@ let prop_ablation_safe =
       in
       Consensus.Checker.ok result.report)
 
+(* The wire text the trace records (and the goldens pin): the Printf
+   formulation it had before it was rewritten without Printf, kept here as
+   the oracle. *)
+module Wire_oracle = struct
+  open Consensus.Paxos_types
+
+  let pp_pno { tag; proposer } = Printf.sprintf "%d.%d" tag proposer
+
+  let pp_round = function Prepare_round -> "prep" | Propose_round -> "prop"
+
+  let pp_proposer_msg = function
+    | Prepare pno -> Printf.sprintf "prepare(%s)" (pp_pno pno)
+    | Propose { pno; value } ->
+        Printf.sprintf "propose(%s,v=%d)" (pp_pno pno) value
+
+  let pp_response r =
+    Printf.sprintf "resp{to=%d;tgt=%d;%s/%s;%s;x%d%s%s}" r.dest r.target
+      (pp_pno r.pno) (pp_round r.round)
+      (if r.positive then "yes" else "no")
+      r.count
+      (match r.best_prior with
+      | None -> ""
+      | Some p -> Printf.sprintf ";prior=%s:%d" (pp_pno p.pno) p.value)
+      (match r.committed with
+      | None -> ""
+      | Some c -> Printf.sprintf ";comm=%s" (pp_pno c))
+
+  let pp_component : Consensus.Wpaxos.component -> string = function
+    | Leader { id; hb } -> Printf.sprintf "leader(%d,hb=%d)" id hb
+    | Change { counter; origin } ->
+        Printf.sprintf "change(%d@%d)" counter origin
+    | Search { root; hops; sender } ->
+        Printf.sprintf "search(root=%d,h=%d,from=%d)" root hops sender
+    | Proposal p -> pp_proposer_msg p
+    | Response r -> pp_response r
+    | Decision v -> Printf.sprintf "decide(%d)" v
+
+  let pp_msg components = String.concat "+" (List.map pp_component components)
+end
+
+let gen_component =
+  let open QCheck.Gen in
+  let open Consensus.Paxos_types in
+  let num = oneof [ small_nat; small_signed_int; oneofl [ min_int; max_int ] ] in
+  let gen_pno = map2 (fun tag proposer -> { tag; proposer }) num num in
+  let response =
+    let* dest = num and* target = num and* pno = gen_pno in
+    let* round = oneofl [ Prepare_round; Propose_round ] in
+    let* positive = bool and* count = num in
+    let* best_prior = opt (map2 (fun pno value -> { pno; value }) gen_pno num) in
+    let* committed = opt gen_pno in
+    return
+      { dest; target; pno; round; positive; count; best_prior; committed }
+  in
+  oneof
+    [
+      map2 (fun id hb -> Consensus.Wpaxos.Leader { id; hb }) num num;
+      map2
+        (fun counter origin -> Consensus.Wpaxos.Change { counter; origin })
+        num num;
+      map3
+        (fun root hops sender -> Consensus.Wpaxos.Search { root; hops; sender })
+        num num num;
+      map (fun p -> Consensus.Wpaxos.Proposal (Prepare p)) gen_pno;
+      map2
+        (fun pno value -> Consensus.Wpaxos.Proposal (Propose { pno; value }))
+        gen_pno num;
+      map (fun r -> Consensus.Wpaxos.Response r) response;
+      map (fun v -> Consensus.Wpaxos.Decision v) num;
+    ]
+
+let prop_wire_text_matches_printf =
+  QCheck.Test.make ~name:"pp_msg agrees byte for byte with Printf" ~count:500
+    (QCheck.make ~print:Wire_oracle.pp_msg
+       QCheck.Gen.(list_size (int_bound 6) gen_component))
+    (fun msg -> Consensus.Wpaxos.pp_msg msg = Wire_oracle.pp_msg msg)
+
 let () =
   Alcotest.run "wpaxos"
     [
@@ -353,5 +430,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_consensus_random;
           QCheck_alcotest.to_alcotest prop_ablation_safe;
+          QCheck_alcotest.to_alcotest prop_wire_text_matches_printf;
         ] );
     ]
