@@ -31,6 +31,11 @@ let flag name ~expected parse spec =
   | exception Invalid_argument msg ->
       usage_error (Printf.sprintf "%s %S: %s" name spec msg)
 
+(* An integer flag below its least allowed value is a usage error. *)
+let at_least name ~min v =
+  if v < min then
+    usage_error (Printf.sprintf "%s %d: expected an integer >= %d" name v min)
+
 let pair ~sep s =
   match String.split_on_char sep s with
   | [ a; b ] -> (a, b)
@@ -62,8 +67,7 @@ let parse_topology rng spec =
   | _ -> failwith "topology"
 
 let parse_scheduler ~fack rng spec =
-  if fack < 1 then
-    usage_error (Printf.sprintf "--fack %d: expected an integer >= 1" fack);
+  at_least "--fack" ~min:1 fack;
   flag "--sched" ~expected:"synchronous fixed max-delay random jittered bursty"
     (function
       | "synchronous" | "sync" -> Amac.Scheduler.synchronous
@@ -179,11 +183,23 @@ let parse_faults ~n specs =
    with Invalid_argument msg -> usage_error ("--fault: " ^ msg));
   plan
 
-let parse_mode ~gap ~clients =
-  flag "--mode" ~expected:"open or closed" (function
-    | "open" -> Workload.Open_loop { mean_gap = gap }
-    | "closed" -> Workload.Closed_loop { clients_per_node = clients }
-    | _ -> failwith "mode")
+let parse_mode ~gap ~clients spec =
+  match
+    flag "--mode" ~expected:"open or closed"
+      (function "open" -> `Open | "closed" -> `Closed | _ -> failwith "mode")
+      spec
+  with
+  | `Open ->
+      at_least "--gap" ~min:1 gap;
+      Workload.Open_loop { mean_gap = gap }
+  | `Closed ->
+      at_least "--clients" ~min:1 clients;
+      Workload.Closed_loop { clients_per_node = clients }
+
+(* The replicated log's own sizes, shared by [smr] and [profile --smr]. *)
+let check_log ~cmds ~window =
+  at_least "--cmds" ~min:0 cmds;
+  at_least "--window" ~min:1 window
 
 let registry metrics = if metrics then Some (Obs.Metrics.create ()) else None
 
@@ -235,6 +251,7 @@ let print_latencies latency =
 
 let run_cmd algo topo sched fack seed inputs_spec trace trace_out metrics
     max_time =
+  at_least "--max-time" ~min:0 max_time;
   let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
   let inputs = parse_inputs ~n (Amac.Rng.split rng) inputs_spec in
@@ -269,6 +286,8 @@ let run_cmd algo topo sched fack seed inputs_spec trace trace_out metrics
    any safety violation. *)
 let smr_cmd topo sched fack seed cmds mode window gap clients fault_specs
     metrics trace_out max_time =
+  at_least "--max-time" ~min:0 max_time;
+  check_log ~cmds ~window;
   let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
   let faults = parse_faults ~n fault_specs in
@@ -313,6 +332,16 @@ let smr_cmd topo sched fack seed cmds mode window gap clients fault_specs
    agreement, cross-group exactly-once, batch atomicity. *)
 let shard_cmd topo sched fack seed cmds groups batch window gap burst affinity
     zipf fault_specs metrics trace_out max_time =
+  at_least "--max-time" ~min:0 max_time;
+  check_log ~cmds ~window;
+  if groups < 1 || groups > 64 then
+    usage_error
+      (Printf.sprintf "--groups %d: expected an integer in 1..64" groups);
+  at_least "--batch" ~min:1 batch;
+  at_least "--gap" ~min:1 gap;
+  at_least "--burst" ~min:1 burst;
+  if not (zipf >= 0.0) then
+    usage_error (Printf.sprintf "--zipf %g: expected a number >= 0" zipf);
   let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
   let faults = parse_faults ~n fault_specs in
@@ -387,18 +416,29 @@ let parse_topo_gen_spec ~radius spec =
 let multihop_cmd algo topo topo_seed radius sched fack seed inputs_spec alpha
     cap churn mobility delta_start delta_gap fault_specs metrics trace_out
     max_time =
+  at_least "--max-time" ~min:0 max_time;
   if churn > 0 && mobility > 0 then
     usage_error
       (Printf.sprintf
          "--churn %d and --mobility %d are exclusive (both schedules are \
           computed against the initial topology)"
          churn mobility);
+  at_least "--alpha" ~min:0 alpha;
+  Option.iter (at_least "--cap" ~min:0) cap;
+  at_least "--churn" ~min:0 churn;
+  at_least "--mobility" ~min:0 mobility;
+  at_least "--delta-start" ~min:0 delta_start;
+  at_least "--delta-gap" ~min:1 delta_gap;
   let rng = Amac.Rng.create seed in
-  let spec =
+  (* Generating inside [flag]: a size the generator refuses (grid:1x1) is
+     a usage error like a malformed spec. *)
+  let spec, topology =
     flag "--topo" ~expected:"grid:WxH rgg:N cluster:CxS+B"
-      (parse_topo_gen_spec ~radius) topo
+      (fun topo ->
+        let spec = parse_topo_gen_spec ~radius topo in
+        (spec, Topo_gen.generate ~seed:topo_seed spec))
+      topo
   in
-  let topology = Topo_gen.generate ~seed:topo_seed spec in
   let n = Amac.Topology.size topology in
   let diameter = Amac.Topology.diameter topology in
   let scheduler =
@@ -452,6 +492,8 @@ let multihop_cmd algo topo topo_seed radius sched fack seed inputs_spec alpha
    reconfiguration runs under fire (see Workload.Lifecycle). Exit status 1
    if any scenario violates safety or fails to re-achieve liveness. *)
 let lifecycle_cmd scenario_name seed fack max_time =
+  at_least "--max-time" ~min:0 max_time;
+  at_least "--fack" ~min:1 fack;
   let scenarios =
     if scenario_name = "all" then Lifecycle.all
     else
@@ -506,6 +548,8 @@ let quantiles arr =
 
 let profile_cmd algo topo sched fack seed inputs_spec smr cmds mode window gap
     clients json_out dag_out max_time =
+  at_least "--max-time" ~min:0 max_time;
+  check_log ~cmds ~window;
   let rng, topology, scheduler = setup ~topo ~sched ~fack ~seed in
   let n = Amac.Topology.size topology in
   let mode = parse_mode ~gap ~clients mode in

@@ -50,50 +50,97 @@ let latest_decision outcome =
    effect before deliveries at the same tick (so "delivery at the crash
    instant" is lost, making crash-mid-broadcast expressible), a recovery
    right after any crash of the tick (schedule validation forbids a node
-   crashing and recovering at the same instant), and all deliveries of a
-   tick land before any ack of that tick (the model requires every neighbor
-   to receive before the sender's ack).
-
-   [Receive] and [Ack] are stamped with the incarnation of the nodes they
-   concern at scheduling time: a recovery invalidates everything in flight
-   to or from the previous incarnation, so stale events are recognised and
-   dropped when popped. *)
-type 'm event =
-  | Crash of { node : int }
-  | Recover of { node : int }
-  | Receive of {
-      node : int;
-      receiver_inc : int;
-      sender : int;
-      sender_inc : int;
-      msg : 'm;
-    }
-  | Ack of { node : int; inc : int }
-  | Inject of { node : int; payload : int }
-      (* external input (a client submit) handed to [on_inject]; carries no
-         incarnation — it targets whichever incarnation is up at pop time,
-         and is lost if the node is down. *)
-  | Topo of { delta : Topology.delta }
-      (* churn/mobility: an edge delta applied in place to the engine's
-         private topology copy. Priority 5 slots after every pre-existing
-         kind, so runs without deltas keep their exact event order. *)
-
-let kind_priority = function
-  | Crash _ -> 0
-  | Recover _ -> 1
-  | Receive _ -> 2
-  | Ack _ -> 3
-  | Inject _ -> 4
-  | Topo _ -> 5
+   crashing and recovering at the same instant), all deliveries of a tick
+   land before any ack of that tick (the model requires every neighbor to
+   receive before the sender's ack), then injections, then topology deltas
+   (churn/mobility, slotted after every pre-existing kind so runs without
+   deltas keep their exact event order). *)
+type kind = Crash | Recover | Receive | Ack | Inject | Topo
 
 (* Event-queue keys encode (time, kind priority), eight keys per tick; the
    queue breaks remaining ties by insertion order, making runs bit-for-bit
    deterministic. *)
 let keys_per_tick = 8
 
-let key_of ~time event = (time * keys_per_tick) + kind_priority event
+let priority = function
+  | Crash -> 0
+  | Recover -> 1
+  | Receive -> 2
+  | Ack -> 3
+  | Inject -> 4
+  | Topo -> 5
+
+let kind_of_key key =
+  match key land (keys_per_tick - 1) with
+  | 0 -> Crash
+  | 1 -> Recover
+  | 2 -> Receive
+  | 3 -> Ack
+  | 4 -> Inject
+  | _ -> Topo
 
 let time_of_key key = key / keys_per_tick
+
+(* Queued events are int descriptors: slots of one pooled int array, four
+   words each — the node the event concerns, then up to three ints whose
+   meaning the kind (carried in the key, not the slot) fixes:
+
+   - [Crash], [Recover]: nothing more;
+   - [Receive]: the receiver's incarnation, the sender and the sender's
+     incarnation at scheduling time;
+   - [Ack]: the sender's incarnation at scheduling time;
+   - [Inject]: the payload (no incarnation: an injection targets whichever
+     incarnation is up at pop time, and is lost if the node is down);
+   - [Topo]: the other endpoint, then 0 to add the edge or 1 to remove it.
+
+   A recovery invalidates everything in flight to or from the previous
+   incarnation, so the incarnation stamps let stale events be recognised
+   and dropped when popped. A [Receive] carries no message: Sec 2 allows a
+   sender one broadcast in flight, so a delivery that is not stale belongs
+   to its sender's in-flight broadcast, whose message the engine keeps per
+   sender (see [in_flight]).
+
+   A free slot's first word links the free list. A slot is freed as its
+   event is popped, so the pool grows only to the most events ever queued
+   at once. *)
+module Pool = struct
+  type t = { mutable words : int array; mutable free : int }
+
+  let width = 4
+
+  (* Slots [from, capacity) join the free list, in order. *)
+  let thread t from =
+    let capacity = Array.length t.words / width in
+    for s = from to capacity - 2 do
+      t.words.(s * width) <- s + 1
+    done;
+    t.words.((capacity - 1) * width) <- t.free;
+    t.free <- from
+
+  let create capacity =
+    let t = { words = Array.make (max 1 capacity * width) 0; free = -1 } in
+    thread t 0;
+    t
+
+  let alloc t node a b c =
+    if t.free < 0 then begin
+      let capacity = Array.length t.words / width in
+      t.words <- Array.append t.words (Array.make (capacity * width) 0);
+      thread t capacity
+    end;
+    let s = t.free in
+    let i = s * width in
+    t.free <- t.words.(i);
+    t.words.(i) <- node;
+    t.words.(i + 1) <- a;
+    t.words.(i + 2) <- b;
+    t.words.(i + 3) <- c;
+    s
+
+  let release t s =
+    t.words.(s * width) <- t.free;
+    t.free <- s
+end
 
 (* The event queue's ring covers the keys of the current tick and the next
    5 F_ack: a plan lands within F_ack, and the interference stretch's
@@ -120,7 +167,11 @@ type ('s, 'm) sim = {
     option;
   observing : bool;
   observe : 'm Event.observer;
-  queue : 'm event Bucket_queue.t;
+  queue : Bucket_queue.t;  (* of [events] slots *)
+  events : Pool.t;
+  mutable in_flight : 'm array;
+      (* per sender, the message of its latest accepted broadcast — what
+         its queued deliveries deliver; [||] until the first broadcast *)
   mutable states : 's array;  (* [||] until every node has booted *)
   ctxs : Algorithm.ctx array;
   crashed : bool array;
@@ -167,17 +218,63 @@ type ('s, 'm) sim = {
    the stale-sender check anyway). Decrementing over the *current* neighbor
    set is exact even under topology deltas, because delta application
    adjusts [air_neighbors] for on-air endpoints (see the [Topo] case). *)
+let rec shift_air air step = function
+  | [] -> ()
+  | w :: rest ->
+      air.(w) <- air.(w) + step;
+      shift_air air step rest
+
 let end_transmission sim node =
   if sim.track_contention && sim.on_air.(node) then begin
     sim.on_air.(node) <- false;
-    List.iter
-      (fun w -> sim.air_neighbors.(w) <- sim.air_neighbors.(w) - 1)
-      (Topology.neighbors sim.topology node)
+    shift_air sim.air_neighbors (-1) (Topology.neighbors sim.topology node)
   end
+
+let schedule sim ~time kind node a b c =
+  Bucket_queue.add sim.queue
+    ~key:((time * keys_per_tick) + priority kind)
+    (Pool.alloc sim.events node a b c)
 
 (* [v] is a node whose scratch mark is set. *)
 let is_marked sim v =
   v >= 0 && v < Array.length sim.plan_scratch && sim.plan_scratch.(v)
+
+let rec mark_all scratch count = function
+  | [] -> count
+  | v :: rest ->
+      scratch.(v) <- true;
+      mark_all scratch (count + 1) rest
+
+(* Consume one mark per planned delivery: duplicates and non-neighbors hit
+   an unmarked slot. Returns how many were consumed. *)
+let rec consume_marks sim count = function
+  | [] -> count
+  | (receiver, _) :: rest ->
+      if not (is_marked sim receiver) then
+        invalid_arg
+          "Engine.run: scheduler must deliver to exactly the neighbor set";
+      sim.plan_scratch.(receiver) <- false;
+      consume_marks sim (count + 1) rest
+
+(* Queue one delivery of [sender]'s in-flight broadcast, [time] already
+   shifted by the stretch. Every delivery lands in (now, ack_at]: with one
+   broadcast in flight per sender, a delivery or ack belongs to its
+   sender's latest broadcast, so queued events need not name the
+   broadcast. *)
+let enqueue_receive ~now sim ~ack_at ~sender receiver time =
+  if time <= now || time > ack_at then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.run: delivery time %d outside (broadcast %d, ack %d]" time now
+         ack_at);
+  schedule sim ~time Receive receiver sim.incarnation.(receiver) sender
+    sim.incarnation.(sender)
+
+let rec enqueue_receives ~now sim ~ack_at ~sender ~stretch = function
+  | [] -> ()
+  | (receiver, time) :: rest ->
+      enqueue_receive ~now sim ~ack_at ~sender receiver (time + stretch);
+      enqueue_receives ~now sim ~ack_at ~sender ~stretch rest
 
 let do_broadcast ~now sim sender msg =
   if sim.busy.(sender) then begin
@@ -187,6 +284,9 @@ let do_broadcast ~now sim sender msg =
   end
   else begin
     sim.busy.(sender) <- true;
+    if Array.length sim.in_flight = 0 then
+      sim.in_flight <- Array.make (Array.length sim.busy) msg
+    else sim.in_flight.(sender) <- msg;
     sim.broadcasts <- sim.broadcasts + 1;
     let ids = sim.algorithm.msg_ids msg in
     if ids > sim.max_ids then sim.max_ids <- ids;
@@ -211,16 +311,15 @@ let do_broadcast ~now sim sender msg =
           sim.observe ~time:now
             (Event.Contention { node = sender; contention; stretch = s });
         sim.on_air.(sender) <- true;
-        List.iter
-          (fun w -> sim.air_neighbors.(w) <- sim.air_neighbors.(w) + 1)
-          neighbors;
+        shift_air sim.air_neighbors 1 neighbors;
         s
       end
     in
     let plan = sim.scheduler.Scheduler.plan ~now ~sender ~neighbors in
     (* Assert the scheduler respects the MAC layer contract. The base plan
        is checked against F_ack *before* any contention stretch: in
-       interference mode the effective bound is F_ack + stretch. *)
+       interference mode the effective bound is F_ack + stretch, and the
+       stretch is added to each delivery and the ack as they are queued. *)
     if plan.Scheduler.ack_at > now + sim.scheduler.Scheduler.fack then
       invalid_arg
         (Printf.sprintf
@@ -230,75 +329,28 @@ let do_broadcast ~now sim sender msg =
            sim.scheduler.Scheduler.fack);
     if plan.Scheduler.ack_at <= now then
       invalid_arg "Engine.run: ack must be strictly after the broadcast";
-    let plan =
-      if stretch = 0 then plan
-      else
-        {
-          Scheduler.receives =
-            List.map (fun (v, t) -> (v, t + stretch)) plan.Scheduler.receives;
-          ack_at = plan.Scheduler.ack_at + stretch;
-        }
-    in
+    let ack_at = plan.Scheduler.ack_at + stretch in
     (* Set-equality check against the neighbor set over the preallocated
        scratch marks: mark every neighbor, consume one mark per planned
-       delivery. Duplicates and non-neighbors hit an unmarked slot, a
-       missing neighbor leaves the consumed count short — O(degree) with
-       no per-broadcast list or sort allocation. *)
-    let marked =
-      List.fold_left
-        (fun acc v ->
-          sim.plan_scratch.(v) <- true;
-          acc + 1)
-        0 neighbors
-    in
-    let consumed =
-      List.fold_left
-        (fun acc (receiver, _) ->
-          if not (is_marked sim receiver) then
-            invalid_arg
-              "Engine.run: scheduler must deliver to exactly the neighbor set";
-          sim.plan_scratch.(receiver) <- false;
-          acc + 1)
-        0 plan.Scheduler.receives
-    in
+       delivery. A missing neighbor leaves the consumed count short —
+       O(degree) with no per-broadcast list or sort allocation. *)
+    let marked = mark_all sim.plan_scratch 0 neighbors in
+    let consumed = consume_marks sim 0 plan.Scheduler.receives in
     if consumed <> marked then begin
       List.iter (fun v -> sim.plan_scratch.(v) <- false) neighbors;
       invalid_arg
         "Engine.run: scheduler must deliver to exactly the neighbor set"
     end;
-    (* Every delivery lands in (now, ack_at]: with one broadcast in flight
-       per sender, a delivery or ack belongs to its sender's latest
-       broadcast, so queued events need not name the broadcast. *)
-    let deliver (receiver, time) =
-      if time <= now || time > plan.Scheduler.ack_at then
-        invalid_arg
-          (Printf.sprintf
-             "Engine.run: delivery time %d outside (broadcast %d, ack %d]"
-             time now plan.Scheduler.ack_at);
-      let event =
-        Receive
-          {
-            node = receiver;
-            receiver_inc = sim.incarnation.(receiver);
-            sender;
-            sender_inc = sim.incarnation.(sender);
-            msg;
-          }
-      in
-      Bucket_queue.add sim.queue ~key:(key_of ~time event) event
-    in
-    List.iter deliver plan.Scheduler.receives;
+    enqueue_receives ~now sim ~ack_at ~sender ~stretch plan.Scheduler.receives;
     (* Unreliable edges: the scheduler may additionally deliver to any
        subset of the sender's unreliable neighbors, at any time within
-       the broadcast window. These deliveries never gate the ack. *)
+       the (stretched) broadcast window; these deliveries are not shifted.
+       They never gate the ack. *)
     (match (sim.unreliable, sim.scheduler.Scheduler.unreliable_plan) with
     | Some extra, Some unreliable_plan ->
         let candidates = Topology.neighbors extra sender in
         if candidates <> [] then begin
-          let chosen =
-            unreliable_plan ~now ~sender ~candidates
-              ~ack_at:plan.Scheduler.ack_at
-          in
+          let chosen = unreliable_plan ~now ~sender ~candidates ~ack_at in
           (* Candidate membership via the scratch marks (marks are not
              consumed: the plan may legitimately deliver twice to one
              candidate), so validating the chosen list is O(candidates +
@@ -311,7 +363,7 @@ let do_broadcast ~now sim sender msg =
                  if not (is_marked sim receiver) then
                    invalid_arg
                      "Engine.run: unreliable delivery to a non-candidate";
-                 deliver (receiver, time);
+                 enqueue_receive ~now sim ~ack_at ~sender receiver time;
                  sim.unreliable_deliveries <- sim.unreliable_deliveries + 1;
                  if sim.observing then sim.observe ~time:now Event.Unreliable)
                chosen
@@ -321,8 +373,7 @@ let do_broadcast ~now sim sender msg =
           List.iter (fun v -> sim.plan_scratch.(v) <- false) candidates
         end
     | None, _ | _, None -> ());
-    let ack = Ack { node = sender; inc = sim.incarnation.(sender) } in
-    Bucket_queue.add sim.queue ~key:(key_of ~time:plan.Scheduler.ack_at ack) ack
+    schedule sim ~time:ack_at Ack sender sim.incarnation.(sender) 0 0
   end
 
 let handle_decide ~now sim node value =
@@ -441,9 +492,43 @@ let validate_fault_schedule ~n ~crashes ~recoveries =
     walk `Up None events
   done
 
-let process ~now sim event =
-  match event with
-  | Crash { node } ->
+let deliver_msg ~now sim node sender msg ~substituted =
+  sim.deliveries <- sim.deliveries + 1;
+  if sim.observing then
+    sim.observe ~time:now (Event.Deliver { node; sender; msg; substituted });
+  let actions = sim.algorithm.on_receive sim.ctxs.(node) sim.states.(node) msg in
+  apply_actions_faulted ~now sim node actions
+
+(* A delivery that survived the stale and link-fault checks. Adversary
+   hook: a Byzantine sender's payload may differ per recipient ([Some
+   msg'], equivocation/forgery — physical inequality is what counts as
+   tampering, so an identity substitution stays invisible) or never arrive
+   at all ([None], selective silence). Honest traffic passes through
+   untouched. The sender's ack is never affected: the MAC layer kept its
+   contract; the *transmitter* lied. *)
+let deliver ~now sim node sender msg =
+  match sim.substitute with
+  | None -> deliver_msg ~now sim node sender msg ~substituted:false
+  | Some f -> (
+      match f ~now ~sender ~receiver:node msg with
+      | None ->
+          sim.suppressed <- sim.suppressed + 1;
+          if sim.observing then
+            sim.observe ~time:now (Event.Suppress { node; sender })
+      | Some msg' ->
+          let substituted = not (msg' == msg) in
+          if substituted then sim.substituted <- sim.substituted + 1;
+          deliver_msg ~now sim node sender msg' ~substituted)
+
+(* Process the event in pool slot [slot]. The slot is read and freed
+   first: the handlers it runs queue new events. *)
+let process ~now sim kind slot =
+  let words = sim.events.Pool.words and i = slot * Pool.width in
+  let node = words.(i) and a = words.(i + 1) in
+  let b = words.(i + 2) and c = words.(i + 3) in
+  Pool.release sim.events slot;
+  match kind with
+  | Crash ->
       if not sim.crashed.(node) then begin
         end_transmission sim node;
         sim.crashed.(node) <- true;
@@ -452,7 +537,7 @@ let process ~now sim event =
           sim.live_undecided <- sim.live_undecided - 1;
         if sim.observing then sim.observe ~time:now (Event.Crash { node })
       end
-  | Recover { node } ->
+  | Recover ->
       if sim.crashed.(node) then begin
         (* Amnesiac restart: fresh state, a new incarnation number (so
            anything still in flight to or from the old incarnation is
@@ -468,7 +553,8 @@ let process ~now sim event =
           sim.live_undecided <- sim.live_undecided + 1;
         sim.states.(node) <- boot ~now sim node
       end
-  | Receive { node; receiver_inc; sender; sender_inc; msg } ->
+  | Receive ->
+      let receiver_inc = a and sender = b and sender_inc = c in
       if
         sim.crashed.(node)
         || receiver_inc <> sim.incarnation.(node)
@@ -486,48 +572,25 @@ let process ~now sim event =
         if sim.observing then
           sim.observe ~time:now (Event.Link_drop { node; sender })
       end
-      else begin
-        (* Adversary hook: a Byzantine sender's payload may differ per
-           recipient ([Some msg'], equivocation/forgery — physical
-           inequality is what counts as tampering, so an identity
-           substitution stays invisible) or never arrive at all ([None],
-           selective silence). Honest traffic passes through untouched.
-           The sender's ack is never affected: the MAC layer kept its
-           contract; the *transmitter* lied. *)
-        let delivered =
-          match sim.substitute with
-          | None -> Some msg
-          | Some f -> f ~now ~sender ~receiver:node msg
-        in
-        match delivered with
-        | None ->
-            sim.suppressed <- sim.suppressed + 1;
-            if sim.observing then
-              sim.observe ~time:now (Event.Suppress { node; sender })
-        | Some msg' ->
-            let substituted = not (msg' == msg) in
-            if substituted then sim.substituted <- sim.substituted + 1;
-            sim.deliveries <- sim.deliveries + 1;
-            if sim.observing then
-              sim.observe ~time:now
-                (Event.Deliver { node; sender; msg = msg'; substituted });
-            let actions =
-              sim.algorithm.on_receive sim.ctxs.(node) sim.states.(node) msg'
-            in
-            apply_actions_faulted ~now sim node actions
-      end
-  | Ack { node; inc } ->
-      if (not sim.crashed.(node)) && inc = sim.incarnation.(node) then begin
+      else
+        (* Not stale, so the sender's incarnation is the one that queued
+           this delivery and it has not crashed since: its broadcast is
+           still in flight (its ack is queued after every delivery), and
+           [in_flight] still holds that broadcast's message. *)
+        deliver ~now sim node sender sim.in_flight.(sender)
+  | Ack ->
+      if (not sim.crashed.(node)) && a = sim.incarnation.(node) then begin
         end_transmission sim node;
         sim.busy.(node) <- false;
         if sim.observing then sim.observe ~time:now (Event.Ack { node });
         let actions = sim.algorithm.on_ack sim.ctxs.(node) sim.states.(node) in
         apply_actions_faulted ~now sim node actions
       end
-  | Inject { node; payload } -> (
+  | Inject -> (
       (* Lost (not buffered) if the node is down — clients of a crashed
          replica get no service; with no [on_inject] handler the event
          is inert. *)
+      let payload = a in
       if sim.crashed.(node) then drop_stale ~now sim
       else
         match sim.on_inject with
@@ -538,25 +601,22 @@ let process ~now sim event =
               sim.observe ~time:now (Event.Inject { node; payload });
             let actions = f ~now ~payload sim.ctxs.(node) sim.states.(node) in
             apply_actions_faulted ~now sim node actions)
-  | Topo { delta } ->
+  | Topo ->
       (* Keep the air_neighbors invariant exact under mutation: an
          endpoint already on air starts (or stops) loading the other
          endpoint the instant the edge appears (or vanishes). In-flight
          deliveries over a removed edge still land — the message was
          already on the wire. *)
-      Topology.apply_delta sim.topology delta;
-      (if sim.track_contention then
-         match delta with
-         | Topology.Add_edge (u, v) ->
-             if sim.on_air.(u) then
-               sim.air_neighbors.(v) <- sim.air_neighbors.(v) + 1;
-             if sim.on_air.(v) then
-               sim.air_neighbors.(u) <- sim.air_neighbors.(u) + 1
-         | Topology.Remove_edge (u, v) ->
-             if sim.on_air.(u) then
-               sim.air_neighbors.(v) <- sim.air_neighbors.(v) - 1;
-             if sim.on_air.(v) then
-               sim.air_neighbors.(u) <- sim.air_neighbors.(u) - 1);
+      let u = node and v = a in
+      Topology.apply_delta sim.topology
+        (if b = 0 then Topology.Add_edge (u, v) else Topology.Remove_edge (u, v));
+      if sim.track_contention then begin
+        let step = if b = 0 then 1 else -1 in
+        if sim.on_air.(u) then
+          sim.air_neighbors.(v) <- sim.air_neighbors.(v) + step;
+        if sim.on_air.(v) then
+          sim.air_neighbors.(u) <- sim.air_neighbors.(u) + step
+      end;
       sim.topo_changes <- sim.topo_changes + 1
 
 (* The recorders the caller asked for, as one observer: the provenance fold
@@ -679,16 +739,6 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
           (Printf.sprintf "Engine.run: negative injection time for node %d"
              node))
     injections;
-  let queue = Bucket_queue.create ~span:(queue_span scheduler) in
-  let schedule ~time event =
-    Bucket_queue.add queue ~key:(key_of ~time event) event
-  in
-  List.iter (fun (node, time) -> schedule ~time (Crash { node })) crashes;
-  List.iter (fun (node, time) -> schedule ~time (Recover { node })) recoveries;
-  List.iter
-    (fun (node, time, payload) -> schedule ~time (Inject { node; payload }))
-    injections;
-  List.iter (fun (time, delta) -> schedule ~time (Topo { delta })) topo_deltas;
   let track_contention = scheduler.Scheduler.contention_stretch <> None in
   let observe, trace =
     recorders ~n ?provenance ~record_trace ?pp_msg ?obs
@@ -706,7 +756,16 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
       on_inject;
       observing = observe <> None;
       observe = Option.value observe ~default:(fun ~time:_ _ -> ());
-      queue;
+      queue = Bucket_queue.create ~span:(queue_span scheduler);
+      events =
+        (* Room for every pre-scheduled event and, per node, one broadcast's
+           deliveries and ack, twice over: the pool rarely grows, and then
+           by doubling what is in flight rather than the whole schedule. *)
+        Pool.create
+          (List.length crashes + List.length recoveries
+          + List.length injections + List.length topo_deltas
+          + (2 * Array.fold_left (fun acc c -> acc + c.Algorithm.degree + 1) 0 ctxs));
+      in_flight = [||];
       states = [||];
       ctxs;
       crashed = Array.make n false;
@@ -734,6 +793,19 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
       live_undecided = n;
     }
   in
+  List.iter (fun (node, time) -> schedule sim ~time Crash node 0 0 0) crashes;
+  List.iter
+    (fun (node, time) -> schedule sim ~time Recover node 0 0 0)
+    recoveries;
+  List.iter
+    (fun (node, time, payload) -> schedule sim ~time Inject node payload 0 0)
+    injections;
+  List.iter
+    (fun (time, delta) ->
+      match delta with
+      | Topology.Add_edge (u, v) -> schedule sim ~time Topo u v 0 0
+      | Topology.Remove_edge (u, v) -> schedule sim ~time Topo u v 1 0)
+    topo_deltas;
   (match clock with Some r -> r := 0 | None -> ());
   (* Initialise every node at time 0, in index order, interleaving each
      node's init with its first actions (scheduler plan calls must stay in
@@ -745,11 +817,12 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
      lies past [max_time]: that one stays unprocessed, and [loop] returns
      [true] for a capped run. *)
   let rec loop () =
-    if Bucket_queue.is_empty queue then false
+    if Bucket_queue.is_empty sim.queue then false
     else begin
-      let key, event = Bucket_queue.pop queue in
+      let slot = Bucket_queue.pop sim.queue in
+      let key = Bucket_queue.popped_key sim.queue in
       let now = time_of_key key in
-      let depth = Bucket_queue.length queue + 1 in
+      let depth = Bucket_queue.length sim.queue + 1 in
       if now > max_time then begin
         if sim.observing then sim.observe ~time:now (Event.Capped { depth });
         true
@@ -759,7 +832,7 @@ let run ?identities ?(give_n = true) ?(give_diameter = false)
         end_time := now;
         (match clock with Some r -> r := now | None -> ());
         if sim.observing then sim.observe ~time:now (Event.Step { depth });
-        process ~now sim event;
+        process ~now sim (kind_of_key key) slot;
         if stop_when_all_decided && sim.live_undecided = 0 then false
         else loop ()
       end

@@ -58,7 +58,16 @@
       crashes, recoveries, injections and topology deltas, and any larger
       stretch, wait in the overflow. The tie rule is insertion order, as
       in a single heap: when one key has entries in both parts, the
-      overflow's were added first and pop first.
+      overflow's were added first and pop first. A queued event is an int
+      descriptor: its kind is the key's low bits, and its node plus up to
+      three ints (incarnation stamps, sender, payload, edge) sit in a
+      pooled slot that is freed when the event pops. A delivery carries no
+      message. Sec 2 allows a sender one broadcast in flight (a broadcast
+      issued before the ack is discarded), so a delivery that survives the
+      stale-incarnation and crash checks belongs to its sender's current
+      broadcast, and the engine keeps that broadcast's message in a
+      per-sender slot, set when the broadcast is accepted. At a steady
+      queue depth, scheduling and popping an event allocate nothing.
     - {b Influence} (who could have heard from whom) is not tracked
       separately: with [?provenance] the run records its causal DAG, and
       influence is a forward fold over it (each [Broadcast] vertex carries its

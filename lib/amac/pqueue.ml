@@ -46,12 +46,9 @@ let add q ~key value =
   in
   up (q.size - 1)
 
-let peek q =
-  if q.size = 0 then raise Not_found;
-  let e = q.heap.(0) in
-  (e.key, e.value)
-
-let pop q =
+(* Remove the minimum entry and return it: {!pop} pairs its key and value,
+   {!pop_min} returns the value alone. *)
+let take q =
   if q.size = 0 then raise Not_found;
   let top = q.heap.(0) in
   q.size <- q.size - 1;
@@ -74,7 +71,17 @@ let pop q =
     in
     down 0
   end;
+  top
+
+let pop q =
+  let top = take q in
   (top.key, top.value)
+
+let pop_min q = (take q).value
+
+let min_key q =
+  if q.size = 0 then raise Not_found;
+  q.heap.(0).key
 
 let clear q = q.size <- 0
 

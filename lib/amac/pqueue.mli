@@ -23,16 +23,20 @@ val add : 'a t -> key:int -> 'a -> unit
     insertion order. @raise Not_found if the queue is empty. *)
 val pop : 'a t -> int * 'a
 
-(** [peek q] is the minimum-key entry without removing it.
+(** [pop_min q] is [snd (pop q)], without building the pair.
     @raise Not_found if the queue is empty. *)
-val peek : 'a t -> int * 'a
+val pop_min : 'a t -> 'a
+
+(** [min_key q] is the minimum key, without removing its entry.
+    @raise Not_found if the queue is empty. *)
+val min_key : 'a t -> int
 
 (** [clear q] removes every entry. *)
 val clear : 'a t -> unit
 
 (** [ensure_capacity q n ~dummy] grows the backing array to hold at least
     [n] entries without further allocation. [dummy] fills the unused slots
-    and is never returned by {!pop}/{!peek}. Together with {!clear} this is
+    and is never returned by {!pop}/{!pop_min}. Together with {!clear} this is
     the reuse path for pooled queues (e.g. the sharded transport's
     per-group outboxes): clear + ensure_capacity instead of reallocating a
     fresh queue per group or per incarnation. *)

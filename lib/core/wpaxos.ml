@@ -162,9 +162,6 @@ let majority st =
    the exact can't-win point instead.) *)
 let fail_threshold st = st.n - majority st + 1
 
-let stamp_compare (ca, oa) (cb, ob) =
-  match Int.compare ca cb with 0 -> Int.compare oa ob | c -> c
-
 let hb_of st id = Fd.hb st.fd id
 
 let suspected st id = Fd.suspected st.fd id
@@ -252,14 +249,11 @@ let maybe_send st =
 
 (* Wrap up a handler: emit a pending decide announcement, then try to send. *)
 let finish st =
-  let announce =
-    match st.decision with
-    | Some v when not st.announced ->
-        st.announced <- true;
-        [ Amac.Algorithm.Decide v ]
-    | Some _ | None -> []
-  in
-  announce @ maybe_send st
+  match st.decision with
+  | Some v when not st.announced ->
+      st.announced <- true;
+      Amac.Algorithm.Decide v :: maybe_send st
+  | Some _ | None -> maybe_send st
 
 (* ------------------------------------------------------------------ *)
 (* PAXOS proposer and acceptor                                          *)
@@ -272,24 +266,41 @@ let decide st value =
     st.phase <- Idle
   end
 
+(* Whether every entry targets [target] and carries [pno]. *)
+let rec conforms ~target ~pno = function
+  | [] -> true
+  | entry :: rest ->
+      entry.q_target = target
+      && compare_pno entry.q_pno pno = 0
+      && conforms ~target ~pno rest
+
 (* Queue invariant (Sec 4.2.1): responses only for the current leader's
-   largest proposal number. *)
+   largest proposal number. A queue that already conforms (the usual case:
+   every entry is for one proposition of the leader) is left as it is. *)
 let prune_response_q st =
-  st.response_q <-
-    List.filter (fun entry -> entry.q_target = st.omega) st.response_q;
-  let largest =
-    List.fold_left
-      (fun acc entry ->
-        match acc with
-        | None -> Some entry.q_pno
-        | Some best -> if pno_lt best entry.q_pno then Some entry.q_pno else acc)
-      None st.response_q
-  in
-  match largest with
-  | None -> ()
-  | Some best ->
+  match st.response_q with
+  | [] -> ()
+  | first :: _ when conforms ~target:st.omega ~pno:first.q_pno st.response_q ->
+      ()
+  | _ :: _ -> (
       st.response_q <-
-        List.filter (fun entry -> compare_pno entry.q_pno best = 0) st.response_q
+        List.filter (fun entry -> entry.q_target = st.omega) st.response_q;
+      let largest =
+        List.fold_left
+          (fun acc entry ->
+            match acc with
+            | None -> Some entry.q_pno
+            | Some best ->
+                if pno_lt best entry.q_pno then Some entry.q_pno else acc)
+          None st.response_q
+      in
+      match largest with
+      | None -> ()
+      | Some best ->
+          st.response_q <-
+            List.filter
+              (fun entry -> compare_pno entry.q_pno best = 0)
+              st.response_q)
 
 let enqueue_response st ~target ~pno ~round ~positive ~count ~prior ~committed =
   let entry =
@@ -512,8 +523,10 @@ let on_leader st ~id ~hb =
 
 let on_change st ~counter ~origin =
   st.lamport <- max st.lamport counter;
-  let stamp = (counter, origin) in
-  if stamp_compare stamp st.last_change > 0 then begin
+  let last_counter, last_origin = st.last_change in
+  if counter > last_counter || (counter = last_counter && origin > last_origin)
+  then begin
+    let stamp = (counter, origin) in
     st.last_change <- stamp;
     refill st;
     change_updateq st stamp
@@ -668,30 +681,43 @@ let init cfg (ctx : Amac.Algorithm.ctx) =
   local_change st;
   (st, finish st)
 
-let on_receive _ctx st (components : msg) =
-  (* Leader updates first so later components in the same broadcast are
-     judged against the freshest omega. *)
-  let rank = function
-    | Leader _ -> 0
-    | Change _ -> 1
-    | Search _ -> 2
-    | Proposal _ -> 3
-    | Response _ -> 4
-    | Decision _ -> 5
-  in
-  let ordered =
-    List.sort (fun a b -> Int.compare (rank a) (rank b)) components
-  in
-  List.iter
-    (fun component ->
-      match component with
+(* Leader updates first so later components in the same broadcast are
+   judged against the freshest omega. *)
+let rank = function
+  | Leader _ -> 0
+  | Change _ -> 1
+  | Search _ -> 2
+  | Proposal _ -> 3
+  | Response _ -> 4
+  | Decision _ -> 5
+
+let rec ranked prev = function
+  | [] -> true
+  | c :: rest ->
+      let r = rank c in
+      prev <= r && ranked r rest
+
+let rec dispatch st = function
+  | [] -> ()
+  | component :: rest ->
+      (match component with
       | Leader { id; hb } -> on_leader st ~id ~hb
       | Change { counter; origin } -> on_change st ~counter ~origin
       | Search { root; hops; sender } -> on_search st ~root ~hops ~sender
       | Proposal p -> on_proposal st p
       | Response r -> on_response st r
-      | Decision v -> on_decision st v)
-    ordered;
+      | Decision v -> on_decision st v);
+      dispatch st rest
+
+(* [compose] packs components in rank order, and a stable sort of a
+   ranked list is the identity: sort only what arrives out of rank (a
+   forged or hand-built message). *)
+let in_rank_order (components : msg) =
+  if ranked 0 components then components
+  else List.sort (fun a b -> Int.compare (rank a) (rank b)) components
+
+let on_receive _ctx st (components : msg) =
+  dispatch st (in_rank_order components);
   (* Hardened decision refresh: an undecided hardened node heartbeats on
      every ack, so its broadcasts carry a Leader component. A decided node
      that hears one answers with its decision — this is how an amnesiac

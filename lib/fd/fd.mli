@@ -24,7 +24,16 @@
     The detector is pure protocol state: no closures, no cumulative
     counters (callers that want suspicion totals count the {!tick} /
     {!observe} verdicts themselves), so states embedding a [t] stay
-    Marshal-keyable and {!fingerprint} covers every field. *)
+    Marshal-keyable and {!fingerprint} covers every field.
+
+    Its table is one flat open-addressed int array keyed by node id (any
+    int: ids need not be dense or non-negative), three ints per known
+    node: the id, the largest heartbeat seen and the suspicion stamp. A
+    running count of suspected peers makes {!stats} O(1), and {!clone}
+    copies the one array. {!hb}, {!suspected}, {!observe} and {!tick} are
+    O(1) and allocate nothing. {!fingerprint} folds the (id, heartbeat)
+    and (id, stamp) pairs as lists sorted by id, so it does not depend on
+    the table's layout or insertion history. *)
 
 type t
 

@@ -286,9 +286,6 @@ let patience_max = 512
 
 let max_retries = 8
 
-let stamp_compare (ca, oa) (cb, ob) =
-  match Int.compare ca cb with 0 -> Int.compare oa ob | c -> c
-
 let hb_of st id = Fd.hb st.fd id
 
 let suspected st id = Fd.suspected st.fd id
@@ -491,22 +488,40 @@ let finish st = maybe_send st
 (* Response queue plumbing                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Whether every entry targets [target] and carries [pno]. *)
+let rec conforms ~target ~pno = function
+  | [] -> true
+  | entry :: rest ->
+      entry.q_target = target
+      && compare_pno entry.q_pno pno = 0
+      && conforms ~target ~pno rest
+
+(* Responses only for the current leader's largest proposal number. A
+   queue that already conforms is left as it is. *)
 let prune_response_q st =
-  st.response_q <-
-    List.filter (fun entry -> entry.q_target = st.omega) st.response_q;
-  let largest =
-    List.fold_left
-      (fun acc entry ->
-        match acc with
-        | None -> Some entry.q_pno
-        | Some best -> if pno_lt best entry.q_pno then Some entry.q_pno else acc)
-      None st.response_q
-  in
-  match largest with
-  | None -> ()
-  | Some best ->
+  match st.response_q with
+  | [] -> ()
+  | first :: _ when conforms ~target:st.omega ~pno:first.q_pno st.response_q ->
+      ()
+  | _ :: _ -> (
       st.response_q <-
-        List.filter (fun entry -> compare_pno entry.q_pno best = 0) st.response_q
+        List.filter (fun entry -> entry.q_target = st.omega) st.response_q;
+      let largest =
+        List.fold_left
+          (fun acc entry ->
+            match acc with
+            | None -> Some entry.q_pno
+            | Some best ->
+                if pno_lt best entry.q_pno then Some entry.q_pno else acc)
+          None st.response_q
+      in
+      match largest with
+      | None -> ()
+      | Some best ->
+          st.response_q <-
+            List.filter
+              (fun entry -> compare_pno entry.q_pno best = 0)
+              st.response_q)
 
 let merge_priors existing extra =
   List.fold_left
@@ -1158,8 +1173,10 @@ let on_leader st ~id ~hb ~commit ~sender =
 
 let on_change st ~counter ~origin =
   st.lamport <- max st.lamport counter;
-  let stamp = (counter, origin) in
-  if stamp_compare stamp st.last_change > 0 then begin
+  let last_counter, last_origin = st.last_change in
+  if counter > last_counter || (counter = last_counter && origin > last_origin)
+  then begin
+    let stamp = (counter, origin) in
     st.last_change <- stamp;
     refill st;
     change_updateq st stamp
@@ -1538,28 +1555,31 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
   local_change st;
   (st, finish st)
 
-let on_receive _ctx st (components : msg) =
-  (* Leader updates first so later components in the same broadcast are
-     judged against the freshest omega; snapshots and decisions before
-     proposals, so an acceptor answers a Prepare with its freshest
-     configuration and commit index (a reconfiguring leader packs the
-     closing Decision and the re-Prepare into one broadcast). *)
-  let rank = function
-    | Leader _ -> 0
-    | Change _ -> 1
-    | Search _ -> 2
-    | Forward _ -> 3
-    | Snapshot _ -> 4
-    | Decision _ -> 5
-    | Proposal _ -> 6
-    | Response _ -> 7
-  in
-  let ordered =
-    List.sort (fun a b -> Int.compare (rank a) (rank b)) components
-  in
-  List.iter
-    (fun component ->
-      match component with
+(* Leader updates first so later components in the same broadcast are
+   judged against the freshest omega; snapshots and decisions before
+   proposals, so an acceptor answers a Prepare with its freshest
+   configuration and commit index (a reconfiguring leader packs the
+   closing Decision and the re-Prepare into one broadcast). *)
+let rank = function
+  | Leader _ -> 0
+  | Change _ -> 1
+  | Search _ -> 2
+  | Forward _ -> 3
+  | Snapshot _ -> 4
+  | Decision _ -> 5
+  | Proposal _ -> 6
+  | Response _ -> 7
+
+let rec ranked prev = function
+  | [] -> true
+  | c :: rest ->
+      let r = rank c in
+      prev <= r && ranked r rest
+
+let rec dispatch st = function
+  | [] -> ()
+  | component :: rest ->
+      (match component with
       | Leader { id; hb; commit; sender } -> on_leader st ~id ~hb ~commit ~sender
       | Change { counter; origin } -> on_change st ~counter ~origin
       | Search { root; hops; sender } -> on_search st ~root ~hops ~sender
@@ -1570,8 +1590,18 @@ let on_receive _ctx st (components : msg) =
             ~s_epoch
       | Decision { inst; value } -> note_chosen st inst value
       | Proposal p -> on_proposal st p
-      | Response r -> on_response st r)
-    ordered;
+      | Response r -> on_response st r);
+      dispatch st rest
+
+(* A stable sort of a ranked list is the identity: sort only a message
+   that arrives out of rank ([compose] puts a Snapshot or Decision after
+   the Proposal and Response it packs with). *)
+let in_rank_order (components : msg) =
+  if ranked 0 components then components
+  else List.sort (fun a b -> Int.compare (rank a) (rank b)) components
+
+let on_receive _ctx st (components : msg) =
+  dispatch st (in_rank_order components);
   finish st
 
 let on_ack _ctx st =

@@ -279,6 +279,12 @@ val lifecycle : handle -> int -> lifecycle
 
 val pp_msg : msg -> string
 
+(** [in_rank_order m] is [m] with its components in the order the receive
+    handler applies them: heartbeats, change stamps, searches, forwards,
+    snapshots, decisions, proposals, responses — a stable sort by kind.
+    It is [m] itself when [m] is already in that order. *)
+val in_rank_order : msg -> msg
+
 (** {2 Fingerprint / clone}
 
     The PR 4 hook discipline, exposed so wrappers that multiplex several

@@ -1,5 +1,5 @@
 (* Event order at scale. The goldens pin small runs byte for byte; these
-   three pin the MD5 of the full rendered [Trace.pp] of runs whose queues
+   four pin the MD5 of the full rendered [Trace.pp] of runs whose queues
    are deep or whose pre-scheduled events (injections, faults, topology
    deltas) sit far ahead of the current tick, so any change to the engine's
    event queue that reorders a single pop shows here.
@@ -90,6 +90,65 @@ let test_topo_deltas () =
   Alcotest.(check bool) "deltas applied" true (outcome.topo_changes > 0);
   check "wpaxos churn grid:10x10" "42953f9e31e5ecc78e94b04aeb70d78c" outcome
 
+(* Every path a queued delivery can take between its broadcast and its
+   handler, in one run: a Byzantine [substitute] hook that silences some
+   deliveries and strips the Leader component from others (equivocation:
+   receivers of one broadcast see different payloads), unreliable diagonal
+   edges granted under interference, node 7 crashed at t=2 in the middle of
+   its first broadcast and recovered at t=60, a link-drop window at node 0,
+   a stutter window at node 5, and injected change stamps (one of them at
+   the crashed node 7, so it is lost). The digest was computed on the
+   engine before its events became pooled int descriptors. *)
+let test_all_delivery_paths () =
+  let width = 6 and height = 6 in
+  let n = width * height in
+  let topology = Amac.Topology.grid ~width ~height in
+  let diagonals =
+    List.concat
+      (List.init (height - 1) (fun r ->
+           List.init (width - 1) (fun c ->
+               ((r * width) + c, ((r + 1) * width) + c + 1))))
+  in
+  let unreliable = Amac.Topology.of_edges ~n diagonals in
+  let scheduler =
+    S.interference ~alpha:1
+      (S.bernoulli_unreliable (Amac.Rng.create 13) ~p:0.5
+         (S.random (Amac.Rng.create 11) ~fack:4))
+  in
+  let substitute ~now ~sender ~receiver msg =
+    match (now + sender + (2 * receiver)) mod 11 with
+    | 0 -> None
+    | 1 ->
+        Some
+          (List.filter
+             (function Consensus.Wpaxos.Leader _ -> false | _ -> true)
+             msg)
+    | _ -> Some msg
+  in
+  let drop ~now ~sender ~receiver =
+    now >= 15 && now < 35 && (sender = 0 || receiver = 0)
+  in
+  let stutter ~now ~node = node = 5 && now >= 20 && now < 45 in
+  let algorithm = Consensus.Wpaxos.make () in
+  let on_inject ~now:_ ~payload ctx st =
+    algorithm.Amac.Algorithm.on_receive ctx st
+      [ Consensus.Wpaxos.Change { counter = payload; origin = 0 } ]
+  in
+  let inputs = Consensus.Runner.inputs_random (Amac.Rng.create 3) ~n in
+  let outcome =
+    Amac.Engine.run algorithm ~topology ~scheduler ~inputs ~unreliable
+      ~substitute ~drop ~stutter ~crashes:[ (7, 2) ] ~recoveries:[ (7, 60) ]
+      ~injections:[ (3, 5, 40); (10, 25, 41); (7, 30, 42); (20, 70, 43) ]
+      ~on_inject ~max_time:400 ~record_trace:true
+      ~pp_msg:Consensus.Wpaxos.pp_msg
+  in
+  let o = outcome in
+  Alcotest.(check bool) "every path taken" true
+    (o.suppressed > 0 && o.substituted > 0 && o.unreliable_deliveries > 0
+   && o.dropped > 0 && o.link_dropped > 0 && o.stuttered > 0
+   && o.injected = 3);
+  check "all delivery paths grid:6x6" "0c15601a0f4f088cc4e37ce0f0462c6e" outcome
+
 let () =
   Alcotest.run "event_order"
     [
@@ -98,5 +157,7 @@ let () =
           Alcotest.test_case "wpaxos grid:20x20 sinr" `Quick test_wpaxos_grid;
           Alcotest.test_case "smr clique:5 faults" `Quick test_smr_faults;
           Alcotest.test_case "topology deltas" `Quick test_topo_deltas;
+          Alcotest.test_case "every delivery path" `Quick
+            test_all_delivery_paths;
         ] );
     ]

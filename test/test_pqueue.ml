@@ -25,12 +25,18 @@ let test_fifo_ties () =
     [ "first"; "a"; "b"; "c" ]
     values
 
-let test_peek () =
+let test_min () =
   let q = Amac.Pqueue.create () in
   Amac.Pqueue.add q ~key:3 "x";
   Amac.Pqueue.add q ~key:1 "y";
-  Alcotest.(check (pair int string)) "peek min" (1, "y") (Amac.Pqueue.peek q);
-  Alcotest.(check int) "peek does not remove" 2 (Amac.Pqueue.length q)
+  Alcotest.(check int) "min key" 1 (Amac.Pqueue.min_key q);
+  Alcotest.(check int) "min_key does not remove" 2 (Amac.Pqueue.length q);
+  Alcotest.(check string) "pop_min takes the min's value" "y"
+    (Amac.Pqueue.pop_min q);
+  Alcotest.(check int) "next min key" 3 (Amac.Pqueue.min_key q);
+  Amac.Pqueue.clear q;
+  Alcotest.check_raises "empty" Not_found (fun () ->
+      ignore (Amac.Pqueue.min_key q))
 
 let test_of_list () =
   let q = Amac.Pqueue.of_list [ (4, "a"); (1, "min"); (4, "b"); (2, "mid") ] in
@@ -95,7 +101,7 @@ let () =
           Alcotest.test_case "empty queue" `Quick test_empty;
           Alcotest.test_case "ordering" `Quick test_ordering;
           Alcotest.test_case "fifo ties" `Quick test_fifo_ties;
-          Alcotest.test_case "peek" `Quick test_peek;
+          Alcotest.test_case "min_key and pop_min" `Quick test_min;
           Alcotest.test_case "of_list" `Quick test_of_list;
           Alcotest.test_case "clear" `Quick test_clear;
           Alcotest.test_case "interleaved" `Quick test_interleaved;

@@ -220,7 +220,7 @@ let test_repair_regression () =
    entries and the command pool to 59. [on_step] sees the state after
    every [on_receive] and [on_ack]. *)
 
-let backlog_run ~on_step =
+let backlog_run ?(before_receive = fun ~on_receive:_ _ _ _ -> ()) ~on_step () =
   let n = 5 and cmds = 200 in
   let compiled =
     Fault.compile ~n
@@ -237,6 +237,7 @@ let backlog_run ~on_step =
       alg with
       Amac.Algorithm.on_receive =
         (fun ctx st m ->
+          before_receive ~on_receive:alg.on_receive ctx st m;
           let actions = alg.on_receive ctx st m in
           on_step st;
           actions);
@@ -276,16 +277,47 @@ let fingerprint st = Amac.Fingerprint.(to_int (Smr.fingerprint_state st empty))
    expected value was computed with the list-backed queues. *)
 let test_backlog_digest () =
   let digest = ref Amac.Fingerprint.empty in
-  backlog_run ~on_step:(fun st -> digest := Smr.fingerprint_state st !digest);
+  backlog_run () ~on_step:(fun st -> digest := Smr.fingerprint_state st !digest);
   Alcotest.(check int) "run digest" 3117299265673714721
     (Amac.Fingerprint.to_int !digest)
+
+(* The receive handler's slow path. [compose] puts a Decision or Snapshot
+   after the Proposal and Response it packs with, so the backlog run
+   delivers many messages out of rank. Each one is handled twice more, on
+   two clones of the receiving state: as delivered, and in rank order
+   (which takes the fast path). Both must return the same broadcasts and
+   leave the same state. *)
+let test_out_of_rank_receive () =
+  let checked = ref 0 and mismatches = ref [] in
+  let render actions =
+    List.map
+      (function
+        | Amac.Algorithm.Broadcast m -> Smr.pp_msg m
+        | Amac.Algorithm.Decide v -> Printf.sprintf "decide %d" v)
+      actions
+  in
+  let before_receive ~on_receive ctx st m =
+    let ranked = Smr.in_rank_order m in
+    if ranked != m then begin
+      incr checked;
+      let a = Smr.clone_state st and b = Smr.clone_state st in
+      let got = render (on_receive ctx a m) in
+      let expected = render (on_receive ctx b ranked) in
+      if got <> expected || fingerprint a <> fingerprint b then
+        mismatches := Smr.pp_msg m :: !mismatches
+    end
+  in
+  backlog_run ~before_receive ~on_step:(fun _ -> ()) ();
+  Alcotest.(check bool) "out-of-rank messages were delivered" true
+    (!checked > 100);
+  Alcotest.(check (list string)) "same actions and state" [] !mismatches
 
 (* A clone taken mid-backlog (both queues non-empty at step 3000)
    fingerprints like its original and then stays put while the original
    runs on. *)
 let test_clone_independent () =
   let step = ref 0 and captured = ref None in
-  backlog_run ~on_step:(fun st ->
+  backlog_run () ~on_step:(fun st ->
       incr step;
       match !captured with
       | None when !step = 3_000 ->
@@ -683,6 +715,8 @@ let () =
             test_backlog_digest;
           Alcotest.test_case "clone is independent of the original" `Quick
             test_clone_independent;
+          Alcotest.test_case "out-of-rank message, same outcome" `Quick
+            test_out_of_rank_receive;
         ] );
       ( "checker-negative",
         [
