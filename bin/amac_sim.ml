@@ -183,18 +183,19 @@ let parse_faults ~n specs =
    with Invalid_argument msg -> usage_error ("--fault: " ^ msg));
   plan
 
+(* Both loop sizes are checked whatever the mode, so a bad value is never
+   silently ignored because the other mode was selected. *)
 let parse_mode ~gap ~clients spec =
-  match
+  let mode =
     flag "--mode" ~expected:"open or closed"
       (function "open" -> `Open | "closed" -> `Closed | _ -> failwith "mode")
       spec
-  with
-  | `Open ->
-      at_least "--gap" ~min:1 gap;
-      Workload.Open_loop { mean_gap = gap }
-  | `Closed ->
-      at_least "--clients" ~min:1 clients;
-      Workload.Closed_loop { clients_per_node = clients }
+  in
+  at_least "--gap" ~min:1 gap;
+  at_least "--clients" ~min:1 clients;
+  match mode with
+  | `Open -> Workload.Open_loop { mean_gap = gap }
+  | `Closed -> Workload.Closed_loop { clients_per_node = clients }
 
 (* The replicated log's own sizes, shared by [smr] and [profile --smr]. *)
 let check_log ~cmds ~window =

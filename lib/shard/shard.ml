@@ -56,7 +56,9 @@ type handle = {
   mutable inner_algs : (Smr.state, Smr.msg) Amac.Algorithm.t array;
   mutable inner_handles : Smr.handle array;
   h_route : (int, int) Hashtbl.t;  (** client cmd -> owning group *)
-  h_batches : (int, int list) Hashtbl.t;  (** batch value -> cmds, oldest first *)
+  mutable h_batches : int list option array;
+      (** [seq] -> [Some cmds] (oldest first) of batch value
+          [batch_bit lor seq]; slot 0 and unminted slots are [None] *)
   mutable batch_seq : int;
   h_submitted : (int, unit) Hashtbl.t;
   h_committed : (int, unit) Hashtbl.t;
@@ -75,7 +77,12 @@ let committed h = Hashtbl.length h.h_committed
 
 let batches h = h.batch_seq - 1
 
-let expand h v = if is_batch v then Hashtbl.find_opt h.h_batches v else None
+(* Sequence numbers are dense from 1, so the table is indexed by them.
+   Flipping bit 42 sends a plain value (bit 42 clear), or one with a
+   higher bit set, out of range. *)
+let expand h v =
+  let seq = v lxor batch_bit in
+  if seq >= 1 && seq < h.batch_seq then h.h_batches.(seq) else None
 
 let applied_cmds h ~node ~group =
   if group < 0 || group >= h.h_groups then
@@ -158,10 +165,15 @@ let flush h st g ~now ctx =
         match cmds with
         | [ c ] -> c (* a lone command needs no container *)
         | _ ->
-            let v = batch_bit lor h.batch_seq in
-            h.batch_seq <- h.batch_seq + 1;
-            Hashtbl.replace h.h_batches v cmds;
-            v
+            let seq = h.batch_seq in
+            if seq >= Array.length h.h_batches then begin
+              let grown = Array.make (2 * seq) None in
+              Array.blit h.h_batches 0 grown 0 seq;
+              h.h_batches <- grown
+            end;
+            h.h_batches.(seq) <- Some cmds;
+            h.batch_seq <- seq + 1;
+            batch_bit lor seq
       in
       absorb st g (Smr.injector h.inner_handles.(g) ~now ~payload:value ctx st.inners.(g))
 
@@ -238,7 +250,7 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
       inner_algs = [||];
       inner_handles = [||];
       h_route = Hashtbl.create 4096;
-      h_batches = Hashtbl.create 1024;
+      h_batches = Array.make 1024 None;
       batch_seq = 1;
       h_submitted = Hashtbl.create 4096;
       h_committed = Hashtbl.create 4096;
@@ -250,27 +262,29 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
        the flattened per-(node, group) stream (dies with the
        incarnation, mirroring the inner applied semantics) and fire the
        user callback once per client command. *)
+    let commit node c =
+      if not (Hashtbl.mem h.h_committed c) then Hashtbl.replace h.h_committed c ();
+      match on_apply with Some f -> f ~node ~group:g ~cmd:c | None -> ()
+    in
     let on_apply_inner ~node ~index:_ ~cmd =
-      let cmds =
-        if is_batch cmd then
-          match Hashtbl.find_opt h.h_batches cmd with
-          | Some l -> l
-          | None -> invalid_arg "Shard: applied a batch this handle never minted"
-        else [ cmd ]
+      let batch =
+        if is_batch cmd then (
+          match expand h cmd with
+          | Some _ as batch -> batch
+          | None -> invalid_arg "Shard: applied a batch this handle never minted")
+        else None
       in
       (match Hashtbl.find_opt h.w_registry node with
       | Some st ->
+          let flat = st.applied_flat.(g) in
           st.applied_flat.(g) <-
-            List.fold_left (fun acc c -> c :: acc) st.applied_flat.(g) cmds
+            (match batch with
+            | Some cmds -> List.fold_left (fun acc c -> c :: acc) flat cmds
+            | None -> cmd :: flat)
       | None -> ());
-      List.iter
-        (fun c ->
-          if not (Hashtbl.mem h.h_committed c) then
-            Hashtbl.replace h.h_committed c ();
-          match on_apply with
-          | Some f -> f ~node ~group:g ~cmd:c
-          | None -> ())
-        cmds
+      match batch with
+      | Some cmds -> List.iter (commit node) cmds
+      | None -> commit node cmd
     in
     let members = Option.map (fun f -> f g) members_of in
     Smr.make ?window ~on_apply:on_apply_inner ?members ?clock ()

@@ -61,7 +61,9 @@ val group_of_key : groups:int -> int -> int
 val is_batch : int -> bool
 
 (** [expand h value] is [Some cmds] (staging order) iff [value] is a
-    batch minted on [h]. *)
+    batch minted on [h]. Batch sequence numbers are dense from 1, so this
+    is an array read, with no hashing; the result is the option stored at
+    minting, not a fresh one. *)
 val expand : handle -> int -> int list option
 
 (** [flush_cmd ~group] — an injection payload that force-flushes the

@@ -70,60 +70,162 @@ let pp_violation fmt = function
 
 let to_string v = Format.asprintf "%a" pp_violation v
 
+(* A flat open-addressing table from int keys to two int payloads, one per
+   check call and reused across views and clauses. Slot [i] is the four
+   words [4i .. 4i+3] of [slots]: generation stamp, key, payload [a],
+   payload [b]. A slot is live iff its stamp is [gen], so [clear] is one
+   increment. Linear probing, no deletion; the table doubles past half
+   full. *)
+module Tbl = struct
+  type t = {
+    mutable slots : int array;
+    mutable mask : int;
+    mutable gen : int;
+    mutable live : int;
+  }
+
+  (* A table that takes [n] entries before it first grows. *)
+  let create n =
+    let rec size c = if 2 * n < c then c else size (2 * c) in
+    let c = size 64 in
+    { slots = Array.make (4 * c) 0; mask = c - 1; gen = 1; live = 0 }
+
+  let clear t =
+    t.gen <- t.gen + 1;
+    t.live <- 0
+
+  let[@inline] home k mask =
+    let h = k * 0x165667b19e3779f9 in
+    (h lxor (h lsr 32)) land mask
+
+  (* The slot holding [k], or the free slot where it would go. *)
+  let probe slots mask gen k =
+    let i = ref (home k mask) in
+    while slots.(4 * !i) = gen && slots.((4 * !i) + 1) <> k do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let grow t =
+    let old = t.slots and gen = t.gen in
+    let mask = (2 * (t.mask + 1)) - 1 in
+    let slots = Array.make (4 * (mask + 1)) 0 in
+    for j = 0 to t.mask do
+      let b = 4 * j in
+      if old.(b) = gen then begin
+        let i = 4 * probe slots mask gen old.(b + 1) in
+        slots.(i) <- gen;
+        slots.(i + 1) <- old.(b + 1);
+        slots.(i + 2) <- old.(b + 2);
+        slots.(i + 3) <- old.(b + 3)
+      end
+    done;
+    t.slots <- slots;
+    t.mask <- mask
+
+  (* The live slot holding [k], or -1. *)
+  let find t k =
+    let i = probe t.slots t.mask t.gen k in
+    if t.slots.(4 * i) = t.gen then i else -1
+
+  let mem t k = find t k >= 0
+
+  (* [claim t k a b] is the live slot already holding [k] (left as it
+     was), or -1 after inserting [k] with payloads [a], [b]. *)
+  let claim t k a b =
+    let i = probe t.slots t.mask t.gen k in
+    let s = t.slots in
+    if s.(4 * i) = t.gen then i
+    else begin
+      s.(4 * i) <- t.gen;
+      s.((4 * i) + 1) <- k;
+      s.((4 * i) + 2) <- a;
+      s.((4 * i) + 3) <- b;
+      t.live <- t.live + 1;
+      if 2 * t.live > t.mask then grow t;
+      -1
+    end
+
+  let a t i = t.slots.((4 * i) + 2)
+
+  let b t i = t.slots.((4 * i) + 3)
+end
+
+(* Whether a retained log entry reaches the apply stream: committed, above
+   the compaction floor, a client command, and not re-chosen after an
+   earlier instance (or the snapshot) already delivered it. [seen] holds
+   the commands delivered so far; a fresh command is claimed in it. *)
+let delivers seen v inst value =
+  inst >= v.v_floor && inst < v.v_commit && value <> Smr.noop
+  && (not (Smr.is_reconfig value))
+  && Tbl.claim seen value 0 0 < 0
+
 (* The expected apply sequence from a node's own retained log: committed
    prefix above the compaction floor, in instance order, noops and
    reconfiguration commands dropped, duplicate chosen commands applied only
    at their first instance — all appended after the snapshot-inherited
-   prefix (whose commands must not be applied again). *)
-let expected_applies v =
-  let seen = Hashtbl.create 16 in
-  List.iter (fun cmd -> Hashtbl.replace seen cmd ()) v.v_snap_applied;
-  let tail =
-    List.filter_map
+   prefix (whose commands must not be applied again). Built only for an
+   {!Apply_order_mismatch} payload; {!applies_in_order} is the check. *)
+let expected_applies seen v =
+  Tbl.clear seen;
+  List.iter (fun cmd -> ignore (Tbl.claim seen cmd 0 0)) v.v_snap_applied;
+  v.v_snap_applied
+  @ List.filter_map
       (fun (inst, value) ->
-        if
-          inst < v.v_floor || inst >= v.v_commit || value = Smr.noop
-          || Smr.is_reconfig value
-          || Hashtbl.mem seen value
-        then None
-        else begin
-          Hashtbl.replace seen value ();
-          Some value
-        end)
+        if delivers seen v inst value then Some value else None)
       v.v_log
+
+(* [v_applied = expected_applies seen v], walked in place. *)
+let applies_in_order seen v =
+  Tbl.clear seen;
+  let rec snap prefix applied =
+    match (prefix, applied) with
+    | [], _ -> tail v.v_log applied
+    | cmd :: prefix, a :: applied when Int.equal cmd a ->
+        ignore (Tbl.claim seen cmd 0 0);
+        snap prefix applied
+    | _ -> false
+  and tail log applied =
+    match log with
+    | [] -> ( match applied with [] -> true | _ :: _ -> false)
+    | (inst, value) :: log -> (
+        if not (delivers seen v inst value) then tail log applied
+        else
+          match applied with
+          | a :: applied when Int.equal value a -> tail log applied
+          | _ -> false)
   in
-  v.v_snap_applied @ tail
+  snap v.v_snap_applied v.v_applied
 
 let rec is_prefix prefix l =
   match (prefix, l) with
   | [], _ -> true
   | _, [] -> false
-  | a :: pa, b :: pb -> a = b && is_prefix pa pb
+  | a :: pa, b :: pb -> Int.equal a b && is_prefix pa pb
 
-let check_views ~submitted views =
+let check_views_in tbl ~submitted views =
   let violations = ref [] in
   let add v = violations := v :: !violations in
   (* Prefix agreement: any two replicas that both chose an instance agree
      on its value. (Logs of different lengths are fine — a straggler's log
-     is a sub-log, not a violation.) *)
-  let chosen_at : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+     is a sub-log, not a violation.) [tbl]: instance -> first (node,
+     value). *)
+  Tbl.clear tbl;
   List.iter
     (fun v ->
       List.iter
         (fun (inst, value) ->
-          match Hashtbl.find_opt chosen_at inst with
-          | None -> Hashtbl.replace chosen_at inst (v.v_node, value)
-          | Some (node_a, value_a) ->
-              if value_a <> value then
-                add
-                  (Log_disagreement
-                     {
-                       inst;
-                       node_a;
-                       value_a;
-                       node_b = v.v_node;
-                       value_b = value;
-                     }))
+          let i = Tbl.claim tbl inst v.v_node value in
+          if i >= 0 && Tbl.b tbl i <> value then
+            add
+              (Log_disagreement
+                 {
+                   inst;
+                   node_a = Tbl.a tbl i;
+                   value_a = Tbl.b tbl i;
+                   node_b = v.v_node;
+                   value_b = value;
+                 }))
         v.v_log)
     views;
   (* Configuration agreement, including configs inherited through
@@ -131,27 +233,31 @@ let check_views ~submitted views =
      committed a reconfiguration at an instance agree on which one. A
      divergence here means replicas crossed into different epochs — quorum
      rules silently forked. *)
-  let configs_at : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  Tbl.clear tbl;
   List.iter
     (fun v ->
       List.iter
         (fun (inst, cmd) ->
-          match Hashtbl.find_opt configs_at inst with
-          | None -> Hashtbl.replace configs_at inst (v.v_node, cmd)
-          | Some (node_a, cmd_a) ->
-              if cmd_a <> cmd then
-                add
-                  (Epoch_divergence
-                     { inst; node_a; cmd_a; node_b = v.v_node; cmd_b = cmd }))
+          let i = Tbl.claim tbl inst v.v_node cmd in
+          if i >= 0 && Tbl.b tbl i <> cmd then
+            add
+              (Epoch_divergence
+                 {
+                   inst;
+                   node_a = Tbl.a tbl i;
+                   cmd_a = Tbl.b tbl i;
+                   node_b = v.v_node;
+                   cmd_b = cmd;
+                 }))
         v.v_configs)
     views;
   List.iter
     (fun v ->
       (* No holes in the retained committed region. *)
-      let chosen = Hashtbl.create 16 in
-      List.iter (fun (inst, value) -> Hashtbl.replace chosen inst value) v.v_log;
+      Tbl.clear tbl;
+      List.iter (fun (inst, _) -> ignore (Tbl.claim tbl inst 0 0)) v.v_log;
       for inst = v.v_floor to v.v_commit - 1 do
-        if not (Hashtbl.mem chosen inst) then
+        if not (Tbl.mem tbl inst) then
           add (Hole_below_commit { node = v.v_node; inst })
       done;
       (* Validity: every chosen non-noop value — retained, snapshot-covered
@@ -174,19 +280,21 @@ let check_views ~submitted views =
         v.v_configs;
       (* Exactly-once apply — across snapshot installs too: the inherited
          prefix and the live tail must not overlap. *)
-      let dup = Hashtbl.create 16 in
+      Tbl.clear tbl;
       List.iter
         (fun cmd ->
-          if Hashtbl.mem dup cmd then
-            add (Duplicate_apply { node = v.v_node; cmd })
-          else Hashtbl.replace dup cmd ())
+          if Tbl.claim tbl cmd 0 0 >= 0 then
+            add (Duplicate_apply { node = v.v_node; cmd }))
         v.v_applied;
       (* Applied order = snapshot prefix + retained log order. *)
-      let expected = expected_applies v in
-      if expected <> v.v_applied then
+      if not (applies_in_order tbl v) then
         add
           (Apply_order_mismatch
-             { node = v.v_node; expected; actual = v.v_applied }))
+             {
+               node = v.v_node;
+               expected = expected_applies tbl v;
+               actual = v.v_applied;
+             }))
     views;
   (* Snapshot prefix agreement: a snapshot taken at floor f packages the
      apply sequence of the prefix [0, f). Any replica whose commit index
@@ -207,6 +315,8 @@ let check_views ~submitted views =
           views)
     views;
   List.rev !violations
+
+let check_views ~submitted views = check_views_in (Tbl.create 0) ~submitted views
 
 let view_of h node =
   let floor, snap_applied =
@@ -292,106 +402,146 @@ let pp_shard_violation fmt = function
 
 let shard_to_string v = Format.asprintf "%a" pp_shard_violation v
 
+(* The node's flattened stream, [] when the shard view lists none. *)
+let rec stream_of node = function
+  | [] -> []
+  | (n, l) :: rest -> if Int.equal n node then l else stream_of node rest
+
+(* [cmds] lies in [buf.(pos .. len-1)] from [pos] on, element by element. *)
+let rec lands_at buf pos len cmds =
+  match cmds with
+  | [] -> true
+  | c :: cmds -> pos < len && Int.equal buf.(pos) c && lands_at buf (pos + 1) len cmds
+
+let rec any_mem tbl = function
+  | [] -> false
+  | c :: cmds -> Tbl.mem tbl c || any_mem tbl cmds
+
 let check_shard_views ~submitted ~expand shard_views =
   let violations = ref [] in
   let add v = violations := v :: !violations in
+  (* The table is sized for the largest clause, the cross-group witness:
+     one entry per distinct client command, which each group's longest
+     apply stream approximates from below. *)
+  let longest =
+    List.map
+      (fun sv ->
+        List.fold_left
+          (fun m (_, flat) -> max m (List.length flat))
+          0 sv.sv_applied_cmds)
+      shard_views
+  in
+  let tbl = Tbl.create (List.fold_left ( + ) 0 longest) in
   (* Per-group: the full single-group contract, group by group. *)
   List.iter
     (fun sv ->
       List.iter
         (fun violation -> add (Group_violation { group = sv.sv_group; violation }))
-        (check_views ~submitted:(submitted sv.sv_group) sv.sv_views))
+        (check_views_in tbl ~submitted:(submitted sv.sv_group) sv.sv_views))
     shard_views;
   (* Batch atomicity, judged against each replica's flattened client-command
      stream: every batch value the replica applied must land in the stream
      contiguously and in batch order — or not at all (snapshot installs
-     inherit applied state without replaying per-command). [first_index]
-     maps each command of the replica's stream to its first position; one
-     table serves every view. *)
-  let first_index = Hashtbl.create 1024 in
+     inherit applied state without replaying per-command). The stream is
+     copied into [buf], and [tbl] maps each of its commands to its first
+     position; both serve every view. Streams found duplicate-free on the
+     way go to [unique], so the last clause need not scan them again. *)
+  let buf = Array.make (List.fold_left max 0 longest) 0 and unique = ref [] in
   List.iter
     (fun sv ->
       List.iter
         (fun v ->
-          let flat =
-            match List.assoc_opt v.v_node sv.sv_applied_cmds with
-            | Some l -> l
-            | None -> []
-          in
-          let flat_arr = Array.of_list flat in
-          Hashtbl.clear first_index;
-          for i = Array.length flat_arr - 1 downto 0 do
-            Hashtbl.replace first_index flat_arr.(i) i
-          done;
+          let flat = stream_of v.v_node sv.sv_applied_cmds in
+          let len = List.length flat in
+          Tbl.clear tbl;
+          let dup = ref false in
+          List.iteri
+            (fun i cmd ->
+              buf.(i) <- cmd;
+              if Tbl.claim tbl cmd i 0 >= 0 then dup := true)
+            flat;
+          if not !dup then unique := flat :: !unique;
           List.iter
             (fun value ->
               match expand value with
               | None | Some [] -> ()
-              | Some (first :: _ as cmds) -> (
-                  let k = List.length cmds in
-                  match Hashtbl.find_opt first_index first with
-                  | None ->
-                      (* All-or-nothing: the head is absent, so no other
-                         member of the batch may have landed either. *)
-                      if List.exists (Hashtbl.mem first_index) cmds then
-                        add
-                          (Batch_split
-                             {
-                               group = sv.sv_group;
-                               node = v.v_node;
-                               batch = value;
-                               expected = cmds;
-                               actual = [];
-                             })
-                  | Some i ->
-                      let avail = Array.length flat_arr - i in
-                      let actual =
-                        Array.to_list (Array.sub flat_arr i (min k avail))
-                      in
-                      if actual <> cmds then
-                        add
-                          (Batch_split
-                             {
-                               group = sv.sv_group;
-                               node = v.v_node;
-                               batch = value;
-                               expected = cmds;
-                               actual;
-                             })))
+              | Some (first :: _ as cmds) ->
+                  let i = Tbl.find tbl first in
+                  if i < 0 then begin
+                    (* All-or-nothing: the head is absent, so no other
+                       member of the batch may have landed either. *)
+                    if any_mem tbl cmds then
+                      add
+                        (Batch_split
+                           {
+                             group = sv.sv_group;
+                             node = v.v_node;
+                             batch = value;
+                             expected = cmds;
+                             actual = [];
+                           })
+                  end
+                  else
+                    let pos = Tbl.a tbl i in
+                    if not (lands_at buf pos len cmds) then
+                      let k = min (List.length cmds) (len - pos) in
+                      add
+                        (Batch_split
+                           {
+                             group = sv.sv_group;
+                             node = v.v_node;
+                             batch = value;
+                             expected = cmds;
+                             actual = Array.to_list (Array.sub buf pos k);
+                           }))
             v.v_applied)
         sv.sv_views)
     shard_views;
   (* Cross-group exactly-once, judged over chosen logs (replication inside
      a group is expected; the same client command chosen by two different
      groups means the keyspace routing forked). Noops and reconfiguration
-     commands are not client commands. *)
-  let witness : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
+     commands are not client commands. [tbl]: command -> first (group,
+     node). A group's replicas mostly hold the same values, and a value
+     whose commands all came out witnessed by this group cannot flag
+     anything when the group holds it again: [clean] keeps those values,
+     per group, and they are skipped. *)
+  Tbl.clear tbl;
+  let clean = Tbl.create 0 in
   List.iter
     (fun sv ->
+      let group = sv.sv_group in
+      Tbl.clear clean;
       List.iter
         (fun v ->
+          let flagged = ref false in
+          let witness cmd =
+            let i = Tbl.claim tbl cmd group v.v_node in
+            if i >= 0 && Tbl.a tbl i <> group then begin
+              flagged := true;
+              add
+                (Cross_group_duplicate
+                   {
+                     cmd;
+                     group_a = Tbl.a tbl i;
+                     node_a = Tbl.b tbl i;
+                     group_b = group;
+                     node_b = v.v_node;
+                   })
+            end
+          in
           List.iter
             (fun (_inst, value) ->
-              if value <> Smr.noop && not (Smr.is_reconfig value) then
-                let cmds =
-                  match expand value with Some l -> l | None -> [ value ]
-                in
-                List.iter
-                  (fun cmd ->
-                    match Hashtbl.find_opt witness cmd with
-                    | None -> Hashtbl.replace witness cmd (sv.sv_group, v.v_node)
-                    | Some (group_a, node_a) ->
-                        if group_a <> sv.sv_group then
-                          add
-                            (Cross_group_duplicate
-                               {
-                                 cmd;
-                                 group_a;
-                                 node_a;
-                                 group_b = sv.sv_group;
-                                 node_b = v.v_node;
-                               }))
-                  cmds)
+              if
+                value <> Smr.noop
+                && (not (Smr.is_reconfig value))
+                && not (Tbl.mem clean value)
+              then begin
+                flagged := false;
+                (match expand value with
+                | Some cmds -> List.iter witness cmds
+                | None -> witness value);
+                if not !flagged then ignore (Tbl.claim clean value 0 0)
+              end)
             v.v_log)
         sv.sv_views)
     shard_views;
@@ -404,21 +554,22 @@ let check_shard_views ~submitted ~expand shard_views =
     (fun sv ->
       List.iter
         (fun (node, flat) ->
-          let seen = Hashtbl.create 16 in
-          List.iter
-            (fun cmd ->
-              if Hashtbl.mem seen cmd then
-                add
-                  (Cross_group_duplicate
-                     {
-                       cmd;
-                       group_a = sv.sv_group;
-                       node_a = node;
-                       group_b = sv.sv_group;
-                       node_b = node;
-                     })
-              else Hashtbl.replace seen cmd ())
-            flat)
+          if not (List.memq flat !unique) then begin
+            Tbl.clear tbl;
+            List.iter
+              (fun cmd ->
+                if Tbl.claim tbl cmd 0 0 >= 0 then
+                  add
+                    (Cross_group_duplicate
+                       {
+                         cmd;
+                         group_a = sv.sv_group;
+                         node_a = node;
+                         group_b = sv.sv_group;
+                         node_b = node;
+                       }))
+              flat
+          end)
         sv.sv_applied_cmds)
     shard_views;
   List.rev !violations

@@ -27,7 +27,17 @@
 
     {!check} reads the live handle; {!check_views} runs the same contract
     over explicit {!view} values, which is what the negative tests use to
-    prove the checker actually flags each violation class. *)
+    prove the checker actually flags each violation class.
+
+    {b Cost.} {!check_views} and {!check_shard_views} take time linear in
+    the total size of the views (the snapshot clause excepted: it compares
+    each compacted replica with every other), and allocate nothing per
+    log entry, apply or stream command: one flat int table per call,
+    cleared between views and clauses, replaces per-view hash tables, and
+    the apply-order and batch-atomicity clauses compare in place. Lists
+    are built only for a violation's payload. Violations come in the same
+    order as the earlier list-and-[Hashtbl] checker, which
+    [test/smr_checker_oracle.ml] keeps as the reference. *)
 
 (** One replica's checkable state. [v_log] is the retained chosen log
     (sorted); [v_applied] the full apply sequence, oldest first, including
