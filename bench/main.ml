@@ -494,18 +494,20 @@ let e10 () =
   in
   Stats.Table.set_meta table "fack" "4";
   Stats.Table.set_meta table "seeds" "1..5";
+  let crash (node, at) = Fault.Crash { node; at } in
   let cases =
     [ (3, [ (2, 5) ]); (5, [ (1, 0); (3, 6) ]); (7, [ (0, 1); (2, 4); (5, 9) ]);
       (9, [ (0, 1); (1, 5); (2, 9); (3, 13) ]) ]
   in
   List.iter
     (fun (n, crashes) ->
+      let faults = List.map crash crashes in
       let inputs = Consensus.Runner.inputs_alternating ~n in
       let two_phase =
         Consensus.Runner.run Consensus.Two_phase.algorithm
           ~topology:(Amac.Topology.clique n)
           ~scheduler:(Amac.Scheduler.fixed ~delay:4)
-          ~inputs ~crashes ~max_time:2_000
+          ~inputs ~faults ~max_time:2_000
       in
       let tp_verdict =
         if two_phase.report.Consensus.Checker.termination then "decided"
@@ -521,7 +523,7 @@ let e10 () =
               (Consensus.Ben_or.make ~seed ())
               ~topology:(Amac.Topology.clique n)
               ~scheduler:(Amac.Scheduler.random (Amac.Rng.create seed) ~fack:4)
-              ~inputs ~crashes ~max_time:200_000)
+              ~inputs ~faults ~max_time:200_000)
           seeds
       in
       let times =
@@ -1003,7 +1005,7 @@ let b9 () =
       in
       let wall = Unix.gettimeofday () -. t0 in
       let quant q =
-        match Workload.latency r ~q with
+        match Workload.quantile r.Workload.latencies ~q with
         | Some l -> string_of_int l
         | None -> "-"
       in
@@ -1093,7 +1095,7 @@ let b13 () =
       in
       let wall = Unix.gettimeofday () -. t0 in
       let quant q =
-        match Shard_workload.latency r ~q with
+        match Workload.quantile r.Shard_workload.latencies ~q with
         | Some l -> string_of_int l
         | None -> "-"
       in
@@ -1226,8 +1228,8 @@ let b11 () =
   Stats.Table.set_meta table "seed" (string_of_int seed);
   Stats.Table.set_meta table "cmds" (string_of_int cmds);
   Stats.Table.set_meta table "scheduler" "random(fack=3)";
-  let quant r q =
-    match Workload.latency r ~q with
+  let quant (r : Workload.result) q =
+    match Workload.quantile r.latencies ~q with
     | Some l -> string_of_int l
     | None -> "-"
   in

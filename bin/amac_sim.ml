@@ -240,11 +240,11 @@ let export_trace trace_out trace =
         (List.length events) file)
     trace_out
 
-let print_latencies latency =
+let print_latencies sorted =
   Printf.printf "commit latency (ticks): ";
   List.iter
     (fun (label, q) ->
-      match latency q with
+      match Workload.quantile sorted ~q with
       | Some l -> Printf.printf "%s=%d " label l
       | None -> Printf.printf "%s=- " label)
     [ ("p50", 0.50); ("p90", 0.90); ("p99", 0.99) ];
@@ -312,7 +312,7 @@ let smr_cmd topo sched fack seed cmds mode window gap clients fault_specs
     result.Workload.outcome.Amac.Engine.end_time
     result.Workload.outcome.Amac.Engine.events_processed
     result.Workload.outcome.Amac.Engine.broadcasts;
-  print_latencies (fun q -> Workload.latency result ~q);
+  print_latencies result.Workload.latencies;
   export_trace trace_out result.Workload.outcome.Amac.Engine.trace;
   print_metrics obs;
   match result.Workload.violations with
@@ -373,7 +373,7 @@ let shard_cmd topo sched fack seed cmds groups batch window gap burst affinity
     (String.concat "; "
        (Array.to_list
           (Array.map string_of_int result.Shard_workload.group_commits)));
-  print_latencies (fun q -> Shard_workload.latency result ~q);
+  print_latencies result.Shard_workload.latencies;
   export_trace trace_out result.Shard_workload.outcome.Amac.Engine.trace;
   print_metrics obs;
   match result.Shard_workload.violations with
@@ -530,13 +530,10 @@ let lifecycle_cmd scenario_name seed fack max_time =
    human-readable report plus a deterministic JSON export (same seed =>
    byte-identical bytes — what the CI observability job diffs). *)
 
-(* Nearest-rank quantile of a sorted latency array, as Workload.latency. *)
 let quantile arr q =
-  let len = Array.length arr in
-  if len = 0 then Obs.Json.Null
-  else
-    let rank = int_of_float (ceil (q *. float_of_int len)) in
-    Obs.Json.Int arr.(max 0 (min (len - 1) (rank - 1)))
+  match Workload.quantile arr ~q with
+  | Some v -> Obs.Json.Int v
+  | None -> Obs.Json.Null
 
 let quantiles arr =
   Obs.Json.Obj

@@ -17,13 +17,13 @@ let rule title =
 
 let () =
   rule "1. Randomness vs crashes (Ben-Or over the MAC layer)";
-  let crash_schedule = [ (2, 5) ] in
+  let crash_plan = [ Fault.Crash { node = 2; at = 5 } ] in
   let inputs = [| 0; 1; 1 |] in
   let two_phase =
     Consensus.Runner.run Consensus.Two_phase.algorithm
       ~topology:(Amac.Topology.clique 3)
       ~scheduler:(Amac.Scheduler.fixed ~delay:4)
-      ~inputs ~crashes:crash_schedule ~max_time:2_000
+      ~inputs ~faults:crash_plan ~max_time:2_000
   in
   Printf.printf
     "two-phase, crash(node 2 @ t=5): termination=%b (blocked forever; \
@@ -35,7 +35,7 @@ let () =
       (Consensus.Ben_or.make ~seed:11 ())
       ~topology:(Amac.Topology.clique 3)
       ~scheduler:(Amac.Scheduler.fixed ~delay:4)
-      ~inputs ~crashes:crash_schedule ~max_time:200_000
+      ~inputs ~faults:crash_plan ~max_time:200_000
   in
   Printf.printf "ben-or,   same crash: %s (t=%s)\n"
     (Format.asprintf "%a" Consensus.Checker.pp ben_or.report)

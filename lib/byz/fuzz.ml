@@ -2,22 +2,19 @@ type case = {
   n : int;
   fack : int;
   inputs : int array;
-  crashes : (int * int) list;
+  faults : Fault.plan;
   strategy : Model.strategy;
   plan : Amac.Scheduler.decision list;
 }
 
 let pp_case fmt case =
-  Format.fprintf fmt
-    "@[<v>clique n=%d F_ack=%d@,inputs=[%s]@,crashes=[%s]@,plan=%d \
-     decisions@,%a@]"
+  Format.fprintf fmt "@[<v>clique n=%d F_ack=%d@,inputs=[%s]@,plan=%d decisions"
     case.n case.fack
     (String.concat ";" (Array.to_list (Array.map string_of_int case.inputs)))
-    (String.concat ";"
-       (List.map
-          (fun (node, time) -> Printf.sprintf "%d@t%d" node time)
-          case.crashes))
-    (List.length case.plan) Model.pp_strategy case.strategy
+    (List.length case.plan);
+  if case.faults <> [] then
+    Format.fprintf fmt "@,faults:@,%a" Fault.pp case.faults;
+  Format.fprintf fmt "@,%a@]" Model.pp_strategy case.strategy
 
 type config = {
   min_n : int;
@@ -40,8 +37,8 @@ let default =
     max_time = 100_000;
   }
 
-(* F_ack is drawn from [1, max_fack]; at most [max_crashes] clean crashes
-   land on top of the strategy. *)
+(* F_ack is drawn from [1, max_fack]; a plan of at most [max_crashes]
+   clean crashes lands on top of the strategy. *)
 let max_fack = 6
 let max_crashes = 1
 
@@ -81,7 +78,7 @@ let run_case ?(record_trace = false) ?obs config algorithm adapter case =
   Consensus.Runner.run wrapped.Model.algorithm
     ~topology:(Amac.Topology.clique case.n)
     ~scheduler:(Amac.Scheduler.replay case.plan)
-    ~inputs:case.inputs ~crashes:case.crashes
+    ~inputs:case.inputs ~faults:case.faults
     ~substitute:wrapped.Model.substitute ~honest:wrapped.Model.honest
     ~max_time:config.max_time ~record_trace ?obs
 
@@ -104,19 +101,17 @@ let generate config algorithm adapter rng =
   (* Mixed regime: clean crashes can land on honest AND Byzantine nodes —
      a crashed Byzantine node is an adversary that went permanently
      silent, which is itself a strategy worth searching. *)
-  let crashes =
-    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes
-  in
+  let faults = Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes in
   let wrapped = Model.wrap ~n ~adapter ~strategy algorithm in
   let base = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let recording, recorded = Amac.Scheduler.record base in
   let result =
     Consensus.Runner.run wrapped.Model.algorithm
-      ~topology:(Amac.Topology.clique n) ~scheduler:recording ~inputs ~crashes
+      ~topology:(Amac.Topology.clique n) ~scheduler:recording ~inputs ~faults
       ~substitute:wrapped.Model.substitute ~honest:wrapped.Model.honest
       ~max_time:config.max_time
   in
-  ( { n; fack; inputs; crashes; strategy; plan = recorded () },
+  ( { n; fack; inputs; faults; strategy; plan = recorded () },
     violations_of config result )
 
 (* ---------------------------------------------------------------- *)
@@ -143,21 +138,14 @@ let restrict_to case n' =
     case with
     n = n';
     inputs = Array.sub case.inputs 0 n';
-    crashes = List.filter (fun (node, _) -> node < n') case.crashes;
+    faults = Mcheck.Fuzz.restrict_plan case.faults n';
     strategy = restrict_strategy case.strategy n';
   }
-
 
 let pass_nodes case =
   List.filter_map
     (fun n' -> if n' < case.n then Some (restrict_to case n') else None)
     (List.init (max 0 (case.n - 2)) (fun i -> i + 2))
-
-let pass_crashes case =
-  List.mapi
-    (fun i _ ->
-      { case with crashes = List.filteri (fun j _ -> j <> i) case.crashes })
-    case.crashes
 
 let with_strategy case s = { case with strategy = s }
 
@@ -282,7 +270,10 @@ let campaign config algorithm adapter :
           passes =
             [
               pass_nodes;
-              pass_crashes;
+              (fun c ->
+                List.map
+                  (fun faults -> { c with faults })
+                  (Mcheck.Fuzz.shrink_plan c.faults));
               pass_byz_nodes;
               pass_tampers;
               pass_victims;

@@ -1,9 +1,9 @@
 (** Byzantine-strategy fuzzing with counterexample shrinking.
 
     The adversarial sibling of {!Mcheck.Fuzz}, run by {!Mcheck.Campaign}:
-    each iteration draws a clique size, inputs, [F_ack], an optional clean
-    crash pattern (crashes may hit honest {e or} Byzantine nodes — the
-    mixed regime), a Byzantine {!Model.strategy} sized by the config's
+    each iteration draws a clique size, inputs, [F_ack], a fault plan of
+    optional clean crashes (they may hit honest {e or} Byzantine nodes —
+    the mixed regime), a Byzantine {!Model.strategy} sized by the config's
     {!Model.profile}, and a recorded random schedule. The algorithm runs
     {e wrapped} ({!Model.wrap}), with the strategy's tampers compiled into
     the engine's [?substitute] hook and the honest mask handed to the
@@ -11,18 +11,18 @@
     {e honest} nodes.
 
     On failure the case is delta-debugged: besides {!Mcheck.Fuzz}'s passes
-    (fewer nodes, fewer crashes, truncated/flattened schedule, canonical
-    inputs) the shrinker attacks the strategy itself — dropping Byzantine
-    nodes and tampers, thinning victim sets, narrowing windows, zeroing
-    node-local behaviors — so the surviving reproducer names the minimal
-    adversary: typically one Byzantine node, one tamper window, two
-    victims. *)
+    (fewer nodes, {!Mcheck.Fuzz.shrink_plan} on the fault plan,
+    truncated/flattened schedule, canonical inputs) the shrinker attacks
+    the strategy itself — dropping Byzantine nodes and tampers, thinning
+    victim sets, narrowing windows, zeroing node-local behaviors — so the
+    surviving reproducer names the minimal adversary: typically one
+    Byzantine node, one tamper window, two victims. *)
 
 type case = {
   n : int;  (** always a clique *)
   fack : int;
   inputs : int array;
-  crashes : (int * int) list;
+  faults : Fault.plan;  (** at most one clean crash *)
   strategy : Model.strategy;
   plan : Amac.Scheduler.decision list;
 }

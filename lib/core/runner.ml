@@ -22,30 +22,22 @@ let record_degradation ~obs ~algorithm (degradation : Checker.degradation) =
   | Some t -> Obs.Metrics.set (gauge "checker_max_decide_time") (float_of_int t)
   | None -> ()
 
-let run ?identities ?give_n ?give_diameter ?(crashes = []) ?faults ?substitute
-    ?honest ?max_time ?provenance ?record_trace ?pp_msg ?unreliable
-    ?topo_deltas ?obs algorithm ~topology ~scheduler ~inputs =
-  (* A fault plan's crash/recovery schedule merges with the legacy
-     [?crashes] list; the merged schedule is validated by the engine. *)
-  let crashes, recoveries, drop, stutter =
-    match faults with
-    | None -> (crashes, [], None, None)
-    | Some plan ->
-        let compiled =
-          Fault.compile ~n:(Amac.Topology.size topology) plan
-        in
-        ( crashes @ compiled.Fault.crashes,
-          compiled.Fault.recoveries,
-          compiled.Fault.drop,
-          compiled.Fault.stutter )
+let run ?identities ?give_n ?give_diameter ?faults ?substitute ?honest
+    ?max_time ?provenance ?record_trace ?pp_msg ?unreliable ?topo_deltas ?obs
+    algorithm ~topology ~scheduler ~inputs =
+  let compiled =
+    Fault.compile ~n:(Amac.Topology.size topology)
+      (Option.value faults ~default:[])
   in
   (match (obs, faults) with
   | Some reg, Some plan -> Fault.record ~obs:reg plan
   | (Some _ | None), _ -> ());
   let outcome =
-    Amac.Engine.run ?identities ?give_n ?give_diameter ~crashes ~recoveries
-      ?drop ?stutter ?substitute ?max_time ?provenance ?record_trace ?pp_msg
-      ?unreliable ?topo_deltas ?obs algorithm ~topology ~scheduler ~inputs
+    Amac.Engine.run ?identities ?give_n ?give_diameter
+      ~crashes:compiled.Fault.crashes ~recoveries:compiled.Fault.recoveries
+      ?drop:compiled.Fault.drop ?stutter:compiled.Fault.stutter ?substitute
+      ?max_time ?provenance ?record_trace ?pp_msg ?unreliable ?topo_deltas ?obs
+      algorithm ~topology ~scheduler ~inputs
   in
   let degradation = Checker.degrade ?honest ~inputs outcome in
   (match obs with

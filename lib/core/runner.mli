@@ -16,9 +16,9 @@ type result = {
 (** [run algorithm ~topology ~scheduler ~inputs ...] — parameters as in
     {!Amac.Engine.run}.
 
-    @param faults a declarative {!Fault.plan}; it is validated and compiled
-      ({!Fault.compile}) and its crash/recovery schedule merges with the
-      legacy [?crashes] list. @raise Invalid_argument on a malformed plan.
+    @param faults a declarative {!Fault.plan}, the one way to crash, restart
+      or cut off nodes; it is validated and compiled ({!Fault.compile}).
+      @raise Invalid_argument on a malformed plan.
     @param substitute the engine's Byzantine-adversary hook (per-recipient
       payload substitution / suppression, see {!Amac.Engine.run}); [Byz.wrap]
       produces it from a strategy.
@@ -37,7 +37,6 @@ val run :
   ?identities:Amac.Node_id.t array ->
   ?give_n:bool ->
   ?give_diameter:bool ->
-  ?crashes:(int * int) list ->
   ?faults:Fault.plan ->
   ?substitute:(now:int -> sender:int -> receiver:int -> 'm -> 'm option) ->
   ?honest:bool array ->

@@ -30,8 +30,8 @@ let derive ~seed ~iteration =
   ignore (Amac.Rng.bits64 rng);
   rng
 
-(* At most one crash per node: the engine (rightly) rejects a second crash
-   of the same incarnation. *)
+(* At most one crash per node: Fault.validate (rightly) rejects a second
+   crash of the same incarnation. *)
 let early_crashes rng ~n ~fack ~max =
   let crash_count = Amac.Rng.int rng (max + 1) in
   List.init crash_count (fun _ ->
@@ -42,7 +42,7 @@ let early_crashes rng ~n ~fack ~max =
        (fun acc (node, time) ->
          if List.mem_assoc node acc then acc else (node, time) :: acc)
        []
-  |> List.rev
+  |> List.rev_map (fun (node, at) -> Fault.Crash { node; at })
 
 let truncations l =
   let len = List.length l in
@@ -112,57 +112,53 @@ let scan t ~seed ~lo ~hi =
   in
   go lo
 
-let run ?pool ?(jobs = 1) ?(progress = ignore) ?(max_shrink_runs = 2_000) t
+let run ?(jobs = 1) ?(progress = ignore) ?(max_shrink_runs = 2_000) t
     ~iterations ~seed =
-  let waves pool =
-    (* Small chunks: each iteration is already tens of microseconds, so a
-       chunk of a few amortizes the cross-domain wakeup, keeps the
-       per-domain allocation bursts short (long concurrent bursts amplify
-       minor-GC stop-the-world stalls), and bounds wasted work past the
-       first failure to wave granularity. *)
-    let chunk = 4 in
-    let wave = Par.size pool * 4 * chunk in
-    let rec from start =
-      if start >= iterations then
-        { iterations_run = iterations; counterexample = None }
-      else
-        let stop = min iterations (start + wave) in
-        let chunks =
-          Array.init
-            ((stop - start + chunk - 1) / chunk)
-            (fun k ->
-              let lo = start + (k * chunk) in
-              (lo, min stop (lo + chunk)))
-        in
-        (* Chunks are contiguous and ascending, so the first hit is the
-           minimum failing iteration. *)
-        let first =
-          Par.map pool (fun (lo, hi) -> scan t ~seed ~lo ~hi) chunks
-          |> Array.find_map Fun.id
-        in
-        let last = match first with Some (i, _) -> i | None -> stop - 1 in
-        for i = start to last do
-          progress i
-        done;
-        match first with
-        | None -> from stop
-        | Some (iteration, Error (exn, bt)) ->
-            Printexc.raise_with_backtrace (Raised { iteration; exn }) bt
-        | Some (iteration, Ok (original, violations)) ->
-            let case, violations =
-              match t.shrink with
-              | None -> (original, violations)
-              | Some s ->
-                  let case = shrink ~max_shrink_runs s original in
-                  (case, s.replay case)
-            in
-            {
-              iterations_run = iteration + 1;
-              counterexample = Some { iteration; case; original; violations };
-            }
-    in
-    from 0
+  Par.with_pool ~domains:jobs @@ fun pool ->
+  (* Small chunks: each iteration is already tens of microseconds, so a
+     chunk of a few amortizes the cross-domain wakeup, keeps the
+     per-domain allocation bursts short (long concurrent bursts amplify
+     minor-GC stop-the-world stalls), and bounds wasted work past the
+     first failure to wave granularity. *)
+  let chunk = 4 in
+  let wave = Par.size pool * 4 * chunk in
+  let rec from start =
+    if start >= iterations then
+      { iterations_run = iterations; counterexample = None }
+    else
+      let stop = min iterations (start + wave) in
+      let chunks =
+        Array.init
+          ((stop - start + chunk - 1) / chunk)
+          (fun k ->
+            let lo = start + (k * chunk) in
+            (lo, min stop (lo + chunk)))
+      in
+      (* Chunks are contiguous and ascending, so the first hit is the
+         minimum failing iteration. *)
+      let first =
+        Par.map pool (fun (lo, hi) -> scan t ~seed ~lo ~hi) chunks
+        |> Array.find_map Fun.id
+      in
+      let last = match first with Some (i, _) -> i | None -> stop - 1 in
+      for i = start to last do
+        progress i
+      done;
+      match first with
+      | None -> from stop
+      | Some (iteration, Error (exn, bt)) ->
+          Printexc.raise_with_backtrace (Raised { iteration; exn }) bt
+      | Some (iteration, Ok (original, violations)) ->
+          let case, violations =
+            match t.shrink with
+            | None -> (original, violations)
+            | Some s ->
+                let case = shrink ~max_shrink_runs s original in
+                (case, s.replay case)
+          in
+          {
+            iterations_run = iteration + 1;
+            counterexample = Some { iteration; case; original; violations };
+          }
   in
-  match pool with
-  | Some pool -> waves pool
-  | None -> Par.with_pool ~domains:jobs waves
+  from 0

@@ -55,13 +55,12 @@ exception Raised of { iteration : int; exn : exn }
     streams without the caller managing one. *)
 val derive : seed:int -> iteration:int -> Amac.Rng.t
 
-(** [early_crashes rng ~n ~fack ~max] draws up to [max] clean crashes, at
-    most one per node, with times in [\[0, 2 (2 fack + 1)\]]: every
-    algorithm broadcasts at t = 0, so these land mid-broadcast (Sec 2's
-    non-atomic crashes) or interrupt the first follow-up phases, where
-    leader election is most delicate. *)
-val early_crashes :
-  Amac.Rng.t -> n:int -> fack:int -> max:int -> (int * int) list
+(** [early_crashes rng ~n ~fack ~max] draws up to [max] clean crashes, as
+    {!Fault.Crash} events ordered by node, at most one per node, with times
+    in [\[0, 2 (2 fack + 1)\]]: every algorithm broadcasts at t = 0, so
+    these land mid-broadcast (Sec 2's non-atomic crashes) or interrupt the
+    first follow-up phases, where leader election is most delicate. *)
+val early_crashes : Amac.Rng.t -> n:int -> fack:int -> max:int -> Fault.plan
 
 (** {2 Shared shrink candidates} *)
 
@@ -77,18 +76,16 @@ val flattenings :
 (** Each input 1 flipped to 0, one at a time. *)
 val input_flips : int array -> int array list
 
-(** [run ?pool ?jobs ?progress ?max_shrink_runs campaign ~iterations ~seed]
+(** [run ?jobs ?progress ?max_shrink_runs campaign ~iterations ~seed]
     scans until a violation is found (then shrinks and stops) or
     [iterations] clean iterations pass.
 
-    [?pool] reuses a caller-owned pool (its size wins over [jobs]);
-    otherwise a pool of [jobs] (default 1) domains lives for the call.
-    [?progress] is called with each scanned iteration's 0-based index, in
-    order, up to the reported one. [?max_shrink_runs] (default 2000)
-    bounds the shrinker's replays.
+    A pool of [jobs] (default 1) domains lives for the call. [?progress]
+    is called with each scanned iteration's 0-based index, in order, up to
+    the reported one. [?max_shrink_runs] (default 2000) bounds the
+    shrinker's replays.
     @raise Raised if [generate] raises. *)
 val run :
-  ?pool:Par.pool ->
   ?jobs:int ->
   ?progress:(int -> unit) ->
   ?max_shrink_runs:int ->

@@ -5,7 +5,6 @@ type case = {
   n : int;
   fack : int;
   inputs : int array;
-  crashes : (int * int) list;
   faults : Fault.plan;
   plan : Amac.Scheduler.decision list;
 }
@@ -19,14 +18,10 @@ let kind_name = function
 
 let pp_case fmt case =
   Format.fprintf fmt
-    "@[<v>%s n=%d F_ack=%d@,inputs=[%s]@,crashes=[%s]@,plan=%d decisions@]"
+    "@[<v>%s n=%d F_ack=%d@,inputs=[%s]@,plan=%d decisions@]"
     (kind_name case.kind) case.n case.fack
     (String.concat ";"
        (Array.to_list (Array.map string_of_int case.inputs)))
-    (String.concat ";"
-       (List.map
-          (fun (node, time) -> Printf.sprintf "%d@t%d" node time)
-          case.crashes))
     (List.length case.plan);
   if case.faults <> [] then
     Format.fprintf fmt "@,faults:@,%a" Fault.pp case.faults
@@ -95,17 +90,16 @@ let violations_of config (result : Consensus.Runner.result) =
         result.report.violations
   else safety
 
-let run_case ?(record_trace = false) ?obs config algorithm case =
+let run_case ?(record_trace = false) ?obs config algorithm (case : case) =
   Consensus.Runner.run algorithm ~topology:(topology_of case)
     ~scheduler:(Amac.Scheduler.replay case.plan)
-    ~inputs:case.inputs ~crashes:case.crashes ~faults:case.faults
+    ~inputs:case.inputs ~faults:case.faults
     ~max_time:config.max_time ~record_trace ?obs
 
-(* The crashes move INTO the plan (so recoveries can refer to them and the
-   whole fault schedule shrinks as one object) and the plan gains loss
-   windows, a partition, stutters — each family built valid by construction
-   (distinct edges/nodes, disjoint partition windows) and checked by
-   Fault.validate before use. *)
+(* The plan gains recoveries for a prefix of the crashes, loss windows, a
+   partition, stutters — each family built valid by construction (distinct
+   edges/nodes, disjoint partition windows) and checked by Fault.validate
+   before use. *)
 let gen_fault_plan rng ~n ~fack ~crashes p =
   let horizon = ((2 * fack) + 1) * 4 in
   let window rng =
@@ -113,12 +107,9 @@ let gen_fault_plan rng ~n ~fack ~crashes p =
     let width = 1 + Amac.Rng.int rng (max 1 p.max_window) in
     (from_, from_ + width)
   in
-  let crash_events =
-    List.map (fun (node, at) -> Fault.Crash { node; at }) crashes
-  in
   let recov_budget = Amac.Rng.int rng (p.max_recoveries + 1) in
   let recoveries =
-    List.filteri (fun i _ -> i < recov_budget) crashes
+    List.filteri (fun i _ -> i < recov_budget) (Fault.crashes crashes)
     |> List.map (fun (node, at) ->
            Fault.Recover { node; at = at + 1 + Amac.Rng.int rng horizon })
   in
@@ -169,13 +160,13 @@ let gen_fault_plan rng ~n ~fack ~crashes p =
           (node :: used) (k - 1)
   in
   let stutters = draw_stutters [] [] (Amac.Rng.int rng (p.max_stutters + 1)) in
-  let plan = crash_events @ recoveries @ loss @ partitions @ stutters in
+  let plan = crashes @ recoveries @ loss @ partitions @ stutters in
   Fault.validate ~n plan;
   plan
 
 let gen_faults rng ~n ~fack ~crashes = function
-  | None -> (crashes, [])
-  | Some p -> ([], gen_fault_plan rng ~n ~fack ~crashes p)
+  | None -> crashes
+  | Some p -> gen_fault_plan rng ~n ~fack ~crashes p
 
 let generate config algorithm rng =
   let n = Amac.Rng.int_range rng ~lo:2 ~hi:(max 2 config.max_n) in
@@ -187,7 +178,7 @@ let generate config algorithm rng =
   let kind = if n < 3 && kind = Ring then Clique else kind in
   let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
   let inputs = Array.init n (fun _ -> if Amac.Rng.bool rng then 1 else 0) in
-  let crashes, faults =
+  let faults =
     gen_faults rng ~n ~fack
       ~crashes:(Campaign.early_crashes rng ~n ~fack ~max:max_crashes)
       config.faults
@@ -197,10 +188,10 @@ let generate config algorithm rng =
   let result =
     Consensus.Runner.run algorithm
       ~topology:
-        (topology_of { kind; n; fack; inputs; crashes; faults; plan = [] })
-      ~scheduler:recording ~inputs ~crashes ~faults ~max_time:config.max_time
+        (topology_of { kind; n; fack; inputs; faults; plan = [] })
+      ~scheduler:recording ~inputs ~faults ~max_time:config.max_time
   in
-  ( { kind; n; fack; inputs; crashes; faults; plan = recorded () },
+  ( { kind; n; fack; inputs; faults; plan = recorded () },
     violations_of config result )
 
 (* ---------------------------------------------------------------- *)
@@ -227,7 +218,6 @@ let restrict_to case n' =
     case with
     n = n';
     inputs = Array.sub case.inputs 0 n';
-    crashes = List.filter (fun (node, _) -> node < n') case.crashes;
     faults = restrict_plan case.faults n';
   }
 
@@ -255,66 +245,38 @@ let pass_nodes case =
     (fun n' -> if n' < case.n then Some (restrict_to case n') else None)
     (List.init (max 0 (case.n - 2)) (fun i -> i + 2))
 
-(* Drop each crash; then pull each crash time toward 0. *)
-let pass_crashes case =
-  let drops =
-    List.mapi
-      (fun i _ ->
-        { case with crashes = List.filteri (fun j _ -> j <> i) case.crashes })
-      case.crashes
-  in
-  let earlier =
-    List.concat_map
-      (fun divisor ->
-        List.mapi
-          (fun i (node, time) ->
-            {
-              case with
-              crashes =
-                List.mapi
-                  (fun j c -> if i = j then (node, time / divisor) else c)
-                  case.crashes;
-            })
-          case.crashes)
-      [ max_int; 2 ]
-  in
-  drops @ earlier
-
 (* Drop each event; drop crash+recovery pairs together (a lone recovery is
    invalid and would be rejected, masking the shrink); narrow windows and
    pull times toward 0 (all-at-once, then halving); thin partition cuts.
-   Any candidate the validator rejects is discarded by the shrinker. *)
-let pass_faults (case : case) =
-  let replace i e' =
-    { case with faults = List.mapi (fun j e -> if i = j then e' else e) case.faults }
-  in
+   Any candidate the validator rejects is discarded by the shrinker. On a
+   crash-only plan this is: drop each crash, then pull each toward 0. *)
+let shrink_plan plan =
+  let replace i e' = List.mapi (fun j e -> if i = j then e' else e) plan in
   let drops =
-    List.mapi
-      (fun i _ ->
-        { case with faults = List.filteri (fun j _ -> j <> i) case.faults })
-      case.faults
+    List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) plan) plan
+  in
+  let recovers node =
+    List.exists
+      (function Fault.Recover { node = v; _ } -> v = node | _ -> false)
+      plan
   in
   let drop_pairs =
     List.filter_map
       (function
-        | Fault.Crash { node; _ } ->
+        | Fault.Crash { node; _ } when recovers node ->
             Some
-              {
-                case with
-                faults =
-                  List.filter
-                    (function
-                      | Fault.Crash { node = v; _ }
-                      | Fault.Recover { node = v; _ } ->
-                          v <> node
-                      | _ -> true)
-                    case.faults;
-              }
+              (List.filter
+                 (function
+                   | Fault.Crash { node = v; _ } | Fault.Recover { node = v; _ }
+                     ->
+                       v <> node
+                   | _ -> true)
+                 plan)
         | _ -> None)
-      case.faults
+      plan
   in
   let narrowed divisor =
-    List.mapi (fun i e -> replace i (shrink_fault_event divisor e)) case.faults
+    List.mapi (fun i e -> replace i (shrink_fault_event divisor e)) plan
   in
   let cut_thinning =
     List.concat
@@ -329,7 +291,7 @@ let pass_faults (case : case) =
                         { cut = List.filter (( <> ) v) cut; from_; until }))
                  cut
            | _ -> [])
-         case.faults)
+         plan)
   in
   drops @ drop_pairs @ narrowed max_int @ narrowed 2 @ cut_thinning
 
@@ -356,8 +318,10 @@ let campaign config algorithm : (case, Consensus.Checker.violation) Campaign.t =
           passes =
             [
               pass_nodes;
-              pass_crashes;
-              pass_faults;
+              (fun c ->
+                List.map
+                  (fun faults -> { c with faults })
+                  (shrink_plan c.faults));
               (fun c ->
                 List.map
                   (fun plan -> { c with plan })

@@ -1,19 +1,19 @@
 (** Seeded schedule/crash fuzzing with counterexample shrinking — the
     consensus campaign for {!Campaign}.
 
-    Each iteration draws a topology, inputs, [F_ack] in [\[1, 8\]], a crash
-    pattern of at most 2 crashes ({!Campaign.early_crashes}: times land
+    Each iteration draws a topology, inputs, [F_ack] in [\[1, 8\]], a fault
+    plan holding at most 2 crashes ({!Campaign.early_crashes}: times land
     inside broadcast windows, so crash-mid-broadcast non-atomicity is
-    exercised) and a random scheduler
+    exercised), and a random scheduler
     wrapped in {!Amac.Scheduler.record}. The run goes through
     {!Consensus.Runner.run} and is judged by
     {!Consensus.Checker.safety_violations} (termination optionally too).
 
     On failure the recorded decision list makes the whole execution {e
-    data}: a {!case} (topology kind + n + inputs + crashes + decision list)
-    replays deterministically via {!Amac.Scheduler.replay}, and the shrinker
-    delta-debugs it — dropping nodes, dropping and advancing crashes,
-    shrinking fault plans, truncating and flattening scheduler decisions,
+    data}: a {!case} (topology kind + n + inputs + fault plan + decision
+    list) replays deterministically via {!Amac.Scheduler.replay}, and the
+    shrinker delta-debugs it — dropping nodes, shrinking the fault plan
+    ({!shrink_plan}), truncating and flattening scheduler decisions,
     canonicalising inputs — keeping a mutation only while some violation
     survives. The result is a minimal reproducer plus the [(seed, iteration)]
     pair that found it. *)
@@ -25,11 +25,9 @@ type case = {
   n : int;
   fack : int;  (** recorded for reporting; replay recomputes its own bound *)
   inputs : int array;
-  crashes : (int * int) list;
-      (** legacy clean-crash schedule; [] when fault-plan fuzzing is on
-          (crashes then live inside [faults] so recoveries can pair with
-          them and the whole schedule shrinks as one object) *)
-  faults : Fault.plan;  (** [] unless [config.faults] is set *)
+  faults : Fault.plan;
+      (** the drawn crashes, plus the rest of a drawn plan when
+          [config.faults] is set *)
   plan : Amac.Scheduler.decision list;
 }
 
@@ -59,9 +57,9 @@ type config = {
           live node never decided also counts as a failure *)
   max_time : int;
   faults : fault_profile option;
-      (** [Some profile] switches on fault-plan fuzzing: each case carries a
-          generated {!Fault.plan} and the shrinker delta-debugs its events,
-          windows and times alongside the other dimensions *)
+      (** [Some profile] switches on fault-plan fuzzing: each case's plan
+          gains recoveries, loss windows, partitions and stutters on top of
+          its crashes *)
 }
 
 (** n ≤ 6, cliques and lines, safety-only, no fault plans. *)
@@ -71,20 +69,33 @@ val default : config
     up to 40 ticks. *)
 val default_fault_profile : fault_profile
 
-(** [gen_faults rng ~n ~fack ~crashes profile] — with [None], [crashes]
-    stay a clean-crash schedule and the plan is empty. With [Some profile]
-    they move into a drawn fault plan (so recoveries can pair with them and
-    the whole schedule shrinks as one object) and the crash list is empty:
-    a subset of the crashes gains paired recoveries, plus per-edge loss
-    windows, disjoint partition episodes and per-node stutters — all within
-    a horizon scaled by [fack], validated by {!Fault.validate}. *)
+(** [gen_faults rng ~n ~fack ~crashes profile] — with [None], the plan is
+    [crashes] as drawn ({!Campaign.early_crashes}). With [Some profile] a
+    prefix of the crashes gains paired recoveries, and the plan gains
+    per-edge loss windows, disjoint partition episodes and per-node
+    stutters — all within a horizon scaled by [fack], validated by
+    {!Fault.validate}. *)
 val gen_faults :
   Amac.Rng.t ->
   n:int ->
   fack:int ->
-  crashes:(int * int) list ->
+  crashes:Fault.plan ->
   fault_profile option ->
-  (int * int) list * Fault.plan
+  Fault.plan
+
+(** {2 Shrinking a fault plan} *)
+
+(** [restrict_plan plan n'] keeps the events that name only nodes below
+    [n'] (partition cuts are thinned, and dropped when they become empty or
+    cover every node). *)
+val restrict_plan : Fault.plan -> int -> Fault.plan
+
+(** [shrink_plan plan] — the plan's shrink candidates, in order: each event
+    dropped; each crash dropped with its node's recoveries; every event
+    pulled toward 0 (all the way, then halfway; windows keep width >= 1);
+    each partition cut thinned by one node. On a crash-only plan: drop each
+    crash, then pull each crash time toward 0. *)
+val shrink_plan : Fault.plan -> Fault.plan list
 
 (** [campaign config algorithm] — fuzz [algorithm] under [config]. The
     shrinker replays through {!run_case} and judges with the campaign's

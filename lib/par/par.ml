@@ -19,12 +19,8 @@ type pool = {
   deques : deque array;  (* index 0 belongs to the caller *)
   mutable pending : int;  (* submitted tasks not yet finished *)
   mutable stopped : bool;
-  mutable tasks_run : int;
-  mutable steals : int;
   mutable workers : unit Domain.t array;
 }
-
-type stats = { tasks : int; steals : int }
 
 let push dq task = dq.front <- task :: dq.front
 
@@ -65,16 +61,13 @@ let take pool who =
         else
           let victim = (who + k) mod size in
           match steal pool.deques.(victim) with
-          | Some _ as t ->
-              pool.steals <- pool.steals + 1;
-              t
+          | Some _ as t -> t
           | None -> scan (k + 1)
       in
       scan 1
 
 (* Must be called with [pool.m] held; returns with it held. *)
 let finish_task pool =
-  pool.tasks_run <- pool.tasks_run + 1;
   pool.pending <- pool.pending - 1;
   if pool.pending = 0 then Condition.broadcast pool.done_cv
 
@@ -109,8 +102,6 @@ let create ~domains () =
       deques = Array.init size (fun _ -> { front = []; back = [] });
       pending = 0;
       stopped = false;
-      tasks_run = 0;
-      steals = 0;
       workers = [||];
     }
   in
@@ -169,16 +160,9 @@ let map pool f arr =
       results
   end
 
-let stats pool =
-  Mutex.lock pool.m;
-  let s = { tasks = pool.tasks_run; steals = pool.steals } in
-  Mutex.unlock pool.m;
-  s
-
 let shutdown pool =
   Mutex.lock pool.m;
   let workers = pool.workers in
-  pool.workers <- [||];
   pool.stopped <- true;
   Condition.broadcast pool.work_cv;
   Mutex.unlock pool.m;

@@ -26,13 +26,11 @@
 
 type pool
 
-(** Cumulative scheduler counters (monotone over the pool's lifetime). *)
-type stats = { tasks : int;  (** tasks executed *) steals : int }
-
-(** [create ~domains ()] — a pool of total parallelism [domains]
-    (clamped to >= 1): [domains - 1] spawned worker domains plus the
-    calling thread. *)
-val create : domains:int -> unit -> pool
+(** [with_pool ~domains f] runs [f] on a pool of total parallelism
+    [domains] (clamped to >= 1): [domains - 1] spawned worker domains plus
+    the calling thread. The workers are joined when [f] returns or
+    raises; the pool must not escape [f]. *)
+val with_pool : domains:int -> (pool -> 'a) -> 'a
 
 (** Total parallelism, including the caller. *)
 val size : pool -> int
@@ -42,12 +40,3 @@ val size : pool -> int
     index) is re-raised after every task has settled. Inline when
     [size pool = 1]. *)
 val map : pool -> ('a -> 'b) -> 'a array -> 'b array
-
-val stats : pool -> stats
-
-(** Joins the spawned domains. The pool must not be used afterwards;
-    idempotent. *)
-val shutdown : pool -> unit
-
-(** [with_pool ~domains f] — [create], run [f], always [shutdown]. *)
-val with_pool : domains:int -> (pool -> 'a) -> 'a

@@ -24,7 +24,6 @@ type case = {
   alpha : int;
   cap : int option;
   deltas : int;
-  crashes : (int * int) list;
   faults : Fault.plan;
 }
 
@@ -34,14 +33,10 @@ let pp fmt
   let f = cx.case in
   Format.fprintf fmt
     "@[<v>iteration %d: %s seed=%d n=%d fack=%d alpha=%d cap=%s deltas=%d@,\
-     crashes=[%s]@,faults=%s@,%a@]"
+     faults=%s@,%a@]"
     cx.iteration f.spec f.topo_seed f.n f.fack f.alpha
     (match f.cap with Some c -> string_of_int c | None -> "default")
     f.deltas
-    (String.concat "; "
-       (List.map
-          (fun (node, at) -> Printf.sprintf "%d@%d" node at)
-          f.crashes))
     (Fault.to_string f.faults)
     (Format.pp_print_list ~pp_sep:Format.pp_print_space
        Consensus.Checker.pp_violation)
@@ -96,7 +91,7 @@ let generate (config : config) rng =
           ~moves:(1 + Amac.Rng.int rng 2)
           ~start ~gap
   in
-  let crashes, faults =
+  let faults =
     Mcheck.Fuzz.gen_faults rng ~n ~fack
       ~crashes:
         (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes)
@@ -110,7 +105,7 @@ let generate (config : config) rng =
   let result =
     Consensus.Runner.run
       (Consensus.Wpaxos.make ())
-      ~topology ~scheduler ~inputs ~crashes ~faults ~topo_deltas
+      ~topology ~scheduler ~inputs ~faults ~topo_deltas
       ~max_time:config.max_time
   in
   ( {
@@ -121,7 +116,6 @@ let generate (config : config) rng =
       alpha;
       cap;
       deltas = List.length topo_deltas;
-      crashes;
       faults;
     },
     Consensus.Checker.safety_violations result.Consensus.Runner.report )

@@ -14,9 +14,9 @@
 type config = {
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
-      (** [Some profile] turns the crashes into a full fault plan via
-          {!Mcheck.Fuzz.gen_faults} (recoveries, loss windows, partitions,
-          stutters) *)
+      (** [Some profile] grows the drawn crashes into a full fault plan
+          via {!Mcheck.Fuzz.gen_faults} (recoveries, loss windows,
+          partitions, stutters) *)
 }
 
 (** Fault plans on (the mcheck default profile). Every iteration draws
@@ -36,8 +36,7 @@ type case = {
   alpha : int;
   cap : int option;  (** [None] — the scheduler's default [4 * fack] cap *)
   deltas : int;  (** drawn churn/mobility schedule length *)
-  crashes : (int * int) list;
-  faults : Fault.plan;
+  faults : Fault.plan;  (** the drawn crashes, and more under a profile *)
 }
 
 val campaign : config -> (case, Consensus.Checker.violation) Mcheck.Campaign.t

@@ -24,7 +24,7 @@ type case = {
   groups : int;
   batch : int;
   window : int;
-  crashes : (int * int) list;
+  faults : Fault.plan;
 }
 
 let pp fmt
@@ -32,12 +32,9 @@ let pp fmt
   let f = cx.case in
   Format.fprintf fmt
     "@[<v>iteration %d: n=%d fack=%d groups=%d batch=%d window=%d@,\
-     crashes=[%s]@,%a@]"
+     faults=%s@,%a@]"
     cx.iteration f.n f.fack f.groups f.batch f.window
-    (String.concat "; "
-       (List.map
-          (fun (node, at) -> Printf.sprintf "%d@%d" node at)
-          f.crashes))
+    (Fault.to_string f.faults)
     (Format.pp_print_list Smr_checker.pp_shard_violation)
     cx.violations
 
@@ -53,18 +50,16 @@ let generate config rng =
   let groups = Amac.Rng.int_range rng ~lo:1 ~hi:max_groups in
   let batch = Amac.Rng.int_range rng ~lo:1 ~hi:max_batch in
   let window = 1 + Amac.Rng.int rng 8 in
-  let crashes =
-    Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes
-  in
+  let faults = Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes in
   let scheduler = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let wseed = Amac.Rng.int rng 1_000_000 in
   let result =
-    Shard_workload.run ~window ~batch ~crashes ~max_time:config.max_time
+    Shard_workload.run ~window ~batch ~faults ~max_time:config.max_time
       ~mean_gap:(1 + Amac.Rng.int rng (4 * fack))
       ~key_space:(8 * groups)
       ~topology ~scheduler ~seed:wseed ~cmds:config.cmds ~groups ()
   in
-  ( { n; fack; groups; batch; window; crashes },
+  ( { n; fack; groups; batch; window; faults },
     result.Shard_workload.violations )
 
 let campaign config : (case, Smr_checker.shard_violation) Mcheck.Campaign.t =

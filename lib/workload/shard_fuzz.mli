@@ -25,7 +25,7 @@ type case = {
   groups : int;
   batch : int;
   window : int;
-  crashes : (int * int) list;
+  faults : Fault.plan;  (** {!Mcheck.Campaign.early_crashes}' draw *)
 }
 
 val campaign : config -> (case, Smr_checker.shard_violation) Mcheck.Campaign.t

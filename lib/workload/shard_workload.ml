@@ -11,18 +11,9 @@ type result = {
   last_commit : int;
 }
 
-let latency result ~q =
-  if q <= 0.0 || q > 1.0 then
-    invalid_arg "Shard_workload.latency: q outside (0, 1]";
-  let len = Array.length result.latencies in
-  if len = 0 then None
-  else
-    let rank = int_of_float (ceil (q *. float_of_int len)) in
-    Some result.latencies.(max 0 (min (len - 1) (rank - 1)))
-
 let run ?(window = 4) ?(batch = 4) ?(mean_gap = 2) ?(burst = 1)
     ?(affinity = false) ?(key_space = 256) ?theta ?(faults = [])
-    ?(crashes = []) ?(max_time = 400_000) ?(record_trace = false) ?obs
+    ?(max_time = 400_000) ?(record_trace = false) ?obs
     ?members_of ~topology ~scheduler ~seed ~cmds ~groups () =
   if cmds < 0 then invalid_arg "Shard_workload.run: cmds < 0";
   if mean_gap < 1 then invalid_arg "Shard_workload.run: mean_gap < 1";
@@ -69,11 +60,7 @@ let run ?(window = 4) ?(batch = 4) ?(mean_gap = 2) ?(burst = 1)
   let injections =
     List.concat_map
       (fun _ ->
-        let u = Amac.Rng.float rng 1.0 in
-        let gap =
-          max 1 (int_of_float (-.float_of_int mean_gap *. log (1.0 -. u)))
-        in
-        last_t := !last_t + gap;
+        last_t := !last_t + Workload.exp_gap rng ~mean_gap;
         let node = Amac.Rng.int rng n in
         let t = !last_t in
         List.filter_map
@@ -111,14 +98,14 @@ let run ?(window = 4) ?(batch = 4) ?(mean_gap = 2) ?(burst = 1)
     Shard.injector h ~now ~payload ctx st
   in
   let compiled = Fault.compile ~n faults in
-  let crashes = crashes @ compiled.Fault.crashes in
   (match obs with
   | Some reg when faults <> [] -> Fault.record ~obs:reg faults
   | _ -> ());
   let inputs = Array.make n 0 in
   let outcome =
     Amac.Engine.run algorithm ~topology ~scheduler ~inputs ~give_n:true
-      ~crashes ~recoveries:compiled.Fault.recoveries ?drop:compiled.Fault.drop
+      ~crashes:compiled.Fault.crashes ~recoveries:compiled.Fault.recoveries
+      ?drop:compiled.Fault.drop
       ?stutter:compiled.Fault.stutter
       ~injections:(injections @ flushes)
       ~on_inject ~clock ~max_time ~stop_when_all_decided:false ~record_trace

@@ -26,10 +26,6 @@ type result = {
           throughput denominator. *)
 }
 
-(** [latency r ~q] — the q-quantile commit latency, [None] if nothing
-    committed. @raise Invalid_argument if [q] is outside (0, 1]. *)
-val latency : result -> q:float -> int option
-
 (** [run ~topology ~scheduler ~seed ~cmds ~groups ()] drives one run.
     [batch] (default 4) is the flush threshold, [mean_gap] (default 2)
     the mean inter-arrival gap in ticks, [burst] (default 1) how many
@@ -40,7 +36,7 @@ val latency : result -> q:float -> int option
     it the whole burst lands at one uniform node, so per-(node, group)
     staging buffers fill [groups] times slower and batching starves.
     [key_space]/[theta] set the Zipf key universe (defaults 256 keys,
-    YCSB skew). [crashes] and [faults] follow {!Workload.run}. *)
+    YCSB skew). [faults] follows {!Workload.run}. *)
 val run :
   ?window:int ->
   ?batch:int ->
@@ -50,7 +46,6 @@ val run :
   ?key_space:int ->
   ?theta:float ->
   ?faults:Fault.plan ->
-  ?crashes:(int * int) list ->
   ?max_time:int ->
   ?record_trace:bool ->
   ?obs:Obs.Metrics.registry ->

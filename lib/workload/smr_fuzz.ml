@@ -25,7 +25,6 @@ type case = {
   fack : int;
   window : int;
   faults : Fault.plan;
-  crashes : (int * int) list;
   compact_every : int option;
   reconfigs : (int * int * int list) list;
 }
@@ -35,7 +34,7 @@ let pp fmt (cx : (case, Smr_checker.violation) Mcheck.Campaign.counterexample)
   let f = cx.case in
   Format.fprintf fmt
     "@[<v>iteration %d: n=%d fack=%d window=%d compact=%s@,\
-     reconfigs=[%s]@,crashes=[%s]@,faults=%s@,%a@]"
+     reconfigs=[%s]@,faults=%s@,%a@]"
     cx.iteration f.n f.fack f.window
     (match f.compact_every with
     | Some k -> string_of_int k
@@ -46,10 +45,6 @@ let pp fmt (cx : (case, Smr_checker.violation) Mcheck.Campaign.counterexample)
             Printf.sprintf "%d@%d->{%s}" node at
               (String.concat "," (List.map string_of_int members)))
           f.reconfigs))
-    (String.concat "; "
-       (List.map
-          (fun (node, at) -> Printf.sprintf "%d@%d" node at)
-          f.crashes))
     (Fault.to_string f.faults)
     (Format.pp_print_list Smr_checker.pp_violation)
     cx.violations
@@ -63,7 +58,7 @@ let generate config rng =
     | _ -> if n >= 3 then Amac.Topology.ring n else Amac.Topology.clique n
   in
   let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
-  let crashes, faults =
+  let faults =
     Mcheck.Fuzz.gen_faults rng ~n ~fack
       ~crashes:
         (Mcheck.Campaign.early_crashes rng ~n ~fack ~max:max_crashes)
@@ -108,11 +103,11 @@ let generate config rng =
   let scheduler = Amac.Scheduler.random (Amac.Rng.split rng) ~fack in
   let wseed = Amac.Rng.int rng 1_000_000 in
   let result =
-    Workload.run ~window ~faults ~crashes ~max_time:config.max_time
+    Workload.run ~window ~faults ~max_time:config.max_time
       ?compact_every ~reconfigs ~topology ~scheduler ~seed:wseed
       ~cmds:config.cmds ~mode ()
   in
-  ( { n; fack; window; faults; crashes; compact_every; reconfigs },
+  ( { n; fack; window; faults; compact_every; reconfigs },
     result.Workload.violations )
 
 let campaign config : (case, Smr_checker.violation) Mcheck.Campaign.t =

@@ -15,9 +15,9 @@ type config = {
   cmds : int;  (** commands per iteration *)
   max_time : int;
   faults : Mcheck.Fuzz.fault_profile option;
-      (** [Some profile] turns the crashes into a full fault plan via
-          {!Mcheck.Fuzz.gen_faults} (recoveries, loss windows, partitions,
-          stutters) *)
+      (** [Some profile] grows the drawn crashes into a full fault plan
+          via {!Mcheck.Fuzz.gen_faults} (recoveries, loss windows,
+          partitions, stutters) *)
   lifecycle : bool;
       (** additionally draw aggressive compaction watermarks and mid-run
           joint-consensus reconfigurations to arbitrary membership subsets
@@ -34,8 +34,7 @@ type case = {
   n : int;
   fack : int;
   window : int;
-  faults : Fault.plan;
-  crashes : (int * int) list;
+  faults : Fault.plan;  (** the drawn crashes, and more under a profile *)
   compact_every : int option;
   reconfigs : (int * int * int list) list;
 }

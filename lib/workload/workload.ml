@@ -21,13 +21,18 @@ type result = {
   snapshots_installed : int;
 }
 
-let latency result ~q =
-  if q <= 0.0 || q > 1.0 then invalid_arg "Workload.latency: q outside (0, 1]";
-  let len = Array.length result.latencies in
+let quantile sorted ~q =
+  if q <= 0.0 || q > 1.0 then invalid_arg "Workload.quantile: q outside (0, 1]";
+  let len = Array.length sorted in
   if len = 0 then None
   else
     let rank = int_of_float (ceil (q *. float_of_int len)) in
-    Some result.latencies.(max 0 (min (len - 1) (rank - 1)))
+    Some sorted.(max 0 (min (len - 1) (rank - 1)))
+
+(* Inverse-CDF exponential, floored at 1 tick: one uniform draw. *)
+let exp_gap rng ~mean_gap =
+  let u = Amac.Rng.float rng 1.0 in
+  max 1 (int_of_float (-.float_of_int mean_gap *. log (1.0 -. u)))
 
 (* Latencies are simulation ticks, typically a few F_ack windows up to a
    few retry epochs; the default seconds-scale buckets would lump
@@ -35,7 +40,7 @@ let latency result ~q =
 let latency_buckets =
   [ 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000.; 2000.; 5000.; 20_000. ]
 
-let run ?(window = 4) ?(faults = []) ?(crashes = []) ?(max_time = 400_000)
+let run ?(window = 4) ?(faults = []) ?(max_time = 400_000)
     ?(record_trace = false) ?obs ?provenance ?members ?(reconfigs = [])
     ?compact_every ?patience ?repair_retries ?on_suspect ~topology
     ~scheduler ~seed ~cmds ~mode () =
@@ -97,13 +102,7 @@ let run ?(window = 4) ?(faults = []) ?(crashes = []) ?(max_time = 400_000)
         if mean_gap < 1 then invalid_arg "Workload.run: mean_gap < 1";
         let t = ref 0 in
         List.init cmds (fun _ ->
-            (* inverse-CDF exponential, floored at 1 tick *)
-            let u = Amac.Rng.float rng 1.0 in
-            let gap =
-              max 1
-                (int_of_float (-.float_of_int mean_gap *. log (1.0 -. u)))
-            in
-            t := !t + gap;
+            t := !t + exp_gap rng ~mean_gap;
             let node = Amac.Rng.int rng n in
             let c = next_cmd () in
             Hashtbl.replace origin c node;
@@ -126,14 +125,14 @@ let run ?(window = 4) ?(faults = []) ?(crashes = []) ?(max_time = 400_000)
     Smr.injector h ~now ~payload ctx st
   in
   let compiled = Fault.compile ~n faults in
-  let crashes = crashes @ compiled.Fault.crashes in
   (match obs with
   | Some reg when faults <> [] -> Fault.record ~obs:reg faults
   | _ -> ());
   let inputs = Array.make n 0 in
   let outcome =
     Amac.Engine.run algorithm ~topology ~scheduler ~inputs ~give_n:true
-      ~crashes ~recoveries:compiled.Fault.recoveries ?drop:compiled.Fault.drop
+      ~crashes:compiled.Fault.crashes ~recoveries:compiled.Fault.recoveries
+      ?drop:compiled.Fault.drop
       ?stutter:compiled.Fault.stutter
       ~injections:(injections @ reconfig_injections)
       ~on_inject ~clock ~max_time ~stop_when_all_decided:false ~record_trace

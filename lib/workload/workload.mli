@@ -48,9 +48,16 @@ type result = {
   snapshots_installed : int;
 }
 
-(** [latency result ~q] — the [q]-quantile (nearest-rank, [0 < q <= 1]) of
-    commit latency, or [None] when nothing committed. *)
-val latency : result -> q:float -> int option
+(** [quantile sorted ~q] — the [q]-quantile (nearest-rank) of an
+    ascending array such as [result.latencies], or [None] when it is
+    empty. Shared with {!Shard_workload}.
+    @raise Invalid_argument if [q] is outside (0, 1]. *)
+val quantile : int array -> q:float -> int option
+
+(** [exp_gap rng ~mean_gap] — one exponential inter-arrival gap of mean
+    [mean_gap] ticks (inverse CDF over one uniform draw), floored at 1.
+    Shared with {!Shard_workload}. *)
+val exp_gap : Amac.Rng.t -> mean_gap:int -> int
 
 (** Histogram buckets sized for tick-scale commit latencies (shared with
     the sharded driver, {!Shard_workload}). *)
@@ -62,8 +69,7 @@ val latency_buckets : float list
 
     @param window SMR pipelining window (default 4).
     @param faults a declarative {!Fault.plan}, compiled as in
-      {!Consensus.Runner.run}; its crash/recovery schedule merges with
-      [?crashes].
+      {!Consensus.Runner.run}.
     @param obs a metrics registry: the engine self-instruments, the fault
       plan is mirrored ({!Fault.record}), and the workload adds
       [smr_submitted_total] / [smr_committed_total] counters, an
@@ -96,7 +102,6 @@ val latency_buckets : float list
 val run :
   ?window:int ->
   ?faults:Fault.plan ->
-  ?crashes:(int * int) list ->
   ?max_time:int ->
   ?record_trace:bool ->
   ?obs:Obs.Metrics.registry ->

@@ -7,7 +7,9 @@ let run ?(crashes = []) ?(fack = 4) ~n ~seed inputs =
     (Consensus.Ben_or.make ~seed ())
     ~topology:(Amac.Topology.clique n)
     ~scheduler:(Amac.Scheduler.random (Amac.Rng.create seed) ~fack)
-    ~inputs ~crashes ~max_time:200_000
+    ~inputs
+    ~faults:(List.map (fun (node, at) -> Fault.Crash { node; at }) crashes)
+    ~max_time:200_000
 
 let check_ok what (result : Consensus.Runner.result) =
   if not (Consensus.Checker.ok result.report) then
@@ -64,7 +66,9 @@ let test_crash_mid_broadcast () =
     Consensus.Runner.run
       (Consensus.Ben_or.make ~seed:3 ())
       ~topology:(Amac.Topology.clique 3)
-      ~scheduler ~inputs:[| 1; 0; 0 |] ~crashes:[ (0, 4) ] ~max_time:200_000
+      ~scheduler ~inputs:[| 1; 0; 0 |]
+      ~faults:[ Fault.Crash { node = 0; at = 4 } ]
+      ~max_time:200_000
   in
   check_ok "crash mid-broadcast" result
 
@@ -74,12 +78,12 @@ let test_circumvents_flp () =
      fixed(4): phase 1 acks at t=4, phase-2 deliveries due t=8; crashing
      node 2 at t=5 leaves the others waiting for its phase-2 message. *)
   let scheduler = Amac.Scheduler.fixed ~delay:4 in
-  let crashes = [ (2, 5) ] in
+  let faults = [ Fault.Crash { node = 2; at = 5 } ] in
   let inputs = [| 0; 1; 1 |] in
   let two_phase =
     Consensus.Runner.run Consensus.Two_phase.algorithm
       ~topology:(Amac.Topology.clique 3)
-      ~scheduler ~inputs ~crashes ~max_time:2_000
+      ~scheduler ~inputs ~faults ~max_time:2_000
   in
   Alcotest.(check bool) "two-phase blocks (termination violated)" false
     two_phase.report.termination;
@@ -89,7 +93,7 @@ let test_circumvents_flp () =
     Consensus.Runner.run
       (Consensus.Ben_or.make ~seed:11 ())
       ~topology:(Amac.Topology.clique 3)
-      ~scheduler ~inputs ~crashes ~max_time:200_000
+      ~scheduler ~inputs ~faults ~max_time:200_000
   in
   check_ok "ben-or decides under the same schedule" ben_or
 

@@ -193,6 +193,21 @@ let test_finds_two_phase_equivocation () =
       Alcotest.(check bool) "shrunk strategy still equivocates" true
         equivocates
 
+(* Pinned at CI's settings (500 iterations, seed 1) from the last revision
+   that kept crashes outside the fault plan: the same iteration fails, its
+   drawn crash is the same, and the shrunk adversary is the same. *)
+let test_self_test_pinned () =
+  let outcome = Campaign.run two_phase_campaign ~iterations:500 ~seed:1 in
+  let cx = Option.get outcome.counterexample in
+  Alcotest.(check int) "first failing iteration" 6 cx.iteration;
+  Alcotest.(check int) "drawn n" 5 cx.original.BFuzz.n;
+  Alcotest.(check string) "drawn crash" "crash 2 @t12"
+    (Fault.to_string cx.original.BFuzz.faults);
+  Alcotest.(check int) "shrunk n" 4 cx.case.BFuzz.n;
+  Alcotest.(check bool) "shrunk plan empty" true (cx.case.BFuzz.faults = []);
+  Alcotest.(check int) "one tamper" 1
+    (List.length cx.case.BFuzz.strategy.Model.tampers)
+
 let test_shrinking_minimizes () =
   let outcome = Campaign.run two_phase_campaign ~iterations:500 ~seed:42 in
   match outcome.counterexample with
@@ -297,6 +312,8 @@ let () =
         [
           Alcotest.test_case "finds two_phase equivocation" `Quick
             test_finds_two_phase_equivocation;
+          Alcotest.test_case "self-test iteration pinned" `Quick
+            test_self_test_pinned;
           Alcotest.test_case "shrinks the counterexample" `Quick
             test_shrinking_minimizes;
           Alcotest.test_case "byz_consensus survives its budget" `Quick

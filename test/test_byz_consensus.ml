@@ -8,7 +8,9 @@ let run ?(crashes = []) ?(fack = 4) ~n ~seed inputs =
     (Consensus.Byz_consensus.make ~seed ())
     ~topology:(Amac.Topology.clique n)
     ~scheduler:(Amac.Scheduler.random (Amac.Rng.create seed) ~fack)
-    ~inputs ~crashes ~max_time:400_000
+    ~inputs
+    ~faults:(List.map (fun (node, at) -> Fault.Crash { node; at }) crashes)
+    ~max_time:400_000
 
 let check_ok what (result : Consensus.Runner.result) =
   if not (Consensus.Checker.ok result.report) then

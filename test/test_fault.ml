@@ -133,13 +133,13 @@ let test_compile_half_open () =
     (drop ~now:5 ~sender:0 ~receiver:1);
   Alcotest.(check bool) "no stutter hook" true (compiled.Fault.stutter = None)
 
-(* The engine applies the same alternation discipline to raw [?crashes] /
-   [?recoveries] schedules, so the legacy interface cannot smuggle in what
-   Fault.validate rejects. *)
+(* Below the fault plan, the engine applies the same alternation
+   discipline to its raw [?crashes] / [?recoveries] schedules, so a direct
+   engine caller cannot smuggle in what Fault.validate rejects. *)
 let test_engine_rejects_raw_duplicates () =
   let run ~crashes =
     ignore
-      (Consensus.Runner.run Consensus.Two_phase.algorithm
+      (Amac.Engine.run Consensus.Two_phase.algorithm
          ~topology:(Amac.Topology.clique 3)
          ~scheduler:Amac.Scheduler.synchronous ~inputs:[| 0; 1; 1 |] ~crashes)
   in
@@ -148,6 +148,40 @@ let test_engine_rejects_raw_duplicates () =
        "Engine.run: duplicate crash of node 1 at t=8 (same incarnation \
         crashed twice, no recovery between)")
     (fun () -> run ~crashes:[ (1, 3); (1, 8) ])
+
+(* A crash handed to the drivers as a plan event runs exactly as the same
+   [(node, time)] handed to the engine raw: same decisions, same event
+   count, same end time, same cancelled deliveries. *)
+let prop_plan_crashes_match_raw =
+  QCheck.Test.make ~count:200
+    ~name:"Runner.run ~faults = Engine.run ~crashes on early crashes"
+    QCheck.(quad small_nat (int_range 2 6) (int_range 1 8) bool)
+    (fun (seed, n, fack, line) ->
+      let plan =
+        Mcheck.Campaign.early_crashes (Amac.Rng.create seed) ~n ~fack ~max:3
+      in
+      let topology =
+        if line then Amac.Topology.line n else Amac.Topology.clique n
+      in
+      let scheduler () = Amac.Scheduler.random (Amac.Rng.create seed) ~fack in
+      let inputs = Consensus.Runner.inputs_alternating ~n in
+      let same algorithm =
+        let via_plan =
+          (Consensus.Runner.run algorithm ~topology ~scheduler:(scheduler ())
+             ~inputs ~faults:plan ~max_time:20_000)
+            .Consensus.Runner.outcome
+        in
+        let raw =
+          Amac.Engine.run algorithm ~topology ~scheduler:(scheduler ()) ~inputs
+            ~crashes:(Fault.crashes plan) ~max_time:20_000
+        in
+        via_plan.decisions = raw.decisions
+        && via_plan.events_processed = raw.events_processed
+        && via_plan.end_time = raw.end_time
+        && via_plan.dropped = raw.dropped
+      in
+      if line then same (Consensus.Wpaxos.make ())
+      else same Consensus.Two_phase.algorithm)
 
 let () =
   Alcotest.run "fault"
@@ -177,5 +211,6 @@ let () =
             test_compile_half_open;
           Alcotest.test_case "engine rejects raw duplicates" `Quick
             test_engine_rejects_raw_duplicates;
+          QCheck_alcotest.to_alcotest prop_plan_crashes_match_raw;
         ] );
     ]

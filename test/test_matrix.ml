@@ -163,7 +163,7 @@ let byz_regimes =
     (* the full tolerance budget f = (n-1)/3, floored at 1 *)
     ("byzf", (fun n -> max 1 ((n - 1) / 3)), []);
     (* mixed: one Byzantine node plus an honest crash *)
-    ("byz_crash", (fun (_n : int) -> 1), [ (0, 5) ]);
+    ("byz_crash", (fun (_n : int) -> 1), [ Fault.Crash { node = 0; at = 5 } ]);
   ]
 
 let byz_strategy ~n ~count ~seed =
@@ -205,7 +205,7 @@ let byz_expectation ~alg ~regime =
       Documented_unsafe "unauthenticated replay impersonates honest nodes"
   | _, _ -> Safe_only
 
-let run_byz_cell (Alg a) (sched_name, scheduler_of) (regime_name, count_of, crashes)
+let run_byz_cell (Alg a) (sched_name, scheduler_of) (regime_name, count_of, faults)
     =
   let n = Array.length a.inputs in
   let cell = Printf.sprintf "%s/%s/%s" a.name sched_name regime_name in
@@ -215,7 +215,7 @@ let run_byz_cell (Alg a) (sched_name, scheduler_of) (regime_name, count_of, cras
   let wrapped = Byz.Model.wrap ~n ~adapter:a.adapter ~strategy (a.make ()) in
   let result =
     Consensus.Runner.run wrapped.Byz.Model.algorithm ~topology:a.topology
-      ~scheduler ~inputs:a.inputs ~crashes
+      ~scheduler ~inputs:a.inputs ~faults
       ~substitute:wrapped.Byz.Model.substitute ~honest:wrapped.Byz.Model.honest
       ~max_time:60_000
   in
@@ -352,7 +352,11 @@ let run_shard_cell (env_name, fack) seed =
     Shard_workload.run
       ~topology:(Amac.Topology.clique 5)
       ~scheduler
-      ~crashes:[ ((seed mod 2) + 1, 2 * fack); (3 + (seed mod 2), (6 * fack) + 1) ]
+      ~faults:
+        [
+          Fault.Crash { node = (seed mod 2) + 1; at = 2 * fack };
+          Fault.Crash { node = 3 + (seed mod 2); at = (6 * fack) + 1 };
+        ]
       ~seed ~cmds:50 ~groups:4 ~batch:3 ()
   in
   Alcotest.(check (list string))

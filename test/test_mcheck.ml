@@ -52,6 +52,38 @@ let test_counterexample_replays_from_seed () =
   Alcotest.(check bool) "same case regenerated" true (case = cx.original);
   Alcotest.(check bool) "still failing" true (has_agreement violations)
 
+(* Pinned at CI's settings (MCHECK_ITERS=500, MCHECK_SEED=1) from the
+   last revision that kept crashes outside the fault plan: moving them into
+   it drew nothing new, so the same iteration fails and shrinks to the
+   same case. The termination campaign's crash is load-bearing (two-phase
+   blocks only under a crash), so its shrunk plan keeps one. *)
+let test_self_test_pinned () =
+  let o = run ~iterations:500 literal ~seed:1 in
+  let cx = Option.get o.counterexample in
+  Alcotest.(check int) "literal: first failing iteration" 3 cx.iteration;
+  Alcotest.(check int) "literal: drawn n" 6 cx.original.Fuzz.n;
+  Alcotest.(check bool) "literal: drawn no crash" true
+    (cx.original.Fuzz.faults = []);
+  Alcotest.(check int) "literal: shrunk n" 2 cx.case.Fuzz.n;
+  Alcotest.(check bool) "literal: shrunk plan empty" true
+    (cx.case.Fuzz.faults = []);
+  Alcotest.(check int) "literal: shrunk schedule" 2
+    (List.length cx.case.Fuzz.plan);
+  let termination =
+    Fuzz.campaign
+      { clique_only with check_termination = true }
+      Consensus.Two_phase.algorithm
+  in
+  let o = run ~iterations:500 termination ~seed:2 in
+  let cx = Option.get o.counterexample in
+  Alcotest.(check int) "termination: first failing iteration" 6 cx.iteration;
+  Alcotest.(check string) "termination: drawn crashes"
+    "crash 1 @t0\ncrash 2 @t3"
+    (Fault.to_string cx.original.Fuzz.faults);
+  Alcotest.(check int) "termination: shrunk n" 3 cx.case.Fuzz.n;
+  Alcotest.(check string) "termination: shrunk crashes" "crash 2 @t3"
+    (Fault.to_string cx.case.Fuzz.faults)
+
 let test_generate_deterministic () =
   let once () =
     fst
@@ -328,6 +360,8 @@ let () =
             test_counterexample_replays_from_case;
           Alcotest.test_case "counterexample replays from seed" `Quick
             test_counterexample_replays_from_seed;
+          Alcotest.test_case "self-test iterations pinned" `Quick
+            test_self_test_pinned;
           Alcotest.test_case "generation is deterministic" `Quick
             test_generate_deterministic;
           Alcotest.test_case "clean on corrected two-phase" `Quick

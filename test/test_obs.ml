@@ -672,10 +672,12 @@ let hook_mix seed =
   let topology = Amac.Topology.random_connected rng ~n ~extra_edges:2 in
   let coin () = Amac.Rng.int rng 2 = 0 in
   let crashes =
-    if coin () then [ (Amac.Rng.int rng n, 1 + Amac.Rng.int rng (4 * fack)) ]
+    if coin () then
+      let at = 1 + Amac.Rng.int rng (4 * fack) in
+      [ Fault.Crash { node = Amac.Rng.int rng n; at } ]
     else []
   in
-  let crashes, plan =
+  let plan =
     Mcheck.Fuzz.gen_faults rng ~n ~fack ~crashes
       (if coin () then Some Mcheck.Fuzz.default_fault_profile else None)
   in
@@ -729,7 +731,7 @@ let hook_mix seed =
   fun ?provenance ?obs ~record_trace () ->
     Amac.Engine.run chatter ~topology ?unreliable
       ~scheduler:(scheduler ())
-      ~inputs ~crashes:(crashes @ faults.crashes)
+      ~inputs ~crashes:faults.crashes
       ~recoveries:faults.recoveries ?drop:faults.drop
       ?stutter:faults.stutter ?substitute ~topo_deltas ~injections
       ~on_inject:chatter_inject ~stop_when_all_decided:false ~max_time:400

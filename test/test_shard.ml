@@ -156,7 +156,8 @@ let test_crash_regime () =
     Shard_workload.run
       ~topology:(Amac.Topology.clique 5)
       ~scheduler:(Amac.Scheduler.bursty ~fack:3 ~fast_len:40 ~slow_len:12)
-      ~crashes:[ (1, 30) ] ~seed:23 ~cmds:60 ~groups:4 ~batch:3 ()
+      ~faults:[ Fault.Crash { node = 1; at = 30 } ]
+      ~seed:23 ~cmds:60 ~groups:4 ~batch:3 ()
   in
   check_clean "crash regime" r;
   Alcotest.(check bool) "most commands survive" true (r.committed > 30)

@@ -87,7 +87,7 @@ let test_leader_crash () =
   let n = 5 and cmds = 60 in
   let r =
     Workload.run
-      ~crashes:[ (n - 1, 35) ]
+      ~faults:[ Fault.Crash { node = n - 1; at = 35 } ]
       ~topology:(Amac.Topology.clique n)
       ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 11) ~fack:2)
       ~seed:13 ~cmds
@@ -129,7 +129,7 @@ let test_injection_to_crashed_node_lost () =
      count only what reached live replicas. *)
   let r =
     Workload.run
-      ~crashes:[ (0, 0) ]
+      ~faults:[ Fault.Crash { node = 0; at = 0 } ]
       ~topology:(Amac.Topology.clique n)
       ~scheduler:Amac.Scheduler.synchronous ~seed:3 ~cmds:30
       ~mode:(Workload.Open_loop { mean_gap = 5 })

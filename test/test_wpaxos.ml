@@ -213,7 +213,9 @@ let test_safety_under_crashes () =
         Consensus.Runner.run (Consensus.Wpaxos.make ()) ~topology
           ~scheduler:(Amac.Scheduler.random (Amac.Rng.create seed) ~fack:4)
           ~inputs:(Consensus.Runner.inputs_halves ~n:9)
-          ~crashes ~max_time:20_000
+          ~faults:
+            (List.map (fun (node, at) -> Fault.Crash { node; at }) crashes)
+          ~max_time:20_000
       in
       if not (Consensus.Checker.safe result.report) then
         Alcotest.failf "wpaxos UNSAFE under crashes (seed %d): %s" seed
