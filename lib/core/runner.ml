@@ -25,13 +25,9 @@ let record_degradation ~obs ~algorithm (degradation : Checker.degradation) =
 let run ?identities ?give_n ?give_diameter ?faults ?substitute ?honest
     ?max_time ?provenance ?record_trace ?pp_msg ?unreliable ?topo_deltas ?obs
     algorithm ~topology ~scheduler ~inputs =
-  let compiled =
-    Fault.compile ~n:(Amac.Topology.size topology)
-      (Option.value faults ~default:[])
-  in
-  (match (obs, faults) with
-  | Some reg, Some plan -> Fault.record ~obs:reg plan
-  | (Some _ | None), _ -> ());
+  let faults = Option.value faults ~default:[] in
+  let compiled = Fault.compile ~n:(Amac.Topology.size topology) faults in
+  Option.iter (fun obs -> Fault.record ~obs faults) obs;
   let outcome =
     Amac.Engine.run ?identities ?give_n ?give_diameter
       ~crashes:compiled.Fault.crashes ~recoveries:compiled.Fault.recoveries

@@ -279,6 +279,7 @@ let record ~obs plan =
         | Partition _ -> "partition"
         | Stutter _ -> "stutter"))
     plan;
-  Obs.Metrics.set
-    (Obs.Metrics.gauge obs "fault_plan_horizon")
-    (float_of_int (horizon plan))
+  if plan <> [] then
+    Obs.Metrics.set
+      (Obs.Metrics.gauge obs "fault_plan_horizon")
+      (float_of_int (horizon plan))

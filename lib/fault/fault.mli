@@ -90,6 +90,8 @@ val compile : n:int -> plan -> compiled
 (** [record ~obs plan] mirrors the plan into the metrics registry: a
     [fault_events_total] counter per event kind ([kind] label: [crash],
     [recover], [link_drop], [partition], [stutter]) and the plan's
-    {!horizon} as the [fault_plan_horizon] gauge. {!Consensus.Runner.run}
-    calls this when given both [~faults] and [~obs]. *)
+    {!horizon} as the [fault_plan_horizon] gauge. An empty plan records
+    nothing, so only a faulted run's snapshot has [fault_*] samples.
+    [Consensus.Runner.run], [Workload.run] and [Shard_workload.run] call
+    this whenever they are given [~obs]. *)
 val record : obs:Obs.Metrics.registry -> plan -> unit

@@ -98,9 +98,7 @@ let run ?(window = 4) ?(batch = 4) ?(mean_gap = 2) ?(burst = 1)
     Shard.injector h ~now ~payload ctx st
   in
   let compiled = Fault.compile ~n faults in
-  (match obs with
-  | Some reg when faults <> [] -> Fault.record ~obs:reg faults
-  | _ -> ());
+  Option.iter (fun obs -> Fault.record ~obs faults) obs;
   let inputs = Array.make n 0 in
   let outcome =
     Amac.Engine.run algorithm ~topology ~scheduler ~inputs ~give_n:true

@@ -183,6 +183,58 @@ let prop_plan_crashes_match_raw =
       if line then same (Consensus.Wpaxos.make ())
       else same Consensus.Two_phase.algorithm)
 
+(* Runner.run, Workload.run and Shard_workload.run mirror a fault plan
+   into their metrics the same way: a non-empty plan as fault_* samples,
+   an empty one as none at all. *)
+let test_plans_recorded_alike () =
+  let fault_samples faults run =
+    let reg = Obs.Metrics.create () in
+    run ~faults reg;
+    List.filter
+      (fun s -> String.starts_with ~prefix:"fault_" s.Obs.Metrics.name)
+      (Obs.Metrics.snapshot reg)
+  in
+  let runner ~faults reg =
+    ignore
+      (Consensus.Runner.run Consensus.Two_phase.algorithm
+         ~topology:(Amac.Topology.clique 3)
+         ~scheduler:Amac.Scheduler.synchronous ~inputs:[| 0; 1; 1 |] ~faults
+         ~obs:reg)
+  and smr ~faults reg =
+    ignore
+      (Workload.run ~faults
+         ~topology:(Amac.Topology.clique 3)
+         ~scheduler:Amac.Scheduler.synchronous ~seed:3 ~cmds:4
+         ~mode:(Workload.Open_loop { mean_gap = 4 })
+         ~obs:reg ())
+  and shard ~faults reg =
+    ignore
+      (Shard_workload.run ~faults
+         ~topology:(Amac.Topology.clique 3)
+         ~scheduler:Amac.Scheduler.synchronous ~seed:3 ~cmds:4 ~groups:2
+         ~obs:reg ())
+  in
+  let plan =
+    [ Fault.Crash { node = 1; at = 5 }; Fault.Recover { node = 1; at = 40 } ]
+  in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check int)
+        (name ^ ": no samples for []")
+        0
+        (List.length (fault_samples [] run));
+      let samples = fault_samples plan run in
+      Alcotest.(check int)
+        (name ^ ": one crash counted")
+        1
+        (Obs.Metrics.counter_of samples ~labels:[ ("kind", "crash") ]
+           "fault_events_total");
+      Alcotest.(check bool)
+        (name ^ ": horizon recorded")
+        true
+        (Obs.Metrics.find samples "fault_plan_horizon" <> None))
+    [ ("Runner", runner); ("Workload", smr); ("Shard_workload", shard) ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -212,5 +264,7 @@ let () =
           Alcotest.test_case "engine rejects raw duplicates" `Quick
             test_engine_rejects_raw_duplicates;
           QCheck_alcotest.to_alcotest prop_plan_crashes_match_raw;
+          Alcotest.test_case "every run records plans alike" `Quick
+            test_plans_recorded_alike;
         ] );
     ]

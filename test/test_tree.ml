@@ -6,7 +6,10 @@
    pop, with the preferred root changing along the way, must give the same
    results, the same pending queue and the same parents after every step;
    the fingerprint must equal the one the old list state folded; and a
-   clone must share nothing mutable with its original. *)
+   clone must share nothing mutable with its original. The last cases
+   pin the packed layout: stamps renumbered before they leave their
+   field, parents kept as indices into a per-tree sender table, hops
+   that do not fit refused, and the bytes per root. *)
 
 module Tree = Consensus.Tree
 module F = Amac.Fingerprint
@@ -66,6 +69,9 @@ module Model = struct
     let pair (a, b) acc = acc |> F.int a |> F.int b in
     acc |> F.list pair (sorted t.dist) |> F.list pair (sorted t.parent)
     |> F.list pair t.q
+
+  let copy t =
+    { dist = Hashtbl.copy t.dist; parent = Hashtbl.copy t.parent; q = t.q }
 end
 
 (* Ids are not dense: negatives, gaps and values far beyond any array. *)
@@ -194,6 +200,137 @@ let test_create () =
     "then empty" None
     (Tree.pop t ~prefer:None)
 
+(* [t] and [m] agree on the queue, on every root's parent and on the
+   fingerprint. *)
+let check_same what t m rs =
+  Alcotest.(check (list (pair int int)))
+    (what ^ ": pending") m.Model.q (Tree.pending t);
+  Array.iter
+    (fun root ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s: parent of %d" what root)
+        (Hashtbl.find_opt m.Model.parent root)
+        (Tree.parent t root))
+    rs;
+  Alcotest.(check bool)
+    (what ^ ": fingerprint") true
+    (Tree.fingerprint t F.empty = Model.fingerprint m F.empty)
+
+let improve_both t m ~root ~hops ~sender =
+  Alcotest.(check bool)
+    (Printf.sprintf "improve(%d,%d,%d)" root hops sender)
+    (Model.improve m ~root ~hops ~sender)
+    (Tree.improve t ~root ~hops ~sender)
+
+(* Queue stamps live in a 21-bit field: stamps 1 .. 2^21 - 1. *)
+let stamp_bound = (1 lsl 21) - 1
+
+(* A queue that never empties and never fills: each cycle re-advertises
+   the root popped last and pops the oldest, so the ring keeps six
+   entries while every cycle takes a fresh stamp. Past the bound the
+   stamps must have been renumbered, not wrapped into the parent field. *)
+let test_stamps_renumbered () =
+  let t = Tree.create ~me and m = Model.create ~me in
+  let rs = Array.sub roots 0 6 in
+  Array.iteri
+    (fun i root ->
+      if root <> me then improve_both t m ~root ~hops:i ~sender:roots.(i + 6))
+    rs;
+  let last = ref me in
+  for cycle = 1 to stamp_bound + 100_001 do
+    if cycle > 1 then begin
+      Tree.readvertise t ~root:!last;
+      Model.readvertise m ~root:!last
+    end;
+    let popped = Tree.pop t ~prefer:None in
+    if popped <> Model.pop m ~prefer:None then
+      Alcotest.failf "cycle %d: popped entry differs" cycle;
+    (match popped with Some (root, _) -> last := root | None -> ());
+    if cycle land 0xFFFF = 0 then
+      check_same (Printf.sprintf "cycle %d" cycle) t m rs
+  done;
+  check_same "end" t m rs
+
+(* 37 distinct parents, more than the sender table holds before it first
+   grows, and short of its next growth, so the clone below would still
+   share its arrays if [clone] did not copy them. The clone and its
+   original then each take parents of their own. *)
+let test_many_senders () =
+  let sender i =
+    if i mod 2 = 0 then -(i * 1_000_003) - 1 else (i lsl 40) + 17
+  in
+  let rs = Array.init 60 (fun i -> (i * 7919) - 250_000) in
+  let t = Tree.create ~me and m = Model.create ~me in
+  Array.iteri
+    (fun i root ->
+      improve_both t m ~root
+        ~hops:(40 - (i mod 37))
+        ~sender:(sender (i mod 37)))
+    rs;
+  (* Shorter routes through parents already in the table. *)
+  Array.iteri
+    (fun i root ->
+      if i mod 3 = 0 then
+        improve_both t m ~root ~hops:0 ~sender:(sender ((i + 5) mod 37)))
+    rs;
+  check_same "before the clone" t m rs;
+  let c = Tree.clone t and mc = Model.copy m in
+  for k = 0 to 9 do
+    improve_both t m ~root:rs.(k) ~hops:(-1 - k) ~sender:(sender (100 + k));
+    improve_both c mc ~root:rs.(k) ~hops:(-1 - k) ~sender:(sender (200 + k))
+  done;
+  check_same "original" t m rs;
+  check_same "clone" c mc rs
+
+let test_hops_bounds () =
+  let t = Tree.create ~me:0 in
+  let refused hops =
+    Alcotest.check_raises (Printf.sprintf "hops %d" hops)
+      (Invalid_argument "Tree.improve: hops outside (-2^20, 2^20)")
+      (fun () -> ignore (Tree.improve t ~root:1 ~hops ~sender:2))
+  in
+  List.iter refused [ 1 lsl 20; -(1 lsl 20); max_int; min_int ];
+  Alcotest.(check (option int)) "nothing stored" None (Tree.parent t 1);
+  Alcotest.(check (list (pair int int)))
+    "nothing queued" [ (0, 1) ] (Tree.pending t);
+  Alcotest.(check bool)
+    "largest fits" true
+    (Tree.improve t ~root:1 ~hops:((1 lsl 20) - 1) ~sender:2);
+  Alcotest.(check bool)
+    "smallest fits" true
+    (Tree.improve t ~root:3 ~hops:(1 - (1 lsl 20)) ~sender:4);
+  (* A known root refuses too, and keeps its route. *)
+  Alcotest.check_raises "known root"
+    (Invalid_argument "Tree.improve: hops outside (-2^20, 2^20)")
+    (fun () -> ignore (Tree.improve t ~root:3 ~hops:(-(1 lsl 20)) ~sender:5));
+  Alcotest.(check (list (pair int int)))
+    "both queued"
+    [ (0, 1); (1, 1 lsl 20); (3, 2 - (1 lsl 20)) ]
+    (Tree.pending t);
+  Alcotest.(check (list (option int)))
+    "parents" [ Some 2; Some 4 ]
+    [ Tree.parent t 1; Tree.parent t 3 ]
+
+(* Words reachable from a tree holding 1,000 roots heard through four
+   neighbours. The four-int records needed 5,502 words with each search
+   popped as it arrived and 7,534 with all of them still queued. *)
+let test_memory () =
+  let build ~pop =
+    let t = Tree.create ~me:0 in
+    for root = 1 to 999 do
+      ignore
+        (Tree.improve t ~root ~hops:(root mod 64) ~sender:(1 + (root mod 4)));
+      if pop then ignore (Tree.pop t ~prefer:None)
+    done;
+    Obj.reachable_words (Obj.repr t)
+  in
+  let within what words four_int =
+    if 100 * words > 55 * four_int then
+      Alcotest.failf "%s: %d words, more than 55%% of %d" what words four_int
+  in
+  within "popped" (build ~pop:true) 5_502;
+  within "queued" (build ~pop:false) 7_534
+
 let () =
   Alcotest.run "tree"
     [
@@ -202,5 +339,14 @@ let () =
           Alcotest.test_case "create" `Quick test_create;
           QCheck_alcotest.to_alcotest prop_matches_model;
           QCheck_alcotest.to_alcotest prop_clone_independent;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "stamps renumbered past the bound" `Quick
+            test_stamps_renumbered;
+          Alcotest.test_case "many sparse parents, cloned" `Quick
+            test_many_senders;
+          Alcotest.test_case "hops outside the field" `Quick test_hops_bounds;
+          Alcotest.test_case "words per 1000 roots" `Quick test_memory;
         ] );
     ]
