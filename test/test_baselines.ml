@@ -234,6 +234,39 @@ let prop_rf_synchronous_consensus =
       in
       Consensus.Checker.ok result.report)
 
+(* Every node's state after every handler call, folded in order: pins the
+   services' queues and counters at each step of a run, not only the
+   outcome. The expected value was computed before the services moved into
+   [Consensus.Services]. *)
+let test_fp_run_digest () =
+  let algorithm = Consensus.Flood_paxos.make () in
+  let hooks = Option.get algorithm.Amac.Algorithm.hooks in
+  let digest = ref Amac.Fingerprint.empty in
+  let step st = digest := hooks.fingerprint st !digest in
+  let topology = Amac.Topology.star_of_lines ~arms:8 ~arm_len:4 in
+  let n = Amac.Topology.size topology in
+  let outcome =
+    Amac.Engine.run
+      {
+        algorithm with
+        on_receive =
+          (fun ctx st m ->
+            let actions = algorithm.on_receive ctx st m in
+            step st;
+            actions);
+        on_ack =
+          (fun ctx st ->
+            let actions = algorithm.on_ack ctx st in
+            step st;
+            actions);
+      }
+      ~topology
+      ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 9) ~fack:4)
+      ~inputs:(Consensus.Runner.inputs_alternating ~n)
+  in
+  Alcotest.(check bool) "decided" true (Amac.Engine.all_decided outcome);
+  Alcotest.(check int) "run digest" 2327130876991249622 (Amac.Fingerprint.to_int !digest)
+
 let () =
   Alcotest.run "baselines"
     [
@@ -254,6 +287,7 @@ let () =
         [
           Alcotest.test_case "families" `Quick test_fp_families;
           Alcotest.test_case "requires n" `Quick test_fp_requires_n;
+          Alcotest.test_case "run digest is pinned" `Quick test_fp_run_digest;
           QCheck_alcotest.to_alcotest prop_fp_consensus;
         ] );
       ( "round-flood",

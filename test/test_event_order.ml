@@ -149,6 +149,22 @@ let test_all_delivery_paths () =
    && o.injected = 3);
   check "all delivery paths grid:6x6" "0c15601a0f4f088cc4e37ce0f0462c6e" outcome
 
+(* flood-paxos's wire text: every acceptor response is flooded as its own
+   unit, so this trace pins the baseline's queues message by message. *)
+let test_flood_paxos () =
+  let topology = Amac.Topology.star_of_lines ~arms:8 ~arm_len:4 in
+  let n = Amac.Topology.size topology in
+  let outcome =
+    Amac.Engine.run
+      (Consensus.Flood_paxos.make ())
+      ~topology
+      ~scheduler:(S.random (Amac.Rng.create 5) ~fack:3)
+      ~inputs:(Consensus.Runner.inputs_random (Amac.Rng.create 2) ~n)
+      ~record_trace:true ~pp_msg:Consensus.Flood_paxos.pp_msg
+  in
+  check "flood-paxos star_of_lines 8x4" "eccbc1a2895cb97fefa4b4550195cf8a"
+    outcome
+
 let () =
   Alcotest.run "event_order"
     [
@@ -159,5 +175,7 @@ let () =
           Alcotest.test_case "topology deltas" `Quick test_topo_deltas;
           Alcotest.test_case "every delivery path" `Quick
             test_all_delivery_paths;
+          Alcotest.test_case "flood-paxos star of lines" `Quick
+            test_flood_paxos;
         ] );
     ]

@@ -435,6 +435,54 @@ let test_out_of_rank_receive () =
     (!checked > 100);
   Alcotest.(check (list string)) "same actions and state" [] !mismatches
 
+(* Every node's state after every handler call, folded in order into one
+   digest per variant: pins the services' queues and counters at each step
+   of the crash run above, not only the outcome. The expected values were
+   computed before the services moved into [Consensus.Services]. *)
+let run_digest algorithm =
+  let hooks = Option.get algorithm.Amac.Algorithm.hooks in
+  let digest = ref Amac.Fingerprint.empty in
+  let step st = digest := hooks.fingerprint st !digest in
+  let algorithm =
+    {
+      algorithm with
+      on_receive =
+        (fun ctx st m ->
+          let actions = algorithm.on_receive ctx st m in
+          step st;
+          actions);
+      on_ack =
+        (fun ctx st ->
+          let actions = algorithm.on_ack ctx st in
+          step st;
+          actions);
+    }
+  in
+  ignore
+    (Amac.Engine.run algorithm
+       ~topology:(Amac.Topology.grid ~width:6 ~height:6)
+       ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 9) ~fack:4)
+       ~inputs:(Consensus.Runner.inputs_alternating ~n:36)
+       ~crashes:[ (14, 30); (20, 45) ]);
+  Amac.Fingerprint.to_int !digest
+
+let test_run_digests () =
+  List.iter
+    (fun (name, algorithm, expected) ->
+      Alcotest.(check int) name expected (run_digest algorithm))
+    [
+      ("full", Consensus.Wpaxos.make (), 3370112921461015006);
+      ( "no retransmit",
+        Consensus.Wpaxos.make ~retransmit:false (),
+        4005479151431993903 );
+      ( "no aggregation",
+        Consensus.Wpaxos.make ~aggregate:false (),
+        1339787101231096244 );
+      ( "no leader priority",
+        Consensus.Wpaxos.make ~leader_priority:false (),
+        1099213244979427261 );
+    ]
+
 let () =
   Alcotest.run "wpaxos"
     [
@@ -462,6 +510,8 @@ let () =
             test_shuffled_and_offset_ids;
           Alcotest.test_case "out-of-rank message, same outcome" `Quick
             test_out_of_rank_receive;
+          Alcotest.test_case "crash run digests are pinned" `Quick
+            test_run_digests;
         ] );
       ( "crash safety",
         [
