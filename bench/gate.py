@@ -52,6 +52,13 @@ Checks, with a +/-30% tolerance on timing cells:
     crash-free count, the 17-step termination schedule, the agreement
     verdict), so any drift is a semantic change in Lowerbound.Bivalence
     or the Mcheck.Explore semantics it walks.
+  - E2, E3, E8, E9, E11: EVERY column must match EXACTLY per row present in
+    both files (keyed by topology, n, topology, variant and (p(deliver),
+    algorithm) respectively), and the notes must match EXACTLY — these
+    are the paper's wPAXOS and flood-paxos tables (latency shape, wPAXOS
+    vs flood-paxos, ids per message, the service ablation, unreliable
+    links), all simulated ticks and counts from fixed seeds, so any drift
+    is a semantic change in wPAXOS, flood-paxos or the services they share.
 
 Rows present in only one file (e.g. --quick runs fewer B5 cases) are
 skipped. Exit 0 = within tolerance, 1 = regression (offenders listed).
@@ -61,6 +68,15 @@ import json
 import sys
 
 TOLERANCE = 0.30
+
+# The paper's wPAXOS / flood-paxos tables, gated exactly: id -> key columns.
+EXACT_TABLES = {
+    "E2": ["topology"],
+    "E3": ["n"],
+    "E8": ["topology"],
+    "E9": ["variant"],
+    "E11": ["p(deliver)", "algorithm"],
+}
 
 
 def table(bench, exp_id):
@@ -352,6 +368,28 @@ def main():
     else:
         failures.append("E7 table missing from baseline or fresh run")
 
+    for exp_id, key_columns in EXACT_TABLES.items():
+        base_tab, fresh_tab = table(baseline, exp_id), table(fresh, exp_id)
+        if not (base_tab and fresh_tab):
+            failures.append(f"{exp_id} table missing from baseline or fresh run")
+            continue
+        base_rows = rows_by_key(base_tab, key_columns)
+        fresh_rows = rows_by_key(fresh_tab, key_columns)
+        for key in sorted(set(base_rows) & set(fresh_rows)):
+            for column in base_tab["columns"]:
+                base_cell = cell(base_tab, base_rows[key], column)
+                fresh_cell = cell(fresh_tab, fresh_rows[key], column)
+                if base_cell != fresh_cell:
+                    failures.append(
+                        f"{exp_id} {'/'.join(key)}: {column} {fresh_cell} vs "
+                        f"baseline {base_cell} (must match exactly)"
+                    )
+        if fresh_tab["notes"] != base_tab["notes"]:
+            failures.append(
+                f"{exp_id} notes {fresh_tab['notes']} vs baseline "
+                f"{base_tab['notes']} (must match exactly)"
+            )
+
     if failures:
         print("perf gate FAILED:")
         for failure in failures:
@@ -360,7 +398,7 @@ def main():
     print(
         "perf gate passed (B5 states + B9 committed/p50/p99 + all B10, "
         "B11, B12 and B14 cells + B13 deterministic cells + E7 rows and "
-        "notes exact, B12/B14 hops monotone in D, B14 1000-node row safe "
+        "notes + E2, E3, E8, E9 and E11 rows and notes exact, B12/B14 hops monotone in D, B14 1000-node row safe "
         "with hops in [D, 8D], "
         "B13 G=4 >= 2.5x G=1 on cmds/ktick, timing within +/-30%)"
     )

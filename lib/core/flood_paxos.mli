@@ -11,7 +11,10 @@
     O(n · F_ack) and why the stabilising tree services are the actual
     contribution (experiments E3 and E9). *)
 
-type msg
+type component
+
+(** One MAC-layer broadcast: at most one component per queue. *)
+type msg = component list
 
 type state
 

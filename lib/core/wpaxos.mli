@@ -80,25 +80,7 @@ type state
     invariant: for every proposition, the count the proposer accumulates
     never exceeds the number of acceptors that generated an affirmative
     response. Create one per run and share it across nodes via {!make}. *)
-module Instrument : sig
-  type t
-
-  val create : unit -> t
-
-  (** [violations t] lists propositions for which counted > generated —
-      always [] unless aggregation is broken. Each entry is
-      [(pno, round, generated, counted)]. *)
-  val violations : t -> (Paxos_types.pno * Paxos_types.round * int * int) list
-
-  (** [generated t] / [counted t] — totals across all propositions. *)
-  val generated : t -> int
-
-  val counted : t -> int
-
-  (** [max_tag t] — largest proposal-number tag any acceptor responded to;
-      Lemma 4.4 says this stays polynomial in n. *)
-  val max_tag : t -> int
-end
+module Instrument = Services.Instrument
 
 (** [make ()] builds a fresh wPAXOS instance (create one per run: the
     instrument, if any, is shared mutable state).

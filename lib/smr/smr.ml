@@ -1,9 +1,10 @@
 open Consensus.Paxos_types
+module Services = Consensus.Services
 
 (* Multi-decree state-machine replication over the wPAXOS machinery: the
-   shared services (leader election, change, tree building, broadcast
-   packing) and the hardened retransmission layer are carried over from
-   [Consensus.Wpaxos] unchanged in spirit; the single proposer/acceptor
+   services (leader election, change, tree building, the response queue,
+   broadcast packing) and the hardened ack tick are [Consensus.Services],
+   the same kit [Consensus.Wpaxos] runs on; the single proposer/acceptor
    pair is replaced by the standard multi-Paxos construction. One Prepare
    establishes a leader lease covering every instance from the leader's
    commit index up; while the lease holds, the leader streams per-instance
@@ -101,10 +102,8 @@ type response = {
 type component =
   | Leader of { id : int; hb : int; commit : int; sender : int }
       (* [id]/[hb]: the heartbeat being carried (possibly a relay);
-         [commit]/[sender]: the relaying node's own commit index — the
-         straggler-repair signal. *)
-      (* heartbeat; [commit] is stamped by the relaying sender at send time,
-         so receivers can repair a straggling neighbor (see [on_leader]) *)
+         [commit]/[sender]: the relaying node's own commit index, stamped at
+         send time — the straggler-repair signal (see [on_leader]). *)
   | Change of { counter : int; origin : int }
   | Search of { root : int; hops : int; sender : int }
   | Forward of { cmd : int }  (* client command flooding *)
@@ -147,9 +146,8 @@ type flight = {
 
 type inst = { mutable accepted : prior option; mutable chosen : int option }
 
+(* The payload of a queued acceptor response. *)
 type pending_response = {
-  q_target : int;
-  q_pno : pno;
   q_round : resp_round;
   q_positive : bool;
   q_cfg : int;
@@ -176,17 +174,8 @@ type config = {
 }
 
 type state = {
-  me : int;
-  n : int;
+  sv : pending_response Services.t;
   cfg : config;
-  (* leader election service *)
-  mutable omega : int;
-  mutable leader_q : int option;
-  (* change service *)
-  mutable lamport : int;
-  mutable last_change : int * int;
-  mutable change_q : (int * int) option;
-  tree : Consensus.Tree.t;  (* tree building service *)
   (* the log *)
   insts : (int, inst) Hashtbl.t;
   mutable commit_index : int;  (* length of the chosen prefix *)
@@ -244,24 +233,9 @@ type state = {
          participation is sound. This mirrors the watermark Raft persists
          (term + vote) without persisting the log itself. *)
   responded : (int * int * int, unit) Hashtbl.t;  (* respond-once *)
-  mutable response_q : pending_response list;
   (* decision flooding *)
   decide_q : (int * int) Queue.t;  (* (inst, value), FIFO *)
   decide_set : (int * int, int) Hashtbl.t;  (* pairs in [decide_q] -> count *)
-  (* transport *)
-  mutable sending : bool;
-  (* hardening, as in Wpaxos (always on: a replicated log only makes sense
-     with retransmission). Heartbeats, silence accounting and the suspected
-     set live in the shared ◇P detector. *)
-  fd : Fd.t;
-  mutable idle_acks : int;
-  mutable next_refresh : int;
-  mutable progress_silence : int;
-  mutable next_retry : int;
-  retry_start : int;
-  retry_cap : int;
-  mutable retries_left : int;
-  mutable patience_left : int;
   (* responder-side straggler-repair retry (a single lost repair message
      must not stall a restarter forever; see [on_leader]) *)
   mutable repair_node : int;  (* the straggler the hole belongs to; -1 = none *)
@@ -278,20 +252,6 @@ type state = {
   mutable reconfigs_superseded : int;
 }
 
-let refresh_start = 4
-
-let refresh_cap = 64
-
-let patience_max = 512
-
-let max_retries = 8
-
-let hb_of st id = Fd.hb st.fd id
-
-let suspected st id = Fd.suspected st.fd id
-
-let refill st = st.patience_left <- patience_max
-
 (* ------------------------------------------------------------------ *)
 (* Quorums: a majority of the current configuration, AND — during a    *)
 (* joint transition — a majority of the incoming one.                  *)
@@ -304,11 +264,11 @@ let is_voter st id =
   || (match st.joint with Some t -> List.mem id t | None -> false)
 
 (* This node's vote weight in the current / incoming configuration. *)
-let weight1 st = if List.mem st.me st.members then 1 else 0
+let weight1 st = if List.mem st.sv.me st.members then 1 else 0
 
 let weight2 st =
   match st.joint with
-  | Some t -> if List.mem st.me t then 1 else 0
+  | Some t -> if List.mem st.sv.me t then 1 else 0
   | None -> 0
 
 (* The configuration a vote was weighed under, packed into one int: the
@@ -383,7 +343,7 @@ let has_work st =
   || not (Queue.is_empty st.cmd_pool)
   || st.snap_q
   || (st.repair_hole >= 0 && st.repair_left > 0)
-  || (st.omega = st.me
+  || (st.sv.omega = st.sv.me
      && (Hashtbl.length st.proposing > 0
         || match st.lease with Preparing _ -> true | _ -> false))
 
@@ -391,30 +351,21 @@ let has_work st =
 (* Broadcast service: pack one component per non-empty queue.          *)
 (* ------------------------------------------------------------------ *)
 
-let dequeue_response st =
-  let rec pick acc = function
-    | [] -> None
-    | entry :: rest -> (
-        match Consensus.Tree.parent st.tree entry.q_target with
-        | Some parent_id ->
-            st.response_q <- List.rev_append acc rest;
-            Some
-              (Response
-                 {
-                   dest = parent_id;
-                   target = entry.q_target;
-                   r_pno = entry.q_pno;
-                   round = entry.q_round;
-                   positive = entry.q_positive;
-                   count = entry.q_count;
-                   count2 = entry.q_count2;
-                   r_cfg = entry.q_cfg;
-                   priors = entry.q_priors;
-                   committed = entry.q_committed;
-                 })
-        | None -> pick (entry :: acc) rest)
-  in
-  pick [] st.response_q
+let response dest (e : pending_response Services.entry) =
+  let q = e.body in
+  Response
+    {
+      dest;
+      target = e.target;
+      r_pno = e.pno;
+      round = q.q_round;
+      positive = q.q_positive;
+      count = q.q_count;
+      count2 = q.q_count2;
+      r_cfg = q.q_cfg;
+      priors = q.q_priors;
+      committed = q.q_committed;
+    }
 
 let compose st =
   let components = ref [] in
@@ -439,7 +390,7 @@ let compose st =
        :: !components
    end
    else st.snap_q <- false);
-  (match dequeue_response st with
+  (match Services.dequeue st.sv ~emit:response with
   | Some c -> components := c :: !components
   | None -> ());
   (match st.proposal_q with
@@ -452,76 +403,33 @@ let compose st =
       st.forward_q <- rest;
       components := Forward { cmd } :: !components
   | [] -> ());
-  (match Consensus.Tree.pop st.tree ~prefer:(Some st.omega) with
+  (match Consensus.Tree.pop st.sv.tree ~prefer:(Some st.sv.omega) with
   | Some (root, hops) ->
-      components := Search { root; hops; sender = st.me } :: !components
+      components := Search { root; hops; sender = st.sv.me } :: !components
   | None -> ());
-  (match st.change_q with
+  (match st.sv.change_q with
   | Some (counter, origin) ->
-      st.change_q <- None;
+      st.sv.change_q <- None;
       components := Change { counter; origin } :: !components
   | None -> ());
-  (match st.leader_q with
+  (match st.sv.leader_q with
   | Some id ->
-      st.leader_q <- None;
+      st.sv.leader_q <- None;
       (* Heartbeat and commit index are read at send time: relays carry
          the freshest count they know, and [commit] always describes the
          sender itself (the straggler-repair signal). *)
       components :=
-        Leader { id; hb = hb_of st id; commit = st.commit_index; sender = st.me }
+        Leader
+          { id; hb = Fd.hb st.sv.fd id; commit = st.commit_index; sender = st.sv.me }
         :: !components
   | None -> ());
   !components
 
-let maybe_send st =
-  if st.sending then []
-  else
-    match compose st with
-    | [] -> []
-    | components ->
-        st.sending <- true;
-        [ Amac.Algorithm.Broadcast components ]
-
-let finish st = maybe_send st
+let maybe_send st = Services.maybe_send st.sv compose st
 
 (* ------------------------------------------------------------------ *)
 (* Response queue plumbing                                             *)
 (* ------------------------------------------------------------------ *)
-
-(* Whether every entry targets [target] and carries [pno]. *)
-let rec conforms ~target ~pno = function
-  | [] -> true
-  | entry :: rest ->
-      entry.q_target = target
-      && compare_pno entry.q_pno pno = 0
-      && conforms ~target ~pno rest
-
-(* Responses only for the current leader's largest proposal number. A
-   queue that already conforms is left as it is. *)
-let prune_response_q st =
-  match st.response_q with
-  | [] -> ()
-  | first :: _ when conforms ~target:st.omega ~pno:first.q_pno st.response_q ->
-      ()
-  | _ :: _ -> (
-      st.response_q <-
-        List.filter (fun entry -> entry.q_target = st.omega) st.response_q;
-      let largest =
-        List.fold_left
-          (fun acc entry ->
-            match acc with
-            | None -> Some entry.q_pno
-            | Some best ->
-                if pno_lt best entry.q_pno then Some entry.q_pno else acc)
-          None st.response_q
-      in
-      match largest with
-      | None -> ()
-      | Some best ->
-          st.response_q <-
-            List.filter
-              (fun entry -> compare_pno entry.q_pno best = 0)
-              st.response_q)
 
 let merge_priors existing extra =
   List.fold_left
@@ -537,39 +445,22 @@ let merge_priors existing extra =
       upd acc)
     existing extra
 
-let enqueue_response st ~target ~pno ~round ~positive ~count ~count2 ~cfg
-    ~priors ~committed =
-  let entry =
-    {
-      q_target = target;
-      q_pno = pno;
-      q_round = round;
-      q_positive = positive;
-      q_cfg = cfg;
-      q_count = count;
-      q_count2 = count2;
-      q_priors = priors;
-      q_committed = committed;
-    }
-  in
-  (* Votes self-weighed under different configurations must never be summed
-     — the tag equality below keeps each aggregate homogeneous. *)
-  let mergeable existing =
-    existing.q_target = entry.q_target
-    && compare_pno existing.q_pno entry.q_pno = 0
-    && existing.q_round = entry.q_round
-    && existing.q_positive = entry.q_positive
-    && existing.q_cfg = entry.q_cfg
-  in
-  (match List.find_opt mergeable st.response_q with
-  | Some existing ->
-      existing.q_count <- existing.q_count + entry.q_count;
-      existing.q_count2 <- existing.q_count2 + entry.q_count2;
-      existing.q_priors <- merge_priors existing.q_priors entry.q_priors;
-      existing.q_committed <-
-        max_committed existing.q_committed entry.q_committed
-  | None -> st.response_q <- st.response_q @ [ entry ]);
-  prune_response_q st
+(* Votes self-weighed under different configurations must never be summed
+   — the tag equality keeps each aggregate homogeneous. *)
+let aggregate into q =
+  into.q_round = q.q_round
+  && into.q_positive = q.q_positive
+  && into.q_cfg = q.q_cfg
+  && begin
+       into.q_count <- into.q_count + q.q_count;
+       into.q_count2 <- into.q_count2 + q.q_count2;
+       into.q_priors <- merge_priors into.q_priors q.q_priors;
+       into.q_committed <- max_committed into.q_committed q.q_committed;
+       true
+     end
+
+let enqueue_response st ~target ~pno q =
+  Services.enqueue st.sv ~merge:aggregate ~target ~pno q
 
 (* Acceptor: a single lease-wide promise (multi-Paxos), per-instance
    accepted values. Prepare responses return every accepted prior at or
@@ -656,6 +547,15 @@ let superseded_seq configs =
    commands cannot collide with handle-allocated ones (which count up). *)
 let salvage_uid seq = 1023 - (seq - 1)
 
+(* Drop the log below [floor]. Nothing below the current floor survives an
+   earlier truncation ([get_inst] is never called below it), so only the
+   instances in between are removed. *)
+let truncate st floor =
+  for i = st.snap_floor to floor - 1 do
+    Hashtbl.remove st.insts i
+  done;
+  st.snap_floor <- floor
+
 let rec advance_commit st =
   let continue = ref true in
   while !continue do
@@ -669,7 +569,7 @@ let rec advance_commit st =
           Hashtbl.replace st.applied_set value ();
           st.applied <- value :: st.applied;
           match st.cfg.on_apply with
-          | Some f -> f ~node:st.me ~index ~cmd:value
+          | Some f -> f ~node:st.sv.me ~index ~cmd:value
           | None -> ()
         end
     | Some { chosen = None; _ } | None -> continue := false
@@ -727,7 +627,7 @@ and apply_reconfig st ~index ~value =
           end
           else false
   in
-  if changed && st.omega = st.me then start_prepare st;
+  if changed && st.sv.omega = st.sv.me then start_prepare st;
   if changed then flush_pending_joints st
 
 (* A transition just closed: resurrect the oldest salvaged joint whose
@@ -748,18 +648,12 @@ and maybe_compact st =
          drop the log prefix it covers. Everything an installer needs to
          take over from here travels with the snapshot: the applied
          prefix, the configuration history, and the membership/epoch. *)
-      st.snap_floor <- st.commit_index;
+      truncate st st.commit_index;
       st.snap_applied <- st.applied;
       st.snap_configs <- st.configs;
       st.snap_members <- st.members;
       st.snap_joint <- st.joint;
       st.snap_epoch <- st.epoch;
-      let below =
-        Hashtbl.fold
-          (fun i _ acc -> if i < st.snap_floor then i :: acc else acc)
-          st.insts []
-      in
-      List.iter (Hashtbl.remove st.insts) below;
       st.snapshots_taken <- st.snapshots_taken + 1
   | Some _ | None -> ()
 
@@ -776,9 +670,9 @@ and note_chosen st i value =
         drop_chosen st;
         (* Flood the decision exactly once per node. *)
         push_decision st (i, value);
-        refill st;
+        Services.refill st.sv;
         advance_commit st;
-        if st.omega = st.me then fill_window st
+        if st.sv.omega = st.sv.me then fill_window st
 
 (* A snapshot from a peer whose floor is ahead of our commit index: adopt
    it wholesale. The applied prefix replaces ours (the commands it covers
@@ -789,7 +683,7 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
     ~s_epoch =
   if floor > st.commit_index then begin
     let applied_new = List.rev s_applied in
-    st.snap_floor <- floor;
+    truncate st floor;
     st.snap_applied <- applied_new;
     st.snap_configs <- List.rev s_configs;
     st.snap_members <- s_members;
@@ -804,12 +698,6 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
     st.epoch <- s_epoch;
     st.commit_index <- floor;
     note_inst st (floor - 1);
-    let below =
-      Hashtbl.fold
-        (fun i _ acc -> if i < floor then i :: acc else acc)
-        st.insts []
-    in
-    List.iter (Hashtbl.remove st.insts) below;
     (* Commands the snapshot proves chosen must not be proposed again. *)
     List.iter
       (fun c ->
@@ -832,10 +720,10 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
     st.lease <- No_lease;
     Hashtbl.reset st.proposing;
     st.snapshots_installed <- st.snapshots_installed + 1;
-    refill st;
+    Services.refill st.sv;
     advance_commit st;
     recompute_omega st;
-    if st.omega = st.me then start_prepare st;
+    if st.sv.omega = st.sv.me then start_prepare st;
     flush_pending_joints st
   end
 
@@ -844,9 +732,9 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
 (* ------------------------------------------------------------------ *)
 
 and start_prepare st =
-  if st.omega = st.me then begin
+  if st.sv.omega = st.sv.me then begin
     st.max_tag <- st.max_tag + 1;
-    let pno = { tag = st.max_tag; proposer = st.me } in
+    let pno = { tag = st.max_tag; proposer = st.sv.me } in
     let from_inst = st.commit_index in
     Hashtbl.reset st.proposing;
     st.lease <-
@@ -898,7 +786,7 @@ and choose_value st priors i =
 
 and fill_window st =
   match st.lease with
-  | Ready { pno; priors } when st.omega = st.me ->
+  | Ready { pno; priors } when st.sv.omega = st.sv.me ->
       let upper = st.commit_index + st.cfg.window in
       let i = ref st.commit_index in
       let stalled = ref false in
@@ -930,7 +818,7 @@ and fill_window st =
 and lease_failed st =
   st.lease <- No_lease;
   Hashtbl.reset st.proposing;
-  if st.omega = st.me then begin
+  if st.sv.omega = st.sv.me then begin
     if st.attempts_left > 0 then begin
       st.attempts_left <- st.attempts_left - 1;
       start_prepare st
@@ -938,12 +826,11 @@ and lease_failed st =
     else local_change st
   end
 
-and change_updateq st stamp =
-  st.change_q <- Some stamp;
-  if st.omega = st.me then begin
+(* The change service's UpdateQ (Alg 3), once the stamp is queued. *)
+and change_updateq st =
+  if st.sv.omega = st.sv.me then begin
     st.attempts_left <- 1;
-    st.retries_left <- max_retries;
-    st.next_retry <- st.retry_start;
+    Services.open_epoch st.sv;
     match st.lease with
     | No_lease -> start_prepare st
     | Ready _ -> fill_window st
@@ -951,10 +838,8 @@ and change_updateq st stamp =
   end
 
 and local_change st =
-  st.lamport <- st.lamport + 1;
-  let stamp = (st.lamport, st.me) in
-  st.last_change <- stamp;
-  change_updateq st stamp
+  Services.local_change st.sv;
+  change_updateq st
 
 and count_response st (r : response) =
   (* Only votes weighed under THIS proposer's exact configuration count:
@@ -969,8 +854,7 @@ and count_response st (r : response) =
   else
   match (st.lease, r.round) with
   | Preparing p, Rprep when compare_pno p.pno r.r_pno = 0 ->
-      st.progress_silence <- 0;
-      refill st;
+      Services.progress st.sv;
       if r.positive then begin
         p.yes <- p.yes + r.count;
         p.yes2 <- p.yes2 + r.count2;
@@ -1000,8 +884,7 @@ and count_response st (r : response) =
   | Ready rd, Racc inst when compare_pno rd.pno r.r_pno = 0 -> (
       match Hashtbl.find_opt st.proposing inst with
       | Some f ->
-          st.progress_silence <- 0;
-          refill st;
+          Services.progress st.sv;
           if r.positive then begin
             f.f_yes <- f.f_yes + r.count;
             f.f_yes2 <- f.f_yes2 + r.count2;
@@ -1027,8 +910,8 @@ and self_respond st (message : proposer_msg) =
     let round, positive, priors, committed = acceptor_respond st message in
     count_response st
       {
-        dest = st.me;
-        target = st.me;
+        dest = st.sv.me;
+        target = st.sv.me;
         r_pno = pno;
         round;
         positive;
@@ -1052,8 +935,8 @@ and absorb_cmd st cmd =
     Hashtbl.replace st.known_cmds cmd ();
     if not (Hashtbl.mem st.chosen_cmds cmd) then begin
       Queue.push cmd st.cmd_pool;
-      refill st;
-      if st.omega = st.me then
+      Services.refill st.sv;
+      if st.sv.omega = st.sv.me then
         match st.lease with
         | Ready _ -> fill_window st
         | No_lease -> start_prepare st
@@ -1067,38 +950,34 @@ and absorb_cmd st cmd =
 (* ------------------------------------------------------------------ *)
 
 and set_omega st id =
-  st.omega <- id;
-  st.leader_q <- Some id;
+  Services.elect st.sv id;
   st.lease <- No_lease;
   Hashtbl.reset st.proposing;
   st.proposal_q <-
-    List.filter (fun p -> (pno_of p).proposer = st.omega) st.proposal_q;
-  prune_response_q st;
-  Fd.watch st.fd ~peer:id;
-  refill st;
+    List.filter (fun p -> (pno_of p).proposer = st.sv.omega) st.proposal_q;
   local_change st
 
 (* Best unsuspected VOTER among the ids we have heard from; non-voters
    (fresh learners awaiting a scale-up, removed replicas) never lead. The
-   fold starts from an ineligible sentinel, NOT [st.me]: a learner whose
+   fold starts from an ineligible sentinel, NOT [st.sv.me]: a learner whose
    id exceeds every voter must not elect itself the moment all voters look
    suspect (it would heartbeat and re-prepare as a phantom leader until
    promoted). With no eligible candidate at all, keep the current omega if
    it is still a voter, else fall back to the smallest voter. *)
 and candidate_omega st =
   let next =
-    Fd.candidate st.fd ~base:(-1) ~eligible:(fun id -> is_voter st id)
+    Fd.candidate st.sv.fd ~base:(-1) ~eligible:(fun id -> is_voter st id)
   in
   if next >= 0 then next
-  else if is_voter st st.omega && not (suspected st st.omega) then st.omega
+  else if is_voter st st.sv.omega && not (Fd.suspected st.sv.fd st.sv.omega) then st.sv.omega
   else
-    match List.find_opt (fun m -> not (suspected st m)) st.members with
+    match List.find_opt (fun m -> not (Fd.suspected st.sv.fd m)) st.members with
     | Some m -> m
-    | None -> st.omega
+    | None -> st.sv.omega
 
 and recompute_omega st =
   let next = candidate_omega st in
-  if next <> st.omega then set_omega st next
+  if next <> st.sv.omega then set_omega st next
 
 (* Answer a straggling neighbor: the decision at its first hole — or, if
    that instance fell below our compaction floor, the snapshot itself. *)
@@ -1119,24 +998,17 @@ let clear_repair st =
   st.repair_wait <- 0
 
 let on_leader st ~id ~hb ~commit ~sender =
-  (if id <> st.me then
-     match Fd.observe st.fd ~peer:id ~hb with
-     | Stale -> ()
-     | verdict ->
-         (* Relay the fresh heartbeat so it floods network-wide. *)
-         if id = st.omega then st.leader_q <- Some id;
-         (match verdict with
-         | Fresh_cleared ->
-             st.fd_clears <- st.fd_clears + 1;
-             refill st;
-             recompute_omega st
-         | Fresh ->
-             (* A live heartbeat while omega points outside the voter set
-                (every candidate looked suspect when we last recomputed):
-                re-run the election so an eligible leader is re-adopted. *)
-             if not (is_voter st st.omega) then recompute_omega st
-         | Stale -> ()));
-  if id > st.omega && is_voter st id && not (suspected st id) then
+  (match Services.observe st.sv ~id ~hb with
+  | Fresh_cleared ->
+      st.fd_clears <- st.fd_clears + 1;
+      recompute_omega st
+  | Fresh ->
+      (* A live heartbeat while omega points outside the voter set (every
+         candidate looked suspect when we last recomputed): re-run the
+         election so an eligible leader is re-adopted. *)
+      if not (is_voter st st.sv.omega) then recompute_omega st
+  | Stale -> ());
+  if id > st.sv.omega && is_voter st id && not (Fd.suspected st.sv.fd id) then
     set_omega st id;
   (* Straggler repair: the sending neighbor's commit index lags ours, so
      its first hole is an instance we have chosen — answer with that one
@@ -1158,7 +1030,7 @@ let on_leader st ~id ~hb ~commit ~sender =
      (and thereby announcing its lagging commit) until fully repaired,
      instead of going quiet the moment its local decisions run out. *)
   if commit > st.max_inst_seen then st.max_inst_seen <- commit;
-  if sender <> st.me then
+  if sender <> st.sv.me then
     if commit < st.commit_index then begin
       queue_repair st ~lag_commit:commit;
       if st.repair_node <> sender || st.repair_hole <> commit then begin
@@ -1166,38 +1038,21 @@ let on_leader st ~id ~hb ~commit ~sender =
         st.repair_hole <- commit;
         st.repair_left <- st.cfg.repair_retries;
         st.repair_wait <- 0;
-        st.repair_next <- st.retry_start
+        st.repair_next <- st.sv.retry_start
       end
     end
     else if sender = st.repair_node then clear_repair st
 
-let on_change st ~counter ~origin =
-  st.lamport <- max st.lamport counter;
-  let last_counter, last_origin = st.last_change in
-  if counter > last_counter || (counter = last_counter && origin > last_origin)
-  then begin
-    let stamp = (counter, origin) in
-    st.last_change <- stamp;
-    refill st;
-    change_updateq st stamp
-  end
-
-let on_search st ~root ~hops ~sender =
-  if Consensus.Tree.improve st.tree ~root ~hops ~sender then begin
-    refill st;
-    if root = st.omega then local_change st
-  end
-
 let on_proposal st (message : proposer_msg) =
   let pno = pno_of message in
   st.max_tag <- max st.max_tag pno.tag;
-  if pno.proposer = st.omega && pno.proposer <> st.me then begin
+  if pno.proposer = st.sv.omega && pno.proposer <> st.sv.me then begin
     let key = prop_key message in
     (* Flood each of the current leader's propositions once. *)
     if not (Hashtbl.mem st.seen_props key) then begin
       Hashtbl.replace st.seen_props key ();
       st.proposal_q <- st.proposal_q @ [ message ];
-      refill st
+      Services.refill st.sv
     end;
     (* Acceptor: respond once per proposition, routed up the leader's
        tree. Pure learners (zero weight in both configurations) still
@@ -1211,18 +1066,33 @@ let on_proposal st (message : proposer_msg) =
       let round, positive, priors, committed = acceptor_respond st message in
       let count = weight1 st and count2 = weight2 st in
       if count + count2 > 0 then
-        enqueue_response st ~target:pno.proposer ~pno ~round ~positive ~count
-          ~count2 ~cfg:(cfg_tag st) ~priors ~committed
+        enqueue_response st ~target:pno.proposer ~pno
+          {
+            q_round = round;
+            q_positive = positive;
+            q_cfg = cfg_tag st;
+            q_count = count;
+            q_count2 = count2;
+            q_priors = priors;
+            q_committed = committed;
+          }
     end
   end
 
 let on_response st (r : response) =
-  if r.dest = st.me then
-    if r.target = st.me then count_response st r
-    else if r.target = st.omega then
-      enqueue_response st ~target:r.target ~pno:r.r_pno ~round:r.round
-        ~positive:r.positive ~count:r.count ~count2:r.count2 ~cfg:r.r_cfg
-        ~priors:r.priors ~committed:r.committed
+  if r.dest = st.sv.me then
+    if r.target = st.sv.me then count_response st r
+    else if r.target = st.sv.omega then
+      enqueue_response st ~target:r.target ~pno:r.r_pno
+        {
+          q_round = r.round;
+          q_positive = r.positive;
+          q_cfg = r.r_cfg;
+          q_count = r.count;
+          q_count2 = r.count2;
+          q_priors = r.priors;
+          q_committed = r.committed;
+        }
 
 let on_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint ~s_epoch =
   install_snapshot st ~floor ~s_applied ~s_configs
@@ -1234,33 +1104,26 @@ let on_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint ~s_epoch =
 (* Hardened ack tick                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Wpaxos's tick, gated on [has_work], plus the command re-flood and the
+   straggler-repair retry. *)
 let hardened_tick st =
-  if has_work st && st.patience_left > 0 then begin
-    st.patience_left <- st.patience_left - 1;
-    (if st.omega = st.me then ignore (Fd.beat st.fd)
-     else
-       match Fd.tick st.fd ~peer:st.omega with
-       | Suspect ->
-           st.fd_suspicions <- st.fd_suspicions + 1;
-           (match st.cfg.on_suspect with
-           | Some f -> f ~node:st.me ~suspect:st.omega
-           | None -> ());
-           recompute_omega st
-       | Ok -> ());
-    st.leader_q <- Some st.omega;
-    st.idle_acks <- st.idle_acks + 1;
-    if st.idle_acks >= st.next_refresh then begin
-      st.idle_acks <- 0;
-      st.next_refresh <- min (2 * st.next_refresh) refresh_cap;
-      Consensus.Tree.readvertise st.tree ~root:st.omega;
-      (* Re-flood the oldest pending command: a loss window may have eaten
-         the original Forward before the leader saw it. Patience-bounded
-         like every other retransmission. The pool's head is live. *)
-      match Queue.peek_opt st.cmd_pool with
-      | Some cmd when not (List.mem cmd st.forward_q) ->
-          st.forward_q <- st.forward_q @ [ cmd ]
-      | Some _ | None -> ()
+  let sv = st.sv in
+  if has_work st && sv.patience_left > 0 then begin
+    if Services.beat sv then begin
+      st.fd_suspicions <- st.fd_suspicions + 1;
+      (match st.cfg.on_suspect with
+      | Some f -> f ~node:sv.me ~suspect:sv.omega
+      | None -> ());
+      recompute_omega st
     end;
+    (if Services.refresh sv then
+       (* Re-flood the oldest pending command: a loss window may have eaten
+          the original Forward before the leader saw it. Patience-bounded
+          like every other retransmission. The pool's head is live. *)
+       match Queue.peek_opt st.cmd_pool with
+       | Some cmd when not (List.mem cmd st.forward_q) ->
+           st.forward_q <- st.forward_q @ [ cmd ]
+       | Some _ | None -> ());
     (* Straggler-repair retry: while a known hole stays put, re-answer it
        on an exponential backoff, [repair_retries] times. *)
     (if st.repair_hole >= 0 then
@@ -1269,24 +1132,16 @@ let hardened_tick st =
          st.repair_wait <- st.repair_wait + 1;
          if st.repair_wait >= st.repair_next then begin
            st.repair_wait <- 0;
-           st.repair_next <- min (2 * st.repair_next) st.retry_cap;
+           st.repair_next <- min (2 * st.repair_next) sv.retry_cap;
            st.repair_left <- st.repair_left - 1;
            queue_repair st ~lag_commit:st.repair_hole;
-           refill st
+           Services.refill sv
          end
        end);
-    if st.omega = st.me && st.retries_left > 0 then begin
-      st.progress_silence <- st.progress_silence + 1;
-      if st.progress_silence >= st.next_retry then begin
-        st.progress_silence <- 0;
-        st.next_retry <- min (2 * st.next_retry) st.retry_cap;
-        st.retries_left <- st.retries_left - 1;
-        (* Escalate with a fresh lease: acceptors answer a new proposal
-           number exactly once, so lost Prepares/Proposes/responses are
-           all replaced without double counting. *)
-        start_prepare st
-      end
-    end
+    (* Escalate with a fresh lease: acceptors answer a new proposal number
+       exactly once, so lost Prepares/Proposes/responses are all replaced
+       without double counting. *)
+    if Services.retry_due sv then start_prepare st
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1354,7 +1209,7 @@ let injector h ~now:_ ~payload (_ctx : Amac.Algorithm.ctx) st =
     end;
     absorb_cmd st payload
   end;
-  finish st
+  maybe_send st
 
 let nodes h = List.sort Int.compare (Hashtbl.fold (fun k _ l -> k :: l) h.registry [])
 
@@ -1363,13 +1218,24 @@ let state_of h node =
   | Some st -> st
   | None -> invalid_arg "Smr: unknown node"
 
+(* Every chosen record sits below [max_inst_seen] ([note_chosen] notes it)
+   and none below [snap_floor] (see [truncate]), so a downward walk over
+   that range builds the log in order, without a sort. *)
 let log h node =
   let st = state_of h node in
+  let rec walk i acc =
+    if i < st.snap_floor then acc
+    else
+      match Hashtbl.find_opt st.insts i with
+      | Some { chosen = Some v; _ } -> walk (i - 1) ((i, v) :: acc)
+      | Some { chosen = None; _ } | None -> walk (i - 1) acc
+  in
+  walk (st.max_inst_seen - 1) []
+
+let fold_chosen h node f init =
   Hashtbl.fold
-    (fun i r acc ->
-      match r.chosen with Some v -> (i, v) :: acc | None -> acc)
-    st.insts []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    (fun i r acc -> match r.chosen with Some v -> f i v acc | None -> acc)
+    (state_of h node).insts init
 
 let commit_index h node = (state_of h node).commit_index
 
@@ -1383,7 +1249,7 @@ let submitted_count h = h.submitted_count
 
 let propose_time h ~cmd = Hashtbl.find_opt h.h_propose_times cmd
 
-let leader h node = (state_of h node).omega
+let leader h node = (state_of h node).sv.omega
 
 let members h node = (state_of h node).members
 
@@ -1417,7 +1283,7 @@ let snapshot h node =
       }
   else None
 
-let fd_stats h node = Fd.stats (state_of h node).fd
+let fd_stats h node = Fd.stats (state_of h node).sv.fd
 
 type lifecycle = {
   fd_suspicions : int;
@@ -1475,22 +1341,14 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
     | Some old -> max old.vote_floor old.max_inst_seen
     | None -> 0
   in
-  let fd =
-    Fd.create
-      ~patience:(Option.value cfg.patience ~default:((4 * n) + 16)) ~me ()
+  let sv =
+    Services.create ~me ~n ~omega:omega0
+      ~patience:(Option.value cfg.patience ~default:((4 * n) + 16))
   in
-  if omega0 <> me then Fd.watch fd ~peer:omega0;
   let st =
     {
-      me;
-      n;
+      sv;
       cfg;
-      omega = omega0;
-      leader_q = Some omega0;
-      lamport = 0;
-      last_change = (-1, -1);
-      change_q = None;
-      tree = Consensus.Tree.create ~me;
       insts = Hashtbl.create 64;
       commit_index = 0;
       max_inst_seen = 0;
@@ -1525,24 +1383,13 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       promised = (match prior with Some old -> old.promised | None -> None);
       vote_floor = floor0;
       responded = Hashtbl.create 64;
-      response_q = [];
       decide_q = Queue.create ();
       decide_set = Hashtbl.create 8;
-      sending = false;
-      fd;
-      idle_acks = 0;
-      next_refresh = refresh_start;
-      progress_silence = 0;
-      next_retry = (2 * n) + 8;
-      retry_start = (2 * n) + 8;
-      retry_cap = 16 * ((2 * n) + 8);
-      retries_left = max_retries;
-      patience_left = patience_max;
       repair_node = -1;
       repair_hole = -1;
       repair_left = 0;
       repair_wait = 0;
-      repair_next = (2 * n) + 8;
+      repair_next = sv.retry_start;
       fd_suspicions = 0;
       fd_clears = 0;
       snapshots_taken = 0;
@@ -1553,7 +1400,7 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
   in
   Hashtbl.replace h.registry me st;
   local_change st;
-  (st, finish st)
+  (st, maybe_send st)
 
 (* Leader updates first so later components in the same broadcast are
    judged against the freshest omega; snapshots and decisions before
@@ -1570,19 +1417,15 @@ let rank = function
   | Proposal _ -> 6
   | Response _ -> 7
 
-let rec ranked prev = function
-  | [] -> true
-  | c :: rest ->
-      let r = rank c in
-      prev <= r && ranked r rest
-
 let rec dispatch st = function
   | [] -> ()
   | component :: rest ->
       (match component with
       | Leader { id; hb; commit; sender } -> on_leader st ~id ~hb ~commit ~sender
-      | Change { counter; origin } -> on_change st ~counter ~origin
-      | Search { root; hops; sender } -> on_search st ~root ~hops ~sender
+      | Change { counter; origin } ->
+          if Services.on_change st.sv ~counter ~origin then change_updateq st
+      | Search { root; hops; sender } ->
+          if Services.on_search st.sv ~root ~hops ~sender then local_change st
       | Forward { cmd } -> absorb_cmd st cmd
       | Snapshot { floor; s_applied; s_configs; s_members; s_joint; s_epoch }
         ->
@@ -1593,21 +1436,17 @@ let rec dispatch st = function
       | Response r -> on_response st r);
       dispatch st rest
 
-(* A stable sort of a ranked list is the identity: sort only a message
-   that arrives out of rank ([compose] puts a Snapshot or Decision after
-   the Proposal and Response it packs with). *)
-let in_rank_order (components : msg) =
-  if ranked 0 components then components
-  else List.sort (fun a b -> Int.compare (rank a) (rank b)) components
-
+(* [compose] puts a Snapshot or Decision after the Proposal and Response it
+   packs with, so those messages are sorted; a ranked one is used as it
+   is. *)
 let on_receive _ctx st (components : msg) =
-  dispatch st (in_rank_order components);
-  finish st
+  dispatch st (Services.in_rank_order ~rank components);
+  maybe_send st
 
 let on_ack _ctx st =
-  st.sending <- false;
+  st.sv.sending <- false;
   hardened_tick st;
-  finish st
+  maybe_send st
 
 let component_ids = function
   | Leader _ -> 1
@@ -1620,8 +1459,7 @@ let component_ids = function
   | Response r -> 4 + List.length r.priors + (match r.committed with None -> 0 | Some _ -> 1)
   | Decision _ -> 0
 
-let msg_ids components =
-  List.fold_left (fun acc c -> acc + component_ids c) 0 components
+let msg_ids components = Services.msg_ids ~ids:component_ids components
 
 let pp_round = function
   | Rprep -> "prep"
@@ -1660,9 +1498,9 @@ let pp_msg components = String.concat "+" (List.map pp_component components)
 
 module F = Amac.Fingerprint
 
-let fp_pno (p : pno) acc = acc |> F.int p.tag |> F.int p.proposer
+let fp_pno = Services.fp_pno
 
-let fp_prior (p : prior) acc = acc |> fp_pno p.pno |> F.int p.value
+let fp_prior = Services.fp_prior
 
 let fp_pair f g (a, b) acc = acc |> f a |> g b
 
@@ -1695,12 +1533,8 @@ let fp_resp_round r acc =
   match r with Rprep -> F.int (-1) acc | Racc inst -> F.int inst acc
 
 let fingerprint_state st acc =
-  acc |> F.int st.me |> F.int st.n |> F.int st.omega
-  |> F.option F.int st.leader_q
-  |> F.int st.lamport
-  |> fp_pair F.int F.int st.last_change
-  |> F.option (fp_pair F.int F.int) st.change_q
-  |> Consensus.Tree.fingerprint st.tree
+  acc |> F.int st.sv.me |> F.int st.sv.n |> Services.fp_services st.sv
+  |> Consensus.Tree.fingerprint st.sv.tree
   |> fp_tbl F.int
        (fun (r : inst) acc ->
          acc |> F.option fp_prior r.accepted |> F.option F.int r.chosen)
@@ -1740,17 +1574,16 @@ let fingerprint_state st acc =
   |> fp_tbl (fun (a, b, c) acc -> acc |> F.int a |> F.int b |> F.int c) fp_unit
        st.responded
   |> F.list
-       (fun (q : pending_response) acc ->
-         acc |> F.int q.q_target |> fp_pno q.q_pno |> fp_resp_round q.q_round
+       (fun (e : pending_response Services.entry) acc ->
+         let q = e.body in
+         acc |> F.int e.target |> fp_pno e.pno |> fp_resp_round q.q_round
          |> F.bool q.q_positive |> F.int q.q_cfg |> F.int q.q_count
          |> F.int q.q_count2
          |> F.list (fp_pair F.int fp_prior) q.q_priors
          |> F.option fp_pno q.q_committed)
-       st.response_q
+       st.sv.response_q
   |> F.list (fp_pair F.int F.int) (List.of_seq (Queue.to_seq st.decide_q))
-  |> F.bool st.sending |> Fd.fingerprint st.fd |> F.int st.idle_acks
-  |> F.int st.next_refresh |> F.int st.progress_silence |> F.int st.next_retry
-  |> F.int st.retries_left |> F.int st.patience_left |> F.int st.repair_node
+  |> Services.fp_transport st.sv |> F.int st.repair_node
   |> F.int st.repair_hole |> F.int st.repair_left |> F.int st.repair_wait
   |> F.int st.repair_next
 (* Lifecycle counters are observability, not protocol state: states that
@@ -1811,7 +1644,7 @@ let clone_state st =
   in
   {
     st with
-    tree = Consensus.Tree.clone st.tree;
+    sv = Services.clone (fun q -> { q with q_count = q.q_count }) st.sv;
     insts = clone_insts st.insts;
     applied_set = Hashtbl.copy st.applied_set;
     known_cmds = Hashtbl.copy st.known_cmds;
@@ -1821,24 +1654,8 @@ let clone_state st =
     proposing = clone_flights st.proposing;
     seen_props = Hashtbl.copy st.seen_props;
     responded = Hashtbl.copy st.responded;
-    response_q =
-      List.map
-        (fun (q : pending_response) ->
-          {
-            q_target = q.q_target;
-            q_pno = q.q_pno;
-            q_round = q.q_round;
-            q_positive = q.q_positive;
-            q_cfg = q.q_cfg;
-            q_count = q.q_count;
-            q_count2 = q.q_count2;
-            q_priors = q.q_priors;
-            q_committed = q.q_committed;
-          })
-        st.response_q;
     decide_q = Queue.copy st.decide_q;
     decide_set = Hashtbl.copy st.decide_set;
-    fd = Fd.clone st.fd;
   }
 
 let make ?(window = 4) ?on_apply ?on_suspect ?members ?compact_every ?patience

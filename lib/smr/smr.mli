@@ -9,9 +9,10 @@
       heartbeats), the change service (Lamport-stamped change flooding), the
       tree-building service (parent pointers for response aggregation) and
       the broadcast service (one component per queue per message) — are
-      carried over from [Consensus.Wpaxos], including its PR 2 hardening
-      (ack-clocked heartbeats with a patience budget, leader suspicion via
-      the shared {!Fd} ◇P detector, exponential-backoff retransmission).
+      [Consensus.Services], the kit [Consensus.Wpaxos] also runs on,
+      including its hardening (ack-clocked heartbeats with a patience
+      budget, leader suspicion via the {!Fd} ◇P detector,
+      exponential-backoff retransmission).
     - {e Leader lease}: one [Prepare] with a fresh proposal number covers
       {e every} instance at or above the leader's commit index; acceptors
       keep a single lease-wide promise and return their accepted priors per
@@ -88,7 +89,10 @@ val noop : int
 
 type state
 
-type msg
+type component
+
+(** One MAC-layer broadcast: at most one component per queue. *)
+type msg = component list
 
 (** A harness-side view of every replica's log, shared by the algorithm
     returned from {!make}. The registry always tracks each node's {e
@@ -223,6 +227,10 @@ val nodes : handle -> int list
     compaction floor are truncated away). *)
 val log : handle -> int -> (int * int) list
 
+(** [fold_chosen h node f init] folds [f instance value] over the same
+    instances as {!log}, in no particular order. *)
+val fold_chosen : handle -> int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
+
 (** [commit_index h node] — length of the node's contiguous chosen
     prefix. *)
 val commit_index : handle -> int -> int
@@ -278,12 +286,6 @@ type lifecycle = {
 val lifecycle : handle -> int -> lifecycle
 
 val pp_msg : msg -> string
-
-(** [in_rank_order m] is [m] with its components in the order the receive
-    handler applies them: heartbeats, change stamps, searches, forwards,
-    snapshots, decisions, proposals, responses — a stable sort by kind.
-    It is [m] itself when [m] is already in that order. *)
-val in_rank_order : msg -> msg
 
 (** {2 Fingerprint / clone}
 

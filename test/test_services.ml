@@ -1,0 +1,236 @@
+(* The service kit that wPAXOS, the replicated log and flood-paxos share
+   (Consensus.Services): Alg 3's stamp order, the response queue's
+   invariant and routed dequeue, the hardened tick's schedules, and the
+   receive handler's rank order on all three protocols. *)
+
+module S = Consensus.Services
+
+let pno tag proposer = { Consensus.Paxos_types.tag; proposer }
+
+let stamp = Alcotest.(pair int int)
+
+(* Stamps are ordered by counter, then by origin; every stamp joins the
+   Lamport clock, and only a larger one is recorded, queued and refills
+   the heartbeat budget. *)
+let test_stamp_order () =
+  let sv = S.create ~me:2 ~n:4 ~omega:2 ~patience:8 in
+  S.local_change sv;
+  Alcotest.check stamp "local stamp" (1, 2) sv.last_change;
+  Alcotest.(check (option stamp)) "queued" (Some (1, 2)) sv.change_q;
+  sv.change_q <- None;
+  let heard counter origin =
+    sv.patience_left <- 0;
+    let news = S.on_change sv ~counter ~origin in
+    Alcotest.(check bool)
+      (Printf.sprintf "(%d,%d) refills iff news" counter origin)
+      news
+      (sv.patience_left > 0);
+    news
+  in
+  Alcotest.(check bool) "tie, smaller origin" false (heard 1 1);
+  Alcotest.(check bool) "the same stamp" false (heard 1 2);
+  Alcotest.(check (option stamp)) "nothing queued" None sv.change_q;
+  Alcotest.(check bool) "tie broken by the larger origin" true (heard 1 3);
+  Alcotest.check stamp "recorded" (1, 3) sv.last_change;
+  Alcotest.(check (option stamp)) "queued" (Some (1, 3)) sv.change_q;
+  Alcotest.(check bool) "smaller counter, larger origin" false (heard 0 9);
+  Alcotest.(check bool) "larger counter, smaller origin" true (heard 5 0);
+  Alcotest.(check bool) "old news still joins the clock" false (heard 4 7);
+  Alcotest.(check int) "clock" 5 sv.lamport;
+  S.local_change sv;
+  Alcotest.check stamp "next local stamp" (6, 2) sv.last_change
+
+let contents sv =
+  List.map
+    (fun (e : int ref S.entry) -> (e.target, e.pno.tag, !(e.body)))
+    sv.S.response_q
+
+let queue = Alcotest.(list (triple int int int))
+
+let sum into v =
+  into := !into + !v;
+  true
+
+(* Enqueue merges into the first matching entry and keeps only the
+   current leader's largest proposal number, also across a leader
+   change. *)
+let test_queue_invariant () =
+  let sv = S.create ~me:0 ~n:5 ~omega:3 ~patience:8 in
+  let enqueue ?(merge = sum) target tag count =
+    S.enqueue sv ~merge ~target ~pno:(pno tag target) (ref count)
+  in
+  enqueue 3 1 1;
+  enqueue 3 1 2;
+  Alcotest.check queue "merged" [ (3, 1, 3) ] (contents sv);
+  enqueue ~merge:(fun _ _ -> false) 3 1 4;
+  Alcotest.check queue "merge refused" [ (3, 1, 3); (3, 1, 4) ] (contents sv);
+  enqueue 3 1 5;
+  Alcotest.check queue "first match absorbs"
+    [ (3, 1, 8); (3, 1, 4) ]
+    (contents sv);
+  enqueue 3 2 1;
+  Alcotest.check queue "a larger number prunes the smaller" [ (3, 2, 1) ]
+    (contents sv);
+  enqueue 3 1 6;
+  enqueue 4 9 1;
+  Alcotest.check queue "stale number and non-leader target pruned"
+    [ (3, 2, 1) ] (contents sv);
+  S.elect sv 4;
+  Alcotest.check queue "leader change drops the old leader's" []
+    (contents sv);
+  Alcotest.(check (option int)) "announced" (Some 4) sv.leader_q;
+  Alcotest.(check int) "watched" 4 (Fd.stats sv.fd).watched;
+  enqueue 4 2 1;
+  enqueue 4 3 1;
+  enqueue 4 3 1;
+  Alcotest.check queue "new leader's largest" [ (4, 3, 2) ] (contents sv)
+
+(* Dequeue takes the first entry whose target has a parent, sends it to
+   that parent, and keeps the skipped entries queued in order. *)
+let test_routed_dequeue () =
+  let sv = S.create ~me:0 ~n:8 ~omega:7 ~patience:8 in
+  let entry target count = { S.target; pno = pno 1 target; body = ref count } in
+  sv.response_q <- [ entry 5 1; entry 6 2; entry 7 3; entry 5 4 ];
+  let emit dest (e : int ref S.entry) = (dest, e.target, !(e.body)) in
+  Alcotest.(check bool) "nothing routable" true (S.dequeue sv ~emit = None);
+  ignore (Consensus.Tree.improve sv.tree ~root:7 ~hops:0 ~sender:2);
+  Alcotest.(check (option (triple int int int)))
+    "first routable, to its parent" (Some (2, 7, 3))
+    (S.dequeue sv ~emit);
+  Alcotest.check queue "skipped entries stay, in order"
+    [ (5, 1, 1); (6, 1, 2); (5, 1, 4) ]
+    (contents sv);
+  Alcotest.(check (option (triple int int int)))
+    "no route left" None (S.dequeue sv ~emit)
+
+let fire_at step calls =
+  List.filter_map
+    (fun i -> if step () then Some i else None)
+    (List.init calls (fun i -> i + 1))
+
+(* The tree refresh backs off 4, 8, ..., 64 acks; the leader's retries
+   back off from 2n+8 up to 16x that, eight per leadership epoch. *)
+let test_tick_schedules () =
+  let sv = S.create ~me:0 ~n:4 ~omega:0 ~patience:8 in
+  Alcotest.(check (list int))
+    "refresh backoff" [ 4; 12; 28; 60; 124; 188; 252 ]
+    (fire_at (fun () -> S.refresh sv) 300);
+  Alcotest.(check (option int)) "heartbeat queued" (Some 0) sv.leader_q;
+  let retries = [ 16; 48; 112; 240; 496; 752; 1008; 1264 ] in
+  Alcotest.(check (list int)) "eight retries" retries
+    (fire_at (fun () -> S.retry_due sv) 3000);
+  S.open_epoch sv;
+  Alcotest.(check (list int)) "a new epoch restores the budget" retries
+    (fire_at (fun () -> S.retry_due sv) 3000);
+  S.open_epoch sv;
+  ignore (fire_at (fun () -> S.retry_due sv) 10);
+  S.progress sv;
+  Alcotest.(check (list int)) "progress restarts the timer" [ 16 ]
+    (fire_at (fun () -> S.retry_due sv) 20);
+  let follower = S.create ~me:1 ~n:4 ~omega:3 ~patience:8 in
+  Alcotest.(check (list int)) "followers never retry" []
+    (fire_at (fun () -> S.retry_due follower) 3000)
+
+(* The receive handler applies components in rank order, sorting only a
+   message that arrives out of rank. On every delivery of a multi-component
+   message, the handler also runs on two clones of the receiving state:
+   once on the message reversed and once as delivered. Each kind of
+   component appears at most once per message, so both sort to the same
+   order, and both must return the same actions and leave the same
+   state. *)
+let out_of_rank ~clone ~fp ~pp (alg : ('s, 'c list) Amac.Algorithm.t) run =
+  let checked = ref 0 and mismatches = ref [] in
+  let render actions =
+    List.map
+      (function
+        | Amac.Algorithm.Broadcast m -> pp m
+        | Amac.Algorithm.Decide v -> Printf.sprintf "decide %d" v)
+      actions
+  in
+  let on_receive ctx st m =
+    (match m with
+    | _ :: _ :: _ ->
+        incr checked;
+        let a = clone st and b = clone st in
+        let got = render (alg.on_receive ctx a (List.rev m)) in
+        let expected = render (alg.on_receive ctx b m) in
+        if got <> expected || fp a <> fp b then
+          mismatches := pp m :: !mismatches
+    | [] | [ _ ] -> ());
+    alg.on_receive ctx st m
+  in
+  run { alg with on_receive };
+  (!checked, !mismatches)
+
+let with_hooks (alg : ('s, 'm) Amac.Algorithm.t) =
+  let hooks = Option.get alg.hooks in
+  let fp st =
+    Amac.Fingerprint.to_int (hooks.fingerprint st Amac.Fingerprint.empty)
+  in
+  (hooks.clone, fp)
+
+let check_out_of_rank name (checked, mismatches) =
+  Alcotest.(check bool)
+    (name ^ ": multi-component messages were delivered")
+    true (checked > 100);
+  Alcotest.(check (list string)) (name ^ ": same actions and state") []
+    mismatches
+
+let test_out_of_rank () =
+  let wpaxos = Consensus.Wpaxos.make () in
+  let clone, fp = with_hooks wpaxos in
+  check_out_of_rank "wpaxos"
+    (out_of_rank ~clone ~fp ~pp:Consensus.Wpaxos.pp_msg wpaxos (fun alg ->
+         let outcome =
+           Amac.Engine.run alg
+             ~topology:(Amac.Topology.grid ~width:6 ~height:6)
+             ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 9) ~fack:4)
+             ~inputs:(Consensus.Runner.inputs_alternating ~n:36)
+             ~crashes:[ (14, 30); (20, 45) ]
+         in
+         Alcotest.(check bool) "wpaxos decided" true
+           (Amac.Engine.all_decided outcome)));
+  let flood = Consensus.Flood_paxos.make () in
+  let clone, fp = with_hooks flood in
+  check_out_of_rank "flood-paxos"
+    (out_of_rank ~clone ~fp ~pp:Consensus.Flood_paxos.pp_msg flood
+       (fun alg ->
+         let topology = Amac.Topology.star_of_lines ~arms:8 ~arm_len:4 in
+         let n = Amac.Topology.size topology in
+         let outcome =
+           Amac.Engine.run alg ~topology
+             ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 9) ~fack:4)
+             ~inputs:(Consensus.Runner.inputs_alternating ~n)
+         in
+         Alcotest.(check bool) "flood-paxos decided" true
+           (Amac.Engine.all_decided outcome)));
+  let smr, h = Smr.make () in
+  let fp st = Amac.Fingerprint.(to_int (Smr.fingerprint_state st empty)) in
+  check_out_of_rank "smr"
+    (out_of_rank ~clone:Smr.clone_state ~fp ~pp:Smr.pp_msg smr (fun alg ->
+         let n = 5 in
+         let injections = List.init 60 (fun i -> (i mod n, 1 + (3 * i), i + 1)) in
+         let outcome =
+           Amac.Engine.run alg ~topology:(Amac.Topology.clique n)
+             ~scheduler:(Amac.Scheduler.bursty ~fack:3 ~fast_len:40 ~slow_len:12)
+             ~inputs:(Array.make n 0) ~crashes:[ (0, 40) ] ~injections
+             ~on_inject:(Smr.injector h) ~max_time:100_000
+             ~stop_when_all_decided:false
+         in
+         Alcotest.(check bool) "smr quiesced" false outcome.hit_max_time;
+         Alcotest.(check bool) "smr applied commands" true
+           (List.length (Smr.applied h 1) > 40)))
+
+let () =
+  Alcotest.run "services"
+    [
+      ( "kit",
+        [
+          Alcotest.test_case "stamp order" `Quick test_stamp_order;
+          Alcotest.test_case "queue invariant" `Quick test_queue_invariant;
+          Alcotest.test_case "routed dequeue" `Quick test_routed_dequeue;
+          Alcotest.test_case "tick schedules" `Quick test_tick_schedules;
+          Alcotest.test_case "out-of-rank message, same outcome (all three)"
+            `Quick test_out_of_rank;
+        ] );
+    ]

@@ -220,7 +220,7 @@ let test_repair_regression () =
    entries and the command pool to 59. [on_step] sees the state after
    every [on_receive] and [on_ack]. *)
 
-let backlog_run ?(before_receive = fun ~on_receive:_ _ _ _ -> ()) ~on_step () =
+let backlog_run ~on_step () =
   let n = 5 and cmds = 200 in
   let compiled =
     Fault.compile ~n
@@ -237,7 +237,6 @@ let backlog_run ?(before_receive = fun ~on_receive:_ _ _ _ -> ()) ~on_step () =
       alg with
       Amac.Algorithm.on_receive =
         (fun ctx st m ->
-          before_receive ~on_receive:alg.on_receive ctx st m;
           let actions = alg.on_receive ctx st m in
           on_step st;
           actions);
@@ -268,7 +267,8 @@ let backlog_run ?(before_receive = fun ~on_receive:_ _ _ _ -> ()) ~on_step () =
   Alcotest.(check bool) "run quiesced" false outcome.hit_max_time;
   Alcotest.(check (list string))
     "no safety violations" []
-    (List.map Smr_checker.to_string (Smr_checker.check h))
+    (List.map Smr_checker.to_string (Smr_checker.check h));
+  h
 
 let fingerprint st = Amac.Fingerprint.(to_int (Smr.fingerprint_state st empty))
 
@@ -277,47 +277,52 @@ let fingerprint st = Amac.Fingerprint.(to_int (Smr.fingerprint_state st empty))
    expected value was computed with the list-backed queues. *)
 let test_backlog_digest () =
   let digest = ref Amac.Fingerprint.empty in
-  backlog_run () ~on_step:(fun st -> digest := Smr.fingerprint_state st !digest);
+  ignore
+    (backlog_run () ~on_step:(fun st ->
+         digest := Smr.fingerprint_state st !digest));
   Alcotest.(check int) "run digest" 3117299265673714721
     (Amac.Fingerprint.to_int !digest)
 
-(* The receive handler's slow path. [compose] puts a Decision or Snapshot
-   after the Proposal and Response it packs with, so the backlog run
-   delivers many messages out of rank. Each one is handled twice more, on
-   two clones of the receiving state: as delivered, and in rank order
-   (which takes the fast path). Both must return the same broadcasts and
-   leave the same state. *)
-let test_out_of_rank_receive () =
-  let checked = ref 0 and mismatches = ref [] in
-  let render actions =
-    List.map
-      (function
-        | Amac.Algorithm.Broadcast m -> Smr.pp_msg m
-        | Amac.Algorithm.Decide v -> Printf.sprintf "decide %d" v)
-      actions
+(* [Smr.log] walks the retained instance range downward instead of
+   folding the instance table and sorting. The fold-and-sort stays here as
+   its oracle, on the backlog run, on a lifecycle scenario that compacts
+   and transfers snapshots, and on every group of a sharded run. *)
+let log_oracle h node =
+  Smr.fold_chosen h node (fun i v acc -> (i, v) :: acc) []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+let check_logs what h =
+  List.iter
+    (fun node ->
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "%s, node %d" what node)
+        (log_oracle h node) (Smr.log h node))
+    (Smr.nodes h)
+
+let test_log_matches_oracle () =
+  check_logs "backlog" (backlog_run ~on_step:ignore ());
+  let lifecycle = Lifecycle.run Lifecycle.Snapshot_restart in
+  let h = lifecycle.result.Workload.handle in
+  Alcotest.(check bool) "the scenario compacted" true
+    (List.exists (fun node -> Smr.snapshot h node <> None) (Smr.nodes h));
+  check_logs "snapshot-restart" h;
+  let sharded =
+    Shard_workload.run
+      ~topology:(Amac.Topology.clique 8)
+      ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 3) ~fack:3)
+      ~seed:42 ~cmds:400 ~groups:4 ~batch:8 ()
   in
-  let before_receive ~on_receive ctx st m =
-    let ranked = Smr.in_rank_order m in
-    if ranked != m then begin
-      incr checked;
-      let a = Smr.clone_state st and b = Smr.clone_state st in
-      let got = render (on_receive ctx a m) in
-      let expected = render (on_receive ctx b ranked) in
-      if got <> expected || fingerprint a <> fingerprint b then
-        mismatches := Smr.pp_msg m :: !mismatches
-    end
-  in
-  backlog_run ~before_receive ~on_step:(fun _ -> ()) ();
-  Alcotest.(check bool) "out-of-rank messages were delivered" true
-    (!checked > 100);
-  Alcotest.(check (list string)) "same actions and state" [] !mismatches
+  let h = sharded.Shard_workload.handle in
+  for g = 0 to Shard.groups h - 1 do
+    check_logs (Printf.sprintf "shard group %d" g) (Shard.inner h g)
+  done
 
 (* A clone taken mid-backlog (both queues non-empty at step 3000)
    fingerprints like its original and then stays put while the original
    runs on. *)
 let test_clone_independent () =
   let step = ref 0 and captured = ref None in
-  backlog_run () ~on_step:(fun st ->
+  ignore @@ backlog_run () ~on_step:(fun st ->
       incr step;
       match !captured with
       | None when !step = 3_000 ->
@@ -715,8 +720,8 @@ let () =
             test_backlog_digest;
           Alcotest.test_case "clone is independent of the original" `Quick
             test_clone_independent;
-          Alcotest.test_case "out-of-rank message, same outcome" `Quick
-            test_out_of_rank_receive;
+          Alcotest.test_case "log agrees with the fold-and-sort oracle" `Quick
+            test_log_matches_oracle;
         ] );
       ( "checker-negative",
         [

@@ -389,52 +389,6 @@ let prop_wire_text_matches_printf =
        QCheck.Gen.(list_size (int_bound 6) gen_component))
     (fun msg -> Consensus.Wpaxos.pp_msg msg = Wire_oracle.pp_msg msg)
 
-(* The receive handler's slow path. [compose] always packs components in
-   rank order, so only a forged message arrives out of rank. On every
-   delivery of a 6x6 grid run under crashes, the handler also runs on two
-   clones of the receiving state: once on the message reversed (out of
-   rank when it has two kinds of component) and once as delivered. Both
-   must return the same actions and leave the same state. *)
-let test_out_of_rank_receive () =
-  let alg = Consensus.Wpaxos.make () in
-  let hooks = Option.get alg.Amac.Algorithm.hooks in
-  let fp st =
-    Amac.Fingerprint.to_int (hooks.fingerprint st Amac.Fingerprint.empty)
-  in
-  let render actions =
-    List.map
-      (function
-        | Amac.Algorithm.Broadcast m -> Consensus.Wpaxos.pp_msg m
-        | Amac.Algorithm.Decide v -> Printf.sprintf "decide %d" v)
-      actions
-  in
-  let checked = ref 0 and mismatches = ref [] in
-  let on_receive ctx st m =
-    (match m with
-    | _ :: _ :: _ ->
-        incr checked;
-        let a = hooks.clone st and b = hooks.clone st in
-        let got = render (alg.on_receive ctx a (List.rev m)) in
-        let expected = render (alg.on_receive ctx b m) in
-        if got <> expected || fp a <> fp b then
-          mismatches := Consensus.Wpaxos.pp_msg m :: !mismatches
-    | [] | [ _ ] -> ());
-    alg.on_receive ctx st m
-  in
-  let topology = Amac.Topology.grid ~width:6 ~height:6 in
-  let outcome =
-    Amac.Engine.run
-      { alg with on_receive }
-      ~topology
-      ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 9) ~fack:4)
-      ~inputs:(Consensus.Runner.inputs_alternating ~n:36)
-      ~crashes:[ (14, 30); (20, 45) ]
-  in
-  Alcotest.(check bool) "decided" true (Amac.Engine.all_decided outcome);
-  Alcotest.(check bool) "multi-component messages were delivered" true
-    (!checked > 100);
-  Alcotest.(check (list string)) "same actions and state" [] !mismatches
-
 (* Every node's state after every handler call, folded in order into one
    digest per variant: pins the services' queues and counters at each step
    of the crash run above, not only the outcome. The expected values were
@@ -508,8 +462,6 @@ let () =
             test_adversarial_schedulers;
           Alcotest.test_case "id assignments" `Quick
             test_shuffled_and_offset_ids;
-          Alcotest.test_case "out-of-rank message, same outcome" `Quick
-            test_out_of_rank_receive;
           Alcotest.test_case "crash run digests are pinned" `Quick
             test_run_digests;
         ] );
