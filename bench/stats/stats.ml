@@ -1,4 +1,3 @@
-module Histogram = Obs.Histogram
 
 let require_nonempty name = function
   | [] -> invalid_arg (name ^ ": empty list")

@@ -5,11 +5,6 @@
     {!stddev} clamps a rounding-negative variance to zero — degenerate
     inputs never propagate NaN into a table or a [BENCH.json]. *)
 
-(** Fixed-bucket histograms with quantile estimation (see
-    {!Obs.Histogram}); re-exported here so bench code can aggregate
-    per-event latencies without holding every sample. *)
-module Histogram = Obs.Histogram
-
 (** [mean xs] — arithmetic mean. @raise Invalid_argument on []. *)
 val mean : float list -> float
 

@@ -22,9 +22,3 @@ type ('s, 'm) t = {
   msg_ids : 'm -> int;
   hooks : ('s, 'm) hooks option;
 }
-
-let decides actions =
-  List.filter_map (function Decide v -> Some v | Broadcast _ -> None) actions
-
-let broadcasts actions =
-  List.filter_map (function Broadcast m -> Some m | Decide _ -> None) actions

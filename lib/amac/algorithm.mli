@@ -64,9 +64,3 @@ type ('s, 'm) t = {
   hooks : ('s, 'm) hooks option;
       (** [None] = use the Marshal fallback (always correct, slow). *)
 }
-
-(** [decides actions] extracts the decided values, in order. *)
-val decides : 'm action list -> int list
-
-(** [broadcasts actions] extracts the broadcast payloads, in order. *)
-val broadcasts : 'm action list -> 'm list

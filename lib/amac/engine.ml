@@ -23,14 +23,6 @@ type outcome = {
   trace : Trace.entry list;
 }
 
-let all_decided outcome =
-  let ok = ref true in
-  Array.iteri
-    (fun i decision ->
-      if (not outcome.crashed.(i)) && decision = None then ok := false)
-    outcome.decisions;
-  !ok
-
 let decision_times outcome =
   let acc = ref [] in
   Array.iteri

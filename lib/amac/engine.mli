@@ -113,9 +113,6 @@ type outcome = {
   trace : Trace.entry list;  (** empty unless [record_trace] *)
 }
 
-(** [all_decided outcome] is true iff every non-crashed node decided. *)
-val all_decided : outcome -> bool
-
 (** [decision_times outcome] is each non-crashed node's decision time (nodes
     that never decided are omitted). *)
 val decision_times : outcome -> int list

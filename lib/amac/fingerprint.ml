@@ -20,24 +20,6 @@ let[@inline] int x acc =
 
 let[@inline] bool b acc = int (if b then 1 else 0) acc
 
-let[@inline] char c acc = int (Char.code c) acc
-
-let string s acc =
-  let len = String.length s in
-  let acc = ref (int len acc) in
-  (* 8 bytes per round keeps the loop short; the tail is padded by length
-     (already mixed), so "a" and "a\000" cannot alias. *)
-  let i = ref 0 in
-  while !i + 8 <= len do
-    acc := int (Int64.to_int (String.get_int64_le s !i)) !acc;
-    i := !i + 8
-  done;
-  while !i < len do
-    acc := int (Char.code (String.unsafe_get s !i)) !acc;
-    incr i
-  done;
-  !acc
-
 let option f v acc =
   match v with None -> int 0x6f70 acc | Some x -> f x (int 0x736f acc)
 

@@ -32,11 +32,6 @@ val int : int -> t -> t
 
 val bool : bool -> t -> t
 
-val char : char -> t -> t
-
-(** Mixes length then bytes, 8 bytes per round. *)
-val string : string -> t -> t
-
 (** [None] and [Some v] are distinguished by a tag. *)
 val option : ('a -> t -> t) -> 'a option -> t -> t
 

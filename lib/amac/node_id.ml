@@ -1,20 +1,5 @@
 type t = Id of int | Anonymous
 
-let compare a b =
-  match (a, b) with
-  | Anonymous, Anonymous -> 0
-  | Anonymous, Id _ -> -1
-  | Id _, Anonymous -> 1
-  | Id x, Id y -> Int.compare x y
-
-let equal a b = compare a b = 0
-
-let pp fmt = function
-  | Id i -> Format.fprintf fmt "#%d" i
-  | Anonymous -> Format.pp_print_string fmt "anon"
-
-let to_string t = Format.asprintf "%a" pp t
-
 let unique_exn = function
   | Id i -> i
   | Anonymous ->

@@ -15,18 +15,6 @@ type t =
   | Id of int  (** a unique identifier *)
   | Anonymous  (** no identifier available to the algorithm *)
 
-(** [compare] orders ids numerically; [Anonymous] is less than every [Id].
-    The paper's algorithms only ever compare unique ids, but a total order
-    keeps container use simple. *)
-val compare : t -> t -> int
-
-val equal : t -> t -> bool
-
-(** [pp] prints [Id 7] as ["#7"] and [Anonymous] as ["anon"]. *)
-val pp : Format.formatter -> t -> unit
-
-val to_string : t -> string
-
 (** [unique_exn t] is the integer id. @raise Invalid_argument on [Anonymous]
     — an anonymous algorithm has attempted to read an id, which is exactly
     the bug class Sec 3.2 is about. *)

@@ -27,8 +27,6 @@ let interference ?name ?cap ~alpha t =
   let stretch ~contention = min cap (alpha * max 0 contention) in
   { t with name; contention_stretch = Some stretch }
 
-let with_unreliable t ~plan = { t with unreliable_plan = Some plan }
-
 let bernoulli_unreliable rng ~p t =
   if p < 0.0 || p > 1.0 then
     invalid_arg "Scheduler.bernoulli_unreliable: p must be in [0, 1]";
@@ -143,19 +141,6 @@ let jittered rng ~fack ~spread =
         min fack (max 1 d)
       in
       let receives = List.map (fun v -> (v, now + draw ())) neighbors in
-      let latest =
-        List.fold_left (fun acc (_, t) -> max acc t) (now + 1) receives
-      in
-      { receives; ack_at = latest })
-
-let per_edge ~name ~fack ~delay =
-  make ~name ~fack (fun ~now ~sender ~neighbors ->
-      let clamp d = min fack (max 1 d) in
-      let receives =
-        List.map
-          (fun receiver -> (receiver, now + clamp (delay ~sender ~receiver)))
-          neighbors
-      in
       let latest =
         List.fold_left (fun acc (_, t) -> max acc t) (now + 1) receives
       in

@@ -69,14 +69,6 @@ val make :
     follow it). @raise Invalid_argument if [alpha < 0] or [cap < 0]. *)
 val interference : ?name:string -> ?cap:int -> alpha:int -> t -> t
 
-(** [with_unreliable t ~plan] attaches an unreliable-edge delivery policy. *)
-val with_unreliable :
-  t ->
-  plan:
-    (now:int -> sender:int -> candidates:int list -> ack_at:int ->
-     (int * int) list) ->
-  t
-
 (** {1 Recording and replay}
 
     The model checker's shrinker needs schedules as {e data}: [record] wraps
@@ -133,12 +125,6 @@ val random : Rng.t -> fack:int -> t
 (** [jittered rng ~fack ~spread] delivers around [fack/2] with +-[spread]
     jitter, modeling a moderately loaded CSMA channel. *)
 val jittered : Rng.t -> fack:int -> spread:int -> t
-
-(** [per_edge ~name ~fack ~delay] uses the static per-directed-edge delay
-    [delay ~sender ~receiver] (clamped to [\[1, fack\]]); the ack lands with
-    the slowest delivery. Useful for heterogeneous-link experiments. *)
-val per_edge :
-  name:string -> fack:int -> delay:(sender:int -> receiver:int -> int) -> t
 
 (** [delayed_cut ~base_fack ~until ~cut] behaves like [fixed ~delay:1] except
     that deliveries on directed edges for which [cut ~sender ~receiver] holds

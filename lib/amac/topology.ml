@@ -96,18 +96,6 @@ let binary_tree n =
   done;
   of_edges ~n !edge_list
 
-let barbell ~clique_size =
-  if clique_size < 1 then invalid_arg "Topology.barbell: need clique_size >= 1";
-  let k = clique_size in
-  let edge_list = ref [ (k - 1, k) ] in
-  for u = 0 to k - 1 do
-    for v = u + 1 to k - 1 do
-      edge_list := (u, v) :: !edge_list;
-      edge_list := (u + k, v + k) :: !edge_list
-    done
-  done;
-  of_edges ~n:(2 * k) !edge_list
-
 let star_of_lines ~arms ~arm_len =
   if arms < 1 || arm_len < 1 then
     invalid_arg "Topology.star_of_lines: need arms, arm_len >= 1";
@@ -121,21 +109,6 @@ let star_of_lines ~arms ~arm_len =
     done
   done;
   of_edges ~n:(1 + (arms * arm_len)) !edge_list
-
-let lollipop ~clique_size ~tail_len =
-  if clique_size < 1 || tail_len < 0 then
-    invalid_arg "Topology.lollipop: bad dimensions";
-  let edge_list = ref [] in
-  for u = 0 to clique_size - 1 do
-    for v = u + 1 to clique_size - 1 do
-      edge_list := (u, v) :: !edge_list
-    done
-  done;
-  for i = 0 to tail_len - 1 do
-    let prev = if i = 0 then 0 else clique_size + i - 1 in
-    edge_list := (prev, clique_size + i) :: !edge_list
-  done;
-  of_edges ~n:(clique_size + tail_len) !edge_list
 
 let random_connected rng ~n ~extra_edges =
   if n < 1 then invalid_arg "Topology.random_connected: need n >= 1";
@@ -169,10 +142,6 @@ let random_connected rng ~n ~extra_edges =
 
 type delta = Add_edge of int * int | Remove_edge of int * int
 
-let pp_delta fmt = function
-  | Add_edge (u, v) -> Format.fprintf fmt "+(%d,%d)" u v
-  | Remove_edge (u, v) -> Format.fprintf fmt "-(%d,%d)" u v
-
 let copy t = { adj = Array.copy t.adj }
 
 (* Neighbor lists are sorted increasing; insertion keeps them that way so
@@ -202,21 +171,12 @@ let apply_delta t = function
   | Add_edge (u, v) -> add_edge t u v
   | Remove_edge (u, v) -> remove_edge t u v
 
-let apply_deltas t deltas = List.iter (apply_delta t) deltas
-
 let edges t =
   let acc = ref [] in
   Array.iteri
     (fun u ns -> List.iter (fun v -> if u < v then acc := (u, v) :: !acc) ns)
     t.adj;
   List.rev !acc
-
-let disjoint_union a b =
-  let shift = size a in
-  let shifted = List.map (fun (u, v) -> (u + shift, v + shift)) (edges b) in
-  of_edges ~n:(size a + size b) (edges a @ shifted)
-
-let add_edges t extra = of_edges ~n:(size t) (edges t @ extra)
 
 let neighbors t u = t.adj.(u)
 
@@ -263,11 +223,6 @@ let diameter t =
     best := max !best (eccentricity t u)
   done;
   !best
-
-let is_clique t =
-  let n = size t in
-  let rec check u = u >= n || (degree t u = n - 1 && check (u + 1)) in
-  check 0
 
 let pp fmt t =
   if is_connected t then

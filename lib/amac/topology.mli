@@ -4,9 +4,9 @@
     [\[0, n)]. The abstract MAC layer model (Sec 2 of the paper) fixes a
     graph [G = (V, E)] whose edges are the reliable-communication pairs; this
     module provides the standard families used throughout the experiments
-    plus the structural queries ([diameter], [bfs_dist], ...) the analyses
-    need. The paper-specific gadget networks (Fig 1's networks A and B,
-    Fig 2's K_D) are assembled from these primitives in
+    plus the structural queries ([diameter], [is_connected], ...) the
+    analyses need. The paper-specific gadget networks (Fig 1's networks A
+    and B, Fig 2's K_D) are assembled from these primitives in
     [Lowerbound.Gadgets]. *)
 
 type t
@@ -44,10 +44,6 @@ val torus : width:int -> height:int -> t
     (children of [i] at [2i+1], [2i+2]). *)
 val binary_tree : int -> t
 
-(** [barbell ~clique_size] is two cliques joined by a single edge — high [n],
-    diameter 3; exercises bridge congestion. *)
-val barbell : clique_size:int -> t
-
 (** [star_of_lines ~arms ~arm_len] is [arms] disjoint paths of [arm_len]
     nodes, each attached to one central hub. Diameter [2 * arm_len]; size
     [arms * arm_len + 1]. Fixing [arm_len] while growing [arms] grows [n]
@@ -55,23 +51,10 @@ val barbell : clique_size:int -> t
     O(n·F_ack). *)
 val star_of_lines : arms:int -> arm_len:int -> t
 
-(** [lollipop ~clique_size ~tail_len] is a clique with a path of [tail_len]
-    extra nodes hanging off node 0. *)
-val lollipop : clique_size:int -> tail_len:int -> t
-
 (** [random_connected rng ~n ~extra_edges] is a uniformly random spanning
     tree plus [extra_edges] distinct random chords: always connected,
     randomly shaped. Deterministic in [rng]. *)
 val random_connected : Rng.t -> n:int -> extra_edges:int -> t
-
-(** [disjoint_union a b] places [a] and [b] side by side ([b]'s indices
-    shifted by [size a]). The result is disconnected; callers are expected to
-    [add_edges] afterwards. Used to assemble the Fig 1 / Fig 2 gadgets. *)
-val disjoint_union : t -> t -> t
-
-(** [add_edges t edges] is [t] plus the given edges.
-    @raise Invalid_argument on invalid or duplicate edges. *)
-val add_edges : t -> (int * int) list -> t
 
 (** {1 In-place deltas}
 
@@ -85,8 +68,6 @@ val add_edges : t -> (int * int) list -> t
 type delta =
   | Add_edge of int * int  (** endpoints unordered; edge must be absent *)
   | Remove_edge of int * int  (** edge must be present *)
-
-val pp_delta : Format.formatter -> delta -> unit
 
 (** [copy t] is an independent topology; deltas applied to either side are
     invisible to the other. *)
@@ -102,10 +83,6 @@ val remove_edge : t -> int -> int -> unit
 
 (** [apply_delta t d] is [add_edge] or [remove_edge] per the delta. *)
 val apply_delta : t -> delta -> unit
-
-(** [apply_deltas t ds] applies in list order; equivalent to rebuilding via
-    [of_edges] from the resulting edge set. *)
-val apply_deltas : t -> delta list -> unit
 
 (** {1 Queries} *)
 
@@ -124,27 +101,13 @@ val has_edge : t -> int -> int -> bool
 (** [edges t] is each undirected edge once, as [(u, v)] with [u < v]. *)
 val edges : t -> (int * int) list
 
-(** [num_edges t] is [List.length (edges t)]. *)
-val num_edges : t -> int
-
-(** [bfs_dist t u] is the array of hop distances from [u]
-    ([max_int] for unreachable nodes). *)
-val bfs_dist : t -> int -> int array
-
 (** [is_connected t] is true iff every node is reachable from node 0
     (vacuously true for [n <= 1]). *)
 val is_connected : t -> bool
 
-(** [eccentricity t u] is the maximum distance from [u] to any node.
-    @raise Invalid_argument if [t] is disconnected. *)
-val eccentricity : t -> int -> int
-
 (** [diameter t] is the paper's [D]: the maximum eccentricity.
     @raise Invalid_argument if [t] is disconnected. *)
 val diameter : t -> int
-
-(** [is_clique t] is true iff every pair of distinct nodes is adjacent. *)
-val is_clique : t -> bool
 
 (** [pp] prints a short summary ("n=12 m=17 D=4"). *)
 val pp : Format.formatter -> t -> unit

@@ -121,18 +121,6 @@ let pp_entry fmt = function
 let pp fmt entries =
   List.iter (fun e -> Format.fprintf fmt "%a@." pp_entry e) entries
 
-let decisions entries =
-  List.filter_map
-    (function
-      | Decided { time; node; value } -> Some (node, value, time)
-      | Broadcast_start _ | Delivered _ | Acked _ | Discarded _ | Crashed _
-      | Recovered _ | Link_dropped _ | Stuttered _ | Suppressed _
-      | Substituted _ ->
-          None)
-    entries
-
-let for_node entries node = List.filter (fun e -> node_of e = node) entries
-
 (* Cell precedence for the timeline: higher wins when events collide. *)
 let cell_rank = function
   | 'D' | 'X' | 'R' -> 5

@@ -59,19 +59,8 @@ val observer :
 
 val time_of : entry -> int
 
-val node_of : entry -> int
-
-val pp_entry : Format.formatter -> entry -> unit
-
 (** [pp fmt entries] prints one entry per line, in order. *)
 val pp : Format.formatter -> entry list -> unit
-
-(** [decisions entries] is the [(node, value, time)] list of decide events,
-    in trace order. *)
-val decisions : entry list -> (int * int * int) list
-
-(** [for_node entries node] filters the trace to one node's events. *)
-val for_node : entry list -> int -> entry list
 
 (** [timeline ~n entries] renders an ASCII time/node grid: one row per tick
     with an event, one column per node. Cell codes: [B] broadcast start,

@@ -24,39 +24,6 @@ let two_phase : Consensus.Two_phase.msg Model.adapter =
              }));
   }
 
-(* Ben-Or: crash-tolerant only, so forged Decided claims and flipped votes
-   are expected to hurt — the matrix documents it rather than asserting
-   safety. *)
-let ben_or : Consensus.Ben_or.msg Model.adapter =
-  {
-    mutate =
-      (fun rng ~self:_ { Consensus.Ben_or.sender; vote } ->
-        let vote =
-          match vote with
-          | Consensus.Ben_or.Report { round; value } ->
-              Consensus.Ben_or.Report { round; value = 1 - value }
-          | Consensus.Ben_or.Proposal { round; value } ->
-              Consensus.Ben_or.Proposal
-                {
-                  round;
-                  value =
-                    (match value with
-                    | None -> Some (pick01 rng)
-                    | Some _ when Amac.Rng.bool rng -> None
-                    | Some v -> Some (1 - v));
-                }
-          | Consensus.Ben_or.Decided v -> Consensus.Ben_or.Decided (1 - v)
-        in
-        { Consensus.Ben_or.sender; vote });
-    forge =
-      (fun rng ~self _seen ->
-        Some
-          {
-            Consensus.Ben_or.sender = self;
-            vote = Consensus.Ben_or.Decided (pick01 rng);
-          });
-  }
-
 (* Counter-race: the margin argument assumes honest counters, so inflating
    c (or flipping v while keeping a plausible counter) races the decision
    threshold dishonestly. Expected to break it — documented, not

@@ -27,8 +27,6 @@ type case = {
   plan : Amac.Scheduler.decision list;
 }
 
-val pp_case : Format.formatter -> case -> unit
-
 type config = {
   min_n : int;  (** nodes drawn from [\[min_n, max_n\]] *)
   max_n : int;

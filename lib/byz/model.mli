@@ -153,8 +153,4 @@ val default_profile : profile
     only on Byzantine senders with non-empty victim sets. *)
 val gen_strategy : Amac.Rng.t -> n:int -> fack:int -> profile -> strategy
 
-val pp_behavior : Format.formatter -> behavior -> unit
-
-val pp_tamper : Format.formatter -> tamper -> unit
-
 val pp_strategy : Format.formatter -> strategy -> unit

@@ -25,12 +25,6 @@ type state = {
   mutable announced : bool;
 }
 
-let pp_body = function
-  | Est { round; value } -> Printf.sprintf "est(r%d,v=%d)" round value
-  | Aux { round; value } -> Printf.sprintf "aux(r%d,v=%d)" round value
-
-let pp_msg m = Printf.sprintf "%d:%s" m.sender (pp_body m.body)
-
 (* Deterministic common coin: every node computes the same bit from (seed,
    round) alone. Against our oblivious schedulers (fixed before the run)
    this behaves like a perfect shared coin; a coin-aware adaptive adversary

@@ -51,5 +51,3 @@ type state
 
 (** [make ~seed ()] — [seed] keys the shared deterministic coin. *)
 val make : seed:int -> unit -> (state, msg) Amac.Algorithm.t
-
-val pp_msg : msg -> string

@@ -192,15 +192,3 @@ let degrade ?honest ~inputs (outcome : Amac.Engine.outcome) =
     stuttered = outcome.stuttered;
     max_incarnation = Array.fold_left max 0 outcome.incarnations;
   }
-
-let pp_degradation fmt d =
-  Format.fprintf fmt
-    "@[<v>safety: %s@,decided: %d/%d correct nodes (%.2f)@,\
-     decide times: [%s]@,broadcasts: %d  link-dropped: %d  stuttered: %d  \
-     max incarnation: %d@]"
-    (if d.safe then "ok"
-     else
-       String.concat "; " (List.map describe d.safety_violations))
-    d.decided_correct d.correct_total d.decided_fraction
-    (String.concat ";" (List.map string_of_int d.decide_times))
-    d.broadcasts d.link_dropped d.stuttered d.max_incarnation

@@ -50,13 +50,10 @@ val ok : report -> bool
     not required); the right notion when a run was cut off by [max_time]. *)
 val safe : report -> bool
 
-(** [is_safety violation] — true for agreement / validity / irrevocability
-    violations, false for termination (which a [max_time] cutoff or a crash
-    against a deterministic algorithm produces legitimately, Thm 3.2). *)
-val is_safety : violation -> bool
-
-(** [safety_violations report] = the [violations] for which {!is_safety}
-    holds — the fuzzer's failure predicate. *)
+(** [safety_violations report] = the agreement / validity / irrevocability
+    [violations], without termination (which a [max_time] cutoff or a crash
+    against a deterministic algorithm produces legitimately, Thm 3.2) — the
+    fuzzer's failure predicate. *)
 val safety_violations : report -> violation list
 
 val pp_violation : Format.formatter -> violation -> unit
@@ -101,5 +98,3 @@ type degradation = {
     adversary's business, not degradation. *)
 val degrade :
   ?honest:bool array -> inputs:int array -> Amac.Engine.outcome -> degradation
-
-val pp_degradation : Format.formatter -> degradation -> unit

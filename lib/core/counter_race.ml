@@ -11,8 +11,6 @@ type state = {
   mutable announced : bool;
 }
 
-let pp_msg m = Printf.sprintf "%d:(c=%d,v=%d)" m.sender m.c m.v
-
 let maybe_decide st =
   if st.decision = None && st.c >= st.max_seen.(1 - st.v) + st.margin then
     st.decision <- Some st.v

@@ -42,5 +42,3 @@ type msg = { sender : int; c : int; v : int }
 (** [make ?margin ()] — [margin] is the decision threshold distance
     (default 3; 2 is known-unsafe, see above). *)
 val make : ?margin:int -> unit -> (state, msg) Amac.Algorithm.t
-
-val pp_msg : msg -> string

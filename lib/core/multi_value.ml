@@ -33,12 +33,6 @@ type ('s, 'm) state = {
   mutable announced : bool;
 }
 
-let pp_msg pp_inner = function
-  | Inner { instance; payload } ->
-      Printf.sprintf "bit%d[%s]" instance (pp_inner payload)
-  | Candidate { instance; value } ->
-      Printf.sprintf "cand%d(%d)" instance value
-
 let bit_of value j = (value lsr j) land 1
 
 (* Each instance's input is the candidate's bit at the moment the instance

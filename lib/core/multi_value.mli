@@ -43,6 +43,3 @@ val make :
   bits:int ->
   ('s, 'm) Amac.Algorithm.t ->
   (('s, 'm) state, 'm msg) Amac.Algorithm.t
-
-(** [pp_msg pp_inner] renders the tagged wire format. *)
-val pp_msg : ('m -> string) -> 'm msg -> string

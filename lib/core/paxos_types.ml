@@ -67,34 +67,6 @@ type response = {
   committed : pno option;
 }
 
-let mergeable a b =
-  a.dest = b.dest && a.target = b.target
-  && compare_pno a.pno b.pno = 0
-  && a.round = b.round && a.positive = b.positive
-
-let merge a b =
-  if not (mergeable a b) then invalid_arg "Paxos_types.merge: not mergeable";
-  {
-    a with
-    count = a.count + b.count;
-    best_prior = max_prior a.best_prior b.best_prior;
-    committed = max_committed a.committed b.committed;
-  }
-
-let aggregate responses =
-  let merged = ref [] in
-  let absorb r =
-    let rec place = function
-      | [] -> [ r ]
-      | existing :: rest ->
-          if mergeable existing r then merge existing r :: rest
-          else existing :: place rest
-    in
-    merged := place !merged
-  in
-  List.iter absorb responses;
-  !merged
-
 let pp_round = function Prepare_round -> "prep" | Propose_round -> "prop"
 
 let add_proposer_msg buf = function
@@ -135,8 +107,6 @@ let add_response buf r =
   Buffer.add_char buf '}'
 
 let pp_proposer_msg m = text add_proposer_msg m
-
-let pp_response r = text add_response r
 
 let proposer_msg_ids = function Prepare _ | Propose _ -> 1
 

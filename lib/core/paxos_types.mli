@@ -7,7 +7,8 @@
     manipulates: responses of the same kind to the same proposition,
     traveling to the same parent, merge into one response carrying a count —
     plus the largest embedded prior proposal / committed number, which is all
-    PAXOS's phase-2 value choice needs (footnote 6 of the paper). *)
+    PAXOS's phase-2 value choice needs (footnote 6 of the paper). The merge
+    itself is {!Services.enqueue} with each protocol's merge function. *)
 
 (** Proposal numbers, ordered by tag then proposer id. *)
 type pno = { tag : int; proposer : int }
@@ -60,20 +61,6 @@ type response = {
       (** among negative responses: largest number already committed *)
 }
 
-(** [mergeable a b] — same destination, proposition and polarity. *)
-val mergeable : response -> response -> bool
-
-(** [merge a b] combines two mergeable responses: counts add, priors and
-    committed numbers take the maximum.
-    @raise Invalid_argument if [not (mergeable a b)]. *)
-val merge : response -> response -> response
-
-(** [aggregate responses] merges every mergeable pair in the list — the
-    invariant maintained by an acceptor's outgoing queue. The total count per
-    proposition is preserved (this is the conservation property behind
-    Lemma 4.2). *)
-val aggregate : response list -> response list
-
 (** Wire text, as the trace records it: [prepare(3.1)], [propose(3.1,v=0)],
     [resp{to=2;tgt=1;3.1/prep;yes;x4;prior=2.0:1;comm=3.0}] (the [prior]
     and [comm] parts only when present). The [add_*] writers append it to a
@@ -87,8 +74,6 @@ val add_proposer_msg : Buffer.t -> proposer_msg -> unit
 val add_response : Buffer.t -> response -> unit
 
 val pp_proposer_msg : proposer_msg -> string
-
-val pp_response : response -> string
 
 (** Ids carried by each payload, for the O(1)-ids-per-message accounting. *)
 val proposer_msg_ids : proposer_msg -> int

@@ -52,9 +52,6 @@ let inputs_all ~n v = Array.make n v
 
 let inputs_alternating ~n = Array.init n (fun i -> i mod 2)
 
-let inputs_one_dissent ~n ~dissenter ~value =
-  Array.init n (fun i -> if i = dissenter then value else 1 - value)
-
 let inputs_random rng ~n =
   Array.init n (fun _ -> if Amac.Rng.bool rng then 1 else 0)
 

@@ -61,10 +61,6 @@ val inputs_all : n:int -> int -> int array
 (** [inputs_alternating ~n] — 0,1,0,1,... *)
 val inputs_alternating : n:int -> int array
 
-(** [inputs_one_dissent ~n ~dissenter ~value] — everyone holds [1 - value]
-    except [dissenter]. *)
-val inputs_one_dissent : n:int -> dissenter:int -> value:int -> int array
-
 (** [inputs_random rng ~n] — independent fair coin flips. *)
 val inputs_random : Amac.Rng.t -> n:int -> int array
 

@@ -276,12 +276,6 @@ module Instrument = struct
         else acc)
       t.counted []
 
-  let total tbl = Hashtbl.fold (fun _ v acc -> acc + v) tbl 0
-
-  let generated t = total t.generated
-
-  let counted t = total t.counted
-
   let max_tag t = Hashtbl.fold (fun (pno, _) _ acc -> max acc pno.tag) t.generated 0
 end
 

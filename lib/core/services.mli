@@ -149,11 +149,6 @@ module Instrument : sig
       [(pno, round, generated, counted)]. *)
   val violations : t -> (Paxos_types.pno * Paxos_types.round * int * int) list
 
-  (** [generated t] / [counted t] — totals across all propositions. *)
-  val generated : t -> int
-
-  val counted : t -> int
-
   (** [max_tag t] — largest proposal-number tag any acceptor responded to;
       Lemma 4.4 says this stays polynomial in n. *)
   val max_tag : t -> int

@@ -56,27 +56,6 @@ let recoveries plan =
     (function Recover { node; at } -> Some (node, at) | _ -> None)
     plan
 
-(* Nodes that are up at the end of the plan: never crashed, or crashed but
-   recovered after their last crash. *)
-let correct_at_end ~n plan =
-  let up = Array.make n true in
-  let last = Array.make n min_int in
-  List.iter
-    (function
-      | Crash { node; at } ->
-          if at >= last.(node) then begin
-            last.(node) <- at;
-            up.(node) <- false
-          end
-      | Recover { node; at } ->
-          if at >= last.(node) then begin
-            last.(node) <- at;
-            up.(node) <- true
-          end
-      | Link_drop _ | Partition _ | Stutter _ -> ())
-    plan;
-  List.filter (fun i -> up.(i)) (List.init n (fun i -> i))
-
 (* Staggered restart of a node list: each node crashes [gap] ticks after
    the previous one's crash and recovers [down_for] ticks later. With
    gap > down_for at most one node is down at a time (the classic

@@ -34,26 +34,12 @@ type event =
 
 type plan = event list
 
-val pp_event : Format.formatter -> event -> unit
-
 val pp : Format.formatter -> plan -> unit
 
 val to_string : plan -> string
 
-(** [horizon plan] is the first instant after which no injected fault is
-    active: all windows closed, all scheduled recoveries done. Unrecovered
-    crashes contribute nothing (fail-stop is forever). Liveness claims for
-    hardened algorithms are of the form "decides after [horizon]". *)
-val horizon : plan -> int
-
-(** [crashes plan] / [recoveries plan] — the [(node, time)] schedules. *)
+(** [crashes plan] — the [(node, time)] crash schedule. *)
 val crashes : plan -> (int * int) list
-
-val recoveries : plan -> (int * int) list
-
-(** [correct_at_end ~n plan] — the nodes that are up once the plan has
-    played out: never crashed, or recovered after their last crash. *)
-val correct_at_end : n:int -> plan -> int list
 
 (** [rolling_restart ~nodes ~start ~down_for ~gap] — a staggered
     crash/recover pair per node: node [i] in [nodes] crashes at
@@ -89,8 +75,10 @@ val compile : n:int -> plan -> compiled
 
 (** [record ~obs plan] mirrors the plan into the metrics registry: a
     [fault_events_total] counter per event kind ([kind] label: [crash],
-    [recover], [link_drop], [partition], [stutter]) and the plan's
-    {!horizon} as the [fault_plan_horizon] gauge. An empty plan records
+    [recover], [link_drop], [partition], [stutter]) and the plan's horizon
+    as the [fault_plan_horizon] gauge: the first instant after which no
+    injected fault is active (windows closed, scheduled recoveries done; an
+    unrecovered crash is permanent and adds nothing). An empty plan records
     nothing, so only a faulted run's snapshot has [fault_*] samples.
     [Consensus.Runner.run], [Workload.run] and [Shard_workload.run] call
     this whenever they are given [~obs]. *)

@@ -157,8 +157,6 @@ let ids_with t field =
   done;
   List.sort Int.compare !ids
 
-let suspects t = ids_with t 2
-
 let candidate t ~base ~eligible =
   let best = ref base in
   for s = 0 to capacity t - 1 do
@@ -179,18 +177,6 @@ let stats (t : t) =
     silence = t.silence;
     patience_now = t.patience;
   }
-
-let record ~obs ~labels t =
-  let s = stats t in
-  Obs.Metrics.set
-    (Obs.Metrics.gauge obs ~labels "fd_suspected_now")
-    (float_of_int s.suspected_now);
-  Obs.Metrics.set
-    (Obs.Metrics.gauge obs ~labels "fd_silence_acks")
-    (float_of_int s.silence);
-  Obs.Metrics.set
-    (Obs.Metrics.gauge obs ~labels "fd_patience_acks")
-    (float_of_int s.patience_now)
 
 module F = Amac.Fingerprint
 

@@ -84,9 +84,6 @@ val tick : t -> peer:int -> tick_verdict
 
 val suspected : t -> int -> bool
 
-(** Currently suspected peers, sorted. *)
-val suspects : t -> int list
-
 (** Best (largest-id) unsuspected candidate among [base] and every peer a
     heartbeat was seen from, filtered by [eligible]. Returns [base] when no
     heard-from peer qualifies — pass a negative [base] to detect "no
@@ -94,11 +91,6 @@ val suspects : t -> int list
 val candidate : t -> base:int -> eligible:(int -> bool) -> int
 
 val stats : t -> stats
-
-(** Mirror the current gauges into a metrics registry
-    ([fd_suspected_now], [fd_silence_acks], [fd_patience_acks], labelled
-    as given). *)
-val record : obs:Obs.Metrics.registry -> labels:(string * string) list -> t -> unit
 
 (** Fingerprint/clone hooks, for embedding in an algorithm state's own
     [Algorithm.hooks] (see {!Amac.Fingerprint}). *)

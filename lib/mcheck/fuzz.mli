@@ -31,12 +31,6 @@ type case = {
   plan : Amac.Scheduler.decision list;
 }
 
-val pp_case : Format.formatter -> case -> unit
-
-(** [topology_of case] rebuilds the graph ([Random_graph seed] is
-    deterministic in its seed and [n]). *)
-val topology_of : case -> Amac.Topology.t
-
 (** Sizes for fault-plan generation. Recoveries pair with generated
     crashes; loss windows land on distinct edges; partition windows are
     mutually disjoint; stutters hit distinct nodes — so generated plans are

@@ -34,9 +34,6 @@ type t = {
     as crashed. *)
 val account : n:int -> duration:int -> Span.event list -> t
 
-(** Sum over nodes. *)
-val totals : t -> segments
-
 (** [idle / (active + idle)] over all nodes — the fraction of total
     {e up}-time spent waiting. 0 when there is no up-time. *)
 val waiting_fraction : t -> float

@@ -2,7 +2,6 @@ type t = {
   bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
   mutable count : int;
-  mutable nan_count : int;
   mutable sum : float;
   mutable min_seen : float;
   mutable max_seen : float;
@@ -32,7 +31,6 @@ let create ~buckets =
     bounds;
     counts = Array.make (Array.length bounds + 1) 0;
     count = 0;
-    nan_count = 0;
     sum = 0.0;
     min_seen = infinity;
     max_seen = neg_infinity;
@@ -49,8 +47,7 @@ let bucket_index t v =
   !lo
 
 let observe t v =
-  if Float.is_nan v then t.nan_count <- t.nan_count + 1
-  else begin
+  if not (Float.is_nan v) then begin
     let i = bucket_index t v in
     t.counts.(i) <- t.counts.(i) + 1;
     t.count <- t.count + 1;
@@ -60,8 +57,6 @@ let observe t v =
   end
 
 let count t = t.count
-
-let nan_count t = t.nan_count
 
 let sum t = t.sum
 
@@ -104,11 +99,3 @@ let quantile t q =
   let v = find 0 0 in
   max t.min_seen (min t.max_seen v)
   end
-
-let observed_min t =
-  if t.count = 0 then invalid_arg "Histogram.observed_min: empty histogram";
-  t.min_seen
-
-let observed_max t =
-  if t.count = 0 then invalid_arg "Histogram.observed_max: empty histogram";
-  t.max_seen

@@ -20,13 +20,11 @@ val default_buckets : float list
     non-finite bounds. *)
 val create : buckets:float list -> t
 
-(** [observe t v] adds one observation. NaN observations are counted in
-    [nan_count] but otherwise ignored (they poison no estimate). *)
+(** [observe t v] adds one observation. NaN observations are ignored (they
+    poison no estimate). *)
 val observe : t -> float -> unit
 
 val count : t -> int
-
-val nan_count : t -> int
 
 val sum : t -> float
 
@@ -37,9 +35,3 @@ val bucket_counts : t -> (float * int) list
 (** [quantile t q] with [q] in [\[0, 1\]].
     @raise Invalid_argument on an empty histogram or out-of-range [q]. *)
 val quantile : t -> float -> float
-
-(** [observed_min t] / [observed_max t] — extremes of the non-NaN
-    observations. @raise Invalid_argument on an empty histogram. *)
-val observed_min : t -> float
-
-val observed_max : t -> float

@@ -47,8 +47,6 @@ let inc c = incr c
 
 let add c n = c := !c + n
 
-let counter_value c = !c
-
 let gauge reg ?(labels = []) name =
   register reg ~name ~labels ~kind:"gauge"
     ~make:(fun () ->
@@ -59,8 +57,6 @@ let gauge reg ?(labels = []) name =
 let set g v = g := v
 
 let observe_max g v = if v > !g then g := v
-
-let gauge_value g = !g
 
 let histogram reg ?(labels = []) ?(buckets = Histogram.default_buckets) name =
   register reg ~name ~labels ~kind:"histogram"
@@ -127,33 +123,6 @@ let snapshot reg =
     reg.tbl []
   |> List.sort compare_sample
 
-let diff ~before ~after =
-  List.map
-    (fun sample ->
-      match sample.value with
-      | Counter n -> (
-          match
-            List.find_opt
-              (fun old ->
-                old.name = sample.name && old.labels = sample.labels)
-              before
-          with
-          | Some { value = Counter old; _ } ->
-              { sample with value = Counter (n - old) }
-          | Some _ | None -> sample)
-      | Gauge _ | Histogram_summary _ -> sample)
-    after
-
-let find snapshot ?(labels = []) name =
-  let labels = sort_labels labels in
-  List.find_opt (fun s -> s.name = name && s.labels = labels) snapshot
-
-let counter_of snapshot ?labels name =
-  match find snapshot ?labels name with
-  | None -> 0
-  | Some { value = Counter n; _ } -> n
-  | Some _ -> invalid_arg (Printf.sprintf "Metrics.counter_of: %s is not a counter" name)
-
 let json_of_labels labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) labels)
 
@@ -217,6 +186,3 @@ let render_sample s =
 
 let render snapshot =
   String.concat "" (List.map (fun s -> render_sample s ^ "\n") snapshot)
-
-let pp fmt snapshot =
-  List.iter (fun s -> Format.fprintf fmt "%s@." (render_sample s)) snapshot

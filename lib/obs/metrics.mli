@@ -6,8 +6,7 @@
     the same (name, labels) twice returns the same instrument) and bump them
     on the hot path with plain int/float mutations. The read side is a
     {!snapshot}: an immutable, deterministically ordered list of samples
-    that can be rendered as text, exported as JSON, or subtracted
-    ({!diff}) from an earlier snapshot to isolate one phase of a run.
+    that can be rendered as text or exported as JSON.
 
     Determinism contract: a snapshot's order depends only on the instrument
     names and labels (sorted), never on registration or hash order, so two
@@ -32,8 +31,6 @@ val inc : counter -> unit
 
 val add : counter -> int -> unit
 
-val counter_value : counter -> int
-
 (** [gauge reg ?labels name] registers (or finds) a float gauge. *)
 val gauge : registry -> ?labels:(string * string) list -> string -> gauge
 
@@ -42,8 +39,6 @@ val set : gauge -> float -> unit
 (** [observe_max g v] — high-water-mark update: [set] only if [v] exceeds
     the current value. *)
 val observe_max : gauge -> float -> unit
-
-val gauge_value : gauge -> float
 
 (** [histogram reg ?labels ?buckets name] registers (or finds) a
     fixed-bucket histogram ({!Histogram.default_buckets} by default).
@@ -84,24 +79,7 @@ type snapshot = sample list
 
 val snapshot : registry -> snapshot
 
-(** [diff ~before ~after] subtracts counter values ([after] minus [before];
-    instruments absent from [before] count from 0) and keeps [after]'s
-    gauges and histograms — the delta attributable to the phase between the
-    two snapshots. Samples only present in [before] are dropped. *)
-val diff : before:snapshot -> after:snapshot -> snapshot
-
-(** [find snapshot ?labels name] — the matching sample, if any. [labels]
-    need not be pre-sorted. *)
-val find : snapshot -> ?labels:(string * string) list -> string -> sample option
-
-(** [counter_of snapshot ?labels name] — convenience: the counter's value,
-    or 0 when absent. @raise Invalid_argument if the sample exists but is
-    not a counter. *)
-val counter_of : snapshot -> ?labels:(string * string) list -> string -> int
-
 val to_json : snapshot -> Json.t
 
 (** [render snapshot] — human-oriented text, one line per sample. *)
 val render : snapshot -> string
-
-val pp : Format.formatter -> snapshot -> unit

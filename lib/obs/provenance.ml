@@ -41,9 +41,6 @@ let iter f t =
     f t.data.(i)
   done
 
-let to_list t =
-  List.init t.len (fun i -> t.data.(i))
-
 let check t =
   let bad = ref [] in
   let err fmt = Printf.ksprintf (fun s -> bad := s :: !bad) fmt in

@@ -72,8 +72,6 @@ val get : t -> int -> vertex
 (** In id (= recording) order. *)
 val iter : (vertex -> unit) -> t -> unit
 
-val to_list : t -> vertex list
-
 (** [observer t ~n] is the fold that appends an [n]-node run's vertices to
     [t] (attribution as in the preamble), paired with the lookup from a
     node to the vertex id of its latest accepted broadcast ([-1] before its

@@ -37,10 +37,6 @@ type instant = {
 
 type event = Complete of complete | Instant of instant
 
-(** Chronological-ish total order used to canonicalise event lists before
-    multiset comparison. *)
-val compare_event : event -> event -> int
-
 (** [same_multiset a b] — equal up to reordering. *)
 val same_multiset : event list -> event list -> bool
 

@@ -65,8 +65,6 @@ type handle = {
   w_registry : (int, state) Hashtbl.t;  (** node -> current incarnation *)
 }
 
-let groups h = h.h_groups
-
 let inner h g =
   if g < 0 || g >= h.h_groups then invalid_arg "Shard.inner: bad group";
   h.inner_handles.(g)

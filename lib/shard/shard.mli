@@ -49,9 +49,6 @@ type msg
 
 type handle
 
-(** Number of groups a handle multiplexes. *)
-val groups : handle -> int
-
 (** The static keyspace partition: [group_of_key ~groups key] is the
     group that owns [key]. Total and deterministic — every key maps to
     exactly one group in [0, groups). *)

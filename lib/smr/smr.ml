@@ -1186,14 +1186,6 @@ let submit h ~node ~cmd =
   | Some st -> absorb_cmd st cmd
   | None -> invalid_arg "Smr.submit: unknown node (state not initialised)"
 
-let reconfigure h ~node ~members =
-  let cmd = reconfig_cmd h ~members in
-  match Hashtbl.find_opt h.registry node with
-  | Some st ->
-      absorb_cmd st cmd;
-      cmd
-  | None -> invalid_arg "Smr.reconfigure: unknown node"
-
 let injector h ~now:_ ~payload (_ctx : Amac.Algorithm.ctx) st =
   if payload <= noop then
     invalid_arg "Smr.injector: command payloads must be positive";

@@ -50,7 +50,7 @@
     [on_apply].
 
     {b Membership reconfiguration} (joint consensus): a reconfiguration is
-    an ordinary log command (see {!reconfigure}) carrying the new
+    an ordinary log command (see {!reconfig_cmd}) carrying the new
     membership. When the {e joint} command commits, a transition opens:
     from then on every quorum requires a majority of the old configuration
     {e and} a majority of the new one (so any two quorums intersect in at
@@ -153,7 +153,7 @@ val make :
     handler's [finish]. For submissions at arbitrary times use engine
     injections with {!injector}.
     @raise Invalid_argument if [cmd <= noop], if [cmd] has reconfiguration
-    bits set (use {!reconfigure}), or if the node is unknown. *)
+    bits set (inject a {!reconfig_cmd} instead), or if the node is unknown. *)
 val submit : handle -> node:int -> cmd:int -> unit
 
 (** [injector h] is an [Engine.on_inject] handler: the payload is the
@@ -179,11 +179,6 @@ val injector :
     @raise Invalid_argument if [members] is empty or contains ids outside
     0..29, or after 1024 reconfigurations on one handle. *)
 val reconfig_cmd : handle -> members:int list -> int
-
-(** [reconfigure h ~node ~members] — {!reconfig_cmd} + immediate submission
-    at [node] (same handler-context caveat as {!submit}). Returns the joint
-    command. *)
-val reconfigure : handle -> node:int -> members:int list -> int
 
 (** Whether a command was registered by {!reconfig_cmd} on this handle
     (either the joint or the final form). *)

@@ -339,8 +339,6 @@ let check h =
   let submitted cmd = Smr.was_submitted h cmd || Smr.was_reconfig h cmd in
   check_views ~submitted (List.map (view_of h) (Smr.nodes h))
 
-let ok h = check h = []
-
 (* ------------------------------------------------------------------ *)
 (* Sharded (multi-group) extension. A sharded deployment multiplexes   *)
 (* G independent SMR groups; the contract grows three clauses on top   *)

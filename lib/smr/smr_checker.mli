@@ -97,8 +97,6 @@ val view_of : Smr.handle -> int -> view
 (** All violations, in deterministic order (empty = the contract holds). *)
 val check : Smr.handle -> violation list
 
-val ok : Smr.handle -> bool
-
 (** {2 Sharded (multi-group) contract}
 
     A sharded deployment multiplexes G independent SMR groups over one

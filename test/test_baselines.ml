@@ -264,7 +264,7 @@ let test_fp_run_digest () =
       ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 9) ~fack:4)
       ~inputs:(Consensus.Runner.inputs_alternating ~n)
   in
-  Alcotest.(check bool) "decided" true (Amac.Engine.all_decided outcome);
+  Alcotest.(check bool) "decided" true (Fixtures.all_decided outcome);
   Alcotest.(check int) "run digest" 2327130876991249622 (Amac.Fingerprint.to_int !digest)
 
 let () =

@@ -58,7 +58,7 @@ let test_crash_mid_broadcast () =
      hurt: per-edge delays make node 0's messages reach node 1 fast and
      node 2 slow, then node 0 dies in between. *)
   let scheduler =
-    Amac.Scheduler.per_edge ~name:"split" ~fack:9
+    Fixtures.per_edge ~name:"split" ~fack:9
       ~delay:(fun ~sender ~receiver ->
         if sender = 0 && receiver = 2 then 9 else 1)
   in

@@ -238,20 +238,6 @@ let test_byz_consensus_survives () =
         byz_consensus_campaign.pp cx);
   Alcotest.(check int) "full campaign" 400 outcome.iterations_run
 
-let test_ben_or_documented_unsafe () =
-  (* Ben-Or tolerates crashes, not lies: forged Decided claims must be
-     found. Pinning this keeps the adapter honest — if the campaign stops
-     finding it, the adversary (not Ben-Or) regressed. *)
-  let outcome =
-    Campaign.run
-      (BFuzz.campaign BFuzz.default
-         (Consensus.Ben_or.make ~seed:5 ())
-         Adapters.ben_or)
-      ~iterations:500 ~seed:43
-  in
-  Alcotest.(check bool) "byzantine adversary breaks ben_or" true
-    (outcome.counterexample <> None)
-
 let test_counter_race_documented_unsafe () =
   let outcome =
     Campaign.run
@@ -318,8 +304,6 @@ let () =
             test_shrinking_minimizes;
           Alcotest.test_case "byz_consensus survives its budget" `Quick
             test_byz_consensus_survives;
-          Alcotest.test_case "ben_or documented unsafe" `Quick
-            test_ben_or_documented_unsafe;
           Alcotest.test_case "counter_race documented unsafe" `Quick
             test_counter_race_documented_unsafe;
           Alcotest.test_case "parallel determinism" `Quick test_par_determinism;

@@ -23,7 +23,7 @@ let digest_of_trace entries =
   in
   List.iter
     (fun entry ->
-      Format.fprintf fmt "%a@." Amac.Trace.pp_entry entry;
+      Amac.Trace.pp fmt [ entry ];
       if Buffer.length buf >= 60_000 then fold ())
     entries;
   fold ();

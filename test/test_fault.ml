@@ -96,7 +96,7 @@ let test_ranges_and_windows () =
   rejects "Fault.validate: stutter window starts at negative time -2"
     [ Fault.Stutter { node = 0; from_ = -2; until = 3 } ]
 
-let test_horizon_and_correct () =
+let test_horizon_and_crashes () =
   let plan =
     [
       Fault.Crash { node = 0; at = 2 };
@@ -108,13 +108,14 @@ let test_horizon_and_correct () =
   Fault.validate ~n:4 plan;
   (* Unrecovered crash of node 1 contributes nothing: fail-stop is forever,
      so the plan is "quiet" once windows close and recoveries are done. *)
-  Alcotest.(check int) "horizon" 30 (Fault.horizon plan);
-  Alcotest.(check (list int)) "correct at end" [ 0; 2; 3 ]
-    (List.sort Int.compare (Fault.correct_at_end ~n:4 plan));
+  let obs = Obs.Metrics.create () in
+  Fault.record ~obs plan;
+  Alcotest.(check bool) "horizon" true
+    (match Fixtures.find (Obs.Metrics.snapshot obs) "fault_plan_horizon" with
+    | Some { value = Gauge h; _ } -> h = 30.
+    | _ -> false);
   Alcotest.(check (list (pair int int))) "crashes" [ (0, 2); (1, 50) ]
-    (List.sort compare (Fault.crashes plan));
-  Alcotest.(check (list (pair int int))) "recoveries" [ (0, 10) ]
-    (Fault.recoveries plan)
+    (List.sort compare (Fault.crashes plan))
 
 let test_compile_half_open () =
   let compiled =
@@ -227,12 +228,12 @@ let test_plans_recorded_alike () =
       Alcotest.(check int)
         (name ^ ": one crash counted")
         1
-        (Obs.Metrics.counter_of samples ~labels:[ ("kind", "crash") ]
+        (Fixtures.counter_of samples ~labels:[ ("kind", "crash") ]
            "fault_events_total");
       Alcotest.(check bool)
         (name ^ ": horizon recorded")
         true
-        (Obs.Metrics.find samples "fault_plan_horizon" <> None))
+        (Fixtures.find samples "fault_plan_horizon" <> None))
     [ ("Runner", runner); ("Workload", smr); ("Shard_workload", shard) ]
 
 let () =
@@ -257,8 +258,8 @@ let () =
         ] );
       ( "semantics",
         [
-          Alcotest.test_case "horizon and correct-at-end" `Quick
-            test_horizon_and_correct;
+          Alcotest.test_case "horizon and crash schedule" `Quick
+            test_horizon_and_crashes;
           Alcotest.test_case "compile: half-open windows" `Quick
             test_compile_half_open;
           Alcotest.test_case "engine rejects raw duplicates" `Quick

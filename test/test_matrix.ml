@@ -59,7 +59,7 @@ let algorithms =
         topology = Amac.Topology.clique 3;
         inputs = [| 0; 1; 1 |];
         crash_tolerant = true;
-        adapter = Byz.Adapters.ben_or;
+        adapter = Byz.Model.generic_adapter ();
       };
     Alg
       {

@@ -242,10 +242,11 @@ let test_explorer_rejects_wide_topologies () =
   let ring20 = Amac.Topology.ring 20 in
   rejected "clique:8 (64 steps)" (Amac.Topology.clique 8) ~steps:64;
   accepted "line:20 (58 steps)" (Amac.Topology.line 20);
-  accepted "ring:20 + 1 chord (62 steps)"
-    (Amac.Topology.add_edges ring20 [ (0, 10) ]);
-  rejected "ring:20 + 2 chords (64 steps)"
-    (Amac.Topology.add_edges ring20 [ (0, 10); (5, 15) ])
+  let chords extra =
+    Amac.Topology.of_edges ~n:20 (Amac.Topology.edges ring20 @ extra)
+  in
+  accepted "ring:20 + 1 chord (62 steps)" (chords [ (0, 10) ]);
+  rejected "ring:20 + 2 chords (64 steps)" (chords [ (0, 10); (5, 15) ])
     ~steps:64
 
 (* Pinned exploration counts (two-phase, alternating inputs): a change to

@@ -1,16 +1,3 @@
-let test_compare () =
-  let open Amac.Node_id in
-  Alcotest.(check bool) "id order" true (compare (Id 1) (Id 2) < 0);
-  Alcotest.(check bool) "id equal" true (compare (Id 3) (Id 3) = 0);
-  Alcotest.(check bool) "anon below ids" true (compare Anonymous (Id 0) < 0);
-  Alcotest.(check bool) "anon equal" true (compare Anonymous Anonymous = 0);
-  Alcotest.(check bool) "equal fn" true (equal (Id 7) (Id 7));
-  Alcotest.(check bool) "not equal fn" false (equal (Id 7) Anonymous)
-
-let test_pp () =
-  Alcotest.(check string) "id" "#7" (Amac.Node_id.to_string (Id 7));
-  Alcotest.(check string) "anon" "anon" (Amac.Node_id.to_string Anonymous)
-
 let test_unique_exn () =
   Alcotest.(check int) "id value" 9 (Amac.Node_id.unique_exn (Id 9));
   Alcotest.check_raises "anonymous raises"
@@ -31,7 +18,7 @@ let test_anonymous () =
   let ids = Amac.Node_id.identity_assignment ~n:4 ~kind:`Anonymous in
   Array.iter
     (fun id ->
-      Alcotest.(check bool) "anon" true (Amac.Node_id.equal id Anonymous))
+      Alcotest.(check bool) "anon" true (id = Amac.Node_id.Anonymous))
     ids
 
 let prop_shuffled_is_permutation =
@@ -44,17 +31,31 @@ let prop_shuffled_is_permutation =
       in
       List.sort Int.compare (Array.to_list ids) = List.init n (fun i -> i))
 
+let prop_shuffled_is_deterministic =
+  QCheck.Test.make ~name:"shuffled ids are deterministic in the seed"
+    ~count:100
+    QCheck.(pair small_int (int_range 1 50))
+    (fun (seed, n) ->
+      let draw () =
+        Amac.Node_id.identity_assignment ~n
+          ~kind:(`Shuffled (Amac.Rng.create seed))
+        |> ids_of
+      in
+      draw () = draw ())
+
 let () =
   Alcotest.run "node_id"
     [
       ( "unit",
         [
-          Alcotest.test_case "compare" `Quick test_compare;
-          Alcotest.test_case "pp" `Quick test_pp;
           Alcotest.test_case "unique_exn" `Quick test_unique_exn;
           Alcotest.test_case "dense assignment" `Quick test_dense;
           Alcotest.test_case "offset assignment" `Quick test_offset;
           Alcotest.test_case "anonymous assignment" `Quick test_anonymous;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_shuffled_is_permutation ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_shuffled_is_permutation;
+          QCheck_alcotest.to_alcotest prop_shuffled_is_deterministic;
+        ] );
     ]

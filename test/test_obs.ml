@@ -277,7 +277,9 @@ let test_registry_idempotent () =
   let c2 = Obs.Metrics.counter reg "hits" ~labels:[ ("node", "0") ] in
   Obs.Metrics.inc c1;
   Obs.Metrics.add c2 2;
-  Alcotest.(check int) "shared instrument" 3 (Obs.Metrics.counter_value c1);
+  Alcotest.(check int) "shared instrument" 3
+    (Fixtures.counter_of (Obs.Metrics.snapshot reg)
+       ~labels:[ ("node", "0") ] "hits");
   Alcotest.(check bool) "kind clash rejected" true
     (match Obs.Metrics.gauge reg "hits" ~labels:[ ("node", "0") ] with
     | exception Invalid_argument _ -> true
@@ -302,31 +304,67 @@ let test_snapshot_ordering () =
     [ "alpha|b=10"; "alpha|b=2"; "mid"; "zeta" ]
     names
 
-let test_diff () =
+let test_label_order () =
+  let reg = Obs.Metrics.create () in
+  let c1 = Obs.Metrics.counter reg "hits" ~labels:[ ("b", "1"); ("a", "2") ] in
+  let c2 = Obs.Metrics.counter reg "hits" ~labels:[ ("a", "2"); ("b", "1") ] in
+  Obs.Metrics.inc c1;
+  Obs.Metrics.inc c2;
+  match Obs.Metrics.snapshot reg with
+  | [ { labels; value = Counter 2; _ } ] ->
+      Alcotest.(check (list (pair string string))) "labels sorted by key"
+        [ ("a", "2"); ("b", "1") ]
+        labels
+  | _ -> Alcotest.fail "expected one counter reading 2"
+
+let test_observe_max () =
+  let reg = Obs.Metrics.create () in
+  let g = Obs.Metrics.gauge reg "depth" in
+  let value () =
+    match Fixtures.find (Obs.Metrics.snapshot reg) "depth" with
+    | Some { value = Gauge v; _ } -> v
+    | _ -> Alcotest.fail "gauge missing"
+  in
+  List.iter (Obs.Metrics.observe_max g) [ 3.0; 7.0; 5.0 ];
+  Alcotest.(check (float 0.0)) "high-water mark" 7.0 (value ());
+  Obs.Metrics.set g 2.0;
+  Alcotest.(check (float 0.0)) "set overrides" 2.0 (value ());
+  Obs.Metrics.observe_max g 2.0;
+  Alcotest.(check (float 0.0)) "equal value is no rise" 2.0 (value ())
+
+(* A snapshot is a value: later updates do not reach one already taken. *)
+let test_snapshot_is_a_copy () =
   let reg = Obs.Metrics.create () in
   let c = Obs.Metrics.counter reg "events" in
   let g = Obs.Metrics.gauge reg "depth" in
+  let h = Obs.Metrics.histogram reg "lat" ~buckets:[ 1.0 ] in
   Obs.Metrics.add c 10;
   Obs.Metrics.set g 3.0;
+  Obs.Metrics.observe h 0.5;
   let before = Obs.Metrics.snapshot reg in
   Obs.Metrics.add c 5;
   Obs.Metrics.set g 7.0;
+  Obs.Metrics.observe h 4.0;
+  ignore (Obs.Metrics.counter reg "late");
   let after = Obs.Metrics.snapshot reg in
-  let d = Obs.Metrics.diff ~before ~after in
-  Alcotest.(check int) "counters subtract" 5 (Obs.Metrics.counter_of d "events");
-  (match Obs.Metrics.find d "depth" with
-  | Some { value = Obs.Metrics.Gauge v; _ } ->
-      Alcotest.(check (float 0.0)) "gauges keep after" 7.0 v
-  | _ -> Alcotest.fail "gauge missing from diff");
-  Alcotest.(check int) "absent counter reads 0"
-    0
-    (Obs.Metrics.counter_of d "no_such_counter")
+  Alcotest.(check int) "counter before" 10 (Fixtures.counter_of before "events");
+  Alcotest.(check int) "counter after" 15 (Fixtures.counter_of after "events");
+  (match Fixtures.find before "depth" with
+  | Some { value = Gauge v; _ } ->
+      Alcotest.(check (float 0.0)) "gauge before" 3.0 v
+  | _ -> Alcotest.fail "gauge missing");
+  (match Fixtures.find before "lat" with
+  | Some { value = Histogram_summary s; _ } ->
+      Alcotest.(check int) "histogram before" 1 s.count
+  | _ -> Alcotest.fail "histogram missing");
+  Alcotest.(check bool) "later registration absent before" true
+    (Fixtures.find before "late" = None && Fixtures.find after "late" <> None)
 
 let test_histogram_sample () =
   let reg = Obs.Metrics.create () in
   let h = Obs.Metrics.histogram reg "lat" ~buckets:[ 1.0; 10.0 ] in
   List.iter (Obs.Metrics.observe h) [ 0.5; 2.0; 3.0 ];
-  match Obs.Metrics.find (Obs.Metrics.snapshot reg) "lat" with
+  match Fixtures.find (Obs.Metrics.snapshot reg) "lat" with
   | Some { value = Obs.Metrics.Histogram_summary s; _ } ->
       Alcotest.(check int) "count" 3 s.Obs.Metrics.count;
       Alcotest.(check (float 1e-9)) "sum" 5.5 s.Obs.Metrics.sum;
@@ -430,7 +468,15 @@ let test_trace_export_spans () =
         Decided { time = 9; node = 0; value = 1 };
       ]
   in
-  let events = Obs.Span.(List.sort compare_event (Amac.Trace_export.spans entries)) in
+  let time_of = function
+    | Obs.Span.Complete c -> c.start_time
+    | Obs.Span.Instant i -> i.time
+  in
+  let events =
+    List.sort
+      (fun a b -> compare (time_of a, a) (time_of b, b))
+      (Amac.Trace_export.spans entries)
+  in
   let completes =
     List.filter_map
       (function Obs.Span.Complete c -> Some c | Obs.Span.Instant _ -> None)
@@ -495,7 +541,7 @@ let test_determinism () =
 
 let test_engine_instrumentation () =
   let result, snapshot, events = instrumented_run 11 in
-  let counter = Obs.Metrics.counter_of snapshot in
+  let counter = Fixtures.counter_of snapshot in
   let labels =
     [ ("algorithm", "wpaxos"); ("scheduler", "random(4)") ]
   in
@@ -524,7 +570,7 @@ let test_engine_instrumentation () =
   Alcotest.(check int) "one complete span per broadcast"
     result.outcome.Amac.Engine.broadcasts span_count;
   (* checker verdict gauges, written by the runner *)
-  match Obs.Metrics.find snapshot "checker_safe" ~labels:[ ("algorithm", "wpaxos") ] with
+  match Fixtures.find snapshot "checker_safe" ~labels:[ ("algorithm", "wpaxos") ] with
   | Some { value = Obs.Metrics.Gauge 1.0; _ } -> ()
   | Some _ -> Alcotest.fail "checker_safe gauge wrong"
   | None -> Alcotest.fail "checker_safe gauge missing"
@@ -569,13 +615,20 @@ let chatter_inject ~now:_ ~payload _ctx st = send st (string_of_int payload)
 
 let count p l = List.length (List.filter p l)
 
-let dag_count dag p = count (fun v -> p v.Obs.Provenance.kind) (Obs.Provenance.to_list dag)
+let dag_count dag p =
+  count
+    (fun v -> p v.Obs.Provenance.kind)
+    (List.init (Obs.Provenance.length dag) (Obs.Provenance.get dag))
 
 (* Every unreliable neighbor hears every broadcast, at its ack. *)
 let flood_unreliable scheduler =
-  Amac.Scheduler.with_unreliable scheduler
-    ~plan:(fun ~now:_ ~sender:_ ~candidates ~ack_at ->
-      List.map (fun c -> (c, ack_at)) candidates)
+  {
+    scheduler with
+    Amac.Scheduler.unreliable_plan =
+      Some
+        (fun ~now:_ ~sender:_ ~candidates ~ack_at ->
+          List.map (fun c -> (c, ack_at)) candidates);
+  }
 
 let test_every_path_reaches_every_recorder () =
   (* One run down every engine path at once, with all three recorders on:
@@ -626,7 +679,7 @@ let test_every_path_reaches_every_recorder () =
     [ ("algorithm", "chatter"); ("scheduler", scheduler.Amac.Scheduler.name) ]
   in
   let counter ?(extra = []) name =
-    Obs.Metrics.counter_of snap ~labels:(extra @ labels) name
+    Fixtures.counter_of snap ~labels:(extra @ labels) name
   in
   Alcotest.(check int) "stale drops" o.dropped
     (counter ~extra:[ ("reason", "stale") ] "engine_drops_total");
@@ -640,7 +693,7 @@ let test_every_path_reaches_every_recorder () =
     (counter "engine_deliveries_total");
   Alcotest.(check int) "recoveries" o.incarnations.(0)
     (counter "engine_recoveries_total");
-  (match Obs.Metrics.find snap ~labels "engine_end_time" with
+  (match Fixtures.find snap ~labels "engine_end_time" with
   | Some { value = Obs.Metrics.Gauge t; _ } ->
       Alcotest.(check int) "end-time gauge" o.end_time (int_of_float t)
   | Some _ | None -> Alcotest.fail "engine_end_time gauge missing");
@@ -765,7 +818,7 @@ let prop_recorders_observational =
             match v.kind with
             | Deliver { sender } -> Some (v.time, sender, v.cause)
             | _ -> None)
-          (Obs.Provenance.to_list dag)
+          (List.init (Obs.Provenance.length dag) (Obs.Provenance.get dag))
       in
       { full with trace = [] } = bare
       && Obs.Provenance.check dag = []
@@ -801,7 +854,10 @@ let () =
           Alcotest.test_case "idempotent registration" `Quick
             test_registry_idempotent;
           Alcotest.test_case "snapshot ordering" `Quick test_snapshot_ordering;
-          Alcotest.test_case "diff" `Quick test_diff;
+          Alcotest.test_case "label order" `Quick test_label_order;
+          Alcotest.test_case "observe_max" `Quick test_observe_max;
+          Alcotest.test_case "snapshot is a copy" `Quick
+            test_snapshot_is_a_copy;
           Alcotest.test_case "histogram sample" `Quick test_histogram_sample;
           Alcotest.test_case "json round-trip" `Quick
             test_metrics_json_roundtrip;

@@ -124,7 +124,7 @@ let test_run_invariants_crash_recovery () =
          match v.P.kind with
          | P.Boot { incarnation } -> v.P.node = 1 && incarnation = 1
          | _ -> false)
-       (P.to_list prov))
+       (List.init (P.length prov) (P.get prov)))
 
 (* ---------- export determinism ---------- *)
 

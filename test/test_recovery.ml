@@ -139,7 +139,7 @@ let test_no_stale_delivery_from_recovered () =
    does — and a recovery in between must not change that. *)
 let test_non_atomicity_across_recovery () =
   let staggered =
-    Amac.Scheduler.per_edge ~name:"staggered" ~fack:6 ~delay:(fun ~sender:_ ~receiver ->
+    Fixtures.per_edge ~name:"staggered" ~fack:6 ~delay:(fun ~sender:_ ~receiver ->
         if receiver = 1 then 1 else 5)
   in
   let p = fresh_probe 3 in

@@ -54,9 +54,11 @@ let test_jittered_validation () =
     (Invalid_argument "Scheduler.jittered: need 0 <= spread < fack")
     (fun () -> ignore (S.jittered (Amac.Rng.create 1) ~fack:3 ~spread:3))
 
+(* The static per-edge fixture other suites build split-delay runs from
+   must keep the contract, with each delay clamped into [1, fack]. *)
 let test_per_edge () =
   let sched =
-    S.per_edge ~name:"asym" ~fack:10 ~delay:(fun ~sender:_ ~receiver ->
+    Fixtures.per_edge ~name:"asym" ~fack:10 ~delay:(fun ~sender:_ ~receiver ->
         if receiver = 2 then 10 else 1)
   in
   let plan = check_contract ~now:0 ~neighbors sched in
@@ -66,7 +68,7 @@ let test_per_edge () =
 
 let test_per_edge_clamps () =
   let sched =
-    S.per_edge ~name:"wild" ~fack:5 ~delay:(fun ~sender:_ ~receiver ->
+    Fixtures.per_edge ~name:"wild" ~fack:5 ~delay:(fun ~sender:_ ~receiver ->
         if receiver = 1 then 100 else -3)
   in
   let plan = check_contract ~now:0 ~neighbors sched in

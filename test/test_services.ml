@@ -103,6 +103,172 @@ let test_routed_dequeue () =
   Alcotest.(check (option (triple int int int)))
     "no route left" None (S.dequeue sv ~emit)
 
+(* Lemma 4.2's local step on the live path: acceptor responses queued
+   with a protocol's merge. The body and merge below are wPAXOS's (and,
+   with a second count, the replicated log's): responses of the same
+   round and polarity to the same proposition fold into one entry whose
+   count adds and whose prior and committed number take the maximum. *)
+module P = Consensus.Paxos_types
+
+type vote = {
+  round : P.round;
+  positive : bool;
+  mutable count : int;
+  mutable prior : P.prior option;
+  mutable committed : P.pno option;
+}
+
+let merge_votes into v =
+  into.round = v.round && into.positive = v.positive
+  && begin
+       into.count <- into.count + v.count;
+       into.prior <- P.max_prior into.prior v.prior;
+       into.committed <- P.max_committed into.committed v.committed;
+       true
+     end
+
+let vote ?(round = P.Prepare_round) ?(positive = true) ?prior ?committed count
+    =
+  { round; positive; count; prior; committed }
+
+let round_name = function P.Prepare_round -> "prep" | P.Propose_round -> "prop"
+
+(* The queue as ((tag, round), (polarity, count)), in order. *)
+let votes sv =
+  List.map
+    (fun (e : vote S.entry) ->
+      ((e.pno.tag, round_name e.body.round), (e.body.positive, e.body.count)))
+    sv.S.response_q
+
+let vote_queue = Alcotest.(list (pair (pair int string) (pair bool int)))
+
+let leader_queue () = S.create ~me:0 ~n:4 ~omega:3 ~patience:8
+
+(* One class per (round, polarity): the same class merges, another
+   round or polarity opens its own entry, and counts are kept. *)
+let test_merge_classes () =
+  let sv = leader_queue () in
+  let enqueue v = S.enqueue sv ~merge:merge_votes ~target:3 ~pno:(pno 2 3) v in
+  enqueue (vote 1);
+  enqueue (vote ~positive:false 2);
+  enqueue (vote 3);
+  enqueue (vote ~round:P.Propose_round 4);
+  Alcotest.check vote_queue "three classes, counts kept"
+    [
+      ((2, "prep"), (true, 4));
+      ((2, "prep"), (false, 2));
+      ((2, "prop"), (true, 4));
+    ]
+    (votes sv)
+
+(* A response to another proposition does not merge: a smaller number
+   is pruned, a larger one replaces the queue. *)
+let test_merge_keyed_by_proposition () =
+  let sv = leader_queue () in
+  let enqueue tag v =
+    S.enqueue sv ~merge:merge_votes ~target:3 ~pno:(pno tag 3) v
+  in
+  enqueue 2 (vote 1);
+  enqueue 1 (vote 5);
+  Alcotest.check vote_queue "smaller number pruned"
+    [ ((2, "prep"), (true, 1)) ]
+    (votes sv);
+  enqueue 3 (vote 2);
+  Alcotest.check vote_queue "larger number replaces"
+    [ ((3, "prep"), (true, 2)) ]
+    (votes sv)
+
+let test_merge_counts_and_priors () =
+  let sv = leader_queue () in
+  let enqueue v = S.enqueue sv ~merge:merge_votes ~target:3 ~pno:(pno 2 3) v in
+  enqueue (vote ~prior:{ P.pno = pno 1 1; value = 0 } ~committed:(pno 1 0) 2);
+  enqueue (vote ~prior:{ P.pno = pno 2 0; value = 1 } 3);
+  enqueue (vote ~committed:(pno 1 2) 1);
+  match sv.response_q with
+  | [ { body; _ } ] ->
+      Alcotest.(check int) "counts add" 6 body.count;
+      Alcotest.(check bool) "keeps the higher prior" true
+        (body.prior = Some { P.pno = pno 2 0; value = 1 });
+      Alcotest.(check bool) "keeps the larger committed number" true
+        (body.committed = Some (pno 1 2))
+  | q -> Alcotest.failf "expected one entry, got %d" (List.length q)
+
+(* The point of merging: responses that folded together leave as one
+   message, carrying the summed count, once a route to the target exists. *)
+let test_merged_leave_together () =
+  let sv = leader_queue () in
+  let enqueue v = S.enqueue sv ~merge:merge_votes ~target:3 ~pno:(pno 2 3) v in
+  List.iter (fun n -> enqueue (vote n)) [ 1; 2; 3 ];
+  let emit dest (e : vote S.entry) = (dest, e.body.count) in
+  Alcotest.(check (option (pair int int))) "no route yet" None
+    (S.dequeue sv ~emit);
+  ignore (Consensus.Tree.improve sv.tree ~root:3 ~hops:0 ~sender:2);
+  Alcotest.(check (option (pair int int))) "one message, summed" (Some (2, 6))
+    (S.dequeue sv ~emit);
+  Alcotest.(check (option (pair int int))) "nothing left" None
+    (S.dequeue sv ~emit)
+
+(* Conservation across merges and prunes: whatever arrives, the queue
+   holds exactly the leader's largest proposal number, once per class,
+   with the summed count of every response of that class. *)
+let gen_arrival =
+  QCheck.Gen.(
+    let* target = oneofl [ 3; 3; 3; 1 ] in
+    let* tag = int_range 0 2 in
+    let* round = oneofl [ P.Prepare_round; P.Propose_round ] in
+    let* positive = bool in
+    let* count = int_range 1 5 in
+    return (target, tag, round, positive, count))
+
+let prop_enqueue_conserves_counts =
+  QCheck.Test.make ~name:"enqueue conserves per-class counts" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 25) gen_arrival))
+    (fun arrivals ->
+      let sv = leader_queue () in
+      List.iter
+        (fun (target, tag, round, positive, count) ->
+          S.enqueue sv ~merge:merge_votes ~target ~pno:(pno tag target)
+            (vote ~round ~positive count))
+        arrivals;
+      let mine = List.filter (fun (t, _, _, _, _) -> t = 3) arrivals in
+      let best =
+        List.fold_left (fun b (_, tag, _, _, _) -> max b tag) (-1) mine
+      in
+      let expected =
+        List.filter (fun (_, tag, _, _, _) -> tag = best) mine
+        |> List.map (fun (_, _, r, p, c) -> ((r, p), c))
+      in
+      let classes = List.sort_uniq compare (List.map fst expected) in
+      let sum k =
+        List.fold_left (fun acc (k', c) -> if k' = k then acc + c else acc) 0
+      in
+      let got =
+        List.map
+          (fun (e : vote S.entry) ->
+            ((e.body.round, e.body.positive), e.body.count))
+          sv.response_q
+      in
+      List.for_all
+        (fun (e : vote S.entry) -> e.target = 3 && e.pno.tag = best)
+        sv.response_q
+      && List.length got = List.length classes
+      && List.for_all (fun k -> sum k got = sum k expected) classes)
+
+let prop_merge_order_free =
+  QCheck.Test.make ~name:"merged count is independent of arrival order"
+    ~count:100
+    QCheck.(triple (int_range 1 10) (int_range 1 10) (int_range 1 10))
+    (fun (a, b, c) ->
+      let count order =
+        let sv = leader_queue () in
+        List.iter
+          (fun n ->
+            S.enqueue sv ~merge:merge_votes ~target:3 ~pno:(pno 1 3) (vote n))
+          order;
+        List.map (fun (e : vote S.entry) -> e.body.count) sv.response_q
+      in
+      count [ a; b; c ] = [ a + b + c ] && count [ c; a; b ] = [ a + b + c ])
+
 let fire_at step calls =
   List.filter_map
     (fun i -> if step () then Some i else None)
@@ -189,7 +355,7 @@ let test_out_of_rank () =
              ~crashes:[ (14, 30); (20, 45) ]
          in
          Alcotest.(check bool) "wpaxos decided" true
-           (Amac.Engine.all_decided outcome)));
+           (Fixtures.all_decided outcome)));
   let flood = Consensus.Flood_paxos.make () in
   let clone, fp = with_hooks flood in
   check_out_of_rank "flood-paxos"
@@ -203,7 +369,7 @@ let test_out_of_rank () =
              ~inputs:(Consensus.Runner.inputs_alternating ~n)
          in
          Alcotest.(check bool) "flood-paxos decided" true
-           (Amac.Engine.all_decided outcome)));
+           (Fixtures.all_decided outcome)));
   let smr, h = Smr.make () in
   let fp st = Amac.Fingerprint.(to_int (Smr.fingerprint_state st empty)) in
   check_out_of_rank "smr"
@@ -229,6 +395,16 @@ let () =
           Alcotest.test_case "stamp order" `Quick test_stamp_order;
           Alcotest.test_case "queue invariant" `Quick test_queue_invariant;
           Alcotest.test_case "routed dequeue" `Quick test_routed_dequeue;
+          Alcotest.test_case "responses merge by class" `Quick
+            test_merge_classes;
+          Alcotest.test_case "responses merge per proposition" `Quick
+            test_merge_keyed_by_proposition;
+          Alcotest.test_case "merge adds counts, keeps maxima" `Quick
+            test_merge_counts_and_priors;
+          Alcotest.test_case "merged responses leave together" `Quick
+            test_merged_leave_together;
+          QCheck_alcotest.to_alcotest prop_enqueue_conserves_counts;
+          QCheck_alcotest.to_alcotest prop_merge_order_free;
           Alcotest.test_case "tick schedules" `Quick test_tick_schedules;
           Alcotest.test_case "out-of-rank message, same outcome (all three)"
             `Quick test_out_of_rank;

@@ -175,10 +175,10 @@ let test_fault_plan_recorded () =
   in
   let snapshot = Obs.Metrics.snapshot obs in
   Alcotest.(check int) "one crash event recorded" 1
-    (Obs.Metrics.counter_of snapshot ~labels:[ ("kind", "crash") ]
+    (Fixtures.counter_of snapshot ~labels:[ ("kind", "crash") ]
        "fault_events_total");
   Alcotest.(check bool) "plan horizon recorded" true
-    (Obs.Metrics.find snapshot "fault_plan_horizon" <> None)
+    (Fixtures.find snapshot "fault_plan_horizon" <> None)
 
 let test_deterministic_replay () =
   let fingerprint (r : Shard_workload.result) =

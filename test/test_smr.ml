@@ -313,7 +313,7 @@ let test_log_matches_oracle () =
       ~seed:42 ~cmds:400 ~groups:4 ~batch:8 ()
   in
   let h = sharded.Shard_workload.handle in
-  for g = 0 to Shard.groups h - 1 do
+  for g = 0 to 3 do
     check_logs (Printf.sprintf "shard group %d" g) (Shard.inner h g)
   done
 

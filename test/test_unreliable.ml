@@ -29,9 +29,13 @@ let line4 = Amac.Topology.line 4
 let chord = Amac.Topology.of_edges ~n:4 [ (0, 3) ]
 
 let always_deliver =
-  Amac.Scheduler.with_unreliable Amac.Scheduler.synchronous
-    ~plan:(fun ~now ~sender:_ ~candidates ~ack_at:_ ->
-      List.map (fun c -> (c, now + 1)) candidates)
+  {
+    Amac.Scheduler.synchronous with
+    unreliable_plan =
+      Some
+        (fun ~now ~sender:_ ~candidates ~ack_at:_ ->
+          List.map (fun c -> (c, now + 1)) candidates);
+  }
 
 let test_unreliable_delivery_happens () =
   let outcome =
@@ -78,8 +82,11 @@ let test_size_mismatch_rejected () =
 
 let test_non_candidate_rejected () =
   let bad =
-    Amac.Scheduler.with_unreliable Amac.Scheduler.synchronous
-      ~plan:(fun ~now ~sender:_ ~candidates:_ ~ack_at:_ -> [ (2, now + 1) ])
+    {
+      Amac.Scheduler.synchronous with
+      unreliable_plan =
+        Some (fun ~now ~sender:_ ~candidates:_ ~ack_at:_ -> [ (2, now + 1) ]);
+    }
   in
   Alcotest.check_raises "delivery to non-candidate"
     (Invalid_argument "Engine.run: unreliable delivery to a non-candidate")

@@ -20,7 +20,7 @@ let test_families_synchronous () =
       ("star", Amac.Topology.star 10);
       ("grid", Amac.Topology.grid ~width:4 ~height:3);
       ("tree", Amac.Topology.binary_tree 11);
-      ("barbell", Amac.Topology.barbell ~clique_size:4);
+      ("barbell", Fixtures.barbell 4);
       ("star-of-lines", Amac.Topology.star_of_lines ~arms:3 ~arm_len:3);
     ]
   in
@@ -104,10 +104,7 @@ let test_lemma_4_2_conservation () =
         (List.map
            (fun (pno, _round, generated, counted) ->
              ((pno.Consensus.Paxos_types.tag, pno.proposer), generated, counted))
-           (Consensus.Wpaxos.Instrument.violations instrument));
-      Alcotest.(check bool) "counted <= generated overall" true
-        (Consensus.Wpaxos.Instrument.counted instrument
-        <= Consensus.Wpaxos.Instrument.generated instrument))
+           (Consensus.Wpaxos.Instrument.violations instrument)))
     [ 1; 2; 3; 4; 5 ]
 
 let test_time_scales_with_d_not_n () =
@@ -178,7 +175,7 @@ let test_adversarial_schedulers () =
       ("max delay", Amac.Scheduler.max_delay ~fack:7);
       ("slow node", Amac.Scheduler.slow_node ~fack:30 ~node:4);
       ( "asymmetric edges",
-        Amac.Scheduler.per_edge ~name:"asym" ~fack:9
+        Fixtures.per_edge ~name:"asym" ~fack:9
           ~delay:(fun ~sender ~receiver -> 1 + ((sender + (3 * receiver)) mod 9))
       );
       ( "long partition",
