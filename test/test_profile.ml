@@ -177,25 +177,36 @@ let test_profile_deterministic () =
         (String.equal (profile_bytes seed) (profile_bytes seed)))
     [ 1; 9; 42 ]
 
-(* The three exports costbench's wpaxos_grid400_profile renders, on its
-   input: grid:20x20 (Topo_gen seed 1) under fixed(3)+sinr(alpha=2), random
-   inputs from seed 42. Pinned by MD5 and length, so a renderer or exporter
-   change that moves a single byte shows here. *)
+(* costbench's wpaxos_grid400_profile input: grid:20x20 (Topo_gen seed 1)
+   under fixed(3)+sinr(alpha=2), random inputs from seed 42, with
+   provenance, metrics and a trace recorded. Run once, shared by the
+   digest cases below. *)
+let grid_run =
+  lazy
+    (let topology =
+       Topo_gen.generate ~seed:1 (Topo_gen.Grid { width = 20; height = 20 })
+     in
+     let n = Amac.Topology.size topology in
+     let inputs = Consensus.Runner.inputs_random (Amac.Rng.create 42) ~n in
+     let provenance = P.create () and obs = Obs.Metrics.create () in
+     let outcome =
+       Amac.Engine.run (Consensus.Wpaxos.make ()) ~topology
+         ~scheduler:
+           (Amac.Scheduler.interference ~alpha:2
+              (Amac.Scheduler.fixed ~delay:3))
+         ~inputs ~provenance ~obs ~record_trace:true
+         ~pp_msg:Consensus.Wpaxos.pp_msg
+     in
+     (n, provenance, obs, outcome))
+
+let digest bytes =
+  Printf.sprintf "%s %d" (Digest.to_hex (Digest.string bytes))
+    (String.length bytes)
+
+(* The three exports the pipeline renders, pinned by MD5 and length, so a
+   renderer or exporter change that moves a single byte shows here. *)
 let test_grid_export_digests () =
-  let topology =
-    Topo_gen.generate ~seed:1 (Topo_gen.Grid { width = 20; height = 20 })
-  in
-  let n = Amac.Topology.size topology in
-  let inputs = Consensus.Runner.inputs_random (Amac.Rng.create 42) ~n in
-  let provenance = P.create () and obs = Obs.Metrics.create () in
-  let outcome =
-    Amac.Engine.run (Consensus.Wpaxos.make ()) ~topology
-      ~scheduler:
-        (Amac.Scheduler.interference ~alpha:2
-           (Amac.Scheduler.fixed ~delay:3))
-      ~inputs ~provenance ~obs ~record_trace:true
-      ~pp_msg:Consensus.Wpaxos.pp_msg
-  in
+  let n, provenance, obs, outcome = Lazy.force grid_run in
   let spans = Amac.Trace_export.spans outcome.Amac.Engine.trace in
   let energy =
     Obs.Energy.account ~n ~duration:outcome.Amac.Engine.end_time spans
@@ -207,11 +218,7 @@ let test_grid_export_digests () =
   in
   List.iter
     (fun (name, expected, json) ->
-      let bytes = Obs.Json.to_string json in
-      Alcotest.(check string) name expected
-        (Printf.sprintf "%s %d"
-           (Digest.to_hex (Digest.string bytes))
-           (String.length bytes)))
+      Alcotest.(check string) name expected (digest (Obs.Json.to_string json)))
     [
       ( "profile",
         "03caea7680e5c5eae9dd396517216567 10155021",
@@ -223,6 +230,60 @@ let test_grid_export_digests () =
         "a50529314c4b54861c2d94044ddcfdec 767758",
         Obs.Metrics.to_json (Obs.Metrics.snapshot obs) );
     ]
+
+(* The span list itself, as JSONL: every delivery carries its provenance
+   cause here. *)
+let test_grid_span_digest () =
+  let _, _, _, outcome = Lazy.force grid_run in
+  Alcotest.(check string) "spans" "1c4a094fe17f4bf3174e23edc15559e9 64150008"
+    (digest
+       (Obs.Span.to_jsonl (Amac.Trace_export.spans outcome.Amac.Engine.trace)))
+
+let has_instant name spans =
+  List.exists
+    (function
+      | Obs.Span.Instant { name = n; _ } -> n = name | Obs.Span.Complete _ -> false)
+    spans
+
+(* A faulted run without a DAG: node 2 crashes mid-broadcast and recovers,
+   link (0,1) drops deliveries, and every delivery's cause is -1 (so it has
+   no "cause" arg). *)
+let test_faulted_span_digest () =
+  let faults =
+    [
+      Fault.Crash { node = 2; at = 10 };
+      Fault.Recover { node = 2; at = 50 };
+      Fault.Link_drop { edge = (0, 1); from_ = 0; until = 30 };
+    ]
+  in
+  let result =
+    Consensus.Runner.run ~faults (Consensus.Wpaxos.make ())
+      ~topology:(Amac.Topology.line 5)
+      ~scheduler:(Amac.Scheduler.fixed ~delay:3)
+      ~inputs:(Array.init 5 (fun i -> i mod 2))
+      ~record_trace:true ~pp_msg:Consensus.Wpaxos.pp_msg
+  in
+  let spans =
+    Amac.Trace_export.spans result.Consensus.Runner.outcome.Amac.Engine.trace
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " instant") true (has_instant name spans))
+    [ "crash"; "recover"; "link_drop"; "deliver" ];
+  Alcotest.(check bool) "an unacked broadcast" true
+    (List.exists
+       (function
+         | Obs.Span.Complete { args; _ } -> List.mem_assoc "unacked" args
+         | Obs.Span.Instant _ -> false)
+       spans);
+  Alcotest.(check bool) "no delivery names a cause" true
+    (List.for_all
+       (function
+         | Obs.Span.Instant { args; _ } -> not (List.mem_assoc "cause" args)
+         | Obs.Span.Complete _ -> true)
+       spans);
+  Alcotest.(check string) "spans" "5b2f9974274c3445a5707d34613c724a 59091"
+    (digest (Obs.Span.to_jsonl spans))
 
 let () =
   Alcotest.run "profile"
@@ -249,5 +310,9 @@ let () =
             test_profile_deterministic;
           Alcotest.test_case "grid:20x20 export digests" `Quick
             test_grid_export_digests;
+          Alcotest.test_case "grid:20x20 span digest" `Quick
+            test_grid_span_digest;
+          Alcotest.test_case "faulted span digest" `Quick
+            test_faulted_span_digest;
         ] );
     ]
