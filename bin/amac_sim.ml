@@ -212,13 +212,12 @@ let print_metrics =
 let write_file file s =
   Out_channel.with_open_bin file (fun oc -> output_string oc s)
 
-(* --json / --dag: rendered into one buffer, newline-terminated, and
-   written from it without a string copy. *)
+(* --json / --dag: streamed to the file a chunk at a time,
+   newline-terminated, so no document is ever held whole. *)
 let write_json file json =
-  let buf = Buffer.create 65536 in
-  Obs.Json.to_buffer buf json;
-  Buffer.add_char buf '\n';
-  Out_channel.with_open_bin file (fun oc -> Buffer.output_buffer oc buf)
+  Out_channel.with_open_bin file (fun oc ->
+      Obs.Json.to_channel oc json;
+      output_char oc '\n')
 
 (* The export format is picked by extension: .jsonl gets one event per
    line, anything else the Chrome trace_event envelope. *)

@@ -1,4 +1,13 @@
-type open_span = { started : int; ids : int; msg : string }
+(* [msg_arg] is shared by the span and its deliveries; [deliver] is the
+   deliveries' args for [cause], built at the first one ([[]] before). *)
+type open_span = {
+  started : int;
+  ids : int;
+  msg : string;
+  msg_arg : string * Obs.Json.t;
+  mutable cause : int;
+  mutable deliver : (string * Obs.Json.t) list;
+}
 
 let complete ~node ~start ~until ~ids ~msg ~acked : Obs.Span.event =
   Obs.Span.Complete
@@ -9,9 +18,13 @@ let complete ~node ~start ~until ~ids ~msg ~acked : Obs.Span.event =
       duration = until - start;
       node;
       args =
-        (("msg", Obs.Json.String msg) :: ("ids", Obs.Json.Int ids)
+        (msg :: ("ids", Obs.Json.Int ids)
         :: (if acked then [] else [ ("unacked", Obs.Json.Bool true) ]));
     }
+
+let delivery ~sender msg ~cause =
+  ("from", Obs.Json.Int sender) :: msg
+  :: (if cause >= 0 then [ ("cause", Obs.Json.Int cause) ] else [])
 
 let instant ~name ~cat ~time ~node args : Obs.Span.event =
   Obs.Span.Instant { name; cat; time; node; args }
@@ -26,9 +39,23 @@ let spans entries =
   let close_open ~node ~until ~acked =
     match Hashtbl.find_opt open_spans node with
     | None -> ()
-    | Some { started; ids; msg } ->
+    | Some { started; ids; msg_arg = msg; _ } ->
         Hashtbl.remove open_spans node;
         emit (complete ~node ~start:started ~until ~ids ~msg ~acked)
+  in
+  (* Every delivery of one broadcast (its rendering is shared, see
+     {!Trace.observer}) with one cause gets the same args list. *)
+  let deliver_args ~sender ~msg ~cause =
+    match Hashtbl.find open_spans sender with
+    | { msg = m; cause = c; deliver = _ :: _ as args; _ }
+      when m == msg && c = cause ->
+        args
+    | span when span.msg == msg ->
+        span.deliver <- delivery ~sender span.msg_arg ~cause;
+        span.cause <- cause;
+        span.deliver
+    | _ | (exception Not_found) ->
+        delivery ~sender ("msg", Obs.Json.String msg) ~cause
   in
   List.iter
     (fun entry ->
@@ -37,7 +64,9 @@ let spans entries =
           (* A still-open span here means the previous broadcast's ack was
              cancelled (crash + recovery): close it as lost work. *)
           close_open ~node ~until:time ~acked:false;
-          Hashtbl.replace open_spans node { started = time; ids; msg }
+          let msg_arg = ("msg", Obs.Json.String msg) in
+          Hashtbl.replace open_spans node
+            { started = time; ids; msg; msg_arg; cause = -1; deliver = [] }
       | Trace.Acked { time; node } -> (
           match Hashtbl.find_opt open_spans node with
           | Some _ -> close_open ~node ~until:time ~acked:true
@@ -47,10 +76,7 @@ let spans entries =
       | Trace.Delivered { time; node; sender; msg; cause } ->
           emit
             (instant ~name:"deliver" ~cat:"mac" ~time ~node
-               (("from", Obs.Json.Int sender)
-               :: ("msg", Obs.Json.String msg)
-               ::
-               (if cause >= 0 then [ ("cause", Obs.Json.Int cause) ] else [])))
+               (deliver_args ~sender ~msg ~cause))
       | Trace.Decided { time; node; value } ->
           emit
             (instant ~name:"decide" ~cat:"consensus" ~time ~node

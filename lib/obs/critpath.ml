@@ -22,40 +22,32 @@ type path = {
   shares : (int * int) list;
 }
 
-let edge_of prov (v : Provenance.vertex) =
-  let c = Provenance.get prov v.cause in
+(* The edge into vertex [v] from its cause, read from the store. *)
+let edge_of prov v =
+  let c = Provenance.cause prov v in
   let kind =
-    match v.kind with
+    match Provenance.kind prov v with
     | Provenance.Deliver _ -> Message
     | Provenance.Ack -> Ack_wait
     | _ -> Local
   in
   (* MAC latency is the broadcaster's transmission; local steps are the
      handling node's own (zero-time) computation. *)
-  let owner = match kind with Local -> v.node | Message | Ack_wait -> c.node in
-  {
-    e_from = c.id;
-    e_to = v.id;
-    e_kind = kind;
-    e_latency = v.time - c.time;
-    e_owner = owner;
-  }
+  let owner = Provenance.node prov (if kind = Local then v else c) in
+  let e_latency = Provenance.time prov v - Provenance.time prov c in
+  { e_from = c; e_to = v; e_kind = kind; e_latency; e_owner = owner }
 
 let path_of prov (decide : Provenance.vertex) =
   let value =
     match decide.kind with Provenance.Decide { value } -> value | _ -> 0
   in
   let rec walk v acc =
-    if v.Provenance.cause = -1 then (v, acc)
-    else
-      let e = edge_of prov v in
-      walk (Provenance.get prov v.cause) (e :: acc)
+    match Provenance.cause prov v with
+    | -1 -> (v, acc)
+    | c -> walk c (edge_of prov v :: acc)
   in
-  let root, edges = walk decide [] in
-  let hops = List.length (List.filter (fun e -> e.e_kind = Message) edges) in
-  let ack_waits =
-    List.length (List.filter (fun e -> e.e_kind = Ack_wait) edges)
-  in
+  let root, edges = walk decide.id [] in
+  let count kind = List.length (List.filter (fun e -> e.e_kind = kind) edges) in
   let shares = Hashtbl.create 7 in
   List.iter
     (fun e ->
@@ -68,29 +60,30 @@ let path_of prov (decide : Provenance.vertex) =
     Hashtbl.fold (fun node ticks acc -> (node, ticks) :: acc) shares []
     |> List.sort compare
   in
+  let root_time = Provenance.time prov root in
   {
     decide_id = decide.id;
     node = decide.node;
     value;
     decided_at = decide.time;
-    root_id = root.Provenance.id;
-    root_time = root.Provenance.time;
-    total = decide.time - root.Provenance.time;
-    hops;
-    ack_waits;
+    root_id = root;
+    root_time;
+    total = decide.time - root_time;
+    hops = count Message;
+    ack_waits = count Ack_wait;
     edges;
     shares;
   }
 
 let paths prov =
   let out = ref [] in
-  Provenance.iter
-    (fun v ->
-      match v.kind with
-      | Provenance.Decide _ -> out := path_of prov v :: !out
-      | _ -> ())
-    prov;
-  List.rev !out
+  for id = Provenance.length prov - 1 downto 0 do
+    match Provenance.kind prov id with
+    | Provenance.Decide _ ->
+      out := path_of prov (Provenance.get prov id) :: !out
+    | _ -> ()
+  done;
+  !out
 
 let per_hop p =
   let mac = p.hops + p.ack_waits in

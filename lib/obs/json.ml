@@ -47,76 +47,93 @@ let rec add_digits buf n =
   if n >= 10 then add_digits buf (n / 10);
   Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
 
-let rec render buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+(* At each List and Seq element boundary, [spill] empties a buffer holding
+   [spill_size] bytes or more onto to_string's chunk list or out to
+   to_channel's channel (to_buffer's keeps them), so no document doubles. *)
+type out = { buf : Buffer.t; spill : Buffer.t -> unit }
+
+let spill_size = 65536
+
+let rec render o = function
+  | Null -> Buffer.add_string o.buf "null"
+  | Bool b -> Buffer.add_string o.buf (if b then "true" else "false")
   | Int n ->
-      if n >= 0 then add_digits buf n
-      else Buffer.add_string buf (string_of_int n)
+      if n >= 0 then add_digits o.buf n
+      else Buffer.add_string o.buf (string_of_int n)
   | Float f ->
       if Float.is_finite f then
-        Buffer.add_string buf (Printf.sprintf "%.12g" f)
-      else Buffer.add_string buf "null"
-  | String s -> escape_string buf s
+        Buffer.add_string o.buf (Printf.sprintf "%.12g" f)
+      else Buffer.add_string o.buf "null"
+  | String s -> escape_string o.buf s
   | List items ->
-      Buffer.add_char buf '[';
+      Buffer.add_char o.buf '[';
       (match items with
       | [] -> ()
       | item :: items ->
-          render buf item;
-          render_items buf items);
-      Buffer.add_char buf ']'
+          render o item;
+          render_items o items);
+      Buffer.add_char o.buf ']'
   | Seq items ->
-      Buffer.add_char buf '[';
+      Buffer.add_char o.buf '[';
       (match items () with
       | Seq.Nil -> ()
       | Seq.Cons (item, items) ->
-          render buf item;
-          render_seq buf items);
-      Buffer.add_char buf ']'
+          render o item;
+          render_seq o items);
+      Buffer.add_char o.buf ']'
   | Obj fields ->
-      Buffer.add_char buf '{';
+      Buffer.add_char o.buf '{';
       (match fields with
       | [] -> ()
       | field :: fields ->
-          render_field buf field;
-          render_fields buf fields);
-      Buffer.add_char buf '}'
+          render_field o field;
+          render_fields o fields);
+      Buffer.add_char o.buf '}'
 
 (* The [render_*] continuations each render a ',' before every element. *)
-and render_items buf = function
+and render_items o = function
   | [] -> ()
   | item :: items ->
-      Buffer.add_char buf ',';
-      render buf item;
-      render_items buf items
+      if Buffer.length o.buf >= spill_size then o.spill o.buf;
+      Buffer.add_char o.buf ',';
+      render o item;
+      render_items o items
 
-and render_seq buf items =
+and render_seq o items =
   match items () with
   | Seq.Nil -> ()
   | Seq.Cons (item, items) ->
-      Buffer.add_char buf ',';
-      render buf item;
-      render_seq buf items
+      if Buffer.length o.buf >= spill_size then o.spill o.buf;
+      Buffer.add_char o.buf ',';
+      render o item;
+      render_seq o items
 
-and render_field buf (key, value) =
-  escape_string buf key;
-  Buffer.add_char buf ':';
-  render buf value
+and render_field o (key, value) =
+  escape_string o.buf key;
+  Buffer.add_char o.buf ':';
+  render o value
 
-and render_fields buf = function
+and render_fields o = function
   | [] -> ()
   | field :: fields ->
-      Buffer.add_char buf ',';
-      render_field buf field;
-      render_fields buf fields
+      Buffer.add_char o.buf ',';
+      render_field o field;
+      render_fields o fields
 
-let to_buffer = render
+let to_buffer buf t = render { buf; spill = ignore } t
 
 let to_string t =
+  let chunks = ref [] and buf = Buffer.create 256 in
+  let spill b = chunks := Buffer.contents b :: !chunks; Buffer.clear b in
+  render { buf; spill } t;
+  if !chunks = [] then Buffer.contents buf
+  else (spill buf; String.concat "" (List.rev !chunks))
+
+let to_channel oc t =
   let buf = Buffer.create 256 in
-  render buf t;
-  Buffer.contents buf
+  let spill b = Buffer.output_buffer oc b; Buffer.clear b in
+  render { buf; spill } t;
+  spill buf
 
 (* ------------------------------------------------------------------ *)
 (* Parser: recursive descent over a string with an explicit cursor.     *)

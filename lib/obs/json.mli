@@ -33,8 +33,12 @@ type t =
     export goes through it. *)
 val to_buffer : Buffer.t -> t -> unit
 
-(** [to_string t] is the bytes {!to_buffer} appends. *)
+(** [to_string t] is the bytes {!to_buffer} appends, rendered in chunks of
+    about 64 KiB (cut at array element boundaries) and concatenated once. *)
 val to_string : t -> string
+
+(** [to_channel oc t] writes those bytes to [oc] a chunk at a time. *)
+val to_channel : out_channel -> t -> unit
 
 (** [of_string s] parses one JSON value (surrounding whitespace allowed).
     Numbers follow the JSON grammar (no leading zeros); those without [.],

@@ -69,6 +69,13 @@ val length : t -> int
 (** @raise Invalid_argument on an out-of-range id. *)
 val get : t -> int -> vertex
 
+(** Vertex [id]'s fields, read from the store without building a {!vertex}.
+    @raise Invalid_argument on an out-of-range id. *)
+val kind : t -> int -> kind
+val node : t -> int -> int
+val time : t -> int -> int
+val cause : t -> int -> int
+
 (** In id (= recording) order. *)
 val iter : (vertex -> unit) -> t -> unit
 

@@ -242,6 +242,58 @@ let prop_renderer_matches_oracle =
       Obs.Json.to_string t = Oracle.to_string t
       && Buffer.contents buf = "prefix" ^ Oracle.to_string t)
 
+(* Documents past the renderer's 64 KiB spill size: a List of Objs, each
+   holding a long Seq, with one String element bigger than the spill size
+   (no element boundary inside it) at a random position. Every sink must
+   give the oracle's bytes: to_string's chunk list, to_buffer after a
+   prefix, and to_channel after a prefix. *)
+let gen_big_json =
+  let open QCheck.Gen in
+  let open Obs.Json in
+  let long_seq =
+    map (fun l -> Seq (List.to_seq l)) (list_size (int_range 500 2000) gen_json)
+  in
+  let obj =
+    map2 (fun key seq -> Obj [ (key, seq); ("n", Int 1) ]) gen_json_string
+      long_seq
+  in
+  let huge =
+    map
+      (fun s ->
+        String (String.concat "" (List.init 40_000 (fun _ -> s ^ "\\"))))
+      gen_json_string
+  in
+  map3
+    (fun objs at huge ->
+      let before = List.filteri (fun i _ -> i < at) objs
+      and after = List.filteri (fun i _ -> i >= at) objs in
+      List (before @ (huge :: after)))
+    (list_size (int_range 1 4) obj)
+    (int_bound 4) huge
+
+let prop_renderer_spills_like_oracle =
+  QCheck.Test.make ~count:20
+    ~name:"past the spill size, every sink agrees with the old renderer"
+    (QCheck.make
+       ~print:(fun t ->
+         Printf.sprintf "%d bytes" (String.length (Oracle.to_string t)))
+       gen_big_json)
+    (fun t ->
+      let expected = Oracle.to_string t in
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf "prefix";
+      Obs.Json.to_buffer buf t;
+      let file = Filename.temp_file "json" ".json" in
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc "prefix";
+          Obs.Json.to_channel oc t);
+      let written = In_channel.with_open_bin file In_channel.input_all in
+      Sys.remove file;
+      String.length expected > 65536
+      && Obs.Json.to_string t = expected
+      && Buffer.contents buf = "prefix" ^ expected
+      && written = "prefix" ^ expected)
+
 let test_json_seq () =
   let open Obs.Json in
   let items = [ Int 1; String "a\"b"; Obj [ ("k", Seq Seq.empty) ]; Null ] in
@@ -848,6 +900,7 @@ let () =
             test_json_strict_surrogates;
           Alcotest.test_case "lazy arrays" `Quick test_json_seq;
           QCheck_alcotest.to_alcotest prop_renderer_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_renderer_spills_like_oracle;
         ] );
       ( "metrics",
         [

@@ -27,7 +27,7 @@ let test_record_validation () =
 
 let test_store_grows () =
   let t = P.create () in
-  (* Push past the initial capacity (64) and far beyond. *)
+  (* Push past the initial capacity (64 vertices) and far beyond. *)
   for i = 0 to 999 do
     let cause = if i = 0 then -1 else i - 1 in
     let kind = if i = 0 then P.Boot { incarnation = 0 } else P.Deliver { sender = 0 } in
@@ -36,6 +36,70 @@ let test_store_grows () =
   done;
   Alcotest.(check int) "length after growth" 1000 (P.length t);
   Alcotest.(check int) "last vertex intact" 998 (P.get t 999).P.cause
+
+(* ---------- the flat store ---------- *)
+
+(* Fields over the whole int range, not just engine-sized values. *)
+let gen_field =
+  QCheck.Gen.(
+    oneof
+      [ int; small_signed_int; oneofl [ 0; -1; 1 lsl 43; max_int; min_int ] ])
+
+let gen_kind =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun incarnation -> P.Boot { incarnation }) gen_field;
+        map (fun payload -> P.Inject { payload }) gen_field;
+        return P.Broadcast;
+        map (fun sender -> P.Deliver { sender }) gen_field;
+        return P.Ack;
+        map (fun value -> P.Decide { value }) gen_field;
+      ])
+
+(* kind, node, time, and a pick of the cause among [-1] and the ids
+   recorded before. *)
+let gen_records =
+  QCheck.Gen.(
+    list_size (int_range 0 700)
+      (quad gen_kind (int_range 0 1_000_000) gen_field nat))
+
+let prop_store_round_trip =
+  QCheck.Test.make ~count:200
+    ~name:"get returns what record took, in iter order, across growth"
+    (QCheck.make
+       ~print:(fun records -> Printf.sprintf "%d records" (List.length records))
+       gen_records)
+    (fun records ->
+      let t = P.create () in
+      let expected =
+        List.mapi
+          (fun id (kind, node, time, pick) ->
+            let cause = (pick mod (id + 1)) - 1 in
+            let got = P.record t ~kind ~node ~time ~cause in
+            { P.id = got; kind; node; time; cause })
+          records
+      in
+      let iterated = ref [] in
+      P.iter (fun v -> iterated := v :: !iterated) t;
+      let len = P.length t in
+      let rejected cause =
+        match P.record t ~kind:P.Ack ~node:0 ~time:0 ~cause with
+        | _ -> false
+        | exception Invalid_argument msg ->
+            msg
+            = Printf.sprintf "Provenance.record: cause %d not in [-1, %d)"
+                cause len
+      in
+      List.rev !iterated = expected
+      && List.init len (P.get t) = expected
+      && List.for_all
+           (fun (v : P.vertex) ->
+             P.kind t v.id = v.kind && P.node t v.id = v.node
+             && P.time t v.id = v.time && P.cause t v.id = v.cause)
+           expected
+      && rejected len && rejected (-2) && rejected min_int
+      && P.length t = len)
 
 let test_check_catches_violations () =
   (* Deliver caused by a non-broadcast, broadcast caused by an ack, time
@@ -177,6 +241,7 @@ let () =
           Alcotest.test_case "record validates causes" `Quick
             test_record_validation;
           Alcotest.test_case "store grows" `Quick test_store_grows;
+          QCheck_alcotest.to_alcotest prop_store_round_trip;
           Alcotest.test_case "check catches violations" `Quick
             test_check_catches_violations;
           Alcotest.test_case "check accepts well-formed" `Quick
