@@ -22,7 +22,6 @@ type path = {
   shares : (int * int) list;
 }
 
-(* The edge into vertex [v] from its cause, read from the store. *)
 let edge_of prov v =
   let c = Provenance.cause prov v in
   let kind =
