@@ -209,9 +209,6 @@ let print_metrics =
       Printf.printf "--- metrics ---\n%s--- end metrics ---\n"
         (Obs.Metrics.render (Obs.Metrics.snapshot reg)))
 
-let write_file file s =
-  Out_channel.with_open_bin file (fun oc -> output_string oc s)
-
 (* --json / --dag: streamed to the file a chunk at a time,
    newline-terminated, so no document is ever held whole. *)
 let write_json file json =
@@ -221,20 +218,22 @@ let write_json file json =
 
 (* The export format is picked by extension: .jsonl gets one event per
    line, anything else the Chrome trace_event envelope. *)
+let is_jsonl file = Filename.check_suffix file ".jsonl"
+
 let export_for file events =
-  if Filename.check_suffix file ".jsonl" then Obs.Span.to_jsonl events
-  else Obs.Span.to_chrome events
+  if is_jsonl file then Obs.Span.to_jsonl events else Obs.Span.to_chrome events
 
 let parse_for file data =
-  if Filename.check_suffix file ".jsonl" then Obs.Span.of_jsonl data
-  else Obs.Span.of_chrome data
+  if is_jsonl file then Obs.Span.of_jsonl data else Obs.Span.of_chrome data
 
-(* --trace-out: write the run's span trace to the named file. *)
+(* --trace-out: streamed to the file, like --json, so the trace is never
+   held whole as bytes. *)
 let export_trace trace_out trace =
   Option.iter
     (fun file ->
       let events = Amac.Trace_export.spans trace in
-      write_file file (export_for file events);
+      Out_channel.with_open_bin file (fun oc ->
+          Obs.Span.to_channel oc ~jsonl:(is_jsonl file) events);
       Printf.printf "trace: %d span events written to %s\n"
         (List.length events) file)
     trace_out

@@ -241,9 +241,19 @@ let rec ranked rank (prev : int) = function
       let r = rank c in
       prev <= r && ranked rank r rest
 
+(* A stable insertion sort from the right: [c], of rank [r], goes before
+   the first element of rank >= r, so a component already in place costs
+   one comparison, and equal ranks keep their order. *)
+let rec insert rank c r = function
+  | x :: rest when rank x < r -> x :: insert rank c r rest
+  | l -> c :: l
+
+let rec insertion rank = function
+  | [] -> []
+  | c :: rest -> insert rank c (rank c) (insertion rank rest)
+
 let in_rank_order ~rank components =
-  if ranked rank 0 components then components
-  else List.sort (fun a b -> Int.compare (rank a) (rank b)) components
+  if ranked rank 0 components then components else insertion rank components
 
 let rec sum_ids ids acc = function
   | [] -> acc

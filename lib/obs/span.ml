@@ -64,13 +64,23 @@ let to_jsonl events =
     events;
   Buffer.contents buf
 
-let to_chrome events =
-  Json.to_string
-    (Json.Obj
-       [
-         ("traceEvents", Json.Seq (Seq.map json_of_event (List.to_seq events)));
-         ("displayTimeUnit", Json.String "ms");
-       ])
+let chrome events =
+  Json.Obj
+    [
+      ("traceEvents", Json.Seq (Seq.map json_of_event (List.to_seq events)));
+      ("displayTimeUnit", Json.String "ms");
+    ]
+
+let to_chrome events = Json.to_string (chrome events)
+
+let to_channel oc ~jsonl events =
+  if jsonl then
+    List.iter
+      (fun e ->
+        Json.to_channel oc (json_of_event e);
+        output_char oc '\n')
+      events
+  else Json.to_channel oc (chrome events)
 
 let get_string field json =
   match Json.member field json with

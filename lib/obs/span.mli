@@ -44,6 +44,11 @@ val to_jsonl : event list -> string
 
 val to_chrome : event list -> string
 
+(** [to_channel oc ~jsonl events] writes the bytes of {!to_jsonl} (or,
+    with [~jsonl:false], {!to_chrome}) to [oc] without building them
+    whole: one event at a time, or the envelope a chunk at a time. *)
+val to_channel : out_channel -> jsonl:bool -> event list -> unit
+
 (** @raise Failure on malformed input or an event shape this module does not
     produce. *)
 val of_jsonl : string -> event list

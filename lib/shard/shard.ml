@@ -1,4 +1,5 @@
 module F = Amac.Fingerprint
+module Itbl = Smr.Itbl
 
 (* Command-space carving, continuing Smr's reconfiguration encoding
    (mask bits 0-29, uid 30-39, joint 40, final 41): bit 42 marks a batch
@@ -55,23 +56,23 @@ type handle = {
   h_batch : int;
   mutable inner_algs : (Smr.state, Smr.msg) Amac.Algorithm.t array;
   mutable inner_handles : Smr.handle array;
-  h_route : (int, int) Hashtbl.t;  (** client cmd -> owning group *)
+  h_route : int Itbl.t;  (** client cmd -> owning group *)
   mutable h_batches : int list option array;
       (** [seq] -> [Some cmds] (oldest first) of batch value
           [batch_bit lor seq]; slot 0 and unminted slots are [None] *)
   mutable batch_seq : int;
-  h_submitted : (int, unit) Hashtbl.t;
-  h_committed : (int, unit) Hashtbl.t;
-  w_registry : (int, state) Hashtbl.t;  (** node -> current incarnation *)
+  h_submitted : unit Itbl.t;
+  h_committed : unit Itbl.t;
+  w_registry : state Itbl.t;  (** node -> current incarnation *)
 }
 
 let inner h g =
   if g < 0 || g >= h.h_groups then invalid_arg "Shard.inner: bad group";
   h.inner_handles.(g)
 
-let submitted h = Hashtbl.length h.h_submitted
+let submitted h = Itbl.length h.h_submitted
 
-let committed h = Hashtbl.length h.h_committed
+let committed h = Itbl.length h.h_committed
 
 let batches h = h.batch_seq - 1
 
@@ -85,7 +86,7 @@ let expand h v =
 let applied_cmds h ~node ~group =
   if group < 0 || group >= h.h_groups then
     invalid_arg "Shard.applied_cmds: bad group";
-  match Hashtbl.find_opt h.w_registry node with
+  match Itbl.find_opt h.w_registry node with
   | Some st -> List.rev st.applied_flat.(group)
   | None -> []
 
@@ -93,7 +94,7 @@ let route h ~key ~cmd =
   if cmd < 1 || cmd land lnot ((1 lsl 40) - 1) <> 0 then
     invalid_arg "Shard.route: commands must be positive and below bit 40";
   let g = group_of_key ~groups:h.h_groups key in
-  Hashtbl.replace h.h_route cmd g;
+  Itbl.replace h.h_route cmd g;
   g
 
 (* Outbox capacity covers the steady state (one message per group, a
@@ -184,25 +185,22 @@ let injector h ~now ~payload ctx st =
       flush h st g ~now ctx
     end
     else
-      match Hashtbl.find_opt h.h_route payload with
+      match Itbl.find_opt h.h_route payload with
       | None ->
           invalid_arg "Shard.injector: unrouted payload (call Shard.route first)"
       | Some g ->
-          if not (Hashtbl.mem h.h_submitted payload) then
-            Hashtbl.replace h.h_submitted payload ();
+          Itbl.replace h.h_submitted payload ();
           st.pending.(g) <- payload :: st.pending.(g);
           st.pending_n.(g) <- st.pending_n.(g) + 1;
           if st.pending_n.(g) >= h.h_batch then flush h st g ~now ctx else []
   in
   decides @ drain st
 
+let entries q =
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) (Amac.Pqueue.to_list q)
+
 let fp_queue q acc =
-  let entries =
-    List.sort
-      (fun (a, _) (b, _) -> Int.compare a b)
-      (Amac.Pqueue.to_list q)
-  in
-  F.list (fun (k, m) acc -> acc |> F.int k |> Smr.fingerprint_msg m) entries acc
+  F.list (fun (k, m) acc -> acc |> F.int k |> Smr.fingerprint_msg m) (entries q) acc
 
 let fingerprint st acc =
   acc |> F.int st.node |> F.list F.int st.in_flight |> F.int st.obseq
@@ -219,14 +217,7 @@ let clone st =
   {
     st with
     inners = Array.map Smr.clone_state st.inners;
-    outbox =
-      Array.map
-        (fun q ->
-          Amac.Pqueue.of_list
-            (List.sort
-               (fun (a, _) (b, _) -> Int.compare a b)
-               (Amac.Pqueue.to_list q)))
-        st.outbox;
+    outbox = Array.map (fun q -> Amac.Pqueue.of_list (entries q)) st.outbox;
     presized = Array.copy st.presized;
     pending = Array.copy st.pending;
     pending_n = Array.copy st.pending_n;
@@ -247,12 +238,12 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
       h_batch = batch;
       inner_algs = [||];
       inner_handles = [||];
-      h_route = Hashtbl.create 4096;
+      h_route = Itbl.create 4096;
       h_batches = Array.make 1024 None;
       batch_seq = 1;
-      h_submitted = Hashtbl.create 4096;
-      h_committed = Hashtbl.create 4096;
-      w_registry = Hashtbl.create 8;
+      h_submitted = Itbl.create 4096;
+      h_committed = Itbl.create 4096;
+      w_registry = Itbl.create 8;
     }
   in
   let mk g =
@@ -261,7 +252,7 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
        incarnation, mirroring the inner applied semantics) and fire the
        user callback once per client command. *)
     let commit node c =
-      if not (Hashtbl.mem h.h_committed c) then Hashtbl.replace h.h_committed c ();
+      Itbl.replace h.h_committed c ();
       match on_apply with Some f -> f ~node ~group:g ~cmd:c | None -> ()
     in
     let on_apply_inner ~node ~index:_ ~cmd =
@@ -272,7 +263,7 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
           | None -> invalid_arg "Shard: applied a batch this handle never minted")
         else None
       in
-      (match Hashtbl.find_opt h.w_registry node with
+      (match Itbl.find_opt h.w_registry node with
       | Some st ->
           let flat = st.applied_flat.(g) in
           st.applied_flat.(g) <-
@@ -299,7 +290,7 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
        recovering node reclaims its previous state's queues — clear
        keeps the backing arrays, so recovery allocates no transport. *)
     let outbox, presized =
-      match Hashtbl.find_opt h.w_registry node with
+      match Itbl.find_opt h.w_registry node with
       | Some old ->
           Array.iter Amac.Pqueue.clear old.outbox;
           (old.outbox, old.presized)
@@ -324,7 +315,7 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
         applied_flat = Array.make groups [];
       }
     in
-    Hashtbl.replace h.w_registry node st;
+    Itbl.replace h.w_registry node st;
     let decides = ref [] in
     Array.iteri (fun g (_, acts) -> decides := !decides @ absorb st g acts) pairs;
     (st, !decides @ drain st)

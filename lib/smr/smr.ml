@@ -27,6 +27,18 @@ module Services = Consensus.Services
 
 let noop = 0
 
+(* Every per-node table is keyed by an instance, a command, a node id or a
+   packed proposition key ([Prop_key]): a monomorphic table skips the
+   polymorphic hash and compare. The hash is the identity below bit 30 and
+   folds bits 30 and 40 (a packed key's proposer and tag, a
+   reconfiguration command's uid and flags) onto the low bits. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k lxor (k lsr 30) lxor (k lsr 40)) land max_int
+end)
+
 (* --------------------------------------------------------------------- *)
 (* Reconfiguration commands are ordinary log values with reserved bits:    *)
 (* bits 0..29 carry the membership mask, bits 30..39 a uid (so repeated    *)
@@ -66,10 +78,12 @@ let pno_of = function Prepare { pno; _ } -> pno | Propose { pno; _ } -> pno
 
 (* Key identifying one proposition for respond-once / forward-once dedup:
    (tag, proposer, -1) for the lease Prepare, (tag, proposer, inst) for a
-   per-instance Propose. *)
+   per-instance Propose, packed by [Prop_key]. *)
 let prop_key = function
-  | Prepare { pno; _ } -> (pno.tag, pno.proposer, -1)
-  | Propose { pno; inst; _ } -> (pno.tag, pno.proposer, inst)
+  | Prepare { pno; _ } ->
+      Prop_key.pack ~tag:pno.tag ~proposer:pno.proposer ~inst:(-1)
+  | Propose { pno; inst; _ } ->
+      Prop_key.pack ~tag:pno.tag ~proposer:pno.proposer ~inst
 
 type resp_round = Rprep | Racc of int
 
@@ -132,9 +146,9 @@ type lease =
       mutable no : int;
       mutable yes2 : int;
       mutable no2 : int;
-      priors : (int, prior) Hashtbl.t;
+      priors : prior Itbl.t;
     }
-  | Ready of { pno : pno; priors : (int, prior) Hashtbl.t }
+  | Ready of { pno : pno; priors : prior Itbl.t }
 
 type flight = {
   f_value : int;
@@ -167,7 +181,7 @@ type config = {
   members : int list option;
   clock : int ref option;
       (* the engine's clock cell, when the harness wants latency breakdowns *)
-  propose_times : (int, int) Hashtbl.t;
+  propose_times : int Itbl.t;
       (* cmd -> time of its first Propose anywhere (shared with the handle);
          splits commit latency into queueing (submit -> first propose) and
          replication (first propose -> commit) *)
@@ -177,11 +191,11 @@ type state = {
   sv : pending_response Services.t;
   cfg : config;
   (* the log *)
-  insts : (int, inst) Hashtbl.t;
+  insts : inst Itbl.t;
   mutable commit_index : int;  (* length of the chosen prefix *)
   mutable max_inst_seen : int;  (* 1 + highest instance heard of *)
   mutable applied : int list;  (* applied commands, newest first *)
-  applied_set : (int, unit) Hashtbl.t;
+  applied_set : unit Itbl.t;
   (* membership (joint consensus) *)
   mutable members : int list;  (* current voters, sorted *)
   mutable joint : int list option;  (* incoming voters mid-transition *)
@@ -202,19 +216,19 @@ type state = {
   mutable snap_epoch : int;
   mutable snap_q : bool;  (* a snapshot transfer is queued *)
   (* client commands *)
-  known_cmds : (int, unit) Hashtbl.t;
+  known_cmds : unit Itbl.t;
   cmd_pool : int Queue.t;
       (* submitted commands, FIFO; an entry is live iff it is not in
          [chosen_cmds], and the head is always live (see [drop_chosen]) *)
-  chosen_cmds : (int, unit) Hashtbl.t;
+  chosen_cmds : unit Itbl.t;
   mutable forward_q : int list;
   (* proposer *)
   mutable max_tag : int;
   mutable lease : lease;
   mutable attempts_left : int;
-  proposing : (int, flight) Hashtbl.t;  (* instance -> in-flight proposal *)
+  proposing : flight Itbl.t;  (* instance -> in-flight proposal *)
   mutable proposal_q : proposer_msg list;
-  seen_props : (int * int * int, unit) Hashtbl.t;  (* forward-once *)
+  seen_props : unit Itbl.t;  (* forward-once *)
   (* acceptor *)
   mutable promised : pno option;
   vote_floor : int;
@@ -232,10 +246,12 @@ type state = {
          above it are ones no earlier incarnation ever voted in, so normal
          participation is sound. This mirrors the watermark Raft persists
          (term + vote) without persisting the log itself. *)
-  responded : (int * int * int, unit) Hashtbl.t;  (* respond-once *)
+  responded : unit Itbl.t;  (* respond-once *)
   (* decision flooding *)
   decide_q : (int * int) Queue.t;  (* (inst, value), FIFO *)
-  decide_set : (int * int, int) Hashtbl.t;  (* pairs in [decide_q] -> count *)
+  decide_set : int Itbl.t;
+      (* instance -> its entries in [decide_q]: a node only ever queues its
+         own chosen value for an instance *)
   (* responder-side straggler-repair retry (a single lost repair message
      must not stall a restarter forever; see [on_leader]) *)
   mutable repair_node : int;  (* the straggler the hole belongs to; -1 = none *)
@@ -298,28 +314,28 @@ let quorum_lost st n1 n2 =
   || match st.joint with None -> false | Some t -> lost_in (List.length t) n2
 
 let get_inst st i =
-  match Hashtbl.find_opt st.insts i with
+  match Itbl.find_opt st.insts i with
   | Some r -> r
   | None ->
       let r = { accepted = None; chosen = None } in
-      Hashtbl.replace st.insts i r;
+      Itbl.replace st.insts i r;
       r
 
 let note_inst st i =
   if i + 1 > st.max_inst_seen then st.max_inst_seen <- i + 1
 
-let push_decision st d =
+let push_decision st ((i, _) as d) =
   Queue.push d st.decide_q;
-  Hashtbl.replace st.decide_set d
-    (1 + Option.value ~default:0 (Hashtbl.find_opt st.decide_set d))
+  Itbl.replace st.decide_set i
+    (1 + Option.value ~default:0 (Itbl.find_opt st.decide_set i))
 
 let pop_decision st =
   let d = Queue.take_opt st.decide_q in
   (match d with
-  | Some d -> (
-      match Hashtbl.find st.decide_set d with
-      | 1 -> Hashtbl.remove st.decide_set d
-      | k -> Hashtbl.replace st.decide_set d (k - 1))
+  | Some (i, _) -> (
+      match Itbl.find st.decide_set i with
+      | 1 -> Itbl.remove st.decide_set i
+      | k -> Itbl.replace st.decide_set i (k - 1))
   | None -> ());
   d
 
@@ -328,7 +344,7 @@ let pop_decision st =
    is always live. *)
 let rec drop_chosen st =
   match Queue.peek_opt st.cmd_pool with
-  | Some c when Hashtbl.mem st.chosen_cmds c ->
+  | Some c when Itbl.mem st.chosen_cmds c ->
       ignore (Queue.pop st.cmd_pool);
       drop_chosen st
   | Some _ | None -> ()
@@ -344,7 +360,7 @@ let has_work st =
   || st.snap_q
   || (st.repair_hole >= 0 && st.repair_left > 0)
   || (st.sv.omega = st.sv.me
-     && (Hashtbl.length st.proposing > 0
+     && (Itbl.length st.proposing > 0
         || match st.lease with Preparing _ -> true | _ -> false))
 
 (* ------------------------------------------------------------------ *)
@@ -486,7 +502,7 @@ let acceptor_respond st (message : proposer_msg) =
           if i < from_inst then acc
           else
             let acc =
-              match Hashtbl.find_opt st.insts i with
+              match Itbl.find_opt st.insts i with
               | Some { chosen = Some value; _ } ->
                   (* A value we know is CHOSEN — possibly learned via a
                      repair decision, with no accepted record behind it
@@ -552,21 +568,21 @@ let salvage_uid seq = 1023 - (seq - 1)
    instances in between are removed. *)
 let truncate st floor =
   for i = st.snap_floor to floor - 1 do
-    Hashtbl.remove st.insts i
+    Itbl.remove st.insts i
   done;
   st.snap_floor <- floor
 
 let rec advance_commit st =
   let continue = ref true in
   while !continue do
-    match Hashtbl.find_opt st.insts st.commit_index with
+    match Itbl.find_opt st.insts st.commit_index with
     | Some { chosen = Some value; _ } ->
         let index = st.commit_index in
         st.commit_index <- st.commit_index + 1;
         if is_reconfig value then apply_reconfig st ~index ~value
-        else if value <> noop && not (Hashtbl.mem st.applied_set value)
+        else if value <> noop && not (Itbl.mem st.applied_set value)
         then begin
-          Hashtbl.replace st.applied_set value ();
+          Itbl.replace st.applied_set value ();
           st.applied <- value :: st.applied;
           match st.cfg.on_apply with
           | Some f -> f ~node:st.sv.me ~index ~cmd:value
@@ -666,7 +682,7 @@ and note_chosen st i value =
     | None ->
         r.chosen <- Some value;
         note_inst st i;
-        if value <> noop then Hashtbl.replace st.chosen_cmds value ();
+        if value <> noop then Itbl.replace st.chosen_cmds value ();
         drop_chosen st;
         (* Flood the decision exactly once per node. *)
         push_decision st (i, value);
@@ -690,8 +706,8 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
     st.snap_joint <- s_joint;
     st.snap_epoch <- s_epoch;
     st.applied <- applied_new;
-    Hashtbl.reset st.applied_set;
-    List.iter (fun c -> Hashtbl.replace st.applied_set c ()) applied_new;
+    Itbl.reset st.applied_set;
+    List.iter (fun c -> Itbl.replace st.applied_set c ()) applied_new;
     st.configs <- st.snap_configs;
     st.members <- s_members;
     st.joint <- s_joint;
@@ -701,13 +717,13 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
     (* Commands the snapshot proves chosen must not be proposed again. *)
     List.iter
       (fun c ->
-        Hashtbl.replace st.chosen_cmds c ();
-        Hashtbl.replace st.known_cmds c ())
+        Itbl.replace st.chosen_cmds c ();
+        Itbl.replace st.known_cmds c ())
       applied_new;
     List.iter
       (fun (_, c) ->
-        Hashtbl.replace st.chosen_cmds c ();
-        Hashtbl.replace st.known_cmds c ())
+        Itbl.replace st.chosen_cmds c ();
+        Itbl.replace st.known_cmds c ())
       st.snap_configs;
     drop_chosen st;
     (* Mid-transition snapshot: stage the closing final command here too. *)
@@ -718,7 +734,7 @@ and install_snapshot st ~floor ~s_applied ~s_configs ~s_members ~s_joint
         | None -> ())
     | None -> ());
     st.lease <- No_lease;
-    Hashtbl.reset st.proposing;
+    Itbl.reset st.proposing;
     st.snapshots_installed <- st.snapshots_installed + 1;
     Services.refill st.sv;
     advance_commit st;
@@ -736,7 +752,7 @@ and start_prepare st =
     st.max_tag <- st.max_tag + 1;
     let pno = { tag = st.max_tag; proposer = st.sv.me } in
     let from_inst = st.commit_index in
-    Hashtbl.reset st.proposing;
+    Itbl.reset st.proposing;
     st.lease <-
       Preparing
         {
@@ -746,11 +762,11 @@ and start_prepare st =
           no = 0;
           yes2 = 0;
           no2 = 0;
-          priors = Hashtbl.create 8;
+          priors = Itbl.create 8;
         };
     let message = Prepare { pno; from_inst } in
     st.proposal_q <- st.proposal_q @ [ message ];
-    Hashtbl.replace st.seen_props (prop_key message) ();
+    Itbl.replace st.seen_props (prop_key message) ();
     self_respond st message
   end
 
@@ -760,12 +776,12 @@ and start_prepare st =
    transition, a final only for the transition it closes. *)
 and pick_cmd st =
   let inflight value =
-    Hashtbl.fold
+    Itbl.fold
       (fun _ f acc -> acc || f.f_value = value)
       st.proposing false
   in
   let eligible c =
-    (not (Hashtbl.mem st.chosen_cmds c))
+    (not (Itbl.mem st.chosen_cmds c))
     && (not (inflight c))
     &&
     if is_joint_reconfig c then st.joint = None
@@ -778,7 +794,7 @@ and pick_cmd st =
   Seq.find eligible (Queue.to_seq st.cmd_pool)
 
 and choose_value st priors i =
-  match Hashtbl.find_opt priors i with
+  match Itbl.find_opt priors i with
   | Some prior -> Some prior.value  (* bound by an earlier proposal *)
   | None ->
       if i < st.max_inst_seen then Some noop  (* fill a hole below the end *)
@@ -793,22 +809,22 @@ and fill_window st =
       while (not !stalled) && !i < upper do
         let inst = !i in
         let r = get_inst st inst in
-        (if r.chosen = None && not (Hashtbl.mem st.proposing inst) then
+        (if r.chosen = None && not (Itbl.mem st.proposing inst) then
            match choose_value st priors inst with
            | Some value ->
-               Hashtbl.replace st.proposing inst
+               Itbl.replace st.proposing inst
                  { f_value = value; f_yes = 0; f_no = 0; f_yes2 = 0; f_no2 = 0 };
                note_inst st inst;
                (match st.cfg.clock with
                | Some clk
                  when value > noop
                       && (not (is_reconfig value))
-                      && not (Hashtbl.mem st.cfg.propose_times value) ->
-                   Hashtbl.replace st.cfg.propose_times value !clk
+                      && not (Itbl.mem st.cfg.propose_times value) ->
+                   Itbl.replace st.cfg.propose_times value !clk
                | Some _ | None -> ());
                let message = Propose { pno; inst; value } in
                st.proposal_q <- st.proposal_q @ [ message ];
-               Hashtbl.replace st.seen_props (prop_key message) ();
+               Itbl.replace st.seen_props (prop_key message) ();
                self_respond st message
            | None -> stalled := true);
         incr i
@@ -817,7 +833,7 @@ and fill_window st =
 
 and lease_failed st =
   st.lease <- No_lease;
-  Hashtbl.reset st.proposing;
+  Itbl.reset st.proposing;
   if st.sv.omega = st.sv.me then begin
     if st.attempts_left > 0 then begin
       st.attempts_left <- st.attempts_left - 1;
@@ -862,10 +878,10 @@ and count_response st (r : response) =
           (fun (i, prior) ->
             note_inst st i;
             let best =
-              max_prior (Hashtbl.find_opt p.priors i) (Some prior)
+              max_prior (Itbl.find_opt p.priors i) (Some prior)
             in
             match best with
-            | Some best -> Hashtbl.replace p.priors i best
+            | Some best -> Itbl.replace p.priors i best
             | None -> ())
           r.priors;
         if quorum_reached st p.yes p.yes2 then begin
@@ -882,14 +898,14 @@ and count_response st (r : response) =
         if quorum_lost st p.no p.no2 then lease_failed st
       end
   | Ready rd, Racc inst when compare_pno rd.pno r.r_pno = 0 -> (
-      match Hashtbl.find_opt st.proposing inst with
+      match Itbl.find_opt st.proposing inst with
       | Some f ->
           Services.progress st.sv;
           if r.positive then begin
             f.f_yes <- f.f_yes + r.count;
             f.f_yes2 <- f.f_yes2 + r.count2;
             if quorum_reached st f.f_yes f.f_yes2 then begin
-              Hashtbl.remove st.proposing inst;
+              Itbl.remove st.proposing inst;
               note_chosen st inst f.f_value
             end
           end
@@ -906,7 +922,7 @@ and self_respond st (message : proposer_msg) =
      acceptor is muted); it can still assemble quorums from its peers. *)
   if can_vote st then begin
     let pno = pno_of message in
-    Hashtbl.replace st.responded (prop_key message) ();
+    Itbl.replace st.responded (prop_key message) ();
     let round, positive, priors, committed = acceptor_respond st message in
     count_response st
       {
@@ -931,9 +947,9 @@ and self_respond st (message : proposer_msg) =
    re-flood it once so it reaches the leader in multihop networks.
    Reconfiguration commands travel the same path. *)
 and absorb_cmd st cmd =
-  if cmd <> noop && not (Hashtbl.mem st.known_cmds cmd) then begin
-    Hashtbl.replace st.known_cmds cmd ();
-    if not (Hashtbl.mem st.chosen_cmds cmd) then begin
+  if cmd <> noop && not (Itbl.mem st.known_cmds cmd) then begin
+    Itbl.replace st.known_cmds cmd ();
+    if not (Itbl.mem st.chosen_cmds cmd) then begin
       Queue.push cmd st.cmd_pool;
       Services.refill st.sv;
       if st.sv.omega = st.sv.me then
@@ -952,7 +968,7 @@ and absorb_cmd st cmd =
 and set_omega st id =
   Services.elect st.sv id;
   st.lease <- No_lease;
-  Hashtbl.reset st.proposing;
+  Itbl.reset st.proposing;
   st.proposal_q <-
     List.filter (fun p -> (pno_of p).proposer = st.sv.omega) st.proposal_q;
   local_change st
@@ -985,9 +1001,9 @@ let queue_repair st ~lag_commit =
   if lag_commit < st.commit_index then
     if lag_commit < st.snap_floor then st.snap_q <- true
     else
-      match Hashtbl.find_opt st.insts lag_commit with
+      match Itbl.find_opt st.insts lag_commit with
       | Some { chosen = Some value; _ } ->
-          if not (Hashtbl.mem st.decide_set (lag_commit, value)) then
+          if not (Itbl.mem st.decide_set lag_commit) then
             push_decision st (lag_commit, value)
       | Some { chosen = None; _ } | None -> ()
 
@@ -1049,8 +1065,8 @@ let on_proposal st (message : proposer_msg) =
   if pno.proposer = st.sv.omega && pno.proposer <> st.sv.me then begin
     let key = prop_key message in
     (* Flood each of the current leader's propositions once. *)
-    if not (Hashtbl.mem st.seen_props key) then begin
-      Hashtbl.replace st.seen_props key ();
+    if not (Itbl.mem st.seen_props key) then begin
+      Itbl.replace st.seen_props key ();
       st.proposal_q <- st.proposal_q @ [ message ];
       Services.refill st.sv
     end;
@@ -1061,8 +1077,8 @@ let on_proposal st (message : proposer_msg) =
        entirely — and is deliberately NOT marked as having responded, so
        a later retransmission of the same proposition gets a real answer
        once the chosen prefix has caught up. *)
-    if can_vote st && not (Hashtbl.mem st.responded key) then begin
-      Hashtbl.replace st.responded key ();
+    if can_vote st && not (Itbl.mem st.responded key) then begin
+      Itbl.replace st.responded key ();
       let round, positive, priors, committed = acceptor_respond st message in
       let count = weight1 st and count2 = weight2 st in
       if count + count2 > 0 then
@@ -1149,12 +1165,11 @@ let hardened_tick st =
 (* ------------------------------------------------------------------ *)
 
 type handle = {
-  registry : (int, state) Hashtbl.t;  (* node -> current incarnation state *)
-  submitted : (int, unit) Hashtbl.t;
-  mutable submitted_count : int;
-  reconfig_cmds : (int, unit) Hashtbl.t;
+  registry : state Itbl.t;  (* node -> current incarnation state *)
+  submitted : unit Itbl.t;
+  reconfig_cmds : unit Itbl.t;
   mutable reconfig_seq : int;
-  h_propose_times : (int, int) Hashtbl.t;  (* the cfg's table, shared *)
+  h_propose_times : int Itbl.t;  (* the cfg's table, shared *)
 }
 
 let reconfig_cmd h ~members =
@@ -1170,19 +1185,16 @@ let reconfig_cmd h ~members =
   let uid = h.reconfig_seq in
   h.reconfig_seq <- h.reconfig_seq + 1;
   let base = mask_of_list ms lor (uid lsl uid_shift) in
-  Hashtbl.replace h.reconfig_cmds (base lor joint_bit) ();
-  Hashtbl.replace h.reconfig_cmds (base lor final_bit) ();
+  Itbl.replace h.reconfig_cmds (base lor joint_bit) ();
+  Itbl.replace h.reconfig_cmds (base lor final_bit) ();
   base lor joint_bit
 
 let submit h ~node ~cmd =
   if cmd <= noop then invalid_arg "Smr.submit: commands must be positive";
   if is_reconfig cmd then
     invalid_arg "Smr.submit: use reconfigure for membership changes";
-  if not (Hashtbl.mem h.submitted cmd) then begin
-    Hashtbl.replace h.submitted cmd ();
-    h.submitted_count <- h.submitted_count + 1
-  end;
-  match Hashtbl.find_opt h.registry node with
+  Itbl.replace h.submitted cmd ();
+  match Itbl.find_opt h.registry node with
   | Some st -> absorb_cmd st cmd
   | None -> invalid_arg "Smr.submit: unknown node (state not initialised)"
 
@@ -1190,23 +1202,20 @@ let injector h ~now:_ ~payload (_ctx : Amac.Algorithm.ctx) st =
   if payload <= noop then
     invalid_arg "Smr.injector: command payloads must be positive";
   if is_reconfig payload then begin
-    if not (Hashtbl.mem h.reconfig_cmds payload) then
+    if not (Itbl.mem h.reconfig_cmds payload) then
       invalid_arg "Smr.injector: unregistered reconfiguration command";
     absorb_cmd st payload
   end
   else begin
-    if not (Hashtbl.mem h.submitted payload) then begin
-      Hashtbl.replace h.submitted payload ();
-      h.submitted_count <- h.submitted_count + 1
-    end;
+    Itbl.replace h.submitted payload ();
     absorb_cmd st payload
   end;
   maybe_send st
 
-let nodes h = List.sort Int.compare (Hashtbl.fold (fun k _ l -> k :: l) h.registry [])
+let nodes h = List.sort Int.compare (Itbl.fold (fun k _ l -> k :: l) h.registry [])
 
 let state_of h node =
-  match Hashtbl.find_opt h.registry node with
+  match Itbl.find_opt h.registry node with
   | Some st -> st
   | None -> invalid_arg "Smr: unknown node"
 
@@ -1218,14 +1227,14 @@ let log h node =
   let rec walk i acc =
     if i < st.snap_floor then acc
     else
-      match Hashtbl.find_opt st.insts i with
+      match Itbl.find_opt st.insts i with
       | Some { chosen = Some v; _ } -> walk (i - 1) ((i, v) :: acc)
       | Some { chosen = None; _ } | None -> walk (i - 1) acc
   in
   walk (st.max_inst_seen - 1) []
 
 let fold_chosen h node f init =
-  Hashtbl.fold
+  Itbl.fold
     (fun i r acc -> match r.chosen with Some v -> f i v acc | None -> acc)
     (state_of h node).insts init
 
@@ -1233,13 +1242,13 @@ let commit_index h node = (state_of h node).commit_index
 
 let applied h node = List.rev (state_of h node).applied
 
-let was_submitted h cmd = Hashtbl.mem h.submitted cmd
+let was_submitted h cmd = Itbl.mem h.submitted cmd
 
-let was_reconfig h cmd = Hashtbl.mem h.reconfig_cmds cmd
+let was_reconfig h cmd = Itbl.mem h.reconfig_cmds cmd
 
-let submitted_count h = h.submitted_count
+let submitted_count h = Itbl.length h.submitted
 
-let propose_time h ~cmd = Hashtbl.find_opt h.h_propose_times cmd
+let propose_time h ~cmd = Itbl.find_opt h.h_propose_times cmd
 
 let leader h node = (state_of h node).sv.omega
 
@@ -1327,7 +1336,7 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
      up past its own floor has a short log end of its own). Everything
      else — log, applied state, acceptor slots — is genuinely forgotten
      and re-learned from repair traffic or a snapshot transfer. *)
-  let prior = Hashtbl.find_opt h.registry me in
+  let prior = Itbl.find_opt h.registry me in
   let floor0 =
     match prior with
     | Some old -> max old.vote_floor old.max_inst_seen
@@ -1341,11 +1350,11 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
     {
       sv;
       cfg;
-      insts = Hashtbl.create 64;
+      insts = Itbl.create 64;
       commit_index = 0;
       max_inst_seen = 0;
       applied = [];
-      applied_set = Hashtbl.create 64;
+      applied_set = Itbl.create 64;
       members = members0;
       joint = None;
       epoch = 0;
@@ -1353,8 +1362,8 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       pending_joints = [];
       register_reconfig =
         (fun jc ->
-          Hashtbl.replace h.reconfig_cmds jc ();
-          Hashtbl.replace h.reconfig_cmds (final_of_joint jc) ());
+          Itbl.replace h.reconfig_cmds jc ();
+          Itbl.replace h.reconfig_cmds (final_of_joint jc) ());
       snap_floor = 0;
       snap_applied = [];
       snap_configs = [];
@@ -1362,21 +1371,21 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       snap_joint = None;
       snap_epoch = 0;
       snap_q = false;
-      known_cmds = Hashtbl.create 64;
+      known_cmds = Itbl.create 64;
       cmd_pool = Queue.create ();
-      chosen_cmds = Hashtbl.create 64;
+      chosen_cmds = Itbl.create 64;
       forward_q = [];
       max_tag = (match prior with Some old -> old.max_tag | None -> 0);
       lease = No_lease;
       attempts_left = 1;
-      proposing = Hashtbl.create 8;
+      proposing = Itbl.create 8;
       proposal_q = [];
-      seen_props = Hashtbl.create 64;
+      seen_props = Itbl.create 64;
       promised = (match prior with Some old -> old.promised | None -> None);
       vote_floor = floor0;
-      responded = Hashtbl.create 64;
+      responded = Itbl.create 64;
       decide_q = Queue.create ();
-      decide_set = Hashtbl.create 8;
+      decide_set = Itbl.create 8;
       repair_node = -1;
       repair_hole = -1;
       repair_left = 0;
@@ -1390,7 +1399,7 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       reconfigs_superseded = 0;
     }
   in
-  Hashtbl.replace h.registry me st;
+  Itbl.replace h.registry me st;
   local_change st;
   (st, maybe_send st)
 
@@ -1499,11 +1508,17 @@ let fp_pair f g (a, b) acc = acc |> f a |> g b
 let fp_tbl fp_key fp_val tbl acc =
   (* Sorted bindings: hash tables with the same contents in different
      internal layouts fold equal, which only improves deduplication. *)
-  let bindings = Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [] in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) bindings in
+  let bindings = Itbl.fold (fun k v l -> (k, v) :: l) tbl [] in
+  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) bindings in
   F.list (fp_pair fp_key fp_val) sorted acc
 
 let fp_unit () acc = F.int 0 acc
+
+(* Packed keys sort as their triples, so this folds what a tuple-keyed
+   table folded. *)
+let fp_prop_key k acc =
+  let tag, proposer, inst = Prop_key.unpack k in
+  acc |> F.int tag |> F.int proposer |> F.int inst
 
 let fp_lease lease acc =
   match lease with
@@ -1548,7 +1563,7 @@ let fingerprint_state st acc =
   (* live pool entries only: dead ones are not protocol state *)
   |> F.list F.int
        (Queue.to_seq st.cmd_pool
-       |> Seq.filter (fun c -> not (Hashtbl.mem st.chosen_cmds c))
+       |> Seq.filter (fun c -> not (Itbl.mem st.chosen_cmds c))
        |> List.of_seq)
   |> fp_tbl F.int fp_unit st.chosen_cmds
   |> F.list F.int st.forward_q
@@ -1559,12 +1574,10 @@ let fingerprint_state st acc =
          |> F.int f.f_yes2 |> F.int f.f_no2)
        st.proposing
   |> F.list fp_proposer_msg st.proposal_q
-  |> fp_tbl (fun (a, b, c) acc -> acc |> F.int a |> F.int b |> F.int c) fp_unit
-       st.seen_props
+  |> fp_tbl fp_prop_key fp_unit st.seen_props
   |> F.option fp_pno st.promised
   |> F.int st.vote_floor
-  |> fp_tbl (fun (a, b, c) acc -> acc |> F.int a |> F.int b |> F.int c) fp_unit
-       st.responded
+  |> fp_tbl fp_prop_key fp_unit st.responded
   |> F.list
        (fun (e : pending_response Services.entry) acc ->
          let q = e.body in
@@ -1606,48 +1619,31 @@ let fp_component c acc =
 let fingerprint_msg (components : msg) acc = F.list fp_component components acc
 
 let clone_state st =
-  let clone_insts tbl =
-    let fresh = Hashtbl.create (Hashtbl.length tbl) in
-    Hashtbl.iter
-      (fun k (r : inst) ->
-        Hashtbl.replace fresh k { accepted = r.accepted; chosen = r.chosen })
-      tbl;
-    fresh
-  in
-  let clone_flights tbl =
-    let fresh = Hashtbl.create (max 8 (Hashtbl.length tbl)) in
-    Hashtbl.iter
-      (fun k (f : flight) ->
-        Hashtbl.replace fresh k
-          {
-            f_value = f.f_value;
-            f_yes = f.f_yes;
-            f_no = f.f_no;
-            f_yes2 = f.f_yes2;
-            f_no2 = f.f_no2;
-          })
-      tbl;
+  let deep_copy copy tbl =
+    let fresh = Itbl.copy tbl in
+    Itbl.filter_map_inplace (fun _ v -> Some (copy v)) fresh;
     fresh
   in
   let clone_lease = function
     | No_lease -> No_lease
-    | Preparing p -> Preparing { p with priors = Hashtbl.copy p.priors }
-    | Ready r -> Ready { r with priors = Hashtbl.copy r.priors }
+    | Preparing p -> Preparing { p with priors = Itbl.copy p.priors }
+    | Ready r -> Ready { r with priors = Itbl.copy r.priors }
   in
   {
     st with
     sv = Services.clone (fun q -> { q with q_count = q.q_count }) st.sv;
-    insts = clone_insts st.insts;
-    applied_set = Hashtbl.copy st.applied_set;
-    known_cmds = Hashtbl.copy st.known_cmds;
-    chosen_cmds = Hashtbl.copy st.chosen_cmds;
+    insts = deep_copy (fun (r : inst) -> { r with chosen = r.chosen }) st.insts;
+    applied_set = Itbl.copy st.applied_set;
+    known_cmds = Itbl.copy st.known_cmds;
+    chosen_cmds = Itbl.copy st.chosen_cmds;
     cmd_pool = Queue.copy st.cmd_pool;
     lease = clone_lease st.lease;
-    proposing = clone_flights st.proposing;
-    seen_props = Hashtbl.copy st.seen_props;
-    responded = Hashtbl.copy st.responded;
+    proposing =
+      deep_copy (fun (f : flight) -> { f with f_yes = f.f_yes }) st.proposing;
+    seen_props = Itbl.copy st.seen_props;
+    responded = Itbl.copy st.responded;
     decide_q = Queue.copy st.decide_q;
-    decide_set = Hashtbl.copy st.decide_set;
+    decide_set = Itbl.copy st.decide_set;
   }
 
 let make ?(window = 4) ?on_apply ?on_suspect ?members ?compact_every ?patience
@@ -1670,7 +1666,7 @@ let make ?(window = 4) ?on_apply ?on_suspect ?members ?compact_every ?patience
             invalid_arg "Smr.make: member ids must be in 0..29")
         ms
   | None -> ());
-  let propose_times = Hashtbl.create 64 in
+  let propose_times = Itbl.create 64 in
   let cfg =
     {
       window;
@@ -1686,10 +1682,9 @@ let make ?(window = 4) ?on_apply ?on_suspect ?members ?compact_every ?patience
   in
   let h =
     {
-      registry = Hashtbl.create 8;
-      submitted = Hashtbl.create 64;
-      submitted_count = 0;
-      reconfig_cmds = Hashtbl.create 8;
+      registry = Itbl.create 8;
+      submitted = Itbl.create 64;
+      reconfig_cmds = Itbl.create 8;
       reconfig_seq = 0;
       h_propose_times = propose_times;
     }

@@ -87,6 +87,10 @@
 (** The reserved hole-filler command (0). Real commands are [> noop]. *)
 val noop : int
 
+(** The monomorphic int-keyed table behind the log's per-node and
+    harness-side tables, and [Shard]'s. *)
+module Itbl : Hashtbl.S with type key = int
+
 type state
 
 type component

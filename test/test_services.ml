@@ -387,6 +387,29 @@ let test_out_of_rank () =
          Alcotest.(check bool) "smr applied commands" true
            (List.length (Smr.applied h 1) > 40)))
 
+(* [in_rank_order] against [List.stable_sort] by rank, on the three
+   protocols' rank tables (by constructor: wPAXOS's Leader, Change,
+   Search, Proposal, Response, Decision; flood-paxos's Leader, Change,
+   Proposal, Unit, Decision; the log's Leader, Change, Search, Forward,
+   Proposal, Response, Snapshot, Decision, which is its compose order).
+   Components repeat, so ranks do too; an already-ranked message must
+   come back as the same list. *)
+let prop_rank_order =
+  let tables =
+    [| [| 0; 1; 2; 3; 4; 5 |]; [| 0; 1; 2; 3; 4 |]; [| 0; 1; 2; 3; 6; 7; 4; 5 |] |]
+  in
+  QCheck.Test.make ~name:"in_rank_order is a stable sort by rank" ~count:1000
+    QCheck.(
+      triple (int_bound 2) (list_of_size Gen.(int_range 0 12) (int_bound 7)) bool)
+    (fun (p, kinds, ranked) ->
+      let table = tables.(p) in
+      let rank (_, k) = table.(k mod Array.length table) in
+      let by_rank a b = Int.compare (rank a) (rank b) in
+      let msg = List.mapi (fun i k -> (i, k)) kinds in
+      let msg = if ranked then List.stable_sort by_rank msg else msg in
+      let got = S.in_rank_order ~rank msg in
+      got = List.stable_sort by_rank msg && ((not ranked) || got == msg))
+
 let () =
   Alcotest.run "services"
     [
@@ -408,5 +431,6 @@ let () =
           Alcotest.test_case "tick schedules" `Quick test_tick_schedules;
           Alcotest.test_case "out-of-rank message, same outcome (all three)"
             `Quick test_out_of_rank;
+          QCheck_alcotest.to_alcotest prop_rank_order;
         ] );
     ]

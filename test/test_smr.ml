@@ -272,6 +272,48 @@ let backlog_run ~on_step () =
 
 let fingerprint st = Amac.Fingerprint.(to_int (Smr.fingerprint_state st empty))
 
+(* The respond-once / forward-once tables key on (tag, proposer, inst)
+   packed into one int. Triples at and next to every field's bounds get
+   distinct keys, unpack to themselves and sort as the triples do; one
+   past any bound raises instead of colliding. *)
+let test_prop_key_bounds () =
+  let near lo hi = List.sort_uniq Int.compare [ lo; lo + 1; hi - 1; hi ] in
+  let triples =
+    List.concat_map
+      (fun tag ->
+        List.concat_map
+          (fun proposer ->
+            List.map
+              (fun inst -> (tag, proposer, inst))
+              (near (-1) ((1 lsl 30) - 2)))
+          (near 0 1023))
+      (near 0 ((1 lsl 22) - 1))
+  in
+  let keys =
+    List.map (fun (tag, proposer, inst) -> Prop_key.pack ~tag ~proposer ~inst) triples
+  in
+  Alcotest.(check (list (triple int int int)))
+    "unpack gives the triple back" triples (List.map Prop_key.unpack keys);
+  Alcotest.(check int) "distinct triples, distinct keys" (List.length triples)
+    (List.length (List.sort_uniq Int.compare keys));
+  Alcotest.(check (list (triple int int int)))
+    "keys sort as their triples" (List.sort compare triples)
+    (List.map Prop_key.unpack (List.sort Int.compare keys));
+  List.iter
+    (fun (what, tag, proposer, inst) ->
+      match Prop_key.pack ~tag ~proposer ~inst with
+      | _ -> Alcotest.failf "%s: packed" what
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (what ^ ": says why") true (msg <> ""))
+    [
+      ("tag -1", -1, 0, 0);
+      ("tag 2^22", 1 lsl 22, 0, 0);
+      ("proposer -1", 0, -1, 0);
+      ("proposer 1024", 0, 1024, 0);
+      ("inst -2", 0, 0, -2);
+      ("inst 2^30-1", 0, 0, (1 lsl 30) - 1);
+    ]
+
 (* Every replica's state after every handler call, folded in order: pins
    the queues' contents and order at each step, not only at the end. The
    expected value was computed with the list-backed queues. *)
@@ -722,6 +764,8 @@ let () =
             test_clone_independent;
           Alcotest.test_case "log agrees with the fold-and-sort oracle" `Quick
             test_log_matches_oracle;
+          Alcotest.test_case "packed proposition keys at their bounds" `Quick
+            test_prop_key_bounds;
         ] );
       ( "checker-negative",
         [
