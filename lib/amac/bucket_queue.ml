@@ -14,7 +14,13 @@ type t = {
   mutable free : int;  (* first free cell, or [nil] *)
   mutable base : int;
   mutable near : int;  (* entries in the ring *)
-  far : int Pqueue.t;
+  (* The overflow: a binary min-heap of (key, seq, value) triples kept in
+     three parallel arrays, ordered by key and then by insertion [seq]. *)
+  mutable far_key : int array;
+  mutable far_seq : int array;
+  mutable far_val : int array;
+  mutable far : int;  (* entries in the overflow *)
+  mutable far_next : int;  (* the next insertion's seq *)
   mutable key : int;  (* key of the last pop *)
 }
 
@@ -41,14 +47,18 @@ let create ~span =
       free = nil;
       base = 0;
       near = 0;
-      far = Pqueue.create ();
+      far_key = [||];
+      far_seq = [||];
+      far_val = [||];
+      far = 0;
+      far_next = 0;
       key = 0;
     }
   in
   thread_free q 0;
   q
 
-let length q = q.near + Pqueue.length q.far
+let length q = q.near + q.far
 
 let is_empty q = length q = 0
 
@@ -56,13 +66,64 @@ let popped_key q = q.key
 
 let cells q = Array.length q.next
 
+let extend a by = Array.append a (Array.make by 0)
+
 (* Every cell is in use: double the pool and free the new half. *)
 let grow q =
   let old = Array.length q.next in
-  let extend a = Array.append a (Array.make old 0) in
-  q.value <- extend q.value;
-  q.next <- extend q.next;
+  q.value <- extend q.value old;
+  q.next <- extend q.next old;
   thread_free q old
+
+(* [before q i k s]: overflow slot [i] pops before an entry keyed [k]
+   whose seq is [s]. Seqs are unique, so this is a total order. *)
+let before q i k s =
+  q.far_key.(i) < k || (q.far_key.(i) = k && q.far_seq.(i) < s)
+
+let set q i k s v =
+  q.far_key.(i) <- k;
+  q.far_seq.(i) <- s;
+  q.far_val.(i) <- v
+
+let move q src dst = set q dst q.far_key.(src) q.far_seq.(src) q.far_val.(src)
+
+(* The sifts are top-level so that they close over nothing: an overflow
+   add or pop allocates no closure. [sift_up] moves parents that pop after
+   the entry down a level; [sift_down] moves children of an [n]-entry heap
+   that pop before it up a level; each then stores the entry where it
+   stopped. *)
+let rec sift_up q i k s v =
+  let parent = (i - 1) / 2 in
+  if i > 0 && not (before q parent k s) then begin
+    move q parent i;
+    sift_up q parent k s v
+  end
+  else set q i k s v
+
+let rec sift_down q n i k s v =
+  let l = (2 * i) + 1 in
+  let c =
+    if l + 1 < n && before q (l + 1) q.far_key.(l) q.far_seq.(l) then l + 1
+    else l
+  in
+  if l < n && before q c k s then begin
+    move q c i;
+    sift_down q n c k s v
+  end
+  else set q i k s v
+
+let add_far q ~key v =
+  let n = q.far in
+  if n = Array.length q.far_key then begin
+    let by = max 16 n in
+    q.far_key <- extend q.far_key by;
+    q.far_seq <- extend q.far_seq by;
+    q.far_val <- extend q.far_val by
+  end;
+  let s = q.far_next in
+  q.far_next <- s + 1;
+  q.far <- n + 1;
+  sift_up q n key s v
 
 let add q ~key v =
   if key >= q.base && key - q.base <= q.mask then begin
@@ -77,26 +138,30 @@ let add q ~key v =
     q.tails.(slot) <- cell;
     q.near <- q.near + 1
   end
-  else Pqueue.add q.far ~key v
+  else add_far q ~key v
 
 (* Every ring key is at least the popped one, so the window may start
    there. *)
 let pop_far q =
-  let key = Pqueue.min_key q.far in
+  let key = q.far_key.(0) in
   if key > q.base then q.base <- key;
   q.key <- key;
-  Pqueue.pop_min q.far
+  let v = q.far_val.(0) in
+  let n = q.far - 1 in
+  q.far <- n;
+  (* The last entry fills the root's place. *)
+  sift_down q n 0 q.far_key.(n) q.far_seq.(n) q.far_val.(n);
+  v
 
 let rec first_key q key =
   if q.heads.(key land q.mask) = nil then first_key q (key + 1) else key
 
 let pop q =
   if q.near = 0 then
-    if Pqueue.is_empty q.far then raise Not_found else pop_far q
+    if q.far = 0 then raise Not_found else pop_far q
   else
     let key = first_key q q.base in
-    if (not (Pqueue.is_empty q.far)) && Pqueue.min_key q.far <= key then
-      pop_far q
+    if q.far > 0 && q.far_key.(0) <= key then pop_far q
     else begin
       let slot = key land q.mask in
       let cell = q.heads.(slot) in

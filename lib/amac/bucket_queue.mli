@@ -10,7 +10,9 @@
     takes the head of the first non-empty one, both in constant time. Keys
     outside the window — pre-scheduled faults, injections and topology
     deltas, an unusually large stretch, or a key below the last popped one
-    — go to an overflow {!Pqueue}.
+    — go to an overflow: a binary min-heap over three int arrays (key,
+    insertion sequence, value), so an overflow add allocates nothing
+    unless the arrays double.
 
     Values are ints (the engine queues indices of pooled event
     descriptors), and the ring's FIFO cells are pooled too: two int arrays
@@ -19,11 +21,11 @@
     add or a ring pop allocates nothing. {!pop} returns the value alone and
     {!popped_key} tells its key, so no pair is built either.
 
-    Pops come out in exactly {!Pqueue}'s order: by key, and by insertion
-    among equal keys. When equal keys are split between the overflow and
-    the ring, the overflow's were all inserted first (a key enters the ring
-    only once the window has reached it, and the window never moves back),
-    so the overflow wins ties. *)
+    Pops come out by key, and by insertion among equal keys. When equal
+    keys are split between the overflow and the ring, the overflow's were
+    all inserted first (a key enters the ring only once the window has
+    reached it, and the window never moves back), so the overflow wins
+    ties. *)
 
 type t
 

@@ -51,7 +51,7 @@
       recoveries, then deliveries, then acks; FIFO within a class.
     - {b The event queue} is a {!Bucket_queue} keyed by (tick, kind): a
       ring of FIFOs, one per key, spanning the current tick and the next
-      5 F_ack, plus an overflow heap. Sec 2 puts every receive and ack
+      5 F_ack, plus an overflow min-heap of ints. Sec 2 puts every receive and ack
       within F_ack of its broadcast, and the interference stretch's
       default cap is 4 F_ack, so almost every event the engine schedules
       lands in the ring and costs O(1) to add and pop. Pre-scheduled

@@ -156,8 +156,7 @@ type degradation = {
   max_incarnation : int;
 }
 
-let degrade ?honest ~inputs (outcome : Amac.Engine.outcome) =
-  let report = check ?honest ~inputs outcome in
+let degrade ?honest report (outcome : Amac.Engine.outcome) =
   let violations = safety_violations report in
   let is_honest i = match honest with None -> true | Some m -> m.(i) in
   (* Liveness is likewise measured over honest survivors: a Byzantine node

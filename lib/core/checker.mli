@@ -89,12 +89,13 @@ type degradation = {
   max_incarnation : int;  (** highest per-node recovery count *)
 }
 
-(** [degrade ?honest ~inputs outcome] — safety via {!check}, liveness as
-    metrics. Note "correct" here means up at the {e end} of the run,
-    matching the engine's [crashed] array: a crashed-then-recovered node
+(** [degrade ?honest report outcome] — safety from [report], {!check}'s
+    verdict on [outcome], and liveness as metrics. Note "correct" here
+    means up at the {e end} of the run, matching the engine's [crashed]
+    array: a crashed-then-recovered node
     counts as correct (its incarnation is live) and is expected to decide
     under a hardened algorithm once faults quiesce. With [?honest],
     Byzantine nodes are excluded from [correct] — their silence is the
     adversary's business, not degradation. *)
 val degrade :
-  ?honest:bool array -> inputs:int array -> Amac.Engine.outcome -> degradation
+  ?honest:bool array -> report -> Amac.Engine.outcome -> degradation

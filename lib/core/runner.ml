@@ -35,7 +35,8 @@ let run ?identities ?give_n ?give_diameter ?faults ?substitute ?honest
       ?max_time ?provenance ?record_trace ?pp_msg ?unreliable ?topo_deltas ?obs
       algorithm ~topology ~scheduler ~inputs
   in
-  let degradation = Checker.degrade ?honest ~inputs outcome in
+  let report = Checker.check ?honest ~inputs outcome in
+  let degradation = Checker.degrade ?honest report outcome in
   (match obs with
   | Some reg ->
       record_degradation ~obs:reg ~algorithm:algorithm.Amac.Algorithm.name
@@ -43,7 +44,7 @@ let run ?identities ?give_n ?give_diameter ?faults ?substitute ?honest
   | None -> ());
   {
     outcome;
-    report = Checker.check ?honest ~inputs outcome;
+    report;
     degradation;
     decision_time = Amac.Engine.latest_decision outcome;
   }

@@ -29,23 +29,20 @@ let group_of_key ~groups key =
    per-node resource (one broadcast in flight per node), so giving each
    group a private slot would throttle every group to 1/G of the wire
    cadence; sharing the slot lets G groups run protocol rounds at full
-   cadence concurrently. Entries are ordered by group, then by enqueue
-   sequence within a group. *)
+   cadence concurrently. Entries are ordered by group, then oldest first
+   within a group. *)
 type msg = (int * Smr.msg) list
 
 type state = {
   node : int;
   inners : Smr.state array;
-  (* Per-group transport outboxes. An inner instance broadcasts at most
-     one message at a time (its [sending] flag stays up until the
-     wrapper routes the MAC ack back to it), so each queue holds O(1)
-     messages; the Pqueue keyed by [obseq] keeps FIFO order explicit
-     and clone/fingerprint deterministic. *)
-  outbox : Smr.msg Amac.Pqueue.t array;
-  presized : bool array;
+  (* Per-group transport outboxes, newest first. An inner instance
+     broadcasts at most one message at a time (its [sending] flag stays
+     up until the wrapper routes the MAC ack back to it), so each list
+     holds O(1) messages. *)
+  outbox : Smr.msg list array;
   mutable in_flight : int list;
       (** groups with traffic in the bundle on the wire; [] = idle *)
-  mutable obseq : int;
   pending : int list array;  (** staged batch buffer, newest first *)
   pending_n : int array;
   applied_flat : int list array;  (** client-cmd apply stream, newest first *)
@@ -97,28 +94,13 @@ let route h ~key ~cmd =
   Itbl.replace h.h_route cmd g;
   g
 
-(* Outbox capacity covers the steady state (one message per group, a
-   couple more transiently around recovery) so a pooled queue never
-   regrows; the dummy for pre-sizing is the first real message, because
-   Smr.msg is abstract and has no cheap placeholder. *)
-let outbox_capacity = 8
-
-let enqueue st g m =
-  let q = st.outbox.(g) in
-  if not st.presized.(g) then begin
-    Amac.Pqueue.ensure_capacity q outbox_capacity ~dummy:m;
-    st.presized.(g) <- true
-  end;
-  Amac.Pqueue.add q ~key:st.obseq m;
-  st.obseq <- st.obseq + 1
-
 (* Inner actions -> outbox; Decides (never emitted by Smr, but the
    wrapper should not eat them) pass through. *)
 let absorb st g actions =
   List.filter_map
     (function
       | Amac.Algorithm.Broadcast m ->
-          enqueue st g m;
+          st.outbox.(g) <- m :: st.outbox.(g);
           None
       | Amac.Algorithm.Decide v -> Some (Amac.Algorithm.Decide v))
     actions
@@ -134,18 +116,14 @@ let drain st =
     let bundle = ref [] and tagged = ref [] in
     let groups = Array.length st.inners in
     for i = groups - 1 downto 0 do
-      let q = st.outbox.(i) in
-      if not (Amac.Pqueue.is_empty q) then begin
-        tagged := i :: !tagged;
-        (* Pop order is FIFO; prepending the newest-first accumulator
-           onto the (descending-group) bundle restores FIFO in place. *)
-        let entries = ref [] in
-        while not (Amac.Pqueue.is_empty q) do
-          let _, m = Amac.Pqueue.pop q in
-          entries := m :: !entries
-        done;
-        List.iter (fun m -> bundle := (i, m) :: !bundle) !entries
-      end
+      match st.outbox.(i) with
+      | [] -> ()
+      | newest_first ->
+          st.outbox.(i) <- [];
+          tagged := i :: !tagged;
+          (* Prepending the newest-first outbox onto the (descending-group)
+             bundle leaves the group's messages oldest first. *)
+          List.iter (fun m -> bundle := (i, m) :: !bundle) newest_first
     done;
     match !bundle with
     | [] -> []
@@ -196,16 +174,10 @@ let injector h ~now ~payload ctx st =
   in
   decides @ drain st
 
-let entries q =
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) (Amac.Pqueue.to_list q)
-
-let fp_queue q acc =
-  F.list (fun (k, m) acc -> acc |> F.int k |> Smr.fingerprint_msg m) (entries q) acc
-
 let fingerprint st acc =
-  acc |> F.int st.node |> F.list F.int st.in_flight |> F.int st.obseq
+  acc |> F.int st.node |> F.list F.int st.in_flight
   |> F.array Smr.fingerprint_state st.inners
-  |> F.array fp_queue st.outbox
+  |> F.array (F.list Smr.fingerprint_msg) st.outbox
   |> F.array (F.list F.int) st.pending
   |> F.array F.int st.pending_n
   |> F.array (F.list F.int) st.applied_flat
@@ -217,8 +189,7 @@ let clone st =
   {
     st with
     inners = Array.map Smr.clone_state st.inners;
-    outbox = Array.map (fun q -> Amac.Pqueue.of_list (entries q)) st.outbox;
-    presized = Array.copy st.presized;
+    outbox = Array.copy st.outbox;
     pending = Array.copy st.pending;
     pending_n = Array.copy st.pending_n;
     applied_flat = Array.copy st.applied_flat;
@@ -286,17 +257,6 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
   h.inner_handles <- Array.of_list (List.map snd pairs);
   let init ctx =
     let node = Amac.Node_id.unique_exn ctx.Amac.Algorithm.id in
-    (* Per-group transport queues are pooled across incarnations: a
-       recovering node reclaims its previous state's queues — clear
-       keeps the backing arrays, so recovery allocates no transport. *)
-    let outbox, presized =
-      match Itbl.find_opt h.w_registry node with
-      | Some old ->
-          Array.iter Amac.Pqueue.clear old.outbox;
-          (old.outbox, old.presized)
-      | None ->
-          (Array.init groups (fun _ -> Amac.Pqueue.create ()), Array.make groups false)
-    in
     let rec init_inners g acc =
       if g >= groups then List.rev acc
       else init_inners (g + 1) (h.inner_algs.(g).Amac.Algorithm.init ctx :: acc)
@@ -306,10 +266,8 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
       {
         node;
         inners = Array.map fst pairs;
-        outbox;
-        presized;
+        outbox = Array.make groups [];
         in_flight = [];
-        obseq = 0;
         pending = Array.make groups [];
         pending_n = Array.make groups 0;
         applied_flat = Array.make groups [];

@@ -13,7 +13,7 @@
 
     {b Channel multiplexing.} The MAC layer still allows one broadcast
     in flight per {e node}, not per group. Inner instances hand their
-    broadcasts to a per-group outbox queue; when the wire is free the
+    broadcasts to a per-group outbox; when the wire is free the
     wrapper drains {e every} non-empty outbox into one group-tagged
     bundle — the sharded analogue of {!Smr}'s own component-list
     messages — and the single MAC ack is fanned back to each
@@ -23,10 +23,8 @@
     bundle) and the scaling mechanism: the broadcast/ack cadence, the
     scarce per-node resource, is paid once for all [G] groups instead
     of once per group, so G leaders run replication rounds at full
-    cadence concurrently. The outbox queues are pooled on the handle
-    and recycled across incarnations with
-    [Pqueue.clear]/[ensure_capacity] — recovery does not reallocate the
-    transport.
+    cadence concurrently. An outbox is a plain list, and a recovering
+    node starts with empty ones.
 
     {b Batching.} Client commands are staged per (node, group) and
     flushed [batch] at a time as a single inner command (bit 42 set,

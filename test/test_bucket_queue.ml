@@ -1,52 +1,59 @@
-(* The engine's bucket queue against the binary heap it replaced: any
+(* The engine's bucket queue against a sorted-list model: any
    interleaving of adds and pops must pop the same (key, value) sequence,
    ties in insertion order, whether a key sits in the ring, in the
-   overflow, or is split between the two. Plus the ring's cell pool: it
-   stops growing at a steady depth. *)
+   overflow, or is split between the two. Then the overflow heap alone,
+   on keys that never fit the ring. Plus the ring's cell pool: it stops
+   growing at a steady depth. *)
 
 module B = Amac.Bucket_queue
-module P = Amac.Pqueue
 
 type op = Add of int | Pop
 
-(* Replay [ops] on both queues in lockstep; [Add d] adds the key [d] past
-   the last popped key (0 before the first pop), valued by its insertion
-   rank. Returns the first disagreement, if any. *)
+(* The model: (key, value) pairs sorted by key, an insert going after
+   every entry whose key is at most its own, so equal keys stay FIFO. *)
+let rec insert key v = function
+  | (k, _) as e :: rest when k <= key -> e :: insert key v rest
+  | model -> (key, v) :: model
+
+(* Replay [ops] on the queue and the model in lockstep; [Add d] adds the
+   key [d] past the last popped key (0 before the first pop), valued by
+   its insertion rank. Returns the first disagreement, if any. *)
 let disagreement ~span ops =
-  let b = B.create ~span and p = P.create () in
+  let b = B.create ~span and model = ref [] in
   let last = ref 0 and rank = ref 0 in
   let step = function
     | Add d ->
         let key = !last + d in
         B.add b ~key !rank;
-        P.add p ~key !rank;
+        model := insert key !rank !model;
         incr rank;
         None
     | Pop -> (
-        match P.pop p with
-        | exception Not_found -> (
+        match !model with
+        | [] -> (
             match B.pop b with
             | exception Not_found -> None
             | _ -> Some "bucket queue popped from an empty queue")
-        | expected -> (
+        | expected :: rest -> (
+            model := rest;
             last := fst expected;
             match B.pop b with
-            | exception Not_found -> Some "bucket queue empty before the heap"
+            | exception Not_found -> Some "bucket queue empty before the model"
             | v when (B.popped_key b, v) = expected -> None
             | v ->
                 Some
-                  (Printf.sprintf "popped (%d,%d), heap popped (%d,%d)"
+                  (Printf.sprintf "popped (%d,%d), model popped (%d,%d)"
                      (B.popped_key b) v (fst expected) (snd expected))))
   in
   let rec go = function
     | [] ->
-        if B.length b <> P.length p then Some "lengths differ at the end"
+        if B.length b <> List.length !model then Some "lengths differ at the end"
         else None
     | op :: rest -> (
         match step op with
         | Some _ as failure -> failure
         | None ->
-            if B.length b <> P.length p then Some "lengths differ"
+            if B.length b <> List.length !model then Some "lengths differ"
             else go rest)
   in
   (* Each add queues one entry, so as many pops again drain both. *)
@@ -76,8 +83,8 @@ let op_gen =
 
 let pp_op = function Add d -> Printf.sprintf "Add %d" d | Pop -> "Pop"
 
-let prop_matches_heap =
-  QCheck.Test.make ~name:"pops exactly what Pqueue pops" ~count:500
+let prop_matches_model =
+  QCheck.Test.make ~name:"pops exactly what a sorted list pops" ~count:500
     QCheck.(
       make ~print:(Print.list pp_op) ~shrink:Shrink.list
         Gen.(list_size (int_range 0 300) op_gen))
@@ -165,6 +172,51 @@ let test_wraps_many_times () =
   in
   check_agree ~span:16 (Add 0 :: ops)
 
+(* A ring one key wide holds only the last popped key, so every other
+   key goes to the overflow. *)
+let test_overflow_interleaved () =
+  let q = B.create ~span:1 in
+  let pop () =
+    let v = B.pop q in
+    (B.popped_key q, v)
+  in
+  B.add q ~key:10 0;
+  B.add q ~key:5 1;
+  Alcotest.(check (pair int int)) "min of two" (5, 1) (pop ());
+  Alcotest.(check int) "the other stays" 1 (B.length q);
+  B.add q ~key:1 2;
+  B.add q ~key:20 3;
+  Alcotest.(check (list (pair int int)))
+    "a key below the last pop comes first"
+    [ (1, 2); (10, 0); (20, 3) ]
+    (List.init 3 (fun _ -> pop ()));
+  Alcotest.check_raises "drained" Not_found (fun () -> ignore (B.pop q))
+
+(* Keys at or past [far] never fit a 16-key ring that starts at 0, and
+   adding them all before any pop keeps the window there. *)
+let far = 16
+
+let prop_overflow_sorted =
+  QCheck.Test.make ~name:"overflow pops sorted, multiset preserved" ~count:300
+    QCheck.(list (int_range 0 1000))
+    (fun offsets ->
+      let q = B.create ~span:16 in
+      List.iter (fun d -> B.add q ~key:(far + d) d) offsets;
+      let popped_key _ =
+        ignore (B.pop q);
+        B.popped_key q
+      in
+      List.map popped_key offsets
+      = List.map (( + ) far) (List.sort Int.compare offsets))
+
+let prop_overflow_fifo =
+  QCheck.Test.make ~name:"overflow is FIFO at equal keys" ~count:100
+    QCheck.(list small_int)
+    (fun values ->
+      let q = B.create ~span:16 in
+      List.iter (fun v -> B.add q ~key:far v) values;
+      List.map (fun _ -> B.pop q) values = values)
+
 let () =
   Alcotest.run "bucket_queue"
     [
@@ -182,5 +234,12 @@ let () =
           Alcotest.test_case "ring wraps many times" `Quick
             test_wraps_many_times;
         ] );
-      ("differential", [ QCheck_alcotest.to_alcotest prop_matches_heap ]);
+      ( "overflow",
+        [
+          Alcotest.test_case "pop order under interleaving" `Quick
+            test_overflow_interleaved;
+          QCheck_alcotest.to_alcotest prop_overflow_sorted;
+          QCheck_alcotest.to_alcotest prop_overflow_fifo;
+        ] );
+      ("differential", [ QCheck_alcotest.to_alcotest prop_matches_model ]);
     ]

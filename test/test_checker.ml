@@ -169,10 +169,12 @@ let test_honest_mask_length_checked () =
 let test_degrade_excludes_byz () =
   (* Degradation liveness counts honest survivors only: byz node 1 never
      "decides" yet the honest fraction is 1.0. *)
+  let honest = [| true; false; true |] in
+  let o = outcome [| Some (0, 3); None; Some (0, 5) |] in
   let d =
-    Consensus.Checker.degrade ~honest:[| true; false; true |]
-      ~inputs:[| 0; 0; 0 |]
-      (outcome [| Some (0, 3); None; Some (0, 5) |])
+    Consensus.Checker.degrade ~honest
+      (Consensus.Checker.check ~honest ~inputs:[| 0; 0; 0 |] o)
+      o
   in
   Alcotest.(check bool) "safe" true d.Consensus.Checker.safe;
   Alcotest.(check (list int)) "correct = honest" [ 0; 2 ]
