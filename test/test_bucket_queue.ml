@@ -217,6 +217,119 @@ let prop_overflow_fifo =
       List.iter (fun v -> B.add q ~key:far v) values;
       List.map (fun _ -> B.pop q) values = values)
 
+let pop_pair q =
+  let v = B.pop q in
+  (B.popped_key q, v)
+
+(* Draining the overflow leaves an empty queue that still knows the last
+   key it popped. *)
+let test_overflow_drained () =
+  let q = B.create ~span:16 in
+  List.iter (fun d -> B.add q ~key:(far + d) d) [ 3; 1; 2 ];
+  Alcotest.(check int) "length" 3 (B.length q);
+  ignore (List.init 3 (fun _ -> B.pop q));
+  Alcotest.(check bool) "is_empty" true (B.is_empty q);
+  Alcotest.(check int) "length" 0 (B.length q);
+  Alcotest.(check int) "last popped key kept" (far + 3) (B.popped_key q);
+  Alcotest.check_raises "pop raises" Not_found (fun () -> ignore (B.pop q))
+
+let test_overflow_ordering () =
+  let q = B.create ~span:16 in
+  List.iter (fun d -> B.add q ~key:(far + d) d) [ 5; 1; 9; 3; 7; 2; 8 ];
+  Alcotest.(check (list (pair int int)))
+    "sorted, each value with its key"
+    (List.map (fun d -> (far + d, d)) [ 1; 2; 3; 5; 7; 8; 9 ])
+    (List.init 7 (fun _ -> pop_pair q))
+
+(* Three entries at one key, then a smaller key: the smaller one's sift
+   to the root leaves the tied three out of insertion order in the heap,
+   so only the sequence numbers restore it. *)
+let test_overflow_fifo_ties () =
+  let q = B.create ~span:16 in
+  List.iter (fun v -> B.add q ~key:(far + 4) v) [ 10; 11; 12 ];
+  B.add q ~key:(far + 1) 0;
+  Alcotest.(check (list int))
+    "insertion order within a key" [ 0; 10; 11; 12 ]
+    (List.init 4 (fun _ -> B.pop q))
+
+(* [length] counts ring and overflow entries alike through adds and
+   pops. *)
+let test_overflow_length () =
+  let q = B.create ~span:16 in
+  B.add q ~key:3 0;
+  B.add q ~key:(far + 100) 1;
+  B.add q ~key:(far + 50) 2;
+  Alcotest.(check int) "one ring entry, two overflow" 3 (B.length q);
+  Alcotest.(check (pair int int)) "ring first" (3, 0) (pop_pair q);
+  Alcotest.(check int) "two left" 2 (B.length q);
+  B.add q ~key:1 3;
+  Alcotest.(check int) "a key below the window joins the overflow" 3
+    (B.length q);
+  Alcotest.(check (list (pair int int)))
+    "then by key"
+    [ (1, 3); (far + 50, 2); (far + 100, 1) ]
+    (List.init 3 (fun _ -> pop_pair q));
+  Alcotest.(check int) "empty" 0 (B.length q)
+
+(* 5,000 keys in descending order: every add sifts to the root, and the
+   heap's arrays double many times on the way. *)
+let test_overflow_grows () =
+  let q = B.create ~span:16 in
+  let n = 5_000 in
+  for i = n downto 1 do
+    B.add q ~key:(far + i) (-i)
+  done;
+  Alcotest.(check int) "all queued" n (B.length q);
+  Alcotest.(check (list (pair int int)))
+    "ascending, values intact"
+    (List.init n (fun i -> (far + i + 1, -(i + 1))))
+    (List.init n (fun _ -> pop_pair q))
+
+(* An overflow drained and filled again keeps its order: insertion order
+   at equal keys still holds across the refill. *)
+let test_overflow_refill () =
+  let q = B.create ~span:16 in
+  List.iter (fun v -> B.add q ~key:(far + 7) v) [ 0; 1 ];
+  Alcotest.(check (list int)) "first fill" [ 0; 1 ]
+    (List.init 2 (fun _ -> B.pop q));
+  (* Now the window starts at [far + 7]: keys below it, and far past it,
+     both go to the overflow. *)
+  List.iter (fun v -> B.add q ~key:far v) [ 2; 3; 4 ];
+  B.add q ~key:(far + 1_000) 5;
+  B.add q ~key:far 6;
+  Alcotest.(check (list (pair int int)))
+    "second fill"
+    [ (far, 2); (far, 3); (far, 4); (far, 6); (far + 1_000, 5) ]
+    (List.init 5 (fun _ -> pop_pair q))
+
+(* A stable sort of the (key, value) pairs is the one pop order: with few
+   distinct keys most entries tie, so a tie broken any other way, or a
+   value left behind by a sift, shows. *)
+let prop_overflow_stable =
+  QCheck.Test.make ~name:"overflow pops a stable sort of its entries"
+    ~count:300
+    QCheck.(list (pair (int_range 0 5) int))
+    (fun entries ->
+      let q = B.create ~span:16 in
+      List.iter (fun (d, v) -> B.add q ~key:(far + d) v) entries;
+      List.map (fun _ -> pop_pair q) entries
+      = List.stable_sort
+          (fun (a, _) (b, _) -> Int.compare a b)
+          (List.map (fun (d, v) -> (far + d, v)) entries))
+
+(* A one-key ring holds only entries at the last popped key: nearly every
+   add under the lockstep run goes to the overflow. *)
+let prop_span1_matches_model =
+  QCheck.Test.make ~name:"one-key ring pops exactly what a sorted list pops"
+    ~count:300
+    QCheck.(
+      make ~print:(Print.list pp_op) ~shrink:Shrink.list
+        Gen.(list_size (int_range 0 200) op_gen))
+    (fun ops ->
+      match disagreement ~span:1 ops with
+      | None -> true
+      | Some why -> QCheck.Test.fail_report why)
+
 let () =
   Alcotest.run "bucket_queue"
     [
@@ -238,8 +351,23 @@ let () =
         [
           Alcotest.test_case "pop order under interleaving" `Quick
             test_overflow_interleaved;
+          Alcotest.test_case "empty after draining" `Quick
+            test_overflow_drained;
+          Alcotest.test_case "ordering" `Quick test_overflow_ordering;
+          Alcotest.test_case "fifo ties" `Quick test_overflow_fifo_ties;
+          Alcotest.test_case "length across ring and overflow" `Quick
+            test_overflow_length;
+          Alcotest.test_case "grows past its first arrays" `Quick
+            test_overflow_grows;
+          Alcotest.test_case "drained and refilled" `Quick
+            test_overflow_refill;
           QCheck_alcotest.to_alcotest prop_overflow_sorted;
           QCheck_alcotest.to_alcotest prop_overflow_fifo;
+          QCheck_alcotest.to_alcotest prop_overflow_stable;
         ] );
-      ("differential", [ QCheck_alcotest.to_alcotest prop_matches_model ]);
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest prop_matches_model;
+          QCheck_alcotest.to_alcotest prop_span1_matches_model;
+        ] );
     ]
