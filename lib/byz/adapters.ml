@@ -24,27 +24,6 @@ let two_phase : Consensus.Two_phase.msg Model.adapter =
              }));
   }
 
-(* Counter-race: the margin argument assumes honest counters, so inflating
-   c (or flipping v while keeping a plausible counter) races the decision
-   threshold dishonestly. Expected to break it — documented, not
-   asserted. *)
-let counter_race : Consensus.Counter_race.msg Model.adapter =
-  {
-    mutate =
-      (fun rng ~self:_ { Consensus.Counter_race.sender; c; v } ->
-        if Amac.Rng.bool rng then
-          { Consensus.Counter_race.sender; c = c + 1 + Amac.Rng.int rng 5; v }
-        else { Consensus.Counter_race.sender; c; v = 1 - v });
-    forge =
-      (fun rng ~self _seen ->
-        Some
-          {
-            Consensus.Counter_race.sender = self;
-            c = 1 + Amac.Rng.int rng 10;
-            v = pick01 rng;
-          });
-  }
-
 (* Byz-consensus: the algorithm under its OWN threat model. Mutations twist
    rounds and values, forgeries inject spurious EST/AUX — all with the true
    sender id (authenticated), which is exactly the adversary the f-counting

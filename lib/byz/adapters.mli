@@ -10,6 +10,4 @@
 
 val two_phase : Consensus.Two_phase.msg Model.adapter
 
-val counter_race : Consensus.Counter_race.msg Model.adapter
-
 val byz_consensus : Consensus.Byz_consensus.msg Model.adapter

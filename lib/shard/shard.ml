@@ -29,18 +29,17 @@ let group_of_key ~groups key =
    per-node resource (one broadcast in flight per node), so giving each
    group a private slot would throttle every group to 1/G of the wire
    cadence; sharing the slot lets G groups run protocol rounds at full
-   cadence concurrently. Entries are ordered by group, then oldest first
-   within a group. *)
+   cadence concurrently. Entries are ordered by group, at most one per
+   group. *)
 type msg = (int * Smr.msg) list
 
 type state = {
   node : int;
   inners : Smr.state array;
-  (* Per-group transport outboxes, newest first. An inner instance
-     broadcasts at most one message at a time (its [sending] flag stays
-     up until the wrapper routes the MAC ack back to it), so each list
-     holds O(1) messages. *)
-  outbox : Smr.msg list array;
+  (* Per-group transport outboxes. An inner instance broadcasts at most
+     one message at a time (its [sending] flag stays up until the wrapper
+     routes the MAC ack back to it), so a slot holds at most one. *)
+  outbox : Smr.msg option array;
   mutable in_flight : int list;
       (** groups with traffic in the bundle on the wire; [] = idle *)
   pending : int list array;  (** staged batch buffer, newest first *)
@@ -100,16 +99,18 @@ let absorb st g actions =
   List.filter_map
     (function
       | Amac.Algorithm.Broadcast m ->
-          st.outbox.(g) <- m :: st.outbox.(g);
+          if Option.is_some st.outbox.(g) then
+            invalid_arg "Shard: a group broadcast twice before its ack";
+          st.outbox.(g) <- Some m;
           None
       | Amac.Algorithm.Decide v -> Some (Amac.Algorithm.Decide v))
     actions
 
-(* Put everything pending on the wire, if it is free: every non-empty
-   outbox contributes its messages (FIFO within a group, groups in
-   ascending order) to one tagged bundle. No group ever waits behind
-   another's backlog, and the wire cadence — one broadcast, one ack —
-   is paid once for all G groups instead of once per group. *)
+(* Put everything pending on the wire, if it is free: every full outbox
+   contributes its message (groups in ascending order) to one tagged
+   bundle. No group ever waits behind another's backlog, and the wire
+   cadence — one broadcast, one ack — is paid once for all G groups
+   instead of once per group. *)
 let drain st =
   if st.in_flight <> [] then []
   else begin
@@ -117,13 +118,11 @@ let drain st =
     let groups = Array.length st.inners in
     for i = groups - 1 downto 0 do
       match st.outbox.(i) with
-      | [] -> ()
-      | newest_first ->
-          st.outbox.(i) <- [];
+      | None -> ()
+      | Some m ->
+          st.outbox.(i) <- None;
           tagged := i :: !tagged;
-          (* Prepending the newest-first outbox onto the (descending-group)
-             bundle leaves the group's messages oldest first. *)
-          List.iter (fun m -> bundle := (i, m) :: !bundle) newest_first
+          bundle := (i, m) :: !bundle
     done;
     match !bundle with
     | [] -> []
@@ -177,7 +176,9 @@ let injector h ~now ~payload ctx st =
 let fingerprint st acc =
   acc |> F.int st.node |> F.list F.int st.in_flight
   |> F.array Smr.fingerprint_state st.inners
-  |> F.array (F.list Smr.fingerprint_msg) st.outbox
+  |> F.array
+       (fun slot -> F.list Smr.fingerprint_msg (Option.to_list slot))
+       st.outbox
   |> F.array (F.list F.int) st.pending
   |> F.array F.int st.pending_n
   |> F.array (F.list F.int) st.applied_flat
@@ -266,7 +267,7 @@ let make ?window ?(batch = 1) ?on_apply ?members_of ?clock ~groups () =
       {
         node;
         inners = Array.map fst pairs;
-        outbox = Array.make groups [];
+        outbox = Array.make groups None;
         in_flight = [];
         pending = Array.make groups [];
         pending_n = Array.make groups 0;
@@ -326,7 +327,7 @@ let check h =
         let nodes = Smr.nodes ih in
         {
           Smr_checker.sv_group = g;
-          sv_views = List.map (Smr_checker.view_of ih) nodes;
+          sv_views = List.map (Smr.view ih) nodes;
           sv_applied_cmds =
             List.map (fun node -> (node, applied_cmds h ~node ~group:g)) nodes;
         })

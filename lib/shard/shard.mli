@@ -9,7 +9,7 @@
     the wrapper routes each delivery to its group's instance. Groups
     share nothing but the MAC channel — there is no cross-group log,
     no cross-group ordering, and a command belongs to exactly one group
-    (determined by its key, {!group_of_key}).
+    (its key modulo [G], see {!route}).
 
     {b Channel multiplexing.} The MAC layer still allows one broadcast
     in flight per {e node}, not per group. Inner instances hand their
@@ -23,8 +23,11 @@
     bundle) and the scaling mechanism: the broadcast/ack cadence, the
     scarce per-node resource, is paid once for all [G] groups instead
     of once per group, so G leaders run replication rounds at full
-    cadence concurrently. An outbox is a plain list, and a recovering
-    node starts with empty ones.
+    cadence concurrently. An outbox holds at most one message: {!Smr}
+    broadcasts only while nothing of its own is on the wire, so a group
+    never hands over a second message before its ack, and one that did
+    would raise [Invalid_argument]. A recovering node starts with empty
+    outboxes.
 
     {b Batching.} Client commands are staged per (node, group) and
     flushed [batch] at a time as a single inner command (bit 42 set,
@@ -47,14 +50,6 @@ type msg
 
 type handle
 
-(** The static keyspace partition: [group_of_key ~groups key] is the
-    group that owns [key]. Total and deterministic — every key maps to
-    exactly one group in [0, groups). *)
-val group_of_key : groups:int -> int -> int
-
-(** Values with bit 42 set are batch containers minted by the wrapper. *)
-val is_batch : int -> bool
-
 (** [expand h value] is [Some cmds] (staging order) iff [value] is a
     batch minted on [h]. Batch sequence numbers are dense from 1, so this
     is an array read, with no hashing; the result is the option stored at
@@ -68,7 +63,9 @@ val expand : handle -> int -> int list option
 val flush_cmd : group:int -> int
 
 (** [route h ~key ~cmd] registers [cmd] as owned by [key]'s group and
-    returns that group. Injection payloads must be routed first —
+    returns that group. The keyspace partition is static, total and
+    deterministic: [key] belongs to group [key mod G] (taken in [0, G)
+    for negative keys too). Injection payloads must be routed first —
     {!injector} refuses unrouted payloads.
     @raise Invalid_argument if [cmd] is not a plain positive command
     (reserved bits 40+ clear). *)

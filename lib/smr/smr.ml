@@ -261,10 +261,8 @@ type state = {
   mutable repair_next : int;
   (* lifecycle counters (observability; not protocol state) *)
   mutable fd_suspicions : int;
-  mutable fd_clears : int;
   mutable snapshots_taken : int;
   mutable snapshots_installed : int;
-  mutable stale_cfg_votes : int;
   mutable reconfigs_superseded : int;
 }
 
@@ -865,9 +863,7 @@ and count_response st (r : response) =
      quorum rule agree on what a majority means. A mismatched tag is a
      lagging (or leading) replica's vote — discard it; the retry schedule
      re-solicits once the straggler catches up via decisions/snapshots. *)
-  if r.r_cfg <> cfg_tag st then
-    st.stale_cfg_votes <- st.stale_cfg_votes + r.count + r.count2
-  else
+  if r.r_cfg = cfg_tag st then
   match (st.lease, r.round) with
   | Preparing p, Rprep when compare_pno p.pno r.r_pno = 0 ->
       Services.progress st.sv;
@@ -1015,9 +1011,7 @@ let clear_repair st =
 
 let on_leader st ~id ~hb ~commit ~sender =
   (match Services.observe st.sv ~id ~hb with
-  | Fresh_cleared ->
-      st.fd_clears <- st.fd_clears + 1;
-      recompute_omega st
+  | Fresh_cleared -> recompute_omega st
   | Fresh ->
       (* A live heartbeat while omega points outside the voter set (every
          candidate looked suspect when we last recomputed): re-run the
@@ -1192,7 +1186,7 @@ let reconfig_cmd h ~members =
 let submit h ~node ~cmd =
   if cmd <= noop then invalid_arg "Smr.submit: commands must be positive";
   if is_reconfig cmd then
-    invalid_arg "Smr.submit: use reconfigure for membership changes";
+    invalid_arg "Smr.submit: use Smr.reconfig_cmd for membership changes";
   Itbl.replace h.submitted cmd ();
   match Itbl.find_opt h.registry node with
   | Some st -> absorb_cmd st cmd
@@ -1219,28 +1213,10 @@ let state_of h node =
   | Some st -> st
   | None -> invalid_arg "Smr: unknown node"
 
-(* Every chosen record sits below [max_inst_seen] ([note_chosen] notes it)
-   and none below [snap_floor] (see [truncate]), so a downward walk over
-   that range builds the log in order, without a sort. *)
-let log h node =
-  let st = state_of h node in
-  let rec walk i acc =
-    if i < st.snap_floor then acc
-    else
-      match Itbl.find_opt st.insts i with
-      | Some { chosen = Some v; _ } -> walk (i - 1) ((i, v) :: acc)
-      | Some { chosen = None; _ } | None -> walk (i - 1) acc
-  in
-  walk (st.max_inst_seen - 1) []
-
 let fold_chosen h node f init =
   Itbl.fold
     (fun i r acc -> match r.chosen with Some v -> f i v acc | None -> acc)
     (state_of h node).insts init
-
-let commit_index h node = (state_of h node).commit_index
-
-let applied h node = List.rev (state_of h node).applied
 
 let was_submitted h cmd = Itbl.mem h.submitted cmd
 
@@ -1250,60 +1226,54 @@ let submitted_count h = Itbl.length h.submitted
 
 let propose_time h ~cmd = Itbl.find_opt h.h_propose_times cmd
 
-let leader h node = (state_of h node).sv.omega
-
-let members h node = (state_of h node).members
-
-let joint h node = (state_of h node).joint
-
-let epoch h node = (state_of h node).epoch
-
-let configs h node =
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) (state_of h node).configs
-
-type snapshot_info = {
-  floor : int;
-  s_applied : int list;  (* oldest first *)
-  s_configs : (int * int) list;  (* oldest first *)
-  s_members : int list;
-  s_joint : int list option;
-  s_epoch : int;
+type view = {
+  v_node : int;
+  v_log : (int * int) list;
+  v_commit : int;
+  v_applied : int list;
+  v_floor : int;
+  v_snap_applied : int list;
+  v_configs : (int * int) list;
+  v_epoch : int;
+  v_leader : int;
+  v_members : int list;
+  v_joint : int list option;
+  v_fd : Fd.stats;
+  v_fd_suspicions : int;
+  v_snapshots_taken : int;
+  v_snapshots_installed : int;
+  v_reconfigs_superseded : int;
 }
 
-let snapshot h node =
+(* Every chosen record sits below [max_inst_seen] ([note_chosen] notes it)
+   and none below [snap_floor] (see [truncate]), so a downward walk over
+   that range builds the log in order, without a sort. *)
+let view h node =
   let st = state_of h node in
-  if st.snap_floor > 0 then
-    Some
-      {
-        floor = st.snap_floor;
-        s_applied = List.rev st.snap_applied;
-        s_configs = List.rev st.snap_configs;
-        s_members = st.snap_members;
-        s_joint = st.snap_joint;
-        s_epoch = st.snap_epoch;
-      }
-  else None
-
-let fd_stats h node = Fd.stats (state_of h node).sv.fd
-
-type lifecycle = {
-  fd_suspicions : int;
-  fd_clears : int;
-  snapshots_taken : int;
-  snapshots_installed : int;
-  stale_cfg_votes : int;
-  reconfigs_superseded : int;
-}
-
-let lifecycle h node =
-  let st = state_of h node in
+  let rec walk i acc =
+    if i < st.snap_floor then acc
+    else
+      match Itbl.find_opt st.insts i with
+      | Some { chosen = Some v; _ } -> walk (i - 1) ((i, v) :: acc)
+      | Some { chosen = None; _ } | None -> walk (i - 1) acc
+  in
   {
-    fd_suspicions = st.fd_suspicions;
-    fd_clears = st.fd_clears;
-    snapshots_taken = st.snapshots_taken;
-    snapshots_installed = st.snapshots_installed;
-    stale_cfg_votes = st.stale_cfg_votes;
-    reconfigs_superseded = st.reconfigs_superseded;
+    v_node = node;
+    v_log = walk (st.max_inst_seen - 1) [];
+    v_commit = st.commit_index;
+    v_applied = List.rev st.applied;
+    v_floor = st.snap_floor;
+    v_snap_applied = List.rev st.snap_applied;
+    v_configs = List.sort (fun (a, _) (b, _) -> Int.compare a b) st.configs;
+    v_epoch = st.epoch;
+    v_leader = st.sv.omega;
+    v_members = st.members;
+    v_joint = st.joint;
+    v_fd = Fd.stats st.sv.fd;
+    v_fd_suspicions = st.fd_suspicions;
+    v_snapshots_taken = st.snapshots_taken;
+    v_snapshots_installed = st.snapshots_installed;
+    v_reconfigs_superseded = st.reconfigs_superseded;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1392,10 +1362,8 @@ let init h (cfg : config) (ctx : Amac.Algorithm.ctx) =
       repair_wait = 0;
       repair_next = sv.retry_start;
       fd_suspicions = 0;
-      fd_clears = 0;
       snapshots_taken = 0;
       snapshots_installed = 0;
-      stale_cfg_votes = 0;
       reconfigs_superseded = 0;
     }
   in

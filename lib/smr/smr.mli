@@ -188,55 +188,19 @@ val reconfig_cmd : handle -> members:int list -> int
     (either the joint or the final form). *)
 val was_reconfig : handle -> int -> bool
 
-(** Structural tests on command values (no handle needed). *)
+(** Structural test on command values (no handle needed): the joint or
+    final form of a reconfiguration. *)
 val is_reconfig : int -> bool
-
-val is_joint_reconfig : int -> bool
-
-(** The membership a reconfiguration command carries, sorted. *)
-val reconfig_members : int -> int list
-
-(** [leader h node] — the node's current Ω leader estimate. Always a voter
-    while the configuration has one: learners and removed replicas never
-    elect themselves (see [test_smr.ml]'s phantom-leader regression). *)
-val leader : handle -> int -> int
-
-(** [members h node] — the node's current voting configuration, sorted. *)
-val members : handle -> int -> int list
-
-(** [joint h node] — the incoming configuration if the node is
-    mid-transition. *)
-val joint : handle -> int -> int list option
-
-(** [epoch h node] — completed reconfigurations at the node. *)
-val epoch : handle -> int -> int
-
-(** [configs h node] — reconfiguration commands in the node's committed
-    prefix (including snapshot-inherited ones), as sorted
-    [(instance, cmd)] pairs. *)
-val configs : handle -> int -> (int * int) list
 
 (** {2 Log access} *)
 
 (** Replica ids currently registered, sorted. *)
 val nodes : handle -> int list
 
-(** [log h node] — the node's {e retained} chosen instances as sorted
-    [(instance, value)] pairs (possibly with holes; instances below the
-    compaction floor are truncated away). *)
-val log : handle -> int -> (int * int) list
-
-(** [fold_chosen h node f init] folds [f instance value] over the same
-    instances as {!log}, in no particular order. *)
+(** [fold_chosen h node f init] folds [f instance value] over the node's
+    retained chosen instances (those of {!view}'s [v_log]), in no
+    particular order. *)
 val fold_chosen : handle -> int -> (int -> int -> 'a -> 'a) -> 'a -> 'a
-
-(** [commit_index h node] — length of the node's contiguous chosen
-    prefix. *)
-val commit_index : handle -> int -> int
-
-(** [applied h node] — commands applied at the node, in apply order,
-    including any snapshot-inherited prefix. *)
-val applied : handle -> int -> int list
 
 (** Whether a command was ever handed to {!submit}/{!injector}. *)
 val was_submitted : handle -> int -> bool
@@ -248,41 +212,52 @@ val submitted_count : handle -> int
     [?clock]. *)
 val propose_time : handle -> cmd:int -> int option
 
-(** {2 Compaction and lifecycle observability} *)
+(** {2 One replica's state} *)
 
-type snapshot_info = {
-  floor : int;  (** log truncated below this instance *)
-  s_applied : int list;  (** applied prefix at the floor, oldest first *)
-  s_configs : (int * int) list;  (** configs at the floor, oldest first *)
-  s_members : int list;
-  s_joint : int list option;
-  s_epoch : int;
+(** One replica's observable state, current incarnation. [v_log] is the
+    retained chosen log as sorted [(instance, value)] pairs (possibly with
+    holes; instances below the compaction floor are truncated away);
+    [v_commit] the length of the contiguous chosen prefix; [v_applied] the
+    full apply sequence, oldest first, including any snapshot-inherited
+    prefix; [v_floor]/[v_snap_applied] the compaction floor and the
+    snapshot's apply prefix ([0]/[[]] when the replica never compacted or
+    installed a snapshot); [v_configs] the reconfiguration commands in the
+    committed prefix, snapshot-inherited ones included, as sorted
+    [(instance, cmd)] pairs; [v_epoch] the completed reconfigurations.
+
+    The rest is for observability and the tests: [v_leader] is the Ω
+    leader estimate, always a voter while the configuration has one
+    (learners and removed replicas never elect themselves);
+    [v_members] the voting configuration, sorted; [v_joint] the incoming
+    configuration while mid-transition; [v_fd] the ◇P detector's stats
+    (see {!Fd.stats}); and four per-incarnation counters: leader
+    suspicions raised, snapshots taken and installed, and joints that
+    committed while another transition was open (each is re-minted under
+    a fresh uid and re-proposed once the open transition closes).
+
+    {!Smr_checker.check_views} judges the contract over these fields. *)
+type view = {
+  v_node : int;
+  v_log : (int * int) list;
+  v_commit : int;
+  v_applied : int list;
+  v_floor : int;
+  v_snap_applied : int list;
+  v_configs : (int * int) list;
+  v_epoch : int;
+  v_leader : int;
+  v_members : int list;
+  v_joint : int list option;
+  v_fd : Fd.stats;
+  v_fd_suspicions : int;
+  v_snapshots_taken : int;
+  v_snapshots_installed : int;
+  v_reconfigs_superseded : int;
 }
 
-(** [snapshot h node] — the node's current snapshot, if it has compacted
-    (or installed) one. *)
-val snapshot : handle -> int -> snapshot_info option
-
-(** The node's ◇P detector stats (see {!Fd.stats}). *)
-val fd_stats : handle -> int -> Fd.stats
-
-type lifecycle = {
-  fd_suspicions : int;  (** leader suspicions raised at this node *)
-  fd_clears : int;  (** suspicions cleared as false (peer was alive) *)
-  snapshots_taken : int;
-  snapshots_installed : int;
-  stale_cfg_votes : int;
-      (** vote weight this node discarded as a proposer because the
-          responder weighed it under a different configuration than the
-          quorum rule in force (see the configuration-tag rule) *)
-  reconfigs_superseded : int;
-      (** joints that committed while another transition was open; each is
-          re-minted under a fresh uid and re-proposed once the open
-          transition closes *)
-}
-
-(** Per-incarnation lifecycle counters for the node. *)
-val lifecycle : handle -> int -> lifecycle
+(** [view h node] — the node's current state.
+    @raise Invalid_argument if the node is unknown. *)
+val view : handle -> int -> view
 
 val pp_msg : msg -> string
 

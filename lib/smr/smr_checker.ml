@@ -1,14 +1,3 @@
-type view = {
-  v_node : int;
-  v_log : (int * int) list;
-  v_commit : int;
-  v_applied : int list;
-  v_floor : int;
-  v_snap_applied : int list;
-  v_configs : (int * int) list;
-  v_epoch : int;
-}
-
 type violation =
   | Log_disagreement of {
       inst : int;
@@ -155,7 +144,7 @@ end
    the compaction floor, a client command, and not re-chosen after an
    earlier instance (or the snapshot) already delivered it. [seen] holds
    the commands delivered so far; a fresh command is claimed in it. *)
-let delivers seen v inst value =
+let delivers seen (v : Smr.view) inst value =
   inst >= v.v_floor && inst < v.v_commit && value <> Smr.noop
   && (not (Smr.is_reconfig value))
   && Tbl.claim seen value 0 0 < 0
@@ -166,7 +155,7 @@ let delivers seen v inst value =
    at their first instance — all appended after the snapshot-inherited
    prefix (whose commands must not be applied again). Built only for an
    {!Apply_order_mismatch} payload; {!applies_in_order} is the check. *)
-let expected_applies seen v =
+let expected_applies seen (v : Smr.view) =
   Tbl.clear seen;
   List.iter (fun cmd -> ignore (Tbl.claim seen cmd 0 0)) v.v_snap_applied;
   v.v_snap_applied
@@ -176,7 +165,7 @@ let expected_applies seen v =
       v.v_log
 
 (* [v_applied = expected_applies seen v], walked in place. *)
-let applies_in_order seen v =
+let applies_in_order seen (v : Smr.view) =
   Tbl.clear seen;
   let rec snap prefix applied =
     match (prefix, applied) with
@@ -212,7 +201,7 @@ let check_views_in tbl ~submitted views =
      value). *)
   Tbl.clear tbl;
   List.iter
-    (fun v ->
+    (fun (v : Smr.view) ->
       List.iter
         (fun (inst, value) ->
           let i = Tbl.claim tbl inst v.v_node value in
@@ -235,7 +224,7 @@ let check_views_in tbl ~submitted views =
      rules silently forked. *)
   Tbl.clear tbl;
   List.iter
-    (fun v ->
+    (fun (v : Smr.view) ->
       List.iter
         (fun (inst, cmd) ->
           let i = Tbl.claim tbl inst v.v_node cmd in
@@ -252,7 +241,7 @@ let check_views_in tbl ~submitted views =
         v.v_configs)
     views;
   List.iter
-    (fun v ->
+    (fun (v : Smr.view) ->
       (* No holes in the retained committed region. *)
       Tbl.clear tbl;
       List.iter (fun (inst, _) -> ignore (Tbl.claim tbl inst 0 0)) v.v_log;
@@ -301,10 +290,10 @@ let check_views_in tbl ~submitted views =
      reaches f applied that same prefix first — so the snapshot must be a
      prefix of every such replica's applied sequence (its own included). *)
   List.iter
-    (fun a ->
+    (fun (a : Smr.view) ->
       if a.v_floor > 0 then
         List.iter
-          (fun b ->
+          (fun (b : Smr.view) ->
             if
               b.v_commit >= a.v_floor
               && not (is_prefix a.v_snap_applied b.v_applied)
@@ -318,26 +307,9 @@ let check_views_in tbl ~submitted views =
 
 let check_views ~submitted views = check_views_in (Tbl.create 0) ~submitted views
 
-let view_of h node =
-  let floor, snap_applied =
-    match Smr.snapshot h node with
-    | Some s -> (s.Smr.floor, s.Smr.s_applied)
-    | None -> (0, [])
-  in
-  {
-    v_node = node;
-    v_log = Smr.log h node;
-    v_commit = Smr.commit_index h node;
-    v_applied = Smr.applied h node;
-    v_floor = floor;
-    v_snap_applied = snap_applied;
-    v_configs = Smr.configs h node;
-    v_epoch = Smr.epoch h node;
-  }
-
 let check h =
   let submitted cmd = Smr.was_submitted h cmd || Smr.was_reconfig h cmd in
-  check_views ~submitted (List.map (view_of h) (Smr.nodes h))
+  check_views ~submitted (List.map (Smr.view h) (Smr.nodes h))
 
 (* ------------------------------------------------------------------ *)
 (* Sharded (multi-group) extension. A sharded deployment multiplexes   *)
@@ -356,7 +328,7 @@ let check h =
 
 type shard_view = {
   sv_group : int;
-  sv_views : view list;
+  sv_views : Smr.view list;
   sv_applied_cmds : (int * int list) list;
       (* node -> flattened client-command apply stream, oldest first *)
 }
@@ -448,7 +420,7 @@ let check_shard_views ~submitted ~expand shard_views =
   List.iter
     (fun sv ->
       List.iter
-        (fun v ->
+        (fun (v : Smr.view) ->
           let flat = stream_of v.v_node sv.sv_applied_cmds in
           let len = List.length flat in
           Tbl.clear tbl;
@@ -510,7 +482,7 @@ let check_shard_views ~submitted ~expand shard_views =
       let group = sv.sv_group in
       Tbl.clear clean;
       List.iter
-        (fun v ->
+        (fun (v : Smr.view) ->
           let flagged = ref false in
           let witness cmd =
             let i = Tbl.claim tbl cmd group v.v_node in

@@ -25,9 +25,10 @@
     plus validity: every chosen, snapshot-covered or configuration command
     was actually submitted (or registered as a reconfiguration).
 
-    {!check} reads the live handle; {!check_views} runs the same contract
-    over explicit {!view} values, which is what the negative tests use to
-    prove the checker actually flags each violation class.
+    {!check} reads the live handle through {!Smr.view}; {!check_views}
+    runs the same contract over explicit {!Smr.view} values, which is what
+    the negative tests use to prove the checker actually flags each
+    violation class.
 
     {b Cost.} {!check_views} and {!check_shard_views} take time linear in
     the total size of the views (the snapshot clause excepted: it compares
@@ -38,23 +39,6 @@
     are built only for a violation's payload. Violations come in the same
     order as the earlier list-and-[Hashtbl] checker, which
     [test/smr_checker_oracle.ml] keeps as the reference. *)
-
-(** One replica's checkable state. [v_log] is the retained chosen log
-    (sorted); [v_applied] the full apply sequence, oldest first, including
-    any snapshot-inherited prefix; [v_floor]/[v_snap_applied] the
-    compaction floor and the snapshot's apply prefix ([0]/[[]] when the
-    replica never compacted); [v_configs] the committed reconfigurations
-    (sorted, snapshot-inherited ones included). *)
-type view = {
-  v_node : int;
-  v_log : (int * int) list;
-  v_commit : int;
-  v_applied : int list;
-  v_floor : int;
-  v_snap_applied : int list;
-  v_configs : (int * int) list;
-  v_epoch : int;
-}
 
 type violation =
   | Log_disagreement of {
@@ -88,11 +72,10 @@ val to_string : violation -> string
 
 (** [check_views ~submitted views] — the full contract over explicit
     views; [submitted] is the validity oracle (client submissions and
-    registered reconfigurations). Deterministic order; empty = holds. *)
-val check_views : submitted:(int -> bool) -> view list -> violation list
-
-(** [view_of h node] — the node's current checkable state. *)
-val view_of : Smr.handle -> int -> view
+    registered reconfigurations). The clauses read a view's [v_node],
+    [v_log], [v_commit], [v_applied], [v_floor], [v_snap_applied] and
+    [v_configs]. Deterministic order; empty = holds. *)
+val check_views : submitted:(int -> bool) -> Smr.view list -> violation list
 
 (** All violations, in deterministic order (empty = the contract holds). *)
 val check : Smr.handle -> violation list
@@ -113,12 +96,12 @@ val check : Smr.handle -> violation list
       nothing (nothing = covered by a snapshot install, which inherits
       applied state without replaying per-command). *)
 
-(** One group's checkable state: the per-replica {!view}s plus each
+(** One group's checkable state: the per-replica {!Smr.view}s plus each
     replica's flattened client-command apply stream (batches expanded,
     oldest first). *)
 type shard_view = {
   sv_group : int;
-  sv_views : view list;
+  sv_views : Smr.view list;
   sv_applied_cmds : (int * int list) list;
 }
 

@@ -44,7 +44,7 @@ let generate config rng =
     match Amac.Rng.int rng 3 with
     | 0 -> Amac.Topology.clique n
     | 1 -> Amac.Topology.line n
-    | _ -> if n >= 3 then Amac.Topology.ring n else Amac.Topology.clique n
+    | _ -> Amac.Topology.ring n
   in
   let fack = Amac.Rng.int_range rng ~lo:1 ~hi:max_fack in
   let groups = Amac.Rng.int_range rng ~lo:1 ~hi:max_groups in

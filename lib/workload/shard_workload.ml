@@ -123,7 +123,7 @@ let run ?(window = 4) ?(batch = 4) ?(mean_gap = 2) ?(burst = 1)
     Array.init groups (fun g ->
         let ih = Shard.inner h g in
         List.fold_left
-          (fun acc node -> max acc (Smr.commit_index ih node))
+          (fun acc node -> max acc (Smr.view ih node).v_commit)
           0 (Smr.nodes ih))
   in
   let committed = Shard.committed h in

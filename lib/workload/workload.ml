@@ -137,8 +137,8 @@ let run ?(window = 4) ?(faults = []) ?(max_time = 400_000)
       ~pp_msg:Smr.pp_msg ?provenance ?obs
   in
   let violations = Smr_checker.check h in
-  let nodes = Smr.nodes h in
-  let commit_indices = List.map (Smr.commit_index h) nodes in
+  let views = List.map (Smr.view h) (Smr.nodes h) in
+  let commit_indices = List.map (fun (v : Smr.view) -> v.v_commit) views in
   let commit_index_min = List.fold_left min max_int commit_indices in
   let commit_index_min = if commit_index_min = max_int then 0 else commit_index_min in
   let commit_index_max = List.fold_left max 0 commit_indices in
@@ -169,15 +169,14 @@ let run ?(window = 4) ?(faults = []) ?(max_time = 400_000)
       Array.of_list (List.sort compare r) )
   in
   let committed = Hashtbl.length commit_time in
-  let epochs = List.map (Smr.epoch h) nodes in
+  let epochs = List.map (fun (v : Smr.view) -> v.v_epoch) views in
   let epoch_min = List.fold_left min max_int epochs in
   let epoch_min = if epoch_min = max_int then 0 else epoch_min in
   let epoch_max = List.fold_left max 0 epochs in
-  let lifecycles = List.map (Smr.lifecycle h) nodes in
-  let sum f = List.fold_left (fun acc l -> acc + f l) 0 lifecycles in
-  let suspicions = sum (fun l -> l.Smr.fd_suspicions) in
-  let snapshots_taken = sum (fun l -> l.Smr.snapshots_taken) in
-  let snapshots_installed = sum (fun l -> l.Smr.snapshots_installed) in
+  let sum f = List.fold_left (fun acc v -> acc + f v) 0 views in
+  let suspicions = sum (fun v -> v.Smr.v_fd_suspicions) in
+  let snapshots_taken = sum (fun v -> v.Smr.v_snapshots_taken) in
+  let snapshots_installed = sum (fun v -> v.Smr.v_snapshots_installed) in
   (match obs with
   | None -> ()
   | Some reg ->
@@ -220,16 +219,16 @@ let run ?(window = 4) ?(faults = []) ?(max_time = 400_000)
         (Obs.Metrics.gauge reg ~labels "smr_epoch_max")
         (float_of_int epoch_max);
       List.iter
-        (fun node ->
-          let s = Smr.fd_stats h node in
-          let node_labels = ("node", string_of_int node) :: labels in
+        (fun (v : Smr.view) ->
+          let s = v.v_fd in
+          let node_labels = ("node", string_of_int v.v_node) :: labels in
           Obs.Metrics.set
             (Obs.Metrics.gauge reg ~labels:node_labels "fd_suspected_now")
             (float_of_int s.Fd.suspected_now);
           Obs.Metrics.set
             (Obs.Metrics.gauge reg ~labels:node_labels "fd_patience_acks")
             (float_of_int s.Fd.patience_now))
-        nodes);
+        views);
   {
     outcome;
     handle = h;

@@ -99,3 +99,19 @@ let make ?(margin = 3) () =
     msg_ids;
     hooks;
   }
+
+(* The margin argument assumes honest counters, so inflating c (or
+   flipping v while keeping a plausible counter) races the decision
+   threshold dishonestly. Expected to break it — documented, not
+   asserted. *)
+let adapter : msg Byz.Model.adapter =
+  {
+    mutate =
+      (fun rng ~self:_ { sender; c; v } ->
+        if Amac.Rng.bool rng then { sender; c = c + 1 + Amac.Rng.int rng 5; v }
+        else { sender; c; v = 1 - v });
+    forge =
+      (fun rng ~self _seen ->
+        Some
+          { sender = self; c = 1 + Amac.Rng.int rng 10; v = Amac.Rng.int rng 2 });
+  }

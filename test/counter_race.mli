@@ -35,10 +35,15 @@
 type state
 
 type msg = { sender : int; c : int; v : int }
-(** Exposed (not abstract) so the Byzantine adapter in [lib/byz] can forge
-    and mutate payloads — the attack surface is precisely [c] inflation and
-    [v] flips. *)
+(** Exposed (not abstract) so {!adapter} can forge and mutate payloads —
+    the attack surface is precisely [c] inflation and [v] flips. *)
 
 (** [make ?margin ()] — [margin] is the decision threshold distance
     (default 3; 2 is known-unsafe, see above). *)
 val make : ?margin:int -> unit -> (state, msg) Amac.Algorithm.t
+
+(** The Byzantine adapter: mutations inflate [c] or flip [v], forgeries
+    carry the forger's own id (authenticated channels). The margin
+    argument assumes honest counters, so this breaks the algorithm —
+    documented by test_byz, not a defect. *)
+val adapter : msg Byz.Model.adapter

@@ -39,3 +39,26 @@ let counter_of snapshot ?labels name =
   | None -> 0
   | Some { value = Counter n; _ } -> n
   | Some _ -> invalid_arg (name ^ " is not a counter")
+
+(* Node [node]'s replica view with every other field empty or zero; a
+   hand-built case overrides the fields its clause reads. *)
+let view node =
+  {
+    Smr.v_node = node;
+    v_log = [];
+    v_commit = 0;
+    v_applied = [];
+    v_floor = 0;
+    v_snap_applied = [];
+    v_configs = [];
+    v_epoch = 0;
+    v_leader = node;
+    v_members = [];
+    v_joint = None;
+    v_fd =
+      { Fd.suspected_now = 0; watched = node; silence = 0; patience_now = 0 };
+    v_fd_suspicions = 0;
+    v_snapshots_taken = 0;
+    v_snapshots_installed = 0;
+    v_reconfigs_superseded = 0;
+  }

@@ -212,29 +212,6 @@ let check_views ~submitted views =
     views;
   List.rev !violations
 
-let view_of h node =
-  let floor, snap_applied =
-    match Smr.snapshot h node with
-    | Some s -> (s.Smr.floor, s.Smr.s_applied)
-    | None -> (0, [])
-  in
-  {
-    v_node = node;
-    v_log = Smr.log h node;
-    v_commit = Smr.commit_index h node;
-    v_applied = Smr.applied h node;
-    v_floor = floor;
-    v_snap_applied = snap_applied;
-    v_configs = Smr.configs h node;
-    v_epoch = Smr.epoch h node;
-  }
-
-let check h =
-  let submitted cmd = Smr.was_submitted h cmd || Smr.was_reconfig h cmd in
-  check_views ~submitted (List.map (view_of h) (Smr.nodes h))
-
-let ok h = check h = []
-
 (* ------------------------------------------------------------------ *)
 (* Sharded (multi-group) extension. A sharded deployment multiplexes   *)
 (* G independent SMR groups; the contract grows three clauses on top   *)

@@ -242,8 +242,8 @@ let test_counter_race_documented_unsafe () =
   let outcome =
     Campaign.run
       (BFuzz.campaign BFuzz.default
-         (Consensus.Counter_race.make ())
-         Adapters.counter_race)
+         (Counter_race.make ())
+         Counter_race.adapter)
       ~iterations:500 ~seed:44
   in
   Alcotest.(check bool) "byzantine adversary breaks counter_race" true

@@ -48,7 +48,7 @@ let cases ~sampling =
     Case
       {
         name = "counter_race";
-        algorithm = Consensus.Counter_race.make ();
+        algorithm = Counter_race.make ();
         topology = Amac.Topology.clique 2;
         inputs = [| 0; 1 |];
         max_depth = (if sampling then 18 else 12);

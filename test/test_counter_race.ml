@@ -5,7 +5,7 @@
 
 let run ?(margin = 3) ?(crashes = []) ?(fack = 4) ~n ~seed inputs =
   Consensus.Runner.run
-    (Consensus.Counter_race.make ~margin ())
+    (Counter_race.make ~margin ())
     ~topology:(Amac.Topology.clique n)
     ~scheduler:(Amac.Scheduler.random (Amac.Rng.create seed) ~fack)
     ~inputs
@@ -42,7 +42,7 @@ let test_no_n_needed () =
      without knowing how many contestants there are. *)
   let result =
     Consensus.Runner.run
-      (Consensus.Counter_race.make ())
+      (Counter_race.make ())
       ~give_n:false
       ~topology:(Amac.Topology.clique 4)
       ~scheduler:(Amac.Scheduler.random (Amac.Rng.create 7) ~fack:3)

@@ -125,7 +125,7 @@ let scenario_counter_race ?(wrap = Fun.id) () =
   let reg = Obs.Metrics.create () in
   let result =
     Consensus.Runner.run
-      (Consensus.Counter_race.make ())
+      (Counter_race.make ())
       ~topology:(Amac.Topology.clique 3)
       ~scheduler:(wrap (Amac.Scheduler.random (Amac.Rng.create 6) ~fack:2))
       ~inputs:[| 0; 1; 1 |] ~record_trace:true ~obs:reg
@@ -178,8 +178,8 @@ let byz_scenario algorithm adapter ~n ~seed ~inputs ?(wrap = Fun.id) () =
 
 let scenario_counter_race_byz =
   byz_scenario
-    (Consensus.Counter_race.make ())
-    Byz.Adapters.counter_race ~n:3 ~seed:8 ~inputs:[| 0; 1; 1 |]
+    (Counter_race.make ())
+    Counter_race.adapter ~n:3 ~seed:8 ~inputs:[| 0; 1; 1 |]
 
 let scenario_byz_consensus_byz =
   byz_scenario

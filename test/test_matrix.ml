@@ -74,11 +74,11 @@ let algorithms =
     Alg
       {
         name = "counter_race";
-        make = (fun () -> Consensus.Counter_race.make ());
+        make = (fun () -> Counter_race.make ());
         topology = Amac.Topology.clique 4;
         inputs = [| 0; 1; 1; 0 |];
         crash_tolerant = true;
-        adapter = Byz.Adapters.counter_race;
+        adapter = Counter_race.adapter;
       };
     Alg
       {

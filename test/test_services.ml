@@ -385,7 +385,7 @@ let test_out_of_rank () =
          in
          Alcotest.(check bool) "smr quiesced" false outcome.hit_max_time;
          Alcotest.(check bool) "smr applied commands" true
-           (List.length (Smr.applied h 1) > 40)))
+           (List.length (Smr.view h 1).v_applied > 40)))
 
 (* [in_rank_order] against [List.stable_sort] by rank, on the three
    protocols' rank tables (by constructor: wPAXOS's Leader, Change,

@@ -54,13 +54,14 @@ let test_zipf_bounds_and_skew () =
 
 let test_routing_partition () =
   let groups = 4 in
+  let _alg, h = Shard.make ~groups () in
   let hit = Array.make groups 0 in
   for key = 0 to 999 do
-    let g = Shard.group_of_key ~groups key in
+    let g = Shard.route h ~key ~cmd:(key + 1) in
     Alcotest.(check bool) "group in range" true (g >= 0 && g < groups);
     Alcotest.(check int)
       "routing is deterministic" g
-      (Shard.group_of_key ~groups key);
+      (Shard.route h ~key ~cmd:(key + 1001));
     hit.(g) <- hit.(g) + 1
   done;
   Array.iteri
@@ -102,29 +103,32 @@ let test_batch_round_trip () =
   let r = clean_run ~groups:2 ~batch:4 ~cmds:32 () in
   check_clean "round trip" r;
   let h = r.handle in
-  (* Every minted batch expands to 2..4 distinct plain commands. *)
+  (* Every logged value is a plain command (no bit from 40 up) or a minted
+     batch, which expands to 2..4 distinct plain commands. *)
   let ih g = Shard.inner h g in
-  let batch_values g =
+  let values g =
     List.concat_map
-      (fun node ->
-        List.filter Shard.is_batch (List.map snd (Smr.log (ih g) node)))
+      (fun node -> List.map snd (Smr.view (ih g) node).v_log)
       (Smr.nodes (ih g))
     |> List.sort_uniq compare
   in
   List.iter
     (fun g ->
       List.iter
-        (fun b ->
-          match Shard.expand h b with
-          | None -> Alcotest.fail "batch in log the handle cannot expand"
+        (fun value ->
+          match Shard.expand h value with
+          | None ->
+              Alcotest.(check bool)
+                "a value the handle cannot expand is a plain command" true
+                (value < 1 lsl 40)
           | Some cmds ->
               Alcotest.(check bool)
                 "batch size in 2..4" true
                 (List.length cmds >= 2 && List.length cmds <= 4);
               Alcotest.(check bool)
                 "batch members are plain commands" true
-                (List.for_all (fun c -> not (Shard.is_batch c)) cmds))
-        (batch_values g))
+                (List.for_all (fun c -> Shard.expand h c = None) cmds))
+        (values g))
     [ 0; 1 ];
   (* The flattened streams partition the command set by group: a node's
      stream for group g contains exactly the committed commands routed
@@ -198,14 +202,10 @@ let test_deterministic_replay () =
 
 let mk_view node log applied =
   {
-    Smr_checker.v_node = node;
-    v_log = log;
+    (Fixtures.view node) with
+    Smr.v_log = log;
     v_commit = List.length log;
     v_applied = applied;
-    v_floor = 0;
-    v_snap_applied = [];
-    v_configs = [];
-    v_epoch = 0;
   }
 
 let all_submitted _ _ = true

@@ -325,7 +325,7 @@ let test_backlog_digest () =
   Alcotest.(check int) "run digest" 3117299265673714721
     (Amac.Fingerprint.to_int !digest)
 
-(* [Smr.log] walks the retained instance range downward instead of
+(* [Smr.view]'s log walks the retained instance range downward instead of
    folding the instance table and sorting. The fold-and-sort stays here as
    its oracle, on the backlog run, on a lifecycle scenario that compacts
    and transfers snapshots, and on every group of a sharded run. *)
@@ -338,7 +338,7 @@ let check_logs what h =
     (fun node ->
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "%s, node %d" what node)
-        (log_oracle h node) (Smr.log h node))
+        (log_oracle h node) (Smr.view h node).v_log)
     (Smr.nodes h)
 
 let test_log_matches_oracle () =
@@ -346,7 +346,7 @@ let test_log_matches_oracle () =
   let lifecycle = Lifecycle.run Lifecycle.Snapshot_restart in
   let h = lifecycle.result.Workload.handle in
   Alcotest.(check bool) "the scenario compacted" true
-    (List.exists (fun node -> Smr.snapshot h node <> None) (Smr.nodes h));
+    (List.exists (fun node -> (Smr.view h node).v_floor > 0) (Smr.nodes h));
   check_logs "snapshot-restart" h;
   let sharded =
     Shard_workload.run
@@ -408,26 +408,24 @@ let test_compaction_truncates_and_transfers () =
     (r.snapshots_installed > 0);
   Alcotest.(check int) "converged" r.commit_index_max r.commit_index_min;
   let h = r.handle in
+  let views = List.map (Smr.view h) (Smr.nodes h) in
   List.iter
-    (fun node ->
-      match Smr.snapshot h node with
-      | Some s ->
-          Alcotest.(check bool)
-            (Printf.sprintf "node %d: log truncated below floor %d" node
-               s.Smr.floor)
-            true
-            (List.for_all (fun (i, _) -> i >= s.Smr.floor) (Smr.log h node))
-      | None -> ())
-    (Smr.nodes h);
+    (fun (v : Smr.view) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d: log truncated below floor %d" v.v_node
+           v.v_floor)
+        true
+        (List.for_all (fun (i, _) -> i >= v.v_floor) v.v_log))
+    views;
   (* Exactly-once apply ACROSS the snapshot install: every replica applied
      the identical command sequence, snapshot-inherited prefix included. *)
-  let reference = Smr.applied h (List.hd (Smr.nodes h)) in
+  let reference = (List.hd views).v_applied in
   List.iter
-    (fun node ->
+    (fun (v : Smr.view) ->
       Alcotest.(check (list int))
-        (Printf.sprintf "node %d applied the same sequence" node)
-        reference (Smr.applied h node))
-    (Smr.nodes h)
+        (Printf.sprintf "node %d applied the same sequence" v.v_node)
+        reference v.v_applied)
+    views
 
 (* ------------------------------------------------------------------ *)
 (* Tentpole: joint-consensus membership reconfiguration. *)
@@ -453,11 +451,11 @@ let test_reconfig_scale_up () =
     (fun node ->
       Alcotest.(check (list int))
         (Printf.sprintf "node %d adopted the new membership" node)
-        [ 0; 1; 2; 3; 4 ] (Smr.members h node);
+        [ 0; 1; 2; 3; 4 ] (Smr.view h node).v_members;
       Alcotest.(check bool)
         (Printf.sprintf "node %d left the transition" node)
         true
-        (Smr.joint h node = None))
+        ((Smr.view h node).v_joint = None))
     (Smr.nodes h);
   Alcotest.(check int) "converged" r.commit_index_max r.commit_index_min
 
@@ -486,7 +484,7 @@ let test_reconfig_scale_down_with_learner_tail () =
     (fun node ->
       Alcotest.(check (list int))
         (Printf.sprintf "node %d sees members {0,1,2}" node)
-        [ 0; 1; 2 ] (Smr.members h node))
+        [ 0; 1; 2 ] (Smr.view h node).v_members)
     (Smr.nodes h)
 
 (* Review regression: a learner whose id exceeds every voter must not
@@ -512,7 +510,7 @@ let test_learner_never_self_elects () =
   let h = r.handle in
   List.iter
     (fun node ->
-      let omega = Smr.leader h node in
+      let omega = (Smr.view h node).v_leader in
       if node >= 3 then
         Alcotest.(check bool)
           (Printf.sprintf "learner %d's omega %d is not itself" node omega)
@@ -521,7 +519,7 @@ let test_learner_never_self_elects () =
         Alcotest.(check bool)
           (Printf.sprintf "node %d's omega %d is a voter" node omega)
           true
-          (List.mem omega (Smr.members h node)))
+          (List.mem omega (Smr.view h node).v_members))
     (Smr.nodes h)
 
 (* Review regression: a joint that commits while another transition is
@@ -544,7 +542,7 @@ let test_overlapping_reconfigs_both_apply () =
   let h = r.handle in
   let superseded =
     List.fold_left
-      (fun acc node -> acc + (Smr.lifecycle h node).Smr.reconfigs_superseded)
+      (fun acc node -> acc + (Smr.view h node).v_reconfigs_superseded)
       0 (Smr.nodes h)
   in
   Alcotest.(check bool)
@@ -556,11 +554,11 @@ let test_overlapping_reconfigs_both_apply () =
     (fun node ->
       Alcotest.(check (list int))
         (Printf.sprintf "node %d ended on the second membership" node)
-        [ 0; 1; 2; 3; 4 ] (Smr.members h node);
+        [ 0; 1; 2; 3; 4 ] (Smr.view h node).v_members;
       Alcotest.(check bool)
         (Printf.sprintf "node %d left the transition" node)
         true
-        (Smr.joint h node = None))
+        ((Smr.view h node).v_joint = None))
     (Smr.nodes h);
   Alcotest.(check int) "all commands still committed" r.submitted r.committed;
   Alcotest.(check int) "converged" r.commit_index_max r.commit_index_min
@@ -586,20 +584,42 @@ let test_lifecycle_fuzz_smoke () =
   Alcotest.(check int) "all iterations ran" 20 outcome.iterations_run
 
 let test_reconfig_cmd_structure () =
-  let _alg, h = Smr.make () in
+  let alg, h = Smr.make () in
   let joint = Smr.reconfig_cmd h ~members:[ 2; 0; 1 ] in
-  Alcotest.(check bool) "joint bit set" true (Smr.is_joint_reconfig joint);
   Alcotest.(check bool) "is a reconfig" true (Smr.is_reconfig joint);
-  Alcotest.(check (list int))
-    "members round-trip sorted" [ 0; 1; 2 ]
-    (Smr.reconfig_members joint);
   Alcotest.(check bool) "registered" true (Smr.was_reconfig h joint);
   (* Same membership, distinct uid: repeated reconfigs stay distinct. *)
   let joint2 = Smr.reconfig_cmd h ~members:[ 0; 1; 2 ] in
   Alcotest.(check bool) "distinct uid per registration" true (joint <> joint2);
   Alcotest.check_raises "client commands with reconfig bits are rejected"
-    (Invalid_argument "Smr.submit: use reconfigure for membership changes")
-    (fun () -> Smr.submit h ~node:0 ~cmd:joint)
+    (Invalid_argument "Smr.submit: use Smr.reconfig_cmd for membership changes")
+    (fun () -> Smr.submit h ~node:0 ~cmd:joint);
+  (* The encoding, read back from a run: the returned command is the joint
+     form (it commits first, and the replicas stage a distinct, registered
+     final), and the final adopts the members, sorted. *)
+  let n = 4 in
+  ignore
+    (Amac.Engine.run alg
+       ~topology:(Amac.Topology.clique n)
+       ~scheduler:Amac.Scheduler.synchronous ~inputs:(Array.make n 0)
+       ~give_n:true ~injections:[ (0, 20, joint) ] ~on_inject:(Smr.injector h)
+       ~max_time:100_000 ~stop_when_all_decided:false
+      : Amac.Engine.outcome);
+  List.iter
+    (fun node ->
+      let v = Smr.view h node in
+      Alcotest.(check (list int))
+        "members round-trip sorted" [ 0; 1; 2 ] v.v_members;
+      match v.v_configs with
+      | [ (_, first); (_, final) ] ->
+          Alcotest.(check int) "the joint commits first" joint first;
+          Alcotest.(check bool)
+            "its final is distinct and registered" true
+            (final <> joint && Smr.was_reconfig h final)
+      | configs ->
+          Alcotest.failf "node %d committed %d reconfigurations, not 2" node
+            (List.length configs))
+    (Smr.nodes h)
 
 (* ------------------------------------------------------------------ *)
 (* Checker negative tests: prove Smr_checker actually FLAGS each
@@ -609,8 +629,8 @@ let test_reconfig_cmd_structure () =
 let view ?(log = []) ?(commit = 0) ?(applied = []) ?(floor = 0) ?(snap = [])
     ?(configs = []) ?(epoch = 0) node =
   {
-    Smr_checker.v_node = node;
-    v_log = log;
+    (Fixtures.view node) with
+    Smr.v_log = log;
     v_commit = commit;
     v_applied = applied;
     v_floor = floor;

@@ -8,10 +8,10 @@ module C = Smr_checker
 module O = Smr_checker_oracle
 
 (* ---------------------------------------------------------------- *)
-(* Converting between the two modules' (identical) types.           *)
+(* Converting between the two modules' types.                       *)
 (* ---------------------------------------------------------------- *)
 
-let to_oracle_view (v : C.view) : O.view =
+let to_oracle_view (v : Smr.view) : O.view =
   {
     O.v_node = v.v_node;
     v_log = v.v_log;
@@ -89,8 +89,8 @@ let pick st l = List.nth l (Random.State.int st (List.length l))
 
 let view ~node ~log ~commit ~applied ~floor ~snap ~configs =
   {
-    C.v_node = node;
-    v_log = log;
+    (Fixtures.view node) with
+    Smr.v_log = log;
     v_commit = commit;
     v_applied = applied;
     v_floor = floor;
@@ -235,7 +235,7 @@ let client_values case =
           List.filter_map
             (fun (_, x) ->
               if x = Smr.noop || Smr.is_reconfig x then None else Some x)
-            v.C.v_log)
+            v.Smr.v_log)
         sv.C.sv_views)
     case.svs
 
@@ -262,68 +262,68 @@ let mutate st case kind =
   match kind with
   | 0 ->
       with_view (fun v ->
-          match v.C.v_log with
+          match v.Smr.v_log with
           | [] -> v
           | log ->
               let i = Random.State.int st (List.length log) in
               let inst, _ = List.nth log i in
-              { v with C.v_log = replace_nth log i (inst, some_client ()) })
+              { v with Smr.v_log = replace_nth log i (inst, some_client ()) })
   | 1 ->
       with_view (fun v ->
-          if v.C.v_log <> [] && chance st 0.7 then
+          if v.Smr.v_log <> [] && chance st 0.7 then
             {
               v with
-              C.v_log = remove_nth v.C.v_log (Random.State.int st (List.length v.C.v_log));
+              Smr.v_log = remove_nth v.Smr.v_log (Random.State.int st (List.length v.Smr.v_log));
             }
-          else { v with C.v_commit = v.C.v_commit + rint st 1 3 })
+          else { v with Smr.v_commit = v.Smr.v_commit + rint st 1 3 })
   | 2 ->
       with_view (fun v ->
-          match v.C.v_applied with
+          match v.Smr.v_applied with
           | [] -> v
           | l ->
               let x = pick st l in
-              { v with C.v_applied = insert_nth l (rint st 0 (List.length l)) x })
+              { v with Smr.v_applied = insert_nth l (rint st 0 (List.length l)) x })
   | 3 ->
       with_view (fun v ->
-          let l = v.C.v_applied in
+          let l = v.Smr.v_applied in
           let n = List.length l in
           if n >= 2 && chance st 0.5 then
             let i = Random.State.int st (n - 1) in
-            { v with C.v_applied = swap l i (i + 1) }
+            { v with Smr.v_applied = swap l i (i + 1) }
           else if n >= 1 && chance st 0.5 then
-            { v with C.v_applied = remove_nth l (Random.State.int st n) }
-          else { v with C.v_applied = l @ [ some_client () ] })
+            { v with Smr.v_applied = remove_nth l (Random.State.int st n) }
+          else { v with Smr.v_applied = l @ [ some_client () ] })
   | 4 ->
       let unknown = 1_000_000 + Random.State.int st 1000 in
       with_view (fun v ->
           match Random.State.int st 3 with
-          | 0 when v.C.v_log <> [] ->
-              let i = Random.State.int st (List.length v.C.v_log) in
-              let inst, _ = List.nth v.C.v_log i in
-              { v with C.v_log = replace_nth v.C.v_log i (inst, unknown) }
-          | 1 -> { v with C.v_snap_applied = unknown :: v.C.v_snap_applied }
+          | 0 when v.Smr.v_log <> [] ->
+              let i = Random.State.int st (List.length v.Smr.v_log) in
+              let inst, _ = List.nth v.Smr.v_log i in
+              { v with Smr.v_log = replace_nth v.Smr.v_log i (inst, unknown) }
+          | 1 -> { v with Smr.v_snap_applied = unknown :: v.Smr.v_snap_applied }
           | _ ->
               let cmd = if chance st 0.5 then unknown else reconfig 9 1 in
-              { v with C.v_configs = v.C.v_configs @ [ (rint st 0 5, cmd) ] })
+              { v with Smr.v_configs = v.Smr.v_configs @ [ (rint st 0 5, cmd) ] })
   | 5 ->
       with_view (fun v ->
-          let floor = if v.C.v_floor > 0 then v.C.v_floor else rint st 1 3 in
+          let floor = if v.Smr.v_floor > 0 then v.Smr.v_floor else rint st 1 3 in
           let snap =
-            match v.C.v_snap_applied with
+            match v.Smr.v_snap_applied with
             | _ :: _ :: _ as l when chance st 0.5 -> swap l 0 1
             | [] -> [ some_client () ]
             | l ->
                 replace_nth l (Random.State.int st (List.length l)) (some_client ())
           in
-          { v with C.v_floor = floor; v_snap_applied = snap })
+          { v with Smr.v_floor = floor; v_snap_applied = snap })
   | 6 ->
       with_view (fun v ->
-          match v.C.v_configs with
-          | [] -> { v with C.v_configs = [ (rint st 0 3, reconfig 0 (rint st 1 7)) ] }
+          match v.Smr.v_configs with
+          | [] -> { v with Smr.v_configs = [ (rint st 0 3, reconfig 0 (rint st 1 7)) ] }
           | l ->
               let i = Random.State.int st (List.length l) in
               let inst, cmd = List.nth l i in
-              { v with C.v_configs = replace_nth l i (inst, cmd lxor 1) })
+              { v with Smr.v_configs = replace_nth l i (inst, cmd lxor 1) })
   | 7 ->
       if chance st 0.5 then
         (* Another group's command chosen here too: as a plain value, or
@@ -336,7 +336,7 @@ let mutate st case kind =
         in
         let chosen = Hashtbl.create 64 in
         List.iter
-          (fun v -> List.iter (fun (_, x) -> Hashtbl.replace chosen x ()) v.C.v_log)
+          (fun v -> List.iter (fun (_, x) -> Hashtbl.replace chosen x ()) v.Smr.v_log)
           sv.C.sv_views;
         match
           List.filter
@@ -354,7 +354,7 @@ let mutate st case kind =
             }
         | _ ->
             with_view (fun v ->
-                { v with C.v_log = v.C.v_log @ [ (100_000, other) ] })
+                { v with Smr.v_log = v.Smr.v_log @ [ (100_000, other) ] })
       else
         (* One replica applies a command twice in its flattened stream. *)
         let streams = sv.C.sv_applied_cmds in
@@ -428,7 +428,7 @@ let print_case case =
     ^ String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l)
     ^ "]"
   in
-  let print_view (v : C.view) =
+  let print_view (v : Smr.view) =
     Printf.sprintf
       "    node %d commit %d floor %d epoch %d\n      log %s\n      applied %s\n      snap %s configs %s"
       v.v_node v.v_commit v.v_floor v.v_epoch (pairs v.v_log) (ints v.v_applied)
