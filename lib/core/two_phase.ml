@@ -46,19 +46,49 @@ let init (ctx : Amac.Algorithm.ctx) =
 
 let msg_id = function Phase1 { id; _ } | Phase2 { id; _ } -> id
 
-let received state = state.r1 @ state.r2
+(* The handlers below walk R1 and then R2 by direct recursion, with no
+   [r1 @ r2] and no closures: under the model checker they run on every
+   transition, so they allocate only the state they keep. *)
 
-(* W covered: every witness has a phase-2 message somewhere in R1 ∪ R2.
-   Scans the two lists directly — this runs on every phase-2 receipt while
-   awaiting witnesses, and appending R1 @ R2 per witness is measurable
-   under the model checker. *)
-let witnesses_covered state =
-  let phase2_in id =
-    List.exists (function Phase2 { id = i; _ } -> i = id | Phase1 _ -> false)
-  in
-  List.for_all
-    (fun id -> phase2_in id state.r1 || phase2_in id state.r2)
-    state.witnesses
+let rec phase2_in id = function
+  | [] -> false
+  | Phase2 { id = i; _ } :: rest -> i = id || phase2_in id rest
+  | Phase1 _ :: rest -> phase2_in id rest
+
+(* W covered: every witness has a phase-2 message somewhere in R1 ∪ R2. *)
+let rec covered r1 r2 = function
+  | [] -> true
+  | id :: rest -> (phase2_in id r1 || phase2_in id r2) && covered r1 r2 rest
+
+let witnesses_covered state = covered state.r1 state.r2 state.witnesses
+
+(* [ids] with [id] added, ascending and without duplicates; an [id]
+   already present returns [ids] itself. *)
+let rec insert id ids =
+  match ids with
+  | [] -> [ id ]
+  | x :: rest ->
+      if id < x then id :: ids
+      else if id = x then ids
+      else
+        let rest' = insert id rest in
+        if rest' == rest then ids else x :: rest'
+
+let rec insert_ids ids = function
+  | [] -> ids
+  | msg :: rest -> insert_ids (insert (msg_id msg) ids) rest
+
+(* W: every id in R1 ∪ R2, ascending. *)
+let witnesses state = insert_ids (insert_ids [] state.r1) state.r2
+
+(* The first decided status in [msgs], then in [next]; else the default
+   1. *)
+let rec first_decided msgs next =
+  match msgs with
+  | [] -> ( match next with [] -> 1 | _ -> first_decided next [])
+  | Phase2 { status = Decided_value v; _ } :: _ -> v
+  | (Phase2 { status = Bivalent; _ } | Phase1 _) :: rest ->
+      first_decided rest next
 
 (* The final decision rule. [scope] is the erratum switch: the corrected
    algorithm searches R1 ∪ R2 for a decided status; the literal paper text
@@ -66,13 +96,9 @@ let witnesses_covered state =
    (Thm 4.1's argument), so "any decided value, else default 1" is
    well-defined. *)
 let decision ~scope state =
-  let pool = match scope with `R1_and_r2 -> received state | `R2 -> state.r2 in
-  let rec find = function
-    | [] -> 1
-    | Phase2 { status = Decided_value v; _ } :: _ -> v
-    | (Phase2 { status = Bivalent; _ } | Phase1 _) :: rest -> find rest
-  in
-  find pool
+  match scope with
+  | `R1_and_r2 -> first_decided state.r1 state.r2
+  | `R2 -> first_decided state.r2 []
 
 let maybe_finish ~scope state =
   if state.phase = Awaiting_witnesses && witnesses_covered state then begin
@@ -98,13 +124,16 @@ let on_receive ~scope _ctx state msg =
       | Phase1 _ -> [])
   | Finished -> []
 
+(* Evidence against [input] in [msgs]: the other value, or a bivalent
+   status. *)
+let rec contrary input = function
+  | [] -> false
+  | Phase1 { value; _ } :: rest -> value <> input || contrary input rest
+  | Phase2 { status = Bivalent; _ } :: _ -> true
+  | Phase2 { status = Decided_value _; _ } :: rest -> contrary input rest
+
 let compute_status (ctx : Amac.Algorithm.ctx) state =
-  let contrary = function
-    | Phase1 { value; _ } -> value <> ctx.input
-    | Phase2 { status = Bivalent; _ } -> true
-    | Phase2 { status = Decided_value _; _ } -> false
-  in
-  if List.exists contrary state.r1 then Bivalent else Decided_value ctx.input
+  if contrary ctx.input state.r1 then Bivalent else Decided_value ctx.input
 
 let on_ack ~scope (ctx : Amac.Algorithm.ctx) state =
   match state.phase with
@@ -116,7 +145,7 @@ let on_ack ~scope (ctx : Amac.Algorithm.ctx) state =
       [ Amac.Algorithm.Broadcast mine ]
   | In_phase2 ->
       state.phase <- Awaiting_witnesses;
-      state.witnesses <- List.sort_uniq Int.compare (List.map msg_id (received state));
+      state.witnesses <- witnesses state;
       maybe_finish ~scope state
   | Awaiting_witnesses | Finished -> []
 

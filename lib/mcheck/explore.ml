@@ -176,13 +176,25 @@ let make_rt algorithm ~topology ~inputs =
   in
   { n; topology; ctxs; algorithm; input_values; clone_state; fingerprint }
 
+(* The live nodes of [l], in order. *)
+let rec live nodes = function
+  | [] -> []
+  | v :: rest ->
+      if nodes.(v).crashed then live nodes rest else v :: live nodes rest
+
+(* [l] without its one occurrence of [v]; the tail after it is shared. *)
+let rec remove v = function
+  | [] -> []
+  | x :: rest -> if x = v then rest else x :: remove v rest
+
 (* Apply a node's actions in place (the caller owns a private snapshot).
    Broadcasting while one is in flight discards, as in the engine; a
    re-decide with a different value is an irrevocability violation. *)
-let apply_actions rt ~record nodes node actions ~path =
-  List.iter
-    (fun action ->
-      match action with
+let rec apply_actions rt ~record nodes node actions ~path =
+  match actions with
+  | [] -> ()
+  | action :: rest ->
+      (match action with
       | Amac.Algorithm.Decide value -> (
           match nodes.(node).decided with
           | None -> nodes.(node) <- { (nodes.(node)) with decided = Some value }
@@ -192,36 +204,35 @@ let apply_actions rt ~record nodes node actions ~path =
                   (Consensus.Checker.Irrevocability_violation
                      { node; value; time = 0 })
                   path)
-      | Amac.Algorithm.Broadcast message ->
-          if nodes.(node).outgoing = None then
-            nodes.(node) <-
-              {
-                (nodes.(node)) with
-                outgoing = Some message;
-                undelivered =
-                  List.filter
-                    (fun v -> not nodes.(v).crashed)
-                    (Amac.Topology.neighbors rt.topology node);
-              })
-    actions
+      | Amac.Algorithm.Broadcast message -> (
+          match nodes.(node).outgoing with
+          | Some _ -> ()
+          | None ->
+              nodes.(node) <-
+                {
+                  (nodes.(node)) with
+                  outgoing = Some message;
+                  undelivered =
+                    live nodes (Amac.Topology.neighbors rt.topology node);
+                }));
+      apply_actions rt ~record nodes node rest ~path
 
+(* Allocation-free scan for the overwhelmingly common clean case: every
+   decided value is an input and all agree. [memq] is exact on immediate
+   ints and skips the polymorphic-equality C call. *)
+let rec clean inputs nodes i first seen_one =
+  if i = Array.length nodes then true
+  else
+    match nodes.(i).decided with
+    | None -> clean inputs nodes (i + 1) first seen_one
+    | Some v ->
+        List.memq v inputs
+        && ((not seen_one) || v = first)
+        && clean inputs nodes (i + 1) v true
+
+(* The slow path recomputes the exact violation values on demand. *)
 let check_safety rt ~record nodes ~path =
-  (* Allocation-free scan for the overwhelmingly common clean case
-     ([memq] is exact on immediate ints and skips the polymorphic-equality
-     C call); the slow path below recomputes the exact violation values on
-     demand. *)
-  let len = Array.length nodes in
-  let rec clean i first seen_one =
-    if i = len then true
-    else
-      match nodes.(i).decided with
-      | None -> clean (i + 1) first seen_one
-      | Some v ->
-          List.memq v rt.input_values
-          && ((not seen_one) || v = first)
-          && clean (i + 1) v true
-  in
-  if not (clean 0 0 false) then begin
+  if not (clean rt.input_values nodes 0 0 false) then begin
     let decided =
       Array.to_list nodes
       |> List.filter_map (fun c -> c.decided)
@@ -241,23 +252,66 @@ let check_safety rt ~record nodes ~path =
         path
   end
 
-let enabled config rt cfg =
-  let steps = ref [] in
+(* Every step value a run can take, built once so that enumerating the
+   enabled steps allocates nothing. *)
+type steps = {
+  n_nodes : int;
+  delivers : step array;  (* [sender * n + receiver] -> its delivery *)
+  acks : step array;
+  crashes : step array;
+}
+
+let step_table rt =
+  let n = rt.n in
+  {
+    n_nodes = n;
+    delivers =
+      Array.init (n * n) (fun i ->
+          Deliver { sender = i / n; receiver = i mod n });
+    acks = Array.init n (fun u -> Ack u);
+    crashes = Array.init n (fun u -> Crash u);
+  }
+
+let rec fold_deliveries steps s pending f acc =
+  match pending with
+  | [] -> acc
+  | r :: rest ->
+      let step = steps.delivers.((s * steps.n_nodes) + r) in
+      fold_deliveries steps s rest f (f step acc)
+
+let rec fold_senders steps nodes s f acc =
+  if s = Array.length nodes then acc
+  else
+    let node = nodes.(s) in
+    let acc =
+      match node.outgoing with
+      | Some _ when not node.crashed -> (
+          match node.undelivered with
+          | [] -> f steps.acks.(s) acc
+          | pending -> fold_deliveries steps s pending f acc)
+      | _ -> acc
+    in
+    fold_senders steps nodes (s + 1) f acc
+
+let rec fold_crashes steps nodes u f acc =
+  if u = Array.length nodes then acc
+  else
+    let acc = if nodes.(u).crashed then acc else f steps.crashes.(u) acc in
+    fold_crashes steps nodes (u + 1) f acc
+
+(* [fold_enabled config steps cfg f acc] folds [f] over the steps enabled
+   at [cfg] in sibling order: by sender, each one's deliveries in
+   [undelivered] order or else its ack; then, while the crash budget
+   lasts, a crash of each live node. The explored counts depend on this
+   order. *)
+let fold_enabled config steps cfg f acc =
+  let acc = fold_senders steps cfg.nodes 0 f acc in
   if cfg.crashes_used < config.crash_budget then
-    for u = rt.n - 1 downto 0 do
-      if not cfg.nodes.(u).crashed then steps := Crash u :: !steps
-    done;
-  for s = rt.n - 1 downto 0 do
-    let node = cfg.nodes.(s) in
-    if (not node.crashed) && node.outgoing <> None then
-      match node.undelivered with
-      | [] -> steps := Ack s :: !steps
-      | pending ->
-          List.iter
-            (fun r -> steps := Deliver { sender = s; receiver = r } :: !steps)
-            (List.rev pending)
-  done;
-  !steps
+    fold_crashes steps cfg.nodes 0 f acc
+  else acc
+
+let quiescent config steps cfg =
+  not (fold_enabled config steps cfg (fun _ _ -> true) false)
 
 (* The child configuration shares everything with the parent except what
    the step touches: node_cfg records are updated functionally on a fresh
@@ -285,7 +339,7 @@ let apply rt ~record ~transitions cfg step ~path =
             nodes.(s) <-
               {
                 node with
-                undelivered = List.filter (fun v -> v <> u) node.undelivered;
+                undelivered = remove u node.undelivered;
               };
             stale_tail fps s
           end)
@@ -299,8 +353,7 @@ let apply rt ~record ~transitions cfg step ~path =
       nodes.(sender) <-
         {
           (nodes.(sender)) with
-          undelivered =
-            List.filter (fun v -> v <> receiver) nodes.(sender).undelivered;
+          undelivered = remove receiver nodes.(sender).undelivered;
         };
       stale_tail fps sender;
       let st = rt.clone_state nodes.(receiver).st in
@@ -360,7 +413,6 @@ let quiescent_check config ~record cfg ~path =
    of the steps independent of bit [b]'s step, so the child's sleep set
    after a step is one [land]. *)
 type sleep_bits = {
-  n_nodes : int;
   deliver : int array;  (* [sender * n + receiver] -> bit index *)
   ack : int array;  (* node -> bit index *)
   indep : int array;
@@ -368,16 +420,16 @@ type sleep_bits = {
 
 let max_sleep_bits = 62
 
-let sleep_bits rt =
+let sleep_bits rt table =
   let n = rt.n in
   let steps =
     List.concat_map
       (fun s ->
         List.map
-          (fun r -> Deliver { sender = s; receiver = r })
+          (fun r -> table.delivers.((s * n) + r))
           (Amac.Topology.neighbors rt.topology s))
       (List.init n Fun.id)
-    @ List.init n (fun u -> Ack u)
+    @ Array.to_list table.acks
     |> Array.of_list
   in
   let count = Array.length steps in
@@ -405,12 +457,12 @@ let sleep_bits rt =
         !mask)
       steps
   in
-  { n_nodes = n; deliver; ack; indep }
+  { deliver; ack; indep }
 
 (* [step]'s bit index, or -1 for a crash. *)
 let bit_index bits = function
   | Deliver { sender; receiver } ->
-      bits.deliver.((sender * bits.n_nodes) + receiver)
+      bits.deliver.((sender * Array.length bits.ack) + receiver)
   | Ack u -> bits.ack.(u)
   | Crash _ -> -1
 
@@ -456,7 +508,8 @@ exception Violation_found of Consensus.Checker.violation * step list
 
 let explore config algorithm ~topology ~inputs =
   let rt = make_rt algorithm ~topology ~inputs in
-  let bits = sleep_bits rt in
+  let table = step_table rt in
+  let bits = sleep_bits rt table in
   let states = ref 0 in
   let transitions = ref 0 in
   let dedup_hits = ref 0 in
@@ -464,40 +517,38 @@ let explore config algorithm ~topology ~inputs =
   let truncated = ref false in
   let record violation path = raise (Violation_found (violation, List.rev path)) in
   let key, collisions = make_key config rt in
-  let seen = Seen.create 4096 in
+  let seen = Seen.create (Array.length bits.indep) in
   let rec dfs cfg ~depth ~sleep ~path =
     match Seen.visit seen (key cfg) sleep with
     | Dedup -> incr dedup_hits
     | (Fresh | Revisit) as verdict ->
         if verdict = Fresh then incr states;
         if !states > config.max_states then truncated := true
+        else if depth >= config.max_depth then begin
+          if quiescent config table cfg then
+            quiescent_check config ~record cfg ~path
+          else truncated := true
+        end
         else begin
-          let steps = enabled config rt cfg in
-          match steps with
-          | [] -> quiescent_check config ~record cfg ~path
-          | _ :: _ when depth >= config.max_depth -> truncated := true
-          | _ :: _ ->
-              (* [all] is sleep ∪ executed-so-far. *)
-              let rec siblings all = function
-                | [] -> ()
-                | step :: rest ->
-                    let b = bit_index bits step in
-                    let bit = if b < 0 then 0 else 1 lsl b in
-                    if sleep land bit <> 0 then begin
-                      incr sleep_skips;
-                      siblings all rest
-                    end
-                    else begin
-                      let path = step :: path in
-                      let child = apply rt ~record ~transitions cfg step ~path in
-                      let child_sleep =
-                        if b < 0 then 0 else all land bits.indep.(b)
-                      in
-                      dfs child ~depth:(depth + 1) ~sleep:child_sleep ~path;
-                      siblings (all lor bit) rest
-                    end
-              in
-              siblings sleep steps
+          (* [all] is sleep ∪ executed-so-far. *)
+          let sibling step all =
+            let b = bit_index bits step in
+            let bit = if b < 0 then 0 else 1 lsl b in
+            if sleep land bit <> 0 then begin
+              incr sleep_skips;
+              all
+            end
+            else begin
+              let path = step :: path in
+              let child = apply rt ~record ~transitions cfg step ~path in
+              let child_sleep = if b < 0 then 0 else all land bits.indep.(b) in
+              dfs child ~depth:(depth + 1) ~sleep:child_sleep ~path;
+              all lor bit
+            end
+          in
+          ignore (fold_enabled config table cfg sibling sleep : int);
+          if config.check_termination && quiescent config table cfg then
+            quiescent_check config ~record cfg ~path
         end
   in
   let violations =
@@ -527,6 +578,7 @@ type ('s, 'm) snapshot_set = {
 
 let sample config algorithm ~topology ~inputs ~max_samples =
   let rt = make_rt algorithm ~topology ~inputs in
+  let table = step_table rt in
   let quiet _ _ = () in
   let seen = Hashtbl.create 1024 in
   let collected = ref [] in
@@ -550,11 +602,11 @@ let sample config algorithm ~topology ~inputs ~max_samples =
   while !count < max_samples && not (Queue.is_empty q) do
     let cfg, depth = Queue.pop q in
     if depth < config.max_depth then
-      List.iter
-        (fun step ->
+      fold_enabled config table cfg
+        (fun step () ->
           push (apply rt ~record:quiet ~transitions cfg step ~path:[])
             ~depth:(depth + 1))
-        (enabled config rt cfg)
+        ()
   done;
   { ss_rt = rt; ss_cfgs = Array.of_list (List.rev !collected) }
 

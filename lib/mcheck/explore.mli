@@ -37,10 +37,17 @@
     sleeps and owns none. Membership, the child's sleep set and the subset
     test are each one or two word operations. This bounds {!explore} to
     topologies with 2|E| + n <= 62 ([clique:7] and [line:21] fit,
-    [clique:8] does not). The seen-set is {!Seen}: one flat [int array]
-    holding each key next to its single stored mask, with the rare key
-    that stores two or more incomparable masks in a side table. Marshal
-    keying interns each digest to an int and uses the same table.
+    [clique:8] does not). The seen-set is {!Seen}: each key next to its
+    single stored mask in a slot of 8 key bytes plus the few bytes a
+    2|E| + n bit mask needs, in fixed-size [Bytes] pages that split in
+    place as they fill, with the rare key that stores two or more
+    incomparable masks in a side table. Marshal keying interns each
+    digest to an int and uses the same table.
+
+    Enumerating the enabled steps allocates nothing: one fold hands out
+    step values built once per run, in sibling order (by sender, its
+    deliveries in the order its neighbors are listed or else its ack;
+    crashes last), for both the search and {!sample}.
 
     Cloning a configuration for a child transition likewise uses the
     algorithm's [clone] hook when present, instead of a Marshal

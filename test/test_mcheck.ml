@@ -317,33 +317,51 @@ let model_visit table key sleep =
 
 let mask_of bits = List.fold_left (fun m b -> m lor (1 lsl b)) 0 bits
 
-(* Keys come from a small signed range with 0, -1, min_int and max_int, so
-   sequences collide on keys, grow the table several times, and drive
-   cells from one stored set to two and back; sleep sets are subsets of
-   six bits, the top one the highest a mask may use. *)
+(* One case creates a table for [bits] mask bits, from a width that fits
+   one field byte to the 62 of a full mask, and visits it 5,000 times.
+   Keys are dense ids (as Marshal keying hands out) from 0..5000, so one
+   case stores about 2,300 keys, three times what a page of the table
+   holds, and splits pages several times; a small signed range with 0, -1,
+   min_int and max_int revisits keys often enough to drive cells from one
+   stored set to two and back before and across those splits. Sleep sets
+   are subsets of four bits, the top one the highest the table takes. A
+   mask one bit wider is refused. *)
 let prop_seen_matches_model =
-  let key =
+  let case =
     QCheck.Gen.(
-      frequency
-        [ (8, int_range (-40) 40); (1, return min_int); (1, return max_int) ])
-  in
-  let sleep =
-    QCheck.Gen.(list_size (int_bound 4) (oneofl [ 0; 1; 2; 3; 4; 61 ]))
+      oneofl [ 1; 7; 8; 9; 55; 56; 62 ] >>= fun bits ->
+      let key =
+        frequency
+          [
+            (6, int_range 0 5000);
+            (3, int_range (-40) 40);
+            (1, oneofl [ 0; -1; min_int; max_int ]);
+          ]
+      in
+      let sleep =
+        list_size (int_bound 3)
+          (oneofl (List.filter (fun b -> b < bits) [ 0; 1; 2; bits - 1 ]))
+      in
+      map (fun visits -> (bits, visits)) (list_repeat 5000 (pair key sleep)))
   in
   QCheck.Test.make ~name:"Seen.visit agrees with the antichain model"
-    ~count:200
+    ~count:60
     QCheck.(
       make
-        ~print:Print.(list (pair int (list int)))
-        Gen.(list_size (int_range 1 600) (pair key sleep)))
-    (fun visits ->
-      let seen = Mcheck.Seen.create 4 and model = Hashtbl.create 16 in
+        ~print:Print.(pair int (list (pair int (list int))))
+        case)
+    (fun (bits, visits) ->
+      let seen = Mcheck.Seen.create bits and model = Hashtbl.create 16 in
       List.for_all
         (fun (key, bits) ->
           let bits = List.sort_uniq Int.compare bits in
           Mcheck.Seen.visit seen key (mask_of bits)
           = model_visit model key bits)
-        visits)
+        visits
+      &&
+      match Mcheck.Seen.visit seen 0 (1 lsl bits) with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
 
 let test_seen_rejects_negative_mask () =
   Alcotest.check_raises "negative mask"
